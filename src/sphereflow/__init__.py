@@ -60,7 +60,6 @@ from .flow import (
 from .dualflow import (
     DualResult,
     DualState,
-    DualTrace,
     decomposition_residual,
     dual_from_profile,
     dual_run,
@@ -72,7 +71,7 @@ from .dualflow import (
 )
 from .identities import SuiteReport, run_identity_suite
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ConeViolation", "ConvexityLoss", "MonotonicityError", "StepRejected",
@@ -88,7 +87,7 @@ __all__ = [
     "DtPolicy", "FlowConfig", "FlowResult", "FlowTrace", "ShapeSpec",
     "evolution_residual_f", "evolution_residual_u",
     "functional_derivative_residual", "run", "speed", "step",
-    "DualResult", "DualState", "DualTrace", "decomposition_residual",
+    "DualResult", "DualState", "decomposition_residual",
     "dual_from_profile", "dual_run", "g_operator", "gamma_transform",
     "profile_from_dual", "speed_transport_residual", "support_closure",
     "SuiteReport", "run_identity_suite",

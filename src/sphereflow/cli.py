@@ -9,6 +9,7 @@ CSV carries a ``# seed=`` header line and every JSON report a ``seed`` field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -45,42 +46,35 @@ def _parse_shape(text: str) -> ShapeSpec:
     raise ValueError(f"unknown shape {text!r}")
 
 
+# FlowConfig field -> the run flag that overrides it
+_FLAG_FIELDS = {"n": "n", "k": "k", "N": "grid", "t_max": "t_max",
+                "convergence_tol": "conv_tol", "sample_every": "sample_every",
+                "checkpoint_every": "checkpoint_every"}
+
+
 def _config_from_args(args) -> FlowConfig:
-    if args.config:
-        with open(args.config) as fh:
-            config = FlowConfig.from_json(json.load(fh))
-    else:
+    if not args.config:
         missing = [f for f in ("n", "k", "N", "shape")
                    if getattr(args, f if f != "N" else "grid") is None]
         if missing:
             raise ValueError(f"missing required flags: {', '.join('--' + m for m in missing)}")
-        config = FlowConfig(
-            n=args.n, k=args.k, N=args.grid,
-            initial_shape=_parse_shape(args.shape),
-        )
-    if args.n is not None:
-        config.n = args.n
-    if args.k is not None:
-        config.k = args.k
-    if args.grid is not None:
-        config.N = args.grid
+    overrides = {name: getattr(args, flag) for name, flag in _FLAG_FIELDS.items()
+                 if getattr(args, flag) is not None}
     if args.shape is not None:
-        config.initial_shape = _parse_shape(args.shape)
+        overrides["initial_shape"] = _parse_shape(args.shape)
+    if not args.config:
+        config = FlowConfig(**overrides)
+    else:
+        with open(args.config) as fh:
+            config = FlowConfig.from_json(json.load(fh))
+        # replace() runs __post_init__, so overridden fields are validated too
+        config = dataclasses.replace(config, **overrides)
     if args.dt_max is not None or args.cfl is not None:
-        config.dt_policy = DtPolicy(
+        config = dataclasses.replace(config, dt_policy=DtPolicy(
             cfl_factor=args.cfl if args.cfl is not None else config.dt_policy.cfl_factor,
             dt_max=args.dt_max if args.dt_max is not None else config.dt_policy.dt_max,
-        )
-    if args.t_max is not None:
-        config.t_max = args.t_max
-    if args.conv_tol is not None:
-        config.convergence_tol = args.conv_tol
-    if args.sample_every is not None:
-        config.sample_every = args.sample_every
-    if args.checkpoint_every is not None:
-        config.checkpoint_every = args.checkpoint_every
-    # re-validate after overrides
-    return FlowConfig.from_json(config.to_json())
+        ))
+    return config
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -101,31 +95,32 @@ def _manifest(out_dir: str, command: str, seed: int, config: FlowConfig | None,
     _write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
-def _quermass_json(values) -> dict:
-    return {f"A_{m}": values[m + 1] for m in range(-1, len(values) - 1)}
-
-
-def _cmd_run(args) -> int:
-    config = _config_from_args(args)
-    out = args.out
+def _run_bundle(out: str, config: FlowConfig, seed: int):
+    """Run the graph flow into out: manifest, checkpoints, trace, final state, summary."""
     os.makedirs(out, exist_ok=True)
-    _manifest(out, "run", args.seed, config)
+    _manifest(out, "run", seed, config)
     result = run(config, out_dir=out)
-    result.trace.to_csv(os.path.join(out, "trace.csv"), seed=args.seed)
+    result.trace.to_csv(os.path.join(out, "trace.csv"), seed=seed)
     save_checkpoint(result.profile, config.k, result.t_final,
                     os.path.join(out, "final.json"))
-    summary = {
-        "seed": args.seed,
+    last = {name: column[-1] for name, column in result.trace.columns.items()}
+    _write_json(os.path.join(out, "summary.json"), {
+        "seed": seed,
         "termination": result.termination,
         "tFinal": result.t_final,
         "steps": result.steps,
         "rejections": result.rejections,
         "violations": result.violations,
-        "finalQuermass": _quermass_json(result.trace.quermass[-1]),
-        "finalMaxSpeed": result.trace.max_speed[-1],
-        "finalRhoSpread": result.trace.max_rho[-1] - result.trace.min_rho[-1],
-    }
-    _write_json(os.path.join(out, "summary.json"), summary)
+        "finalQuermass": {f"A_{m}": last[f"A_{m}"] for m in range(-1, config.n + 1)},
+        "finalMaxSpeed": last["maxSpeed"],
+        "finalRhoSpread": last["maxRho"] - last["minRho"],
+    })
+    return result
+
+
+def _cmd_run(args) -> int:
+    out = args.out
+    result = _run_bundle(out, _config_from_args(args), args.seed)
     print(f"run: {result.termination} at t={result.t_final:.6g} "
           f"after {result.steps} steps ({result.rejections} rejected) -> {out}")
     return 0
@@ -145,8 +140,8 @@ def _cmd_dual_run(args) -> int:
         "steps": result.steps,
         "rejections": result.rejections,
         "breakdownTime": result.breakdown_time,
-        "finalMinEigW": result.trace.min_eig_w[-1],
-        "finalMaxEigW": result.trace.max_eig_w[-1],
+        "finalMinEigW": result.trace.columns["minEigW"][-1],
+        "finalMaxEigW": result.trace.columns["maxEigW"][-1],
     }
     try:
         pulled = profile_from_dual(result.state, config.N)
@@ -235,22 +230,8 @@ def _cmd_sweep(args) -> int:
     _manifest(args.out, "run", args.seed, None,
               extra={"sweep": [f"run-{i:03d}" for i in range(len(configs))]})
     for i, payload in enumerate(configs):
-        sub = os.path.join(args.out, f"run-{i:03d}")
-        os.makedirs(sub, exist_ok=True)
-        config = FlowConfig.from_json(payload)
-        _manifest(sub, "run", args.seed, config)
-        result = run(config, out_dir=sub)
-        result.trace.to_csv(os.path.join(sub, "trace.csv"), seed=args.seed)
-        save_checkpoint(result.profile, config.k, result.t_final,
-                        os.path.join(sub, "final.json"))
-        _write_json(os.path.join(sub, "summary.json"), {
-            "seed": args.seed,
-            "termination": result.termination,
-            "tFinal": result.t_final,
-            "steps": result.steps,
-            "rejections": result.rejections,
-            "violations": result.violations,
-        })
+        result = _run_bundle(os.path.join(args.out, f"run-{i:03d}"),
+                             FlowConfig.from_json(payload), args.seed)
         print(f"sweep run-{i:03d}: {result.termination} at t={result.t_final:.6g}")
     return 0
 

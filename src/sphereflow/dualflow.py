@@ -21,20 +21,19 @@ records the breakdown time when strict convexity of the dual body fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .exceptions import ConeViolation, ConvexityLoss, StepRejected
-from .flow import FlowConfig, _nodal_derivatives
+from .flow import FlowConfig, FlowTrace, _integrate
 from .hypersurface import RadialProfile, differentiate, geometry
 from .quermass import quermass_vector
 from .symfunc import identity_quotient, quotient_two_value
 
 __all__ = [
     "DualState",
-    "DualTrace",
     "DualResult",
     "gamma_transform",
     "decomposition_residual",
@@ -89,7 +88,7 @@ def decomposition_residual(profile: RadialProfile) -> float:
     discretization order.
     """
     gamma, _ = gamma_transform(profile)
-    g_grad, g_hess = _nodal_derivatives(gamma, profile.h)
+    g_grad, g_hess = differentiate(gamma, profile.h)
     lam1, lam_ang, ht1, ht_ang, omega, phi, phip, rho_tilde = _gamma_curvatures(
         profile.n, profile.theta, gamma, g_grad, g_hess
     )
@@ -160,7 +159,7 @@ def support_closure(n, theta, u_tilde, u_grad=None, u_hess=None) -> DualState:
             raise ValueError("finite differences need a uniform theta grid")
         if abs(theta[0]) > 1e-13 or abs(theta[-1] - math.pi) > 1e-13:
             raise ValueError("theta must span [0, pi] inclusive")
-        u_grad, u_hess = _nodal_derivatives(u, float(h))
+        u_grad, u_hess = differentiate(u, float(h))
     else:
         u_grad = np.asarray(u_grad, dtype=float)
         u_hess = np.asarray(u_hess, dtype=float)
@@ -228,7 +227,7 @@ def dual_from_profile(profile: RadialProfile) -> DualState:
     non-uniform).
     """
     gamma, rho_tilde = gamma_transform(profile)
-    g_grad, g_hess = _nodal_derivatives(gamma, profile.h)
+    g_grad, g_hess = differentiate(gamma, profile.h)
     omega2 = 1.0 + g_grad**2
     omega = np.sqrt(omega2)
     theta_nu = profile.theta - np.arctan(g_grad)
@@ -275,113 +274,15 @@ def speed_transport_residual(profile: RadialProfile, k: int) -> float:
 
 
 @dataclass
-class DualTrace:
-    """Run history of the dual solver; primal columns plus W eigen range."""
-
-    n: int
-    k: int
-    t: list = field(default_factory=list)
-    quermass: list = field(default_factory=list)
-    min_u: list = field(default_factory=list)
-    min_rho: list = field(default_factory=list)
-    max_rho: list = field(default_factory=list)
-    min_f: list = field(default_factory=list)
-    max_f: list = field(default_factory=list)
-    min_lambda: list = field(default_factory=list)
-    max_lambda: list = field(default_factory=list)
-    max_speed: list = field(default_factory=list)
-    min_eig_w: list = field(default_factory=list)
-    max_eig_w: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    breakdown_time: float | None = None
-
-    def append(self, t, quermass_row, state: DualState, g, codes):
-        if self.t and not t > self.t[-1]:
-            raise ValueError("trace timestamps must be strictly increasing")
-        shift = (state.phip - 1.0) / (state.rho_tilde * state.omega)
-        lam1 = state.rho_tilde / state.phi * (state.h_merid + shift)
-        lam_ang = state.rho_tilde / state.phi * (state.h_ang + shift)
-        try:
-            fval, _, _, _, _ = quotient_two_value(lam1, lam_ang, state.n, self.k)
-            fmin, fmax = float(np.min(fval)), float(np.max(fval))
-        except ConeViolation:
-            fmin = fmax = float("nan")
-        self.t.append(float(t))
-        self.quermass.append(list(quermass_row))
-        self.min_u.append(float(np.min(state.u)))
-        self.min_rho.append(float(np.min(state.rho)))
-        self.max_rho.append(float(np.max(state.rho)))
-        self.min_f.append(fmin)
-        self.max_f.append(fmax)
-        self.min_lambda.append(float(min(lam1.min(), lam_ang.min())))
-        self.max_lambda.append(float(max(lam1.max(), lam_ang.max())))
-        self.max_speed.append(float(np.max(np.abs(g))))
-        self.min_eig_w.append(state.min_eig_w)
-        self.max_eig_w.append(state.max_eig_w)
-        self.violations.append(";".join(codes))
-
-    def header(self) -> list:
-        cols = ["t"] + [f"A_{m}" for m in range(-1, self.n + 1)]
-        cols += ["minU", "minRho", "maxRho", "minF", "maxF",
-                 "minLambda", "maxLambda", "maxSpeed",
-                 "minEigW", "maxEigW", "breakdownTime", "violationFlags"]
-        return cols
-
-    def to_csv(self, path, seed: int | None = None) -> None:
-        bd = "" if self.breakdown_time is None else repr(float(self.breakdown_time))
-        with open(path, "w") as fh:
-            if seed is not None:
-                fh.write(f"# seed={seed}\n")
-            fh.write(",".join(self.header()) + "\n")
-            for i in range(len(self.t)):
-                row = [self.t[i]] + list(self.quermass[i]) + [
-                    self.min_u[i], self.min_rho[i], self.max_rho[i],
-                    self.min_f[i], self.max_f[i], self.min_lambda[i],
-                    self.max_lambda[i], self.max_speed[i],
-                    self.min_eig_w[i], self.max_eig_w[i],
-                ]
-                cells = [repr(float(v)) for v in row]
-                cells.append(bd)
-                cells.append(self.violations[i])
-                fh.write(",".join(cells) + "\n")
-
-    def column(self, name: str) -> np.ndarray:
-        cols = self.header()
-        if name not in cols or name in ("breakdownTime", "violationFlags"):
-            raise KeyError(name)
-        idx = cols.index(name)
-        rows = []
-        for i in range(len(self.t)):
-            rows.append([self.t[i]] + list(self.quermass[i]) + [
-                self.min_u[i], self.min_rho[i], self.max_rho[i],
-                self.min_f[i], self.max_f[i], self.min_lambda[i],
-                self.max_lambda[i], self.max_speed[i],
-                self.min_eig_w[i], self.max_eig_w[i],
-            ])
-        return np.array([r[idx] for r in rows])
-
-
-@dataclass
 class DualResult:
     config: FlowConfig
-    trace: DualTrace
+    trace: FlowTrace
     state: DualState
     termination: str
     t_final: float
     steps: int
     rejections: int
     breakdown_time: float | None
-
-
-_MULT_FLOOR = 1e-12
-_GROW_EVERY = 20
-_GROW_FACTOR = 1.2
-
-
-def _dual_rate(n, theta, u, k):
-    state = support_closure(n, theta, u)
-    g, stiff = _g_terms(state, k)
-    return state, g, stiff
 
 
 def _quermass_row(state: DualState, n: int, codes: list):
@@ -394,86 +295,66 @@ def _quermass_row(state: DualState, n: int, codes: list):
         return [float("nan")] * (n + 2)
 
 
+def _trace_row(state: DualState, g: np.ndarray, k: int, codes: list) -> list:
+    """Primal trace columns read through the dual state, then the W eigen range."""
+    shift = (state.phip - 1.0) / (state.rho_tilde * state.omega)
+    lam1 = state.rho_tilde / state.phi * (state.h_merid + shift)
+    lam_ang = state.rho_tilde / state.phi * (state.h_ang + shift)
+    try:
+        fval, _, _, _, _ = quotient_two_value(lam1, lam_ang, state.n, k)
+        fmin, fmax = np.min(fval), np.max(fval)
+    except ConeViolation:
+        fmin = fmax = float("nan")
+    return _quermass_row(state, state.n, codes) + [
+        np.min(state.u), np.min(state.rho), np.max(state.rho), fmin, fmax,
+        min(lam1.min(), lam_ang.min()), max(lam1.max(), lam_ang.max()),
+        np.max(np.abs(g)), state.min_eig_w, state.max_eig_w,
+    ]
+
+
 def dual_run(config: FlowConfig) -> DualResult:
     """Explicit time stepping of the support-function evolution.
 
-    Same step-control policy as the primal solver: parabolic dt against the
-    trace of the linearization, rejection halving, slow regrowth.  Loss of
-    positive definiteness of W at the smallest step aborts the run and the
-    time is recorded; the outcome of this evolution is not covered by the
+    Same driver and step-control policy as the primal solver: parabolic dt
+    against the trace of the linearization, rejection halving, slow regrowth.
+    Loss of positive definiteness of W at the smallest step aborts the run and
+    the time is recorded; the outcome of this evolution is not covered by the
     convergence theory and runs here are experimental probes.
     """
     profile = config.initial_shape.build(config.n, config.N)
     dual0 = dual_from_profile(profile)
     grid = np.linspace(0.0, math.pi, config.N)
-    u = CubicSpline(dual0.theta, dual0.u)(grid)
     n, k = config.n, config.k
-    h = float(grid[1] - grid[0])
 
-    state, g, stiff = _dual_rate(n, grid, u, k)
-    trace = DualTrace(n=n, k=k)
-    codes: list = []
-    trace.append(0.0, _quermass_row(state, n, codes), state, g, codes)
+    # a solver state is (u, closure, G, stiffness field)
+    def evaluate(u):
+        state = support_closure(n, grid, u)
+        g, stiff = _g_terms(state, k)
+        return u, state, g, stiff
 
-    t = 0.0
-    steps = 0
-    rejections = 0
-    mult = 1.0
-    streak = 0
-    termination = "tmax"
-    breakdown = None
-    last_sampled = 0.0
-    pending: list = []
+    def probe(cur):
+        _, state, g, stiff = cur
+        curvature = max(np.max(state.h_merid), np.max(state.h_ang))
+        return float(np.max(np.abs(g))), curvature, float(np.max(stiff))
 
-    while True:
-        max_g = float(np.max(np.abs(g)))
-        if max_g < config.convergence_tol:
-            termination = "converged"
-            break
-        if t >= config.t_max * (1.0 - 1e-15):
-            termination = "tmax"
-            break
-        if max(np.max(state.h_merid), np.max(state.h_ang)) > config.blowup_threshold:
-            termination = "curvature_blowup"
-            break
-
-        dt_base = config.dt_policy.cfl_factor * h**2 / max(float(np.max(stiff)), 1e-300)
-        dt = min(dt_base, config.dt_policy.dt_max) * mult
-        dt = min(dt, config.t_max - t)
+    def trial(cur, dt):
+        u, _, g, _ = cur
         try:
-            _, g2, _ = _dual_rate(n, grid, u + 0.5 * dt * g, k)
-            _, g3, _ = _dual_rate(n, grid, u + 0.5 * dt * g2, k)
-            _, g4, _ = _dual_rate(n, grid, u + dt * g3, k)
-            u_new = u + dt / 6.0 * (g + 2.0 * g2 + 2.0 * g3 + g4)
-            state_new, g_new, stiff_new = _dual_rate(n, grid, u_new, k)
-        except (ConvexityLoss, ConeViolation, ValueError) as exc:
-            rejections += 1
-            streak = 0
-            mult *= 0.5
-            if mult < _MULT_FLOOR:
-                termination = "convexity_breakdown"
-                breakdown = t
-                break
-            continue
+            g2 = evaluate(u + 0.5 * dt * g)[2]
+            g3 = evaluate(u + 0.5 * dt * g2)[2]
+            g4 = evaluate(u + dt * g3)[2]
+            return evaluate(u + dt / 6.0 * (g + 2.0 * g2 + 2.0 * g3 + g4))
+        except ValueError as exc:  # ConvexityLoss and ConeViolation included
+            raise StepRejected(str(exc)) from exc
 
-        t += dt
-        steps += 1
-        streak += 1
-        if streak >= _GROW_EVERY:
-            mult = min(1.0, mult * _GROW_FACTOR)
-            streak = 0
-        u, state, g, stiff = u_new, state_new, g_new, stiff_new
-
-        if steps % config.sample_every == 0:
-            row = _quermass_row(state, n, pending)
-            trace.append(t, row, state, g, pending)
-            pending = []
-            last_sampled = t
-
-    if t > last_sampled:
-        row = _quermass_row(state, n, pending)
-        trace.append(t, row, state, g, pending)
-    trace.breakdown_time = breakdown
+    trace = FlowTrace(n, extra=("minEigW", "maxEigW"), breakdown_cell=True)
+    start = evaluate(CubicSpline(dual0.theta, dual0.u)(grid))
+    (_, state, _, _), t, steps, rejections, termination, failure = _integrate(
+        config, float(grid[1] - grid[0]), start, probe, trial, lambda *_: (),
+        lambda cur, codes: _trace_row(cur[1], cur[2], k, codes), trace)
+    if failure is not None:
+        termination = "convexity_breakdown"
+        trace.breakdown_time = t
 
     return DualResult(
         config=config,
@@ -483,5 +364,5 @@ def dual_run(config: FlowConfig) -> DualResult:
         t_final=t,
         steps=steps,
         rejections=rejections,
-        breakdown_time=breakdown,
+        breakdown_time=trace.breakdown_time,
     )

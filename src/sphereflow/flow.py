@@ -4,13 +4,14 @@ The normal speed is f = c * phi'(rho) - u * F with c the quotient's value on
 the round sphere, which preserves the quermassintegral A_{k-1} and drives
 convex initial data to a geodesic sphere.  On the fixed graph grid the radius
 obeys d(rho)/dt = f * W / phi, integrated here with classical Runge-Kutta and
-a parabolic step-size heuristic plus rejection control.
+a parabolic step-size heuristic plus rejection control.  The same driver
+steps the support-function solver in dualflow.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,8 +131,8 @@ class DtPolicy:
     def __post_init__(self):
         if not 0.0 < self.cfl_factor <= 1.0:
             raise ValueError("cfl_factor must lie in (0, 1]")
-        if not self.dt_max > 0.0:
-            raise ValueError("dt_max must be positive")
+        if not (math.isfinite(self.dt_max) and self.dt_max > 0.0):
+            raise ValueError("dt_max must be finite and positive")
 
 
 def _default_monitor_tolerances() -> dict:
@@ -162,6 +163,12 @@ class FlowConfig:
             raise ValueError(f"quotient order k={self.k} out of range for n={self.n}")
         if self.N < 5:
             raise ValueError("grid too coarse: need N >= 5")
+        if not (math.isfinite(self.t_max) and self.t_max > 0.0):
+            raise ValueError("t_max must be finite and positive")
+        if self.sample_every < 1:
+            raise ValueError("sample_every must be at least 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be nonnegative")
         tol = _default_monitor_tolerances()
         tol.update(self.monitor_tolerances or {})
         self.monitor_tolerances = tol
@@ -247,10 +254,12 @@ def step(profile: RadialProfile, dt: float, k: int) -> RadialProfile:
     return _rk4(profile, dt, k, geometry(profile, k))
 
 
+def _parabolic_dt(stiffness: float, h: float, policy: DtPolicy) -> float:
+    return min(policy.cfl_factor * h**2 / max(stiffness, 1e-300), policy.dt_max)
+
+
 def _policy_dt(state: GeometryState, policy: DtPolicy) -> float:
-    den = float(np.max(state.u * state.trace_grad))
-    den = max(den, 1e-300)
-    return min(policy.cfl_factor * state.h**2 / den, policy.dt_max)
+    return _parabolic_dt(float(np.max(state.u * state.trace_grad)), state.h, policy)
 
 
 class Monitors:
@@ -322,70 +331,58 @@ class Monitors:
         return codes
 
 
-@dataclass
+_TRACE_COLUMNS = ["minU", "minRho", "maxRho", "minF", "maxF",
+                  "minLambda", "maxLambda", "maxSpeed"]
+
+
 class FlowTrace:
-    """Sampled run history; one row per sample instant."""
+    """Sampled run history, one float column per header name.
 
-    n: int
-    k: int
-    t: list = field(default_factory=list)
-    quermass: list = field(default_factory=list)
-    min_u: list = field(default_factory=list)
-    min_rho: list = field(default_factory=list)
-    max_rho: list = field(default_factory=list)
-    min_f: list = field(default_factory=list)
-    max_f: list = field(default_factory=list)
-    min_lambda: list = field(default_factory=list)
-    max_lambda: list = field(default_factory=list)
-    max_speed: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
+    Columns are t, A_-1..A_n, _TRACE_COLUMNS and then ``extra``; every row
+    also carries its monitor flags.  With ``breakdown_cell`` the CSV repeats
+    breakdown_time on every row, empty when there was none.
+    """
 
-    def append(self, t: float, q: QuermassVector, state: GeometryState,
-               max_speed: float, codes: list):
+    def __init__(self, n: int, extra: tuple = (), breakdown_cell: bool = False):
+        self.n = n
+        names = ["t"] + [f"A_{m}" for m in range(-1, n + 1)] + _TRACE_COLUMNS + list(extra)
+        self.columns = {name: [] for name in names}
+        self.violations: list = []
+        self.breakdown_cell = breakdown_cell
+        self.breakdown_time: float | None = None
+
+    @property
+    def t(self) -> list:
+        return self.columns["t"]
+
+    def append(self, t: float, values, codes: list):
+        """Add the row at time t: values in header order after t, then flags."""
         if self.t and not t > self.t[-1]:
             raise ValueError("trace timestamps must be strictly increasing")
-        self.t.append(float(t))
-        self.quermass.append([q.a(m) for m in range(-1, self.n + 1)])
-        self.min_u.append(float(np.min(state.u)))
-        self.min_rho.append(float(np.min(state.rho)))
-        self.max_rho.append(float(np.max(state.rho)))
-        self.min_f.append(float(np.min(state.F)))
-        self.max_f.append(float(np.max(state.F)))
-        self.min_lambda.append(state.lam_min)
-        self.max_lambda.append(state.lam_max)
-        self.max_speed.append(float(max_speed))
+        if len(values) != len(self.columns) - 1:
+            raise ValueError(f"trace row needs {len(self.columns) - 1} values")
+        for column, v in zip(self.columns.values(), (t, *values)):
+            column.append(float(v))
         self.violations.append(";".join(codes))
 
     def header(self) -> list:
-        cols = ["t"] + [f"A_{m}" for m in range(-1, self.n + 1)]
-        cols += ["minU", "minRho", "maxRho", "minF", "maxF",
-                 "minLambda", "maxLambda", "maxSpeed", "violationFlags"]
-        return cols
-
-    def rows(self):
-        for i in range(len(self.t)):
-            row = [self.t[i]] + list(self.quermass[i]) + [
-                self.min_u[i], self.min_rho[i], self.max_rho[i],
-                self.min_f[i], self.max_f[i], self.min_lambda[i],
-                self.max_lambda[i], self.max_speed[i],
-            ]
-            yield row, self.violations[i]
+        cells = ["breakdownTime"] if self.breakdown_cell else []
+        return list(self.columns) + cells + ["violationFlags"]
 
     def to_csv(self, path, seed: int | None = None) -> None:
+        cells = []
+        if self.breakdown_cell:
+            bd = self.breakdown_time
+            cells.append("" if bd is None else repr(float(bd)))
         with open(path, "w") as fh:
             if seed is not None:
                 fh.write(f"# seed={seed}\n")
             fh.write(",".join(self.header()) + "\n")
-            for row, flags in self.rows():
-                fh.write(",".join(repr(float(v)) for v in row) + f",{flags}\n")
+            for *row, flags in zip(*self.columns.values(), self.violations):
+                fh.write(",".join([repr(v) for v in row] + cells + [flags]) + "\n")
 
     def column(self, name: str) -> np.ndarray:
-        cols = self.header()
-        if name not in cols:
-            raise KeyError(name)
-        idx = cols.index(name)
-        data = [row for row, _ in self.rows()]
-        return np.array([r[idx] for r in data])
+        return np.array(self.columns[name])
 
 
 @dataclass
@@ -401,80 +398,120 @@ class FlowResult:
     violations: dict
 
 
-def run(config: FlowConfig, out_dir=None) -> FlowResult:
-    """Integrate the flow until convergence, t_max, or a documented abort."""
-    import os
+def _integrate(config: FlowConfig, h: float, state, probe, trial, advance, row,
+               trace: FlowTrace):
+    """Explicit RK4 time stepping under the step control both solvers share.
 
-    profile = config.initial_shape.build(config.n, config.N)
-    state = geometry(profile, config.k)
-    if not state.lam_min > 0.0:
-        raise ValueError("initial profile is not strictly convex")
-    q = quermass_vector(state, profile)
-    monitors = Monitors(config, state, q)
-    trace = FlowTrace(n=config.n, k=config.k)
+    The solver keeps its own state.  probe(state) gives its max speed, max
+    curvature and stiffness (the largest trace of the linearization);
+    trial(state, dt) returns the next state or raises StepRejected;
+    advance(state, new, t, dt, steps) does the work of an accepted step and
+    returns its flag codes; row(state, codes) gives a trace row's values and
+    may add codes.
 
-    f = speed(state)
-    max_speed = float(np.max(np.abs(f)))
-    trace.append(0.0, q, state, max_speed, [])
-
-    t = 0.0
-    steps = 0
-    rejections = 0
-    mult = 1.0
-    accepted_streak = 0
+    The step is the parabolic limit, scaled by a multiplier that halves on
+    each rejection and regrows after a streak of accepted steps; the run
+    collapses once the multiplier drops below _MULT_FLOOR.  Returns the final
+    state, t, steps, rejections, termination and the collapsing rejection.
+    """
     pending: list = []
-    termination = "tmax"
-    last_sampled_t = 0.0
-
+    trace.append(0.0, row(state, pending), pending)
+    pending = []
+    t = last_sampled = 0.0
+    steps = rejections = streak = 0
+    mult = 1.0
+    failure = None
     while True:
+        max_speed, curvature, stiffness = probe(state)
         if max_speed < config.convergence_tol:
             termination = "converged"
             break
         if t >= config.t_max * (1.0 - 1e-15):
             termination = "tmax"
             break
-        if max(abs(state.lam_min), abs(state.lam_max)) > config.blowup_threshold:
+        if curvature > config.blowup_threshold:
             termination = "curvature_blowup"
             break
 
-        dt = min(_policy_dt(state, config.dt_policy) * mult, config.t_max - t)
+        dt = min(_parabolic_dt(stiffness, h, config.dt_policy) * mult, config.t_max - t)
         try:
-            new_profile = _rk4(profile, dt, config.k, state)
-            new_state = geometry(new_profile, config.k)
-            if not new_state.lam_min > 0.0:
-                raise StepRejected("strict convexity lost in a trial step")
-        except (StepRejected, ConeViolation) as exc:
+            new = trial(state, dt)
+        except StepRejected as exc:
             rejections += 1
-            accepted_streak = 0
+            streak = 0
             mult *= 0.5
             if mult < _MULT_FLOOR:
-                termination = f"step_collapse: {exc}"
+                termination, failure = "step_collapse", exc
                 break
             continue
 
         t += dt
         steps += 1
-        accepted_streak += 1
-        if accepted_streak >= _GROW_EVERY:
+        streak += 1
+        if streak >= _GROW_EVERY:
             mult = min(1.0, mult * _GROW_FACTOR)
-            accepted_streak = 0
-
-        q_new = quermass_vector(new_state, new_profile)
-        pending.extend(monitors.check(q, q_new, new_state, dt))
-        profile, state, q = new_profile, new_state, q_new
-        f = speed(state)
-        max_speed = float(np.max(np.abs(f)))
-
+            streak = 0
+        pending.extend(advance(state, new, t, dt, steps))
+        state = new
         if steps % config.sample_every == 0:
-            trace.append(t, q, state, max_speed, pending)
+            trace.append(t, row(state, pending), pending)
             pending = []
-            last_sampled_t = t
+            last_sampled = t
+
+    if t > last_sampled:
+        trace.append(t, row(state, pending), pending)
+    return state, t, steps, rejections, termination, failure
+
+
+def run(config: FlowConfig, out_dir=None) -> FlowResult:
+    """Integrate the flow until convergence, t_max, or a documented abort."""
+    k = config.k
+    profile = config.initial_shape.build(config.n, config.N)
+    state = geometry(profile, k)
+    if not state.lam_min > 0.0:
+        raise ValueError("initial profile is not strictly convex")
+    q = quermass_vector(state, profile)
+    monitors = Monitors(config, state, q)
+
+    # a solver state is (profile, geometry, max |speed|)
+    def probe(cur):
+        _, st, max_speed = cur
+        curvature = max(abs(st.lam_min), abs(st.lam_max))
+        return max_speed, curvature, float(np.max(st.u * st.trace_grad))
+
+    def trial(cur, dt):
+        new_profile = _rk4(cur[0], dt, k, cur[1])
+        try:
+            new_state = geometry(new_profile, k)
+        except ConeViolation as exc:
+            raise StepRejected(str(exc)) from exc
+        if not new_state.lam_min > 0.0:
+            raise StepRejected("strict convexity lost in a trial step")
+        return new_profile, new_state, float(np.max(np.abs(speed(new_state))))
+
+    def advance(cur, new, t, dt, steps):
+        nonlocal q
+        new_profile, new_state, _ = new
+        q_new = quermass_vector(new_state, new_profile)
+        codes = monitors.check(q, q_new, new_state, dt)
+        q = q_new
         if out_dir is not None and config.checkpoint_every > 0 and steps % config.checkpoint_every == 0:
-            save_checkpoint(profile, config.k, t, os.path.join(out_dir, f"ck_{steps:08d}.json"))
+            save_checkpoint(new_profile, k, t, os.path.join(out_dir, f"ck_{steps:08d}.json"))
+        return codes
 
-    if t > last_sampled_t:
-        trace.append(t, q, state, max_speed, pending)
+    def row(cur, codes):
+        _, st, max_speed = cur
+        return [q.a(m) for m in range(-1, config.n + 1)] + [
+            np.min(st.u), np.min(st.rho), np.max(st.rho), np.min(st.F), np.max(st.F),
+            st.lam_min, st.lam_max, max_speed,
+        ]
 
+    start = (profile, state, float(np.max(np.abs(speed(state)))))
+    trace = FlowTrace(n=config.n)
+    (profile, state, _), t, steps, rejections, termination, failure = _integrate(
+        config, state.h, start, probe, trial, advance, row, trace)
+    if failure is not None:
+        termination = f"{termination}: {failure}"
     return FlowResult(
         config=config,
         trace=trace,
@@ -494,18 +531,6 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
 # fixed graph grid the material time derivative picks up the tangential drift
 # of the graph points, d/dt|normal = d/dt|grid - (f * omega * rho_theta /
 # W^2) * d/dtheta, which is applied before comparing against the identities.
-
-
-def _nodal_derivatives(values: np.ndarray, h: float):
-    grad = np.empty_like(values)
-    hess = np.empty_like(values)
-    grad[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    grad[0] = 0.0
-    grad[-1] = 0.0
-    hess[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h**2
-    hess[0] = 2.0 * (values[1] - values[0]) / h**2
-    hess[-1] = 2.0 * (values[-2] - values[-1]) / h**2
-    return grad, hess
 
 
 def _midpoint_state(prev: GeometryState, next_: GeometryState) -> GeometryState:
@@ -531,7 +556,7 @@ def evolution_residual_u(prev: GeometryState, next_: GeometryState, dt: float) -
     mid = _midpoint_state(prev, next_)
     n, h = mid.n, mid.h
     c = identity_quotient(n, mid.k)
-    u_g, u_h = _nodal_derivatives(mid.u, h)
+    u_g, u_h = differentiate(mid.u, h)
     hm, ha = frame_hessian(mid, u_g, u_h)
     diffusion = mid.u * (mid.f_merid * hm + (n - 1) * mid.f_ang * ha)
     g = mid.w**2
@@ -558,8 +583,8 @@ def evolution_residual_f(prev: GeometryState, next_: GeometryState, dt: float) -
     mid = _midpoint_state(prev, next_)
     n, h = mid.n, mid.h
     c = identity_quotient(n, mid.k)
-    f_g, f_h = _nodal_derivatives(mid.F, h)
-    u_g, _ = _nodal_derivatives(mid.u, h)
+    f_g, f_h = differentiate(mid.F, h)
+    u_g, _ = differentiate(mid.u, h)
     hm, ha = frame_hessian(mid, f_g, f_h)
     diffusion = mid.u * (mid.f_merid * hm + (n - 1) * mid.f_ang * ha)
     g = mid.w**2

@@ -96,22 +96,21 @@ class RadialProfile:
         return cls(n=n, theta=theta, rho=r0 + eps * np.cos(mode * theta))
 
 
-def differentiate(profile: RadialProfile):
-    """Centered second-order d/dtheta and d2/dtheta2 of the radius.
+def differentiate(values: np.ndarray, h: float):
+    """Centered second-order d/dtheta and d2/dtheta2 of nodal values on [0, pi].
 
-    Axisymmetric regularity makes rho even about both poles, so the ghost
-    values are the mirrored interior ones; the first derivative vanishes at
-    the poles exactly and the second uses the one-sided even stencil.
+    Axisymmetric regularity makes the scalar even about both poles, so the
+    ghost values are the mirrored interior ones; the first derivative vanishes
+    at the poles exactly and the second uses the one-sided even stencil.
     """
-    rho, h = profile.rho, profile.h
-    grad = np.empty_like(rho)
-    hess = np.empty_like(rho)
-    grad[1:-1] = (rho[2:] - rho[:-2]) / (2.0 * h)
+    grad = np.empty_like(values)
+    hess = np.empty_like(values)
+    grad[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
     grad[0] = 0.0
     grad[-1] = 0.0
-    hess[1:-1] = (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / h**2
-    hess[0] = 2.0 * (rho[1] - rho[0]) / h**2
-    hess[-1] = 2.0 * (rho[-2] - rho[-1]) / h**2
+    hess[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h**2
+    hess[0] = 2.0 * (values[1] - values[0]) / h**2
+    hess[-1] = 2.0 * (values[-2] - values[-1]) / h**2
     return grad, hess
 
 
@@ -151,10 +150,6 @@ class GeometryState:
     def sigma_nodal(self, m: int) -> np.ndarray:
         return sigma_two_value(self.lam1, self.lam_ang, self.n, m)
 
-    def lam_matrix(self) -> np.ndarray:
-        cols = [self.lam1] + [self.lam_ang] * (self.n - 1)
-        return np.stack(cols, axis=-1)
-
     @property
     def lam_min(self) -> float:
         return float(min(self.lam1.min(), self.lam_ang.min()))
@@ -170,7 +165,7 @@ def geometry(profile: RadialProfile, k: int) -> GeometryState:
     if not 0 <= k <= n - 1:
         raise ValueError(f"quotient order k={k} out of range for n={n}")
     theta, rho = profile.theta, profile.rho
-    grad, hess = differentiate(profile)
+    grad, hess = differentiate(rho, profile.h)
     phi = np.sin(rho)
     phip = np.cos(rho)
     w = np.hypot(phi, grad)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symfunc import _quotient_arrays, sigma_table
+from .symfunc import _quotient_arrays, pinch_deficit_parts, sigma, sigma_table
 
 __all__ = [
     "CheckResult",
@@ -332,28 +332,13 @@ def _check_quotient_gaps(rng, samples, n, k) -> list:
 def _check_pinch_deficit(rng, samples, n, m) -> list:
     vals = sample_cone(rng, samples, n, n)
     vals = -np.sort(-vals, axis=1)
-    table = sigma_table(vals, min(m + 1, n))
-    s_m = table[:, m]
-    s_mm = table[:, m - 1]
-    s_mp = table[:, m + 1] if m + 1 <= n else np.zeros(vals.shape[0])
-    deficit = m * (n - m) * s_m**2 - (m + 1) * (n - m + 1) * s_mp * s_mm
+    deficit, pair_sum, pinch = pinch_deficit_parts(vals, m)
 
-    pair_sum = np.zeros(vals.shape[0])
-    for i in range(n):
-        for j in range(i + 1, n):
-            rest = np.delete(vals, (i, j), axis=1)
-            rt = sigma_table(rest, min(m, n - 2))
-            a = rt[:, m - 1] if m - 1 <= n - 2 else np.zeros(vals.shape[0])
-            b = rt[:, m - 2] if 0 <= m - 2 <= n - 2 else np.zeros(vals.shape[0])
-            d = rt[:, m] if m <= n - 2 else np.zeros(vals.shape[0])
-            pair_sum += (vals[:, i] - vals[:, j]) ** 2 * (a**2 - b * d)
-
-    base = m * (n - m) * s_m**2
+    base = m * (n - m) * sigma(vals, m) ** 2
     scale = np.maximum.reduce([np.abs(deficit), np.abs(pair_sum), base, np.ones_like(base)])
     worst_eq = float(np.max(np.abs(deficit - pair_sum) / scale))
     worst_pos = float(np.min(deficit / scale))
 
-    pinch = (vals[:, 0] - vals[:, -1]) ** 2 / vals[:, 0] ** 2
     mask = (vals[:, 0] / vals[:, -1] <= 1.0e3) & (pinch > 1.0e-4)
     recorded = {}
     ratio_min = float("nan")

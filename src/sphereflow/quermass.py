@@ -112,14 +112,21 @@ def _monotone_guard(n: int, k: int) -> tuple:
     return rs, vals
 
 
+# (n, k) -> the sampled map, or the text of the MonotonicityError it raised
 _GUARD_CACHE: dict = {}
 
 
 def _guarded_range(n: int, k: int):
     key = (n, k)
     if key not in _GUARD_CACHE:
-        _GUARD_CACHE[key] = _monotone_guard(n, k)
-    return _GUARD_CACHE[key]
+        try:
+            _GUARD_CACHE[key] = _monotone_guard(n, k)
+        except MonotonicityError as exc:
+            _GUARD_CACHE[key] = str(exc)
+    guard = _GUARD_CACHE[key]
+    if isinstance(guard, str):
+        raise MonotonicityError(guard)
+    return guard
 
 
 def sphere_comparison(n: int, l: int, k: int, a_k: float) -> float:

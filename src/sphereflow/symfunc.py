@@ -33,7 +33,6 @@ __all__ = [
     "newton_maclaurin_gap",
     "quotient_trace_gaps",
     "pinch_deficit_parts",
-    "sigma_hessian_offdiag",
 ]
 
 
@@ -378,26 +377,3 @@ def pinch_deficit_parts(lam, m: int):
         return float(deficit), float(pair_sum), float(pinch)
     return deficit, pair_sum, pinch
 
-
-def sigma_hessian_offdiag(lam, m: int) -> np.ndarray:
-    """Matrix A with A[i,j] = sigma_{m-2}(lam | i,j) for i != j, zero diagonal.
-
-    These are the only nonzero second partials of sigma_m as a function of a
-    symmetric matrix evaluated at a diagonal point: the (ii,jj) entry equals
-    +A[i,j] and the (ij,ji) entry equals -A[i,j].  Kept for completeness
-    checks; the flow itself never needs off-diagonal derivatives.
-    """
-    vals = _values(lam)
-    if vals.ndim != 1:
-        raise ValueError("sigma_hessian_offdiag takes a single curvature vector")
-    n = vals.size
-    if not 0 <= m <= n:
-        raise ValueError(f"sigma index m={m} out of range for n={n}")
-    out = np.zeros((n, n))
-    if m < 2:
-        return out
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            v = sigma_excl(vals, m - 2, (i, j)) if m - 2 <= n - 2 else 0.0
-            out[i, j] = out[j, i] = v
-    return out

@@ -117,7 +117,7 @@ def test_06_bound_monitors(standard_run, second_run):
     details = []
     ok = True
     for tag, res in (("n=2,k=1", standard_run), ("n=3,k=2", second_run)):
-        lam = res.trace.min_lambda
+        lam = res.trace.column("minLambda")
         ratio = min(lam) / lam[0]
         ok = ok and res.violations == {} and ratio >= 0.1
         details.append(f"{tag}: violations {res.violations or 'none'}, "
@@ -127,7 +127,7 @@ def test_06_bound_monitors(standard_run, second_run):
 
 def test_07_round_limit(standard_run):
     res = standard_run
-    spread = res.trace.max_rho[-1] - res.trace.min_rho[-1]
+    spread = res.trace.column("maxRho")[-1] - res.trace.column("minRho")[-1]
     q = quermass_vector(geometry(res.profile, 1), res.profile)
     worst_scaled = min(audit_inequalities(q).scaled_gaps())
     worst_rt = 0.0

@@ -52,6 +52,31 @@ def test_bad_shape_is_reported(tmp_path, capsys):
     assert "error: unknown shape" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--sample-every", "0"], "sample_every"),
+    (["--checkpoint-every", "-1"], "checkpoint_every"),
+    (["--t-max", "nan"], "t_max"),
+    (["--t-max", "-1"], "t_max"),
+    (["--dt-max", "inf"], "dt_max"),
+])
+def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
+    assert main(RUN_ARGS + flags + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_config_override_is_validated(tmp_path, capsys):
+    cfg = FlowConfig(
+        n=2, k=1, N=33,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.to_json()))
+    args = ["run", "--config", str(path), "--k", "5", "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert "k=5 out of range" in capsys.readouterr().err
+
+
 def test_help_and_unknown_command(capsys):
     assert main(["--help"]) == 0
     assert "sphereflow" in capsys.readouterr().out
@@ -160,6 +185,9 @@ def test_sweep_command(tmp_path, capsys):
         assert (out / name / "trace.csv").exists()
     manifest = _read_json(out / "manifest.json")
     assert manifest["sweep"] == ["run-000", "run-001"]
+    # sweep runs write the same bundle as a single run
+    summary = _read_json(out / "run-001" / "summary.json")
+    assert {"finalQuermass", "finalMaxSpeed", "finalRhoSpread"} <= set(summary)
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import sphereflow.dualflow as dualflow_module
 from sphereflow import ConeViolation, ConvexityLoss, RadialProfile, geometry
 from sphereflow.dualflow import (
     decomposition_residual,
@@ -164,3 +165,32 @@ def test_dual_eigenvalues_match_primal_curvatures():
         ))
     assert errs[0] < 1e-4 and errs[2] < 2e-6
     assert errs[0] / errs[1] > 3.0 and errs[1] / errs[2] > 3.0
+
+
+def test_dual_run_records_breakdown_when_every_trial_fails(monkeypatch, tmp_path):
+    real = dualflow_module.support_closure
+    count = [0]
+
+    def closure(*args, **kwargs):
+        # the pulled-back initial state, the grid state and three accepted
+        # RK4 steps (four evaluations each), then W stops being positive
+        count[0] += 1
+        if count[0] > 2 + 4 * 3:
+            raise ConvexityLoss("forced loss of convexity")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dualflow_module, "support_closure", closure)
+    cfg = FlowConfig(
+        n=2, k=1, N=65,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
+        t_max=0.05,
+    )
+    res = dual_run(cfg)
+    assert res.termination == "convexity_breakdown"
+    assert res.steps == 3 and res.rejections == 40
+    assert res.breakdown_time == res.t_final > 0.0
+    assert res.trace.breakdown_time == res.breakdown_time
+    path = tmp_path / "dual.csv"
+    res.trace.to_csv(path)
+    rows = path.read_text().splitlines()[1:]
+    assert all(line.split(",")[-2] == repr(res.t_final) for line in rows)

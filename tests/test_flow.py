@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import sphereflow.flow as flow_module
 from sphereflow import ConeViolation, RadialProfile, geometry
 from sphereflow.exceptions import StepRejected
 from sphereflow.flow import (
@@ -84,6 +85,9 @@ def test_dt_policy_validation():
         DtPolicy(cfl_factor=1.5)
     with pytest.raises(ValueError):
         DtPolicy(dt_max=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            DtPolicy(dt_max=bad)
 
 
 def test_flow_config_validation():
@@ -94,6 +98,22 @@ def test_flow_config_validation():
         FlowConfig(n=2, k=-1, N=65, initial_shape=shape)
     with pytest.raises(ValueError):
         FlowConfig(n=2, k=1, N=4, initial_shape=shape)
+
+
+@pytest.mark.parametrize("bad", [
+    {"sample_every": 0}, {"sample_every": -3}, {"checkpoint_every": -1},
+    {"t_max": math.nan}, {"t_max": math.inf}, {"t_max": -1.0}, {"t_max": 0.0},
+])
+def test_flow_config_rejects_bad_run_settings(bad):
+    with pytest.raises(ValueError):
+        _perturbed_config(**bad)
+
+
+def test_flow_config_accepts_edge_run_settings():
+    # a fixed-horizon run that samples only its endpoints
+    cfg = _perturbed_config(t_max=0.1, convergence_tol=0.0, sample_every=10**9,
+                            checkpoint_every=0)
+    assert cfg.sample_every == 10**9
 
 
 def test_shape_spec_validation():
@@ -188,15 +208,16 @@ def test_trace_csv_format(tmp_path):
     assert u_col.shape == (len(res.trace.t),)
     with pytest.raises(KeyError):
         res.trace.column("noSuchColumn")
+    with pytest.raises(KeyError):
+        res.trace.column("violationFlags")
 
 
 def test_trace_rejects_stale_timestamps():
     res = run(_perturbed_config(t_max=0.01, sample_every=4))
     tr = res.trace
-    st = geometry(res.profile, 1)
-    q = quermass_vector(st, res.profile)
+    last = [column[-1] for column in list(tr.columns.values())[1:]]
     with pytest.raises(ValueError):
-        tr.append(tr.t[-1], q, st, 0.0, [])
+        tr.append(tr.t[-1], last, [])
 
 
 def test_monitors_flag_doctored_states():
@@ -252,3 +273,28 @@ def test_evolution_residuals_small_on_resolved_pair():
     assert functional_derivative_residual(prof, nxt, dt, 1, -1) < 1e-6
     for l in range(0, 3):
         assert functional_derivative_residual(prof, nxt, dt, 1, l) < 1e-2
+
+
+def _fail_after(fn, calls):
+    """fn for its first `calls` calls, then a forced cone exit on every call."""
+    count = [0]
+
+    def wrapped(*args):
+        count[0] += 1
+        if count[0] > calls:
+            raise ConeViolation("forced cone exit")
+        return fn(*args)
+
+    return wrapped
+
+
+def test_run_collapses_when_every_trial_fails(monkeypatch):
+    # the initial state and three accepted RK4 steps (four evaluations each),
+    # then every trial stage leaves the cone
+    monkeypatch.setattr(flow_module, "geometry", _fail_after(geometry, 1 + 4 * 3))
+    res = run(_perturbed_config(t_max=0.02))
+    assert res.termination == "step_collapse: forced cone exit"
+    assert res.steps == 3 and res.t_final > 0.0
+    # the multiplier halves from 1 until it drops below 1e-12: 2^-40 < 1e-12 <= 2^-39
+    assert res.rejections == 40
+    assert res.trace.t[-1] == res.t_final

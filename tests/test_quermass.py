@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import sphereflow.quermass as quermass_module
 from sphereflow import ConeViolation, MonotonicityError, RadialProfile, geometry
 from sphereflow.quermass import (
     audit_inequalities,
@@ -145,3 +146,26 @@ def test_audit_json_omits_missing_seed():
     rep = audit_inequalities(quermass_vector(geometry(prof, 1), prof))
     assert "seed" not in json.loads(rep.to_json())
     assert rep.worst_gap == pytest.approx(0.0, abs=1e-6)
+
+
+def test_repeated_audit_rebuilds_no_guard_table(monkeypatch):
+    monkeypatch.setattr(quermass_module, "_GUARD_CACHE", {})
+    real = quermass_module._monotone_guard
+    built = []
+
+    def counting_guard(n, k):
+        built.append((n, k))
+        return real(n, k)
+
+    monkeypatch.setattr(quermass_module, "_monotone_guard", counting_guard)
+    prof = RadialProfile.perturbed(3, 0.9, 0.03, 2, 65)
+    q = quermass_vector(geometry(prof, 2), prof)
+    first = audit_inequalities(q)
+    # one table per k, the failing k = n one included
+    assert built == [(3, k) for k in range(4)]
+    second = audit_inequalities(q)
+    assert built == [(3, k) for k in range(4)]
+    assert second.skipped == first.skipped
+    assert [(s["l"], s["k"]) for s in second.skipped] == [(l, 3) for l in range(-1, 3)]
+    assert all("not strictly increasing" in s["reason"] for s in second.skipped)
+    assert second.entries == first.entries

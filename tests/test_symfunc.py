@@ -17,7 +17,6 @@ from sphereflow import (
 )
 from sphereflow.symfunc import (
     quotient_two_value,
-    sigma_hessian_offdiag,
     sigma_table,
     sigma_two_value,
 )
@@ -219,19 +218,6 @@ def test_pinch_deficit_forms_agree():
     d, p, pinch = pinch_deficit_parts(np.array([2.0, 2.0, 2.0]), 1)
     assert d == pytest.approx(0.0, abs=1e-13)
     assert pinch == 0.0
-
-
-def test_sigma_hessian_offdiag_values():
-    lam = LAM4
-    for m in (2, 3):
-        mat = sigma_hessian_offdiag(lam, m)
-        assert np.allclose(mat, mat.T)
-        for i in range(4):
-            assert mat[i, i] == 0.0
-            for j in range(4):
-                if i != j:
-                    want = oracles.sigma_excluding(lam, m - 2, [i, j])
-                    assert mat[i, j] == pytest.approx(want, abs=1e-13)
 
 
 def test_curvature_vector_validation():
