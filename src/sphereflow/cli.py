@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .dualflow import dual_run, profile_from_dual
 from .exceptions import ConeViolation, ConvexityLoss
 from .flow import DtPolicy, FlowConfig, ShapeSpec, run
@@ -39,10 +37,7 @@ def _parse_shape(text: str) -> ShapeSpec:
                          eps=float(parts[1]), mode=int(parts[2]))
     if kind == "custom":
         with open(rest) as fh:
-            payload = json.load(fh)
-        return ShapeSpec(kind="custom",
-                         theta=np.asarray(payload["theta"], dtype=float),
-                         rho=np.asarray(payload["rho"], dtype=float))
+            return ShapeSpec.from_json({**json.load(fh), "kind": "custom"})
     raise ValueError(f"unknown shape {text!r}")
 
 

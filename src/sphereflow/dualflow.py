@@ -20,15 +20,14 @@ records the breakdown time when strict convexity of the dual body fails.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .exceptions import ConeViolation, ConvexityLoss, StepRejected
-from .flow import FlowConfig, FlowTrace, _integrate
-from .hypersurface import RadialProfile, differentiate, geometry
+from .flow import FlowConfig, FlowTrace, _integrate, _rk4
+from .hypersurface import RadialProfile, as_grid, differentiate, geometry, polar_grid
 from .quermass import quermass_vector
 from .symfunc import identity_quotient, quotient_two_value
 
@@ -53,13 +52,14 @@ def gamma_transform(profile: RadialProfile):
     return gamma, np.exp(gamma)
 
 
-def _gamma_curvatures(n, theta, gamma, g_grad, g_hess):
+def _gamma_curvatures(tan, gamma, g_grad, g_hess):
     """Both shape operators from one set of discrete gamma derivatives.
 
     Returns (lam1, lam_ang, ht1, ht_ang, omega, phi, phip, rho_tilde):
     spherical principal curvatures in the gamma chart and Euclidean ones of
     the graph rho_tilde = e^gamma, evaluated from the same g_grad/g_hess so
-    their linear relation holds to roundoff.
+    their linear relation holds to roundoff.  tan is tan(theta) on the
+    interior nodes.
     """
     rho_tilde = np.exp(gamma)
     omega2 = 1.0 + g_grad**2
@@ -68,7 +68,7 @@ def _gamma_curvatures(n, theta, gamma, g_grad, g_hess):
     phip = (1.0 - rho_tilde**2) / (1.0 + rho_tilde**2)
 
     cot_term = np.empty_like(gamma)
-    cot_term[1:-1] = g_grad[1:-1] / np.tan(theta[1:-1])
+    cot_term[1:-1] = g_grad[1:-1] / tan
     # gamma is even at the poles, so cot(theta)*gamma_theta -> gamma_thetatheta
     cot_term[0] = g_hess[0]
     cot_term[-1] = g_hess[-1]
@@ -90,7 +90,7 @@ def decomposition_residual(profile: RadialProfile) -> float:
     gamma, _ = gamma_transform(profile)
     g_grad, g_hess = differentiate(gamma, profile.h)
     lam1, lam_ang, ht1, ht_ang, omega, phi, phip, rho_tilde = _gamma_curvatures(
-        profile.n, profile.theta, gamma, g_grad, g_hess
+        profile.grid.tan, gamma, g_grad, g_hess
     )
     shift = (phip - 1.0) / (phi * omega)
     r1 = lam1 - (rho_tilde / phi) * ht1 - shift
@@ -141,28 +141,27 @@ class DualState:
 def support_closure(n, theta, u_tilde, u_grad=None, u_hess=None) -> DualState:
     """Close the support-function system into a full DualState.
 
-    With u_grad/u_hess omitted they are taken by centered differences on a
-    uniform theta grid spanning [0, pi] (even parity at the poles).  Passing
-    exact derivatives skips that and permits non-uniform nodes.
+    With u_grad/u_hess omitted they are taken by centered differences on the
+    uniform grid theta, a PolarGrid or raw nodes checked by as_grid (even
+    parity at the poles).  Passing exact derivatives skips that and permits
+    non-uniform nodes.
     """
-    theta = np.asarray(theta, dtype=float)
+    if (u_grad is None) != (u_hess is None):
+        raise ValueError("supply both derivative arrays or neither")
+    grid = as_grid(theta) if u_grad is None else None
+    theta = np.asarray(theta, dtype=float) if grid is None else grid.theta
     u = np.asarray(u_tilde, dtype=float)
     if theta.ndim != 1 or theta.shape != u.shape:
         raise ValueError("theta and u_tilde must be matching 1-d arrays")
     if not np.all(np.isfinite(u)) or np.min(u) <= 0.0:
         raise ValueError("u_tilde must be finite and positive")
-    if (u_grad is None) != (u_hess is None):
-        raise ValueError("supply both derivative arrays or neither")
-    if u_grad is None:
-        h = theta[1] - theta[0]
-        if h <= 0 or np.max(np.abs(np.diff(theta) - h)) > 1e-12:
-            raise ValueError("finite differences need a uniform theta grid")
-        if abs(theta[0]) > 1e-13 or abs(theta[-1] - math.pi) > 1e-13:
-            raise ValueError("theta must span [0, pi] inclusive")
-        u_grad, u_hess = differentiate(u, float(h))
-    else:
+    if grid is None:
         u_grad = np.asarray(u_grad, dtype=float)
         u_hess = np.asarray(u_hess, dtype=float)
+        tan = np.tan(theta[1:-1])
+    else:
+        u_grad, u_hess = differentiate(u, grid.h)
+        tan = grid.tan
 
     rho_tilde = np.hypot(u, u_grad)
     omega = rho_tilde / u
@@ -173,7 +172,7 @@ def support_closure(n, theta, u_tilde, u_grad=None, u_hess=None) -> DualState:
     w_merid = u_hess + u
     w_ang = np.empty_like(u)
     interior = slice(1, -1)
-    w_ang[interior] = u_grad[interior] / np.tan(theta[interior]) + u[interior]
+    w_ang[interior] = u_grad[interior] / tan + u[interior]
     # even parity: cot(theta)*u_theta limits to u_thetatheta at the poles
     w_ang[0] = u_hess[0] + u[0]
     w_ang[-1] = u_hess[-1] + u[-1]
@@ -250,9 +249,8 @@ def profile_from_dual(state: DualState, N: int | None = None) -> RadialProfile:
     theta_z = state.theta + np.arctan(state.u_grad / state.u)
     if np.any(np.diff(theta_z) <= 0.0):
         raise ConvexityLoss("pullback point map is not monotone")
-    N = state.theta.size if N is None else int(N)
-    grid = np.linspace(0.0, math.pi, N)
-    rho = CubicSpline(theta_z, state.rho)(grid)
+    grid = polar_grid(state.theta.size if N is None else int(N))
+    rho = CubicSpline(theta_z, state.rho)(grid.theta)
     return RadialProfile(n=state.n, theta=grid, rho=rho)
 
 
@@ -323,7 +321,7 @@ def dual_run(config: FlowConfig) -> DualResult:
     """
     profile = config.initial_shape.build(config.n, config.N)
     dual0 = dual_from_profile(profile)
-    grid = np.linspace(0.0, math.pi, config.N)
+    grid = profile.grid
     n, k = config.n, config.k
 
     # a solver state is (u, closure, G, stiffness field)
@@ -340,17 +338,14 @@ def dual_run(config: FlowConfig) -> DualResult:
     def trial(cur, dt):
         u, _, g, _ = cur
         try:
-            g2 = evaluate(u + 0.5 * dt * g)[2]
-            g3 = evaluate(u + 0.5 * dt * g2)[2]
-            g4 = evaluate(u + dt * g3)[2]
-            return evaluate(u + dt / 6.0 * (g + 2.0 * g2 + 2.0 * g3 + g4))
+            return evaluate(_rk4(u, dt, g, lambda stage: evaluate(stage)[2]))
         except ValueError as exc:  # ConvexityLoss and ConeViolation included
             raise StepRejected(str(exc)) from exc
 
     trace = FlowTrace(n, extra=("minEigW", "maxEigW"), breakdown_cell=True)
-    start = evaluate(CubicSpline(dual0.theta, dual0.u)(grid))
+    start = evaluate(CubicSpline(dual0.theta, dual0.u)(grid.theta))
     (_, state, _, _), t, steps, rejections, termination, failure = _integrate(
-        config, float(grid[1] - grid[0]), start, probe, trial, lambda *_: (),
+        config, grid.h, start, probe, trial, lambda *_: (),
         lambda cur, codes: _trace_row(cur[1], cur[2], k, codes), trace)
     if failure is not None:
         termination = "convexity_breakdown"

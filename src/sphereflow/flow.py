@@ -21,10 +21,12 @@ from .exceptions import ConeViolation, StepRejected
 from .hypersurface import (
     GeometryState,
     RadialProfile,
+    as_grid,
     differentiate,
     frame_hessian,
     geometry,
     integrate,
+    polar_grid,
     save_checkpoint,
 )
 from .quermass import QuermassVector, quermass_vector
@@ -69,8 +71,12 @@ class ShapeSpec:
             raise ValueError(f"unknown shape kind {self.kind!r}")
         if self.kind == "geodesicSphere" and self.r is None:
             raise ValueError("geodesicSphere shape needs r")
-        if self.kind == "perturbed" and None in (self.r0, self.eps, self.mode):
-            raise ValueError("perturbed shape needs r0, eps, mode")
+        if self.kind == "perturbed":
+            if None in (self.r0, self.eps, self.mode):
+                raise ValueError("perturbed shape needs r0, eps, mode")
+            if not (float(self.mode).is_integer() and self.mode >= 1):
+                raise ValueError("perturbation mode must be a positive integer")
+            self.mode = int(self.mode)
         if self.kind == "custom" and (self.theta is None or self.rho is None):
             raise ValueError("custom shape needs theta and rho samples")
 
@@ -79,15 +85,14 @@ class ShapeSpec:
             return RadialProfile.geodesic_sphere(n, self.r, N)
         if self.kind == "perturbed":
             return RadialProfile.perturbed(n, self.r0, self.eps, self.mode, N)
-        theta = np.asarray(self.theta, dtype=float)
-        rho = np.asarray(self.rho, dtype=float)
-        if theta.size == N and abs(theta[0]) < 1e-13 and abs(theta[-1] - math.pi) < 1e-13:
-            grid = np.linspace(0.0, math.pi, N)
-            if np.max(np.abs(theta - grid)) < 1e-12:
-                return RadialProfile(n=n, theta=grid, rho=rho)
-        grid = np.linspace(0.0, math.pi, N)
-        resampled = CubicSpline(theta, rho)(grid)
-        return RadialProfile(n=n, theta=grid, rho=resampled)
+        # samples on this very grid are taken as they are, others resampled
+        grid = polar_grid(N)
+        try:
+            on_grid = as_grid(self.theta) is grid
+        except ValueError:
+            on_grid = False
+        rho = self.rho if on_grid else CubicSpline(self.theta, self.rho)(grid.theta)
+        return RadialProfile(n=n, theta=grid, rho=rho)
 
     def to_json(self) -> dict:
         if self.kind == "geodesicSphere":
@@ -110,7 +115,7 @@ class ShapeSpec:
                 kind=kind,
                 r0=float(payload["r0"]),
                 eps=float(payload["eps"]),
-                mode=int(payload["mode"]),
+                mode=float(payload["mode"]),
             )
         if kind == "custom":
             return cls(
@@ -169,8 +174,18 @@ class FlowConfig:
             raise ValueError("sample_every must be at least 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be nonnegative")
+        if not self.blowup_threshold > 0.0:
+            raise ValueError("blowup_threshold must be positive")
         tol = _default_monitor_tolerances()
+        if not set(self.monitor_tolerances or {}) <= set(tol):
+            raise ValueError(f"monitor tolerances must be among {sorted(tol)}")
         tol.update(self.monitor_tolerances or {})
+        # a NaN here would silently switch off a monitor or the converged stop
+        if not all(math.isfinite(float(v)) and float(v) >= 0.0
+                   for v in (self.convergence_tol, *tol.values())):
+            raise ValueError("convergence_tol and monitor tolerances must be finite and >= 0")
+        if tol["quotient_ratio"] < 1.0:
+            raise ValueError("the quotient_ratio tolerance must be at least 1")
         self.monitor_tolerances = tol
 
     def to_json(self) -> dict:
@@ -223,35 +238,36 @@ def _rate(state: GeometryState) -> np.ndarray:
     return speed(state) * state.omega_speed
 
 
-def _try_profile(n: int, theta: np.ndarray, rho: np.ndarray) -> RadialProfile:
-    if not np.all(np.isfinite(rho)):
-        raise StepRejected("non-finite radius in a trial stage")
+def _try_profile(n: int, grid, rho: np.ndarray) -> RadialProfile:
     try:
-        return RadialProfile(n=n, theta=theta, rho=rho)
+        return RadialProfile(n=n, theta=grid, rho=rho)
     except ValueError as exc:
         raise StepRejected(str(exc)) from exc
 
 
-def _rk4(profile: RadialProfile, dt: float, k: int, state1: GeometryState) -> RadialProfile:
-    n, theta, rho = profile.n, profile.theta, profile.rho
+def _rk4(y: np.ndarray, dt: float, r1: np.ndarray, rate) -> np.ndarray:
+    """Classical Runge-Kutta update of y, whose rate is r1; rate(stage) may raise."""
+    r2 = rate(y + 0.5 * dt * r1)
+    r3 = rate(y + 0.5 * dt * r2)
+    r4 = rate(y + dt * r3)
+    return y + dt / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+
+
+def _step(profile: RadialProfile, dt: float, k: int, state1: GeometryState) -> RadialProfile:
+    n, grid = profile.n, profile.grid
     try:
-        r1 = _rate(state1)
-        s2 = geometry(_try_profile(n, theta, rho + 0.5 * dt * r1), k)
-        r2 = _rate(s2)
-        s3 = geometry(_try_profile(n, theta, rho + 0.5 * dt * r2), k)
-        r3 = _rate(s3)
-        s4 = geometry(_try_profile(n, theta, rho + dt * r3), k)
-        r4 = _rate(s4)
+        rho = _rk4(profile.rho, dt, _rate(state1),
+                   lambda stage: _rate(geometry(_try_profile(n, grid, stage), k)))
     except ConeViolation as exc:
         raise StepRejected(str(exc)) from exc
-    return _try_profile(n, theta, rho + dt / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4))
+    return _try_profile(n, grid, rho)
 
 
 def step(profile: RadialProfile, dt: float, k: int) -> RadialProfile:
     """One classical Runge-Kutta step of the radius evolution."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    return _rk4(profile, dt, k, geometry(profile, k))
+    return _step(profile, dt, k, geometry(profile, k))
 
 
 def _parabolic_dt(stiffness: float, h: float, policy: DtPolicy) -> float:
@@ -480,7 +496,7 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
         return max_speed, curvature, float(np.max(st.u * st.trace_grad))
 
     def trial(cur, dt):
-        new_profile = _rk4(cur[0], dt, k, cur[1])
+        new_profile = _step(cur[0], dt, k, cur[1])
         try:
             new_state = geometry(new_profile, k)
         except ConeViolation as exc:
@@ -535,7 +551,7 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
 
 def _midpoint_state(prev: GeometryState, next_: GeometryState) -> GeometryState:
     prof = RadialProfile(
-        n=prev.n, theta=prev.theta, rho=0.5 * (prev.rho + next_.rho)
+        n=prev.n, theta=prev.grid, rho=0.5 * (prev.rho + next_.rho)
     )
     return geometry(prof, prev.k)
 

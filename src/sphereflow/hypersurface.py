@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import ConeViolation
 from .symfunc import quotient_two_value, sigma_two_value
 
 __all__ = [
+    "PolarGrid",
+    "polar_grid",
+    "as_grid",
     "RadialProfile",
     "GeometryState",
     "SphereGrid2D",
@@ -46,29 +48,71 @@ __all__ = [
 RHO_FLOOR = 1e-12
 
 
+class PolarGrid:
+    """Uniform nodes theta_i = i pi / (N - 1) on [0, pi] and what derives from them.
+
+    Holds the spacing h, tan(theta) on interior nodes, the Simpson weights
+    and sin^m(theta) per power m.  One grid per N is shared (polar_grid), so
+    its arrays are never written.
+    """
+
+    def __init__(self, N: int):
+        if N < 5:
+            raise ValueError("grid too coarse: need at least 5 nodes")
+        self.theta = np.linspace(0.0, math.pi, N)
+        self.theta.flags.writeable = False
+        self.h = float(self.theta[1] - self.theta[0])
+        self.tan = np.tan(self.theta[1:-1])
+        self.weights = simpson_weights(N, self.h)
+        self._sin_powers: dict = {}
+
+    def sin_power(self, m: int) -> np.ndarray:
+        if m not in self._sin_powers:
+            self._sin_powers[m] = np.sin(self.theta) ** m
+        return self._sin_powers[m]
+
+
+@lru_cache(maxsize=64)
+def polar_grid(N: int) -> PolarGrid:
+    """The shared grid with N nodes."""
+    return PolarGrid(N)
+
+
+def as_grid(theta) -> PolarGrid:
+    """A PolarGrid as it is, or the shared grid that raw nodes must match to 1e-12."""
+    if isinstance(theta, PolarGrid):
+        return theta
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1 or theta.size < 5:
+        raise ValueError("theta must be a 1-d array of at least 5 nodes")
+    grid = polar_grid(theta.size)
+    if not np.max(np.abs(theta - grid.theta)) <= 1e-12:
+        raise ValueError("theta nodes must be uniformly spaced on [0, pi]")
+    return grid
+
+
 @dataclass
 class RadialProfile:
-    """Axisymmetric radial graph: nodes theta in [0, pi], radii in (0, pi/2)."""
+    """Axisymmetric radial graph: radii in (0, pi/2) on a uniform polar grid.
+
+    theta is raw nodes, checked by as_grid, or a PolarGrid the program holds;
+    it is then the grid's nodes.  The radii are checked every time.
+    """
 
     n: int
     theta: np.ndarray
     rho: np.ndarray
+    grid: PolarGrid = field(init=False, repr=False)
 
     def __post_init__(self):
         self.n = int(self.n)
         if self.n < 2:
             raise ValueError("ambient dimension needs n >= 2")
-        self.theta = np.asarray(self.theta, dtype=float)
+        self.grid = as_grid(self.theta)
+        self.theta = self.grid.theta
         self.rho = np.asarray(self.rho, dtype=float)
-        if self.theta.ndim != 1 or self.theta.shape != self.rho.shape:
+        if self.rho.shape != self.theta.shape:
             raise ValueError("theta and rho must be matching 1-d arrays")
-        if self.theta.size < 5:
-            raise ValueError("grid too coarse: need at least 5 nodes")
-        if abs(self.theta[0]) > 1e-13 or abs(self.theta[-1] - math.pi) > 1e-13:
-            raise ValueError("theta must span [0, pi] inclusive")
-        h = self.theta[1] - self.theta[0]
-        if h <= 0 or np.max(np.abs(np.diff(self.theta) - h)) > 1e-12:
-            raise ValueError("theta nodes must be uniformly spaced")
         if not np.all(np.isfinite(self.rho)):
             raise ValueError("rho must be finite")
         if np.min(self.rho) <= RHO_FLOOR or np.max(self.rho) >= math.pi / 2 - RHO_FLOOR:
@@ -80,20 +124,19 @@ class RadialProfile:
 
     @property
     def h(self) -> float:
-        return float(self.theta[1] - self.theta[0])
+        return self.grid.h
 
     @classmethod
     def geodesic_sphere(cls, n: int, r: float, N: int) -> "RadialProfile":
-        theta = np.linspace(0.0, math.pi, N)
-        return cls(n=n, theta=theta, rho=np.full(N, float(r)))
+        return cls(n=n, theta=polar_grid(N), rho=np.full(N, float(r)))
 
     @classmethod
     def perturbed(cls, n: int, r0: float, eps: float, mode: int, N: int) -> "RadialProfile":
         """rho = r0 + eps*cos(mode*theta); integer modes keep the poles smooth."""
         if int(mode) != mode or mode < 1:
             raise ValueError("perturbation mode must be a positive integer")
-        theta = np.linspace(0.0, math.pi, N)
-        return cls(n=n, theta=theta, rho=r0 + eps * np.cos(mode * theta))
+        grid = polar_grid(N)
+        return cls(n=n, theta=grid, rho=r0 + eps * np.cos(mode * grid.theta))
 
 
 def differentiate(values: np.ndarray, h: float):
@@ -125,7 +168,7 @@ class GeometryState:
 
     n: int
     k: int
-    theta: np.ndarray
+    grid: PolarGrid
     rho: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
@@ -145,7 +188,7 @@ class GeometryState:
 
     @property
     def h(self) -> float:
-        return float(self.theta[1] - self.theta[0])
+        return self.grid.h
 
     def sigma_nodal(self, m: int) -> np.ndarray:
         return sigma_two_value(self.lam1, self.lam_ang, self.n, m)
@@ -164,8 +207,8 @@ def geometry(profile: RadialProfile, k: int) -> GeometryState:
     n = profile.n
     if not 0 <= k <= n - 1:
         raise ValueError(f"quotient order k={k} out of range for n={n}")
-    theta, rho = profile.theta, profile.rho
-    grad, hess = differentiate(rho, profile.h)
+    grid, rho = profile.grid, profile.rho
+    grad, hess = differentiate(rho, grid.h)
     phi = np.sin(rho)
     phip = np.cos(rho)
     w = np.hypot(phi, grad)
@@ -177,7 +220,7 @@ def geometry(profile: RadialProfile, k: int) -> GeometryState:
     lam_ang = np.empty_like(lam1)
     # cot(theta)*rho_theta has a finite pole limit equal to rho_thetatheta,
     # which makes both curvatures coincide there
-    lam_ang[1:-1] = (phi[1:-1] * phip[1:-1] - grad[1:-1] / np.tan(theta[1:-1])) / (
+    lam_ang[1:-1] = (phi[1:-1] * phip[1:-1] - grad[1:-1] / grid.tan) / (
         phi[1:-1] * w[1:-1]
     )
     lam_ang[0] = lam1[0]
@@ -187,7 +230,7 @@ def geometry(profile: RadialProfile, k: int) -> GeometryState:
     return GeometryState(
         n=n,
         k=k,
-        theta=theta,
+        grid=grid,
         rho=rho.copy(),
         grad=grad,
         hess=hess,
@@ -207,35 +250,25 @@ def geometry(profile: RadialProfile, k: int) -> GeometryState:
     )
 
 
-@lru_cache(maxsize=64)
-def _simpson_weights_unit(N: int) -> tuple:
-    """Composite Simpson weights for N uniform nodes of unit spacing.
+def simpson_weights(N: int, h: float) -> np.ndarray:
+    """Composite Simpson weights for N uniform nodes of spacing h.
 
     An odd interval count gets a 3/8 block at the far end.  Fourth-order
     accuracy here keeps quadrature bias far below the discretization error
     of the curvature fields.
     """
     m = N - 1
+    head = m - 3 * (m % 2)  # intervals under the 1/3 rule
+    if head < 0:
+        raise ValueError("grid too coarse for composite quadrature")
     w = np.zeros(N)
-    if m % 2 == 0:
-        w[0] = w[-1] = 1.0 / 3.0
-        w[1:-1:2] = 4.0 / 3.0
-        w[2:-1:2] = 2.0 / 3.0
-    else:
-        if m < 3:
-            raise ValueError("grid too coarse for composite quadrature")
-        head = m - 3
-        if head:
-            w[: head + 1] = _simpson_weights_unit(head + 1)
-        w[-4] += 3.0 / 8.0
-        w[-3] += 9.0 / 8.0
-        w[-2] += 9.0 / 8.0
-        w[-1] += 3.0 / 8.0
-    return tuple(w)
-
-
-def simpson_weights(N: int, h: float) -> np.ndarray:
-    return h * np.asarray(_simpson_weights_unit(N))
+    if head:
+        w[0] = w[head] = 1.0 / 3.0
+        w[1:head:2] = 4.0 / 3.0
+        w[2:head:2] = 2.0 / 3.0
+    if m % 2:
+        w[-4:] += (3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0)
+    return h * w
 
 
 @lru_cache(maxsize=None)
@@ -252,11 +285,10 @@ def unit_sphere_area(m: int) -> float:
 
 def integrate(state: GeometryState, nodal) -> float:
     """Integral of a nodal scalar against the induced area measure."""
-    N = state.theta.size
-    w = simpson_weights(N, state.h)
-    vals = np.broadcast_to(np.asarray(nodal, dtype=float), state.theta.shape)
-    density = state.area_weight * np.sin(state.theta) ** (state.n - 1)
-    return unit_sphere_area(state.n - 1) * float(np.sum(w * vals * density))
+    grid = state.grid
+    vals = np.broadcast_to(np.asarray(nodal, dtype=float), grid.theta.shape)
+    density = state.area_weight * grid.sin_power(state.n - 1)
+    return unit_sphere_area(state.n - 1) * float(np.sum(grid.weights * vals * density))
 
 
 def sin_power_integral(m: int, x) -> np.ndarray:
@@ -275,11 +307,10 @@ def sin_power_integral(m: int, x) -> np.ndarray:
 
 def volume(profile: RadialProfile) -> float:
     """Region volume: the radial integral is exact, the angular one quadrature."""
-    N = profile.N
-    w = simpson_weights(N, profile.h)
+    grid = profile.grid
     radial = sin_power_integral(profile.n, profile.rho)
     return unit_sphere_area(profile.n - 1) * float(
-        np.sum(w * np.sin(profile.theta) ** (profile.n - 1) * radial)
+        np.sum(grid.weights * grid.sin_power(profile.n - 1) * radial)
     )
 
 
@@ -307,9 +338,8 @@ def frame_hessian(state: GeometryState, q_grad: np.ndarray, q_hess: np.ndarray):
     gamma = (state.phi * state.phip * state.grad + state.grad * state.hess) / g
     hm = (q_hess - gamma * q_grad) / g
     ha = np.empty_like(hm)
-    t = state.theta[1:-1]
     ha[1:-1] = (
-        (state.phip[1:-1] * state.grad[1:-1] / state.phi[1:-1] + 1.0 / np.tan(t))
+        (state.phip[1:-1] * state.grad[1:-1] / state.phi[1:-1] + 1.0 / state.grid.tan)
         * q_grad[1:-1]
         / g[1:-1]
     )
@@ -366,12 +396,12 @@ class SphereGrid2D:
     rho: np.ndarray
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
+        self.theta = as_grid(self.theta).theta
         self.phi_nodes = np.asarray(self.phi_nodes, dtype=float)
         self.rho = np.asarray(self.rho, dtype=float)
         if self.rho.shape != (self.theta.size, self.phi_nodes.size):
             raise ValueError("rho must be shaped (n_theta, n_phi)")
-        if self.theta.size < 5 or self.phi_nodes.size < 4:
+        if self.phi_nodes.size < 4:
             raise ValueError("grid too coarse")
         if self.phi_nodes.size % 2:
             raise ValueError("need an even number of phi nodes for the pole rule")
@@ -380,13 +410,11 @@ class SphereGrid2D:
 
     @classmethod
     def from_profile(cls, profile: RadialProfile, n_phi: int) -> "SphereGrid2D":
-        phi_nodes = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        rho = np.repeat(profile.rho[:, None], n_phi, axis=1)
-        return cls(theta=profile.theta, phi_nodes=phi_nodes, rho=rho)
+        return cls.from_function(lambda theta, phi: profile.rho[:, None], profile.N, n_phi)
 
     @classmethod
     def from_function(cls, fn, n_theta: int, n_phi: int) -> "SphereGrid2D":
-        theta = np.linspace(0.0, math.pi, n_theta)
+        theta = polar_grid(n_theta).theta
         phi_nodes = 2.0 * math.pi * np.arange(n_phi) / n_phi
         rho = np.asarray(fn(theta[:, None], phi_nodes[None, :]), dtype=float)
         rho = np.broadcast_to(rho, (n_theta, n_phi)).copy()

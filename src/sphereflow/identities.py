@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symfunc import _quotient_arrays, pinch_deficit_parts, sigma, sigma_table
+from .symfunc import (
+    _quotient_arrays,
+    pinch_deficit_parts,
+    quotient_trace_gaps,
+    sigma,
+    sigma_table,
+)
 
 __all__ = [
     "CheckResult",
@@ -292,11 +298,9 @@ def _check_mean_ratio_gaps(rng, samples, n, k) -> CheckResult:
 
 
 def _check_quotient_gaps(rng, samples, n, k) -> list:
-    c = (n - k) / (k + 1)
     vals = sample_cone(rng, samples, n, k)
-    value, _, trace, weighted, _ = _quotient_arrays(vals, k)
-    gap1 = weighted - value**2 / c
-    gap2 = trace - c
+    gap1, gap2 = quotient_trace_gaps(vals, k)
+    weighted = _quotient_arrays(vals, k)[3]
     rel1 = gap1 / np.maximum(np.abs(weighted), 1.0)
     out = [
         CheckResult(

@@ -65,6 +65,26 @@ def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"convergenceTol": math.nan}, "convergence_tol"),
+    ({"blowupThreshold": math.nan}, "blowup_threshold"),
+    ({"monitorTolerances": {"sign": math.nan}}, "monitor tolerances"),
+    ({"monitorTolerances": {"barier": 1e-8}}, "monitor tolerances"),
+    ({"initialShape": {"kind": "perturbed", "r0": 0.8, "eps": 0.05, "mode": 2.5}},
+     "mode"),
+])
+def test_bad_config_file_exits_1(tmp_path, capsys, change, message):
+    cfg = FlowConfig(
+        n=2, k=1, N=33,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**cfg.to_json(), **change}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_config_override_is_validated(tmp_path, capsys):
     cfg = FlowConfig(
         n=2, k=1, N=33,
@@ -137,6 +157,16 @@ def test_audit_command(tmp_path, capsys):
     report = _read_json(audit_out / "report.json")
     assert report["seed"] == 5 and report["k"] == 1
     assert report["entries"] and all(e["gap"] > -1e-9 for e in report["entries"])
+
+
+def test_audit_rejects_nonuniform_checkpoint(tmp_path, capsys):
+    theta = np.linspace(0.0, math.pi, 33)
+    theta[5] += 1e-3
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps({"n": 2, "k": 1, "t": 0.0, "theta": theta.tolist(),
+                                "rho": [0.8] * 33}))
+    assert main(["audit", "--checkpoint", str(path), "--out", str(tmp_path / "a")]) == 1
+    assert "uniformly spaced" in capsys.readouterr().err
 
 
 def test_dual_run_command(tmp_path, capsys):

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+import sphereflow.dualflow as dualflow_module
 import sphereflow.flow as flow_module
-from sphereflow import ConeViolation, RadialProfile, geometry
+import sphereflow.hypersurface as hypersurface_module
+from sphereflow import ConeViolation, RadialProfile, dual_run, geometry
 from sphereflow.exceptions import StepRejected
 from sphereflow.flow import (
     DtPolicy,
@@ -103,6 +105,14 @@ def test_flow_config_validation():
 @pytest.mark.parametrize("bad", [
     {"sample_every": 0}, {"sample_every": -3}, {"checkpoint_every": -1},
     {"t_max": math.nan}, {"t_max": math.inf}, {"t_max": -1.0}, {"t_max": 0.0},
+    # a NaN stop criterion or monitor tolerance would silently switch it off
+    {"convergence_tol": math.nan}, {"convergence_tol": math.inf},
+    {"convergence_tol": -1e-6}, {"blowup_threshold": math.nan},
+    {"blowup_threshold": 0.0}, {"monitor_tolerances": {"sign": math.nan}},
+    {"monitor_tolerances": {"barrier": math.inf}},
+    {"monitor_tolerances": {"conservation": -1e-4}},
+    {"monitor_tolerances": {"quotient_ratio": 0.0}},
+    {"monitor_tolerances": {"conservaton": 1e-4}},
 ])
 def test_flow_config_rejects_bad_run_settings(bad):
     with pytest.raises(ValueError):
@@ -125,6 +135,13 @@ def test_shape_spec_validation():
         ShapeSpec(kind="perturbed", r0=0.8, eps=0.05)
     with pytest.raises(ValueError):
         ShapeSpec(kind="custom", theta=np.linspace(0, math.pi, 9))
+    # JSON modes are not truncated to an integer
+    payload = {"kind": "perturbed", "r0": 0.8, "eps": 0.05, "mode": 2.5}
+    with pytest.raises(ValueError):
+        ShapeSpec.from_json(payload)
+    with pytest.raises(ValueError):
+        ShapeSpec.from_json({**payload, "mode": 0})
+    assert ShapeSpec.from_json({**payload, "mode": 2.0}).mode == 2
 
 
 def test_shape_spec_json_roundtrip():
@@ -286,6 +303,27 @@ def _fail_after(fn, calls):
         return fn(*args)
 
     return wrapped
+
+
+def test_solver_stages_skip_the_grid_check(monkeypatch):
+    raw = []
+    real = hypersurface_module.as_grid
+
+    def counting(theta):
+        if not isinstance(theta, hypersurface_module.PolarGrid):
+            raw.append(theta)
+        return real(theta)
+
+    for module in (hypersurface_module, flow_module, dualflow_module):
+        monkeypatch.setattr(module, "as_grid", counting)
+    cfg = _perturbed_config(N=33, t_max=0.005)
+    res = run(cfg)
+    dual_run(cfg)
+    evolution_residual_u(geometry(step(res.profile, 1e-5, 1), 1), res.state, 1e-5)
+    assert res.steps > 0 and raw == []
+    # raw nodes from outside are checked
+    RadialProfile(n=2, theta=np.linspace(0.0, math.pi, 33), rho=res.profile.rho)
+    assert len(raw) == 1
 
 
 def test_run_collapses_when_every_trial_fails(monkeypatch):

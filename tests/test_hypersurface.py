@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,13 +15,16 @@ from sphereflow import (
     integrate,
     load_checkpoint,
     minkowski_residual,
+    quermass_vector,
     save_checkpoint,
     volume,
 )
 from sphereflow.hypersurface import (
+    PolarGrid,
     differentiate,
     frame_hessian,
     grad_inner,
+    polar_grid,
     simpson_weights,
     sin_power_integral,
     unit_sphere_area,
@@ -218,3 +222,24 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.n == 3
     assert np.array_equal(loaded.rho, prof.rho)
     assert np.array_equal(loaded.theta, prof.theta)
+    # a non-uniform grid is refused where the checkpoint enters
+    payload["theta"][5] += 1e-3
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        load_checkpoint(path)
+
+
+def test_raw_nodes_and_shared_grid_agree_exactly():
+    N = 65
+    rho = 0.9 + 0.03 * np.cos(2.0 * np.linspace(0.0, math.pi, N))
+    raw = RadialProfile(n=3, theta=np.linspace(0.0, math.pi, N), rho=rho)
+    shared = RadialProfile(n=3, theta=polar_grid(N), rho=rho)
+    assert raw.grid is shared.grid is polar_grid(N)
+    a, b = geometry(raw, 1), geometry(shared, 1)
+    for f in dataclasses.fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        assert va is vb if isinstance(va, PolarGrid) else np.array_equal(va, vb), f.name
+    assert np.array_equal(quermass_vector(a, raw).values, quermass_vector(b, shared).values)
+    # the shared nodes cannot be written through a profile
+    with pytest.raises(ValueError):
+        raw.theta[1] = 0.0
