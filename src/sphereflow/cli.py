@@ -16,7 +16,7 @@ import sys
 
 from .dualflow import dual_run, profile_from_dual
 from .exceptions import ConeViolation, ConvexityLoss
-from .flow import DtPolicy, FlowConfig, ShapeSpec, run
+from .flow import DtPolicy, FlowConfig, ShapeSpec, _json_object, run
 from .hypersurface import geometry, load_checkpoint, save_checkpoint
 from .identities import run_identity_suite
 from .quermass import audit_inequalities, quermass_vector
@@ -37,7 +37,9 @@ def _parse_shape(text: str) -> ShapeSpec:
                          eps=float(parts[1]), mode=int(parts[2]))
     if kind == "custom":
         with open(rest) as fh:
-            return ShapeSpec.from_json({**json.load(fh), "kind": "custom"})
+            payload = json.load(fh)
+        return ShapeSpec.from_json({**_json_object(payload, "a custom shape file"),
+                                    "kind": "custom"})
     raise ValueError(f"unknown shape {text!r}")
 
 
@@ -105,6 +107,7 @@ def _run_bundle(out: str, config: FlowConfig, seed: int):
         "tFinal": result.t_final,
         "steps": result.steps,
         "rejections": result.rejections,
+        "rateEvaluations": result.rate_evaluations,
         "violations": result.violations,
         "finalQuermass": {f"A_{m}": last[f"A_{m}"] for m in range(-1, config.n + 1)},
         "finalMaxSpeed": last["maxSpeed"],
@@ -245,7 +248,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shape", type=str, default=None,
                        help="geodesic:r | perturbed:r0,eps,mode | custom:path")
         p.add_argument("--dt-max", type=float, default=None)
-        p.add_argument("--cfl", type=float, default=None)
+        p.add_argument("--cfl", type=float, default=None,
+                       help="parabolic step factor: the first step of run, "
+                            "every step of dual-run")
         p.add_argument("--t-max", type=float, default=None)
         p.add_argument("--conv-tol", type=float, default=None)
         p.add_argument("--sample-every", type=int, default=None)

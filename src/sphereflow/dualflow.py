@@ -26,7 +26,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .exceptions import ConeViolation, ConvexityLoss, StepRejected
-from .flow import FlowConfig, FlowTrace, _integrate, _rk4
+from .flow import FlowConfig, FlowTrace, _integrate, _ParabolicRK4, _rk4
 from .hypersurface import RadialProfile, as_grid, differentiate, geometry, polar_grid
 from .quermass import quermass_vector
 from .symfunc import identity_quotient, quotient_two_value
@@ -313,8 +313,9 @@ def _trace_row(state: DualState, g: np.ndarray, k: int, codes: list) -> list:
 def dual_run(config: FlowConfig) -> DualResult:
     """Explicit time stepping of the support-function evolution.
 
-    Same driver and step-control policy as the primal solver: parabolic dt
-    against the trace of the linearization, rejection halving, slow regrowth.
+    The graph solver's time loop with explicit RK4 steps under the parabolic
+    step control: dt against the trace of the linearization, rejection
+    halving, slow regrowth.
     Loss of positive definiteness of W at the smallest step aborts the run and
     the time is recorded; the outcome of this evolution is not covered by the
     convergence theory and runs here are experimental probes.
@@ -332,8 +333,7 @@ def dual_run(config: FlowConfig) -> DualResult:
 
     def probe(cur):
         _, state, g, stiff = cur
-        curvature = max(np.max(state.h_merid), np.max(state.h_ang))
-        return float(np.max(np.abs(g))), curvature, float(np.max(stiff))
+        return float(np.max(np.abs(g))), max(np.max(state.h_merid), np.max(state.h_ang))
 
     def trial(cur, dt):
         u, _, g, _ = cur
@@ -344,8 +344,9 @@ def dual_run(config: FlowConfig) -> DualResult:
 
     trace = FlowTrace(n, extra=("minEigW", "maxEigW"), breakdown_cell=True)
     start = evaluate(CubicSpline(dual0.theta, dual0.u)(grid.theta))
+    stepper = _ParabolicRK4(config, grid.h, lambda cur: float(np.max(cur[3])), trial)
     (_, state, _, _), t, steps, rejections, termination, failure = _integrate(
-        config, grid.h, start, probe, trial, lambda *_: (),
+        config, start, probe, stepper, lambda *_: (),
         lambda cur, codes: _trace_row(cur[1], cur[2], k, codes), trace)
     if failure is not None:
         termination = "convexity_breakdown"

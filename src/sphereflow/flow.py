@@ -3,9 +3,12 @@
 The normal speed is f = c * phi'(rho) - u * F with c the quotient's value on
 the round sphere, which preserves the quermassintegral A_{k-1} and drives
 convex initial data to a geodesic sphere.  On the fixed graph grid the radius
-obeys d(rho)/dt = f * W / phi, integrated here with classical Runge-Kutta and
-a parabolic step-size heuristic plus rejection control.  The same driver
-steps the support-function solver in dualflow.
+obeys d(rho)/dt = f * W / phi.  That rate reads rho only through a 3-point
+stencil, so its Jacobian is tridiagonal and the stiff system is stepped with
+Radau IIA (Hairer & Wanner, Solving ODEs II), whose steps are sized by
+accuracy rather than by the h^2 stability limit.  The same time loop steps
+the support-function solver in dualflow with classical Runge-Kutta under a
+parabolic step-size heuristic plus rejection control.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import Radau
 from scipy.interpolate import CubicSpline
+from scipy.sparse import diags
 
 from .exceptions import ConeViolation, StepRejected
 from .hypersurface import (
@@ -50,6 +55,25 @@ __all__ = [
 _MULT_FLOOR = 1e-12
 _GROW_EVERY = 20
 _GROW_FACTOR = 1.2
+# Radau tolerances of the graph flow: they keep the time error far below the
+# O(h^2) spatial error, which the cross-solver refinement ratio measures
+_RTOL = 1e-8
+_ATOL = 1e-11
+
+
+def _json_object(payload, what: str) -> dict:
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, not a {type(payload).__name__}")
+    return payload
+
+
+def _json_integer(payload: dict, key: str, default: int | None = None) -> int:
+    """An integer field: 2.0 is taken as 2, 64.9 is refused rather than truncated."""
+    value = payload[key] if default is None else payload.get(key, default)
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return int(number)
 
 
 @dataclass
@@ -107,7 +131,7 @@ class ShapeSpec:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ShapeSpec":
-        kind = payload.get("kind")
+        kind = _json_object(payload, "a shape").get("kind")
         if kind == "geodesicSphere":
             return cls(kind=kind, r=float(payload["r"]))
         if kind == "perturbed":
@@ -129,7 +153,8 @@ class ShapeSpec:
 @dataclass
 class DtPolicy:
     # 0.2 keeps the stiffest polar mode well inside the RK4 stability
-    # region; 0.5 is marginal at N >= 256 and seeds a slow sawtooth.
+    # region; 0.5 is marginal at N >= 256 and seeds a slow sawtooth.  The
+    # graph flow takes only its first step from this limit.
     cfl_factor: float = 0.2
     dt_max: float = 0.05
 
@@ -208,11 +233,12 @@ class FlowConfig:
 
     @classmethod
     def from_json(cls, payload: dict) -> "FlowConfig":
-        pol = payload.get("dtPolicy", {})
+        payload = _json_object(payload, "a config")
+        pol = _json_object(payload.get("dtPolicy", {}), "dtPolicy")
         return cls(
-            n=int(payload["n"]),
-            k=int(payload["k"]),
-            N=int(payload["N"]),
+            n=_json_integer(payload, "n"),
+            k=_json_integer(payload, "k"),
+            N=_json_integer(payload, "N"),
             initial_shape=ShapeSpec.from_json(payload["initialShape"]),
             dt_policy=DtPolicy(
                 cfl_factor=float(pol.get("cflFactor", 0.2)),
@@ -220,9 +246,10 @@ class FlowConfig:
             ),
             t_max=float(payload.get("tMax", 50.0)),
             convergence_tol=float(payload.get("convergenceTol", 1e-6)),
-            monitor_tolerances=dict(payload.get("monitorTolerances", {})),
-            sample_every=int(payload.get("sampleEvery", 1)),
-            checkpoint_every=int(payload.get("checkpointEvery", 0)),
+            monitor_tolerances=dict(_json_object(payload.get("monitorTolerances", {}),
+                                                 "monitorTolerances")),
+            sample_every=_json_integer(payload, "sampleEvery", 1),
+            checkpoint_every=_json_integer(payload, "checkpointEvery", 0),
             blowup_threshold=float(payload.get("blowupThreshold", 1e3)),
         )
 
@@ -253,21 +280,18 @@ def _rk4(y: np.ndarray, dt: float, r1: np.ndarray, rate) -> np.ndarray:
     return y + dt / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
 
 
-def _step(profile: RadialProfile, dt: float, k: int, state1: GeometryState) -> RadialProfile:
-    n, grid = profile.n, profile.grid
-    try:
-        rho = _rk4(profile.rho, dt, _rate(state1),
-                   lambda stage: _rate(geometry(_try_profile(n, grid, stage), k)))
-    except ConeViolation as exc:
-        raise StepRejected(str(exc)) from exc
-    return _try_profile(n, grid, rho)
-
-
 def step(profile: RadialProfile, dt: float, k: int) -> RadialProfile:
     """One classical Runge-Kutta step of the radius evolution."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    return _step(profile, dt, k, geometry(profile, k))
+    n, grid = profile.n, profile.grid
+    r1 = _rate(geometry(profile, k))
+    try:
+        rho = _rk4(profile.rho, dt, r1,
+                   lambda stage: _rate(geometry(_try_profile(n, grid, stage), k)))
+    except ConeViolation as exc:
+        raise StepRejected(str(exc)) from exc
+    return _try_profile(n, grid, rho)
 
 
 def _parabolic_dt(stiffness: float, h: float, policy: DtPolicy) -> float:
@@ -412,33 +436,143 @@ class FlowResult:
     steps: int
     rejections: int
     violations: dict
+    rate_evaluations: int
 
 
-def _integrate(config: FlowConfig, h: float, state, probe, trial, advance, row,
+class _ParabolicRK4:
+    """Explicit RK4 steps under the parabolic step control.
+
+    The step is the parabolic limit cfl * h^2 / stiffness(state), capped by
+    dt_max and the time left, scaled by a multiplier that halves on each
+    rejection and regrows after a streak of accepted steps; the step
+    collapses once the multiplier drops below _MULT_FLOOR.  stiffness(state)
+    is the largest trace of the linearization; trial(state, dt) returns the
+    next state or raises StepRejected.
+    """
+
+    def __init__(self, config: FlowConfig, h: float, stiffness, trial):
+        self.policy = config.dt_policy
+        self.t_max = config.t_max
+        self.h = h
+        self.stiffness = stiffness
+        self.trial = trial
+        self.mult = 1.0
+        self.streak = 0
+        self.rejections = 0
+
+    def __call__(self, state, t: float):
+        limit = _parabolic_dt(self.stiffness(state), self.h, self.policy)
+        while True:
+            dt = min(limit * self.mult, self.t_max - t)
+            try:
+                new = self.trial(state, dt)
+            except StepRejected:
+                self.rejections += 1
+                self.streak = 0
+                self.mult *= 0.5
+                if self.mult < _MULT_FLOOR:
+                    raise
+                continue
+            self.streak += 1
+            if self.streak >= _GROW_EVERY:
+                self.mult = min(1.0, self.mult * _GROW_FACTOR)
+                self.streak = 0
+            return new, t + dt
+
+
+class _RadauSteps:
+    """Radau IIA steps (scipy's Radau, one .step() at a time), tridiagonal Jacobian.
+
+    rate(y) may raise ValueError (ConeViolation included) where a stage
+    leaves the chart or the cone; the solver then sees NaN, which its Newton
+    loop takes as non-convergence and answers by halving its step.
+    accept(y) turns an accepted vector into the solver's state or raises
+    StepRejected or ValueError.  A failed solver, a failed factorization (a
+    NaN Jacobian makes splu report a singular factor), a step accepted on a
+    NaN error estimate or a refused vector restarts the solver from the last
+    accepted state with half the step it tried, counted as a rejection; once
+    that falls below _MULT_FLOOR times the first step, the step has
+    collapsed.  evaluations counts the rate calls, Jacobian columns included.
+    """
+
+    def __init__(self, config: FlowConfig, rate, accept, y0: np.ndarray, first_step: float):
+        self.rate = rate
+        self.accept = accept
+        self.t_max = config.t_max
+        self.max_step = config.dt_policy.dt_max
+        self.first_step = first_step
+        self.sparsity = diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(y0.size, y0.size))
+        self.rejections = 0
+        self.evaluations = 0
+        self.message = ""
+        self.y = y0
+        self.solver = None  # started by the first step: a run that takes none costs nothing
+
+    def _fun(self, t: float, y: np.ndarray) -> np.ndarray:
+        self.evaluations += 1
+        try:
+            return self.rate(y)
+        except ValueError as exc:
+            self.message = str(exc)
+            return np.full(y.shape, np.nan)
+
+    def _start(self, t: float, y: np.ndarray, first_step: float) -> Radau:
+        with np.errstate(all="ignore"):
+            return Radau(self._fun, t, y, self.t_max, first_step=min(first_step, self.t_max - t),
+                         max_step=self.max_step, rtol=_RTOL, atol=_ATOL,
+                         jac_sparsity=self.sparsity)
+
+    def __call__(self, state, t: float):
+        if self.solver is None:
+            self.solver = self._start(t, self.y, self.first_step)
+        while True:
+            solver = self.solver
+            tried = min(solver.h_abs, self.max_step)
+            try:
+                with np.errstate(all="ignore"):
+                    solver.step()
+            except (RuntimeError, np.linalg.LinAlgError) as exc:
+                self.message = self.message or str(exc)
+            else:
+                if solver.status != "failed":
+                    try:
+                        # a NaN error estimate passes Radau's error test
+                        if not math.isfinite(solver.error_norm_old):
+                            raise StepRejected(self.message or "error estimate is not finite")
+                        new = self.accept(solver.y)
+                    except (StepRejected, ValueError) as exc:
+                        self.message = str(exc)
+                        tried = solver.t - t
+                    else:
+                        self.y = solver.y
+                        return new, solver.t
+            self.rejections += 1
+            if 0.5 * tried < _MULT_FLOOR * self.first_step:
+                raise StepRejected(self.message or solver.message)
+            self.solver = self._start(t, self.y, 0.5 * tried)
+
+
+def _integrate(config: FlowConfig, state, probe, stepper, advance, row,
                trace: FlowTrace):
-    """Explicit RK4 time stepping under the step control both solvers share.
+    """The time loop both solvers share; the step itself comes from stepper.
 
-    The solver keeps its own state.  probe(state) gives its max speed, max
-    curvature and stiffness (the largest trace of the linearization);
-    trial(state, dt) returns the next state or raises StepRejected;
-    advance(state, new, t, dt, steps) does the work of an accepted step and
-    returns its flag codes; row(state, codes) gives a trace row's values and
-    may add codes.
-
-    The step is the parabolic limit, scaled by a multiplier that halves on
-    each rejection and regrows after a streak of accepted steps; the run
-    collapses once the multiplier drops below _MULT_FLOOR.  Returns the final
-    state, t, steps, rejections, termination and the collapsing rejection.
+    The solver keeps its own state.  probe(state) gives its max speed and max
+    curvature; stepper(state, t) takes one accepted step and returns the new
+    state and time, or raises StepRejected once its step has collapsed, and
+    counts its retried steps in stepper.rejections; advance(state, new, t,
+    dt, steps) does the work of an accepted step and returns its flag codes;
+    row(state, codes) gives a trace row's values and may add codes.  Returns
+    the final state, t, steps, rejections, termination and the collapsing
+    rejection.
     """
     pending: list = []
     trace.append(0.0, row(state, pending), pending)
     pending = []
     t = last_sampled = 0.0
-    steps = rejections = streak = 0
-    mult = 1.0
+    steps = 0
     failure = None
     while True:
-        max_speed, curvature, stiffness = probe(state)
+        max_speed, curvature = probe(state)
         if max_speed < config.convergence_tol:
             termination = "converged"
             break
@@ -449,24 +583,14 @@ def _integrate(config: FlowConfig, h: float, state, probe, trial, advance, row,
             termination = "curvature_blowup"
             break
 
-        dt = min(_parabolic_dt(stiffness, h, config.dt_policy) * mult, config.t_max - t)
         try:
-            new = trial(state, dt)
+            new, t_new = stepper(state, t)
         except StepRejected as exc:
-            rejections += 1
-            streak = 0
-            mult *= 0.5
-            if mult < _MULT_FLOOR:
-                termination, failure = "step_collapse", exc
-                break
-            continue
+            termination, failure = "step_collapse", exc
+            break
 
-        t += dt
+        dt, t = t_new - t, t_new
         steps += 1
-        streak += 1
-        if streak >= _GROW_EVERY:
-            mult = min(1.0, mult * _GROW_FACTOR)
-            streak = 0
         pending.extend(advance(state, new, t, dt, steps))
         state = new
         if steps % config.sample_every == 0:
@@ -476,34 +600,34 @@ def _integrate(config: FlowConfig, h: float, state, probe, trial, advance, row,
 
     if t > last_sampled:
         trace.append(t, row(state, pending), pending)
-    return state, t, steps, rejections, termination, failure
+    return state, t, steps, stepper.rejections, termination, failure
 
 
 def run(config: FlowConfig, out_dir=None) -> FlowResult:
     """Integrate the flow until convergence, t_max, or a documented abort."""
-    k = config.k
-    profile = config.initial_shape.build(config.n, config.N)
+    n, k = config.n, config.k
+    profile = config.initial_shape.build(n, config.N)
+    grid = profile.grid
     state = geometry(profile, k)
     if not state.lam_min > 0.0:
         raise ValueError("initial profile is not strictly convex")
     q = quermass_vector(state, profile)
     monitors = Monitors(config, state, q)
 
-    # a solver state is (profile, geometry, max |speed|)
-    def probe(cur):
-        _, st, max_speed = cur
-        curvature = max(abs(st.lam_min), abs(st.lam_max))
-        return max_speed, curvature, float(np.max(st.u * st.trace_grad))
+    def evaluate(rho):
+        prof = RadialProfile(n=n, theta=grid, rho=rho)
+        return prof, geometry(prof, k)
 
-    def trial(cur, dt):
-        new_profile = _step(cur[0], dt, k, cur[1])
-        try:
-            new_state = geometry(new_profile, k)
-        except ConeViolation as exc:
-            raise StepRejected(str(exc)) from exc
+    def accept(rho):
+        new_profile, new_state = evaluate(rho)
         if not new_state.lam_min > 0.0:
             raise StepRejected("strict convexity lost in a trial step")
         return new_profile, new_state, float(np.max(np.abs(speed(new_state))))
+
+    # a solver state is (profile, geometry, max |speed|)
+    def probe(cur):
+        _, st, max_speed = cur
+        return max_speed, max(abs(st.lam_min), abs(st.lam_max))
 
     def advance(cur, new, t, dt, steps):
         nonlocal q
@@ -517,15 +641,17 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
 
     def row(cur, codes):
         _, st, max_speed = cur
-        return [q.a(m) for m in range(-1, config.n + 1)] + [
+        return [q.a(m) for m in range(-1, n + 1)] + [
             np.min(st.u), np.min(st.rho), np.max(st.rho), np.min(st.F), np.max(st.F),
             st.lam_min, st.lam_max, max_speed,
         ]
 
+    stepper = _RadauSteps(config, lambda rho: _rate(evaluate(rho)[1]), accept, profile.rho,
+                          _policy_dt(state, config.dt_policy))
     start = (profile, state, float(np.max(np.abs(speed(state)))))
-    trace = FlowTrace(n=config.n)
+    trace = FlowTrace(n=n)
     (profile, state, _), t, steps, rejections, termination, failure = _integrate(
-        config, state.h, start, probe, trial, advance, row, trace)
+        config, start, probe, stepper, advance, row, trace)
     if failure is not None:
         termination = f"{termination}: {failure}"
     return FlowResult(
@@ -538,6 +664,7 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
         steps=steps,
         rejections=rejections,
         violations=dict(monitors.counts),
+        rate_evaluations=stepper.evaluations,
     )
 
 

@@ -315,6 +315,18 @@ def newton_maclaurin_gap(lam, k: int, l: int, r: int, s: int):
     return float(res) if res.ndim == 0 else res
 
 
+def _quotient_trace_gaps(vals: np.ndarray, k: int):
+    """Both trace gaps of quotient_trace_gaps and the weighted trace, batched."""
+    n = vals.shape[-1]
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"quotient order k={k} out of range for n={n}")
+    value, _, trace, weighted, sk = _quotient_arrays(vals, k)
+    if not np.all(sk > 0.0):
+        raise ConeViolation(f"sigma_{k} not positive on some sample")
+    c = identity_quotient(n, k)
+    return weighted - value**2 / c, trace - c, weighted
+
+
 def quotient_trace_gaps(lam, k: int):
     """Gaps of the two quotient-gradient trace bounds.
 
@@ -323,16 +335,7 @@ def quotient_trace_gaps(lam, k: int):
     trace_grad is additionally bounded above by n - k on the closed
     (k+1)-th cone.
     """
-    vals = _values(lam)
-    n = vals.shape[-1]
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"quotient order k={k} out of range for n={n}")
-    value, _, trace, weighted, sk = _quotient_arrays(vals, k)
-    if not np.all(sk > 0.0):
-        raise ConeViolation(f"sigma_{k} not positive on some sample")
-    c = identity_quotient(n, k)
-    g1 = weighted - value**2 / c
-    g2 = trace - c
+    g1, g2, _ = _quotient_trace_gaps(_values(lam), k)
     if g1.ndim == 0:
         return float(g1), float(g2)
     return g1, g2

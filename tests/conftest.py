@@ -13,7 +13,8 @@ def standard_run():
     """Reference run shared by the conservation / monitor / limit tests.
 
     n=2, k=1, rho = 0.8 + 0.05 cos 2theta at N=256, integrated until the
-    speed drops below 1e-6.  Takes about forty seconds, hence session scope.
+    speed drops below 1e-6.  Takes well under a second with Radau steps; it
+    is session-scoped so that every test reads the same run.
     """
     shape = ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2)
     config = FlowConfig(n=2, k=1, N=256, initial_shape=shape,

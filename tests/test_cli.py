@@ -29,6 +29,7 @@ def test_run_command_writes_bundle(tmp_path, capsys):
     assert summary["termination"] == "tmax"
     assert summary["seed"] == 4 and summary["violations"] == {}
     assert {"finalQuermass", "finalMaxSpeed", "finalRhoSpread"} <= set(summary)
+    assert summary["rateEvaluations"] >= 4 + 3 * summary["steps"]
     lines = (out / "trace.csv").read_text().splitlines()
     assert lines[0] == "# seed=4"
     assert lines[1].startswith("t,A_-1,")
@@ -132,6 +133,30 @@ def test_custom_shape_file(tmp_path):
             "--out", str(out)]
     assert main(args) == 0
     assert (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("where", ["shape", "config", "sweep"])
+def test_json_list_instead_of_object_exits_1(tmp_path, capsys, where):
+    cfg = FlowConfig(
+        n=2, k=1, N=33,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
+    ).to_json()
+    path = tmp_path / "input.json"
+    out = str(tmp_path / "out")
+    if where == "shape":
+        theta = np.linspace(0.0, math.pi, 33).tolist()
+        path.write_text(json.dumps([theta, [0.8] * 33]))
+        args = ["run", "--n", "2", "--k", "1", "--N", "33",
+                "--shape", f"custom:{path}", "--out", out]
+    elif where == "config":
+        path.write_text(json.dumps([cfg]))
+        args = ["run", "--config", str(path), "--out", out]
+    else:
+        path.write_text(json.dumps([list(cfg.items())]))
+        args = ["run", "--sweep", str(path), "--out", out]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "JSON object" in err
 
 
 def test_identity_suite_command(tmp_path, capsys):

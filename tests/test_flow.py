@@ -49,7 +49,7 @@ def test_sphere_run_converges_without_stepping():
     cfg = FlowConfig(n=2, k=1, N=65, initial_shape=ShapeSpec(kind="geodesicSphere", r=0.8))
     res = run(cfg)
     assert res.termination == "converged"
-    assert res.steps == 0 and res.t_final == 0.0
+    assert res.steps == 0 and res.t_final == 0.0 and res.rate_evaluations == 0
     assert len(res.trace.t) == 1 and res.violations == {}
 
 
@@ -117,6 +117,26 @@ def test_flow_config_validation():
 def test_flow_config_rejects_bad_run_settings(bad):
     with pytest.raises(ValueError):
         _perturbed_config(**bad)
+
+
+@pytest.mark.parametrize("key", ["n", "k", "N", "sampleEvery", "checkpointEvery"])
+def test_flow_config_json_refuses_fractional_counts(key):
+    payload = _perturbed_config(sample_every=2, checkpoint_every=4).to_json()
+    # whole numbers written as floats are taken, fractions are not truncated
+    whole = FlowConfig.from_json({**payload, key: float(payload[key])})
+    assert whole == FlowConfig.from_json(payload)
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        FlowConfig.from_json({**payload, key: payload[key] + 0.9})
+
+
+def test_json_payloads_must_be_objects():
+    payload = _perturbed_config().to_json()
+    with pytest.raises(ValueError, match="JSON object"):
+        FlowConfig.from_json([payload])
+    with pytest.raises(ValueError, match="JSON object"):
+        FlowConfig.from_json({**payload, "dtPolicy": [0.2, 0.05]})
+    with pytest.raises(ValueError, match="JSON object"):
+        ShapeSpec.from_json([payload["initialShape"]])
 
 
 def test_flow_config_accepts_edge_run_settings():
@@ -193,6 +213,9 @@ def test_run_stops_at_tmax():
     assert res.termination == "tmax"
     assert res.t_final == pytest.approx(0.02, rel=1e-12)
     assert res.steps > 0 and res.violations == {}
+    # at least the rate at the start, its three Jacobian column groups and
+    # three Radau stages per accepted step
+    assert res.rate_evaluations >= 4 + 3 * res.steps
 
 
 def test_run_reports_curvature_blowup():
@@ -201,10 +224,11 @@ def test_run_reports_curvature_blowup():
 
 
 def test_run_writes_checkpoints(tmp_path):
-    res = run(_perturbed_config(t_max=0.02, checkpoint_every=5, sample_every=10),
+    # Radau reaches t=0.02 in a handful of steps
+    res = run(_perturbed_config(t_max=0.02, checkpoint_every=2, sample_every=10),
               out_dir=str(tmp_path))
     files = sorted(os.path.basename(p) for p in glob.glob(str(tmp_path / "ck_*.json")))
-    assert files and files[0] == "ck_00000005.json"
+    assert res.steps >= 2 and files and files[0] == "ck_00000002.json"
     prof, k, t = load_checkpoint(tmp_path / files[-1])
     assert k == 1 and t > 0.0 and prof.N == 65
 
@@ -326,13 +350,92 @@ def test_solver_stages_skip_the_grid_check(monkeypatch):
     assert len(raw) == 1
 
 
+def test_run_matches_the_rk4_oracle():
+    # the oracle: explicit RK4 steps at the parabolic limit
+    cfg = FlowConfig(n=2, k=1, N=256, t_max=1.0, convergence_tol=0.0,
+                     initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2))
+    res = run(cfg)
+    assert res.termination == "tmax" and res.t_final == 1.0
+    prof, t = cfg.initial_shape.build(2, 256), 0.0
+    while t < 1.0:
+        dt = min(_policy_dt(geometry(prof, 1), cfg.dt_policy), 1.0 - t)
+        prof, t = step(prof, dt, 1), t + dt
+    assert float(np.max(np.abs(res.profile.rho - prof.rho))) <= 1e-9
+
+
+def _fail_calls(fn, calls):
+    """fn, except for a forced cone exit on the given call numbers."""
+    count = [0]
+
+    def wrapped(*args):
+        count[0] += 1
+        if count[0] in calls:
+            raise ConeViolation("forced cone exit")
+        return fn(*args)
+
+    return wrapped
+
+
+def _step_marks(monkeypatch, config):
+    """Clean run of config; geometry calls made by the start and each accepted step.
+
+    The monitors' quermass_vector runs once per accepted step, after its
+    geometry.
+    """
+    calls, marks = [0], []
+
+    def counting(*args):
+        calls[0] += 1
+        return geometry(*args)
+
+    def marking(*args):
+        marks.append(calls[0])
+        return quermass_vector(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flow_module, "geometry", counting)
+        patch.setattr(flow_module, "quermass_vector", marking)
+        res = run(config)
+    return res, marks
+
+
+def test_run_recovers_from_a_stage_cone_exit(monkeypatch):
+    cfg = _perturbed_config(t_max=0.02)
+    clean, marks = _step_marks(monkeypatch, cfg)
+    # the first stage of the second step leaves the cone: Radau sees NaN and
+    # retries inside its own step, which is not a rejection of the run
+    monkeypatch.setattr(flow_module, "geometry", _fail_calls(geometry, {marks[1] + 1}))
+    res = run(cfg)
+    assert res.termination == "tmax" and res.rejections == 0
+    assert res.rate_evaluations > clean.rate_evaluations
+    assert float(np.max(np.abs(res.profile.rho - clean.profile.rho))) < 1e-9
+
+
+def test_run_restarts_after_a_refused_step(monkeypatch):
+    cfg = _perturbed_config(t_max=0.02)
+    clean, marks = _step_marks(monkeypatch, cfg)
+    # the last rate call of the second step and the check of its accepted
+    # vector leave the cone: Radau restarts from the first step at half the
+    # step size
+    fail = {marks[2] - 1, marks[2]}
+    monkeypatch.setattr(flow_module, "geometry", _fail_calls(geometry, fail))
+    res = run(cfg)
+    assert res.termination == "tmax" and res.rejections == 1
+    dt_clean = np.diff(clean.trace.t)
+    assert np.diff(res.trace.t)[1] == pytest.approx(0.5 * dt_clean[1], rel=1e-12)
+    assert float(np.max(np.abs(res.profile.rho - clean.profile.rho))) < 1e-9
+
+
 def test_run_collapses_when_every_trial_fails(monkeypatch):
-    # the initial state and three accepted RK4 steps (four evaluations each),
-    # then every trial stage leaves the cone
-    monkeypatch.setattr(flow_module, "geometry", _fail_after(geometry, 1 + 4 * 3))
+    _, marks = _step_marks(monkeypatch, _perturbed_config(t_max=0.02))
+    assert len(marks) >= 4  # the initial state and at least three steps
+    # after the third accepted step every stage, Jacobian column and
+    # accepted vector leaves the cone
+    monkeypatch.setattr(flow_module, "geometry", _fail_after(geometry, marks[3]))
     res = run(_perturbed_config(t_max=0.02))
     assert res.termination == "step_collapse: forced cone exit"
     assert res.steps == 3 and res.t_final > 0.0
-    # the multiplier halves from 1 until it drops below 1e-12: 2^-40 < 1e-12 <= 2^-39
-    assert res.rejections == 40
+    # each restart halves the step, from at least the first step until it
+    # drops below 1e-12 of it: 2^-40 < 1e-12 <= 2^-39
+    assert res.rejections >= 40
     assert res.trace.t[-1] == res.t_final
