@@ -9,19 +9,12 @@ the graph and support-function solvers, and a batch CLI.
 
 from .exceptions import ConeViolation, ConvexityLoss, MonotonicityError, StepRejected
 from .symfunc import (
-    ConeLabel,
-    CurvatureVector,
     QuotientInfo,
-    cone_label,
     identity_quotient,
-    in_cone,
-    in_cone_closure,
-    newton_maclaurin_gap,
     pinch_deficit_parts,
     quotient,
     quotient_trace_gaps,
     sigma,
-    sigma_excl,
 )
 from .hypersurface import (
     GeometryState,
@@ -75,10 +68,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConeViolation", "ConvexityLoss", "MonotonicityError", "StepRejected",
-    "ConeLabel", "CurvatureVector", "QuotientInfo", "cone_label",
-    "identity_quotient", "in_cone", "in_cone_closure", "newton_maclaurin_gap",
-    "pinch_deficit_parts", "quotient", "quotient_trace_gaps", "sigma",
-    "sigma_excl",
+    "QuotientInfo", "identity_quotient", "pinch_deficit_parts", "quotient",
+    "quotient_trace_gaps", "sigma",
     "GeometryState", "RadialProfile", "SphereGrid2D", "geometry",
     "geometry_full_s2", "hessian_contraction_residuals", "integrate",
     "load_checkpoint", "minkowski_residual", "save_checkpoint", "volume",

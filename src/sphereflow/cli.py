@@ -16,8 +16,8 @@ import sys
 
 from .dualflow import dual_run, profile_from_dual
 from .exceptions import ConeViolation, ConvexityLoss
-from .flow import DtPolicy, FlowConfig, ShapeSpec, _json_object, run
-from .hypersurface import geometry, load_checkpoint, save_checkpoint
+from .flow import DtPolicy, FlowConfig, ShapeSpec, run
+from .hypersurface import _json_object, geometry, load_checkpoint, save_checkpoint
 from .identities import run_identity_suite
 from .quermass import audit_inequalities, quermass_vector
 from .studies import evolution_study, functional_study, minkowski_study

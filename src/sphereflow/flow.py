@@ -26,6 +26,8 @@ from .exceptions import ConeViolation, StepRejected
 from .hypersurface import (
     GeometryState,
     RadialProfile,
+    _json_integer,
+    _json_object,
     as_grid,
     differentiate,
     frame_hessian,
@@ -59,21 +61,6 @@ _GROW_FACTOR = 1.2
 # O(h^2) spatial error, which the cross-solver refinement ratio measures
 _RTOL = 1e-8
 _ATOL = 1e-11
-
-
-def _json_object(payload, what: str) -> dict:
-    if not isinstance(payload, dict):
-        raise ValueError(f"{what} must be a JSON object, not a {type(payload).__name__}")
-    return payload
-
-
-def _json_integer(payload: dict, key: str, default: int | None = None) -> int:
-    """An integer field: 2.0 is taken as 2, 64.9 is refused rather than truncated."""
-    value = payload[key] if default is None else payload.get(key, default)
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"{key} must be an integer, not {value!r}")
-    return int(number)
 
 
 @dataclass
@@ -189,8 +176,9 @@ class FlowConfig:
     blowup_threshold: float = 1e3
 
     def __post_init__(self):
-        if not 0 <= self.k <= self.n - 1:
-            raise ValueError(f"quotient order k={self.k} out of range for n={self.n}")
+        if self.n < 2 or not 0 <= self.k <= self.n - 1:
+            raise ValueError(f"quotient order k={self.k} out of range for n={self.n} "
+                             "(need n >= 2 and 0 <= k <= n - 1)")
         if self.N < 5:
             raise ValueError("grid too coarse: need N >= 5")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):

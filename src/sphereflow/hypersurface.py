@@ -38,7 +38,6 @@ __all__ = [
     "sin_power_integral",
     "minkowski_residual",
     "frame_hessian",
-    "grad_inner",
     "hessian_contraction_residuals",
     "save_checkpoint",
     "load_checkpoint",
@@ -46,6 +45,21 @@ __all__ = [
 
 # radii must stay strictly inside the open hemisphere
 RHO_FLOOR = 1e-12
+
+
+def _json_object(payload, what: str) -> dict:
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, not a {type(payload).__name__}")
+    return payload
+
+
+def _json_integer(payload: dict, key: str, default: int | None = None) -> int:
+    """An integer field: 2.0 is taken as 2, 64.9 is refused rather than truncated."""
+    value = payload[key] if default is None else payload.get(key, default)
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return int(number)
 
 
 class PolarGrid:
@@ -348,11 +362,6 @@ def frame_hessian(state: GeometryState, q_grad: np.ndarray, q_hess: np.ndarray):
     return hm, ha
 
 
-def grad_inner(state: GeometryState, a_grad: np.ndarray, b_grad: np.ndarray) -> np.ndarray:
-    """Induced-metric inner product of two axisymmetric gradients."""
-    return a_grad * b_grad / state.w**2
-
-
 def hessian_contraction_residuals(profile: RadialProfile, k: int) -> dict:
     """Residuals of the radius Hessian contraction for both speed-factor candidates.
 
@@ -543,10 +552,10 @@ def save_checkpoint(profile: RadialProfile, k: int, t: float, path) -> None:
 def load_checkpoint(path):
     """Read a snapshot back into (profile, k, t)."""
     with open(path) as fh:
-        payload = json.load(fh)
+        payload = _json_object(json.load(fh), "a checkpoint")
     profile = RadialProfile(
-        n=int(payload["n"]),
+        n=_json_integer(payload, "n"),
         theta=np.asarray(payload["theta"], dtype=float),
         rho=np.asarray(payload["rho"], dtype=float),
     )
-    return profile, int(payload["k"]), float(payload["t"])
+    return profile, _json_integer(payload, "k"), float(payload["t"])

@@ -18,8 +18,8 @@ import numpy as np
 
 from .symfunc import (
     _quotient_arrays,
-    _quotient_trace_gaps,
     pinch_deficit_parts,
+    quotient_trace_gaps,
     sigma,
     sigma_table,
 )
@@ -299,7 +299,7 @@ def _check_mean_ratio_gaps(rng, samples, n, k) -> CheckResult:
 
 def _check_quotient_gaps(rng, samples, n, k) -> list:
     vals = sample_cone(rng, samples, n, k)
-    gap1, gap2, weighted = _quotient_trace_gaps(vals, k)
+    gap1, gap2, weighted = quotient_trace_gaps(vals, k)
     rel1 = gap1 / np.maximum(np.abs(weighted), 1.0)
     out = [
         CheckResult(

@@ -17,49 +17,16 @@ import numpy as np
 from .exceptions import ConeViolation
 
 __all__ = [
-    "CurvatureVector",
-    "ConeLabel",
     "QuotientInfo",
     "sigma",
     "sigma_table",
-    "sigma_excl",
-    "cone_label",
-    "in_cone",
-    "in_cone_closure",
     "quotient",
     "identity_quotient",
     "sigma_two_value",
     "quotient_two_value",
-    "newton_maclaurin_gap",
     "quotient_trace_gaps",
     "pinch_deficit_parts",
 ]
-
-
-@dataclass
-class CurvatureVector:
-    """Principal curvatures at a single point of an n-dimensional surface."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or self.values.size < 2:
-            raise ValueError("curvature vector needs at least two entries")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("curvature vector entries must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-@dataclass
-class ConeLabel:
-    """Largest admissible cone index together with a strict membership flag."""
-
-    k: int
-    contained: bool
 
 
 @dataclass
@@ -74,8 +41,6 @@ class QuotientInfo:
 
 
 def _values(lam) -> np.ndarray:
-    if isinstance(lam, CurvatureVector):
-        return lam.values
     a = np.asarray(lam, dtype=float)
     if a.ndim == 0:
         raise ValueError("expected arrays of curvature vectors along the last axis")
@@ -119,67 +84,6 @@ def _sigma_ext(table: np.ndarray, m: int):
     if m < 0 or m >= table.shape[-1]:
         return np.zeros(table.shape[:-1])
     return table[..., m]
-
-
-def sigma_excl(lam, m: int, excluded):
-    """sigma_m of the vector with one or two entries removed.
-
-    ``excluded`` holds zero-based entry indices.
-    """
-    vals = _values(lam)
-    n = vals.shape[-1]
-    idx = sorted(set(int(i) for i in np.atleast_1d(excluded)))
-    if not 1 <= len(idx) <= 2:
-        raise ValueError("exactly one or two distinct indices may be excluded")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise ValueError(f"excluded index out of range for n={n}")
-    rest = np.delete(vals, idx, axis=-1)
-    if not 0 <= m <= rest.shape[-1]:
-        raise ValueError(f"sigma index m={m} out of range after exclusion")
-    res = sigma_table(rest, m)[..., m]
-    return float(res) if res.ndim == 0 else res
-
-
-def cone_label(lam, k: int) -> ConeLabel:
-    """Strict membership of a single vector in the k-th admissible cone."""
-    vals = _values(lam)
-    if vals.ndim != 1:
-        raise ValueError("cone_label takes a single curvature vector")
-    n = vals.size
-    if not 1 <= k <= n:
-        raise ValueError(f"cone index k={k} out of range for n={n}")
-    table = sigma_table(vals, k)
-    contained = bool(np.all(table[1:] > 0.0))
-    return ConeLabel(k=k, contained=contained)
-
-
-def in_cone(lam, k: int):
-    """Boolean strict cone membership, vectorized over leading axes."""
-    vals = _values(lam)
-    n = vals.shape[-1]
-    if not 1 <= k <= n:
-        raise ValueError(f"cone index k={k} out of range for n={n}")
-    table = sigma_table(vals, k)
-    return np.all(table[..., 1:] > 0.0, axis=-1)
-
-
-def in_cone_closure(lam, k: int, rel_tol: float = 1e-14):
-    """Membership in the closed cone, allowing a tiny scaled negative slack.
-
-    sigma_i may dip to -rel_tol * binom(n,i) * max(1,|lam|_inf)^i, which is
-    the roundoff floor for vectors constructed to sit on the boundary.
-    """
-    vals = _values(lam)
-    n = vals.shape[-1]
-    if not 1 <= k <= n:
-        raise ValueError(f"cone index k={k} out of range for n={n}")
-    table = sigma_table(vals, k)
-    amax = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
-    ok = np.ones(vals.shape[:-1], dtype=bool)
-    for i in range(1, k + 1):
-        floor = -rel_tol * math.comb(n, i) * amax**i
-        ok &= table[..., i] >= floor
-    return ok if ok.ndim else bool(ok)
 
 
 def identity_quotient(n: int, k: int) -> float:
@@ -229,10 +133,6 @@ def quotient(lam, k: int) -> QuotientInfo:
     )
 
 
-def _comb_row(n: int, mmax: int) -> np.ndarray:
-    return np.array([math.comb(n, m) if 0 <= m <= n else 0 for m in range(mmax + 1)], float)
-
-
 def sigma_two_value(lam1, lam2, n: int, m: int):
     """sigma_m of the vector (lam1, lam2, ..., lam2) with lam2 repeated n-1 times.
 
@@ -276,14 +176,7 @@ def quotient_two_value(lam1, lam2, n: int, k: int):
 
     def excl_rep(m):
         # vector with one repeated entry removed: (lam1, lam2 x (n-2))
-        if not 0 <= m <= n - 1:
-            return 0.0
-        out = np.zeros(np.broadcast(lam1, lam2).shape)
-        if m <= n - 2:
-            out = out + math.comb(n - 2, m) * lam2**m
-        if m >= 1:
-            out = out + lam1 * math.comb(n - 2, m - 1) * lam2 ** (m - 1)
-        return out
+        return sigma_two_value(lam1, lam2, n - 1, m) if 0 <= m <= n - 1 else 0.0
 
     f1 = (excl_one(k) * sk - sk1 * excl_one(k - 1)) / sk**2
     f2 = (excl_rep(k) * sk - sk1 * excl_rep(k - 1)) / sk**2
@@ -293,30 +186,15 @@ def quotient_two_value(lam1, lam2, n: int, k: int):
     return value, f1, f2, trace, weighted
 
 
-def newton_maclaurin_gap(lam, k: int, l: int, r: int, s: int):
-    """Gap of the normalized ratio inequality between index pairs.
+def quotient_trace_gaps(lam, k: int):
+    """Gaps of the two quotient-gradient trace bounds, batched over samples.
 
-    With p_m = sigma_m / binom(n,m), returns
-    (p_r/p_s)^(1/(r-s)) - (p_k/p_l)^(1/(k-l)), which is nonnegative for
-    vectors in the k-th cone whenever k > l >= 0, r > s >= 0, k >= r, l >= s.
+    Returns (weighted_trace - F^2/c, trace_grad - c, weighted_trace) with c
+    the quotient's value on the all-ones vector; both gaps are nonnegative
+    on the k-th cone and trace_grad is additionally bounded above by n - k
+    on the closed (k+1)-th cone.
     """
     vals = _values(lam)
-    n = vals.shape[-1]
-    if not (k > l >= 0 and r > s >= 0 and k >= r and l >= s and k <= n):
-        raise ValueError(f"invalid index quadruple (k,l,r,s)=({k},{l},{r},{s})")
-    if not np.all(in_cone(vals, k)):
-        raise ConeViolation(f"vector outside the {k}-th cone")
-    table = sigma_table(vals, k)
-    combs = _comb_row(n, k)
-    p = table / combs
-    lhs = (p[..., k] / p[..., l]) ** (1.0 / (k - l))
-    rhs = (p[..., r] / p[..., s]) ** (1.0 / (r - s))
-    res = rhs - lhs
-    return float(res) if res.ndim == 0 else res
-
-
-def _quotient_trace_gaps(vals: np.ndarray, k: int):
-    """Both trace gaps of quotient_trace_gaps and the weighted trace, batched."""
     n = vals.shape[-1]
     if not 0 <= k <= n - 1:
         raise ValueError(f"quotient order k={k} out of range for n={n}")
@@ -325,20 +203,6 @@ def _quotient_trace_gaps(vals: np.ndarray, k: int):
         raise ConeViolation(f"sigma_{k} not positive on some sample")
     c = identity_quotient(n, k)
     return weighted - value**2 / c, trace - c, weighted
-
-
-def quotient_trace_gaps(lam, k: int):
-    """Gaps of the two quotient-gradient trace bounds.
-
-    Returns (weighted_trace - F^2/c, trace_grad - c) with c the quotient's
-    value on the all-ones vector; both are nonnegative on the k-th cone and
-    trace_grad is additionally bounded above by n - k on the closed
-    (k+1)-th cone.
-    """
-    g1, g2, _ = _quotient_trace_gaps(_values(lam), k)
-    if g1.ndim == 0:
-        return float(g1), float(g2)
-    return g1, g2
 
 
 def pinch_deficit_parts(lam, m: int):

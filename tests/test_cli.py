@@ -59,11 +59,15 @@ def test_bad_shape_is_reported(tmp_path, capsys):
     (["--t-max", "nan"], "t_max"),
     (["--t-max", "-1"], "t_max"),
     (["--dt-max", "inf"], "dt_max"),
+    (["--n", "1", "--k", "0"], "n >= 2"),
 ])
 def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
-    assert main(RUN_ARGS + flags + ["--out", str(tmp_path)]) == 1
+    out = tmp_path / "out"
+    assert main(RUN_ARGS + flags + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    # settings are refused before the bundle directory is made
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("change, message", [
@@ -192,6 +196,19 @@ def test_audit_rejects_nonuniform_checkpoint(tmp_path, capsys):
                                 "rho": [0.8] * 33}))
     assert main(["audit", "--checkpoint", str(path), "--out", str(tmp_path / "a")]) == 1
     assert "uniformly spaced" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], "JSON object"),
+    ({"n": 2.7, "k": 1.5, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).tolist(),
+      "rho": [0.8] * 33}, "must be an integer"),
+])
+def test_audit_rejects_malformed_checkpoint(tmp_path, capsys, payload, message):
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(payload))
+    assert main(["audit", "--checkpoint", str(path), "--out", str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_dual_run_command(tmp_path, capsys):

@@ -28,9 +28,9 @@ from sphereflow.hypersurface import load_checkpoint
 from sphereflow.quermass import quermass_vector
 
 
-def _perturbed_config(N=65, **kw):
+def _perturbed_config(N=65, n=2, k=1, **kw):
     shape = ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2)
-    return FlowConfig(n=2, k=1, N=N, initial_shape=shape, **kw)
+    return FlowConfig(n=n, k=k, N=N, initial_shape=shape, **kw)
 
 
 def test_sphere_speed_vanishes():
@@ -113,6 +113,8 @@ def test_flow_config_validation():
     {"monitor_tolerances": {"conservation": -1e-4}},
     {"monitor_tolerances": {"quotient_ratio": 0.0}},
     {"monitor_tolerances": {"conservaton": 1e-4}},
+    # k = 0 is in range for n = 1, but the flow needs a surface of dimension >= 2
+    {"n": 1, "k": 0},
 ])
 def test_flow_config_rejects_bad_run_settings(bad):
     with pytest.raises(ValueError):

@@ -23,7 +23,6 @@ from sphereflow.hypersurface import (
     PolarGrid,
     differentiate,
     frame_hessian,
-    grad_inner,
     polar_grid,
     simpson_weights,
     sin_power_integral,
@@ -189,16 +188,6 @@ def test_frame_hessian_on_sphere():
     assert np.max(np.abs(ang[1:-1] - want[1:-1])) <= 1e-3
     # pole limit collapses both components to q'' / phi^2
     assert merid[0] == pytest.approx(ang[0], abs=1e-12)
-
-
-def test_grad_inner_metric_factor():
-    prof = RadialProfile.perturbed(2, 0.8, 0.05, 2, 129)
-    st = geometry(prof, 1)
-    a = np.sin(prof.theta)
-    b = np.cos(2 * prof.theta)
-    ag, _ = oracles.fd_even_derivatives(a, prof.h)
-    bg, _ = oracles.fd_even_derivatives(b, prof.h)
-    assert np.allclose(grad_inner(st, ag, bg), ag * bg / st.w**2, atol=1e-14)
 
 
 def test_support_factor_disambiguation():

@@ -3,17 +3,11 @@ import pytest
 
 from sphereflow import (
     ConeViolation,
-    CurvatureVector,
-    cone_label,
     identity_quotient,
-    in_cone,
-    in_cone_closure,
-    newton_maclaurin_gap,
     pinch_deficit_parts,
     quotient,
     quotient_trace_gaps,
     sigma,
-    sigma_excl,
 )
 from sphereflow.symfunc import (
     quotient_two_value,
@@ -70,27 +64,6 @@ def test_sigma_index_range():
         sigma(LAM4, -1)
 
 
-def test_sigma_excl_single_and_pair():
-    rng = np.random.default_rng(9)
-    vals = rng.uniform(-1.5, 2.5, size=6)
-    for i in range(6):
-        for m in range(6):
-            assert sigma_excl(vals, m, i) == pytest.approx(
-                oracles.sigma_excluding(vals, m, [i]), abs=1e-12)
-    for m in range(5):
-        assert sigma_excl(vals, m, (1, 4)) == pytest.approx(
-            oracles.sigma_excluding(vals, m, [1, 4]), abs=1e-12)
-
-
-def test_sigma_excl_rejects_bad_indices():
-    # duplicates collapse to a single exclusion
-    assert sigma_excl(LAM4, 1, (0, 0)) == sigma_excl(LAM4, 1, 0)
-    with pytest.raises(ValueError):
-        sigma_excl(LAM4, 1, (0, 1, 2))
-    with pytest.raises(ValueError):
-        sigma_excl(LAM4, 1, 7)
-
-
 def test_exclusion_recurrence_spot():
     # sigma_m = sigma_m(lam|i) + lam_i sigma_{m-1}(lam|i)
     for m in range(1, 5):
@@ -99,23 +72,6 @@ def test_exclusion_recurrence_spot():
             rhs = (oracles.sigma_excluding(LAM4, m, [i])
                    + LAM4[i] * oracles.sigma_excluding(LAM4, m - 1, [i]))
             assert lhs == pytest.approx(rhs, abs=1e-14)
-
-
-def test_cone_label_and_membership():
-    assert cone_label(np.array([1.0, 1.0, 1.0]), 3).contained
-    mixed = np.array([1.0, 1.0, -0.2])
-    assert cone_label(mixed, 2).contained
-    assert not cone_label(mixed, 3).contained
-    assert bool(in_cone(mixed, 2))
-    assert not bool(in_cone(mixed, 3))
-
-
-def test_cone_closure_boundary():
-    boundary = np.array([1.0, 1.0, 0.0])
-    assert not bool(in_cone(boundary, 3))
-    assert bool(in_cone_closure(boundary, 3))
-    outside = np.array([1.0, 1.0, -1e-6])
-    assert not bool(in_cone_closure(outside, 3))
 
 
 def test_quotient_frozen_gradient():
@@ -179,32 +135,18 @@ def test_two_value_cone_violation_reports_node():
     assert "node 1" in str(err.value)
 
 
-def test_newton_maclaurin_gap_nonnegative():
-    rng = np.random.default_rng(8)
-    for n, (k, l, r, s) in ((4, (3, 1, 2, 0)), (5, (4, 2, 3, 1)), (3, (2, 0, 1, 0))):
-        for _ in range(50):
-            lam = rng.uniform(0.1, 3.0, size=n)
-            if not np.all(in_cone(lam, k)):
-                continue
-            assert newton_maclaurin_gap(lam, k, l, r, s) >= -1e-10
-    assert newton_maclaurin_gap(np.ones(5), 4, 2, 3, 1) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_newton_maclaurin_gap_index_validation():
-    with pytest.raises(ValueError):
-        newton_maclaurin_gap(np.ones(4), 2, 3, 1, 0)
-
-
 def test_quotient_trace_gaps_bounds():
     rng = np.random.default_rng(21)
     for n, k in ((3, 1), (5, 2), (6, 4)):
         lam = rng.uniform(0.1, 2.5, size=(200, n))
-        keep = in_cone(lam, min(k + 1, n))
-        g1, g2 = quotient_trace_gaps(lam[keep], k)
+        keep = np.all(sigma_table(lam, min(k + 1, n))[:, 1:] > 0.0, axis=1)
+        g1, g2, weighted = quotient_trace_gaps(lam[keep], k)
         assert np.all(g1 >= -1e-10)
         assert np.all(g2 >= -1e-10)
         # on the closed (k+1) cone the trace is also bounded above
         assert np.all(g2 + identity_quotient(n, k) <= n - k + 1e-10)
+        assert weighted[0] == pytest.approx(quotient(lam[keep][0], k).weighted_trace,
+                                            rel=1e-12)
 
 
 def test_pinch_deficit_forms_agree():
@@ -219,10 +161,3 @@ def test_pinch_deficit_forms_agree():
     assert d == pytest.approx(0.0, abs=1e-13)
     assert pinch == 0.0
 
-
-def test_curvature_vector_validation():
-    with pytest.raises(ValueError):
-        CurvatureVector(np.array([1.0]))
-    with pytest.raises(ValueError):
-        CurvatureVector(np.array([1.0, np.inf]))
-    assert CurvatureVector(np.array([1.0, 2.0])).n == 2
