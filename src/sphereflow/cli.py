@@ -9,14 +9,13 @@ CSV carries a ``# seed=`` header line and every JSON report a ``seed`` field.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 from .dualflow import dual_run, profile_from_dual
 from .exceptions import ConeViolation, ConvexityLoss
-from .flow import DtPolicy, FlowConfig, ShapeSpec, run
+from .flow import _CONFIG_KEYS, _POLICY_KEYS, FlowConfig, ShapeSpec, _check_order, run
 from .hypersurface import _json_object, geometry, load_checkpoint, save_checkpoint
 from .identities import run_identity_suite
 from .quermass import audit_inequalities, quermass_vector
@@ -25,53 +24,45 @@ from .studies import evolution_study, functional_study, minkowski_study
 __all__ = ["main"]
 
 
-def _parse_shape(text: str) -> ShapeSpec:
+def _parse_shape(text: str) -> dict:
+    """The initialShape JSON object a --shape string stands for."""
     kind, _, rest = text.partition(":")
-    if kind in ("geodesic", "geodesicSphere"):
-        return ShapeSpec(kind="geodesicSphere", r=float(rest))
-    if kind == "perturbed":
-        parts = rest.split(",")
-        if len(parts) != 3:
-            raise ValueError("perturbed shape needs r0,eps,mode")
-        return ShapeSpec(kind="perturbed", r0=float(parts[0]),
-                         eps=float(parts[1]), mode=int(parts[2]))
     if kind == "custom":
         with open(rest) as fh:
             payload = json.load(fh)
-        return ShapeSpec.from_json({**_json_object(payload, "a custom shape file"),
-                                    "kind": "custom"})
-    raise ValueError(f"unknown shape {text!r}")
+        return {**_json_object(payload, "a custom shape file"), "kind": "custom"}
+    kind = "geodesicSphere" if kind == "geodesic" else kind
+    if kind not in ShapeSpec.FIELDS:
+        raise ValueError(f"unknown shape {text!r}")
+    fields = ShapeSpec.FIELDS[kind]
+    parts = rest.split(",")
+    if len(parts) != len(fields):
+        raise ValueError(f"{kind} shape needs {','.join(fields)}")
+    # an empty part is an absent key, as in a JSON shape without it
+    return {"kind": kind, **{name: part for name, part in zip(fields, parts) if part}}
 
 
-# FlowConfig field -> the run flag that overrides it
-_FLAG_FIELDS = {"n": "n", "k": "k", "N": "grid", "t_max": "t_max",
-                "convergence_tol": "conv_tol", "sample_every": "sample_every",
-                "checkpoint_every": "checkpoint_every"}
+def _given(args, keys) -> dict:
+    """The run flags given, under the config keys they override."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
 def _config_from_args(args) -> FlowConfig:
-    if not args.config:
-        missing = [f for f in ("n", "k", "N", "shape")
-                   if getattr(args, f if f != "N" else "grid") is None]
+    """The --config payload with the flags merged on, read by FlowConfig.from_json."""
+    payload = {}
+    if args.config:
+        with open(args.config) as fh:
+            payload = _json_object(json.load(fh), "a config")
+    else:
+        missing = [f for f in ("n", "k", "N", "shape") if getattr(args, f) is None]
         if missing:
             raise ValueError(f"missing required flags: {', '.join('--' + m for m in missing)}")
-    overrides = {name: getattr(args, flag) for name, flag in _FLAG_FIELDS.items()
-                 if getattr(args, flag) is not None}
+    flags = _given(args, _CONFIG_KEYS)
+    if policy := _given(args, _POLICY_KEYS):
+        flags["dtPolicy"] = {**_json_object(payload.get("dtPolicy", {}), "dtPolicy"), **policy}
     if args.shape is not None:
-        overrides["initial_shape"] = _parse_shape(args.shape)
-    if not args.config:
-        config = FlowConfig(**overrides)
-    else:
-        with open(args.config) as fh:
-            config = FlowConfig.from_json(json.load(fh))
-        # replace() runs __post_init__, so overridden fields are validated too
-        config = dataclasses.replace(config, **overrides)
-    if args.dt_max is not None or args.cfl is not None:
-        config = dataclasses.replace(config, dt_policy=DtPolicy(
-            cfl_factor=args.cfl if args.cfl is not None else config.dt_policy.cfl_factor,
-            dt_max=args.dt_max if args.dt_max is not None else config.dt_policy.dt_max,
-        ))
-    return config
+        flags["initialShape"] = _parse_shape(args.shape)
+    return FlowConfig.from_json({**payload, **flags})
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -158,6 +149,7 @@ def _cmd_dual_run(args) -> int:
 def _cmd_audit(args) -> int:
     profile, k_stored, _ = load_checkpoint(args.checkpoint)
     k = args.k if args.k is not None else k_stored
+    _check_order(profile.n, k)
     state = geometry(profile, 0)
     q = quermass_vector(state, profile)
     report = audit_inequalities(q, seed=args.seed)
@@ -192,9 +184,7 @@ def _cmd_identity_suite(args) -> int:
 
 
 def _cmd_convergence_study(args) -> int:
-    n = args.n if args.n is not None else 2
-    k = args.k if args.k is not None else 1
-    N0 = args.grid if args.grid is not None else 64
+    n, k, N0 = args.n, args.k, args.grid
     mink = minkowski_study(n=n, N0=max(N0, 128), levels=args.levels)
     evol = evolution_study(n=n, k=k, N0=N0, levels=args.levels)
     func = functional_study(n=n, k=k, N0=N0, levels=args.levels)
@@ -224,12 +214,17 @@ def _cmd_sweep(args) -> int:
         configs = json.load(fh)
     if not isinstance(configs, list) or not configs:
         raise ValueError("sweep file must hold a non-empty list of configs")
+    # every entry is checked before the first run writes anything
+    for i, payload in enumerate(configs):
+        try:
+            configs[i] = FlowConfig.from_json(payload)
+        except ValueError as exc:
+            raise ValueError(f"sweep entry {i}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     _manifest(args.out, "run", args.seed, None,
               extra={"sweep": [f"run-{i:03d}" for i in range(len(configs))]})
-    for i, payload in enumerate(configs):
-        result = _run_bundle(os.path.join(args.out, f"run-{i:03d}"),
-                             FlowConfig.from_json(payload), args.seed)
+    for i, config in enumerate(configs):
+        result = _run_bundle(os.path.join(args.out, f"run-{i:03d}"), config, args.seed)
         print(f"sweep run-{i:03d}: {result.termination} at t={result.t_final:.6g}")
     return 0
 
@@ -242,20 +237,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p):
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--N", dest="grid", type=int, default=None)
-        p.add_argument("--shape", type=str, default=None,
+        # each flag that overrides a config key is stored under that key
+        p.add_argument("--n", type=int)
+        p.add_argument("--k", type=int)
+        p.add_argument("--N", type=int, metavar="GRID")
+        p.add_argument("--shape", type=str,
                        help="geodesic:r | perturbed:r0,eps,mode | custom:path")
-        p.add_argument("--dt-max", type=float, default=None)
-        p.add_argument("--cfl", type=float, default=None,
+        p.add_argument("--dt-max", dest="dtMax", type=float, metavar="DT_MAX")
+        p.add_argument("--cfl", dest="cflFactor", type=float, metavar="CFL",
                        help="parabolic step factor: the first step of run, "
                             "every step of dual-run")
-        p.add_argument("--t-max", type=float, default=None)
-        p.add_argument("--conv-tol", type=float, default=None)
-        p.add_argument("--sample-every", type=int, default=None)
-        p.add_argument("--checkpoint-every", type=int, default=None)
-        p.add_argument("--config", type=str, default=None,
+        p.add_argument("--t-max", dest="tMax", type=float, metavar="T_MAX")
+        p.add_argument("--conv-tol", dest="convergenceTol", type=float, metavar="CONV_TOL")
+        p.add_argument("--sample-every", dest="sampleEvery", type=int, metavar="SAMPLE_EVERY")
+        p.add_argument("--checkpoint-every", dest="checkpointEvery", type=int,
+                       metavar="CHECKPOINT_EVERY")
+        p.add_argument("--config", type=str,
                        help="JSON config file; explicit flags override it")
         p.add_argument("--out", type=str, default="out")
         p.add_argument("--seed", type=int, default=0)
@@ -281,9 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--out", type=str, default=None)
 
     p_conv = sub.add_parser("convergence-study", help="refinement order report")
-    p_conv.add_argument("--n", type=int, default=None)
-    p_conv.add_argument("--k", type=int, default=None)
-    p_conv.add_argument("--N", dest="grid", type=int, default=None)
+    p_conv.add_argument("--n", type=int, default=2)
+    p_conv.add_argument("--k", type=int, default=1)
+    p_conv.add_argument("--N", dest="grid", type=int, default=64)
     p_conv.add_argument("--levels", type=int, default=3)
     p_conv.add_argument("--out", type=str, default="out")
     p_conv.add_argument("--seed", type=int, default=0)

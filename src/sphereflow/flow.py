@@ -27,6 +27,7 @@ from .hypersurface import (
     GeometryState,
     RadialProfile,
     _json_integer,
+    _json_number,
     _json_object,
     as_grid,
     differentiate,
@@ -63,6 +64,26 @@ _RTOL = 1e-8
 _ATOL = 1e-11
 
 
+def _json_fields(payload, what: str, schema: dict, required=()) -> dict:
+    """Keyword arguments read from a JSON object through schema, which maps
+    each JSON key to (field, reader); unknown and missing keys are refused by
+    name, and absent optional keys are left to the dataclass defaults."""
+    for key in _json_object(payload, what):
+        if key not in schema:
+            raise ValueError(f"unknown key {key!r} in {what}")
+    for key in required:
+        if key not in payload:
+            raise ValueError(f"{what} needs the key {key!r}")
+    return {schema[key][0]: schema[key][1](value, key) for key, value in payload.items()}
+
+
+def _json_samples(value, key: str) -> np.ndarray:
+    samples = np.asarray(value, dtype=float)
+    if samples.ndim != 1:
+        raise ValueError(f"{key} must be a list of numbers")
+    return samples
+
+
 @dataclass
 class ShapeSpec:
     """Tagged initial-shape choice: geodesicSphere, perturbed, or custom."""
@@ -75,21 +96,23 @@ class ShapeSpec:
     theta: np.ndarray | None = None
     rho: np.ndarray | None = None
 
-    KINDS = ("geodesicSphere", "perturbed", "custom")
+    # each kind's fields, which are also its JSON keys, with their JSON readers
+    FIELDS = {
+        "geodesicSphere": {"r": _json_number},
+        "perturbed": {"r0": _json_number, "eps": _json_number, "mode": _json_number},
+        "custom": {"theta": _json_samples, "rho": _json_samples},
+    }
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        # a tuple test, since a kind read from JSON may be unhashable
+        if self.kind not in tuple(self.FIELDS):
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        if self.kind == "geodesicSphere" and self.r is None:
-            raise ValueError("geodesicSphere shape needs r")
+        if any(getattr(self, name) is None for name in self.FIELDS[self.kind]):
+            raise ValueError(f"{self.kind} shape needs {', '.join(self.FIELDS[self.kind])}")
         if self.kind == "perturbed":
-            if None in (self.r0, self.eps, self.mode):
-                raise ValueError("perturbed shape needs r0, eps, mode")
             if not (float(self.mode).is_integer() and self.mode >= 1):
                 raise ValueError("perturbation mode must be a positive integer")
             self.mode = int(self.mode)
-        if self.kind == "custom" and (self.theta is None or self.rho is None):
-            raise ValueError("custom shape needs theta and rho samples")
 
     def build(self, n: int, N: int) -> RadialProfile:
         if self.kind == "geodesicSphere":
@@ -106,35 +129,18 @@ class ShapeSpec:
         return RadialProfile(n=n, theta=grid, rho=rho)
 
     def to_json(self) -> dict:
-        if self.kind == "geodesicSphere":
-            return {"kind": self.kind, "r": self.r}
-        if self.kind == "perturbed":
-            return {"kind": self.kind, "r0": self.r0, "eps": self.eps, "mode": self.mode}
-        return {
-            "kind": self.kind,
-            "theta": np.asarray(self.theta).tolist(),
-            "rho": np.asarray(self.rho).tolist(),
-        }
+        return {"kind": self.kind, **{name: np.asarray(getattr(self, name)).tolist()
+                                      for name in self.FIELDS[self.kind]}}
 
     @classmethod
     def from_json(cls, payload: dict) -> "ShapeSpec":
-        kind = _json_object(payload, "a shape").get("kind")
-        if kind == "geodesicSphere":
-            return cls(kind=kind, r=float(payload["r"]))
-        if kind == "perturbed":
-            return cls(
-                kind=kind,
-                r0=float(payload["r0"]),
-                eps=float(payload["eps"]),
-                mode=float(payload["mode"]),
-            )
-        if kind == "custom":
-            return cls(
-                kind=kind,
-                theta=np.asarray(payload["theta"], dtype=float),
-                rho=np.asarray(payload["rho"], dtype=float),
-            )
-        raise ValueError(f"unknown shape kind {kind!r}")
+        kind = _json_object(payload, "initialShape").get("kind")
+        if kind not in tuple(cls.FIELDS):
+            raise ValueError(f"unknown shape kind {kind!r}")
+        fields = cls.FIELDS[kind]
+        schema = {"kind": ("kind", lambda value, key: value),
+                  **{name: (name, read) for name, read in fields.items()}}
+        return cls(**_json_fields(payload, "initialShape", schema, required=fields))
 
 
 @dataclass
@@ -152,13 +158,35 @@ class DtPolicy:
             raise ValueError("dt_max must be finite and positive")
 
 
-def _default_monitor_tolerances() -> dict:
-    return {
-        "barrier": 1e-8,
-        "sign": 1e-8,
-        "conservation": 1e-4,
-        "quotient_ratio": 1.5,
-    }
+_MONITOR_TOLERANCES = {"barrier": 1e-8, "sign": 1e-8, "conservation": 1e-4,
+                       "quotient_ratio": 1.5}
+
+
+def _check_order(n: int, k: int) -> None:
+    if n < 2 or not 0 <= k <= n - 1:
+        raise ValueError(f"quotient order k={k} out of range for n={n} "
+                         "(need n >= 2 and 0 <= k <= n - 1)")
+
+
+# The run-settings wire format: JSON key -> (field, reader of the JSON value).
+# Defaults live only on the dataclasses.
+_POLICY_KEYS = {"cflFactor": ("cfl_factor", _json_number),
+                "dtMax": ("dt_max", _json_number)}
+_CONFIG_KEYS = {
+    "n": ("n", _json_integer),
+    "k": ("k", _json_integer),
+    "N": ("N", _json_integer),
+    "dtPolicy": ("dt_policy",
+                 lambda value, key: DtPolicy(**_json_fields(value, key, _POLICY_KEYS))),
+    "tMax": ("t_max", _json_number),
+    "convergenceTol": ("convergence_tol", _json_number),
+    "monitorTolerances": ("monitor_tolerances", lambda value, key: {
+        name: _json_number(tol, name) for name, tol in _json_object(value, key).items()}),
+    "initialShape": ("initial_shape", lambda value, key: ShapeSpec.from_json(value)),
+    "sampleEvery": ("sample_every", _json_integer),
+    "checkpointEvery": ("checkpoint_every", _json_integer),
+    "blowupThreshold": ("blowup_threshold", _json_number),
+}
 
 
 @dataclass
@@ -170,15 +198,13 @@ class FlowConfig:
     dt_policy: DtPolicy = field(default_factory=DtPolicy)
     t_max: float = 50.0
     convergence_tol: float = 1e-6
-    monitor_tolerances: dict = field(default_factory=_default_monitor_tolerances)
+    monitor_tolerances: dict = field(default_factory=_MONITOR_TOLERANCES.copy)
     sample_every: int = 1
     checkpoint_every: int = 0
     blowup_threshold: float = 1e3
 
     def __post_init__(self):
-        if self.n < 2 or not 0 <= self.k <= self.n - 1:
-            raise ValueError(f"quotient order k={self.k} out of range for n={self.n} "
-                             "(need n >= 2 and 0 <= k <= n - 1)")
+        _check_order(self.n, self.k)
         if self.N < 5:
             raise ValueError("grid too coarse: need N >= 5")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
@@ -189,7 +215,7 @@ class FlowConfig:
             raise ValueError("checkpoint_every must be nonnegative")
         if not self.blowup_threshold > 0.0:
             raise ValueError("blowup_threshold must be positive")
-        tol = _default_monitor_tolerances()
+        tol = dict(_MONITOR_TOLERANCES)
         if not set(self.monitor_tolerances or {}) <= set(tol):
             raise ValueError(f"monitor tolerances must be among {sorted(tol)}")
         tol.update(self.monitor_tolerances or {})
@@ -202,44 +228,14 @@ class FlowConfig:
         self.monitor_tolerances = tol
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "N": self.N,
-            "dtPolicy": {
-                "cflFactor": self.dt_policy.cfl_factor,
-                "dtMax": self.dt_policy.dt_max,
-            },
-            "tMax": self.t_max,
-            "convergenceTol": self.convergence_tol,
-            "monitorTolerances": self.monitor_tolerances,
-            "initialShape": self.initial_shape.to_json(),
-            "sampleEvery": self.sample_every,
-            "checkpointEvery": self.checkpoint_every,
-            "blowupThreshold": self.blowup_threshold,
-        }
+        payload = {key: getattr(self, name) for key, (name, _) in _CONFIG_KEYS.items()}
+        policy = {key: getattr(self.dt_policy, name) for key, (name, _) in _POLICY_KEYS.items()}
+        return {**payload, "dtPolicy": policy, "initialShape": self.initial_shape.to_json()}
 
     @classmethod
     def from_json(cls, payload: dict) -> "FlowConfig":
-        payload = _json_object(payload, "a config")
-        pol = _json_object(payload.get("dtPolicy", {}), "dtPolicy")
-        return cls(
-            n=_json_integer(payload, "n"),
-            k=_json_integer(payload, "k"),
-            N=_json_integer(payload, "N"),
-            initial_shape=ShapeSpec.from_json(payload["initialShape"]),
-            dt_policy=DtPolicy(
-                cfl_factor=float(pol.get("cflFactor", 0.2)),
-                dt_max=float(pol.get("dtMax", 0.05)),
-            ),
-            t_max=float(payload.get("tMax", 50.0)),
-            convergence_tol=float(payload.get("convergenceTol", 1e-6)),
-            monitor_tolerances=dict(_json_object(payload.get("monitorTolerances", {}),
-                                                 "monitorTolerances")),
-            sample_every=_json_integer(payload, "sampleEvery", 1),
-            checkpoint_every=_json_integer(payload, "checkpointEvery", 0),
-            blowup_threshold=float(payload.get("blowupThreshold", 1e3)),
-        )
+        return cls(**_json_fields(payload, "a config", _CONFIG_KEYS,
+                                  required=("n", "k", "N", "initialShape")))
 
 
 def speed(state: GeometryState) -> np.ndarray:

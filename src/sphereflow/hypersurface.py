@@ -53,10 +53,16 @@ def _json_object(payload, what: str) -> dict:
     return payload
 
 
-def _json_integer(payload: dict, key: str, default: int | None = None) -> int:
+def _json_number(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, not {value!r}") from None
+
+
+def _json_integer(value, key: str) -> int:
     """An integer field: 2.0 is taken as 2, 64.9 is refused rather than truncated."""
-    value = payload[key] if default is None else payload.get(key, default)
-    number = float(value)
+    number = _json_number(value, key)
     if not number.is_integer():
         raise ValueError(f"{key} must be an integer, not {value!r}")
     return int(number)
@@ -554,8 +560,8 @@ def load_checkpoint(path):
     with open(path) as fh:
         payload = _json_object(json.load(fh), "a checkpoint")
     profile = RadialProfile(
-        n=_json_integer(payload, "n"),
+        n=_json_integer(payload["n"], "n"),
         theta=np.asarray(payload["theta"], dtype=float),
         rho=np.asarray(payload["rho"], dtype=float),
     )
-    return profile, _json_integer(payload, "k"), float(payload["t"])
+    return profile, _json_integer(payload["k"], "k"), _json_number(payload["t"], "t")

@@ -14,6 +14,9 @@ RUN_ARGS = [
     "--shape", "perturbed:0.8,0.05,2",
     "--t-max", "0.01", "--sample-every", "5",
 ]
+PERTURBED = {"kind": "perturbed", "r0": 0.8, "eps": 0.05, "mode": 2}
+# a key set to DROP is left out of the config file
+DROP = object()
 
 
 def _read_json(path):
@@ -53,6 +56,35 @@ def test_bad_shape_is_reported(tmp_path, capsys):
     assert "error: unknown shape" in capsys.readouterr().err
 
 
+def test_shape_string_takes_a_whole_float_mode(tmp_path):
+    out = tmp_path / "out"
+    args = ["run", "--n", "2", "--k", "1", "--N", "33", "--shape", "perturbed:0.8,0.05,2.0",
+            "--t-max", "0.005", "--out", str(out)]
+    assert main(args) == 0
+    assert _read_json(out / "manifest.json")["config"]["initialShape"] == PERTURBED
+
+
+@pytest.mark.parametrize("text, shape, message", [
+    ("perturbed:0.8,0.05,2.5", {**PERTURBED, "mode": 2.5}, "mode must be a positive integer"),
+    ("perturbed:0.8,,2", {"kind": "perturbed", "r0": 0.8, "mode": 2},
+     "initialShape needs the key 'eps'"),
+    ("geodesic:", {"kind": "geodesicSphere"}, "initialShape needs the key 'r'"),
+    ("geodesic:x", {"kind": "geodesicSphere", "r": "x"}, "r must be a number"),
+])
+def test_shape_strings_fail_like_json_shapes(tmp_path, capsys, text, shape, message):
+    """A bad --shape string is refused with the message of its JSON shape."""
+    errors = []
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 2, "k": 1, "N": 33, "initialShape": shape}))
+    for args in (["--n", "2", "--k", "1", "--N", "33", "--shape", text],
+                 ["--config", str(path)]):
+        assert main(["run", *args, "--out", str(tmp_path / "out")]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: ") and message in errors[0]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--sample-every", "0"], "sample_every"),
     (["--checkpoint-every", "-1"], "checkpoint_every"),
@@ -77,17 +109,36 @@ def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
     ({"monitorTolerances": {"barier": 1e-8}}, "monitor tolerances"),
     ({"initialShape": {"kind": "perturbed", "r0": 0.8, "eps": 0.05, "mode": 2.5}},
      "mode"),
+    ({"tmaxx": 1.0}, "unknown key 'tmaxx' in a config"),
+    ({"cflfactor": 0.5}, "unknown key 'cflfactor' in a config"),
+    ({"dtPolicy": {"cflFactor": 0.5, "dtmax": 0.01}}, "unknown key 'dtmax' in dtPolicy"),
+    ({"initialShape": {**PERTURBED, "r": 0.8}}, "unknown key 'r' in initialShape"),
+    ({"initialShape": {**PERTURBED, "eps": DROP}}, "initialShape needs the key 'eps'"),
+    ({"n": DROP}, "a config needs the key 'n'"),
+    ({"k": DROP}, "a config needs the key 'k'"),
+    ({"N": DROP}, "a config needs the key 'N'"),
+    ({"initialShape": DROP}, "a config needs the key 'initialShape'"),
+    ({"tMax": None}, "tMax must be a number"),
+    ({"monitorTolerances": {"sign": None}}, "sign must be a number"),
+    ({"initialShape": {"kind": "custom", "theta": None, "rho": [0.8] * 33}},
+     "theta must be a list of numbers"),
 ])
 def test_bad_config_file_exits_1(tmp_path, capsys, change, message):
     cfg = FlowConfig(
         n=2, k=1, N=33,
         initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
     )
+    payload = {**cfg.to_json(), **change}
+    payload = {key: value for key, value in payload.items() if value is not DROP}
+    if isinstance(payload.get("initialShape"), dict):
+        payload["initialShape"] = {key: value for key, value in payload["initialShape"].items()
+                                   if value is not DROP}
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**cfg.to_json(), **change}))
+    path.write_text(json.dumps(payload))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_override_is_validated(tmp_path, capsys):
@@ -198,10 +249,15 @@ def test_audit_rejects_nonuniform_checkpoint(tmp_path, capsys):
     assert "uniformly spaced" in capsys.readouterr().err
 
 
+CHECKPOINT = {"n": 2, "k": 1, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).tolist(),
+              "rho": [0.8] * 33}
+
+
 @pytest.mark.parametrize("payload, message", [
     ([1, 2], "JSON object"),
     ({"n": 2.7, "k": 1.5, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).tolist(),
       "rho": [0.8] * 33}, "must be an integer"),
+    ({**CHECKPOINT, "k": 2}, "k=2 out of range for n=2"),
 ])
 def test_audit_rejects_malformed_checkpoint(tmp_path, capsys, payload, message):
     path = tmp_path / "ck.json"
@@ -209,6 +265,17 @@ def test_audit_rejects_malformed_checkpoint(tmp_path, capsys, payload, message):
     assert main(["audit", "--checkpoint", str(path), "--out", str(tmp_path / "a")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("k", ["99", "2", "-1"])
+def test_audit_refuses_k_out_of_range(tmp_path, capsys, k):
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(CHECKPOINT))
+    out = tmp_path / "a"
+    assert main(["audit", "--checkpoint", str(path), "--k", k, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"k={k} out of range for n=2" in err
+    assert not out.exists()
 
 
 def test_dual_run_command(tmp_path, capsys):
@@ -260,6 +327,22 @@ def test_sweep_command(tmp_path, capsys):
     # sweep runs write the same bundle as a single run
     summary = _read_json(out / "run-001" / "summary.json")
     assert {"finalQuermass", "finalMaxSpeed", "finalRhoSpread"} <= set(summary)
+
+
+def test_sweep_checks_every_entry_before_running(tmp_path, capsys):
+    good = FlowConfig(
+        n=2, k=1, N=33,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
+        t_max=0.005,
+    ).to_json()
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps([good, {**good, "k": 5}]))
+    out = tmp_path / "runs"
+    assert main(["run", "--sweep", str(sweep_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: sweep entry 1: quotient order k=5")
+    assert "sweep run-" not in captured.out
+    assert not out.exists()
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

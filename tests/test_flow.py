@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import json
 import math
@@ -208,6 +209,61 @@ def test_flow_config_json_roundtrip():
     assert payload["monitorTolerances"]["sign"] == 1e-7
     back = FlowConfig.from_json(payload)
     assert back == cfg
+
+
+def test_flow_config_wire_format():
+    theta = [0.0, math.pi / 2, math.pi]
+    cfg = FlowConfig(
+        n=3, k=2, N=129,
+        initial_shape=ShapeSpec(kind="custom", theta=np.array(theta),
+                                rho=np.array([0.7, 0.75, 0.7])),
+        dt_policy=DtPolicy(cfl_factor=0.3, dt_max=0.01),
+        t_max=2.5,
+        convergence_tol=1e-7,
+        monitor_tolerances={"barrier": 1e-9, "sign": 2e-8, "conservation": 1e-3,
+                            "quotient_ratio": 2.0},
+        sample_every=7,
+        checkpoint_every=3,
+        blowup_threshold=500.0,
+    )
+    assert cfg.to_json() == {
+        "n": 3,
+        "k": 2,
+        "N": 129,
+        "dtPolicy": {"cflFactor": 0.3, "dtMax": 0.01},
+        "tMax": 2.5,
+        "convergenceTol": 1e-7,
+        "monitorTolerances": {"barrier": 1e-9, "sign": 2e-8, "conservation": 1e-3,
+                              "quotient_ratio": 2.0},
+        "initialShape": {"kind": "custom", "theta": theta, "rho": [0.7, 0.75, 0.7]},
+        "sampleEvery": 7,
+        "checkpointEvery": 3,
+        "blowupThreshold": 500.0,
+    }
+    shapes = (ShapeSpec(kind="geodesicSphere", r=0.6),
+              ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=3))
+    assert [shape.to_json() for shape in shapes] == [
+        {"kind": "geodesicSphere", "r": 0.6},
+        {"kind": "perturbed", "r0": 0.8, "eps": 0.05, "mode": 3}]
+
+
+def test_config_schema_covers_every_field():
+    """A new FlowConfig or DtPolicy field cannot drop out of the wire format."""
+    assert ({name for name, _ in flow_module._CONFIG_KEYS.values()}
+            == {f.name for f in dataclasses.fields(FlowConfig)})
+    assert ({name for name, _ in flow_module._POLICY_KEYS.values()}
+            == {f.name for f in dataclasses.fields(DtPolicy)})
+    # each shape kind lists the fields it needs, and together they are all
+    kinds = ShapeSpec.FIELDS.values()
+    assert {"kind"}.union(*kinds) == {f.name for f in dataclasses.fields(ShapeSpec)}
+
+
+def test_flow_config_json_takes_dataclass_defaults():
+    payload = {"n": 2, "k": 1, "N": 65,
+               "initialShape": {"kind": "perturbed", "r0": 0.8, "eps": 0.05, "mode": 2}}
+    assert FlowConfig.from_json(payload) == _perturbed_config()
+    partial = FlowConfig.from_json({**payload, "dtPolicy": {"dtMax": 0.01}})
+    assert partial.dt_policy == DtPolicy(dt_max=0.01)
 
 
 def test_run_stops_at_tmax():

@@ -1,0 +1,98 @@
+"""Property tests: the JSON wire formats of shapes, configs and checkpoints
+read back exactly what was written."""
+
+import json
+import math
+import os
+import tempfile
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from sphereflow.flow import DtPolicy, FlowConfig, ShapeSpec  # noqa: E402
+from sphereflow.hypersurface import RadialProfile, load_checkpoint, save_checkpoint  # noqa: E402
+
+# derandomized: the same examples on every run, so nothing is kept between runs
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-6, max_value=1e6)
+radius = st.floats(min_value=0.05, max_value=1.5)
+
+samples = st.integers(min_value=2, max_value=40).flatmap(
+    lambda size: st.tuples(st.lists(finite, min_size=size, max_size=size),
+                           st.lists(finite, min_size=size, max_size=size)))
+shapes = st.one_of(
+    st.builds(ShapeSpec, kind=st.just("geodesicSphere"), r=finite),
+    st.builds(ShapeSpec, kind=st.just("perturbed"), r0=finite, eps=finite,
+              mode=st.integers(min_value=1, max_value=64)),
+    samples.map(lambda s: ShapeSpec(kind="custom", theta=np.array(s[0]), rho=np.array(s[1]))),
+)
+
+
+def _through_json(payload):
+    return json.loads(json.dumps(payload, allow_nan=False))
+
+
+@PROPERTY
+@given(shapes)
+def test_shape_spec_json_roundtrip(spec):
+    back = ShapeSpec.from_json(_through_json(spec.to_json()))
+    assert back.kind == spec.kind
+    for name in ShapeSpec.FIELDS[spec.kind]:
+        # field by field: the custom samples are arrays
+        assert np.array_equal(getattr(back, name), getattr(spec, name))
+    if spec.kind == "perturbed":
+        assert type(back.mode) is int
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    tolerances = draw(st.dictionaries(
+        st.sampled_from(["barrier", "sign", "conservation"]),
+        st.floats(min_value=0.0, max_value=1.0)))
+    if draw(st.booleans()):
+        tolerances["quotient_ratio"] = draw(st.floats(min_value=1.0, max_value=10.0))
+    return FlowConfig(
+        n=n,
+        k=draw(st.integers(min_value=0, max_value=n - 1)),
+        N=draw(st.integers(min_value=5, max_value=4097)),
+        initial_shape=draw(shapes.filter(lambda s: s.kind != "custom")),
+        dt_policy=DtPolicy(cfl_factor=draw(st.floats(min_value=1e-6, max_value=1.0)),
+                           dt_max=draw(positive)),
+        t_max=draw(positive),
+        convergence_tol=draw(st.floats(min_value=0.0, max_value=1.0)),
+        monitor_tolerances=tolerances,
+        sample_every=draw(st.integers(min_value=1, max_value=10**6)),
+        checkpoint_every=draw(st.integers(min_value=0, max_value=10**6)),
+        blowup_threshold=draw(positive),
+    )
+
+
+@PROPERTY
+@given(configs())
+def test_flow_config_json_roundtrip(cfg):
+    assert FlowConfig.from_json(_through_json(cfg.to_json())) == cfg
+
+
+@PROPERTY
+@given(n=st.integers(min_value=2, max_value=6),
+       rho=st.integers(min_value=5, max_value=65).flatmap(
+           lambda size: st.lists(radius, min_size=size, max_size=size)),
+       t=st.floats(min_value=0.0, max_value=1e3),
+       data=st.data())
+def test_checkpoint_roundtrip(n, rho, t, data):
+    k = data.draw(st.integers(min_value=0, max_value=n - 1))
+    profile = RadialProfile(n=n, theta=np.linspace(0.0, math.pi, len(rho)), rho=np.array(rho))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ck.json")
+        save_checkpoint(profile, k, t, path)
+        back, k_back, t_back = load_checkpoint(path)
+    assert (back.n, k_back, t_back) == (n, k, t)
+    assert back.grid is profile.grid
+    assert np.array_equal(back.rho, profile.rho)
