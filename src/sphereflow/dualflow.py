@@ -29,7 +29,7 @@ from .exceptions import ConeViolation, ConvexityLoss, StepRejected
 from .flow import FlowConfig, FlowTrace, _integrate, _ParabolicRK4, _rk4
 from .hypersurface import RadialProfile, as_grid, differentiate, geometry, polar_grid
 from .quermass import quermass_vector
-from .symfunc import identity_quotient, quotient_two_value
+from .symfunc import identity_quotient, quotient_two_core, quotient_two_value
 
 __all__ = [
     "DualState",
@@ -138,34 +138,16 @@ class DualState:
         return float(max(self.w_merid.max(), self.w_ang.max()))
 
 
-def support_closure(n, theta, u_tilde, u_grad=None, u_hess=None) -> DualState:
-    """Close the support-function system into a full DualState.
-
-    With u_grad/u_hess omitted they are taken by centered differences on the
-    uniform grid theta, a PolarGrid or raw nodes checked by as_grid (even
-    parity at the poles).  Passing exact derivatives skips that and permits
-    non-uniform nodes.
-    """
-    if (u_grad is None) != (u_hess is None):
-        raise ValueError("supply both derivative arrays or neither")
-    grid = as_grid(theta) if u_grad is None else None
-    theta = np.asarray(theta, dtype=float) if grid is None else grid.theta
-    u = np.asarray(u_tilde, dtype=float)
-    if theta.ndim != 1 or theta.shape != u.shape:
-        raise ValueError("theta and u_tilde must be matching 1-d arrays")
+def _closure(u, tan, h=None, u_grad=None, u_hess=None) -> tuple:
+    """(u_grad, u_hess, rho_tilde, omega, phi, phip, w_merid, w_ang) of u, positivity
+    checked; the derivatives are centered differences at spacing h unless given."""
     if not np.all(np.isfinite(u)) or np.min(u) <= 0.0:
         raise ValueError("u_tilde must be finite and positive")
-    if grid is None:
-        u_grad = np.asarray(u_grad, dtype=float)
-        u_hess = np.asarray(u_hess, dtype=float)
-        tan = np.tan(theta[1:-1])
-    else:
-        u_grad, u_hess = differentiate(u, grid.h)
-        tan = grid.tan
+    if u_grad is None:
+        u_grad, u_hess = differentiate(u, h)
 
     rho_tilde = np.hypot(u, u_grad)
     omega = rho_tilde / u
-    rho = 2.0 * np.arctan(rho_tilde)
     phi = 2.0 * rho_tilde / (1.0 + rho_tilde**2)
     phip = (1.0 - rho_tilde**2) / (1.0 + rho_tilde**2)
 
@@ -183,24 +165,58 @@ def support_closure(n, theta, u_tilde, u_grad=None, u_hess=None) -> DualState:
             f"W = Hess(u) + u id not positive definite at node {bad[0]}",
             node=int(bad[0]),
         )
+    return u_grad, u_hess, rho_tilde, omega, phi, phip, w_merid, w_ang
+
+
+def support_closure(n, theta, u_tilde, u_grad=None, u_hess=None) -> DualState:
+    """Close the support-function system into a full DualState.
+
+    With u_grad/u_hess omitted they are taken by centered differences on the
+    uniform grid theta, a PolarGrid or raw nodes checked by as_grid (even
+    parity at the poles).  Passing exact derivatives skips that and permits
+    non-uniform nodes.
+    """
+    if (u_grad is None) != (u_hess is None):
+        raise ValueError("supply both derivative arrays or neither")
+    grid = as_grid(theta) if u_grad is None else None
+    theta = np.asarray(theta, dtype=float) if grid is None else grid.theta
+    u = np.asarray(u_tilde, dtype=float)
+    if theta.ndim != 1 or theta.shape != u.shape:
+        raise ValueError("theta and u_tilde must be matching 1-d arrays")
+    if grid is None:
+        closed = _closure(u, np.tan(theta[1:-1]), None, np.asarray(u_grad, dtype=float),
+                          np.asarray(u_hess, dtype=float))
+    else:
+        closed = _closure(u, grid.tan, grid.h)
+    u_grad, u_hess, rho_tilde, omega, phi, phip, w_merid, w_ang = closed
     return DualState(
         n=int(n), theta=theta, u=u, u_grad=u_grad, u_hess=u_hess,
-        rho_tilde=rho_tilde, gamma=np.log(rho_tilde), omega=omega, rho=rho,
-        phi=phi, phip=phip, w_merid=w_merid, w_ang=w_ang,
+        rho_tilde=rho_tilde, gamma=np.log(rho_tilde), omega=omega,
+        rho=2.0 * np.arctan(rho_tilde), phi=phi, phip=phip, w_merid=w_merid, w_ang=w_ang,
     )
 
 
+def _g(n, k, u, rho_tilde, omega, phi, phip, w_merid, w_ang, quotient):
+    """G, quotient's output on the eigenvalues of W^{-1} + s id, and F's factor in G."""
+    shift = (phip - 1.0) / (rho_tilde * omega)
+    q = quotient(1.0 / w_merid + shift, 1.0 / w_ang + shift, n, k)
+    coeff = rho_tilde * u / phi
+    g = identity_quotient(n, k) * (phip / phi) * u * omega - coeff * q[0]
+    return g, q, coeff
+
+
 def _g_terms(state: DualState, k: int):
-    shift = (state.phip - 1.0) / (state.rho_tilde * state.omega)
-    mu1 = state.h_merid + shift
-    mu_ang = state.h_ang + shift
-    fval, f1, fa, _, _ = quotient_two_value(mu1, mu_ang, state.n, k)
-    c = identity_quotient(state.n, k)
-    coeff = state.rho_tilde * state.u / state.phi
-    g = c * (state.phip / state.phi) * state.u * state.omega - coeff * fval
+    g, (_, f1, fa, _, _), coeff = _g(
+        state.n, k, state.u, state.rho_tilde, state.omega, state.phi, state.phip,
+        state.w_merid, state.w_ang, quotient_two_value)
     # trace of the linearization in W, the stiffness scale for explicit steps
     stiff = coeff * (f1 / state.w_merid**2 + (state.n - 1) * fa / state.w_ang**2)
     return g, stiff
+
+
+def _stage_g(n: int, k: int, grid, u: np.ndarray) -> np.ndarray:
+    """g_operator(support_closure(n, grid, u), k), same checks, from the cores alone."""
+    return _g(n, k, u, *_closure(u, grid.tan, grid.h)[2:], quotient_two_core)[0]
 
 
 def g_operator(state: DualState, k: int) -> np.ndarray:
@@ -315,7 +331,9 @@ def dual_run(config: FlowConfig) -> DualResult:
 
     The graph solver's time loop with explicit RK4 steps under the parabolic
     step control: dt against the trace of the linearization, rejection
-    halving, slow regrowth.
+    halving, slow regrowth.  Stages evaluate only G (_stage_g), with the
+    checks of support_closure and g_operator; each accepted state gets the
+    full DualState and stiffness field.
     Loss of positive definiteness of W at the smallest step aborts the run and
     the time is recorded; the outcome of this evolution is not covered by the
     convergence theory and runs here are experimental probes.
@@ -338,7 +356,7 @@ def dual_run(config: FlowConfig) -> DualResult:
     def trial(cur, dt):
         u, _, g, _ = cur
         try:
-            return evaluate(_rk4(u, dt, g, lambda stage: evaluate(stage)[2]))
+            return evaluate(_rk4(u, dt, g, lambda stage: _stage_g(n, k, grid, stage)))
         except ValueError as exc:  # ConvexityLoss and ConeViolation included
             raise StepRejected(str(exc)) from exc
 

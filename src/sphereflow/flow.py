@@ -22,14 +22,18 @@ from scipy.integrate import Radau
 from scipy.interpolate import CubicSpline
 from scipy.sparse import diags
 
-from .exceptions import ConeViolation, StepRejected
+from .exceptions import StepRejected
 from .hypersurface import (
     GeometryState,
     RadialProfile,
+    _json_fields,
     _json_integer,
     _json_number,
     _json_object,
+    _json_samples,
     as_grid,
+    checked_radii,
+    curvatures,
     differentiate,
     frame_hessian,
     geometry,
@@ -38,7 +42,7 @@ from .hypersurface import (
     save_checkpoint,
 )
 from .quermass import QuermassVector, quermass_vector
-from .symfunc import identity_quotient
+from .symfunc import identity_quotient, quotient_two_core
 
 __all__ = [
     "ShapeSpec",
@@ -62,26 +66,6 @@ _GROW_FACTOR = 1.2
 # O(h^2) spatial error, which the cross-solver refinement ratio measures
 _RTOL = 1e-8
 _ATOL = 1e-11
-
-
-def _json_fields(payload, what: str, schema: dict, required=()) -> dict:
-    """Keyword arguments read from a JSON object through schema, which maps
-    each JSON key to (field, reader); unknown and missing keys are refused by
-    name, and absent optional keys are left to the dataclass defaults."""
-    for key in _json_object(payload, what):
-        if key not in schema:
-            raise ValueError(f"unknown key {key!r} in {what}")
-    for key in required:
-        if key not in payload:
-            raise ValueError(f"{what} needs the key {key!r}")
-    return {schema[key][0]: schema[key][1](value, key) for key, value in payload.items()}
-
-
-def _json_samples(value, key: str) -> np.ndarray:
-    samples = np.asarray(value, dtype=float)
-    if samples.ndim != 1:
-        raise ValueError(f"{key} must be a list of numbers")
-    return samples
 
 
 @dataclass
@@ -162,7 +146,13 @@ _MONITOR_TOLERANCES = {"barrier": 1e-8, "sign": 1e-8, "conservation": 1e-4,
                        "quotient_ratio": 1.5}
 
 
+# A_n = |S^n|, the same for every convex hypersurface, underflows float64 from n = 438
+_N_MAX = 437
+
+
 def _check_order(n: int, k: int) -> None:
+    if n > _N_MAX:
+        raise ValueError(f"n must be at most {_N_MAX}: |S^n| underflows in float64 above it")
     if n < 2 or not 0 <= k <= n - 1:
         raise ValueError(f"quotient order k={k} out of range for n={n} "
                          "(need n >= 2 and 0 <= k <= n - 1)")
@@ -238,10 +228,13 @@ class FlowConfig:
                                   required=("n", "k", "N", "initialShape")))
 
 
+def _speed(n: int, k: int, phip, u, F) -> np.ndarray:
+    return identity_quotient(n, k) * phip - u * F
+
+
 def speed(state: GeometryState) -> np.ndarray:
     """Normal speed f = c * phi' - u * F."""
-    c = identity_quotient(state.n, state.k)
-    return c * state.phip - state.u * state.F
+    return _speed(state.n, state.k, state.phip, state.u, state.F)
 
 
 def _rate(state: GeometryState) -> np.ndarray:
@@ -249,11 +242,10 @@ def _rate(state: GeometryState) -> np.ndarray:
     return speed(state) * state.omega_speed
 
 
-def _try_profile(n: int, grid, rho: np.ndarray) -> RadialProfile:
-    try:
-        return RadialProfile(n=n, theta=grid, rho=rho)
-    except ValueError as exc:
-        raise StepRejected(str(exc)) from exc
+def _stage_rate(n: int, k: int, grid, rho) -> np.ndarray:
+    """_rate(geometry(RadialProfile(n, grid, rho), k)), same checks, from the cores alone."""
+    _, _, _, phip, _, u, omega_speed, lam1, lam_ang = curvatures(grid, checked_radii(grid, rho))
+    return _speed(n, k, phip, u, quotient_two_core(lam1, lam_ang, n, k)[0]) * omega_speed
 
 
 def _rk4(y: np.ndarray, dt: float, r1: np.ndarray, rate) -> np.ndarray:
@@ -271,11 +263,10 @@ def step(profile: RadialProfile, dt: float, k: int) -> RadialProfile:
     n, grid = profile.n, profile.grid
     r1 = _rate(geometry(profile, k))
     try:
-        rho = _rk4(profile.rho, dt, r1,
-                   lambda stage: _rate(geometry(_try_profile(n, grid, stage), k)))
-    except ConeViolation as exc:
+        rho = _rk4(profile.rho, dt, r1, lambda stage: _stage_rate(n, k, grid, stage))
+        return RadialProfile(n=n, theta=grid, rho=rho)
+    except ValueError as exc:  # ConeViolation and refused radii included
         raise StepRejected(str(exc)) from exc
-    return _try_profile(n, grid, rho)
 
 
 def _parabolic_dt(stiffness: float, h: float, policy: DtPolicy) -> float:
@@ -598,12 +589,9 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
     q = quermass_vector(state, profile)
     monitors = Monitors(config, state, q)
 
-    def evaluate(rho):
-        prof = RadialProfile(n=n, theta=grid, rho=rho)
-        return prof, geometry(prof, k)
-
     def accept(rho):
-        new_profile, new_state = evaluate(rho)
+        new_profile = RadialProfile(n=n, theta=grid, rho=rho)
+        new_state = geometry(new_profile, k)
         if not new_state.lam_min > 0.0:
             raise StepRejected("strict convexity lost in a trial step")
         return new_profile, new_state, float(np.max(np.abs(speed(new_state))))
@@ -630,7 +618,7 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
             st.lam_min, st.lam_max, max_speed,
         ]
 
-    stepper = _RadauSteps(config, lambda rho: _rate(evaluate(rho)[1]), accept, profile.rho,
+    stepper = _RadauSteps(config, lambda rho: _stage_rate(n, k, grid, rho), accept, profile.rho,
                           _policy_dt(state, config.dt_policy))
     start = (profile, state, float(np.max(np.abs(speed(state)))))
     trace = FlowTrace(n=n)

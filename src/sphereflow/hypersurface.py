@@ -26,9 +26,11 @@ __all__ = [
     "polar_grid",
     "as_grid",
     "RadialProfile",
+    "checked_radii",
     "GeometryState",
     "SphereGrid2D",
     "differentiate",
+    "curvatures",
     "geometry",
     "geometry_full_s2",
     "simpson_weights",
@@ -66,6 +68,26 @@ def _json_integer(value, key: str) -> int:
     if not number.is_integer():
         raise ValueError(f"{key} must be an integer, not {value!r}")
     return int(number)
+
+
+def _json_fields(payload, what: str, schema: dict, required=()) -> dict:
+    """Keyword arguments read from a JSON object through schema, which maps
+    each JSON key to (field, reader); unknown and missing keys are refused by
+    name, and absent optional keys are left to the dataclass defaults."""
+    for key in _json_object(payload, what):
+        if key not in schema:
+            raise ValueError(f"unknown key {key!r} in {what}")
+    for key in required:
+        if key not in payload:
+            raise ValueError(f"{what} needs the key {key!r}")
+    return {schema[key][0]: schema[key][1](value, key) for key, value in payload.items()}
+
+
+def _json_samples(value, key: str) -> np.ndarray:
+    samples = np.asarray(value, dtype=float)
+    if samples.ndim != 1:
+        raise ValueError(f"{key} must be a list of numbers")
+    return samples
 
 
 class PolarGrid:
@@ -111,6 +133,18 @@ def as_grid(theta) -> PolarGrid:
     return grid
 
 
+def checked_radii(grid: PolarGrid, rho) -> np.ndarray:
+    """rho as a float array, refused unless finite and strictly inside (0, pi/2) on grid."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != grid.theta.shape:
+        raise ValueError("theta and rho must be matching 1-d arrays")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("rho must be finite")
+    if np.min(rho) <= RHO_FLOOR or np.max(rho) >= math.pi / 2 - RHO_FLOOR:
+        raise ValueError("rho must lie strictly inside (0, pi/2)")
+    return rho
+
+
 @dataclass
 class RadialProfile:
     """Axisymmetric radial graph: radii in (0, pi/2) on a uniform polar grid.
@@ -130,13 +164,7 @@ class RadialProfile:
             raise ValueError("ambient dimension needs n >= 2")
         self.grid = as_grid(self.theta)
         self.theta = self.grid.theta
-        self.rho = np.asarray(self.rho, dtype=float)
-        if self.rho.shape != self.theta.shape:
-            raise ValueError("theta and rho must be matching 1-d arrays")
-        if not np.all(np.isfinite(self.rho)):
-            raise ValueError("rho must be finite")
-        if np.min(self.rho) <= RHO_FLOOR or np.max(self.rho) >= math.pi / 2 - RHO_FLOOR:
-            raise ValueError("rho must lie strictly inside (0, pi/2)")
+        self.rho = checked_radii(self.grid, self.rho)
 
     @property
     def N(self) -> int:
@@ -222,19 +250,15 @@ class GeometryState:
         return float(max(self.lam1.max(), self.lam_ang.max()))
 
 
-def geometry(profile: RadialProfile, k: int) -> GeometryState:
-    """Support function, curvatures and quotient data on the profile grid."""
-    n = profile.n
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"quotient order k={k} out of range for n={n}")
-    grid, rho = profile.grid, profile.rho
+def curvatures(grid: PolarGrid, rho: np.ndarray) -> tuple:
+    """The pointwise fields of radii rho on grid that both the flow rate and
+    geometry read: (grad, hess, phi, phip, w, u, omega_speed, lam1, lam_ang)."""
     grad, hess = differentiate(rho, grid.h)
     phi = np.sin(rho)
     phip = np.cos(rho)
     w = np.hypot(phi, grad)
     u = phi**2 / w
     omega_speed = w / phi
-    area_weight = phi ** (n - 1) * w
 
     lam1 = (-phi * hess + 2.0 * phip * grad**2 + phi**2 * phip) / w**3
     lam_ang = np.empty_like(lam1)
@@ -245,28 +269,21 @@ def geometry(profile: RadialProfile, k: int) -> GeometryState:
     )
     lam_ang[0] = lam1[0]
     lam_ang[-1] = lam1[-1]
+    return grad, hess, phi, phip, w, u, omega_speed, lam1, lam_ang
 
+
+def geometry(profile: RadialProfile, k: int) -> GeometryState:
+    """Support function, curvatures and quotient data on the profile grid."""
+    n = profile.n
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"quotient order k={k} out of range for n={n}")
+    grid, rho = profile.grid, profile.rho
+    grad, hess, phi, phip, w, u, omega_speed, lam1, lam_ang = curvatures(grid, rho)
     F, f1, fa, trace, weighted = quotient_two_value(lam1, lam_ang, n, k)
     return GeometryState(
-        n=n,
-        k=k,
-        grid=grid,
-        rho=rho.copy(),
-        grad=grad,
-        hess=hess,
-        phi=phi,
-        phip=phip,
-        w=w,
-        u=u,
-        omega_speed=omega_speed,
-        area_weight=area_weight,
-        lam1=lam1,
-        lam_ang=lam_ang,
-        F=F,
-        f_merid=f1,
-        f_ang=fa,
-        trace_grad=trace,
-        weighted_trace=weighted,
+        n=n, k=k, grid=grid, rho=rho.copy(), grad=grad, hess=hess, phi=phi, phip=phip,
+        w=w, u=u, omega_speed=omega_speed, area_weight=phi ** (n - 1) * w, lam1=lam1,
+        lam_ang=lam_ang, F=F, f_merid=f1, f_ang=fa, trace_grad=trace, weighted_trace=weighted,
     )
 
 
@@ -296,11 +313,10 @@ def unit_sphere_area(m: int) -> float:
     """Surface measure of the unit m-sphere."""
     if m < 0:
         raise ValueError("sphere dimension must be nonnegative")
-    if m == 0:
-        return 2.0
-    if m == 1:
-        return 2.0 * math.pi
-    return 2.0 * math.pi / (m - 1) * unit_sphere_area(m - 2)
+    area = 2.0 if m % 2 == 0 else 2.0 * math.pi
+    for j in range(m % 2 + 2, m + 1, 2):
+        area = 2.0 * math.pi / (j - 1) * area
+    return area
 
 
 def integrate(state: GeometryState, nodal) -> float:
@@ -551,17 +567,20 @@ def save_checkpoint(profile: RadialProfile, k: int, t: float, path) -> None:
         "rho": profile.rho.tolist(),
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        # json.dumps takes the C encoder; json.dump always encodes in Python
+        fh.write(json.dumps(payload))
         fh.write("\n")
 
 
+_CHECKPOINT_KEYS = {"n": ("n", _json_integer), "k": ("k", _json_integer),
+                    "t": ("t", _json_number), "theta": ("theta", _json_samples),
+                    "rho": ("rho", _json_samples)}
+
+
 def load_checkpoint(path):
-    """Read a snapshot back into (profile, k, t)."""
+    """Read a snapshot back into (profile, k, t); every key is required."""
     with open(path) as fh:
-        payload = _json_object(json.load(fh), "a checkpoint")
-    profile = RadialProfile(
-        n=_json_integer(payload["n"], "n"),
-        theta=np.asarray(payload["theta"], dtype=float),
-        rho=np.asarray(payload["rho"], dtype=float),
-    )
-    return profile, _json_integer(payload["k"], "k"), _json_number(payload["t"], "t")
+        fields = _json_fields(json.load(fh), "a checkpoint", _CHECKPOINT_KEYS,
+                              required=tuple(_CHECKPOINT_KEYS))
+    profile = RadialProfile(n=fields["n"], theta=fields["theta"], rho=fields["rho"])
+    return profile, fields["k"], fields["t"]

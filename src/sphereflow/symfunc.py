@@ -23,6 +23,7 @@ __all__ = [
     "quotient",
     "identity_quotient",
     "sigma_two_value",
+    "quotient_two_core",
     "quotient_two_value",
     "quotient_trace_gaps",
     "pinch_deficit_parts",
@@ -57,16 +58,18 @@ def sigma_table(lam, mmax: int) -> np.ndarray:
     n = vals.shape[-1]
     if not 0 <= mmax:
         raise ValueError("mmax must be nonnegative")
-    out = np.zeros(vals.shape[:-1] + (mmax + 1,), dtype=float)
-    out[..., 0] = 1.0
+    # built batch-first, so every row of the update is one contiguous array
+    cols = np.ascontiguousarray(np.moveaxis(vals, -1, 0))
+    out = np.zeros((mmax + 1,) + vals.shape[:-1], dtype=float)
+    out[0] = 1.0
     top = 0
     for j in range(n):
-        v = vals[..., j]
+        v = cols[j]
         top = min(top + 1, mmax)
         # descending order so each coefficient is updated from the previous pass
         for m in range(top, 0, -1):
-            out[..., m] += v * out[..., m - 1]
-    return out
+            out[m] += v * out[m - 1]
+    return np.moveaxis(out, 0, -1)
 
 
 def sigma(lam, m: int):
@@ -151,6 +154,20 @@ def sigma_two_value(lam1, lam2, n: int, m: int):
     return out
 
 
+def quotient_two_core(lam1, lam2, n: int, k: int):
+    """F = sigma_{k+1}/sigma_k on two-value curvature vectors, with sigma_k and
+    sigma_{k+1}; the cone check and errors of quotient_two_value, no gradient."""
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"quotient order k={k} out of range for n={n}")
+    sk = sigma_two_value(lam1, lam2, n, k)
+    bad = ~(sk > 0.0)
+    if np.any(bad):
+        node = int(np.argmax(bad.ravel()))
+        raise ConeViolation(f"sigma_{k} not positive at node {node}", node=node)
+    sk1 = sigma_two_value(lam1, lam2, n, k + 1)
+    return sk1 / sk, sk, sk1
+
+
 def quotient_two_value(lam1, lam2, n: int, k: int):
     """Quotient data on two-value curvature vectors, vectorized over nodes.
 
@@ -159,16 +176,9 @@ def quotient_two_value(lam1, lam2, n: int, k: int):
     n-1 repeated ones.  Raises ConeViolation when sigma_k <= 0 anywhere,
     carrying the first offending node index.
     """
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"quotient order k={k} out of range for n={n}")
     lam1 = np.asarray(lam1, dtype=float)
     lam2 = np.asarray(lam2, dtype=float)
-    sk = sigma_two_value(lam1, lam2, n, k)
-    bad = ~(sk > 0.0)
-    if np.any(bad):
-        node = int(np.argmax(bad.ravel()))
-        raise ConeViolation(f"sigma_{k} not positive at node {node}", node=node)
-    sk1 = sigma_two_value(lam1, lam2, n, k + 1)
+    value, sk, sk1 = quotient_two_core(lam1, lam2, n, k)
 
     def excl_one(m):
         # vector with lam1 removed: lam2 repeated n-1 times
@@ -180,7 +190,6 @@ def quotient_two_value(lam1, lam2, n: int, k: int):
 
     f1 = (excl_one(k) * sk - sk1 * excl_one(k - 1)) / sk**2
     f2 = (excl_rep(k) * sk - sk1 * excl_rep(k - 1)) / sk**2
-    value = sk1 / sk
     trace = f1 + (n - 1) * f2
     weighted = f1 * lam1**2 + (n - 1) * f2 * lam2**2
     return value, f1, f2, trace, weighted

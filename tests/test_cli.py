@@ -92,6 +92,7 @@ def test_shape_strings_fail_like_json_shapes(tmp_path, capsys, text, shape, mess
     (["--t-max", "-1"], "t_max"),
     (["--dt-max", "inf"], "dt_max"),
     (["--n", "1", "--k", "0"], "n >= 2"),
+    (["--n", "1000", "--k", "1"], "n must be at most 437"),
 ])
 def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
@@ -122,6 +123,7 @@ def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
     ({"monitorTolerances": {"sign": None}}, "sign must be a number"),
     ({"initialShape": {"kind": "custom", "theta": None, "rho": [0.8] * 33}},
      "theta must be a list of numbers"),
+    ({"n": 1e300}, "n must be at most 437"),
 ])
 def test_bad_config_file_exits_1(tmp_path, capsys, change, message):
     cfg = FlowConfig(
@@ -258,6 +260,9 @@ CHECKPOINT = {"n": 2, "k": 1, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).t
     ({"n": 2.7, "k": 1.5, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).tolist(),
       "rho": [0.8] * 33}, "must be an integer"),
     ({**CHECKPOINT, "k": 2}, "k=2 out of range for n=2"),
+    ({key: value for key, value in CHECKPOINT.items() if key != "t"},
+     "a checkpoint needs the key 't'"),
+    ({**CHECKPOINT, "tt": 0.0}, "unknown key 'tt' in a checkpoint"),
 ])
 def test_audit_rejects_malformed_checkpoint(tmp_path, capsys, payload, message):
     path = tmp_path / "ck.json"

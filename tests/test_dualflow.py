@@ -168,18 +168,19 @@ def test_dual_eigenvalues_match_primal_curvatures():
 
 
 def test_dual_run_records_breakdown_when_every_trial_fails(monkeypatch, tmp_path):
-    real = dualflow_module.support_closure
+    real = dualflow_module._closure
     count = [0]
 
     def closure(*args, **kwargs):
         # the pulled-back initial state, the grid state and three accepted
-        # RK4 steps (four evaluations each), then W stops being positive
+        # RK4 steps (three stages and the accepted state each), then W stops
+        # being positive
         count[0] += 1
         if count[0] > 2 + 4 * 3:
             raise ConvexityLoss("forced loss of convexity")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(dualflow_module, "support_closure", closure)
+    monkeypatch.setattr(dualflow_module, "_closure", closure)
     cfg = FlowConfig(
         n=2, k=1, N=65,
         initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),

@@ -25,7 +25,7 @@ from sphereflow.flow import (
     speed,
     step,
 )
-from sphereflow.hypersurface import load_checkpoint
+from sphereflow.hypersurface import curvatures, load_checkpoint
 from sphereflow.quermass import quermass_vector
 
 
@@ -408,6 +408,27 @@ def test_solver_stages_skip_the_grid_check(monkeypatch):
     assert len(raw) == 1
 
 
+def test_stages_build_no_full_state(monkeypatch):
+    calls = {"geometry": 0, "support_closure": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(flow_module, "geometry")
+    counting(dualflow_module, "support_closure")
+    cfg = _perturbed_config(t_max=0.02)
+    res, dual = run(cfg), dual_run(cfg)
+    assert res.steps > 0 and dual.steps > 0 and res.rejections == dual.rejections == 0
+    # the start and each accepted step; the dual start is also pulled back once
+    assert calls == {"geometry": 1 + res.steps, "support_closure": 2 + dual.steps}
+
+
 def test_run_matches_the_rk4_oracle():
     # the oracle: explicit RK4 steps at the parabolic limit
     cfg = FlowConfig(n=2, k=1, N=256, t_max=1.0, convergence_tol=0.0,
@@ -434,8 +455,15 @@ def _fail_calls(fn, calls):
     return wrapped
 
 
+def _patch_curvatures(patch, fn):
+    """Route the curvature core through fn, both in the Radau rate's stages
+    and in geometry, which checks the start and each accepted vector."""
+    for module in (hypersurface_module, flow_module):
+        patch.setattr(module, "curvatures", fn)
+
+
 def _step_marks(monkeypatch, config):
-    """Clean run of config; geometry calls made by the start and each accepted step.
+    """Clean run of config; curvature-core calls made by the start and each accepted step.
 
     The monitors' quermass_vector runs once per accepted step, after its
     geometry.
@@ -444,14 +472,14 @@ def _step_marks(monkeypatch, config):
 
     def counting(*args):
         calls[0] += 1
-        return geometry(*args)
+        return curvatures(*args)
 
     def marking(*args):
         marks.append(calls[0])
         return quermass_vector(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(flow_module, "geometry", counting)
+        _patch_curvatures(patch, counting)
         patch.setattr(flow_module, "quermass_vector", marking)
         res = run(config)
     return res, marks
@@ -462,7 +490,7 @@ def test_run_recovers_from_a_stage_cone_exit(monkeypatch):
     clean, marks = _step_marks(monkeypatch, cfg)
     # the first stage of the second step leaves the cone: Radau sees NaN and
     # retries inside its own step, which is not a rejection of the run
-    monkeypatch.setattr(flow_module, "geometry", _fail_calls(geometry, {marks[1] + 1}))
+    _patch_curvatures(monkeypatch, _fail_calls(curvatures, {marks[1] + 1}))
     res = run(cfg)
     assert res.termination == "tmax" and res.rejections == 0
     assert res.rate_evaluations > clean.rate_evaluations
@@ -476,7 +504,7 @@ def test_run_restarts_after_a_refused_step(monkeypatch):
     # vector leave the cone: Radau restarts from the first step at half the
     # step size
     fail = {marks[2] - 1, marks[2]}
-    monkeypatch.setattr(flow_module, "geometry", _fail_calls(geometry, fail))
+    _patch_curvatures(monkeypatch, _fail_calls(curvatures, fail))
     res = run(cfg)
     assert res.termination == "tmax" and res.rejections == 1
     dt_clean = np.diff(clean.trace.t)
@@ -489,7 +517,7 @@ def test_run_collapses_when_every_trial_fails(monkeypatch):
     assert len(marks) >= 4  # the initial state and at least three steps
     # after the third accepted step every stage, Jacobian column and
     # accepted vector leaves the cone
-    monkeypatch.setattr(flow_module, "geometry", _fail_after(geometry, marks[3]))
+    _patch_curvatures(monkeypatch, _fail_after(curvatures, marks[3]))
     res = run(_perturbed_config(t_max=0.02))
     assert res.termination == "step_collapse: forced cone exit"
     assert res.steps == 3 and res.t_final > 0.0

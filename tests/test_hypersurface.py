@@ -1,6 +1,8 @@
 import dataclasses
+import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from sphereflow import (
     save_checkpoint,
     volume,
 )
+from sphereflow.flow import _N_MAX
 from sphereflow.hypersurface import (
     PolarGrid,
     differentiate,
@@ -215,6 +218,44 @@ def test_checkpoint_roundtrip(tmp_path):
     payload["theta"][5] += 1e-3
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="uniformly spaced"):
+        load_checkpoint(path)
+
+
+def test_unit_sphere_area_to_the_order_bound():
+    # the flow's bound on n is the last n with |S^n| a normal float64
+    assert unit_sphere_area(_N_MAX) >= sys.float_info.min > unit_sphere_area(_N_MAX + 1)
+    # a loop, not a recursion: a large dimension underflows to zero
+    assert unit_sphere_area(5000) == 0.0
+
+
+def test_checkpoint_bytes_keep_the_wire_format(tmp_path):
+    path = tmp_path / "ck.json"
+    save_checkpoint(RadialProfile.geodesic_sphere(2, 0.5, 5), 1, 0.25, path)
+    assert path.read_bytes() == (
+        b'{"n": 2, "k": 1, "t": 0.25, "theta": [0.0, 0.7853981633974483, '
+        b'1.5707963267948966, 2.356194490192345, 3.141592653589793], '
+        b'"rho": [0.5, 0.5, 0.5, 0.5, 0.5]}\n')
+    # the format json.dump writes, on a full-precision profile
+    prof = RadialProfile.perturbed(3, 0.8, 0.05, 2, 65)
+    save_checkpoint(prof, 2, 1.0 / 3.0, path)
+    expected = io.StringIO()
+    json.dump({"n": 3, "k": 2, "t": 1.0 / 3.0, "theta": prof.theta.tolist(),
+               "rho": prof.rho.tolist()}, expected)
+    assert path.read_text() == expected.getvalue() + "\n"
+
+
+@pytest.mark.parametrize("drop, extra, message", [
+    ("t", {}, "a checkpoint needs the key 't'"),
+    ("rho", {}, "a checkpoint needs the key 'rho'"),
+    (None, {"tt": 0.0}, "unknown key 'tt' in a checkpoint"),
+])
+def test_checkpoint_keys_are_read_by_name(tmp_path, drop, extra, message):
+    path = tmp_path / "ck.json"
+    save_checkpoint(RadialProfile.geodesic_sphere(2, 0.5, 9), 1, 0.25, path)
+    payload = {**json.loads(path.read_text()), **extra}
+    payload.pop(drop, None)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
 
 
