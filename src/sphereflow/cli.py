@@ -128,6 +128,7 @@ def _cmd_dual_run(args) -> int:
         "tFinal": result.t_final,
         "steps": result.steps,
         "rejections": result.rejections,
+        "rateEvaluations": result.rate_evaluations,
         "breakdownTime": result.breakdown_time,
         "finalMinEigW": result.trace.columns["minEigW"][-1],
         "finalMaxEigW": result.trace.columns["maxEigW"][-1],
@@ -245,8 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="geodesic:r | perturbed:r0,eps,mode | custom:path")
         p.add_argument("--dt-max", dest="dtMax", type=float, metavar="DT_MAX")
         p.add_argument("--cfl", dest="cflFactor", type=float, metavar="CFL",
-                       help="parabolic step factor: the first step of run, "
-                            "every step of dual-run")
+                       help="parabolic step factor: the first step of run and dual-run")
         p.add_argument("--t-max", dest="tMax", type=float, metavar="T_MAX")
         p.add_argument("--conv-tol", dest="convergenceTol", type=float, metavar="CONV_TOL")
         p.add_argument("--sample-every", dest="sampleEvery", type=int, metavar="SAMPLE_EVERY")

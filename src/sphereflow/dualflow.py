@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .exceptions import ConeViolation, ConvexityLoss, StepRejected
-from .flow import FlowConfig, FlowTrace, _integrate, _ParabolicRK4, _rk4
+from .exceptions import ConeViolation, ConvexityLoss
+from .flow import FlowConfig, FlowTrace, _integrate, _parabolic_dt, _RadauSteps
 from .hypersurface import RadialProfile, as_grid, differentiate, geometry, polar_grid
 from .quermass import quermass_vector
 from .symfunc import identity_quotient, quotient_two_core, quotient_two_value
@@ -209,7 +209,7 @@ def _g_terms(state: DualState, k: int):
     g, (_, f1, fa, _, _), coeff = _g(
         state.n, k, state.u, state.rho_tilde, state.omega, state.phi, state.phip,
         state.w_merid, state.w_ang, quotient_two_value)
-    # trace of the linearization in W, the stiffness scale for explicit steps
+    # trace of the linearization in W, the stiffness scale of the first step
     stiff = coeff * (f1 / state.w_merid**2 + (state.n - 1) * fa / state.w_ang**2)
     return g, stiff
 
@@ -289,14 +289,22 @@ def speed_transport_residual(profile: RadialProfile, k: int) -> float:
 
 @dataclass
 class DualResult:
+    """A dual run's outcome; of the solution it keeps only the final u_tilde."""
+
     config: FlowConfig
     trace: FlowTrace
-    state: DualState
+    u: np.ndarray
     termination: str
     t_final: float
     steps: int
     rejections: int
     breakdown_time: float | None
+    rate_evaluations: int
+
+    @property
+    def state(self) -> DualState:
+        """The final DualState, closed again from u on the run's grid."""
+        return support_closure(self.config.n, polar_grid(self.config.N), self.u)
 
 
 def _quermass_row(state: DualState, n: int, codes: list):
@@ -327,13 +335,14 @@ def _trace_row(state: DualState, g: np.ndarray, k: int, codes: list) -> list:
 
 
 def dual_run(config: FlowConfig) -> DualResult:
-    """Explicit time stepping of the support-function evolution.
+    """Radau IIA time stepping of the support-function evolution.
 
-    The graph solver's time loop with explicit RK4 steps under the parabolic
-    step control: dt against the trace of the linearization, rejection
-    halving, slow regrowth.  Stages evaluate only G (_stage_g), with the
-    checks of support_closure and g_operator; each accepted state gets the
-    full DualState and stiffness field.
+    The graph solver's time loop and stepper: Radau IIA steps sized by
+    accuracy, with a tridiagonal Jacobian pattern since G reads u_tilde only
+    through the 3-point stencil.  The first step is the parabolic limit of
+    the start state's stiffness.  Stages evaluate only G (_stage_g), with
+    the checks of support_closure and g_operator; each accepted state gets
+    the full DualState.
     Loss of positive definiteness of W at the smallest step aborts the run and
     the time is recorded; the outcome of this evolution is not covered by the
     convergence theory and runs here are experimental probes.
@@ -343,29 +352,25 @@ def dual_run(config: FlowConfig) -> DualResult:
     grid = profile.grid
     n, k = config.n, config.k
 
-    # a solver state is (u, closure, G, stiffness field)
+    # a solver state is (closure, G)
     def evaluate(u):
         state = support_closure(n, grid, u)
-        g, stiff = _g_terms(state, k)
-        return u, state, g, stiff
+        return state, g_operator(state, k)
 
     def probe(cur):
-        _, state, g, stiff = cur
-        return float(np.max(np.abs(g))), max(np.max(state.h_merid), np.max(state.h_ang))
-
-    def trial(cur, dt):
-        u, _, g, _ = cur
-        try:
-            return evaluate(_rk4(u, dt, g, lambda stage: _stage_g(n, k, grid, stage)))
-        except ValueError as exc:  # ConvexityLoss and ConeViolation included
-            raise StepRejected(str(exc)) from exc
+        state, g = cur
+        # the largest eigenvalue of W^{-1}: max(1/w) is exactly 1/min(w) for w > 0
+        return float(np.max(np.abs(g))), 1.0 / state.min_eig_w
 
     trace = FlowTrace(n, extra=("minEigW", "maxEigW"), breakdown_cell=True)
-    start = evaluate(CubicSpline(dual0.theta, dual0.u)(grid.theta))
-    stepper = _ParabolicRK4(config, grid.h, lambda cur: float(np.max(cur[3])), trial)
-    (_, state, _, _), t, steps, rejections, termination, failure = _integrate(
+    u0 = CubicSpline(dual0.theta, dual0.u)(grid.theta)
+    start = evaluate(u0)
+    first_step = _parabolic_dt(float(np.max(_g_terms(start[0], k)[1])), grid.h,
+                               config.dt_policy)
+    stepper = _RadauSteps(config, lambda u: _stage_g(n, k, grid, u), evaluate, u0, first_step)
+    (state, _), t, steps, rejections, termination, failure = _integrate(
         config, start, probe, stepper, lambda *_: (),
-        lambda cur, codes: _trace_row(cur[1], cur[2], k, codes), trace)
+        lambda cur, codes: _trace_row(*cur, k, codes), trace)
     if failure is not None:
         termination = "convexity_breakdown"
         trace.breakdown_time = t
@@ -373,10 +378,11 @@ def dual_run(config: FlowConfig) -> DualResult:
     return DualResult(
         config=config,
         trace=trace,
-        state=state,
+        u=state.u,
         termination=termination,
         t_final=t,
         steps=steps,
         rejections=rejections,
         breakdown_time=trace.breakdown_time,
+        rate_evaluations=stepper.evaluations,
     )

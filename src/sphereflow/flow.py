@@ -6,9 +6,9 @@ convex initial data to a geodesic sphere.  On the fixed graph grid the radius
 obeys d(rho)/dt = f * W / phi.  That rate reads rho only through a 3-point
 stencil, so its Jacobian is tridiagonal and the stiff system is stepped with
 Radau IIA (Hairer & Wanner, Solving ODEs II), whose steps are sized by
-accuracy rather than by the h^2 stability limit.  The same time loop steps
-the support-function solver in dualflow with classical Runge-Kutta under a
-parabolic step-size heuristic plus rejection control.
+accuracy rather than by the h^2 stability limit.  The same time loop and
+the same Radau stepper drive the support-function solver in dualflow.
+Classical Runge-Kutta at the parabolic limit stays on as the test oracle.
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ __all__ = [
 ]
 
 _MULT_FLOOR = 1e-12
-_GROW_EVERY = 20
-_GROW_FACTOR = 1.2
-# Radau tolerances of the graph flow: they keep the time error far below the
+# Radau tolerances of both solvers: they keep the time error far below the
 # O(h^2) spatial error, which the cross-solver refinement ratio measures
 _RTOL = 1e-8
 _ATOL = 1e-11
@@ -130,8 +128,8 @@ class ShapeSpec:
 @dataclass
 class DtPolicy:
     # 0.2 keeps the stiffest polar mode well inside the RK4 stability
-    # region; 0.5 is marginal at N >= 256 and seeds a slow sawtooth.  The
-    # graph flow takes only its first step from this limit.
+    # region; 0.5 is marginal at N >= 256 and seeds a slow sawtooth.  Both
+    # solvers take only their first step from this limit.
     cfl_factor: float = 0.2
     dt_max: float = 0.05
 
@@ -405,54 +403,12 @@ class FlowResult:
     config: FlowConfig
     trace: FlowTrace
     profile: RadialProfile
-    state: GeometryState
     termination: str
     t_final: float
     steps: int
     rejections: int
     violations: dict
     rate_evaluations: int
-
-
-class _ParabolicRK4:
-    """Explicit RK4 steps under the parabolic step control.
-
-    The step is the parabolic limit cfl * h^2 / stiffness(state), capped by
-    dt_max and the time left, scaled by a multiplier that halves on each
-    rejection and regrows after a streak of accepted steps; the step
-    collapses once the multiplier drops below _MULT_FLOOR.  stiffness(state)
-    is the largest trace of the linearization; trial(state, dt) returns the
-    next state or raises StepRejected.
-    """
-
-    def __init__(self, config: FlowConfig, h: float, stiffness, trial):
-        self.policy = config.dt_policy
-        self.t_max = config.t_max
-        self.h = h
-        self.stiffness = stiffness
-        self.trial = trial
-        self.mult = 1.0
-        self.streak = 0
-        self.rejections = 0
-
-    def __call__(self, state, t: float):
-        limit = _parabolic_dt(self.stiffness(state), self.h, self.policy)
-        while True:
-            dt = min(limit * self.mult, self.t_max - t)
-            try:
-                new = self.trial(state, dt)
-            except StepRejected:
-                self.rejections += 1
-                self.streak = 0
-                self.mult *= 0.5
-                if self.mult < _MULT_FLOOR:
-                    raise
-                continue
-            self.streak += 1
-            if self.streak >= _GROW_EVERY:
-                self.mult = min(1.0, self.mult * _GROW_FACTOR)
-                self.streak = 0
-            return new, t + dt
 
 
 class _RadauSteps:
@@ -520,7 +476,7 @@ class _RadauSteps:
                         tried = solver.t - t
                     else:
                         self.y = solver.y
-                        return new, solver.t
+                        return new, float(solver.t)
             self.rejections += 1
             if 0.5 * tried < _MULT_FLOOR * self.first_step:
                 raise StepRejected(self.message or solver.message)
@@ -622,7 +578,7 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
                           _policy_dt(state, config.dt_policy))
     start = (profile, state, float(np.max(np.abs(speed(state)))))
     trace = FlowTrace(n=n)
-    (profile, state, _), t, steps, rejections, termination, failure = _integrate(
+    (profile, _, _), t, steps, rejections, termination, failure = _integrate(
         config, start, probe, stepper, advance, row, trace)
     if failure is not None:
         termination = f"{termination}: {failure}"
@@ -630,7 +586,6 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
         config=config,
         trace=trace,
         profile=profile,
-        state=state,
         termination=termination,
         t_final=t,
         steps=steps,

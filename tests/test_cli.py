@@ -14,6 +14,10 @@ RUN_ARGS = [
     "--shape", "perturbed:0.8,0.05,2",
     "--t-max", "0.01", "--sample-every", "5",
 ]
+DUAL_ARGS = [
+    "dual-run", "--n", "2", "--k", "1", "--N", "33",
+    "--shape", "perturbed:0.8,0.05,2", "--t-max", "0.005", "--sample-every", "5",
+]
 PERTURBED = {"kind": "perturbed", "r0": 0.8, "eps": 0.05, "mode": 2}
 # a key set to DROP is left out of the config file
 DROP = object()
@@ -285,13 +289,13 @@ def test_audit_refuses_k_out_of_range(tmp_path, capsys, k):
 
 def test_dual_run_command(tmp_path, capsys):
     out = tmp_path / "dual"
-    args = ["dual-run", "--n", "2", "--k", "1", "--N", "33",
-            "--shape", "perturbed:0.8,0.05,2", "--t-max", "0.005",
-            "--sample-every", "5", "--out", str(out)]
-    assert main(args) == 0
+    assert main(DUAL_ARGS + ["--out", str(out)]) == 0
     assert capsys.readouterr().out.startswith("dual-run: ")
     summary = _read_json(out / "summary.json")
     assert summary["breakdownTime"] is None
+    # the same Radau counting as run: the start rate, three Jacobian column
+    # groups and three stages per accepted step
+    assert summary["rateEvaluations"] >= 4 + 3 * summary["steps"]
     assert summary["finalCheckpoint"] == "final.json"
     header = (out / "trace.csv").read_text().splitlines()[1]
     assert "minEigW" in header and "breakdownTime" in header
@@ -355,6 +359,15 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     out_b = tmp_path / "b"
     for out in (out_a, out_b):
         assert main(RUN_ARGS + ["--out", str(out), "--seed", "9"]) == 0
+    for name in ("trace.csv", "summary.json", "manifest.json", "final.json"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_repeat_dual_runs_are_byte_identical(tmp_path):
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    for out in (out_a, out_b):
+        assert main(DUAL_ARGS + ["--out", str(out), "--seed", "9"]) == 0
     for name in ("trace.csv", "summary.json", "manifest.json", "final.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 

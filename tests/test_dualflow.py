@@ -167,28 +167,54 @@ def test_dual_eigenvalues_match_primal_curvatures():
     assert errs[0] / errs[1] > 3.0 and errs[1] / errs[2] > 3.0
 
 
+def _closure_marks(monkeypatch, config):
+    """Clean dual run of config; closure-core calls made by the pullback, the
+    start and each accepted step, which support_closure closes once each."""
+    real_closure, real_support = dualflow_module._closure, dualflow_module.support_closure
+    calls, marks = [0], []
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real_closure(*args, **kwargs)
+
+    def marking(*args, **kwargs):
+        state = real_support(*args, **kwargs)
+        marks.append(calls[0])
+        return state
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dualflow_module, "_closure", counting)
+        patch.setattr(dualflow_module, "support_closure", marking)
+        dual_run(config)
+    return marks
+
+
 def test_dual_run_records_breakdown_when_every_trial_fails(monkeypatch, tmp_path):
-    real = dualflow_module._closure
-    count = [0]
-
-    def closure(*args, **kwargs):
-        # the pulled-back initial state, the grid state and three accepted
-        # RK4 steps (three stages and the accepted state each), then W stops
-        # being positive
-        count[0] += 1
-        if count[0] > 2 + 4 * 3:
-            raise ConvexityLoss("forced loss of convexity")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dualflow_module, "_closure", closure)
     cfg = FlowConfig(
         n=2, k=1, N=65,
         initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
         t_max=0.05,
     )
+    marks = _closure_marks(monkeypatch, cfg)
+    assert len(marks) >= 5  # the pullback, the start and at least three steps
+    real = dualflow_module._closure
+    count = [0]
+
+    def closure(*args, **kwargs):
+        # after the third accepted step every stage, Jacobian column and
+        # accepted vector stops having a positive W
+        count[0] += 1
+        if count[0] > marks[4]:
+            raise ConvexityLoss("forced loss of convexity")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dualflow_module, "_closure", closure)
     res = dual_run(cfg)
     assert res.termination == "convexity_breakdown"
-    assert res.steps == 3 and res.rejections == 40
+    assert res.steps == 3
+    # each restart halves the step, from at least the first step until it
+    # drops below 1e-12 of it: 2^-40 < 1e-12 <= 2^-39
+    assert res.rejections >= 40
     assert res.breakdown_time == res.t_final > 0.0
     assert res.trace.breakdown_time == res.breakdown_time
     path = tmp_path / "dual.csv"

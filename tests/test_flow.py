@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import sphereflow.dualflow as dualflow_module
 import sphereflow.flow as flow_module
@@ -17,7 +18,9 @@ from sphereflow.flow import (
     FlowConfig,
     Monitors,
     ShapeSpec,
+    _parabolic_dt,
     _policy_dt,
+    _rk4,
     evolution_residual_f,
     evolution_residual_u,
     functional_derivative_residual,
@@ -401,7 +404,7 @@ def test_solver_stages_skip_the_grid_check(monkeypatch):
     cfg = _perturbed_config(N=33, t_max=0.005)
     res = run(cfg)
     dual_run(cfg)
-    evolution_residual_u(geometry(step(res.profile, 1e-5, 1), 1), res.state, 1e-5)
+    evolution_residual_u(geometry(step(res.profile, 1e-5, 1), 1), geometry(res.profile, 1), 1e-5)
     assert res.steps > 0 and raw == []
     # raw nodes from outside are checked
     RadialProfile(n=2, theta=np.linspace(0.0, math.pi, 33), rho=res.profile.rho)
@@ -440,6 +443,29 @@ def test_run_matches_the_rk4_oracle():
         dt = min(_policy_dt(geometry(prof, 1), cfg.dt_policy), 1.0 - t)
         prof, t = step(prof, dt, 1), t + dt
     assert float(np.max(np.abs(res.profile.rho - prof.rho))) <= 1e-9
+
+
+@pytest.mark.parametrize("n, k, r0, eps", [(2, 1, 0.8, 0.05), (3, 2, 0.9, 0.03)])
+def test_dual_run_matches_the_rk4_oracle(n, k, r0, eps):
+    # the oracle: explicit RK4 steps of G at the parabolic limit, from the
+    # same resampled support function
+    cfg = FlowConfig(n=n, k=k, N=128, t_max=0.1, convergence_tol=0.0,
+                     initial_shape=ShapeSpec(kind="perturbed", r0=r0, eps=eps, mode=2))
+    res = dual_run(cfg)
+    assert res.termination == "tmax" and res.t_final == 0.1
+    prof = cfg.initial_shape.build(n, 128)
+    grid = prof.grid
+    dual0 = dualflow_module.dual_from_profile(prof)
+    u, t = CubicSpline(dual0.theta, dual0.u)(grid.theta), 0.0
+
+    def rate(stage):
+        return dualflow_module._stage_g(n, k, grid, stage)
+
+    while t < 0.1:
+        stiff = dualflow_module._g_terms(dualflow_module.support_closure(n, grid, u), k)[1]
+        dt = min(_parabolic_dt(float(np.max(stiff)), grid.h, cfg.dt_policy), 0.1 - t)
+        u, t = _rk4(u, dt, rate(u), rate), t + dt
+    assert float(np.max(np.abs(res.u - u))) <= 1e-9
 
 
 def _fail_calls(fn, calls):
