@@ -38,7 +38,6 @@ from .quermass import (
     sphere_quermass,
 )
 from .flow import (
-    DtPolicy,
     FlowConfig,
     FlowResult,
     FlowTrace,
@@ -75,7 +74,7 @@ __all__ = [
     "load_checkpoint", "minkowski_residual", "save_checkpoint", "volume",
     "AuditReport", "QuermassVector", "audit_inequalities", "quermass_vector",
     "sphere_comparison", "sphere_quermass",
-    "DtPolicy", "FlowConfig", "FlowResult", "FlowTrace", "ShapeSpec",
+    "FlowConfig", "FlowResult", "FlowTrace", "ShapeSpec",
     "evolution_residual_f", "evolution_residual_u",
     "functional_derivative_residual", "run", "speed", "step",
     "DualResult", "DualState", "decomposition_residual",

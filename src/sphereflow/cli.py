@@ -15,7 +15,7 @@ import sys
 
 from .dualflow import dual_run, profile_from_dual
 from .exceptions import ConeViolation, ConvexityLoss
-from .flow import _CONFIG_KEYS, _POLICY_KEYS, FlowConfig, ShapeSpec, _check_order, run
+from .flow import _CONFIG_KEYS, FlowConfig, ShapeSpec, _check_order, run
 from .hypersurface import _json_object, geometry, load_checkpoint, save_checkpoint
 from .identities import run_identity_suite
 from .quermass import audit_inequalities, quermass_vector
@@ -58,8 +58,6 @@ def _config_from_args(args) -> FlowConfig:
         if missing:
             raise ValueError(f"missing required flags: {', '.join('--' + m for m in missing)}")
     flags = _given(args, _CONFIG_KEYS)
-    if policy := _given(args, _POLICY_KEYS):
-        flags["dtPolicy"] = {**_json_object(payload.get("dtPolicy", {}), "dtPolicy"), **policy}
     if args.shape is not None:
         flags["initialShape"] = _parse_shape(args.shape)
     return FlowConfig.from_json({**payload, **flags})
@@ -245,8 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shape", type=str,
                        help="geodesic:r | perturbed:r0,eps,mode | custom:path")
         p.add_argument("--dt-max", dest="dtMax", type=float, metavar="DT_MAX")
-        p.add_argument("--cfl", dest="cflFactor", type=float, metavar="CFL",
-                       help="parabolic step factor: the first step of run and dual-run")
         p.add_argument("--t-max", dest="tMax", type=float, metavar="T_MAX")
         p.add_argument("--conv-tol", dest="convergenceTol", type=float, metavar="CONV_TOL")
         p.add_argument("--sample-every", dest="sampleEvery", type=int, metavar="SAMPLE_EVERY")

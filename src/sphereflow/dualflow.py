@@ -26,7 +26,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .exceptions import ConeViolation, ConvexityLoss
-from .flow import FlowConfig, FlowTrace, _integrate, _parabolic_dt, _RadauSteps
+from .flow import FlowConfig, FlowTrace, _integrate, _parabolic_dt
 from .hypersurface import RadialProfile, as_grid, differentiate, geometry, polar_grid
 from .quermass import quermass_vector
 from .symfunc import identity_quotient, quotient_two_core, quotient_two_value
@@ -113,7 +113,6 @@ class DualState:
     u_grad: np.ndarray
     u_hess: np.ndarray
     rho_tilde: np.ndarray
-    gamma: np.ndarray
     omega: np.ndarray
     rho: np.ndarray
     phi: np.ndarray
@@ -191,8 +190,8 @@ def support_closure(n, theta, u_tilde, u_grad=None, u_hess=None) -> DualState:
     u_grad, u_hess, rho_tilde, omega, phi, phip, w_merid, w_ang = closed
     return DualState(
         n=int(n), theta=theta, u=u, u_grad=u_grad, u_hess=u_hess,
-        rho_tilde=rho_tilde, gamma=np.log(rho_tilde), omega=omega,
-        rho=2.0 * np.arctan(rho_tilde), phi=phi, phip=phip, w_merid=w_merid, w_ang=w_ang,
+        rho_tilde=rho_tilde, omega=omega, rho=2.0 * np.arctan(rho_tilde), phi=phi,
+        phip=phip, w_merid=w_merid, w_ang=w_ang,
     )
 
 
@@ -337,7 +336,7 @@ def _trace_row(state: DualState, g: np.ndarray, k: int, codes: list) -> list:
 def dual_run(config: FlowConfig) -> DualResult:
     """Radau IIA time stepping of the support-function evolution.
 
-    The graph solver's time loop and stepper: Radau IIA steps sized by
+    The graph solver's driver, flow._integrate: Radau IIA steps sized by
     accuracy, with a tridiagonal Jacobian pattern since G reads u_tilde only
     through the 3-point stencil.  The first step is the parabolic limit of
     the start state's stiffness.  Stages evaluate only G (_stage_g), with
@@ -365,12 +364,10 @@ def dual_run(config: FlowConfig) -> DualResult:
     trace = FlowTrace(n, extra=("minEigW", "maxEigW"), breakdown_cell=True)
     u0 = CubicSpline(dual0.theta, dual0.u)(grid.theta)
     start = evaluate(u0)
-    first_step = _parabolic_dt(float(np.max(_g_terms(start[0], k)[1])), grid.h,
-                               config.dt_policy)
-    stepper = _RadauSteps(config, lambda u: _stage_g(n, k, grid, u), evaluate, u0, first_step)
-    (state, _), t, steps, rejections, termination, failure = _integrate(
-        config, start, probe, stepper, lambda *_: (),
-        lambda cur, codes: _trace_row(*cur, k, codes), trace)
+    first_step = _parabolic_dt(float(np.max(_g_terms(start[0], k)[1])), grid.h, config.dt_max)
+    (state, _), t, steps, rejections, evaluations, termination, failure = _integrate(
+        config, lambda u: _stage_g(n, k, grid, u), evaluate, probe, lambda *_: (),
+        lambda cur, codes: _trace_row(*cur, k, codes), u0, start, first_step, trace)
     if failure is not None:
         termination = "convexity_breakdown"
         trace.breakdown_time = t
@@ -384,5 +381,5 @@ def dual_run(config: FlowConfig) -> DualResult:
         steps=steps,
         rejections=rejections,
         breakdown_time=trace.breakdown_time,
-        rate_evaluations=stepper.evaluations,
+        rate_evaluations=evaluations,
     )

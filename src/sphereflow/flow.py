@@ -6,9 +6,10 @@ convex initial data to a geodesic sphere.  On the fixed graph grid the radius
 obeys d(rho)/dt = f * W / phi.  That rate reads rho only through a 3-point
 stencil, so its Jacobian is tridiagonal and the stiff system is stepped with
 Radau IIA (Hairer & Wanner, Solving ODEs II), whose steps are sized by
-accuracy rather than by the h^2 stability limit.  The same time loop and
-the same Radau stepper drive the support-function solver in dualflow.
-Classical Runge-Kutta at the parabolic limit stays on as the test oracle.
+accuracy rather than by the h^2 stability limit.  One driver, _integrate,
+steps both this solver and the support-function solver in dualflow; only
+its first step is taken from the parabolic limit.  Classical Runge-Kutta at
+the parabolic limit stays on as the test oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .symfunc import identity_quotient, quotient_two_core
 
 __all__ = [
     "ShapeSpec",
-    "DtPolicy",
     "FlowConfig",
     "FlowTrace",
     "FlowResult",
@@ -64,6 +64,9 @@ _MULT_FLOOR = 1e-12
 # O(h^2) spatial error, which the cross-solver refinement ratio measures
 _RTOL = 1e-8
 _ATOL = 1e-11
+# the first step of both solvers, as a fraction of the parabolic limit h^2 /
+# stiffness; Radau sizes every later step by the tolerances above
+_FIRST_STEP_FACTOR = 0.2
 
 
 @dataclass
@@ -125,21 +128,6 @@ class ShapeSpec:
         return cls(**_json_fields(payload, "initialShape", schema, required=fields))
 
 
-@dataclass
-class DtPolicy:
-    # 0.2 keeps the stiffest polar mode well inside the RK4 stability
-    # region; 0.5 is marginal at N >= 256 and seeds a slow sawtooth.  Both
-    # solvers take only their first step from this limit.
-    cfl_factor: float = 0.2
-    dt_max: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 < self.cfl_factor <= 1.0:
-            raise ValueError("cfl_factor must lie in (0, 1]")
-        if not (math.isfinite(self.dt_max) and self.dt_max > 0.0):
-            raise ValueError("dt_max must be finite and positive")
-
-
 _MONITOR_TOLERANCES = {"barrier": 1e-8, "sign": 1e-8, "conservation": 1e-4,
                        "quotient_ratio": 1.5}
 
@@ -158,14 +146,11 @@ def _check_order(n: int, k: int) -> None:
 
 # The run-settings wire format: JSON key -> (field, reader of the JSON value).
 # Defaults live only on the dataclasses.
-_POLICY_KEYS = {"cflFactor": ("cfl_factor", _json_number),
-                "dtMax": ("dt_max", _json_number)}
 _CONFIG_KEYS = {
     "n": ("n", _json_integer),
     "k": ("k", _json_integer),
     "N": ("N", _json_integer),
-    "dtPolicy": ("dt_policy",
-                 lambda value, key: DtPolicy(**_json_fields(value, key, _POLICY_KEYS))),
+    "dtMax": ("dt_max", _json_number),
     "tMax": ("t_max", _json_number),
     "convergenceTol": ("convergence_tol", _json_number),
     "monitorTolerances": ("monitor_tolerances", lambda value, key: {
@@ -183,7 +168,7 @@ class FlowConfig:
     k: int
     N: int
     initial_shape: ShapeSpec
-    dt_policy: DtPolicy = field(default_factory=DtPolicy)
+    dt_max: float = 0.05
     t_max: float = 50.0
     convergence_tol: float = 1e-6
     monitor_tolerances: dict = field(default_factory=_MONITOR_TOLERANCES.copy)
@@ -195,6 +180,8 @@ class FlowConfig:
         _check_order(self.n, self.k)
         if self.N < 5:
             raise ValueError("grid too coarse: need N >= 5")
+        if not (math.isfinite(self.dt_max) and self.dt_max > 0.0):
+            raise ValueError("dt_max must be finite and positive")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValueError("t_max must be finite and positive")
         if self.sample_every < 1:
@@ -217,8 +204,7 @@ class FlowConfig:
 
     def to_json(self) -> dict:
         payload = {key: getattr(self, name) for key, (name, _) in _CONFIG_KEYS.items()}
-        policy = {key: getattr(self.dt_policy, name) for key, (name, _) in _POLICY_KEYS.items()}
-        return {**payload, "dtPolicy": policy, "initialShape": self.initial_shape.to_json()}
+        return {**payload, "initialShape": self.initial_shape.to_json()}
 
     @classmethod
     def from_json(cls, payload: dict) -> "FlowConfig":
@@ -267,12 +253,14 @@ def step(profile: RadialProfile, dt: float, k: int) -> RadialProfile:
         raise StepRejected(str(exc)) from exc
 
 
-def _parabolic_dt(stiffness: float, h: float, policy: DtPolicy) -> float:
-    return min(policy.cfl_factor * h**2 / max(stiffness, 1e-300), policy.dt_max)
+def _parabolic_dt(stiffness: float, h: float, dt_max: float,
+                  factor: float = _FIRST_STEP_FACTOR) -> float:
+    return min(factor * h**2 / max(stiffness, 1e-300), dt_max)
 
 
-def _policy_dt(state: GeometryState, policy: DtPolicy) -> float:
-    return _parabolic_dt(float(np.max(state.u * state.trace_grad)), state.h, policy)
+def _policy_dt(state: GeometryState, dt_max: float,
+               factor: float = _FIRST_STEP_FACTOR) -> float:
+    return _parabolic_dt(float(np.max(state.u * state.trace_grad)), state.h, dt_max, factor)
 
 
 class Monitors:
@@ -411,97 +399,57 @@ class FlowResult:
     rate_evaluations: int
 
 
-class _RadauSteps:
-    """Radau IIA steps (scipy's Radau, one .step() at a time), tridiagonal Jacobian.
+def _integrate(config: FlowConfig, rate, accept, probe, advance, row, y0: np.ndarray,
+               state, first_step: float, trace: FlowTrace):
+    """The one time loop of both solvers: Radau IIA steps with a tridiagonal Jacobian.
 
-    rate(y) may raise ValueError (ConeViolation included) where a stage
-    leaves the chart or the cone; the solver then sees NaN, which its Newton
-    loop takes as non-convergence and answers by halving its step.
-    accept(y) turns an accepted vector into the solver's state or raises
-    StepRejected or ValueError.  A failed solver, a failed factorization (a
-    NaN Jacobian makes splu report a singular factor), a step accepted on a
-    NaN error estimate or a refused vector restarts the solver from the last
-    accepted state with half the step it tried, counted as a rejection; once
-    that falls below _MULT_FLOOR times the first step, the step has
-    collapsed.  evaluations counts the rate calls, Jacobian columns included.
+    scipy's Radau is driven one .step() at a time from y0, whose solver state
+    is state, starting with first_step.  rate(y) may raise ValueError
+    (ConeViolation included) where a stage leaves the chart or the cone; the
+    solver then sees NaN, which its Newton loop takes as non-convergence and
+    answers by halving its step.  accept(y) turns an accepted vector into
+    the next solver state or raises StepRejected or ValueError.  probe(state)
+    gives its max speed and max curvature; advance(state, new, t, dt, steps)
+    does the work of an accepted step and returns its flag codes; row(state,
+    codes) gives a trace row's values and may add codes.
+
+    A failed solver, a failed factorization (a NaN Jacobian makes splu
+    report a singular factor), a step accepted on a NaN error estimate or a
+    refused vector restarts the solver from the last accepted state with
+    half the step it tried, counted as a rejection; once that falls below
+    _MULT_FLOOR times the first step, the run ends step_collapse with the
+    last failure's message.  The termination tests run at accepted steps, so
+    a converged run's final t can be late by up to one step (at most dtMax).
+    Returns the final state, t, steps, rejections, rate evaluations (Jacobian
+    columns included), termination and the collapse message or None.
     """
+    evaluations = 0
+    message = ""
 
-    def __init__(self, config: FlowConfig, rate, accept, y0: np.ndarray, first_step: float):
-        self.rate = rate
-        self.accept = accept
-        self.t_max = config.t_max
-        self.max_step = config.dt_policy.dt_max
-        self.first_step = first_step
-        self.sparsity = diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(y0.size, y0.size))
-        self.rejections = 0
-        self.evaluations = 0
-        self.message = ""
-        self.y = y0
-        self.solver = None  # started by the first step: a run that takes none costs nothing
-
-    def _fun(self, t: float, y: np.ndarray) -> np.ndarray:
-        self.evaluations += 1
+    def fun(t: float, y: np.ndarray) -> np.ndarray:
+        nonlocal evaluations, message
+        evaluations += 1
         try:
-            return self.rate(y)
+            return rate(y)
         except ValueError as exc:
-            self.message = str(exc)
+            message = str(exc)
             return np.full(y.shape, np.nan)
 
-    def _start(self, t: float, y: np.ndarray, first_step: float) -> Radau:
+    sparsity = diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(y0.size, y0.size))
+
+    def start(t: float, y: np.ndarray, h: float) -> Radau:
         with np.errstate(all="ignore"):
-            return Radau(self._fun, t, y, self.t_max, first_step=min(first_step, self.t_max - t),
-                         max_step=self.max_step, rtol=_RTOL, atol=_ATOL,
-                         jac_sparsity=self.sparsity)
+            return Radau(fun, t, y, config.t_max, first_step=min(h, config.t_max - t),
+                         max_step=config.dt_max, rtol=_RTOL, atol=_ATOL,
+                         jac_sparsity=sparsity)
 
-    def __call__(self, state, t: float):
-        if self.solver is None:
-            self.solver = self._start(t, self.y, self.first_step)
-        while True:
-            solver = self.solver
-            tried = min(solver.h_abs, self.max_step)
-            try:
-                with np.errstate(all="ignore"):
-                    solver.step()
-            except (RuntimeError, np.linalg.LinAlgError) as exc:
-                self.message = self.message or str(exc)
-            else:
-                if solver.status != "failed":
-                    try:
-                        # a NaN error estimate passes Radau's error test
-                        if not math.isfinite(solver.error_norm_old):
-                            raise StepRejected(self.message or "error estimate is not finite")
-                        new = self.accept(solver.y)
-                    except (StepRejected, ValueError) as exc:
-                        self.message = str(exc)
-                        tried = solver.t - t
-                    else:
-                        self.y = solver.y
-                        return new, float(solver.t)
-            self.rejections += 1
-            if 0.5 * tried < _MULT_FLOOR * self.first_step:
-                raise StepRejected(self.message or solver.message)
-            self.solver = self._start(t, self.y, 0.5 * tried)
-
-
-def _integrate(config: FlowConfig, state, probe, stepper, advance, row,
-               trace: FlowTrace):
-    """The time loop both solvers share; the step itself comes from stepper.
-
-    The solver keeps its own state.  probe(state) gives its max speed and max
-    curvature; stepper(state, t) takes one accepted step and returns the new
-    state and time, or raises StepRejected once its step has collapsed, and
-    counts its retried steps in stepper.rejections; advance(state, new, t,
-    dt, steps) does the work of an accepted step and returns its flag codes;
-    row(state, codes) gives a trace row's values and may add codes.  Returns
-    the final state, t, steps, rejections, termination and the collapsing
-    rejection.
-    """
     pending: list = []
     trace.append(0.0, row(state, pending), pending)
     pending = []
     t = last_sampled = 0.0
-    steps = 0
-    failure = None
+    steps = rejections = 0
+    y, failure = y0, None
+    solver = None  # started by the first step: a run that takes none costs nothing
     while True:
         max_speed, curvature = probe(state)
         if max_speed < config.convergence_tol:
@@ -514,24 +462,46 @@ def _integrate(config: FlowConfig, state, probe, stepper, advance, row,
             termination = "curvature_blowup"
             break
 
+        if solver is None:
+            solver = start(t, y, first_step)
+        tried = min(solver.h_abs, config.dt_max)
         try:
-            new, t_new = stepper(state, t)
-        except StepRejected as exc:
-            termination, failure = "step_collapse", exc
-            break
+            with np.errstate(all="ignore"):
+                solver.step()
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            message = message or str(exc)
+        else:
+            if solver.status != "failed":
+                try:
+                    # a NaN error estimate passes Radau's error test
+                    if not math.isfinite(solver.error_norm_old):
+                        raise StepRejected(message or "error estimate is not finite")
+                    new = accept(solver.y)
+                except (StepRejected, ValueError) as exc:
+                    message = str(exc)
+                    tried = solver.t - t
+                else:
+                    t_new = float(solver.t)
+                    y, dt, t = solver.y, t_new - t, t_new
+                    steps += 1
+                    pending.extend(advance(state, new, t, dt, steps))
+                    state = new
+                    if steps % config.sample_every == 0:
+                        trace.append(t, row(state, pending), pending)
+                        pending = []
+                        last_sampled = t
+                    continue
 
-        dt, t = t_new - t, t_new
-        steps += 1
-        pending.extend(advance(state, new, t, dt, steps))
-        state = new
-        if steps % config.sample_every == 0:
-            trace.append(t, row(state, pending), pending)
-            pending = []
-            last_sampled = t
+        # a rejection: the next pass probes the unchanged state again
+        rejections += 1
+        if 0.5 * tried < _MULT_FLOOR * first_step:
+            termination, failure = "step_collapse", message or solver.message
+            break
+        solver = start(t, y, 0.5 * tried)
 
     if t > last_sampled:
         trace.append(t, row(state, pending), pending)
-    return state, t, steps, stepper.rejections, termination, failure
+    return state, t, steps, rejections, evaluations, termination, failure
 
 
 def run(config: FlowConfig, out_dir=None) -> FlowResult:
@@ -574,12 +544,11 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
             st.lam_min, st.lam_max, max_speed,
         ]
 
-    stepper = _RadauSteps(config, lambda rho: _stage_rate(n, k, grid, rho), accept, profile.rho,
-                          _policy_dt(state, config.dt_policy))
     start = (profile, state, float(np.max(np.abs(speed(state)))))
     trace = FlowTrace(n=n)
-    (profile, _, _), t, steps, rejections, termination, failure = _integrate(
-        config, start, probe, stepper, advance, row, trace)
+    (profile, _, _), t, steps, rejections, evaluations, termination, failure = _integrate(
+        config, lambda rho: _stage_rate(n, k, grid, rho), accept, probe, advance, row,
+        profile.rho, start, _policy_dt(state, config.dt_max), trace)
     if failure is not None:
         termination = f"{termination}: {failure}"
     return FlowResult(
@@ -591,7 +560,7 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
         steps=steps,
         rejections=rejections,
         violations=dict(monitors.counts),
-        rate_evaluations=stepper.evaluations,
+        rate_evaluations=evaluations,
     )
 
 

@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 from .flow import (
-    DtPolicy,
     FlowConfig,
     ShapeSpec,
     _policy_dt,
@@ -58,7 +57,7 @@ def minkowski_study(n: int = 2, N0: int = 128, levels: int = 3,
 def _one_step_pair(n, k, N, r0, eps, mode, cfl):
     profile = RadialProfile.perturbed(n, r0, eps, mode, N)
     state = geometry(profile, k)
-    dt = _policy_dt(state, DtPolicy(cfl_factor=cfl, dt_max=1.0))
+    dt = _policy_dt(state, 1.0, cfl)
     nxt = step(profile, dt, k)
     return profile, nxt, dt
 

@@ -146,11 +146,12 @@ def sigma_two_value(lam1, lam2, n: int, m: int):
         raise ValueError(f"sigma index m={m} out of range for n={n}")
     lam1 = np.asarray(lam1, dtype=float)
     lam2 = np.asarray(lam2, dtype=float)
-    out = np.zeros(np.broadcast(lam1, lam2).shape)
+    if m == 0:
+        # [()] makes scalar input give a scalar, as the sums below do
+        return np.ones(np.broadcast(lam1, lam2).shape)[()]
+    out = lam1 * math.comb(n - 1, m - 1) * lam2 ** (m - 1)
     if m <= n - 1:
-        out = out + math.comb(n - 1, m) * lam2**m
-    if m >= 1:
-        out = out + lam1 * math.comb(n - 1, m - 1) * lam2 ** (m - 1)
+        out = math.comb(n - 1, m) * lam2**m + out
     return out
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sphereflow.cli import main
-from sphereflow.flow import DtPolicy, FlowConfig, ShapeSpec
+from sphereflow.flow import FlowConfig, ShapeSpec
 
 RUN_ARGS = [
     "run", "--n", "2", "--k", "1", "--N", "33",
@@ -116,7 +116,7 @@ def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
      "mode"),
     ({"tmaxx": 1.0}, "unknown key 'tmaxx' in a config"),
     ({"cflfactor": 0.5}, "unknown key 'cflfactor' in a config"),
-    ({"dtPolicy": {"cflFactor": 0.5, "dtmax": 0.01}}, "unknown key 'dtmax' in dtPolicy"),
+    ({"dtPolicy": {"dtMax": 0.01}}, "unknown key 'dtPolicy' in a config"),
     ({"initialShape": {**PERTURBED, "r": 0.8}}, "unknown key 'r' in initialShape"),
     ({"initialShape": {**PERTURBED, "eps": DROP}}, "initialShape needs the key 'eps'"),
     ({"n": DROP}, "a config needs the key 'n'"),
@@ -145,6 +145,14 @@ def test_bad_config_file_exits_1(tmp_path, capsys, change, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cfl_flag_is_refused(tmp_path, capsys):
+    # the first step is a constant of the solvers, not a run setting
+    out = tmp_path / "out"
+    assert main(RUN_ARGS + ["--cfl", "0.5", "--out", str(out)]) == 1
+    assert "unrecognized arguments: --cfl 0.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_override_is_validated(tmp_path, capsys):

@@ -14,7 +14,6 @@ import sphereflow.hypersurface as hypersurface_module
 from sphereflow import ConeViolation, RadialProfile, dual_run, geometry
 from sphereflow.exceptions import StepRejected
 from sphereflow.flow import (
-    DtPolicy,
     FlowConfig,
     Monitors,
     ShapeSpec,
@@ -77,23 +76,10 @@ def test_oversized_step_is_rejected():
 
 def test_policy_dt_formula_and_cap():
     st = geometry(RadialProfile.perturbed(2, 0.8, 0.05, 2, 129), 1)
-    pol = DtPolicy(cfl_factor=0.2, dt_max=0.05)
     want = 0.2 * st.h**2 / float(np.max(st.u * st.trace_grad))
-    assert _policy_dt(st, pol) == pytest.approx(min(want, 0.05), rel=1e-15)
-    tiny = DtPolicy(cfl_factor=0.2, dt_max=1e-9)
-    assert _policy_dt(st, tiny) == 1e-9
-
-
-def test_dt_policy_validation():
-    with pytest.raises(ValueError):
-        DtPolicy(cfl_factor=0.0)
-    with pytest.raises(ValueError):
-        DtPolicy(cfl_factor=1.5)
-    with pytest.raises(ValueError):
-        DtPolicy(dt_max=0.0)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            DtPolicy(dt_max=bad)
+    assert _policy_dt(st, 0.05) == pytest.approx(min(want, 0.05), rel=1e-15)
+    assert _policy_dt(st, 1.0, 0.05) == pytest.approx(0.25 * want, rel=1e-15)
+    assert _policy_dt(st, 1e-9) == 1e-9
 
 
 def test_flow_config_validation():
@@ -119,6 +105,7 @@ def test_flow_config_validation():
     {"monitor_tolerances": {"conservaton": 1e-4}},
     # k = 0 is in range for n = 1, but the flow needs a surface of dimension >= 2
     {"n": 1, "k": 0},
+    {"dt_max": 0.0}, {"dt_max": math.inf}, {"dt_max": math.nan},
 ])
 def test_flow_config_rejects_bad_run_settings(bad):
     with pytest.raises(ValueError):
@@ -139,8 +126,6 @@ def test_json_payloads_must_be_objects():
     payload = _perturbed_config().to_json()
     with pytest.raises(ValueError, match="JSON object"):
         FlowConfig.from_json([payload])
-    with pytest.raises(ValueError, match="JSON object"):
-        FlowConfig.from_json({**payload, "dtPolicy": [0.2, 0.05]})
     with pytest.raises(ValueError, match="JSON object"):
         ShapeSpec.from_json([payload["initialShape"]])
 
@@ -203,11 +188,11 @@ def test_flow_config_json_roundtrip():
         sample_every=10,
         checkpoint_every=25,
         blowup_threshold=500.0,
-        dt_policy=DtPolicy(cfl_factor=0.3, dt_max=0.01),
+        dt_max=0.01,
         monitor_tolerances={"sign": 1e-7},
     )
     payload = json.loads(json.dumps(cfg.to_json()))
-    assert payload["dtPolicy"] == {"cflFactor": 0.3, "dtMax": 0.01}
+    assert payload["dtMax"] == 0.01
     assert payload["initialShape"]["kind"] == "perturbed"
     assert payload["monitorTolerances"]["sign"] == 1e-7
     back = FlowConfig.from_json(payload)
@@ -220,7 +205,7 @@ def test_flow_config_wire_format():
         n=3, k=2, N=129,
         initial_shape=ShapeSpec(kind="custom", theta=np.array(theta),
                                 rho=np.array([0.7, 0.75, 0.7])),
-        dt_policy=DtPolicy(cfl_factor=0.3, dt_max=0.01),
+        dt_max=0.01,
         t_max=2.5,
         convergence_tol=1e-7,
         monitor_tolerances={"barrier": 1e-9, "sign": 2e-8, "conservation": 1e-3,
@@ -233,7 +218,7 @@ def test_flow_config_wire_format():
         "n": 3,
         "k": 2,
         "N": 129,
-        "dtPolicy": {"cflFactor": 0.3, "dtMax": 0.01},
+        "dtMax": 0.01,
         "tMax": 2.5,
         "convergenceTol": 1e-7,
         "monitorTolerances": {"barrier": 1e-9, "sign": 2e-8, "conservation": 1e-3,
@@ -251,11 +236,9 @@ def test_flow_config_wire_format():
 
 
 def test_config_schema_covers_every_field():
-    """A new FlowConfig or DtPolicy field cannot drop out of the wire format."""
+    """A new FlowConfig field cannot drop out of the wire format."""
     assert ({name for name, _ in flow_module._CONFIG_KEYS.values()}
             == {f.name for f in dataclasses.fields(FlowConfig)})
-    assert ({name for name, _ in flow_module._POLICY_KEYS.values()}
-            == {f.name for f in dataclasses.fields(DtPolicy)})
     # each shape kind lists the fields it needs, and together they are all
     kinds = ShapeSpec.FIELDS.values()
     assert {"kind"}.union(*kinds) == {f.name for f in dataclasses.fields(ShapeSpec)}
@@ -265,8 +248,8 @@ def test_flow_config_json_takes_dataclass_defaults():
     payload = {"n": 2, "k": 1, "N": 65,
                "initialShape": {"kind": "perturbed", "r0": 0.8, "eps": 0.05, "mode": 2}}
     assert FlowConfig.from_json(payload) == _perturbed_config()
-    partial = FlowConfig.from_json({**payload, "dtPolicy": {"dtMax": 0.01}})
-    assert partial.dt_policy == DtPolicy(dt_max=0.01)
+    partial = FlowConfig.from_json({**payload, "dtMax": 0.01})
+    assert partial == _perturbed_config(dt_max=0.01)
 
 
 def test_run_stops_at_tmax():
@@ -356,7 +339,7 @@ def test_quiet_step_raises_no_flags():
     st = geometry(prof, 1)
     q = quermass_vector(st, prof)
     mon = Monitors(cfg, st, q)
-    dt = _policy_dt(st, cfg.dt_policy)
+    dt = _policy_dt(st, cfg.dt_max)
     nxt = step(prof, dt, 1)
     stn = geometry(nxt, 1)
     assert mon.check(q, quermass_vector(stn, nxt), stn, dt) == []
@@ -366,7 +349,7 @@ def test_quiet_step_raises_no_flags():
 def test_evolution_residuals_small_on_resolved_pair():
     prof = RadialProfile.perturbed(2, 0.8, 0.05, 2, 129)
     st = geometry(prof, 1)
-    dt = _policy_dt(st, DtPolicy())
+    dt = _policy_dt(st, 0.05)
     nxt = step(prof, dt, 1)
     stn = geometry(nxt, 1)
     assert evolution_residual_u(st, stn, dt) < 1e-3
@@ -440,7 +423,7 @@ def test_run_matches_the_rk4_oracle():
     assert res.termination == "tmax" and res.t_final == 1.0
     prof, t = cfg.initial_shape.build(2, 256), 0.0
     while t < 1.0:
-        dt = min(_policy_dt(geometry(prof, 1), cfg.dt_policy), 1.0 - t)
+        dt = min(_policy_dt(geometry(prof, 1), cfg.dt_max), 1.0 - t)
         prof, t = step(prof, dt, 1), t + dt
     assert float(np.max(np.abs(res.profile.rho - prof.rho))) <= 1e-9
 
@@ -463,7 +446,7 @@ def test_dual_run_matches_the_rk4_oracle(n, k, r0, eps):
 
     while t < 0.1:
         stiff = dualflow_module._g_terms(dualflow_module.support_closure(n, grid, u), k)[1]
-        dt = min(_parabolic_dt(float(np.max(stiff)), grid.h, cfg.dt_policy), 0.1 - t)
+        dt = min(_parabolic_dt(float(np.max(stiff)), grid.h, cfg.dt_max), 0.1 - t)
         u, t = _rk4(u, dt, rate(u), rate), t + dt
     assert float(np.max(np.abs(res.u - u))) <= 1e-9
 

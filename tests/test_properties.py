@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sphereflow.flow import DtPolicy, FlowConfig, ShapeSpec  # noqa: E402
+from sphereflow.flow import FlowConfig, ShapeSpec  # noqa: E402
 from sphereflow.hypersurface import RadialProfile, load_checkpoint, save_checkpoint  # noqa: E402
 
 # derandomized: the same examples on every run, so nothing is kept between runs
@@ -63,8 +63,7 @@ def configs(draw):
         k=draw(st.integers(min_value=0, max_value=n - 1)),
         N=draw(st.integers(min_value=5, max_value=4097)),
         initial_shape=draw(shapes.filter(lambda s: s.kind != "custom")),
-        dt_policy=DtPolicy(cfl_factor=draw(st.floats(min_value=1e-6, max_value=1.0)),
-                           dt_max=draw(positive)),
+        dt_max=draw(positive),
         t_max=draw(positive),
         convergence_tol=draw(st.floats(min_value=0.0, max_value=1.0)),
         monitor_tolerances=tolerances,
