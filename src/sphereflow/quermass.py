@@ -123,22 +123,14 @@ def _guarded_range(n: int, k: int):
             _GUARD_CACHE[key] = _monotone_guard(n, k)
         except MonotonicityError as exc:
             _GUARD_CACHE[key] = str(exc)
-    guard = _GUARD_CACHE[key]
-    if isinstance(guard, str):
-        raise MonotonicityError(guard)
-    return guard
+    if isinstance(_GUARD_CACHE[key], str):
+        raise MonotonicityError(_GUARD_CACHE[key])
 
 
-def sphere_comparison(n: int, l: int, k: int, a_k: float) -> float:
-    """A_l of the geodesic sphere whose A_k equals the target value.
-
-    The radius is found by bisection after verifying the radius-to-A_k map
-    is strictly increasing; the degenerate constant map (k = n) raises
-    MonotonicityError and a target outside the attainable range raises
-    ValueError.
-    """
-    if not -1 <= l < k <= n:
-        raise ValueError(f"invalid comparison pair (l, k) = ({l}, {k})")
+def _sphere_radius(n: int, k: int, a_k: float) -> float:
+    """Radius of the geodesic sphere whose A_k equals a_k, by bisection on the
+    radius-to-A_k map once verified strictly increasing: MonotonicityError for
+    the constant k = n map, ValueError for a target out of its range."""
     _guarded_range(n, k)
     lo_val = sphere_quermass(n, k, _R_LO)
     hi_val = sphere_quermass(n, k, _R_HI)
@@ -156,7 +148,15 @@ def sphere_comparison(n: int, l: int, k: int, a_k: float) -> float:
             hi = mid
         if hi - lo < _BISECT_TOL:
             break
-    return sphere_quermass(n, l, 0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
+
+
+def sphere_comparison(n: int, l: int, k: int, a_k: float) -> float:
+    """A_l of the geodesic sphere whose A_k equals the target value; the
+    radius and its errors are those of _sphere_radius."""
+    if not -1 <= l < k <= n:
+        raise ValueError(f"invalid comparison pair (l, k) = ({l}, {k})")
+    return sphere_quermass(n, l, _sphere_radius(n, k, a_k))
 
 
 @dataclass
@@ -191,21 +191,20 @@ class AuditReport:
 def audit_inequalities(q: QuermassVector, seed: int | None = None) -> AuditReport:
     """Evaluate the pairwise comparison gaps xi(A_k) - A_l for all l < k.
 
-    Every pair with -1 <= l < k <= n is attempted; pairs whose comparison
-    profile is degenerate (constant in the radius) are reported as skipped
-    rather than treated as violations.
+    Every pair with -1 <= l < k <= n is attempted: the radius with matching
+    A_k is solved once per k and each A_l read there, as sphere_comparison
+    does pair by pair.  Pairs whose comparison profile is degenerate
+    (constant in the radius) are reported as skipped, not as violations.
     """
     report = AuditReport(n=q.n, seed=seed)
     for k in range(0, q.n + 1):
+        try:
+            r = _sphere_radius(q.n, k, q.a(k))
+        except (MonotonicityError, ValueError) as exc:
+            report.skipped.extend({"l": l, "k": k, "reason": str(exc)} for l in range(-1, k))
+            continue
         for l in range(-1, k):
-            try:
-                xi_value = sphere_comparison(q.n, l, k, q.a(k))
-            except MonotonicityError as exc:
-                report.skipped.append({"l": l, "k": k, "reason": str(exc)})
-                continue
-            except ValueError as exc:
-                report.skipped.append({"l": l, "k": k, "reason": str(exc)})
-                continue
+            xi_value = sphere_quermass(q.n, l, r)
             report.entries.append(
                 {
                     "l": l,

@@ -9,6 +9,7 @@ sigma_m = 0 for m < 0 or m > n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,14 +63,22 @@ def sigma_table(lam, mmax: int) -> np.ndarray:
     cols = np.ascontiguousarray(np.moveaxis(vals, -1, 0))
     out = np.zeros((mmax + 1,) + vals.shape[:-1], dtype=float)
     out[0] = 1.0
+    tmp = np.empty(vals.shape[:-1])
     top = 0
     for j in range(n):
         v = cols[j]
         top = min(top + 1, mmax)
         # descending order so each coefficient is updated from the previous pass
         for m in range(top, 0, -1):
-            out[m] += v * out[m - 1]
+            np.multiply(v, out[m - 1], out=tmp)
+            out[m] += tmp
     return np.moveaxis(out, 0, -1)
+
+
+def _drop_index(n: int, r: int) -> np.ndarray:
+    """Row j: the indices kept when the j-th r-subset of range(n) is dropped."""
+    return np.array([[i for i in range(n) if i not in c]
+                     for c in itertools.combinations(range(n), r)], dtype=np.intp)
 
 
 def sigma(lam, m: int):
@@ -103,12 +112,9 @@ def _quotient_arrays(vals: np.ndarray, k: int):
     sk = table[..., k]
     sk1 = table[..., k + 1] if k + 1 <= n else np.zeros(sk.shape)
     grad = np.empty(vals.shape)
-    for i in range(n):
-        rest = np.delete(vals, i, axis=-1)
-        t_i = sigma_table(rest, min(k, n - 1))
-        ski = _sigma_ext(t_i, k)
-        skm1i = _sigma_ext(t_i, k - 1)
-        grad[..., i] = (ski * sk - sk1 * skm1i) / sk**2
+    for i, rest in enumerate(_drop_index(n, 1)):
+        t_i = sigma_table(vals[..., rest], min(k, n - 1))
+        grad[..., i] = (_sigma_ext(t_i, k) * sk - sk1 * _sigma_ext(t_i, k - 1)) / sk**2
     value = sk1 / sk
     trace = np.sum(grad, axis=-1)
     weighted = np.sum(grad * vals**2, axis=-1)
@@ -239,14 +245,12 @@ def pinch_deficit_parts(lam, m: int):
     smm1 = _sigma_ext(table, m - 1)
     deficit = m * (n - m) * sm**2 - (m + 1) * (n - m + 1) * sm1 * smm1
     pair_sum = np.zeros(vals.shape[:-1])
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            rest = np.delete(vals, (i, j), axis=-1)
-            t_ij = sigma_table(rest, min(m, n - 2))
-            a = _sigma_ext(t_ij, m - 1)
-            b = _sigma_ext(t_ij, m - 2)
-            c = _sigma_ext(t_ij, m)
-            pair_sum = pair_sum + (vals[..., i] - vals[..., j]) ** 2 * (a**2 - b * c)
+    for (i, j), rest in zip(itertools.combinations(range(n), 2), _drop_index(n, 2)):
+        t_ij = sigma_table(vals[..., rest], min(m, n - 2))
+        a = _sigma_ext(t_ij, m - 1)
+        b = _sigma_ext(t_ij, m - 2)
+        c = _sigma_ext(t_ij, m)
+        pair_sum = pair_sum + (vals[..., i] - vals[..., j]) ** 2 * (a**2 - b * c)
     hi = np.max(vals, axis=-1)
     lo = np.min(vals, axis=-1)
     pinch = (hi - lo) ** 2 / hi**2

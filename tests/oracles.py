@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from sphereflow.symfunc import sigma_table
+
 
 def sigma_subsets(lam, m):
     """sigma_m by summing over all m-element subsets."""
@@ -64,3 +66,58 @@ def fd_even_derivatives(values, h):
     grad = (ext[2:] - ext[:-2]) / (2.0 * h)
     hess = (ext[2:] - 2.0 * v + ext[:-2]) / h**2
     return grad, hess
+
+
+# -- the np.delete loops the exclusion kernels were first written with ------
+# They pin the index-gathered rewrites bit for bit, so they share the
+# production sigma_table and its accumulation order on purpose.
+
+
+def _ext(table, m):
+    return table[..., m] if 0 <= m < table.shape[-1] else np.zeros(table.shape[:-1])
+
+
+def sigma_table_temporaries(lam, mmax):
+    """sigma_table with a fresh product array per coefficient update."""
+    vals = np.asarray(lam, dtype=float)
+    cols = np.ascontiguousarray(np.moveaxis(vals, -1, 0))
+    out = np.zeros((mmax + 1,) + vals.shape[:-1])
+    out[0] = 1.0
+    for j in range(vals.shape[-1]):
+        for m in range(min(j + 1, mmax), 0, -1):
+            out[m] += cols[j] * out[m - 1]
+    return np.moveaxis(out, 0, -1)
+
+
+def excl_tables_delete(vals, mmax):
+    """sigma tables of each single-exclusion vector, stacked on axis 1."""
+    count, n = vals.shape
+    out = np.empty((count, n, mmax + 1))
+    for i in range(n):
+        out[:, i, :] = sigma_table(np.delete(vals, i, axis=1), mmax)
+    return out
+
+
+def quotient_grad_delete(vals, k):
+    """Diagonal gradient of sigma_{k+1}/sigma_k, batched over leading axes."""
+    n = vals.shape[-1]
+    table = sigma_table(vals, min(k + 2, n))
+    sk = table[..., k]
+    sk1 = table[..., k + 1] if k + 1 <= n else np.zeros(sk.shape)
+    grad = np.empty(vals.shape)
+    for i in range(n):
+        t_i = sigma_table(np.delete(vals, i, axis=-1), min(k, n - 1))
+        grad[..., i] = (_ext(t_i, k) * sk - sk1 * _ext(t_i, k - 1)) / sk**2
+    return grad
+
+
+def pair_sum_delete(vals, m):
+    """sum over i<j of (lam_i - lam_j)^2 [sigma_{m-1}^2 - sigma_{m-2} sigma_m](lam|ij)."""
+    n = vals.shape[-1]
+    pair_sum = np.zeros(vals.shape[:-1])
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            t_ij = sigma_table(np.delete(vals, (i, j), axis=-1), min(m, n - 2))
+            a, b, c = _ext(t_ij, m - 1), _ext(t_ij, m - 2), _ext(t_ij, m)
+            pair_sum = pair_sum + (vals[..., i] - vals[..., j]) ** 2 * (a**2 - b * c)
+    return pair_sum

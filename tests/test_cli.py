@@ -240,6 +240,14 @@ def test_identity_suite_command(tmp_path, capsys):
     assert report["passed"] is True and report["seed"] == 3
 
 
+def test_identity_suite_refuses_zero_samples(tmp_path, capsys):
+    out = tmp_path / "ident"
+    assert main(["identity-suite", "--samples", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "samples >= 1, got 0" in err
+    assert not out.exists()
+
+
 def test_audit_command(tmp_path, capsys):
     run_out = tmp_path / "run"
     assert main(RUN_ARGS + ["--out", str(run_out)]) == 0

@@ -273,3 +273,34 @@ def test_raw_nodes_and_shared_grid_agree_exactly():
     # the shared nodes cannot be written through a profile
     with pytest.raises(ValueError):
         raw.theta[1] = 0.0
+
+
+def _axisymmetric_laplacian(n, N):
+    """eta'' + (n-1) cot(theta) eta' as an N x N matrix, from differentiate's
+    stencils; at the poles cot(theta) eta' tends to eta'', so those rows are
+    n eta'' under the one-sided even stencil."""
+    grid = polar_grid(N)
+    grad, hess = differentiate(np.eye(N), grid.h)
+    lap = hess.copy()
+    lap[1:-1] += (n - 1) * grad[1:-1] / grid.tan[:, None]
+    lap[[0, -1]] *= n
+    return lap, grid.h
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_axisymmetric_laplacian_eigenvalues(n):
+    degree = np.arange(11)
+    exact = -degree * (degree + n - 1.0)
+    errors = []
+    for N in (65, 129):
+        lap, h = _axisymmetric_laplacian(n, N)
+        eig = np.linalg.eigvals(lap)
+        assert np.max(np.abs(eig.imag)) <= 1e-10 * np.max(np.abs(eig.real))
+        low = np.sort(eig.real)[::-1][:11]
+        err = np.abs(low - exact)
+        # second-order stencil: error h^2 mu^2 / 12 for the eigenvalue -mu
+        assert err[0] <= 1e-10
+        assert np.all(err[1:] <= 0.1 * h**2 * exact[1:] ** 2)
+        errors.append(err[1:])
+    ratio = errors[0] / errors[1]
+    assert np.all((ratio > 3.8) & (ratio < 4.2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sphereflow.identities import (
+    _excl_tables,
     cone_boundary_shift,
     run_identity_suite,
     sample_cone,
@@ -29,6 +30,12 @@ def test_suite_rejects_bad_nmax():
         run_identity_suite(n_max=1, samples=10)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_suite_rejects_samples_below_one(samples):
+    with pytest.raises(ValueError, match=f"samples >= 1, got {samples}"):
+        run_identity_suite(n_max=2, samples=samples)
+
+
 def test_suite_json_is_deterministic():
     a = run_identity_suite(n_max=2, samples=200, seed=9).to_json()
     b = run_identity_suite(n_max=2, samples=200, seed=9).to_json()
@@ -47,6 +54,47 @@ def test_sample_cone_members():
     # scale spread actually covers about a decade each way
     norms = np.max(np.abs(vals), axis=1)
     assert norms.max() / norms.min() > 10.0
+
+
+class _RecordingRng:
+    """A generator that records the size of every uniform draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def uniform(self, low, high, size):
+        self.sizes.append(size)
+        return self._rng.uniform(low, high, size=size)
+
+
+def _cone_rows(rng, n):
+    # the curvature-vector draws; the (count, 1) scale draw is not one
+    return [size[0] for size in rng.sizes if size[1] == n]
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (5, 3), (8, 1), (8, 7), (8, 8)])
+def test_sample_cone_rounds_stay_within_four_times_count(n, k):
+    for count in (1, 37, 2000):
+        rng = _RecordingRng(n + k)
+        vals = sample_cone(rng, count, n, k)
+        assert vals.shape == (count, n)
+        assert np.all(sigma_table(vals, k)[:, 1:] > 0.0)
+        assert max(_cone_rows(rng, n)) <= 4 * count
+
+
+def test_sample_cone_top_cone_draws_little_more_than_it_keeps():
+    # for k = n the box edge is clipped to 0, where nearly every row is kept
+    rng = _RecordingRng(8)
+    sample_cone(rng, 10000, 8, 8)
+    assert sum(_cone_rows(rng, 8)) <= 1.3 * 10000
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gathered_exclusion_tables_are_bit_identical(n):
+    vals = sample_spread(np.random.default_rng(n), 300, n)
+    for mmax in range(n):
+        assert np.array_equal(_excl_tables(vals, mmax), oracles.excl_tables_delete(vals, mmax))
 
 
 def test_sample_spread_mixes_signs():

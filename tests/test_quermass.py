@@ -7,6 +7,7 @@ import pytest
 import sphereflow.quermass as quermass_module
 from sphereflow import ConeViolation, MonotonicityError, RadialProfile, geometry
 from sphereflow.quermass import (
+    QuermassVector,
     audit_inequalities,
     quermass_vector,
     sphere_comparison,
@@ -169,3 +170,38 @@ def test_repeated_audit_rebuilds_no_guard_table(monkeypatch):
     assert [(s["l"], s["k"]) for s in second.skipped] == [(l, 3) for l in range(-1, 3)]
     assert all("not strictly increasing" in s["reason"] for s in second.skipped)
     assert second.entries == first.entries
+
+
+def _pairwise_audit(q):
+    """The audit as one sphere_comparison per pair: (entries, skipped)."""
+    entries, skipped = [], []
+    for k in range(0, q.n + 1):
+        for l in range(-1, k):
+            try:
+                xi = sphere_comparison(q.n, l, k, q.a(k))
+            except (MonotonicityError, ValueError) as exc:
+                skipped.append({"l": l, "k": k, "reason": str(exc)})
+                continue
+            entries.append({"l": l, "k": k, "A_l": q.a(l), "xi_value": xi,
+                            "gap": xi - q.a(l)})
+    return entries, skipped
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_audit_matches_pairwise_comparison_exactly(n):
+    profiles = [RadialProfile.perturbed(n, 0.8, 0.05, 2, 129),
+                RadialProfile.geodesic_sphere(n, 0.6, 65)]
+    vectors = [quermass_vector(geometry(p, n - 1), p) for p in profiles]
+    # A_0 above its sphere range and A_1 below it: skipped with ValueError's text
+    values = vectors[0].values.copy()
+    values[1] = 2.0 * sphere_quermass(n, 0, 1.5)
+    values[2] = -1.0
+    vectors.append(QuermassVector(n=n, values=values))
+    for q in vectors:
+        rep = audit_inequalities(q)
+        entries, skipped = _pairwise_audit(q)
+        assert rep.entries == entries
+        assert rep.skipped == skipped
+    assert [(s["l"], s["k"]) for s in rep.skipped[:3]] == [(-1, 0), (-1, 1), (0, 1)]
+    assert all("outside the geodesic-sphere range" in s["reason"] for s in rep.skipped[:3])
+    assert [s["l"] for s in rep.skipped if s["k"] == n] == list(range(-1, n))

@@ -10,6 +10,7 @@ from sphereflow import (
     sigma,
 )
 from sphereflow.symfunc import (
+    _quotient_arrays,
     quotient_two_value,
     sigma_table,
     sigma_two_value,
@@ -161,3 +162,41 @@ def test_pinch_deficit_forms_agree():
     assert d == pytest.approx(0.0, abs=1e-13)
     assert pinch == 0.0
 
+
+
+def _batches(n):
+    """Seeded positive batches with one and with two leading axes."""
+    rng = np.random.default_rng(100 + n)
+    return rng.uniform(0.05, 2.0, size=(300, n)), rng.uniform(0.05, 2.0, size=(3, 5, n))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sigma_table_in_place_update_is_bit_identical(n):
+    rng = np.random.default_rng(n)
+    for vals in (rng.standard_normal((300, n)), rng.standard_normal((3, 5, n)),
+                 rng.standard_normal(n)):
+        for mmax in range(n + 2):
+            assert np.array_equal(sigma_table(vals, mmax),
+                                  oracles.sigma_table_temporaries(vals, mmax))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gathered_quotient_gradient_is_bit_identical(n):
+    for vals in _batches(n):
+        for k in range(n):
+            assert np.array_equal(_quotient_arrays(vals, k)[1],
+                                  oracles.quotient_grad_delete(vals, k))
+    # a single vector goes through quotient(), with no leading axis at all
+    single = _batches(n)[0][0]
+    for k in range(n):
+        assert np.array_equal(quotient(single, k).grad_diag,
+                              oracles.quotient_grad_delete(single, k))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gathered_pair_sum_is_bit_identical(n):
+    # n = 2 drops both entries of every pair: each excluded vector is empty
+    for vals in _batches(n):
+        for m in range(1, n):
+            assert np.array_equal(pinch_deficit_parts(vals, m)[1],
+                                  oracles.pair_sum_delete(vals, m))
