@@ -27,7 +27,7 @@ from scipy.interpolate import CubicSpline
 
 from .exceptions import ConeViolation, ConvexityLoss
 from .flow import FlowConfig, FlowTrace, _integrate, _parabolic_dt
-from .hypersurface import RadialProfile, as_grid, differentiate, geometry, polar_grid
+from .hypersurface import RadialProfile, as_grid, cot_grad, differentiate, geometry, polar_grid
 from .quermass import quermass_vector
 from .symfunc import identity_quotient, quotient_two_core, quotient_two_value
 
@@ -66,12 +66,7 @@ def _gamma_curvatures(tan, gamma, g_grad, g_hess):
     omega = np.sqrt(omega2)
     phi = 2.0 * rho_tilde / (1.0 + rho_tilde**2)
     phip = (1.0 - rho_tilde**2) / (1.0 + rho_tilde**2)
-
-    cot_term = np.empty_like(gamma)
-    cot_term[1:-1] = g_grad[1:-1] / tan
-    # gamma is even at the poles, so cot(theta)*gamma_theta -> gamma_thetatheta
-    cot_term[0] = g_hess[0]
-    cot_term[-1] = g_hess[-1]
+    cot_term = cot_grad(g_grad, g_hess, tan)
 
     lam1 = (phip * omega2 - g_hess) / (phi * omega * omega2)
     lam_ang = (phip - cot_term) / (phi * omega)
@@ -151,12 +146,7 @@ def _closure(u, tan, h=None, u_grad=None, u_hess=None) -> tuple:
     phip = (1.0 - rho_tilde**2) / (1.0 + rho_tilde**2)
 
     w_merid = u_hess + u
-    w_ang = np.empty_like(u)
-    interior = slice(1, -1)
-    w_ang[interior] = u_grad[interior] / tan + u[interior]
-    # even parity: cot(theta)*u_theta limits to u_thetatheta at the poles
-    w_ang[0] = u_hess[0] + u[0]
-    w_ang[-1] = u_hess[-1] + u[-1]
+    w_ang = cot_grad(u_grad, u_hess, tan) + u
 
     bad = np.where((w_merid <= 0.0) | (w_ang <= 0.0))[0]
     if bad.size:

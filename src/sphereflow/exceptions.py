@@ -22,4 +22,5 @@ class StepRejected(RuntimeError):
 
 
 class MonotonicityError(RuntimeError):
-    """A comparison profile that must be strictly monotone is not."""
+    """The radius-to-A_k map of geodesic spheres cannot be inverted: raised only
+    for k = n, whose A_n is constant; every lower A_k increases with the radius."""

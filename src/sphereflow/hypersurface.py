@@ -30,6 +30,7 @@ __all__ = [
     "GeometryState",
     "SphereGrid2D",
     "differentiate",
+    "cot_grad",
     "curvatures",
     "geometry",
     "geometry_full_s2",
@@ -84,8 +85,11 @@ def _json_fields(payload, what: str, schema: dict, required=()) -> dict:
 
 
 def _json_samples(value, key: str) -> np.ndarray:
-    samples = np.asarray(value, dtype=float)
-    if samples.ndim != 1:
+    try:
+        samples = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        samples = None
+    if samples is None or samples.ndim != 1:
         raise ValueError(f"{key} must be a list of numbers")
     return samples
 
@@ -205,6 +209,12 @@ def differentiate(values: np.ndarray, h: float):
     return grad, hess
 
 
+def cot_grad(grad: np.ndarray, hess: np.ndarray, tan: np.ndarray) -> np.ndarray:
+    """cot(theta) * q_theta of an even scalar: grad / tan on the interior nodes, where
+    tan is given, and the even-parity pole limit q_thetatheta = hess at both poles."""
+    return np.concatenate((hess[:1], grad[1:-1] / tan, hess[-1:]))
+
+
 @dataclass
 class GeometryState:
     """Pointwise extrinsic geometry of an axisymmetric radial graph.
@@ -261,14 +271,9 @@ def curvatures(grid: PolarGrid, rho: np.ndarray) -> tuple:
     omega_speed = w / phi
 
     lam1 = (-phi * hess + 2.0 * phip * grad**2 + phi**2 * phip) / w**3
-    lam_ang = np.empty_like(lam1)
-    # cot(theta)*rho_theta has a finite pole limit equal to rho_thetatheta,
-    # which makes both curvatures coincide there
-    lam_ang[1:-1] = (phi[1:-1] * phip[1:-1] - grad[1:-1] / grid.tan) / (
-        phi[1:-1] * w[1:-1]
-    )
-    lam_ang[0] = lam1[0]
-    lam_ang[-1] = lam1[-1]
+    lam_ang = (phi * phip - cot_grad(grad, hess, grid.tan)) / (phi * w)
+    # both curvatures coincide at the poles; lam1's rounding is kept there
+    lam_ang[0], lam_ang[-1] = lam1[0], lam1[-1]
     return grad, hess, phi, phip, w, u, omega_speed, lam1, lam_ang
 
 
@@ -367,20 +372,14 @@ def frame_hessian(state: GeometryState, q_grad: np.ndarray, q_hess: np.ndarray):
     """Orthonormal-frame intrinsic Hessian components of an axisymmetric scalar.
 
     Returns (meridian, angular) arrays given the theta-derivatives of the
-    scalar.  The angular entry uses the pole limit cot(theta)*q_theta ->
-    q_thetatheta, valid because admissible scalars are even at the poles.
+    scalar.  The angular entry takes cot(theta)*q_theta from cot_grad, valid
+    because admissible scalars are even at the poles.
     """
     g = state.w**2
     gamma = (state.phi * state.phip * state.grad + state.grad * state.hess) / g
     hm = (q_hess - gamma * q_grad) / g
-    ha = np.empty_like(hm)
-    ha[1:-1] = (
-        (state.phip[1:-1] * state.grad[1:-1] / state.phi[1:-1] + 1.0 / state.grid.tan)
-        * q_grad[1:-1]
-        / g[1:-1]
-    )
-    ha[0] = q_hess[0] / g[0]
-    ha[-1] = q_hess[-1] / g[-1]
+    ha = (state.phip * state.grad / state.phi * q_grad
+          + cot_grad(q_grad, q_hess, state.grid.tan)) / g
     return hm, ha
 
 

@@ -101,37 +101,15 @@ def sphere_quermass(n: int, m: int, r: float) -> float:
     return float(_ladder(n, vol, s)[m + 1])
 
 
-def _monotone_guard(n: int, k: int) -> tuple:
-    """Sampled radius-to-A_k map, validated strictly increasing once per (n, k)."""
-    rs = np.linspace(_R_LO, _R_HI, 2049)
-    vals = np.array([sphere_quermass(n, k, float(r)) for r in rs])
-    if not np.all(np.diff(vals) > 0.0):
+def _sphere_radius(n: int, k: int, a_k: float) -> float:
+    """Radius of the geodesic sphere whose A_k equals a_k, by bisection.  For k < n
+    the map increases strictly by first variation, dA_k/dr = (k+1) |S^n| C(n, k+1)
+    sin^{n-k-1} r cos^{k+1} r > 0 (|S^n| sin^n r for k = -1); the constant k = n
+    map raises MonotonicityError and a target out of range ValueError."""
+    if k == n:
         raise MonotonicityError(
             f"A_{k} is not strictly increasing in the geodesic radius for n={n}"
         )
-    return rs, vals
-
-
-# (n, k) -> the sampled map, or the text of the MonotonicityError it raised
-_GUARD_CACHE: dict = {}
-
-
-def _guarded_range(n: int, k: int):
-    key = (n, k)
-    if key not in _GUARD_CACHE:
-        try:
-            _GUARD_CACHE[key] = _monotone_guard(n, k)
-        except MonotonicityError as exc:
-            _GUARD_CACHE[key] = str(exc)
-    if isinstance(_GUARD_CACHE[key], str):
-        raise MonotonicityError(_GUARD_CACHE[key])
-
-
-def _sphere_radius(n: int, k: int, a_k: float) -> float:
-    """Radius of the geodesic sphere whose A_k equals a_k, by bisection on the
-    radius-to-A_k map once verified strictly increasing: MonotonicityError for
-    the constant k = n map, ValueError for a target out of its range."""
-    _guarded_range(n, k)
     lo_val = sphere_quermass(n, k, _R_LO)
     hi_val = sphere_quermass(n, k, _R_HI)
     if not lo_val <= a_k <= hi_val:

@@ -204,6 +204,16 @@ def test_custom_shape_file(tmp_path):
     assert (out / "summary.json").exists()
 
 
+def test_custom_shape_samples_must_be_a_list(tmp_path, capsys):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"theta": {"a": 1}, "rho": [0.8] * 33}))
+    args = ["run", "--n", "2", "--k", "1", "--N", "33",
+            "--shape", f"custom:{path}", "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "theta must be a list of numbers" in err
+
+
 @pytest.mark.parametrize("where", ["shape", "config", "sweep"])
 def test_json_list_instead_of_object_exits_1(tmp_path, capsys, where):
     cfg = FlowConfig(
@@ -283,6 +293,7 @@ CHECKPOINT = {"n": 2, "k": 1, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).t
     ({key: value for key, value in CHECKPOINT.items() if key != "t"},
      "a checkpoint needs the key 't'"),
     ({**CHECKPOINT, "tt": 0.0}, "unknown key 'tt' in a checkpoint"),
+    ({**CHECKPOINT, "rho": {"x": 1}}, "rho must be a list of numbers"),
 ])
 def test_audit_rejects_malformed_checkpoint(tmp_path, capsys, payload, message):
     path = tmp_path / "ck.json"

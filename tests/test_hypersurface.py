@@ -24,6 +24,7 @@ from sphereflow import (
 from sphereflow.flow import _N_MAX
 from sphereflow.hypersurface import (
     PolarGrid,
+    cot_grad,
     differentiate,
     frame_hessian,
     polar_grid,
@@ -61,6 +62,19 @@ def test_differentiate_matches_even_mirror_oracle():
     assert np.allclose(hess[1:-1], h2[1:-1], atol=1e-12)
     assert hess[0] == pytest.approx(h2[0] / 2 + (prof.rho[1] - prof.rho[0]) / prof.h**2, abs=1e-9)
     assert grad[0] == 0.0 and grad[-1] == 0.0
+
+
+def test_cot_grad_takes_the_even_pole_limit():
+    grid = polar_grid(65)
+    q = np.cos(2.0 * grid.theta) + 0.1 * np.cos(3.0 * grid.theta)
+    grad, hess = differentiate(q, grid.h)
+    cot = cot_grad(grad, hess, grid.tan)
+    assert cot.shape == q.shape
+    assert np.array_equal(cot[1:-1], grad[1:-1] / grid.tan)
+    assert cot[0] == hess[0] and cot[-1] == hess[-1]
+    # q_thetatheta is -4 - 0.9 at theta = 0 and -4 + 0.9 at theta = pi
+    assert cot[0] == pytest.approx(-4.9, abs=1e-2)
+    assert cot[-1] == pytest.approx(-3.1, abs=1e-2)
 
 
 def test_geodesic_sphere_is_umbilic():

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-import sphereflow.quermass as quermass_module
 from sphereflow import ConeViolation, MonotonicityError, RadialProfile, geometry
+from sphereflow.hypersurface import unit_sphere_area
 from sphereflow.quermass import (
     QuermassVector,
     audit_inequalities,
@@ -149,29 +149,6 @@ def test_audit_json_omits_missing_seed():
     assert rep.worst_gap == pytest.approx(0.0, abs=1e-6)
 
 
-def test_repeated_audit_rebuilds_no_guard_table(monkeypatch):
-    monkeypatch.setattr(quermass_module, "_GUARD_CACHE", {})
-    real = quermass_module._monotone_guard
-    built = []
-
-    def counting_guard(n, k):
-        built.append((n, k))
-        return real(n, k)
-
-    monkeypatch.setattr(quermass_module, "_monotone_guard", counting_guard)
-    prof = RadialProfile.perturbed(3, 0.9, 0.03, 2, 65)
-    q = quermass_vector(geometry(prof, 2), prof)
-    first = audit_inequalities(q)
-    # one table per k, the failing k = n one included
-    assert built == [(3, k) for k in range(4)]
-    second = audit_inequalities(q)
-    assert built == [(3, k) for k in range(4)]
-    assert second.skipped == first.skipped
-    assert [(s["l"], s["k"]) for s in second.skipped] == [(l, 3) for l in range(-1, 3)]
-    assert all("not strictly increasing" in s["reason"] for s in second.skipped)
-    assert second.entries == first.entries
-
-
 def _pairwise_audit(q):
     """The audit as one sphere_comparison per pair: (entries, skipped)."""
     entries, skipped = [], []
@@ -202,6 +179,52 @@ def test_audit_matches_pairwise_comparison_exactly(n):
         entries, skipped = _pairwise_audit(q)
         assert rep.entries == entries
         assert rep.skipped == skipped
+        # a repeat audit of the same vector gives the same report
+        again = audit_inequalities(q)
+        assert (again.entries, again.skipped) == (rep.entries, rep.skipped)
+        top = f"A_{n} is not strictly increasing in the geodesic radius for n={n}"
+        assert [s for s in rep.skipped if s["k"] == n] == [
+            {"l": l, "k": n, "reason": top} for l in range(-1, n)]
     assert [(s["l"], s["k"]) for s in rep.skipped[:3]] == [(-1, 0), (-1, 1), (0, 1)]
     assert all("outside the geodesic-sphere range" in s["reason"] for s in rep.skipped[:3])
-    assert [s["l"] for s in rep.skipped if s["k"] == n] == list(range(-1, n))
+
+
+def _first_variation(n, l, r):
+    """dA_l/dr along the geodesic spheres: |S^n| sin^n r for the volume,
+    (l+1) |S^n| C(n, l+1) sin^{n-l-1} r cos^{l+1} r for 0 <= l < n."""
+    area = unit_sphere_area(n)
+    if l == -1:
+        return area * math.sin(r) ** n
+    return ((l + 1) * area * math.comb(n, l + 1)
+            * math.sin(r) ** (n - l - 1) * math.cos(r) ** (l + 1))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sphere_quermass_first_variation(n):
+    # the audit inverts r -> A_k without sampling it, on the strength of this formula
+    d = 1e-5
+    for r in np.linspace(0.1, 1.45, 28):
+        for l in range(-1, n + 1):
+            fd = (sphere_quermass(n, l, r + d) - sphere_quermass(n, l, r - d)) / (2.0 * d)
+            want = 0.0 if l == n else _first_variation(n, l, r)
+            # A_l round-off over the step d dominates where dA_l/dr is small
+            scale = max(1.0, abs(want), abs(sphere_quermass(n, l, r)))
+            assert abs(fd - want) <= 1e-7 * scale, (n, l, r, fd, want)
+            if l < n:
+                assert want > 0.0
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_audit_inverts_every_k_below_n(n):
+    h = math.pi / 256
+    sphere, perturbed = (
+        audit_inequalities(quermass_vector(geometry(prof, n - 1), prof))
+        for prof in (RadialProfile.geodesic_sphere(n, 0.8, 257),
+                     RadialProfile.perturbed(n, 0.8, 0.05, 2, 257)))
+    for rep in (sphere, perturbed):
+        assert [(e["l"], e["k"]) for e in rep.entries] == [
+            (l, k) for k in range(n) for l in range(-1, k)]
+        assert [(s["l"], s["k"]) for s in rep.skipped] == [(l, n) for l in range(-1, n)]
+    # the bound of the verify battery: quadrature error amplified by the inversion
+    assert np.all(np.abs(sphere.scaled_gaps()) <= max(10.0 * h**4, 1e-10))
+    assert perturbed.worst_gap > 0.0
