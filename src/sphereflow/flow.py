@@ -98,6 +98,14 @@ class ShapeSpec:
             if not (float(self.mode).is_integer() and self.mode >= 1):
                 raise ValueError("perturbation mode must be a positive integer")
             self.mode = int(self.mode)
+        if self.kind == "custom":
+            theta = np.asarray(self.theta, dtype=float)
+            if theta.shape != np.shape(self.rho):
+                raise ValueError("custom shape needs theta and rho of the same length")
+            # samples that miss a pole would be extrapolated there by build
+            if not (theta.ndim == 1 and theta.size >= 2 and abs(theta[0]) <= 1e-12
+                    and abs(theta[-1] - math.pi) <= 1e-12 and np.all(np.diff(theta) > 0.0)):
+                raise ValueError("theta must increase strictly from 0 to pi")
 
     def build(self, n: int, N: int) -> RadialProfile:
         if self.kind == "geodesicSphere":
@@ -285,7 +293,6 @@ class Monitors:
         self.min_u0 = float(np.min(state0.u))
         self.min_f0 = float(np.min(state0.F))
         self.max_f0 = float(np.max(state0.F))
-        self.lam_min0 = state0.lam_min
         self.q0 = q0
         self.counts: dict = {}
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import beta, betainc
 
 from .symfunc import quotient_two_value, sigma_two_value
 
@@ -333,17 +334,23 @@ def integrate(state: GeometryState, nodal) -> float:
 
 
 def sin_power_integral(m: int, x) -> np.ndarray:
-    """Antiderivative of sin^m vanishing at 0, by the power reduction formula."""
+    """Antiderivative of sin^m vanishing at 0, on [0, pi/2].
+
+    With u = sin^2 t it is the incomplete beta function
+    1/2 B(a, 1/2) I_{sin^2 x}(a, 1/2), a = (m + 1)/2.  Above pi/4, where
+    sin^2 x nears 1, the complement 1 - I_{cos^2 x}(1/2, a) keeps the digits.
+    """
     x = np.asarray(x, dtype=float)
     if m < 0:
         raise ValueError("power must be nonnegative")
-    prev = x.copy()            # m = 0
-    if m == 0:
-        return prev
-    cur = 1.0 - np.cos(x)      # m = 1
-    for j in range(2, m + 1):
-        prev, cur = cur, ((j - 1) * prev - np.sin(x) ** (j - 1) * np.cos(x)) / j
-    return cur
+    if not np.all((x >= 0.0) & (x <= math.pi / 2)):
+        raise ValueError("x must lie in [0, pi/2]")
+    a = 0.5 * (m + 1)
+    low = x <= math.pi / 4
+    frac = np.empty_like(x)
+    frac[low] = betainc(a, 0.5, np.sin(x[low]) ** 2)
+    frac[~low] = 1.0 - betainc(0.5, a, np.cos(x[~low]) ** 2)
+    return 0.5 * beta(a, 0.5) * frac
 
 
 def volume(profile: RadialProfile) -> float:

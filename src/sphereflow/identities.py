@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
 
 _EQ_TOL = 1e-12
 _QUOT_TOL = 1e-10
+_CONE_EDGE = -0.35  # negative edge of sample_cone's first box
 
 
 def sample_spread(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
@@ -45,8 +46,7 @@ def sample_spread(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     return vals * 10.0 ** rng.uniform(-1.0, 1.0, size=(count, 1))
 
 
-def sample_cone(rng: np.random.Generator, count: int, n: int, k: int,
-                lo: float = -0.35) -> np.ndarray:
+def sample_cone(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
     """Rejection-sample strict members of the k-th cone.
 
     Draws from a box biased toward positive entries; if acceptance is poor
@@ -59,7 +59,7 @@ def sample_cone(rng: np.random.Generator, count: int, n: int, k: int,
     """
     out = []
     have = 0
-    edge = max(lo, 0.0) if k == n else lo
+    edge = 0.0 if k == n else _CONE_EDGE
     acceptance = 1.0
     for _ in range(60):
         size = min(4 * count, math.ceil(1.1 * (count - have) / acceptance))
@@ -108,6 +108,17 @@ class CheckResult:
     passed: bool
     recorded: dict = field(default_factory=dict)
 
+    @classmethod
+    def deviation(cls, name, n, detail, samples, worst, tolerance):
+        """A check of a worst deviation: passes when worst <= tolerance (NaN fails)."""
+        return cls(name, n, detail, samples, worst, tolerance, bool(worst <= tolerance))
+
+    @classmethod
+    def lower_bound(cls, name, n, detail, samples, worst, tolerance, recorded=None):
+        """A check of a worst (least) value: passes when worst > -tolerance (NaN fails)."""
+        return cls(name, n, detail, samples, worst, tolerance,
+                   bool(worst > -tolerance), recorded or {})
+
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         extra = ""
@@ -139,19 +150,7 @@ class SuiteReport:
             "samples": self.samples,
             "seed": self.seed,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "n": c.n,
-                    "detail": c.detail,
-                    "samples": c.samples,
-                    "worst": c.worst,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                    "recorded": c.recorded,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -177,9 +176,7 @@ def _check_exclusion_recurrence(rng, samples, n) -> list:
     vals = sample_spread(rng, samples, n)
     table = sigma_table(vals, n)
     excl = _excl_tables(vals, n - 1)
-    worst_rec = 0.0
-    worst_wsum = 0.0
-    worst_sum = 0.0
+    worst_rec = worst_wsum = worst_sum = 0.0
     for k in range(1, n + 1):
         ek = excl[:, :, k] if k <= n - 1 else np.zeros_like(excl[:, :, 0])
         ekm1 = excl[:, :, k - 1]
@@ -188,25 +185,16 @@ def _check_exclusion_recurrence(rng, samples, n) -> list:
         lhs = np.broadcast_to(table[:, k:k + 1], ek.shape)
         worst_rec = max(worst_rec, _rel_worst(lhs, ek + terms, ek, np.abs(terms)))
         # sum_i lam_i sigma_{k-1}(lam|i) = k sigma_k
-        worst_wsum = max(
-            worst_wsum,
-            _rel_worst(terms.sum(axis=1), k * table[:, k],
-                       np.abs(terms).sum(axis=1)),
-        )
+        worst_wsum = max(worst_wsum, _rel_worst(terms.sum(axis=1), k * table[:, k],
+                                                np.abs(terms).sum(axis=1)))
         # sum_i sigma_k(lam|i) = (n-k) sigma_k
-        worst_sum = max(
-            worst_sum,
-            _rel_worst(ek.sum(axis=1), (n - k) * table[:, k],
-                       np.abs(ek).sum(axis=1)),
-        )
-    mk = lambda name, worst: CheckResult(
-        name=name, n=n, detail="all k", samples=samples, worst=worst,
-        tolerance=_EQ_TOL, passed=worst <= _EQ_TOL,
-    )
+        worst_sum = max(worst_sum, _rel_worst(ek.sum(axis=1), (n - k) * table[:, k],
+                                              np.abs(ek).sum(axis=1)))
     return [
-        mk("exclusion-recurrence", worst_rec),
-        mk("weighted-exclusion-sum", worst_wsum),
-        mk("exclusion-sum", worst_sum),
+        CheckResult.deviation(name, n, "all k", samples, worst, _EQ_TOL)
+        for name, worst in (("exclusion-recurrence", worst_rec),
+                            ("weighted-exclusion-sum", worst_wsum),
+                            ("exclusion-sum", worst_sum))
     ]
 
 
@@ -222,10 +210,7 @@ def _check_homogeneity(rng, samples, n) -> CheckResult:
     for m in range(n + 1):
         err = np.abs(ta[:, m] - t[:, 0] ** m * tb[:, m]) / cond[:, m]
         worst = max(worst, float(np.max(err)))
-    return CheckResult(
-        name="scaling-degree", n=n, detail="all m", samples=samples,
-        worst=worst, tolerance=_EQ_TOL, passed=worst <= _EQ_TOL,
-    )
+    return CheckResult.deviation("scaling-degree", n, "all m", samples, worst, _EQ_TOL)
 
 
 def _check_sorted_chain(rng, samples, n, k) -> list:
@@ -236,29 +221,21 @@ def _check_sorted_chain(rng, samples, n, k) -> list:
     # excluding a smaller entry keeps more mass: chain increases with index
     diffs = np.diff(ekm1, axis=1)
     scale = np.maximum(np.abs(ekm1[:, 1:]), 1.0)
-    worst_chain = float(np.min(diffs / scale))
-    chain_ok = worst_chain > -_EQ_TOL and bool(np.all(ekm1[:, 0] > 0.0))
+    chain = CheckResult.lower_bound("ordered-exclusion-chain", n, f"k={k}", samples,
+                                    float(np.min(diffs / scale)), _EQ_TOL)
+    # the chain starts positive: the leading exclusion lies in the (k-1)-cone
+    chain.passed = chain.passed and bool(np.all(ekm1[:, 0] > 0.0))
     table = sigma_table(vals, min(k + 1, n))
     lam_k = vals[:, k - 1]
     prod = np.prod(vals[:, :k], axis=1)
     upper = math.comb(n, k) * prod - table[:, k]
     scale_u = np.maximum(math.comb(n, k) * np.abs(prod), 1.0)
     results = [
-        CheckResult(
-            name="ordered-exclusion-chain", n=n, detail=f"k={k}",
-            samples=samples, worst=worst_chain, tolerance=_EQ_TOL,
-            passed=chain_ok,
-        ),
-        CheckResult(
-            name="leading-entry-positive", n=n, detail=f"k={k}",
-            samples=samples, worst=float(np.min(lam_k)), tolerance=0.0,
-            passed=bool(np.all(lam_k > 0.0)),
-        ),
-        CheckResult(
-            name="top-product-upper", n=n, detail=f"k={k}", samples=samples,
-            worst=float(np.min(upper / scale_u)), tolerance=_EQ_TOL,
-            passed=bool(np.all(upper / scale_u > -_EQ_TOL)),
-        ),
+        chain,
+        CheckResult.lower_bound("leading-entry-positive", n, f"k={k}", samples,
+                                float(np.min(lam_k)), 0.0),
+        CheckResult.lower_bound("top-product-upper", n, f"k={k}", samples,
+                                float(np.min(upper / scale_u)), _EQ_TOL),
     ]
     if k < n:
         inner = vals[np.all(table[:, 1:k + 2] > 0.0, axis=1)]
@@ -267,12 +244,9 @@ def _check_sorted_chain(rng, samples, n, k) -> list:
             prod_i = np.prod(inner[:, :k], axis=1)
             lower = ti[:, k] - prod_i
             scale_l = np.maximum(np.abs(prod_i), 1.0)
-            results.append(CheckResult(
-                name="top-product-lower", n=n, detail=f"k={k}",
-                samples=int(inner.shape[0]),
-                worst=float(np.min(lower / scale_l)), tolerance=_EQ_TOL,
-                passed=bool(np.all(lower / scale_l > -_EQ_TOL)),
-            ))
+            results.append(CheckResult.lower_bound(
+                "top-product-lower", n, f"k={k}", int(inner.shape[0]),
+                float(np.min(lower / scale_l)), _EQ_TOL))
     return results
 
 
@@ -299,11 +273,8 @@ def _check_mean_ratio_gaps(rng, samples, n, k) -> CheckResult:
                 rel = gap / np.maximum(ratio(r, s), 1e-300)
                 worst = min(worst, float(np.min(rel)))
                 count += 1
-    return CheckResult(
-        name="normalized-mean-ordering", n=n, detail=f"k={k} ({count} index sets)",
-        samples=samples, worst=worst, tolerance=_QUOT_TOL,
-        passed=worst > -_QUOT_TOL,
-    )
+    return CheckResult.lower_bound("normalized-mean-ordering", n,
+                                   f"k={k} ({count} index sets)", samples, worst, _QUOT_TOL)
 
 
 def _check_quotient_gaps(rng, samples, n, k) -> list:
@@ -311,16 +282,10 @@ def _check_quotient_gaps(rng, samples, n, k) -> list:
     gap1, gap2, weighted = quotient_trace_gaps(vals, k)
     rel1 = gap1 / np.maximum(np.abs(weighted), 1.0)
     out = [
-        CheckResult(
-            name="weighted-trace-lower", n=n, detail=f"k={k}", samples=samples,
-            worst=float(np.min(rel1)), tolerance=_QUOT_TOL,
-            passed=bool(np.all(rel1 > -_QUOT_TOL)),
-        ),
-        CheckResult(
-            name="trace-lower", n=n, detail=f"k={k}", samples=samples,
-            worst=float(np.min(gap2)), tolerance=_QUOT_TOL,
-            passed=bool(np.all(gap2 > -_QUOT_TOL)),
-        ),
+        CheckResult.lower_bound("weighted-trace-lower", n, f"k={k}", samples,
+                                float(np.min(rel1)), _QUOT_TOL),
+        CheckResult.lower_bound("trace-lower", n, f"k={k}", samples,
+                                float(np.min(gap2)), _QUOT_TOL),
     ]
     if k + 1 <= n:
         closure = cone_boundary_shift(sample_cone(rng, samples, n, k + 1), k)
@@ -333,11 +298,9 @@ def _check_quotient_gaps(rng, samples, n, k) -> list:
         closed = np.concatenate(pool, axis=0)
         _, _, trace_c, _, _ = _quotient_arrays(closed, k)
         upper = (n - k) - trace_c
-        out.append(CheckResult(
-            name="trace-upper-closure", n=n, detail=f"k={k}",
-            samples=int(closed.shape[0]), worst=float(np.min(upper)),
-            tolerance=_QUOT_TOL, passed=bool(np.all(upper > -_QUOT_TOL)),
-        ))
+        out.append(CheckResult.lower_bound(
+            "trace-upper-closure", n, f"k={k}", int(closed.shape[0]),
+            float(np.min(upper)), _QUOT_TOL))
     return out
 
 
@@ -359,21 +322,15 @@ def _check_pinch_deficit(rng, samples, n, m) -> list:
         ratio_min = float(np.min(ratio))
         recorded = {"ratioMin": ratio_min, "ratioMax": float(np.max(ratio)),
                     "kept": int(mask.sum())}
+    comparability = CheckResult.lower_bound("deficit-pinch-comparability", n, f"m={m}",
+                                            int(mask.sum()), ratio_min, 0.0, recorded)
+    # NaN means no sample was kept: nothing to compare, so no violation
+    comparability.passed = comparability.passed or math.isnan(ratio_min)
     return [
-        CheckResult(
-            name="deficit-pair-equality", n=n, detail=f"m={m}", samples=samples,
-            worst=worst_eq, tolerance=_EQ_TOL, passed=worst_eq <= _EQ_TOL,
-        ),
-        CheckResult(
-            name="deficit-nonnegative", n=n, detail=f"m={m}", samples=samples,
-            worst=worst_pos, tolerance=_EQ_TOL, passed=worst_pos > -_EQ_TOL,
-        ),
-        CheckResult(
-            name="deficit-pinch-comparability", n=n, detail=f"m={m}",
-            samples=int(mask.sum()), worst=ratio_min, tolerance=0.0,
-            passed=math.isnan(ratio_min) or ratio_min > 0.0,
-            recorded=recorded,
-        ),
+        CheckResult.deviation("deficit-pair-equality", n, f"m={m}", samples, worst_eq, _EQ_TOL),
+        CheckResult.lower_bound("deficit-nonnegative", n, f"m={m}", samples,
+                                worst_pos, _EQ_TOL),
+        comparability,
     ]
 
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .exceptions import ConeViolation, MonotonicityError
 from .hypersurface import (
@@ -40,8 +41,7 @@ __all__ = [
     "audit_inequalities",
 ]
 
-_BISECT_TOL = 1e-12
-_BISECT_CAP = 200
+_R_TOL = 1e-12
 _R_LO = 1e-6
 _R_HI = math.pi / 2 - 1e-6
 
@@ -92,17 +92,13 @@ def sphere_quermass(n: int, m: int, r: float) -> float:
     area = unit_sphere_area(n)
     vol = area * float(sin_power_integral(n, r))
     # integral of sigma_j over the sphere: every curvature equals cot(r)
-    s = np.array(
-        [
-            area * math.comb(n, j) * math.sin(r) ** (n - j) * math.cos(r) ** j
-            for j in range(n + 1)
-        ]
-    )
+    s = np.array([area * math.comb(n, j) * math.sin(r) ** (n - j) * math.cos(r) ** j
+                  for j in range(n + 1)])
     return float(_ladder(n, vol, s)[m + 1])
 
 
 def _sphere_radius(n: int, k: int, a_k: float) -> float:
-    """Radius of the geodesic sphere whose A_k equals a_k, by bisection.  For k < n
+    """Radius of the geodesic sphere whose A_k equals a_k, by Brent's method.  For k < n
     the map increases strictly by first variation, dA_k/dr = (k+1) |S^n| C(n, k+1)
     sin^{n-k-1} r cos^{k+1} r > 0 (|S^n| sin^n r for k = -1); the constant k = n
     map raises MonotonicityError and a target out of range ValueError."""
@@ -117,16 +113,7 @@ def _sphere_radius(n: int, k: int, a_k: float) -> float:
             f"target A_{k}={a_k} outside the geodesic-sphere range "
             f"[{lo_val}, {hi_val}] for n={n}"
         )
-    lo, hi = _R_LO, _R_HI
-    for _ in range(_BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        if sphere_quermass(n, k, mid) < a_k:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < _BISECT_TOL:
-            break
-    return 0.5 * (lo + hi)
+    return brentq(lambda r: sphere_quermass(n, k, r) - a_k, _R_LO, _R_HI, xtol=_R_TOL)
 
 
 def sphere_comparison(n: int, l: int, k: int, a_k: float) -> float:
@@ -183,13 +170,6 @@ def audit_inequalities(q: QuermassVector, seed: int | None = None) -> AuditRepor
             continue
         for l in range(-1, k):
             xi_value = sphere_quermass(q.n, l, r)
-            report.entries.append(
-                {
-                    "l": l,
-                    "k": k,
-                    "A_l": q.a(l),
-                    "xi_value": xi_value,
-                    "gap": xi_value - q.a(l),
-                }
-            )
+            report.entries.append({"l": l, "k": k, "A_l": q.a(l), "xi_value": xi_value,
+                                   "gap": xi_value - q.a(l)})
     return report

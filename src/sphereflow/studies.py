@@ -27,6 +27,11 @@ __all__ = [
     "cross_solver_gap",
 ]
 
+# the perturbed start shape r0 + eps * cos(mode * theta) of every study
+_R0, _EPS, _MODE = 0.8, 0.05, 2
+_EPS_MINKOWSKI = 0.1
+_CFL = 0.25  # time step of the time-step studies, as a fraction of the parabolic limit
+
 
 def fit_order(h_values, residuals) -> float:
     """Least-squares convergence order of residual ~ h^p."""
@@ -37,34 +42,36 @@ def fit_order(h_values, residuals) -> float:
     return float(np.polyfit(np.log(h), np.log(r), 1)[0])
 
 
-def minkowski_study(n: int = 2, N0: int = 128, levels: int = 3,
-                    r0: float = 0.8, eps: float = 0.1, mode: int = 2) -> dict:
-    """Weighted-integral identity residuals under h-halving, per index m."""
+def _refine(N0: int, levels: int, measure):
+    """Sizes N = N0 * 2^j + 1 for j < levels, the series of each key of
+    measure(j, N) over them, and each series' fitted order in h = pi / (N - 1)."""
     sizes = [N0 * 2**j + 1 for j in range(levels)]
+    rows = [measure(j, N) for j, N in enumerate(sizes)]
+    series = {key: [row[key] for row in rows] for key in rows[0]}
     h_vals = [math.pi / (N - 1) for N in sizes]
-    residuals = {m: [] for m in range(n)}
-    for N in sizes:
-        state = geometry(RadialProfile.perturbed(n, r0, eps, mode, N), 0)
-        for m in range(n):
-            residuals[m].append(minkowski_residual(state, m))
-    return {
-        "sizes": sizes,
-        "residuals": {m: list(v) for m, v in residuals.items()},
-        "orders": {m: fit_order(h_vals, v) for m, v in residuals.items()},
-    }
+    return sizes, series, {key: fit_order(h_vals, v) for key, v in series.items()}
 
 
-def _one_step_pair(n, k, N, r0, eps, mode, cfl):
-    profile = RadialProfile.perturbed(n, r0, eps, mode, N)
+def minkowski_study(n: int = 2, N0: int = 128, levels: int = 3) -> dict:
+    """Weighted-integral identity residuals under h-halving, per index m."""
+
+    def measure(j, N):
+        state = geometry(RadialProfile.perturbed(n, _R0, _EPS_MINKOWSKI, _MODE, N), 0)
+        return {m: minkowski_residual(state, m) for m in range(n)}
+
+    sizes, residuals, orders = _refine(N0, levels, measure)
+    return {"sizes": sizes, "residuals": residuals, "orders": orders}
+
+
+def _one_step_pair(n, k, N, cfl):
+    profile = RadialProfile.perturbed(n, _R0, _EPS, _MODE, N)
     state = geometry(profile, k)
     dt = _policy_dt(state, 1.0, cfl)
     nxt = step(profile, dt, k)
     return profile, nxt, dt
 
 
-def evolution_study(n: int = 2, k: int = 1, N0: int = 64, levels: int = 3,
-                    r0: float = 0.8, eps: float = 0.05, mode: int = 2,
-                    cfl: float = 0.25) -> dict:
+def evolution_study(n: int = 2, k: int = 1, N0: int = 64, levels: int = 3) -> dict:
     """Support-function and quotient evolution defects under joint refinement.
 
     Each level halves h and shrinks the step by an extra factor of four on
@@ -73,56 +80,41 @@ def evolution_study(n: int = 2, k: int = 1, N0: int = 64, levels: int = 3,
     hiding the spatial order; with dt ~ h^4 the combined order is governed
     by h.
     """
-    sizes = [N0 * 2**j + 1 for j in range(levels)]
-    h_vals = [math.pi / (N - 1) for N in sizes]
-    res_u, res_f, dts = [], [], []
-    for j, N in enumerate(sizes):
-        prev, nxt, dt = _one_step_pair(n, k, N, r0, eps, mode, cfl * 0.25**j)
+    dts = []
+
+    def measure(j, N):
+        prev, nxt, dt = _one_step_pair(n, k, N, _CFL * 0.25**j)
         sp, sn = geometry(prev, k), geometry(nxt, k)
-        res_u.append(evolution_residual_u(sp, sn, dt))
-        res_f.append(evolution_residual_f(sp, sn, dt))
         dts.append(dt)
-    return {
-        "sizes": sizes,
-        "dt": dts,
-        "residualU": res_u,
-        "residualF": res_f,
-        "orderU": fit_order(h_vals, res_u),
-        "orderF": fit_order(h_vals, res_f),
-    }
+        return {"U": evolution_residual_u(sp, sn, dt), "F": evolution_residual_f(sp, sn, dt)}
+
+    sizes, res, orders = _refine(N0, levels, measure)
+    return {"sizes": sizes, "dt": dts, "residualU": res["U"], "residualF": res["F"],
+            "orderU": orders["U"], "orderF": orders["F"]}
 
 
-def functional_study(n: int = 2, k: int = 1, N0: int = 64, levels: int = 3,
-                     r0: float = 0.8, eps: float = 0.05, mode: int = 2,
-                     cfl: float = 0.25) -> dict:
+def functional_study(n: int = 2, k: int = 1, N0: int = 64, levels: int = 3) -> dict:
     """First-variation defects of every functional under joint refinement."""
-    sizes = [N0 * 2**j + 1 for j in range(levels)]
-    h_vals = [math.pi / (N - 1) for N in sizes]
-    residuals = {l: [] for l in range(-1, n + 1)}
-    for N in sizes:
-        prev, nxt, dt = _one_step_pair(n, k, N, r0, eps, mode, cfl)
-        for l in range(-1, n + 1):
-            residuals[l].append(functional_derivative_residual(prev, nxt, dt, k, l))
-    return {
-        "sizes": sizes,
-        "residuals": {l: list(v) for l, v in residuals.items()},
-        "orders": {l: fit_order(h_vals, v) for l, v in residuals.items()},
-    }
+
+    def measure(j, N):
+        prev, nxt, dt = _one_step_pair(n, k, N, _CFL)
+        return {l: functional_derivative_residual(prev, nxt, dt, k, l)
+                for l in range(-1, n + 1)}
+
+    sizes, residuals, orders = _refine(N0, levels, measure)
+    return {"sizes": sizes, "residuals": residuals, "orders": orders}
 
 
-def cross_solver_gap(n: int = 2, k: int = 1, N: int = 256, t_end: float = 0.1,
-                     r0: float = 0.8, eps: float = 0.05, mode: int = 2) -> float:
-    """Max radius disagreement between the two solvers at a common time.
+def cross_solver_gap(N: int = 256) -> float:
+    """Max radius disagreement between the two solvers at t = 0.1, n = 2, k = 1.
 
     Runs the graph solver and the support-function solver from the same
     initial shape to the same final time and compares the radii on the
     uniform grid (the dual state is pulled back first).
     """
-    shape = ShapeSpec(kind="perturbed", r0=r0, eps=eps, mode=mode)
-    config = FlowConfig(
-        n=n, k=k, N=N, initial_shape=shape, t_max=t_end,
-        convergence_tol=0.0, sample_every=10**9,
-    )
+    shape = ShapeSpec(kind="perturbed", r0=_R0, eps=_EPS, mode=_MODE)
+    config = FlowConfig(n=2, k=1, N=N, initial_shape=shape, t_max=0.1,
+                        convergence_tol=0.0, sample_every=10**9)
     primal = run(config)
     if primal.termination != "tmax":
         raise RuntimeError(f"graph solver stopped early: {primal.termination}")

@@ -1,28 +1,32 @@
-"""The benchmark's span tracer must still find every function it times.
+"""The benchmark must still find every function it times and calls.
 
 perfbench/tracer.py raises LookupError for a traced function the program no
-longer defines; this test turns such a rename into a tier-1 failure.
+longer defines, and the verify workload calls the studies by name with fixed
+keyword arguments; these tests turn a rename or a removed parameter into a
+tier-1 failure.
 """
 
 import importlib.util
+import inspect
 import os
 
 import sphereflow.cli  # noqa: F401  (loads every module the tracer names)
 import sphereflow.hypersurface as hypersurface
-import sphereflow.studies  # noqa: F401
+import sphereflow.studies as studies
 
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_targets_resolve_and_restore():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     targets = [t for layer in tracer.LAYERS.values() for t in layer]
     originals = [tracer._resolve(module, qualname) for module, qualname in targets]
     with tracer.Tracer() as spans:
@@ -32,3 +36,12 @@ def test_tracer_targets_resolve_and_restore():
     assert summary["hypersurface.geometry"]["calls"] == 1
     for owner, attr, fn in originals:
         assert vars(owner)[attr] is fn
+
+
+def test_verify_workload_study_calls_bind(tmp_path, monkeypatch):
+    # workloads.py imports its siblings (reference, speed) as top-level modules
+    monkeypatch.syspath_prepend(PERFBENCH)
+    verify = _load("workloads").Verify(1, str(tmp_path))
+    assert verify.studies
+    for name, kwargs in verify.studies:
+        inspect.signature(getattr(studies, name)).bind(**kwargs)

@@ -214,6 +214,37 @@ def test_custom_shape_samples_must_be_a_list(tmp_path, capsys):
     assert err.startswith("error: ") and "theta must be a list of numbers" in err
 
 
+def test_custom_shape_must_span_both_poles(tmp_path, capsys):
+    # samples on [0.5, 2.5] would be extrapolated to the poles
+    theta = np.linspace(0.5, 2.5, 33)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"theta": theta.tolist(), "rho": [0.8] * 33}))
+    args = ["run", "--n", "2", "--k", "1", "--N", "33",
+            "--shape", f"custom:{path}", "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "theta" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_with_decreasing_theta_writes_nothing(tmp_path, capsys):
+    good = FlowConfig(
+        n=2, k=1, N=33,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
+        t_max=0.005,
+    ).to_json()
+    theta = np.linspace(math.pi, 0.0, 33).tolist()
+    bad = {**good, "initialShape": {"kind": "custom", "theta": theta, "rho": [0.8] * 33}}
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps([good, bad]))
+    out = tmp_path / "runs"
+    assert main(["run", "--sweep", str(sweep_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: sweep entry 1: ") and "theta" in captured.err
+    assert "sweep run-" not in captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["shape", "config", "sweep"])
 def test_json_list_instead_of_object_exits_1(tmp_path, capsys, where):
     cfg = FlowConfig(

@@ -146,6 +146,15 @@ def test_shape_spec_validation():
         ShapeSpec(kind="perturbed", r0=0.8, eps=0.05)
     with pytest.raises(ValueError):
         ShapeSpec(kind="custom", theta=np.linspace(0, math.pi, 9))
+    # custom samples run strictly from pole to pole, one rho per theta
+    rho = np.full(9, 0.8)
+    for theta in (np.linspace(0.5, 2.5, 9), np.linspace(math.pi, 0.0, 9),
+                  np.r_[0.0, 0.0, np.linspace(0.5, math.pi, 7)]):
+        with pytest.raises(ValueError, match="theta"):
+            ShapeSpec(kind="custom", theta=theta, rho=rho)
+    with pytest.raises(ValueError, match="theta"):
+        ShapeSpec(kind="custom", theta=np.linspace(0.0, math.pi, 9), rho=rho[:8])
+    ShapeSpec(kind="custom", theta=np.linspace(1e-13, math.pi - 1e-13, 9), rho=rho)
     # JSON modes are not truncated to an integer
     payload = {"kind": "perturbed", "r0": 0.8, "eps": 0.05, "mode": 2.5}
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from sphereflow import (
     ConeViolation,
@@ -159,6 +160,24 @@ def test_sin_power_integral_closed_forms():
     assert np.allclose(sin_power_integral(2, xs), xs / 2 - np.sin(2 * xs) / 4, atol=1e-14)
     assert np.allclose(sin_power_integral(3, xs),
                        2.0 / 3.0 - np.cos(xs) + np.cos(xs) ** 3 / 3.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_sin_power_integral_keeps_relative_digits(m):
+    # small x: the Taylor series to x^2 relative, whose next term is below 1e-16
+    xs = np.array([1e-12, 1e-8, 1e-6, 1e-5, 1e-4])
+    series = xs ** (m + 1) / (m + 1) * (1.0 - m * (m + 1) * xs**2 / (6.0 * (m + 3)))
+    assert np.max(np.abs(sin_power_integral(m, xs) / series - 1.0)) <= 1e-13
+    xs = np.linspace(1e-3, math.pi / 2 - 1e-6, 41)
+    want = np.array([quad(lambda t: math.sin(t) ** m, 0.0, x, epsabs=0.0, epsrel=1e-13,
+                          limit=200)[0] for x in xs])
+    assert np.max(np.abs(sin_power_integral(m, xs) / want - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("x", [-1e-3, math.pi / 2 + 1e-3, math.nan])
+def test_sin_power_integral_refuses_x_outside_quarter_turn(x):
+    with pytest.raises(ValueError, match=r"\[0, pi/2\]"):
+        sin_power_integral(3, np.array([0.5, x]))
 
 
 def test_volume_and_area_against_dense_quadrature():

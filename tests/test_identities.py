@@ -1,9 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import sphereflow.identities as identities
 from sphereflow.identities import (
+    CheckResult,
     _excl_tables,
     cone_boundary_shift,
     run_identity_suite,
@@ -119,3 +122,45 @@ def test_boundary_shift_row_formula():
     lam = np.array([[1.0, 2.0, 3.0, 4.0]])
     out = cone_boundary_shift(lam, 1)[0]
     assert sigma(out, 2) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_deviation_rule_passes_at_the_tolerance_and_fails_on_nan():
+    tol = 1e-12
+    assert CheckResult.deviation("c", 2, "", 1, tol, tol).passed is True
+    assert CheckResult.deviation("c", 2, "", 1, 2 * tol, tol).passed is False
+    assert CheckResult.deviation("c", 2, "", 1, math.nan, tol).passed is False
+
+
+def test_lower_bound_rule_fails_at_minus_the_tolerance_and_on_nan():
+    tol = 1e-12
+    assert CheckResult.lower_bound("c", 2, "", 1, -0.5 * tol, tol).passed is True
+    assert CheckResult.lower_bound("c", 2, "", 1, -tol, tol).passed is False
+    assert CheckResult.lower_bound("c", 2, "", 1, math.nan, tol).passed is False
+    # a zero tolerance asks for a strictly positive worst value
+    assert CheckResult.lower_bound("c", 2, "", 1, 0.0, 0.0).passed is False
+
+
+def _checks_on(monkeypatch, vals, check, order):
+    """The checks of one battery entry, its cone draws replaced by vals."""
+    monkeypatch.setattr(identities, "sample_cone", lambda rng, count, n, k: vals)
+    count, n = vals.shape
+    return {c.name: c for c in check(np.random.default_rng(0), count, n, order)}
+
+
+def test_exclusion_chain_needs_a_positive_leading_exclusion(monkeypatch):
+    def chain(vals):
+        checks = _checks_on(monkeypatch, vals, identities._check_sorted_chain, 2)
+        return checks["ordered-exclusion-chain"]
+
+    # sigma_1(lam|i) = -1.1, 0.4, 0.5 increases, but starts negative
+    bad = chain(np.array([[1.0, -0.5, -0.6]]))
+    assert bad.worst > 0.0 and not bad.passed
+    assert chain(np.array([[1.0, 0.5, 0.25]])).passed
+
+
+def test_pinch_comparability_passes_when_no_sample_is_kept(monkeypatch):
+    # equal entries have pinch 0, so the ratio keeps no sample
+    checks = _checks_on(monkeypatch, np.ones((4, 3)), identities._check_pinch_deficit, 1)
+    comparability = checks["deficit-pinch-comparability"]
+    assert math.isnan(comparability.worst) and comparability.samples == 0
+    assert comparability.passed and comparability.recorded == {}

@@ -32,14 +32,23 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6)
 radius = st.floats(min_value=0.05, max_value=1.5)
 
+# custom samples: theta climbs from 0 to pi in positive steps, any finite rho
 samples = st.integers(min_value=2, max_value=40).flatmap(
-    lambda size: st.tuples(st.lists(finite, min_size=size, max_size=size),
-                           st.lists(finite, min_size=size, max_size=size)))
+    lambda size: st.tuples(
+        st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=size - 1, max_size=size - 1),
+        st.lists(finite, min_size=size, max_size=size)))
+
+
+def _custom_shape(steps, rho):
+    theta = np.concatenate([[0.0], np.cumsum(steps)])
+    return ShapeSpec(kind="custom", theta=theta * (math.pi / theta[-1]), rho=np.array(rho))
+
+
 shapes = st.one_of(
     st.builds(ShapeSpec, kind=st.just("geodesicSphere"), r=finite),
     st.builds(ShapeSpec, kind=st.just("perturbed"), r0=finite, eps=finite,
               mode=st.integers(min_value=1, max_value=64)),
-    samples.map(lambda s: ShapeSpec(kind="custom", theta=np.array(s[0]), rho=np.array(s[1]))),
+    samples.map(lambda s: _custom_shape(*s)),
 )
 
 
