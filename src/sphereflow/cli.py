@@ -116,9 +116,10 @@ def _cmd_run(args) -> int:
 def _cmd_dual_run(args) -> int:
     config = _config_from_args(args)
     out = args.out
+    # dual_run writes nothing itself, so a refused config leaves no directory
+    result = dual_run(config)
     os.makedirs(out, exist_ok=True)
     _manifest(out, "dual-run", args.seed, config)
-    result = dual_run(config)
     result.trace.to_csv(os.path.join(out, "trace.csv"), seed=args.seed)
     summary = {
         "seed": args.seed,

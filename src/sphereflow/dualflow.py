@@ -335,7 +335,10 @@ def dual_run(config: FlowConfig) -> DualResult:
     Loss of positive definiteness of W at the smallest step aborts the run and
     the time is recorded; the outcome of this evolution is not covered by the
     convergence theory and runs here are experimental probes.
+    It writes no checkpoints, so a config asking for them is refused.
     """
+    if config.checkpoint_every > 0:
+        raise ValueError("dual_run writes no checkpoints: checkpoint_every must be 0")
     profile = config.initial_shape.build(config.n, config.N)
     dual0 = dual_from_profile(profile)
     grid = profile.grid

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import Radau
@@ -67,6 +67,21 @@ _ATOL = 1e-11
 # the first step of both solvers, as a fraction of the parabolic limit h^2 /
 # stiffness; Radau sizes every later step by the tolerances above
 _FIRST_STEP_FACTOR = 0.2
+# Monitors thresholds: relative barrier slack, per-step sign slack, drift of
+# the preserved A_{k-1}, and the factor by which F may leave its initial band
+_BARRIER_TOL = 1e-8
+_SIGN_TOL = 1e-8
+_CONSERVATION_TOL = 1e-4
+_QUOTIENT_RATIO = 1.5
+# Discretization allowance for one step of the sign checks: the
+# finite-difference dA_l/dt carries an O(h^2) defect, so a per-step
+# increment up to ~h^2 * dt * scale is grid noise, not a violation.
+# Calibrated against the refinement studies: observed wrong-direction
+# rates stay below 0.1 * h^2 * scale per unit time, so 1.0 gives a
+# factor-ten margin without masking genuine monotonicity failures.
+_SIGN_ALLOWANCE = 1.0
+# both solvers stop as curvature_blowup once their probed curvature exceeds this
+_BLOWUP_CURVATURE = 1e3
 
 
 @dataclass
@@ -136,10 +151,6 @@ class ShapeSpec:
         return cls(**_json_fields(payload, "initialShape", schema, required=fields))
 
 
-_MONITOR_TOLERANCES = {"barrier": 1e-8, "sign": 1e-8, "conservation": 1e-4,
-                       "quotient_ratio": 1.5}
-
-
 # A_n = |S^n|, the same for every convex hypersurface, underflows float64 from n = 438
 _N_MAX = 437
 
@@ -161,12 +172,9 @@ _CONFIG_KEYS = {
     "dtMax": ("dt_max", _json_number),
     "tMax": ("t_max", _json_number),
     "convergenceTol": ("convergence_tol", _json_number),
-    "monitorTolerances": ("monitor_tolerances", lambda value, key: {
-        name: _json_number(tol, name) for name, tol in _json_object(value, key).items()}),
     "initialShape": ("initial_shape", lambda value, key: ShapeSpec.from_json(value)),
     "sampleEvery": ("sample_every", _json_integer),
     "checkpointEvery": ("checkpoint_every", _json_integer),
-    "blowupThreshold": ("blowup_threshold", _json_number),
 }
 
 
@@ -179,10 +187,8 @@ class FlowConfig:
     dt_max: float = 0.05
     t_max: float = 50.0
     convergence_tol: float = 1e-6
-    monitor_tolerances: dict = field(default_factory=_MONITOR_TOLERANCES.copy)
     sample_every: int = 1
     checkpoint_every: int = 0
-    blowup_threshold: float = 1e3
 
     def __post_init__(self):
         _check_order(self.n, self.k)
@@ -196,19 +202,9 @@ class FlowConfig:
             raise ValueError("sample_every must be at least 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be nonnegative")
-        if not self.blowup_threshold > 0.0:
-            raise ValueError("blowup_threshold must be positive")
-        tol = dict(_MONITOR_TOLERANCES)
-        if not set(self.monitor_tolerances or {}) <= set(tol):
-            raise ValueError(f"monitor tolerances must be among {sorted(tol)}")
-        tol.update(self.monitor_tolerances or {})
-        # a NaN here would silently switch off a monitor or the converged stop
-        if not all(math.isfinite(float(v)) and float(v) >= 0.0
-                   for v in (self.convergence_tol, *tol.values())):
-            raise ValueError("convergence_tol and monitor tolerances must be finite and >= 0")
-        if tol["quotient_ratio"] < 1.0:
-            raise ValueError("the quotient_ratio tolerance must be at least 1")
-        self.monitor_tolerances = tol
+        # a NaN here would silently switch off the converged stop
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0.0):
+            raise ValueError("convergence_tol must be finite and >= 0")
 
     def to_json(self) -> dict:
         payload = {key: getattr(self, name) for key, (name, _) in _CONFIG_KEYS.items()}
@@ -277,17 +273,14 @@ class Monitors:
     Codes: RHO_MIN / RHO_MAX / U_MIN for barrier losses, F_RANGE for the
     quotient leaving its initial band, SIGN_A{l} for a wrong-signed
     quermassintegral increment, CONSERVATION for drift of the preserved
-    index, LAMBDA_MIN for convexity loss.
+    index, LAMBDA_MIN for convexity loss.  The thresholds are the module
+    constants _BARRIER_TOL, _SIGN_TOL, _SIGN_ALLOWANCE, _CONSERVATION_TOL and
+    _QUOTIENT_RATIO; of config only n and k are read.
     """
 
     def __init__(self, config: FlowConfig, state0: GeometryState, q0: QuermassVector):
-        tol = config.monitor_tolerances
         self.k = config.k
         self.n = config.n
-        self.barrier_tol = float(tol["barrier"])
-        self.sign_tol = float(tol["sign"])
-        self.conservation_tol = float(tol["conservation"])
-        self.kappa = float(tol["quotient_ratio"])
         self.min_rho0 = float(np.min(state0.rho))
         self.max_rho0 = float(np.max(state0.rho))
         self.min_u0 = float(np.min(state0.u))
@@ -296,14 +289,6 @@ class Monitors:
         self.q0 = q0
         self.counts: dict = {}
 
-    # Discretization allowance for one step of the sign checks: the
-    # finite-difference dA_l/dt carries an O(h^2) defect, so a per-step
-    # increment up to ~h^2 * dt * scale is grid noise, not a violation.
-    # Calibrated against the refinement studies: observed wrong-direction
-    # rates stay below 0.1 * h^2 * scale per unit time, so 1.0 gives a
-    # factor-ten margin without masking genuine monotonicity failures.
-    SIGN_ALLOWANCE = 1.0
-
     def _flag(self, codes: list, code: str):
         codes.append(code)
         self.counts[code] = self.counts.get(code, 0) + 1
@@ -311,7 +296,7 @@ class Monitors:
     def check(self, q_prev: QuermassVector, q: QuermassVector,
               state: GeometryState, dt: float) -> list:
         codes: list = []
-        b = self.barrier_tol
+        b = _BARRIER_TOL
         if float(np.min(state.rho)) < self.min_rho0 - b * max(1.0, abs(self.min_rho0)):
             self._flag(codes, "RHO_MIN")
         if float(np.max(state.rho)) > self.max_rho0 + b * max(1.0, abs(self.max_rho0)):
@@ -319,14 +304,14 @@ class Monitors:
         if float(np.min(state.u)) < self.min_u0 - b * max(1.0, abs(self.min_u0)):
             self._flag(codes, "U_MIN")
         fmin, fmax = float(np.min(state.F)), float(np.max(state.F))
-        if fmin < self.min_f0 / self.kappa or fmax > self.max_f0 * self.kappa:
+        if fmin < self.min_f0 / _QUOTIENT_RATIO or fmax > self.max_f0 * _QUOTIENT_RATIO:
             self._flag(codes, "F_RANGE")
         if state.lam_min <= 0.0:
             self._flag(codes, "LAMBDA_MIN")
-        allowance = self.SIGN_ALLOWANCE * state.h**2 * dt
+        allowance = _SIGN_ALLOWANCE * state.h**2 * dt
         for l in range(-1, self.n + 1):
             d = q.a(l) - q_prev.a(l)
-            slack = (self.sign_tol + allowance) * max(1.0, abs(q.a(l)))
+            slack = (_SIGN_TOL + allowance) * max(1.0, abs(q.a(l)))
             if l < self.k - 1 and d < -slack:
                 self._flag(codes, f"SIGN_A{l}")
             elif l == self.k - 1 and abs(d) > slack:
@@ -334,7 +319,7 @@ class Monitors:
             elif l > self.k - 1 and d > slack:
                 self._flag(codes, f"SIGN_A{l}")
         drift = abs(q.a(self.k - 1) - self.q0.a(self.k - 1))
-        if drift > self.conservation_tol * max(1.0, abs(self.q0.a(self.k - 1))):
+        if drift > _CONSERVATION_TOL * max(1.0, abs(self.q0.a(self.k - 1))):
             self._flag(codes, "CONSERVATION")
         return codes
 
@@ -465,7 +450,7 @@ def _integrate(config: FlowConfig, rate, accept, probe, advance, row, y0: np.nda
         if t >= config.t_max * (1.0 - 1e-15):
             termination = "tmax"
             break
-        if curvature > config.blowup_threshold:
+        if curvature > _BLOWUP_CURVATURE:
             termination = "curvature_blowup"
             break
 

@@ -58,10 +58,13 @@ def _json_object(payload, what: str) -> dict:
 
 
 def _json_number(value, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a number, not {value!r}") from None
+    # JSON true and false are not the numbers 1 and 0
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{key} must be a number, not {value!r}")
 
 
 def _json_integer(value, key: str) -> int:

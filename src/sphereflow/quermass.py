@@ -106,14 +106,15 @@ def _sphere_radius(n: int, k: int, a_k: float) -> float:
         raise MonotonicityError(
             f"A_{k} is not strictly increasing in the geodesic radius for n={n}"
         )
-    lo_val = sphere_quermass(n, k, _R_LO)
-    hi_val = sphere_quermass(n, k, _R_HI)
-    if not lo_val <= a_k <= hi_val:
+    try:
+        return brentq(lambda r: sphere_quermass(n, k, r) - a_k, _R_LO, _R_HI, xtol=_R_TOL)
+    except ValueError:
+        # brentq's own end values are the range check: it refuses ends of one sign or NaN
+        lo_val, hi_val = sphere_quermass(n, k, _R_LO), sphere_quermass(n, k, _R_HI)
         raise ValueError(
             f"target A_{k}={a_k} outside the geodesic-sphere range "
             f"[{lo_val}, {hi_val}] for n={n}"
-        )
-    return brentq(lambda r: sphere_quermass(n, k, r) - a_k, _R_LO, _R_HI, xtol=_R_TOL)
+        ) from None
 
 
 def sphere_comparison(n: int, l: int, k: int, a_k: float) -> float:

@@ -45,6 +45,8 @@ def fit_order(h_values, residuals) -> float:
 def _refine(N0: int, levels: int, measure):
     """Sizes N = N0 * 2^j + 1 for j < levels, the series of each key of
     measure(j, N) over them, and each series' fitted order in h = pi / (N - 1)."""
+    if levels < 2:
+        raise ValueError(f"levels must be at least 2 to fit an order, not {levels}")
     sizes = [N0 * 2**j + 1 for j in range(levels)]
     rows = [measure(j, N) for j, N in enumerate(sizes)]
     series = {key: [row[key] for row in rows] for key in rows[0]}

@@ -109,9 +109,10 @@ def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
 
 @pytest.mark.parametrize("change, message", [
     ({"convergenceTol": math.nan}, "convergence_tol"),
-    ({"blowupThreshold": math.nan}, "blowup_threshold"),
-    ({"monitorTolerances": {"sign": math.nan}}, "monitor tolerances"),
-    ({"monitorTolerances": {"barier": 1e-8}}, "monitor tolerances"),
+    # the monitor thresholds and the blow-up stop are constants, not settings
+    ({"blowupThreshold": 1e3}, "unknown key 'blowupThreshold' in a config"),
+    ({"monitorTolerances": {"sign": 1e-8}}, "unknown key 'monitorTolerances' in a config"),
+    ({"monitorTolerances": {}}, "unknown key 'monitorTolerances' in a config"),
     ({"initialShape": {"kind": "perturbed", "r0": 0.8, "eps": 0.05, "mode": 2.5}},
      "mode"),
     ({"tmaxx": 1.0}, "unknown key 'tmaxx' in a config"),
@@ -124,10 +125,15 @@ def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
     ({"N": DROP}, "a config needs the key 'N'"),
     ({"initialShape": DROP}, "a config needs the key 'initialShape'"),
     ({"tMax": None}, "tMax must be a number"),
-    ({"monitorTolerances": {"sign": None}}, "sign must be a number"),
+    ({"blowupThreshold": math.nan}, "unknown key 'blowupThreshold' in a config"),
     ({"initialShape": {"kind": "custom", "theta": None, "rho": [0.8] * 33}},
      "theta must be a list of numbers"),
     ({"n": 1e300}, "n must be at most 437"),
+    # JSON true and false are not the numbers 1 and 0
+    ({"k": True}, "k must be a number, not True"),
+    ({"dtMax": True}, "dtMax must be a number, not True"),
+    ({"sampleEvery": True}, "sampleEvery must be a number, not True"),
+    ({"initialShape": {**PERTURBED, "mode": True}}, "mode must be a number, not True"),
 ])
 def test_bad_config_file_exits_1(tmp_path, capsys, change, message):
     cfg = FlowConfig(
@@ -325,6 +331,7 @@ CHECKPOINT = {"n": 2, "k": 1, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).t
      "a checkpoint needs the key 't'"),
     ({**CHECKPOINT, "tt": 0.0}, "unknown key 'tt' in a checkpoint"),
     ({**CHECKPOINT, "rho": {"x": 1}}, "rho must be a list of numbers"),
+    ({**CHECKPOINT, "k": True}, "k must be a number, not True"),
 ])
 def test_audit_rejects_malformed_checkpoint(tmp_path, capsys, payload, message):
     path = tmp_path / "ck.json"
@@ -357,6 +364,26 @@ def test_dual_run_command(tmp_path, capsys):
     assert summary["finalCheckpoint"] == "final.json"
     header = (out / "trace.csv").read_text().splitlines()[1]
     assert "minEigW" in header and "breakdownTime" in header
+
+
+def test_dual_run_refuses_checkpoints(tmp_path, capsys):
+    # the support-function solver writes no checkpoints, so asking for them is an error
+    out = tmp_path / "dual"
+    assert main(DUAL_ARGS + ["--checkpoint-every", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "checkpoint_every must be 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("levels", ["0", "1"])
+def test_convergence_study_refuses_fewer_than_two_levels(tmp_path, capsys, levels):
+    # one grid fits no order, and study.json would carry bare NaN
+    out = tmp_path / "study"
+    args = ["convergence-study", "--N", "32", "--levels", levels, "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "levels must be at least 2" in err
+    assert not out.exists()
 
 
 def test_convergence_study_command(tmp_path, capsys):
@@ -409,6 +436,23 @@ def test_sweep_checks_every_entry_before_running(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: sweep entry 1: quotient order k=5")
     assert "sweep run-" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("blowupThreshold", 1e3),
+                                        ("monitorTolerances", {"sign": 1e-8})])
+def test_sweep_refuses_monitor_settings(tmp_path, capsys, key, value):
+    # the monitor thresholds and the blow-up stop are constants, not settings
+    cfg = FlowConfig(
+        n=2, k=1, N=33,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
+    ).to_json()
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps([{**cfg, key: value}]))
+    out = tmp_path / "runs"
+    assert main(["run", "--sweep", str(sweep_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sweep entry 0: unknown key '{key}' in a config")
     assert not out.exists()
 
 

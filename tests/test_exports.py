@@ -1,7 +1,8 @@
 """Every name a module exports or README's config table lists must exist, so a
-deleted function or config key cannot linger in an ``__all__`` list, in the
-package's re-exports or in the documentation."""
+deleted function, config key or flag cannot linger in an ``__all__`` list, in
+the package's re-exports or in the documentation."""
 
+import argparse
 import pkgutil
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sphereflow
+from sphereflow.cli import _build_parser
 from sphereflow.flow import _CONFIG_KEYS
 
 MODULES = ["sphereflow"] + [f"sphereflow.{m.name}"
@@ -20,9 +22,24 @@ def test_star_import_resolves(module):
     exec(f"from {module} import *", {})
 
 
+def _run_option_dests() -> dict:
+    """Each option string of the run subcommand, with the dest it stores under."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {option: action.dest for action in sub.choices["run"]._actions
+            for option in action.option_strings}
+
+
 def test_readme_config_table_names_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
-    # the first cell of each table row names its keys in backticks
-    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
-    assert {key for cell in rows for key in re.findall(r"`([^`]+)`", cell)} == set(_CONFIG_KEYS)
+    # the first cell of each table row names its keys in backticks, the third
+    # the run flag of each key in the same order
+    rows = [[re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:4]]
+            for line in section.splitlines() if line.startswith("| `")]
+    assert {key for keys, _, _ in rows for key in keys} == set(_CONFIG_KEYS)
+    dests = _run_option_dests()
+    for keys, _, flags in rows:
+        # a flag stores under its config key; --shape parses into initialShape
+        assert [dests.get(flag) for flag in flags] == [
+            "shape" if key == "initialShape" else key for key in keys], keys

@@ -93,23 +93,23 @@ def test_flow_config_validation():
 
 
 @pytest.mark.parametrize("bad", [
-    {"sample_every": 0}, {"sample_every": -3}, {"checkpoint_every": -1},
-    {"t_max": math.nan}, {"t_max": math.inf}, {"t_max": -1.0}, {"t_max": 0.0},
-    # a NaN stop criterion or monitor tolerance would silently switch it off
-    {"convergence_tol": math.nan}, {"convergence_tol": math.inf},
-    {"convergence_tol": -1e-6}, {"blowup_threshold": math.nan},
-    {"blowup_threshold": 0.0}, {"monitor_tolerances": {"sign": math.nan}},
-    {"monitor_tolerances": {"barrier": math.inf}},
-    {"monitor_tolerances": {"conservation": -1e-4}},
-    {"monitor_tolerances": {"quotient_ratio": 0.0}},
-    {"monitor_tolerances": {"conservaton": 1e-4}},
+    {"sampleEvery": 0}, {"sampleEvery": -3}, {"checkpointEvery": -1},
+    {"tMax": math.nan}, {"tMax": math.inf}, {"tMax": -1.0}, {"tMax": 0.0},
+    # a NaN stop criterion would silently switch it off
+    {"convergenceTol": math.nan}, {"convergenceTol": math.inf},
+    {"convergenceTol": -1e-6},
+    # the monitor thresholds and the blow-up stop are constants, not settings
+    {"blowupThreshold": math.nan}, {"blowupThreshold": 1e3},
+    {"monitorTolerances": {"sign": 1e-8}}, {"monitorTolerances": {"barrier": 1e-8}},
+    {"monitorTolerances": {"conservation": 1e-4}},
+    {"monitorTolerances": {"quotient_ratio": 1.5}}, {"monitorTolerances": {}},
     # k = 0 is in range for n = 1, but the flow needs a surface of dimension >= 2
     {"n": 1, "k": 0},
-    {"dt_max": 0.0}, {"dt_max": math.inf}, {"dt_max": math.nan},
+    {"dtMax": 0.0}, {"dtMax": math.inf}, {"dtMax": math.nan},
 ])
 def test_flow_config_rejects_bad_run_settings(bad):
     with pytest.raises(ValueError):
-        _perturbed_config(**bad)
+        FlowConfig.from_json({**_perturbed_config().to_json(), **bad})
 
 
 @pytest.mark.parametrize("key", ["n", "k", "N", "sampleEvery", "checkpointEvery"])
@@ -196,14 +196,11 @@ def test_flow_config_json_roundtrip():
         convergence_tol=1e-7,
         sample_every=10,
         checkpoint_every=25,
-        blowup_threshold=500.0,
         dt_max=0.01,
-        monitor_tolerances={"sign": 1e-7},
     )
     payload = json.loads(json.dumps(cfg.to_json()))
     assert payload["dtMax"] == 0.01
     assert payload["initialShape"]["kind"] == "perturbed"
-    assert payload["monitorTolerances"]["sign"] == 1e-7
     back = FlowConfig.from_json(payload)
     assert back == cfg
 
@@ -217,11 +214,8 @@ def test_flow_config_wire_format():
         dt_max=0.01,
         t_max=2.5,
         convergence_tol=1e-7,
-        monitor_tolerances={"barrier": 1e-9, "sign": 2e-8, "conservation": 1e-3,
-                            "quotient_ratio": 2.0},
         sample_every=7,
         checkpoint_every=3,
-        blowup_threshold=500.0,
     )
     assert cfg.to_json() == {
         "n": 3,
@@ -230,12 +224,9 @@ def test_flow_config_wire_format():
         "dtMax": 0.01,
         "tMax": 2.5,
         "convergenceTol": 1e-7,
-        "monitorTolerances": {"barrier": 1e-9, "sign": 2e-8, "conservation": 1e-3,
-                              "quotient_ratio": 2.0},
         "initialShape": {"kind": "custom", "theta": theta, "rho": [0.7, 0.75, 0.7]},
         "sampleEvery": 7,
         "checkpointEvery": 3,
-        "blowupThreshold": 500.0,
     }
     shapes = (ShapeSpec(kind="geodesicSphere", r=0.6),
               ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=3))
@@ -271,8 +262,9 @@ def test_run_stops_at_tmax():
     assert res.rate_evaluations >= 4 + 3 * res.steps
 
 
-def test_run_reports_curvature_blowup():
-    res = run(_perturbed_config(blowup_threshold=0.5))
+def test_run_reports_curvature_blowup(monkeypatch):
+    monkeypatch.setattr(flow_module, "_BLOWUP_CURVATURE", 0.5)
+    res = run(_perturbed_config())
     assert res.termination == "curvature_blowup"
 
 

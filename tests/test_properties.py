@@ -71,11 +71,6 @@ def test_shape_spec_json_roundtrip(spec):
 @st.composite
 def configs(draw):
     n = draw(st.integers(min_value=2, max_value=8))
-    tolerances = draw(st.dictionaries(
-        st.sampled_from(["barrier", "sign", "conservation"]),
-        st.floats(min_value=0.0, max_value=1.0)))
-    if draw(st.booleans()):
-        tolerances["quotient_ratio"] = draw(st.floats(min_value=1.0, max_value=10.0))
     return FlowConfig(
         n=n,
         k=draw(st.integers(min_value=0, max_value=n - 1)),
@@ -84,10 +79,8 @@ def configs(draw):
         dt_max=draw(positive),
         t_max=draw(positive),
         convergence_tol=draw(st.floats(min_value=0.0, max_value=1.0)),
-        monitor_tolerances=tolerances,
         sample_every=draw(st.integers(min_value=1, max_value=10**6)),
         checkpoint_every=draw(st.integers(min_value=0, max_value=10**6)),
-        blowup_threshold=draw(positive),
     )
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import sphereflow.quermass as quermass_module
 from sphereflow import ConeViolation, MonotonicityError, RadialProfile, geometry
 from sphereflow.hypersurface import unit_sphere_area
 from sphereflow.quermass import (
@@ -228,3 +229,21 @@ def test_audit_inverts_every_k_below_n(n):
     # the bound of the verify battery: quadrature error amplified by the inversion
     assert np.all(np.abs(sphere.scaled_gaps()) <= max(10.0 * h**4, 1e-10))
     assert perturbed.worst_gap > 0.0
+
+
+@pytest.mark.parametrize("n, calls", [(2, 20), (3, 38), (4, 52)])
+def test_audit_evaluates_each_range_end_once(monkeypatch, n, calls):
+    # brentq's own end values are the range check, so no end is evaluated twice
+    counted = []
+    closed_form = quermass_module.sphere_quermass
+
+    def counting(*args):
+        counted.append(args)
+        return closed_form(*args)
+
+    prof = RadialProfile.perturbed(n, 0.8, 0.05, 2, 257)
+    q = quermass_vector(geometry(prof, n - 1), prof)
+    monkeypatch.setattr(quermass_module, "sphere_quermass", counting)
+    rep = audit_inequalities(q)
+    assert len(rep.entries) == n * (n + 1) // 2
+    assert len(counted) == calls
