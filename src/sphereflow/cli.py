@@ -97,6 +97,8 @@ def _run_bundle(out: str, config: FlowConfig, seed: int):
         "steps": result.steps,
         "rejections": result.rejections,
         "rateEvaluations": result.rate_evaluations,
+        "jacobians": result.jacobians,
+        "luFactorizations": result.lu_factorizations,
         "violations": result.violations,
         "finalQuermass": {f"A_{m}": last[f"A_{m}"] for m in range(-1, config.n + 1)},
         "finalMaxSpeed": last["maxSpeed"],
@@ -128,6 +130,8 @@ def _cmd_dual_run(args) -> int:
         "steps": result.steps,
         "rejections": result.rejections,
         "rateEvaluations": result.rate_evaluations,
+        "jacobians": result.jacobians,
+        "luFactorizations": result.lu_factorizations,
         "breakdownTime": result.breakdown_time,
         "finalMinEigW": result.trace.columns["minEigW"][-1],
         "finalMaxEigW": result.trace.columns["maxEigW"][-1],

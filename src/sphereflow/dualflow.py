@@ -289,6 +289,8 @@ class DualResult:
     rejections: int
     breakdown_time: float | None
     rate_evaluations: int
+    jacobians: int
+    lu_factorizations: int
 
     @property
     def state(self) -> DualState:
@@ -358,7 +360,8 @@ def dual_run(config: FlowConfig) -> DualResult:
     u0 = CubicSpline(dual0.theta, dual0.u)(grid.theta)
     start = evaluate(u0)
     first_step = _parabolic_dt(float(np.max(_g_terms(start[0], k)[1])), grid.h, config.dt_max)
-    (state, _), t, steps, rejections, evaluations, termination, failure = _integrate(
+    (state, _), t, steps, rejections, evaluations, jacobians, factorizations, \
+        termination, failure = _integrate(
         config, lambda u: _stage_g(n, k, grid, u), evaluate, probe, lambda *_: (),
         lambda cur, codes: _trace_row(*cur, k, codes), u0, start, first_step, trace)
     if failure is not None:
@@ -375,4 +378,6 @@ def dual_run(config: FlowConfig) -> DualResult:
         rejections=rejections,
         breakdown_time=trace.breakdown_time,
         rate_evaluations=evaluations,
+        jacobians=jacobians,
+        lu_factorizations=factorizations,
     )

@@ -8,8 +8,11 @@ stencil, so its Jacobian is tridiagonal and the stiff system is stepped with
 Radau IIA (Hairer & Wanner, Solving ODEs II), whose steps are sized by
 accuracy rather than by the h^2 stability limit.  One driver, _integrate,
 steps both this solver and the support-function solver in dualflow; only
-its first step is taken from the parabolic limit.  Classical Runge-Kutta at
-the parabolic limit stays on as the test oracle.
+its first step is taken from the parabolic limit.  Near the limit sphere the
+steps are pinned at dtMax, and the Radau LU factors are then kept across
+steps while the step and the Jacobian stay the same (_Radau); they are the
+very factors scipy would build again, so no result changes.  Classical
+Runge-Kutta at the parabolic limit stays on as the test oracle.
 """
 
 from __future__ import annotations
@@ -389,6 +392,43 @@ class FlowResult:
     rejections: int
     violations: dict
     rate_evaluations: int
+    jacobians: int
+    lu_factorizations: int
+
+
+class _Radau(Radau):
+    """scipy's Radau IIA, keeping its LU pair across steps pinned at max_step.
+
+    scipy drops the factors of MU/h*I - J whenever it predicts a growth of 1.2
+    or more, even where max_step clamps the step back.  The pair is restored only
+    for the very float h and njev (J) it was built for: bit for bit what scipy
+    factors.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        factor, self.made, self.kept = self.lu, [], ()
+
+        def lu(matrix):
+            self.made.append((self.njev, factor(matrix)))
+            return self.made[-1][1]
+
+        self.lu = lu
+
+    def _step_impl(self):
+        # scipy clamps an h_abs above max_step to max_step, then clips to t_bound
+        t, h = self.t, min(self.t + self.max_step, self.t_bound) - self.t
+        if self.LU_real is None and self.h_abs > self.max_step and self.kept[:2] == (self.njev, h):
+            self.LU_real, self.LU_complex = self.kept[2:]
+        self.made = []
+        accepted, message = super()._step_impl()
+        made, self.made = self.made, []
+        if accepted and made:  # the last pair made is for the accepted h
+            (njev, real), (_, complex_) = made[-2:]
+            self.kept = (njev, self.t - t, real, complex_)
+        if self.h_abs < self.max_step or self.t == self.t_bound:  # no pinned step is next
+            self.kept = ()  # free the pair
+        return accepted, message
 
 
 def _integrate(config: FlowConfig, rate, accept, probe, advance, row, y0: np.ndarray,
@@ -412,8 +452,15 @@ def _integrate(config: FlowConfig, rate, accept, probe, advance, row, y0: np.nda
     _MULT_FLOOR times the first step, the run ends step_collapse with the
     last failure's message.  The termination tests run at accepted steps, so
     a converged run's final t can be late by up to one step (at most dtMax).
+
+    The solver is _Radau: where scipy would factor MU/h*I - J again for the
+    same float h and the same J, which happens after nearly every step pinned
+    at dtMax, it reuses the LU pair it last made.  Equal matrices give equal
+    factors, so steps, rate calls and states are bit for bit those of scipy's
+    own Radau; only the count of factorizations falls.
     Returns the final state, t, steps, rejections, rate evaluations (Jacobian
-    columns included), termination and the collapse message or None.
+    columns included), Jacobians and LU factorizations (both summed over the
+    solver restarts), termination and the collapse message or None.
     """
     evaluations = 0
     message = ""
@@ -429,11 +476,11 @@ def _integrate(config: FlowConfig, rate, accept, probe, advance, row, y0: np.nda
 
     sparsity = diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(y0.size, y0.size))
 
-    def start(t: float, y: np.ndarray, h: float) -> Radau:
+    def start(t: float, y: np.ndarray, h: float) -> _Radau:
         with np.errstate(all="ignore"):
-            return Radau(fun, t, y, config.t_max, first_step=min(h, config.t_max - t),
-                         max_step=config.dt_max, rtol=_RTOL, atol=_ATOL,
-                         jac_sparsity=sparsity)
+            return _Radau(fun, t, y, config.t_max, first_step=min(h, config.t_max - t),
+                          max_step=config.dt_max, rtol=_RTOL, atol=_ATOL,
+                          jac_sparsity=sparsity)
 
     pending: list = []
     trace.append(0.0, row(state, pending), pending)
@@ -441,6 +488,7 @@ def _integrate(config: FlowConfig, rate, accept, probe, advance, row, y0: np.nda
     t = last_sampled = 0.0
     steps = rejections = 0
     y, failure = y0, None
+    counts = np.zeros(2, dtype=int)  # Jacobians and LU factorizations of replaced solvers
     solver = None  # started by the first step: a run that takes none costs nothing
     while True:
         max_speed, curvature = probe(state)
@@ -489,11 +537,14 @@ def _integrate(config: FlowConfig, rate, accept, probe, advance, row, y0: np.nda
         if 0.5 * tried < _MULT_FLOOR * first_step:
             termination, failure = "step_collapse", message or solver.message
             break
+        counts += (solver.njev, solver.nlu)
         solver = start(t, y, 0.5 * tried)
 
     if t > last_sampled:
         trace.append(t, row(state, pending), pending)
-    return state, t, steps, rejections, evaluations, termination, failure
+    if solver is not None:
+        counts += (solver.njev, solver.nlu)
+    return state, t, steps, rejections, evaluations, *counts.tolist(), termination, failure
 
 
 def run(config: FlowConfig, out_dir=None) -> FlowResult:
@@ -538,7 +589,8 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
 
     start = (profile, state, float(np.max(np.abs(speed(state)))))
     trace = FlowTrace(n=n)
-    (profile, _, _), t, steps, rejections, evaluations, termination, failure = _integrate(
+    (profile, _, _), t, steps, rejections, evaluations, jacobians, factorizations, \
+        termination, failure = _integrate(
         config, lambda rho: _stage_rate(n, k, grid, rho), accept, probe, advance, row,
         profile.rho, start, _policy_dt(state, config.dt_max), trace)
     if failure is not None:
@@ -553,6 +605,8 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
         rejections=rejections,
         violations=dict(monitors.counts),
         rate_evaluations=evaluations,
+        jacobians=jacobians,
+        lu_factorizations=factorizations,
     )
 
 

@@ -95,6 +95,9 @@ def _json_samples(value, key: str) -> np.ndarray:
         samples = None
     if samples is None or samples.ndim != 1:
         raise ValueError(f"{key} must be a list of numbers")
+    # JSON true and false are not the numbers 1 and 0, here as in _json_number
+    if not {bool, np.bool_}.isdisjoint(map(type, value)):
+        raise ValueError(f"{key} must be a list of numbers, not booleans")
     return samples
 
 

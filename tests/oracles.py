@@ -8,7 +8,9 @@ for eigenvalue bookkeeping.  Slow but hard to get wrong.
 import itertools
 
 import numpy as np
+from scipy.integrate import Radau
 
+import sphereflow.flow as flow
 from sphereflow.symfunc import sigma_table
 
 
@@ -121,3 +123,10 @@ def pair_sum_delete(vals, m):
             a, b, c = _ext(t_ij, m - 1), _ext(t_ij, m - 2), _ext(t_ij, m)
             pair_sum = pair_sum + (vals[..., i] - vals[..., j]) ** 2 * (a**2 - b * c)
     return pair_sum
+
+
+def plain_radau(monkeypatch, solve, config):
+    """solve(config) stepped by scipy's own Radau, which factors again every LU pair it drops."""
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "_Radau", Radau)
+        return solve(config)

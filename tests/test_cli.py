@@ -220,6 +220,20 @@ def test_custom_shape_samples_must_be_a_list(tmp_path, capsys):
     assert err.startswith("error: ") and "theta must be a list of numbers" in err
 
 
+def test_custom_shape_refuses_boolean_samples(tmp_path, capsys):
+    # JSON true is not the number 1: read as 1.0 it would build rho = 1 everywhere
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"theta": np.linspace(0.0, math.pi, 33).tolist(),
+                                "rho": [True] * 33}))
+    args = ["run", "--n", "2", "--k", "1", "--N", "33",
+            "--shape", f"custom:{path}", "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "rho must be a list of numbers, not booleans" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_custom_shape_must_span_both_poles(tmp_path, capsys):
     # samples on [0.5, 2.5] would be extrapolated to the poles
     theta = np.linspace(0.5, 2.5, 33)
@@ -332,13 +346,14 @@ CHECKPOINT = {"n": 2, "k": 1, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).t
     ({**CHECKPOINT, "tt": 0.0}, "unknown key 'tt' in a checkpoint"),
     ({**CHECKPOINT, "rho": {"x": 1}}, "rho must be a list of numbers"),
     ({**CHECKPOINT, "k": True}, "k must be a number, not True"),
+    ({**CHECKPOINT, "rho": [0.8] * 32 + [False]}, "rho must be a list of numbers, not booleans"),
 ])
 def test_audit_rejects_malformed_checkpoint(tmp_path, capsys, payload, message):
     path = tmp_path / "ck.json"
     path.write_text(json.dumps(payload))
     assert main(["audit", "--checkpoint", str(path), "--out", str(tmp_path / "a")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("k", ["99", "2", "-1"])

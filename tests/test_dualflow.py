@@ -18,6 +18,8 @@ from sphereflow.dualflow import (
 )
 from sphereflow.flow import FlowConfig, ShapeSpec
 
+import oracles
+
 
 def test_gamma_transform_inverts():
     prof = RadialProfile.perturbed(2, 0.8, 0.05, 2, 65)
@@ -126,6 +128,21 @@ def test_dual_run_short():
     # topological invariant survives the dual discretization
     a2 = res.trace.column("A_2")
     assert np.allclose(a2, 4.0 * math.pi, atol=2e-3)
+
+
+@pytest.mark.parametrize("n, k, r0, eps", [(2, 1, 0.8, 0.05), (3, 2, 0.9, 0.03)])
+def test_dual_run_keeps_lu_factors_of_unchanged_steps(monkeypatch, n, k, r0, eps):
+    cfg = FlowConfig(n=n, k=k, N=128,
+                     initial_shape=ShapeSpec(kind="perturbed", r0=r0, eps=eps, mode=2))
+    kept = dual_run(cfg)
+    plain = oracles.plain_radau(monkeypatch, dual_run, cfg)
+    assert kept.termination == "converged"
+    # scipy alone factors again after almost every step pinned at dtMax:
+    # 188 and 366 factorizations
+    assert kept.lu_factorizations <= 40 < plain.lu_factorizations
+    assert (kept.steps, kept.rejections, kept.rate_evaluations, kept.jacobians) == (
+        plain.steps, plain.rejections, plain.rate_evaluations, plain.jacobians)
+    assert kept.u.tobytes() == plain.u.tobytes()
 
 
 def test_dual_trace_csv(tmp_path):

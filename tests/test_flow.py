@@ -6,7 +6,9 @@ import os
 
 import numpy as np
 import pytest
+from scipy.integrate import Radau
 from scipy.interpolate import CubicSpline
+from scipy.sparse import diags
 
 import sphereflow.dualflow as dualflow_module
 import sphereflow.flow as flow_module
@@ -29,6 +31,8 @@ from sphereflow.flow import (
 )
 from sphereflow.hypersurface import curvatures, load_checkpoint
 from sphereflow.quermass import quermass_vector
+
+import oracles
 
 
 def _perturbed_config(N=65, n=2, k=1, **kw):
@@ -507,6 +511,57 @@ def test_run_recovers_from_a_stage_cone_exit(monkeypatch):
     assert float(np.max(np.abs(res.profile.rho - clean.profile.rho))) < 1e-9
 
 
+# the two reference shapes (n, k, r0, eps) of mode 2
+REFERENCE_SHAPES = [(2, 1, 0.8, 0.05), (3, 2, 0.9, 0.03)]
+
+
+def _reference_config(n, k, r0, eps, **kw):
+    shape = ShapeSpec(kind="perturbed", r0=r0, eps=eps, mode=2)
+    return FlowConfig(n=n, k=k, N=128, initial_shape=shape, **kw)
+
+
+def _assert_same_run(kept, plain):
+    """Kept LU factors change nothing: the same steps, rate calls and bits."""
+    assert (kept.termination, kept.steps, kept.rejections, kept.rate_evaluations,
+            kept.jacobians) == (plain.termination, plain.steps, plain.rejections,
+                                plain.rate_evaluations, plain.jacobians)
+    assert kept.profile.rho.tobytes() == plain.profile.rho.tobytes()
+    assert kept.trace.columns == plain.trace.columns
+
+
+def test_radau_internals_the_kept_lu_reads_and_writes():
+    """A scipy that renames one of these would silently lose the kept factors."""
+    solver = Radau(lambda t, y: -y, 0.0, np.ones(5), 1.0,
+                   jac_sparsity=diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(5, 5)))
+    for name in ("lu", "LU_real", "LU_complex", "J", "h_abs", "max_step", "t_old",
+                 "t_bound", "nlu", "njev", "_step_impl"):
+        assert hasattr(solver, name), name
+    assert callable(solver.lu) and solver.LU_real is None and solver.LU_complex is None
+    assert solver.njev == 1 and solver.nlu == 0
+
+
+@pytest.mark.parametrize("n, k, r0, eps", REFERENCE_SHAPES)
+def test_run_keeps_lu_factors_of_unchanged_steps(monkeypatch, n, k, r0, eps):
+    cfg = _reference_config(n, k, r0, eps)
+    kept = run(cfg)
+    plain = oracles.plain_radau(monkeypatch, run, cfg)
+    assert kept.termination == "converged"
+    # scipy alone factors again after almost every step pinned at dtMax:
+    # 200 and 382 factorizations
+    assert kept.lu_factorizations <= 40 < plain.lu_factorizations
+    _assert_same_run(kept, plain)
+
+
+def test_kept_lu_factors_change_nothing_where_tmax_clips_the_step(monkeypatch):
+    # the steps are pinned at dtMax = 0.05 well before t = 3.0137
+    cfg = _reference_config(*REFERENCE_SHAPES[0], t_max=3.0137)
+    kept = run(cfg)
+    plain = oracles.plain_radau(monkeypatch, run, cfg)
+    assert kept.termination == "tmax" and kept.t_final == 3.0137
+    assert kept.lu_factorizations < plain.lu_factorizations
+    _assert_same_run(kept, plain)
+
+
 def test_run_restarts_after_a_refused_step(monkeypatch):
     cfg = _perturbed_config(t_max=0.02)
     clean, marks = _step_marks(monkeypatch, cfg)
@@ -520,6 +575,10 @@ def test_run_restarts_after_a_refused_step(monkeypatch):
     dt_clean = np.diff(clean.trace.t)
     assert np.diff(res.trace.t)[1] == pytest.approx(0.5 * dt_clean[1], rel=1e-12)
     assert float(np.max(np.abs(res.profile.rho - clean.profile.rho))) < 1e-9
+    # the counters sum over both solvers, each of which starts with a Jacobian
+    assert res.jacobians >= 2 and res.lu_factorizations >= 4
+    _patch_curvatures(monkeypatch, _fail_calls(curvatures, fail))
+    _assert_same_run(res, oracles.plain_radau(monkeypatch, run, cfg))
 
 
 def test_run_collapses_when_every_trial_fails(monkeypatch):

@@ -25,6 +25,7 @@ from sphereflow import (
 from sphereflow.flow import _N_MAX
 from sphereflow.hypersurface import (
     PolarGrid,
+    _json_samples,
     cot_grad,
     differentiate,
     frame_hessian,
@@ -233,6 +234,14 @@ def test_support_factor_disambiguation():
     assert len(passing) == 1
     failing = [val for val in res.values() if val > 1e-10]
     assert all(val > 1e-3 for val in failing)
+
+
+def test_json_samples_refuse_booleans():
+    assert _json_samples([0.5, 1, 2.0], "rho").tolist() == [0.5, 1.0, 2.0]
+    # JSON true and false would otherwise be read as 1.0 and 0.0
+    for value in ([True, 0.5, 2.0], [0.5, False], np.array([True, False])):
+        with pytest.raises(ValueError, match="rho must be a list of numbers, not booleans"):
+            _json_samples(value, "rho")
 
 
 def test_checkpoint_roundtrip(tmp_path):
