@@ -71,6 +71,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _manifest(out_dir: str, command: str, seed: int, config: FlowConfig | None,
               extra: dict | None = None) -> None:
+    os.makedirs(out_dir, exist_ok=True)
     # the directory name stays out of the payload so identical invocations
     # produce byte-identical manifests wherever they land
     payload = {"command": command, "seed": seed}
@@ -81,15 +82,14 @@ def _manifest(out_dir: str, command: str, seed: int, config: FlowConfig | None,
     _write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
-def _run_bundle(out: str, config: FlowConfig, seed: int):
-    """Run the graph flow into out: manifest, checkpoints, trace, final state, summary."""
-    os.makedirs(out, exist_ok=True)
-    _manifest(out, "run", seed, config)
-    result = run(config, out_dir=out)
+def _bundle(out: str, command: str, seed: int, result, final, summary: dict) -> None:
+    """Write a finished run into out: manifest, trace, final.json (unless final
+    is None) and summary.json, the counters both solvers share plus summary."""
+    config = result.config
+    _manifest(out, command, seed, config)
     result.trace.to_csv(os.path.join(out, "trace.csv"), seed=seed)
-    save_checkpoint(result.profile, config.k, result.t_final,
-                    os.path.join(out, "final.json"))
-    last = {name: column[-1] for name, column in result.trace.columns.items()}
+    if final is not None:
+        save_checkpoint(final, config.k, result.t_final, os.path.join(out, "final.json"))
     _write_json(os.path.join(out, "summary.json"), {
         "seed": seed,
         "termination": result.termination,
@@ -99,6 +99,15 @@ def _run_bundle(out: str, config: FlowConfig, seed: int):
         "rateEvaluations": result.rate_evaluations,
         "jacobians": result.jacobians,
         "luFactorizations": result.lu_factorizations,
+        **summary,
+    })
+
+
+def _run_bundle(out: str, config: FlowConfig, seed: int):
+    """Run the graph flow, its checkpoints into out, then write its bundle there."""
+    result = run(config, out_dir=out)
+    last = {name: column[-1] for name, column in result.trace.columns.items()}
+    _bundle(out, "run", seed, result, result.profile, {
         "violations": result.violations,
         "finalQuermass": {f"A_{m}": last[f"A_{m}"] for m in range(-1, config.n + 1)},
         "finalMaxSpeed": last["maxSpeed"],
@@ -108,45 +117,30 @@ def _run_bundle(out: str, config: FlowConfig, seed: int):
 
 
 def _cmd_run(args) -> int:
-    out = args.out
-    result = _run_bundle(out, _config_from_args(args), args.seed)
+    result = _run_bundle(args.out, _config_from_args(args), args.seed)
     print(f"run: {result.termination} at t={result.t_final:.6g} "
-          f"after {result.steps} steps ({result.rejections} rejected) -> {out}")
+          f"after {result.steps} steps ({result.rejections} rejected) -> {args.out}")
     return 0
 
 
 def _cmd_dual_run(args) -> int:
     config = _config_from_args(args)
-    out = args.out
-    # dual_run writes nothing itself, so a refused config leaves no directory
     result = dual_run(config)
-    os.makedirs(out, exist_ok=True)
-    _manifest(out, "dual-run", args.seed, config)
-    result.trace.to_csv(os.path.join(out, "trace.csv"), seed=args.seed)
+    columns = result.trace.columns
     summary = {
-        "seed": args.seed,
-        "termination": result.termination,
-        "tFinal": result.t_final,
-        "steps": result.steps,
-        "rejections": result.rejections,
-        "rateEvaluations": result.rate_evaluations,
-        "jacobians": result.jacobians,
-        "luFactorizations": result.lu_factorizations,
         "breakdownTime": result.breakdown_time,
-        "finalMinEigW": result.trace.columns["minEigW"][-1],
-        "finalMaxEigW": result.trace.columns["maxEigW"][-1],
+        "finalMinEigW": columns["minEigW"][-1],
+        "finalMaxEigW": columns["maxEigW"][-1],
+        "finalCheckpoint": "final.json",
     }
     try:
         pulled = profile_from_dual(result.state, config.N)
-        save_checkpoint(pulled, config.k, result.t_final,
-                        os.path.join(out, "final.json"))
-        summary["finalCheckpoint"] = "final.json"
     except (ValueError, ConeViolation, ConvexityLoss) as exc:
-        summary["finalCheckpoint"] = None
-        summary["pullbackError"] = str(exc)
-    _write_json(os.path.join(out, "summary.json"), summary)
+        pulled = None
+        summary.update(finalCheckpoint=None, pullbackError=str(exc))
+    _bundle(args.out, "dual-run", args.seed, result, pulled, summary)
     print(f"dual-run: {result.termination} at t={result.t_final:.6g} "
-          f"after {result.steps} steps -> {out}")
+          f"after {result.steps} steps -> {args.out}")
     return 0
 
 
@@ -160,7 +154,6 @@ def _cmd_audit(args) -> int:
     payload = json.loads(report.to_json())
     payload["k"] = k
     payload["checkpoint"] = os.path.basename(args.checkpoint)
-    os.makedirs(args.out, exist_ok=True)
     _manifest(args.out, "audit", args.seed, None,
               extra={"checkpoint": args.checkpoint, "k": k})
     _write_json(os.path.join(args.out, "report.json"), payload)
@@ -175,7 +168,6 @@ def _cmd_identity_suite(args) -> int:
     for line in report.lines():
         print(line)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _manifest(args.out, "identity-suite", args.seed, None,
                   extra={"nMax": args.n_max, "samples": args.samples})
         with open(os.path.join(args.out, "identities.json"), "w") as fh:
@@ -201,7 +193,6 @@ def _cmd_convergence_study(args) -> int:
         "evolutionOrders": {"u": evol["orderU"], "F": evol["orderF"]},
         "functionalOrders": {str(l): v for l, v in func["orders"].items()},
     }
-    os.makedirs(args.out, exist_ok=True)
     _manifest(args.out, "convergence-study", args.seed, None,
               extra={"n": n, "k": k, "levels": args.levels})
     _write_json(os.path.join(args.out, "study.json"), payload)
@@ -224,7 +215,6 @@ def _cmd_sweep(args) -> int:
             configs[i] = FlowConfig.from_json(payload)
         except ValueError as exc:
             raise ValueError(f"sweep entry {i}: {exc}") from None
-    os.makedirs(args.out, exist_ok=True)
     _manifest(args.out, "run", args.seed, None,
               extra={"sweep": [f"run-{i:03d}" for i in range(len(configs))]})
     for i, config in enumerate(configs):

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .exceptions import ConeViolation, ConvexityLoss
-from .flow import FlowConfig, FlowTrace, _integrate, _parabolic_dt
+from .flow import FlowConfig, FlowTrace, Outcome, _integrate, _parabolic_dt, speed
 from .hypersurface import RadialProfile, as_grid, cot_grad, differentiate, geometry, polar_grid
 from .quermass import quermass_vector
 from .symfunc import identity_quotient, quotient_two_core, quotient_two_value
@@ -266,9 +266,7 @@ def speed_transport_residual(profile: RadialProfile, k: int) -> float:
     (u/rho_tilde) d(rho_tilde)/dt = (u omega / phi) f; both sides use their
     own chart's discrete derivatives, so agreement is second order in h.
     """
-    state = geometry(profile, k)
-    c = identity_quotient(profile.n, k)
-    f = c * state.phip - state.u * state.F
+    f = speed(geometry(profile, k))
     dual = dual_from_profile(profile)
     g = g_operator(dual, k)
     transported = dual.u * dual.omega / dual.phi * f
@@ -277,20 +275,14 @@ def speed_transport_residual(profile: RadialProfile, k: int) -> float:
 
 
 @dataclass
-class DualResult:
+class DualResult(Outcome):
     """A dual run's outcome; of the solution it keeps only the final u_tilde."""
 
-    config: FlowConfig
-    trace: FlowTrace
     u: np.ndarray
-    termination: str
-    t_final: float
-    steps: int
-    rejections: int
-    breakdown_time: float | None
-    rate_evaluations: int
-    jacobians: int
-    lu_factorizations: int
+
+    @property
+    def breakdown_time(self) -> float | None:
+        return self.trace.breakdown_time
 
     @property
     def state(self) -> DualState:
@@ -360,24 +352,10 @@ def dual_run(config: FlowConfig) -> DualResult:
     u0 = CubicSpline(dual0.theta, dual0.u)(grid.theta)
     start = evaluate(u0)
     first_step = _parabolic_dt(float(np.max(_g_terms(start[0], k)[1])), grid.h, config.dt_max)
-    (state, _), t, steps, rejections, evaluations, jacobians, factorizations, \
-        termination, failure = _integrate(
+    (state, _), failure, outcome = _integrate(
         config, lambda u: _stage_g(n, k, grid, u), evaluate, probe, lambda *_: (),
         lambda cur, codes: _trace_row(*cur, k, codes), u0, start, first_step, trace)
     if failure is not None:
-        termination = "convexity_breakdown"
-        trace.breakdown_time = t
-
-    return DualResult(
-        config=config,
-        trace=trace,
-        u=state.u,
-        termination=termination,
-        t_final=t,
-        steps=steps,
-        rejections=rejections,
-        breakdown_time=trace.breakdown_time,
-        rate_evaluations=evaluations,
-        jacobians=jacobians,
-        lu_factorizations=factorizations,
-    )
+        outcome.termination = "convexity_breakdown"
+        trace.breakdown_time = outcome.t_final
+    return DualResult(**vars(outcome), u=state.u)

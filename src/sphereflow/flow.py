@@ -11,7 +11,9 @@ steps both this solver and the support-function solver in dualflow; only
 its first step is taken from the parabolic limit.  Near the limit sphere the
 steps are pinned at dtMax, and the Radau LU factors are then kept across
 steps while the step and the Jacobian stay the same (_Radau); they are the
-very factors scipy would build again, so no result changes.  Classical
+very factors scipy would build again, so no result changes.  _integrate
+returns the final solver state and an Outcome, the stop and the counters
+of a run, which FlowResult here and DualResult in dualflow extend.  Classical
 Runge-Kutta at the parabolic limit stays on as the test oracle.
 """
 
@@ -382,18 +384,24 @@ class FlowTrace:
 
 
 @dataclass
-class FlowResult:
+class Outcome:
+    """What _integrate reports of a run, whichever solver it stepped."""
+
     config: FlowConfig
     trace: FlowTrace
-    profile: RadialProfile
     termination: str
     t_final: float
     steps: int
     rejections: int
-    violations: dict
     rate_evaluations: int
     jacobians: int
     lu_factorizations: int
+
+
+@dataclass
+class FlowResult(Outcome):
+    profile: RadialProfile
+    violations: dict
 
 
 class _Radau(Radau):
@@ -457,12 +465,13 @@ def _integrate(config: FlowConfig, rate, accept, probe, advance, row, y0: np.nda
     same float h and the same J, which happens after nearly every step pinned
     at dtMax, it reuses the LU pair it last made.  Equal matrices give equal
     factors, so steps, rate calls and states are bit for bit those of scipy's
-    own Radau; only the count of factorizations falls.
-    Returns the final state, t, steps, rejections, rate evaluations (Jacobian
-    columns included), Jacobians and LU factorizations (both summed over the
-    solver restarts), termination and the collapse message or None.
+    own Radau; only the count of factorizations falls.  A replaced or finished
+    solver is retired: its counts are summed and its LU factors dropped.
+    Returns the final solver state, the collapse message or None, and the
+    Outcome, whose rate evaluations include Jacobian columns and whose
+    Jacobians and LU factorizations are summed over the solver restarts.
     """
-    evaluations = 0
+    evaluations = jacobians = factorizations = 0
     message = ""
 
     def fun(t: float, y: np.ndarray) -> np.ndarray:
@@ -482,13 +491,19 @@ def _integrate(config: FlowConfig, rate, accept, probe, advance, row, y0: np.nda
                           max_step=config.dt_max, rtol=_RTOL, atol=_ATOL,
                           jac_sparsity=sparsity)
 
+    def retire(solver: _Radau) -> None:
+        nonlocal jacobians, factorizations
+        jacobians += solver.njev
+        factorizations += solver.nlu
+        solver.LU_real = solver.LU_complex = None
+        solver.made, solver.kept = [], ()
+
     pending: list = []
     trace.append(0.0, row(state, pending), pending)
     pending = []
     t = last_sampled = 0.0
     steps = rejections = 0
     y, failure = y0, None
-    counts = np.zeros(2, dtype=int)  # Jacobians and LU factorizations of replaced solvers
     solver = None  # started by the first step: a run that takes none costs nothing
     while True:
         max_speed, curvature = probe(state)
@@ -537,14 +552,15 @@ def _integrate(config: FlowConfig, rate, accept, probe, advance, row, y0: np.nda
         if 0.5 * tried < _MULT_FLOOR * first_step:
             termination, failure = "step_collapse", message or solver.message
             break
-        counts += (solver.njev, solver.nlu)
+        retire(solver)
         solver = start(t, y, 0.5 * tried)
 
     if t > last_sampled:
         trace.append(t, row(state, pending), pending)
     if solver is not None:
-        counts += (solver.njev, solver.nlu)
-    return state, t, steps, rejections, evaluations, *counts.tolist(), termination, failure
+        retire(solver)
+    return state, failure, Outcome(config, trace, termination, t, steps, rejections,
+                                   evaluations, jacobians, factorizations)
 
 
 def run(config: FlowConfig, out_dir=None) -> FlowResult:
@@ -577,6 +593,7 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
         codes = monitors.check(q, q_new, new_state, dt)
         q = q_new
         if out_dir is not None and config.checkpoint_every > 0 and steps % config.checkpoint_every == 0:
+            os.makedirs(out_dir, exist_ok=True)
             save_checkpoint(new_profile, k, t, os.path.join(out_dir, f"ck_{steps:08d}.json"))
         return codes
 
@@ -589,25 +606,12 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
 
     start = (profile, state, float(np.max(np.abs(speed(state)))))
     trace = FlowTrace(n=n)
-    (profile, _, _), t, steps, rejections, evaluations, jacobians, factorizations, \
-        termination, failure = _integrate(
+    (profile, _, _), failure, outcome = _integrate(
         config, lambda rho: _stage_rate(n, k, grid, rho), accept, probe, advance, row,
         profile.rho, start, _policy_dt(state, config.dt_max), trace)
     if failure is not None:
-        termination = f"{termination}: {failure}"
-    return FlowResult(
-        config=config,
-        trace=trace,
-        profile=profile,
-        termination=termination,
-        t_final=t,
-        steps=steps,
-        rejections=rejections,
-        violations=dict(monitors.counts),
-        rate_evaluations=evaluations,
-        jacobians=jacobians,
-        lu_factorizations=factorizations,
-    )
+        outcome.termination = f"{outcome.termination}: {failure}"
+    return FlowResult(**vars(outcome), profile=profile, violations=dict(monitors.counts))
 
 
 # -- parametrization-corrected evolution residuals ----------------------------

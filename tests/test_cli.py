@@ -97,6 +97,7 @@ def test_shape_strings_fail_like_json_shapes(tmp_path, capsys, text, shape, mess
     (["--dt-max", "inf"], "dt_max"),
     (["--n", "1", "--k", "0"], "n >= 2"),
     (["--n", "1000", "--k", "1"], "n must be at most 437"),
+    (["--shape", "perturbed:0.8,0.3,7"], "sigma_1 not positive"),
 ])
 def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
     out = tmp_path / "out"

@@ -581,6 +581,40 @@ def test_run_restarts_after_a_refused_step(monkeypatch):
     _assert_same_run(res, oracles.plain_radau(monkeypatch, run, cfg))
 
 
+def test_finished_solvers_hold_no_lu_factors(monkeypatch):
+    """Every solver a run replaces or finishes with drops its LU factors."""
+    solvers = []
+
+    class Recording(flow_module._Radau):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    def assert_retired(res, count):
+        assert len(solvers) == count and res.jacobians >= count
+        for solver in solvers:
+            assert solver.LU_real is None and solver.LU_complex is None
+            assert solver.kept == () and solver.made == []
+        solvers.clear()
+
+    monkeypatch.setattr(flow_module, "_Radau", Recording)
+    cfg = _reference_config(*REFERENCE_SHAPES[0])
+    res = run(cfg)
+    assert res.termination == "converged"
+    assert_retired(res, 1)
+    res = dual_run(cfg)
+    assert res.termination == "converged"
+    assert_retired(res, 1)
+    # the refused second step of test_run_restarts_after_a_refused_step
+    cfg = _perturbed_config(t_max=0.02)
+    _, marks = _step_marks(monkeypatch, cfg)
+    solvers.clear()
+    _patch_curvatures(monkeypatch, _fail_calls(curvatures, {marks[2] - 1, marks[2]}))
+    res = run(cfg)
+    assert res.rejections == 1
+    assert_retired(res, 2)
+
+
 def test_run_collapses_when_every_trial_fails(monkeypatch):
     _, marks = _step_marks(monkeypatch, _perturbed_config(t_max=0.02))
     assert len(marks) >= 4  # the initial state and at least three steps
