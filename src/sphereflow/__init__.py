@@ -9,7 +9,6 @@ the graph and support-function solvers, and a batch CLI.
 
 from .exceptions import ConeViolation, ConvexityLoss, MonotonicityError, StepRejected
 from .symfunc import (
-    QuotientInfo,
     identity_quotient,
     pinch_deficit_parts,
     quotient,
@@ -67,7 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConeViolation", "ConvexityLoss", "MonotonicityError", "StepRejected",
-    "QuotientInfo", "identity_quotient", "pinch_deficit_parts", "quotient",
+    "identity_quotient", "pinch_deficit_parts", "quotient",
     "quotient_trace_gaps", "sigma",
     "GeometryState", "RadialProfile", "SphereGrid2D", "geometry",
     "geometry_full_s2", "hessian_contraction_residuals", "integrate",

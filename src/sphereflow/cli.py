@@ -117,6 +117,8 @@ def _run_bundle(out: str, config: FlowConfig, seed: int):
 
 
 def _cmd_run(args) -> int:
+    if args.sweep:
+        return _cmd_sweep(args)
     result = _run_bundle(args.out, _config_from_args(args), args.seed)
     print(f"run: {result.termination} at t={result.t_final:.6g} "
           f"after {result.steps} steps ({result.rejections} rejected) -> {args.out}")
@@ -170,9 +172,7 @@ def _cmd_identity_suite(args) -> int:
     if args.out:
         _manifest(args.out, "identity-suite", args.seed, None,
                   extra={"nMax": args.n_max, "samples": args.samples})
-        with open(os.path.join(args.out, "identities.json"), "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        _write_json(os.path.join(args.out, "identities.json"), json.loads(report.to_json()))
     total = len(report.checks)
     failed = sum(not c.passed for c in report.checks)
     print(f"identity-suite: {total - failed}/{total} checks passed")
@@ -252,21 +252,25 @@ def _build_parser() -> argparse.ArgumentParser:
     add_run_flags(p_run)
     p_run.add_argument("--sweep", type=str, default=None,
                        help="JSON list of configs run into out/run-NNN")
+    p_run.set_defaults(func=_cmd_run)
 
     p_dual = sub.add_parser("dual-run", help="integrate the support-function flow")
     add_run_flags(p_dual)
+    p_dual.set_defaults(func=_cmd_dual_run)
 
     p_audit = sub.add_parser("audit", help="inequality audit of a checkpoint")
     p_audit.add_argument("--checkpoint", type=str, required=True)
     p_audit.add_argument("--k", type=int, default=None)
     p_audit.add_argument("--out", type=str, default="out")
     p_audit.add_argument("--seed", type=int, default=0)
+    p_audit.set_defaults(func=_cmd_audit)
 
     p_ident = sub.add_parser("identity-suite", help="randomized algebra checks")
     p_ident.add_argument("--n-max", type=int, default=8)
     p_ident.add_argument("--samples", type=int, default=10000)
     p_ident.add_argument("--seed", type=int, default=7)
     p_ident.add_argument("--out", type=str, default=None)
+    p_ident.set_defaults(func=_cmd_identity_suite)
 
     p_conv = sub.add_parser("convergence-study", help="refinement order report")
     p_conv.add_argument("--n", type=int, default=2)
@@ -275,6 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--levels", type=int, default=3)
     p_conv.add_argument("--out", type=str, default="out")
     p_conv.add_argument("--seed", type=int, default=0)
+    p_conv.set_defaults(func=_cmd_convergence_study)
     return parser
 
 
@@ -285,19 +290,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        if args.command == "run":
-            if getattr(args, "sweep", None):
-                return _cmd_sweep(args)
-            return _cmd_run(args)
-        if args.command == "dual-run":
-            return _cmd_dual_run(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "identity-suite":
-            return _cmd_identity_suite(args)
-        if args.command == "convergence-study":
-            return _cmd_convergence_study(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.func(args)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

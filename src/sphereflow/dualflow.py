@@ -194,13 +194,12 @@ def _g(n, k, u, rho_tilde, omega, phi, phip, w_merid, w_ang, quotient):
     return g, q, coeff
 
 
-def _g_terms(state: DualState, k: int):
-    g, (_, f1, fa, _, _), coeff = _g(
+def _stiffness(state: DualState, k: int) -> np.ndarray:
+    """Trace of G's linearization in W, the stiffness scale of the first step."""
+    _, (_, f1, fa, _, _), coeff = _g(
         state.n, k, state.u, state.rho_tilde, state.omega, state.phi, state.phip,
         state.w_merid, state.w_ang, quotient_two_value)
-    # trace of the linearization in W, the stiffness scale of the first step
-    stiff = coeff * (f1 / state.w_merid**2 + (state.n - 1) * fa / state.w_ang**2)
-    return g, stiff
+    return coeff * (f1 / state.w_merid**2 + (state.n - 1) * fa / state.w_ang**2)
 
 
 def _stage_g(n: int, k: int, grid, u: np.ndarray) -> np.ndarray:
@@ -217,8 +216,8 @@ def g_operator(state: DualState, k: int) -> np.ndarray:
     the unit-support equator state where the shift cancels W^{-1} = id
     exactly.
     """
-    g, _ = _g_terms(state, k)
-    return g
+    return _g(state.n, k, state.u, state.rho_tilde, state.omega, state.phi, state.phip,
+              state.w_merid, state.w_ang, quotient_two_core)[0]
 
 
 def dual_from_profile(profile: RadialProfile) -> DualState:
@@ -306,7 +305,7 @@ def _trace_row(state: DualState, g: np.ndarray, k: int, codes: list) -> list:
     lam1 = state.rho_tilde / state.phi * (state.h_merid + shift)
     lam_ang = state.rho_tilde / state.phi * (state.h_ang + shift)
     try:
-        fval, _, _, _, _ = quotient_two_value(lam1, lam_ang, state.n, k)
+        fval = quotient_two_core(lam1, lam_ang, state.n, k)[0]
         fmin, fmax = np.min(fval), np.max(fval)
     except ConeViolation:
         fmin = fmax = float("nan")
@@ -351,7 +350,7 @@ def dual_run(config: FlowConfig) -> DualResult:
     trace = FlowTrace(n, extra=("minEigW", "maxEigW"), breakdown_cell=True)
     u0 = CubicSpline(dual0.theta, dual0.u)(grid.theta)
     start = evaluate(u0)
-    first_step = _parabolic_dt(float(np.max(_g_terms(start[0], k)[1])), grid.h, config.dt_max)
+    first_step = _parabolic_dt(float(np.max(_stiffness(start[0], k))), grid.h, config.dt_max)
     (state, _), failure, outcome = _integrate(
         config, lambda u: _stage_g(n, k, grid, u), evaluate, probe, lambda *_: (),
         lambda cur, codes: _trace_row(*cur, k, codes), u0, start, first_step, trace)

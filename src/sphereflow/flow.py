@@ -230,13 +230,9 @@ def speed(state: GeometryState) -> np.ndarray:
     return _speed(state.n, state.k, state.phip, state.u, state.F)
 
 
-def _rate(state: GeometryState) -> np.ndarray:
-    # graph-kinematic factor: d(rho)/dt = f * W / phi on fixed nodes
-    return speed(state) * state.omega_speed
-
-
 def _stage_rate(n: int, k: int, grid, rho) -> np.ndarray:
-    """_rate(geometry(RadialProfile(n, grid, rho), k)), same checks, from the cores alone."""
+    """The radius rate d(rho)/dt = f * W / phi on fixed nodes, from the cores alone,
+    with the checks of geometry(RadialProfile(n, grid, rho), k)."""
     _, _, _, phip, _, u, omega_speed, lam1, lam_ang = curvatures(grid, checked_radii(grid, rho))
     return _speed(n, k, phip, u, quotient_two_core(lam1, lam_ang, n, k)[0]) * omega_speed
 
@@ -254,7 +250,7 @@ def step(profile: RadialProfile, dt: float, k: int) -> RadialProfile:
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     n, grid = profile.n, profile.grid
-    r1 = _rate(geometry(profile, k))
+    r1 = _stage_rate(n, k, grid, profile.rho)
     try:
         rho = _rk4(profile.rho, dt, r1, lambda stage: _stage_rate(n, k, grid, stage))
         return RadialProfile(n=n, theta=grid, rho=rho)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .symfunc import (
     _drop_index,
-    _quotient_arrays,
     pinch_deficit_parts,
+    quotient,
     quotient_trace_gaps,
     sigma,
     sigma_table,
@@ -287,20 +287,19 @@ def _check_quotient_gaps(rng, samples, n, k) -> list:
         CheckResult.lower_bound("trace-lower", n, f"k={k}", samples,
                                 float(np.min(gap2)), _QUOT_TOL),
     ]
-    if k + 1 <= n:
-        closure = cone_boundary_shift(sample_cone(rng, samples, n, k + 1), k)
-        tb = sigma_table(closure, k)
-        good = np.all(np.isfinite(closure), axis=1) & np.all(tb[:, 1:] > 0.0, axis=1)
-        pool = [closure[good]]
-        inner = sample_cone(rng, samples, n, k + 1)
-        ti = sigma_table(inner, k + 1)
-        pool.append(inner[np.all(ti[:, 1:] > 0.0, axis=1)])
-        closed = np.concatenate(pool, axis=0)
-        _, _, trace_c, _, _ = _quotient_arrays(closed, k)
-        upper = (n - k) - trace_c
-        out.append(CheckResult.lower_bound(
-            "trace-upper-closure", n, f"k={k}", int(closed.shape[0]),
-            float(np.min(upper)), _QUOT_TOL))
+    closure = cone_boundary_shift(sample_cone(rng, samples, n, k + 1), k)
+    tb = sigma_table(closure, k)
+    good = np.all(np.isfinite(closure), axis=1) & np.all(tb[:, 1:] > 0.0, axis=1)
+    pool = [closure[good]]
+    inner = sample_cone(rng, samples, n, k + 1)
+    ti = sigma_table(inner, k + 1)
+    pool.append(inner[np.all(ti[:, 1:] > 0.0, axis=1)])
+    closed = np.concatenate(pool, axis=0)
+    _, _, trace_c, _ = quotient(closed, k)
+    upper = (n - k) - trace_c
+    out.append(CheckResult.lower_bound(
+        "trace-upper-closure", n, f"k={k}", int(closed.shape[0]),
+        float(np.min(upper)), _QUOT_TOL))
     return out
 
 

@@ -58,9 +58,6 @@ class QuermassVector:
             raise ValueError(f"quermassintegral index m={m} out of range")
         return float(self.values[m + 1])
 
-    def as_dict(self) -> dict:
-        return {f"A_{m}": self.a(m) for m in range(-1, self.n + 1)}
-
 
 def _ladder(n: int, vol: float, s: np.ndarray) -> np.ndarray:
     """Assemble A_{-1}..A_n from the volume and the curvature integrals."""

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConeViolation
 
 __all__ = [
-    "QuotientInfo",
     "sigma",
     "sigma_table",
     "quotient",
@@ -29,17 +27,6 @@ __all__ = [
     "quotient_trace_gaps",
     "pinch_deficit_parts",
 ]
-
-
-@dataclass
-class QuotientInfo:
-    """Curvature quotient F = sigma_{k+1}/sigma_k and its diagonal gradient."""
-
-    value: float
-    grad_diag: np.ndarray
-    trace_grad: float
-    weighted_trace: float
-    c: float
 
 
 def _values(lam) -> np.ndarray:
@@ -105,12 +92,23 @@ def identity_quotient(n: int, k: int) -> float:
     return (n - k) / (k + 1)
 
 
-def _quotient_arrays(vals: np.ndarray, k: int):
-    """Batched quotient value, diagonal gradient, and the two trace sums."""
+def quotient(lam, k: int):
+    """F = sigma_{k+1}/sigma_k, its diagonal gradient and the two trace sums.
+
+    lam is one curvature vector or a batch along leading axes.  Returns
+    (F, grad, trace_grad, weighted_trace) with trace_grad = sum_i F^{ii} and
+    weighted_trace = sum_i F^{ii} lam_i^2; raises ConeViolation unless
+    sigma_k > 0 on every vector.
+    """
+    vals = _values(lam)
     n = vals.shape[-1]
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"quotient order k={k} out of range for n={n}")
     table = sigma_table(vals, min(k + 2, n))
     sk = table[..., k]
-    sk1 = table[..., k + 1] if k + 1 <= n else np.zeros(sk.shape)
+    if not np.all(sk > 0.0):
+        raise ConeViolation(f"sigma_{k} not positive on some sample")
+    sk1 = table[..., k + 1]
     grad = np.empty(vals.shape)
     for i, rest in enumerate(_drop_index(n, 1)):
         t_i = sigma_table(vals[..., rest], min(k, n - 1))
@@ -118,28 +116,7 @@ def _quotient_arrays(vals: np.ndarray, k: int):
     value = sk1 / sk
     trace = np.sum(grad, axis=-1)
     weighted = np.sum(grad * vals**2, axis=-1)
-    return value, grad, trace, weighted, sk
-
-
-def quotient(lam, k: int) -> QuotientInfo:
-    """Quotient package for a single curvature vector with sigma_k > 0."""
-    vals = _values(lam)
-    if vals.ndim != 1:
-        raise ValueError("quotient takes a single curvature vector")
-    n = vals.size
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"quotient order k={k} out of range for n={n}")
-    sk = sigma_table(vals, k)[k]
-    if not sk > 0.0:
-        raise ConeViolation(f"sigma_{k} = {sk} is not positive")
-    value, grad, trace, weighted, _ = _quotient_arrays(vals, k)
-    return QuotientInfo(
-        value=float(value),
-        grad_diag=grad,
-        trace_grad=float(trace),
-        weighted_trace=float(weighted),
-        c=identity_quotient(n, k),
-    )
+    return value, grad, trace, weighted
 
 
 def sigma_two_value(lam1, lam2, n: int, m: int):
@@ -210,14 +187,8 @@ def quotient_trace_gaps(lam, k: int):
     on the k-th cone and trace_grad is additionally bounded above by n - k
     on the closed (k+1)-th cone.
     """
-    vals = _values(lam)
-    n = vals.shape[-1]
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"quotient order k={k} out of range for n={n}")
-    value, _, trace, weighted, sk = _quotient_arrays(vals, k)
-    if not np.all(sk > 0.0):
-        raise ConeViolation(f"sigma_{k} not positive on some sample")
-    c = identity_quotient(n, k)
+    value, grad, trace, weighted = quotient(lam, k)
+    c = identity_quotient(grad.shape[-1], k)
     return weighted - value**2 / c, trace - c, weighted
 
 

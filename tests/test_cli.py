@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sphereflow.cli import main
+from sphereflow.exceptions import ConvexityLoss
 from sphereflow.flow import FlowConfig, ShapeSpec
 
 RUN_ARGS = [
@@ -380,6 +381,20 @@ def test_dual_run_command(tmp_path, capsys):
     assert summary["finalCheckpoint"] == "final.json"
     header = (out / "trace.csv").read_text().splitlines()[1]
     assert "minEigW" in header and "breakdownTime" in header
+
+
+def test_dual_run_without_a_pullback_writes_no_final(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise ConvexityLoss("pullback point map is not monotone")
+
+    monkeypatch.setattr("sphereflow.cli.profile_from_dual", refuse)
+    out = tmp_path / "dual"
+    assert main(DUAL_ARGS + ["--out", str(out)]) == 0
+    summary = _read_json(out / "summary.json")
+    assert summary["finalCheckpoint"] is None
+    assert summary["pullbackError"] == "pullback point map is not monotone"
+    assert not (out / "final.json").exists()
+    assert (out / "trace.csv").exists()
 
 
 def test_dual_run_refuses_checkpoints(tmp_path, capsys):

@@ -17,6 +17,7 @@ from sphereflow.dualflow import (
     support_closure,
 )
 from sphereflow.flow import FlowConfig, ShapeSpec
+from sphereflow.hypersurface import polar_grid
 
 import oracles
 
@@ -238,3 +239,32 @@ def test_dual_run_records_breakdown_when_every_trial_fails(monkeypatch, tmp_path
     res.trace.to_csv(path)
     rows = path.read_text().splitlines()[1:]
     assert all(line.split(",")[-2] == repr(res.t_final) for line in rows)
+
+
+def test_accepted_dual_states_skip_the_quotient_gradient(monkeypatch):
+    # G and the trace's F read the quotient value alone; only the first
+    # step's stiffness needs the gradient
+    real, calls = dualflow_module.quotient_two_value, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(dualflow_module, "quotient_two_value", counting)
+    cfg = FlowConfig(n=2, k=1, N=128, t_max=0.1, convergence_tol=0.0, sample_every=10**9,
+                     initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2))
+    res = dual_run(cfg)
+    assert res.termination == "tmax" and res.steps > 1
+    assert calls[0] == 1
+
+
+def test_trace_row_of_the_equator_state_is_nan():
+    # unit support: the point rho = pi/2 has no profile, and the shifted
+    # eigenvalues vanish, so sigma_1 = 0 and F is undefined
+    codes = []
+    state = support_closure(2, polar_grid(33), np.ones(33))
+    row = dualflow_module._trace_row(state, np.zeros(33), 1, codes)
+    assert codes == ["PULLBACK"]
+    assert all(math.isnan(a) for a in row[:4])  # A_-1 .. A_2
+    min_f, max_f = row[7:9]
+    assert math.isnan(min_f) and math.isnan(max_f)

@@ -450,7 +450,7 @@ def test_dual_run_matches_the_rk4_oracle(n, k, r0, eps):
         return dualflow_module._stage_g(n, k, grid, stage)
 
     while t < 0.1:
-        stiff = dualflow_module._g_terms(dualflow_module.support_closure(n, grid, u), k)[1]
+        stiff = dualflow_module._stiffness(dualflow_module.support_closure(n, grid, u), k)
         dt = min(_parabolic_dt(float(np.max(stiff)), grid.h, cfg.dt_max), 0.1 - t)
         u, t = _rk4(u, dt, rate(u), rate), t + dt
     assert float(np.max(np.abs(res.u - u))) <= 1e-9

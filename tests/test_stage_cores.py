@@ -10,9 +10,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sphereflow.dualflow import _g_terms, _stage_g, support_closure  # noqa: E402
+from sphereflow.dualflow import _stage_g, g_operator, support_closure  # noqa: E402
 from sphereflow.exceptions import ConeViolation, ConvexityLoss  # noqa: E402
-from sphereflow.flow import _rate, _stage_rate  # noqa: E402
+from sphereflow.flow import _stage_rate, speed  # noqa: E402
 from sphereflow.hypersurface import RadialProfile, geometry, polar_grid  # noqa: E402
 
 # derandomized: the same examples on every run, so nothing is kept between runs
@@ -45,13 +45,16 @@ def _outcome(fn, values):
 
 def _graph(n, k, grid):
     """The full-state rate and the stage rate of radii on grid."""
-    return (lambda rho: _rate(geometry(RadialProfile(n=n, theta=grid, rho=rho), k)),
-            lambda rho: _stage_rate(n, k, grid, rho))
+    def full(rho):
+        st = geometry(RadialProfile(n=n, theta=grid, rho=rho), k)
+        return speed(st) * st.omega_speed
+
+    return full, lambda rho: _stage_rate(n, k, grid, rho)
 
 
 def _dual(n, k, grid):
     """The full-state G and the stage G of support values on grid."""
-    return (lambda u: _g_terms(support_closure(n, grid, u), k)[0],
+    return (lambda u: g_operator(support_closure(n, grid, u), k),
             lambda u: _stage_g(n, k, grid, u))
 
 

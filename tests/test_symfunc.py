@@ -10,7 +10,6 @@ from sphereflow import (
     sigma,
 )
 from sphereflow.symfunc import (
-    _quotient_arrays,
     quotient_two_value,
     sigma_table,
     sigma_two_value,
@@ -76,12 +75,12 @@ def test_exclusion_recurrence_spot():
 
 
 def test_quotient_frozen_gradient():
-    info = quotient(LAM4, 1)
-    assert info.value == pytest.approx(1.5, abs=1e-14)
-    assert np.allclose(info.grad_diag, GRAD4_K1, atol=1e-14)
-    assert info.trace_grad == pytest.approx(GRAD4_K1.sum(), abs=1e-14)
-    assert info.weighted_trace == pytest.approx((GRAD4_K1 * LAM4**2).sum(), abs=1e-14)
-    assert info.c == pytest.approx(1.5)
+    value, grad, trace, weighted = quotient(LAM4, 1)
+    assert value == pytest.approx(1.5, abs=1e-14)
+    assert np.allclose(grad, GRAD4_K1, atol=1e-14)
+    assert trace == pytest.approx(GRAD4_K1.sum(), abs=1e-14)
+    assert weighted == pytest.approx((GRAD4_K1 * LAM4**2).sum(), abs=1e-14)
+    assert identity_quotient(LAM4.size, 1) == pytest.approx(1.5)
 
 
 def test_quotient_gradient_against_fd():
@@ -89,9 +88,8 @@ def test_quotient_gradient_against_fd():
     for n, k in ((3, 1), (4, 2), (5, 3), (6, 1)):
         for _ in range(20):
             lam = rng.uniform(0.2, 2.0, size=n)
-            info = quotient(lam, k)
             fd = oracles.quotient_grad_fd(lam, k)
-            assert np.allclose(info.grad_diag, fd, rtol=2e-6, atol=2e-7)
+            assert np.allclose(quotient(lam, k)[1], fd, rtol=2e-6, atol=2e-7)
 
 
 def test_quotient_requires_positive_sigma_k():
@@ -118,14 +116,14 @@ def test_two_value_closed_forms():
                                rtol=1e-12, atol=1e-13)
         for k in range(0, n):
             f, f1, f2, tr, wt = quotient_two_value(a, b, n, k)
+            value, grad, trace, weighted = quotient(full, k)
             for i in range(8):
-                info = quotient(full[i], k)
-                assert f[i] == pytest.approx(info.value, rel=1e-12)
-                assert f1[i] == pytest.approx(info.grad_diag[0], rel=1e-11, abs=1e-13)
+                assert f[i] == pytest.approx(value[i], rel=1e-12)
+                assert f1[i] == pytest.approx(grad[i, 0], rel=1e-11, abs=1e-13)
                 if n > 1:
-                    assert f2[i] == pytest.approx(info.grad_diag[1], rel=1e-11, abs=1e-13)
-                assert tr[i] == pytest.approx(info.trace_grad, rel=1e-11)
-                assert wt[i] == pytest.approx(info.weighted_trace, rel=1e-11)
+                    assert f2[i] == pytest.approx(grad[i, 1], rel=1e-11, abs=1e-13)
+                assert tr[i] == pytest.approx(trace[i], rel=1e-11)
+                assert wt[i] == pytest.approx(weighted[i], rel=1e-11)
 
 
 def test_two_value_cone_violation_reports_node():
@@ -146,8 +144,7 @@ def test_quotient_trace_gaps_bounds():
         assert np.all(g2 >= -1e-10)
         # on the closed (k+1) cone the trace is also bounded above
         assert np.all(g2 + identity_quotient(n, k) <= n - k + 1e-10)
-        assert weighted[0] == pytest.approx(quotient(lam[keep][0], k).weighted_trace,
-                                            rel=1e-12)
+        assert weighted[0] == pytest.approx(quotient(lam[keep][0], k)[3], rel=1e-12)
 
 
 def test_pinch_deficit_forms_agree():
@@ -184,12 +181,12 @@ def test_sigma_table_in_place_update_is_bit_identical(n):
 def test_gathered_quotient_gradient_is_bit_identical(n):
     for vals in _batches(n):
         for k in range(n):
-            assert np.array_equal(_quotient_arrays(vals, k)[1],
+            assert np.array_equal(quotient(vals, k)[1],
                                   oracles.quotient_grad_delete(vals, k))
-    # a single vector goes through quotient(), with no leading axis at all
+    # a single vector, with no leading axis at all
     single = _batches(n)[0][0]
     for k in range(n):
-        assert np.array_equal(quotient(single, k).grad_diag,
+        assert np.array_equal(quotient(single, k)[1],
                               oracles.quotient_grad_delete(single, k))
 
 
