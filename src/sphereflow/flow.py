@@ -3,18 +3,18 @@
 The normal speed is f = c * phi'(rho) - u * F with c the quotient's value on
 the round sphere, which preserves the quermassintegral A_{k-1} and drives
 convex initial data to a geodesic sphere.  On the fixed graph grid the radius
-obeys d(rho)/dt = f * W / phi.  That rate reads rho only through a 3-point
-stencil, so its Jacobian is tridiagonal and the stiff system is stepped with
-Radau IIA (Hairer & Wanner, Solving ODEs II), whose steps are sized by
-accuracy rather than by the h^2 stability limit.  One driver, _integrate,
-steps both this solver and the support-function solver in dualflow; only
-its first step is taken from the parabolic limit.  Near the limit sphere the
-steps are pinned at dtMax, and the Radau LU factors are then kept across
-steps while the step and the Jacobian stay the same (_Radau); they are the
-very factors scipy would build again, so no result changes.  _integrate
-returns the final solver state and an Outcome, the stop and the counters
-of a run, which FlowResult here and DualResult in dualflow extend.  Classical
-Runge-Kutta at the parabolic limit stays on as the test oracle.
+obeys d(rho)/dt = f * W / phi.  That rate is pointwise in rho and its 3-point
+stencil derivatives, so its exact Jacobian is tridiagonal (_rate_jacobian),
+and the stiff system is stepped with Radau IIA (Hairer & Wanner, Solving
+ODEs II, Sec. IV.8), whose steps are sized by accuracy rather than by the h^2
+stability limit.  _Stepper is that method: its three stages go to the rate as
+one stacked call, and MU/h I - J is factored by LAPACK's tridiagonal routines
+and kept while h and J stay the same.  One driver, _integrate, steps both this
+solver and the support-function solver in dualflow; only its first step is
+taken from the parabolic limit.  _integrate returns the final solver state
+and an Outcome, the stop and the counters of a run, which FlowResult here and
+DualResult in dualflow extend.  Classical Runge-Kutta at the parabolic limit
+stays on as the test oracle.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import Radau
 from scipy.interpolate import CubicSpline
-from scipy.sparse import diags
+from scipy.linalg import lapack
 
 from .exceptions import StepRejected
 from .hypersurface import (
@@ -46,9 +45,10 @@ from .hypersurface import (
     integrate,
     polar_grid,
     save_checkpoint,
+    stencil_bands,
 )
 from .quermass import QuermassVector, quermass_vector
-from .symfunc import identity_quotient, quotient_two_core
+from .symfunc import identity_quotient, quotient_two_core, quotient_two_value
 
 __all__ = [
     "ShapeSpec",
@@ -232,9 +232,31 @@ def speed(state: GeometryState) -> np.ndarray:
 
 def _stage_rate(n: int, k: int, grid, rho) -> np.ndarray:
     """The radius rate d(rho)/dt = f * W / phi on fixed nodes, from the cores alone,
-    with the checks of geometry(RadialProfile(n, grid, rho), k)."""
+    with the checks of geometry(RadialProfile(n, grid, rho), k); rho may stack
+    several radius vectors, such as the three Radau stages, along leading axes."""
     _, _, _, phip, _, u, omega_speed, lam1, lam_ang = curvatures(grid, checked_radii(grid, rho))
     return _speed(n, k, phip, u, quotient_two_core(lam1, lam_ang, n, k)[0]) * omega_speed
+
+
+def _rate_jacobian(n: int, k: int, grid, rho: np.ndarray) -> np.ndarray:
+    """The exact Jacobian of _stage_rate at rho, as the bands of stencil_bands.
+
+    The rate c phi' W / phi - phi F is pointwise in (rho, rho', rho'', cot
+    term); the chain rule runs through lam1, lam_ang and F, whose lam
+    derivatives are f_merid and (n - 1) f_ang.  At the poles lam_ang is lam1,
+    which the cot term's pole rule (rho'') reproduces.
+    """
+    g, hess, phi, phip, w, _, _, lam1, lam_ang = curvatures(grid, checked_radii(grid, rho))
+    F, f1, fa = quotient_two_value(lam1, lam_ang, n, k)[:3]
+    fa = (n - 1) * fa
+    l1_rho = ((2.0 * phi * phip**2 - phi**3 - phip * hess - 2.0 * phi * g**2) / w**3
+              - 3.0 * lam1 * phi * phip / w**2)
+    la_rho = (phip**2 - phi**2) / (phi * w) - lam_ang * (phip / phi + phi * phip / w**2)
+    c = identity_quotient(n, k)
+    d_rho = c * (phip**2 / w - w / phi**2) - phip * F - phi * (f1 * l1_rho + fa * la_rho)
+    d_grad = c * phip * g / (phi * w) - phi * g * (
+        f1 * (4.0 * phip - 3.0 * lam1 * w) / w**3 - fa * lam_ang / w**2)
+    return stencil_bands(grid, d_rho, d_grad, phi**2 * f1 / w**3, fa / w)
 
 
 def _rk4(y: np.ndarray, dt: float, r1: np.ndarray, rate) -> np.ndarray:
@@ -400,99 +422,219 @@ class FlowResult(Outcome):
     violations: dict
 
 
-class _Radau(Radau):
-    """scipy's Radau IIA, keeping its LU pair across steps pinned at max_step.
+# Radau IIA of order 5 as scipy's Radau has it: the collocation nodes C, the
+# error weights E, the eigenvalues MU and eigenvectors T of the inverse Butcher
+# matrix, and P, which turns a step's stage increments into its collocation
+# polynomial
+_S6 = 6**0.5
+_C = np.array([(4 - _S6) / 10, (4 + _S6) / 10, 1])
+_E = np.array([-13 - 7 * _S6, -13 + 7 * _S6, -1]) / 3
+_MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
+_MU_COMPLEX = 3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3)) - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6))
+_T = np.array([[0.09443876248897524, -0.14125529502095421, 0.03002919410514742],
+               [0.25021312296533332, 0.20412935229379994, -0.38294211275726192],
+               [1, 1, 0]])
+_TI = np.array([[4.17871859155190428, 0.32768282076106237, 0.52337644549944951],
+                [-4.17871859155190428, -0.32768282076106237, 0.47662355450055044],
+                [0.50287263494578682, -2.57192694985560522, 0.59603920482822492]])
+_TI_COMPLEX = _TI[1] + 1j * _TI[2]
+_P = np.array([[13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6],
+               [13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6],
+               [1 / 3, -8 / 3, 10 / 3]])
+# the step control: Newton iterations and tolerance per solve, the least and
+# largest step factors, and the growth below which a step is held
+_NEWTON_MAXITER = 6
+_NEWTON_TOL = max(10 * np.finfo(float).eps / _RTOL, min(0.03, _RTOL**0.5))
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_HOLD_BELOW = 1.2
 
-    scipy drops the factors of MU/h*I - J whenever it predicts a growth of 1.2
-    or more, even where max_step clamps the step back.  The pair is restored only
-    for the very float h and njev (J) it was built for: bit for bit what scipy
-    factors.
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size**0.5
+
+
+def _predict_factor(h, h_old, error_norm, error_norm_old):
+    """The step factor predicted from this error norm and, where known (with
+    h_old), the last step's (Hairer & Wanner, Sec. IV.8)."""
+    if error_norm_old is None or error_norm == 0:
+        return error_norm**-0.25
+    return min(1.0, h / h_old * (error_norm_old / error_norm) ** 0.25) * error_norm**-0.25
+
+
+def _factor(gttrf, lower, diag, upper) -> tuple:
+    """LAPACK's LU factors of a tridiagonal matrix; LinAlgError on a zero pivot
+    or a factor that is not finite."""
+    *factors, info = gttrf(lower, diag, upper)
+    if info != 0 or not all(np.all(np.isfinite(f)) for f in factors[:4]):
+        raise np.linalg.LinAlgError("tridiagonal factor is singular or not finite")
+    return factors
+
+
+class _Stepper:
+    """Radau IIA (order 5) steps of y' = fun(y) from (t, y) with a tridiagonal J.
+
+    It keeps scipy's Radau algorithm and constants: the simplified Newton
+    iteration on the collocation system, the embedded error estimate, and the
+    predictive step control, which holds the step while the predicted growth
+    stays below _HOLD_BELOW and takes jac(y) again after slow Newton
+    convergence.  fun takes the three stages as one (3, N) stack; jac(y)
+    gives J as stencil_bands rows.  MU/h I - J is factored by LAPACK's
+    tridiagonal routines, and one factor pair is kept while h and J stay the
+    same.  step raises LinAlgError for a bad factor and StepRejected for a
+    step below the float spacing of t.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        factor, self.made, self.kept = self.lu, [], ()
+    def __init__(self, fun, jac, t: float, y: np.ndarray, t_bound: float, h: float, h_max):
+        self.fun, self.jac = fun, jac
+        self.t, self.y, self.t_bound, self.h_abs, self.h_max = t, y, t_bound, h, h_max
+        self.f, self.J = fun(y), jac(y)
+        self.factorizations = 0
+        self.current_jac = True
+        self.h_abs_old = self.error_norm_old = None
+        self.lu = None  # (h, J, real factors, complex factors)
+        self.dense = None  # (t, y, collocation polynomial) at the last step's start
 
-        def lu(matrix):
-            self.made.append((self.njev, factor(matrix)))
-            return self.made[-1][1]
+    def _factors(self, h: float) -> tuple:
+        if self.lu is None or self.lu[0] != h or self.lu[1] is not self.J:
+            lower, diag, upper = -self.J[0, 1:], -self.J[1], -self.J[2, :-1]
+            self.factorizations += 2
+            self.lu = (h, self.J,
+                       _factor(lapack.dgttrf, lower, _MU_REAL / h + diag, upper),
+                       _factor(lapack.zgttrf, lower + 0j, _MU_COMPLEX / h + diag, upper + 0j))
+        return self.lu[2:]
 
-        self.lu = lu
+    def _newton(self, h: float, z: np.ndarray, scale: np.ndarray) -> tuple:
+        """(converged, iterations, stage increments, convergence rate)."""
+        real, complex_ = self._factors(h)
+        w = _TI @ z
+        dw_norm_old = rate = None
+        for it in range(_NEWTON_MAXITER):
+            f = self.fun(self.y + z)
+            if not np.all(np.isfinite(f)):
+                break
+            dw_complex = lapack.zgttrs(
+                *complex_, _TI_COMPLEX @ f - _MU_COMPLEX / h * (w[1] + 1j * w[2]))[0]
+            dw = np.stack((lapack.dgttrs(*real, _TI[0] @ f - _MU_REAL / h * w[0])[0],
+                           dw_complex.real, dw_complex.imag))
+            dw_norm = _rms(dw / scale)
+            if dw_norm_old is not None:
+                rate = dw_norm / dw_norm_old
+            if rate is not None and (rate >= 1 or rate ** (_NEWTON_MAXITER - it) / (1 - rate)
+                                     * dw_norm > _NEWTON_TOL):
+                break
+            w = w + dw
+            z = _T @ w
+            if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm < _NEWTON_TOL:
+                return True, it + 1, z, rate
+            dw_norm_old = dw_norm
+        return False, it + 1, z, rate
 
-    def _step_impl(self):
-        # scipy clamps an h_abs above max_step to max_step, then clips to t_bound
-        t, h = self.t, min(self.t + self.max_step, self.t_bound) - self.t
-        if self.LU_real is None and self.h_abs > self.max_step and self.kept[:2] == (self.njev, h):
-            self.LU_real, self.LU_complex = self.kept[2:]
-        self.made = []
-        accepted, message = super()._step_impl()
-        made, self.made = self.made, []
-        if accepted and made:  # the last pair made is for the accepted h
-            (njev, real), (_, complex_) = made[-2:]
-            self.kept = (njev, self.t - t, real, complex_)
-        if self.h_abs < self.max_step or self.t == self.t_bound:  # no pinned step is next
-            self.kept = ()  # free the pair
-        return accepted, message
+    def step(self) -> None:
+        t, y, f = self.t, self.y, self.f
+        min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+        h, h_old, error_norm_old = self.h_abs, self.h_abs_old, self.error_norm_old
+        if not min_step <= h <= self.h_max:  # a clamped step forgets the last one
+            h, h_old, error_norm_old = min(max(h, min_step), self.h_max), None, None
+        rejected = False
+        while True:
+            if h < min_step:
+                raise StepRejected("step size fell below the float spacing of t")
+            t_new = t + h
+            if t_new > self.t_bound:
+                t_new, h = self.t_bound, self.t_bound - t
+            if self.dense is None:
+                z0 = np.zeros((3, y.size))
+            else:  # the last step's collocation polynomial at the new stages
+                t_old, y_old, q = self.dense
+                x = (t + h * _C - t_old) / (t - t_old)
+                z0 = (q @ np.cumprod(np.tile(x, (3, 1)), axis=0) + y_old[:, None]).T - y
+            scale = _ATOL + np.abs(y) * _RTOL
+            converged, iterations, z, rate = self._newton(h, z0, scale)
+            if not converged and not self.current_jac:
+                self.J, self.current_jac = self.jac(y), True
+                converged, iterations, z, rate = self._newton(h, z0, scale)
+            if not converged:
+                h *= 0.5
+                continue
+            y_new = y + z[-1]
+            ze = _E @ z / h
+            real = self.lu[2]
+            error = lapack.dgttrs(*real, f + ze)[0]
+            scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
+            error_norm = _rms(error / scale)
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + iterations)
+            if rejected and error_norm > 1:
+                error = lapack.dgttrs(*real, self.fun(y + error) + ze)[0]
+                error_norm = _rms(error / scale)
+            if not error_norm > 1:  # a NaN norm passes, as in scipy
+                break
+            h *= max(_MIN_FACTOR, safety * _predict_factor(h, h_old, error_norm, error_norm_old))
+            rejected = True
+
+        recompute_jac = iterations > 2 and rate > 1e-3
+        factor = min(_MAX_FACTOR, safety * _predict_factor(h, h_old, error_norm, error_norm_old))
+        if not recompute_jac and factor < _HOLD_BELOW:
+            factor = 1.0
+        self.f = self.fun(y_new)
+        if recompute_jac:
+            self.J = self.jac(y_new)
+        self.current_jac = recompute_jac
+        self.h_abs_old, self.error_norm_old, self.h_abs = self.h_abs, error_norm, h * factor
+        self.dense = (t, y, z.T @ _P)
+        self.t, self.y = t_new, y_new
 
 
-def _integrate(config: FlowConfig, rate, accept, probe, advance, row, y0: np.ndarray,
+def _integrate(config: FlowConfig, rate, jac, accept, probe, advance, row, y0: np.ndarray,
                state, first_step: float, trace: FlowTrace):
-    """The one time loop of both solvers: Radau IIA steps with a tridiagonal Jacobian.
+    """The one time loop of both solvers: Radau IIA steps with an exact tridiagonal J.
 
-    scipy's Radau is driven one .step() at a time from y0, whose solver state
-    is state, starting with first_step.  rate(y) may raise ValueError
-    (ConeViolation included) where a stage leaves the chart or the cone; the
-    solver then sees NaN, which its Newton loop takes as non-convergence and
-    answers by halving its step.  accept(y) turns an accepted vector into
-    the next solver state or raises StepRejected or ValueError.  probe(state)
-    gives its max speed and max curvature; advance(state, new, t, dt, steps)
-    does the work of an accepted step and returns its flag codes; row(state,
-    codes) gives a trace row's values and may add codes.
+    _Stepper steps from y0, whose solver state is state, starting with
+    first_step.  rate(y), of one vector or a stack, and jac(y), the bands of
+    stencil_bands, may raise ValueError (ConeViolation included) where y
+    leaves the chart or the cone; the stepper then sees NaN, which its
+    Newton loop answers by halving its step.  accept(y) turns an accepted
+    vector into the next solver state or raises StepRejected or ValueError.
+    probe(state) gives its max speed and max curvature; advance(state, new,
+    t, dt, steps) does the work of an accepted step and returns its flag
+    codes; row(state, codes) gives a trace row's values and may add codes.
 
-    A failed solver, a failed factorization (a NaN Jacobian makes splu
-    report a singular factor), a step accepted on a NaN error estimate or a
-    refused vector restarts the solver from the last accepted state with
-    half the step it tried, counted as a rejection; once that falls below
-    _MULT_FLOOR times the first step, the run ends step_collapse with the
-    last failure's message.  The termination tests run at accepted steps, so
-    a converged run's final t can be late by up to one step (at most dtMax).
-
-    The solver is _Radau: where scipy would factor MU/h*I - J again for the
-    same float h and the same J, which happens after nearly every step pinned
-    at dtMax, it reuses the LU pair it last made.  Equal matrices give equal
-    factors, so steps, rate calls and states are bit for bit those of scipy's
-    own Radau; only the count of factorizations falls.  A replaced or finished
-    solver is retired: its counts are summed and its LU factors dropped.
-    Returns the final solver state, the collapse message or None, and the
-    Outcome, whose rate evaluations include Jacobian columns and whose
-    Jacobians and LU factorizations are summed over the solver restarts.
+    A failed step (a bad factor, as a NaN Jacobian gives, or a step too small
+    for t), a step accepted on a NaN error estimate or a refused vector
+    restarts the stepper from the last accepted state with half the step it
+    tried, counted as a rejection; once that falls below _MULT_FLOOR times
+    the first step, the run ends step_collapse with the last failure's
+    message.  The termination tests run at accepted steps, so a converged
+    run's final t can be late by up to one step (at most dtMax).  Returns the
+    final solver state, the collapse message or None, and the Outcome, whose
+    rate evaluations count each stage of a stacked call and no Jacobian, and
+    whose Jacobians and LU factorizations are summed over the restarts.
     """
     evaluations = jacobians = factorizations = 0
     message = ""
 
-    def fun(t: float, y: np.ndarray) -> np.ndarray:
-        nonlocal evaluations, message
-        evaluations += 1
+    def guarded(fn, y: np.ndarray, shape: tuple) -> np.ndarray:
+        nonlocal message
         try:
-            return rate(y)
+            return fn(y)
         except ValueError as exc:
             message = str(exc)
-            return np.full(y.shape, np.nan)
+            return np.full(shape, np.nan)
 
-    sparsity = diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(y0.size, y0.size))
+    def fun(y: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += y.size // y0.size
+        return guarded(rate, y, y.shape)
 
-    def start(t: float, y: np.ndarray, h: float) -> _Radau:
+    def jacobian(y: np.ndarray) -> np.ndarray:
+        nonlocal jacobians
+        jacobians += 1
+        return guarded(jac, y, (3, y.size))
+
+    def start(t: float, y: np.ndarray, h: float) -> _Stepper:
         with np.errstate(all="ignore"):
-            return _Radau(fun, t, y, config.t_max, first_step=min(h, config.t_max - t),
-                          max_step=config.dt_max, rtol=_RTOL, atol=_ATOL,
-                          jac_sparsity=sparsity)
-
-    def retire(solver: _Radau) -> None:
-        nonlocal jacobians, factorizations
-        jacobians += solver.njev
-        factorizations += solver.nlu
-        solver.LU_real = solver.LU_complex = None
-        solver.made, solver.kept = [], ()
+            return _Stepper(fun, jacobian, t, y, config.t_max, min(h, config.t_max - t),
+                            config.dt_max)
 
     pending: list = []
     trace.append(0.0, row(state, pending), pending)
@@ -519,42 +661,41 @@ def _integrate(config: FlowConfig, rate, accept, probe, advance, row, y0: np.nda
         try:
             with np.errstate(all="ignore"):
                 solver.step()
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
+        except (StepRejected, np.linalg.LinAlgError) as exc:
             message = message or str(exc)
         else:
-            if solver.status != "failed":
-                try:
-                    # a NaN error estimate passes Radau's error test
-                    if not math.isfinite(solver.error_norm_old):
-                        raise StepRejected(message or "error estimate is not finite")
-                    new = accept(solver.y)
-                except (StepRejected, ValueError) as exc:
-                    message = str(exc)
-                    tried = solver.t - t
-                else:
-                    t_new = float(solver.t)
-                    y, dt, t = solver.y, t_new - t, t_new
-                    steps += 1
-                    pending.extend(advance(state, new, t, dt, steps))
-                    state = new
-                    if steps % config.sample_every == 0:
-                        trace.append(t, row(state, pending), pending)
-                        pending = []
-                        last_sampled = t
-                    continue
+            try:
+                # a NaN error estimate passes Radau's error test
+                if not math.isfinite(solver.error_norm_old):
+                    raise StepRejected(message or "error estimate is not finite")
+                new = accept(solver.y)
+            except (StepRejected, ValueError) as exc:
+                message = str(exc)
+                tried = solver.t - t
+            else:
+                t_new = float(solver.t)
+                y, dt, t = solver.y, t_new - t, t_new
+                steps += 1
+                pending.extend(advance(state, new, t, dt, steps))
+                state = new
+                if steps % config.sample_every == 0:
+                    trace.append(t, row(state, pending), pending)
+                    pending = []
+                    last_sampled = t
+                continue
 
         # a rejection: the next pass probes the unchanged state again
         rejections += 1
         if 0.5 * tried < _MULT_FLOOR * first_step:
-            termination, failure = "step_collapse", message or solver.message
+            termination, failure = "step_collapse", message
             break
-        retire(solver)
+        factorizations += solver.factorizations
         solver = start(t, y, 0.5 * tried)
 
     if t > last_sampled:
         trace.append(t, row(state, pending), pending)
     if solver is not None:
-        retire(solver)
+        factorizations += solver.factorizations
     return state, failure, Outcome(config, trace, termination, t, steps, rejections,
                                    evaluations, jacobians, factorizations)
 
@@ -603,7 +744,8 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
     start = (profile, state, float(np.max(np.abs(speed(state)))))
     trace = FlowTrace(n=n)
     (profile, _, _), failure, outcome = _integrate(
-        config, lambda rho: _stage_rate(n, k, grid, rho), accept, probe, advance, row,
+        config, lambda rho: _stage_rate(n, k, grid, rho),
+        lambda rho: _rate_jacobian(n, k, grid, rho), accept, probe, advance, row,
         profile.rho, start, _policy_dt(state, config.dt_max), trace)
     if failure is not None:
         outcome.termination = f"{outcome.termination}: {failure}"

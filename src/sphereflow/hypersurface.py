@@ -32,6 +32,7 @@ __all__ = [
     "SphereGrid2D",
     "differentiate",
     "cot_grad",
+    "stencil_bands",
     "curvatures",
     "geometry",
     "geometry_full_s2",
@@ -145,9 +146,10 @@ def as_grid(theta) -> PolarGrid:
 
 
 def checked_radii(grid: PolarGrid, rho) -> np.ndarray:
-    """rho as a float array, refused unless finite and strictly inside (0, pi/2) on grid."""
+    """rho as a float array of radii on grid along its last axis, refused unless
+    finite and strictly inside (0, pi/2)."""
     rho = np.asarray(rho, dtype=float)
-    if rho.shape != grid.theta.shape:
+    if rho.shape[-1:] != grid.theta.shape:
         raise ValueError("theta and rho must be matching 1-d arrays")
     if not np.all(np.isfinite(rho)):
         raise ValueError("rho must be finite")
@@ -175,6 +177,8 @@ class RadialProfile:
             raise ValueError("ambient dimension needs n >= 2")
         self.grid = as_grid(self.theta)
         self.theta = self.grid.theta
+        if np.ndim(self.rho) != 1:
+            raise ValueError("theta and rho must be matching 1-d arrays")
         self.rho = checked_radii(self.grid, self.rho)
 
     @property
@@ -199,7 +203,8 @@ class RadialProfile:
 
 
 def differentiate(values: np.ndarray, h: float):
-    """Centered second-order d/dtheta and d2/dtheta2 of nodal values on [0, pi].
+    """Centered second-order d/dtheta and d2/dtheta2 of nodal values on [0, pi],
+    along the last axis.
 
     Axisymmetric regularity makes the scalar even about both poles, so the
     ghost values are the mirrored interior ones; the first derivative vanishes
@@ -207,19 +212,35 @@ def differentiate(values: np.ndarray, h: float):
     """
     grad = np.empty_like(values)
     hess = np.empty_like(values)
-    grad[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    grad[0] = 0.0
-    grad[-1] = 0.0
-    hess[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h**2
-    hess[0] = 2.0 * (values[1] - values[0]) / h**2
-    hess[-1] = 2.0 * (values[-2] - values[-1]) / h**2
+    grad[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * h)
+    grad[..., 0] = 0.0
+    grad[..., -1] = 0.0
+    hess[..., 1:-1] = (values[..., 2:] - 2.0 * values[..., 1:-1] + values[..., :-2]) / h**2
+    hess[..., 0] = 2.0 * (values[..., 1] - values[..., 0]) / h**2
+    hess[..., -1] = 2.0 * (values[..., -2] - values[..., -1]) / h**2
     return grad, hess
 
 
 def cot_grad(grad: np.ndarray, hess: np.ndarray, tan: np.ndarray) -> np.ndarray:
     """cot(theta) * q_theta of an even scalar: grad / tan on the interior nodes, where
     tan is given, and the even-parity pole limit q_thetatheta = hess at both poles."""
-    return np.concatenate((hess[:1], grad[1:-1] / tan, hess[-1:]))
+    return np.concatenate((hess[..., :1], grad[..., 1:-1] / tan, hess[..., -1:]), axis=-1)
+
+
+def stencil_bands(grid: PolarGrid, a, b, c, e) -> np.ndarray:
+    """The tridiagonal matrix diag(a) + diag(b) D1 + diag(c) D2 + diag(e) Dcot on grid,
+    as rows (sub-, main, super-diagonal): row 0 holds entry (i, i-1) at i and row 2
+    entry (i, i+1) at i.  D1 and D2 are differentiate's stencils and Dcot is
+    cot_grad's term, pole rules included; a, b, c and e are nodal coefficients.
+
+    The matrix is applied to the three combs of ones on every third node; no
+    row of a tridiagonal matrix meets one comb twice, so each product holds
+    one entry per row."""
+    nodes = np.arange(grid.theta.size)
+    combs = (nodes % 3 == np.arange(3)[:, None]).astype(float)
+    grad, hess = differentiate(combs, grid.h)
+    applied = a * combs + b * grad + c * hess + e * cot_grad(grad, hess, grid.tan)
+    return np.stack([applied[(nodes + offset) % 3, nodes] for offset in (-1, 0, 1)])
 
 
 @dataclass
@@ -269,7 +290,8 @@ class GeometryState:
 
 def curvatures(grid: PolarGrid, rho: np.ndarray) -> tuple:
     """The pointwise fields of radii rho on grid that both the flow rate and
-    geometry read: (grad, hess, phi, phip, w, u, omega_speed, lam1, lam_ang)."""
+    geometry read: (grad, hess, phi, phip, w, u, omega_speed, lam1, lam_ang);
+    rho may stack several radius vectors along leading axes."""
     grad, hess = differentiate(rho, grid.h)
     phi = np.sin(rho)
     phip = np.cos(rho)
@@ -280,7 +302,7 @@ def curvatures(grid: PolarGrid, rho: np.ndarray) -> tuple:
     lam1 = (-phi * hess + 2.0 * phip * grad**2 + phi**2 * phip) / w**3
     lam_ang = (phi * phip - cot_grad(grad, hess, grid.tan)) / (phi * w)
     # both curvatures coincide at the poles; lam1's rounding is kept there
-    lam_ang[0], lam_ang[-1] = lam1[0], lam1[-1]
+    lam_ang[..., 0], lam_ang[..., -1] = lam1[..., 0], lam1[..., -1]
     return grad, hess, phi, phip, w, u, omega_speed, lam1, lam_ang
 
 

@@ -140,13 +140,14 @@ def sigma_two_value(lam1, lam2, n: int, m: int):
 
 def quotient_two_core(lam1, lam2, n: int, k: int):
     """F = sigma_{k+1}/sigma_k on two-value curvature vectors, with sigma_k and
-    sigma_{k+1}; the cone check and errors of quotient_two_value, no gradient."""
+    sigma_{k+1}; the cone check and errors of quotient_two_value, no gradient.
+    Nodes run along the last axis, which a ConeViolation's node indexes."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"quotient order k={k} out of range for n={n}")
     sk = sigma_two_value(lam1, lam2, n, k)
     bad = ~(sk > 0.0)
     if np.any(bad):
-        node = int(np.argmax(bad.ravel()))
+        node = int(np.argwhere(np.atleast_1d(bad))[0, -1])
         raise ConeViolation(f"sigma_{k} not positive at node {node}", node=node)
     sk1 = sigma_two_value(lam1, lam2, n, k + 1)
     return sk1 / sk, sk, sk1

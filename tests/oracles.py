@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 from scipy.integrate import Radau
+from scipy.sparse import diags
 
 import sphereflow.flow as flow
 from sphereflow.symfunc import sigma_table
@@ -125,8 +126,26 @@ def pair_sum_delete(vals, m):
     return pair_sum
 
 
-def plain_radau(monkeypatch, solve, config):
-    """solve(config) stepped by scipy's own Radau, which factors again every LU pair it drops."""
-    with monkeypatch.context() as patch:
-        patch.setattr(flow, "_Radau", Radau)
-        return solve(config)
+def plain_radau(rate, y0, t_end, first_step, dt_max):
+    """scipy's own Radau on rate from y0 to t_end, at the solvers' tolerances and
+    with its finite-difference Jacobian of tridiagonal pattern: (final y, steps).
+
+    A rate that raises ValueError gives NaN, which Radau answers with a
+    smaller step, as the solvers' driver does.
+    """
+    def fun(t, y):
+        try:
+            return rate(y)
+        except ValueError:
+            return np.full(y.shape, np.nan)
+
+    with np.errstate(all="ignore"):
+        solver = Radau(fun, 0.0, y0, t_end, first_step=first_step, max_step=dt_max,
+                       rtol=flow._RTOL, atol=flow._ATOL,
+                       jac_sparsity=diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(y0.size,) * 2))
+        steps = 0
+        while solver.status == "running":
+            solver.step()
+            steps += 1
+    assert solver.status == "finished", solver.status
+    return solver.y, steps

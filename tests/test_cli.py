@@ -375,8 +375,8 @@ def test_dual_run_command(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("dual-run: ")
     summary = _read_json(out / "summary.json")
     assert summary["breakdownTime"] is None
-    # the same Radau counting as run: the start rate, three Jacobian column
-    # groups and three stages per accepted step
+    # the same Radau counting as run: the start rate, three stages per Newton
+    # iteration and two iterations per accepted step
     assert summary["rateEvaluations"] >= 4 + 3 * summary["steps"]
     assert summary["finalCheckpoint"] == "final.json"
     header = (out / "trace.csv").read_text().splitlines()[1]

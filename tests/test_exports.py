@@ -3,6 +3,7 @@ deleted function, config key or flag cannot linger in an ``__all__`` list, in
 the package's re-exports or in the documentation."""
 
 import argparse
+import ast
 import pkgutil
 import re
 from pathlib import Path
@@ -43,3 +44,26 @@ def test_readme_config_table_names_every_config_key():
         # a flag stores under its config key; --shape parses into initialShape
         assert [dests.get(flag) for flag in flags] == [
             "shape" if key == "initialShape" else key for key in keys], keys
+
+
+def _imported_modules(path: Path):
+    """Every module path an import statement of path names, submodules included."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("path", sorted((Path(sphereflow.__file__).parent).glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_scipy_integrate_or_scipy_internals(path):
+    """The time stepper is the package's own: scipy's integrators and its private
+    modules, whose names and attributes change between releases, stay out."""
+    for name in _imported_modules(path):
+        parts = name.split(".")
+        if parts[0] == "scipy":
+            assert parts[1:2] != ["integrate"], f"{path.name} imports {name}"
+            private = any(part.startswith("_") for part in parts[1:])
+            assert not private, f"{path.name} imports {name}"

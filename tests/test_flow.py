@@ -1,14 +1,14 @@
 import dataclasses
+import gc
 import glob
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
-from scipy.integrate import Radau
 from scipy.interpolate import CubicSpline
-from scipy.sparse import diags
 
 import sphereflow.dualflow as dualflow_module
 import sphereflow.flow as flow_module
@@ -31,6 +31,7 @@ from sphereflow.flow import (
 )
 from sphereflow.hypersurface import curvatures, load_checkpoint
 from sphereflow.quermass import quermass_vector
+from sphereflow.symfunc import identity_quotient
 
 import oracles
 
@@ -261,8 +262,8 @@ def test_run_stops_at_tmax():
     assert res.termination == "tmax"
     assert res.t_final == pytest.approx(0.02, rel=1e-12)
     assert res.steps > 0 and res.violations == {}
-    # at least the rate at the start, its three Jacobian column groups and
-    # three Radau stages per accepted step
+    # at least the rate at the start, three Radau stages per Newton
+    # iteration and two iterations per accepted step
     assert res.rate_evaluations >= 4 + 3 * res.steps
 
 
@@ -520,54 +521,115 @@ def _reference_config(n, k, r0, eps, **kw):
     return FlowConfig(n=n, k=k, N=128, initial_shape=shape, **kw)
 
 
-def _assert_same_run(kept, plain):
-    """Kept LU factors change nothing: the same steps, rate calls and bits."""
-    assert (kept.termination, kept.steps, kept.rejections, kept.rate_evaluations,
-            kept.jacobians) == (plain.termination, plain.steps, plain.rejections,
-                                plain.rate_evaluations, plain.jacobians)
-    assert kept.profile.rho.tobytes() == plain.profile.rho.tobytes()
-    assert kept.trace.columns == plain.trace.columns
+def _dual_start(prof, k, dt_max):
+    """dual_run's start vector and first step from the profile prof."""
+    dual0 = dualflow_module.dual_from_profile(prof)
+    u0 = CubicSpline(dual0.theta, dual0.u)(prof.grid.theta)
+    stiff = dualflow_module._stiffness(dualflow_module.support_closure(prof.n, prof.grid, u0), k)
+    return u0, _parabolic_dt(float(np.max(stiff)), prof.grid.h, dt_max)
 
 
-def test_radau_internals_the_kept_lu_reads_and_writes():
-    """A scipy that renames one of these would silently lose the kept factors."""
-    solver = Radau(lambda t, y: -y, 0.0, np.ones(5), 1.0,
-                   jac_sparsity=diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(5, 5)))
-    for name in ("lu", "LU_real", "LU_complex", "J", "h_abs", "max_step", "t_old",
-                 "t_bound", "nlu", "njev", "_step_impl"):
-        assert hasattr(solver, name), name
-    assert callable(solver.lu) and solver.LU_real is None and solver.LU_complex is None
-    assert solver.njev == 1 and solver.nlu == 0
-
-
+@pytest.mark.parametrize("N", [64, 128, 256, 1024])
 @pytest.mark.parametrize("n, k, r0, eps", REFERENCE_SHAPES)
-def test_run_keeps_lu_factors_of_unchanged_steps(monkeypatch, n, k, r0, eps):
-    cfg = _reference_config(n, k, r0, eps)
-    kept = run(cfg)
-    plain = oracles.plain_radau(monkeypatch, run, cfg)
-    assert kept.termination == "converged"
-    # scipy alone factors again after almost every step pinned at dtMax:
-    # 200 and 382 factorizations
-    assert kept.lu_factorizations <= 40 < plain.lu_factorizations
-    _assert_same_run(kept, plain)
+def test_both_solvers_match_scipys_radau(n, k, r0, eps, N):
+    """The own stepper with the exact Jacobian against scipy's Radau with its
+    finite-difference one, on the same rates from the same start to t = 1."""
+    cfg = dataclasses.replace(_reference_config(n, k, r0, eps, t_max=1.0, convergence_tol=0.0),
+                              N=N)
+    prof = cfg.initial_shape.build(n, N)
+    res = run(cfg)
+    rho, steps = oracles.plain_radau(
+        lambda y: flow_module._stage_rate(n, k, prof.grid, y), prof.rho, cfg.t_max,
+        _policy_dt(geometry(prof, k), cfg.dt_max), cfg.dt_max)
+    assert res.termination == "tmax" and res.rejections == 0
+    assert float(np.max(np.abs(res.profile.rho - rho))) <= 1e-9
+    assert abs(res.steps - steps) <= 0.05 * steps
+
+    dual = dual_run(cfg)
+    u0, first_step = _dual_start(prof, k, cfg.dt_max)
+    u, steps = oracles.plain_radau(lambda y: dualflow_module._stage_g(n, k, prof.grid, y), u0,
+                                   cfg.t_max, first_step, cfg.dt_max)
+    assert dual.termination == "tmax" and dual.rejections == 0
+    assert float(np.max(np.abs(dual.u - u))) <= 1e-9
+    assert abs(dual.steps - steps) <= 0.05 * steps
 
 
-def test_kept_lu_factors_change_nothing_where_tmax_clips_the_step(monkeypatch):
-    # the steps are pinned at dtMax = 0.05 well before t = 3.0137
-    cfg = _reference_config(*REFERENCE_SHAPES[0], t_max=3.0137)
-    kept = run(cfg)
-    plain = oracles.plain_radau(monkeypatch, run, cfg)
-    assert kept.termination == "tmax" and kept.t_final == 3.0137
-    assert kept.lu_factorizations < plain.lu_factorizations
-    _assert_same_run(kept, plain)
+def _dense(bands):
+    return np.diag(bands[1]) + np.diag(bands[0, 1:], -1) + np.diag(bands[2, :-1], 1)
+
+
+def _centred_jacobian(rate, y, step=1e-7):
+    columns = []
+    for j in range(y.size):
+        e = np.zeros(y.size)
+        e[j] = step
+        columns.append((rate(y + e) - rate(y - e)) / (2.0 * step))
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in range(n)])
+def test_jacobians_match_a_centred_difference(n, k):
+    """Both solvers' exact Jacobians, on states well inside the cone."""
+    grid = hypersurface_module.polar_grid(33)
+    rho = 0.8 + 0.03 * np.cos(2.0 * grid.theta) + 0.01 * np.cos(3.0 * grid.theta)
+    u0, _ = _dual_start(RadialProfile(n=n, theta=grid, rho=rho), k, 0.05)
+    for bands, rate, y in (
+            (flow_module._rate_jacobian(n, k, grid, rho),
+             lambda v: flow_module._stage_rate(n, k, grid, v), rho),
+            (dualflow_module._g_jacobian(n, k, grid, u0),
+             lambda v: dualflow_module._stage_g(n, k, grid, v), u0)):
+        exact, centred = _dense(bands), _centred_jacobian(rate, y)
+        assert np.max(np.abs(exact - centred)) <= 1e-6 * np.max(np.abs(centred))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rate_jacobian_spectrum_at_a_geodesic_sphere(n):
+    """At the sphere of radius r the degree-l mode decays at
+    mu_l = c l (l + n - 1) / (n sin r); l = 0, the radius, is neutral."""
+    r = 0.8
+    degree = np.arange(6)
+    for k in range(n):
+        mu = identity_quotient(n, k) * degree * (degree + n - 1.0) / (n * math.sin(r))
+        errors = []
+        for N in (65, 129):
+            grid = hypersurface_module.polar_grid(N)
+            eig = np.linalg.eigvals(_dense(flow_module._rate_jacobian(n, k, grid, np.full(N, r))))
+            assert np.max(np.abs(eig.imag)) <= 1e-10 * np.max(np.abs(eig.real))
+            top = np.sort(eig.real)[::-1][:6]
+            err = np.abs(top + mu)
+            # second-order stencil: mu_l / (l (l + n - 1)) times the Laplacian's
+            # error h^2 (l (l + n - 1))^2 / 12
+            assert err[0] <= 1e-10
+            assert np.all(err[1:] <= 0.1 * grid.h**2 * degree[1:] * (degree[1:] + n - 1.0) * mu[1:])
+            errors.append(err[1:])
+        ratio = errors[0] / errors[1]
+        assert np.all((ratio > 3.8) & (ratio < 4.2))
+
+
+def test_fine_grids_start_where_a_difference_jacobian_collapsed():
+    """n=2, k=1, rho = 0.8 + eps cos(m theta) at 0.99 of the largest convex eps:
+    mode 3 at N=2049 and mode 1 at N=4097 once ended step_collapse at t=0,
+    because a finite-difference Jacobian moved the pole node out of the cone."""
+    for mode, N in ((3, 2049), (1, 4097)):
+        lo, hi = 0.0, 0.79
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            try:
+                convex = geometry(RadialProfile.perturbed(2, 0.8, mid, mode, N), 1).lam_min > 0.0
+            except ConeViolation:
+                convex = False
+            lo, hi = (mid, hi) if convex else (lo, mid)
+        shape = ShapeSpec(kind="perturbed", r0=0.8, eps=0.99 * lo, mode=mode)
+        res = run(FlowConfig(n=2, k=1, N=N, initial_shape=shape, t_max=1e-3))
+        assert res.termination == "tmax" and res.rejections == 0 and res.steps > 0
 
 
 def test_run_restarts_after_a_refused_step(monkeypatch):
     cfg = _perturbed_config(t_max=0.02)
     clean, marks = _step_marks(monkeypatch, cfg)
     # the last rate call of the second step and the check of its accepted
-    # vector leave the cone: Radau restarts from the first step at half the
-    # step size
+    # vector leave the cone: the stepper restarts from the first step at half
+    # the step size
     fail = {marks[2] - 1, marks[2]}
     _patch_curvatures(monkeypatch, _fail_calls(curvatures, fail))
     res = run(cfg)
@@ -575,50 +637,52 @@ def test_run_restarts_after_a_refused_step(monkeypatch):
     dt_clean = np.diff(clean.trace.t)
     assert np.diff(res.trace.t)[1] == pytest.approx(0.5 * dt_clean[1], rel=1e-12)
     assert float(np.max(np.abs(res.profile.rho - clean.profile.rho))) < 1e-9
-    # the counters sum over both solvers, each of which starts with a Jacobian
+    # the counters sum over both steppers, each of which starts with a Jacobian
     assert res.jacobians >= 2 and res.lu_factorizations >= 4
-    _patch_curvatures(monkeypatch, _fail_calls(curvatures, fail))
-    _assert_same_run(res, oracles.plain_radau(monkeypatch, run, cfg))
 
 
-def test_finished_solvers_hold_no_lu_factors(monkeypatch):
-    """Every solver a run replaces or finishes with drops its LU factors."""
-    solvers = []
+def test_finished_steppers_are_freed_without_the_cycle_collector(monkeypatch):
+    """No stepper sits in a reference cycle: each one that run or dual_run
+    creates, or replaces after a refused step, is freed by the call's return
+    even with the cycle collector off."""
+    refs = []
 
-    class Recording(flow_module._Radau):
+    class Recording(flow_module._Stepper):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            solvers.append(self)
+            refs.append(weakref.ref(self))
 
-    def assert_retired(res, count):
-        assert len(solvers) == count and res.jacobians >= count
-        for solver in solvers:
-            assert solver.LU_real is None and solver.LU_complex is None
-            assert solver.kept == () and solver.made == []
-        solvers.clear()
+    def assert_freed(res, count):
+        assert len(refs) == count and res.jacobians >= count
+        assert all(ref() is None for ref in refs)
+        refs.clear()
 
-    monkeypatch.setattr(flow_module, "_Radau", Recording)
     cfg = _reference_config(*REFERENCE_SHAPES[0])
-    res = run(cfg)
-    assert res.termination == "converged"
-    assert_retired(res, 1)
-    res = dual_run(cfg)
-    assert res.termination == "converged"
-    assert_retired(res, 1)
-    # the refused second step of test_run_restarts_after_a_refused_step
-    cfg = _perturbed_config(t_max=0.02)
-    _, marks = _step_marks(monkeypatch, cfg)
-    solvers.clear()
-    _patch_curvatures(monkeypatch, _fail_calls(curvatures, {marks[2] - 1, marks[2]}))
-    res = run(cfg)
-    assert res.rejections == 1
-    assert_retired(res, 2)
+    short = _perturbed_config(t_max=0.02)
+    _, marks = _step_marks(monkeypatch, short)
+    monkeypatch.setattr(flow_module, "_Stepper", Recording)
+    gc.collect()
+    gc.disable()
+    try:
+        res = run(cfg)
+        assert res.termination == "converged"
+        assert_freed(res, 1)
+        res = dual_run(cfg)
+        assert res.termination == "converged"
+        assert_freed(res, 1)
+        # the refused second step of test_run_restarts_after_a_refused_step
+        _patch_curvatures(monkeypatch, _fail_calls(curvatures, {marks[2] - 1, marks[2]}))
+        res = run(short)
+        assert res.rejections == 1
+        assert_freed(res, 2)
+    finally:
+        gc.enable()
 
 
 def test_run_collapses_when_every_trial_fails(monkeypatch):
     _, marks = _step_marks(monkeypatch, _perturbed_config(t_max=0.02))
     assert len(marks) >= 4  # the initial state and at least three steps
-    # after the third accepted step every stage, Jacobian column and
+    # after the third accepted step every stage, Jacobian and
     # accepted vector leaves the cone
     _patch_curvatures(monkeypatch, _fail_after(curvatures, marks[3]))
     res = run(_perturbed_config(t_max=0.02))

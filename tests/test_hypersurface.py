@@ -322,7 +322,9 @@ def _axisymmetric_laplacian(n, N):
     stencils; at the poles cot(theta) eta' tends to eta'', so those rows are
     n eta'' under the one-sided even stencil."""
     grid = polar_grid(N)
-    grad, hess = differentiate(np.eye(N), grid.h)
+    # differentiate works along the last axis, so the rows of the identity
+    # give the transposed stencil matrices
+    grad, hess = (d.T for d in differentiate(np.eye(N), grid.h))
     lap = hess.copy()
     lap[1:-1] += (n - 1) * grad[1:-1] / grid.tan[:, None]
     lap[[0, -1]] *= n

@@ -119,3 +119,48 @@ def test_stage_cores_keep_the_cone_checks(side, values, k, error):
     expected = _outcome(full, values)
     assert expected[0] is error
     assert _outcome(stage, values) == expected
+
+
+def _stack(values):
+    """Three stage-like rows: values and two small smooth perturbations of it."""
+    theta = np.linspace(0.0, math.pi, values.size)
+    return np.stack((values, values + 1e-3 * np.cos(2.0 * theta), values * (1.0 - 1e-3)))
+
+
+@PROPERTY
+@given(cases(0.2, 1.2))
+def test_stacked_stage_rate_is_the_rate_row_by_row(case):
+    n, k, grid, rho = case
+    stack = _stack(rho)
+    _, stage = _graph(n, k, grid)
+    rows = [_outcome(stage, row) for row in stack]
+    assume(all(isinstance(row, bytes) for row in rows))
+    assert [row.tobytes() for row in stage(stack)] == rows
+
+
+@PROPERTY
+@given(cases(0.1, 0.9))
+def test_stacked_stage_g_is_g_row_by_row(case):
+    n, k, grid, u = case
+    stack = _stack(u)
+    _, stage = _dual(n, k, grid)
+    rows = [_outcome(stage, row) for row in stack]
+    assume(all(isinstance(row, bytes) for row in rows))
+    assert [row.tobytes() for row in stage(stack)] == rows
+
+
+@pytest.mark.parametrize("side, good, bad, k, error", [
+    (_graph, np.full(65, 0.8), 0.8 + 0.2 * np.cos(8.0 * polar_grid(65).theta), 1, ConeViolation),
+    (_dual, np.full(65, 0.5), np.ones(65), 1, ConeViolation),
+    (_dual, np.full(65, 0.5), 0.5 + 0.01 * (np.arange(65) == 30), 1, ConvexityLoss),
+])
+def test_stacked_cone_errors_carry_the_node(side, good, bad, k, error):
+    """A stack that fails in a later row reports the node, 0..N-1, of that row."""
+    _, stage = side(2, k, polar_grid(65))
+    with pytest.raises(error) as single:
+        stage(bad)
+    with pytest.raises(error) as stacked:
+        stage(np.stack((good, bad, good)))
+    # a flat index of the stack would read 65 + node, a row index 1
+    assert stacked.value.node == single.value.node
+    assert str(stacked.value) == str(single.value)
