@@ -369,7 +369,7 @@ def dual_run(config: FlowConfig) -> DualResult:
     grid = profile.grid
     n, k = config.n, config.k
 
-    # a solver state is (closure, G)
+    # a solver state is (closure, G); G is also the rate its step starts from
     def evaluate(u):
         state = support_closure(n, grid, u)
         return state, g_operator(state, k)
@@ -377,7 +377,7 @@ def dual_run(config: FlowConfig) -> DualResult:
     def probe(cur):
         state, g = cur
         # the largest eigenvalue of W^{-1}: max(1/w) is exactly 1/min(w) for w > 0
-        return float(np.max(np.abs(g))), 1.0 / state.min_eig_w
+        return g, float(np.max(np.abs(g))), 1.0 / state.min_eig_w
 
     trace = FlowTrace(n, extra=("minEigW", "maxEigW"), breakdown_cell=True)
     u0 = CubicSpline(dual0.theta, dual0.u)(grid.theta)

@@ -11,10 +11,11 @@ stability limit.  _Stepper is that method: its three stages go to the rate as
 one stacked call, and MU/h I - J is factored by LAPACK's tridiagonal routines
 and kept while h and J stay the same.  One driver, _integrate, steps both this
 solver and the support-function solver in dualflow; only its first step is
-taken from the parabolic limit.  _integrate returns the final solver state
-and an Outcome, the stop and the counters of a run, which FlowResult here and
-DualResult in dualflow extend.  Classical Runge-Kutta at the parabolic limit
-stays on as the test oracle.
+taken from the parabolic limit, and each step starts on the rate of the state
+that the driver built from the last accepted vector, not on a rate call.
+_integrate returns the final solver state and an Outcome, the stop and the
+counters of a run, which FlowResult here and DualResult in dualflow extend.
+Classical Runge-Kutta at the parabolic limit stays on as the test oracle.
 """
 
 from __future__ import annotations
@@ -303,13 +304,14 @@ class Monitors:
 
     def __init__(self, config: FlowConfig, state0: GeometryState, q0: QuermassVector):
         self.k = config.k
-        self.n = config.n
         self.min_rho0 = float(np.min(state0.rho))
         self.max_rho0 = float(np.max(state0.rho))
         self.min_u0 = float(np.min(state0.u))
         self.min_f0 = float(np.min(state0.F))
         self.max_f0 = float(np.max(state0.F))
         self.q0 = q0
+        # by index l + 1: A_l may only grow below the preserved k - 1, only shrink above
+        self.sign = np.where(np.arange(config.n + 2) < config.k, -1.0, 1.0)
         self.counts: dict = {}
 
     def _flag(self, codes: list, code: str):
@@ -332,15 +334,12 @@ class Monitors:
         if state.lam_min <= 0.0:
             self._flag(codes, "LAMBDA_MIN")
         allowance = _SIGN_ALLOWANCE * state.h**2 * dt
-        for l in range(-1, self.n + 1):
-            d = q.a(l) - q_prev.a(l)
-            slack = (_SIGN_TOL + allowance) * max(1.0, abs(q.a(l)))
-            if l < self.k - 1 and d < -slack:
-                self._flag(codes, f"SIGN_A{l}")
-            elif l == self.k - 1 and abs(d) > slack:
-                self._flag(codes, f"SIGN_A{l}")
-            elif l > self.k - 1 and d > slack:
-                self._flag(codes, f"SIGN_A{l}")
+        # each increment in its wrong direction; the preserved index may move neither way
+        wrong = (q.values - q_prev.values) * self.sign
+        wrong[self.k] = abs(wrong[self.k])
+        slack = (_SIGN_TOL + allowance) * np.maximum(1.0, np.abs(q.values))
+        for i in np.flatnonzero(wrong > slack):
+            self._flag(codes, f"SIGN_A{i - 1}")
         drift = abs(q.a(self.k - 1) - self.q0.a(self.k - 1))
         if drift > _CONSERVATION_TOL * max(1.0, abs(self.q0.a(self.k - 1))):
             self._flag(codes, "CONSERVATION")
@@ -450,8 +449,15 @@ _MAX_FACTOR = 10.0
 _HOLD_BELOW = 1.2
 
 
+def _combine(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a @ rows in einsum's own loop, as _rms sums: BLAS would split the sums
+    across its threads, so their rounding would depend on the thread count."""
+    return np.einsum("...j,jn->...n", a, rows)
+
+
 def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size**0.5
+    x = x.ravel()
+    return np.sqrt(np.einsum("i,i->", x, x) / x.size)
 
 
 def _predict_factor(h, h_old, error_norm, error_norm_old):
@@ -479,21 +485,22 @@ class _Stepper:
     predictive step control, which holds the step while the predicted growth
     stays below _HOLD_BELOW and takes jac(y) again after slow Newton
     convergence.  fun takes the three stages as one (3, N) stack; jac(y)
-    gives J as stencil_bands rows.  MU/h I - J is factored by LAPACK's
-    tridiagonal routines, and one factor pair is kept while h and J stay the
-    same.  step raises LinAlgError for a bad factor and StepRejected for a
-    step below the float spacing of t.
+    gives J as stencil_bands rows.  The rate at the start of a step is not
+    fun's: step takes it from the caller, who has it from the accepted state.
+    MU/h I - J is factored by LAPACK's tridiagonal routines, and one factor
+    pair is kept while h and J stay the same.  step raises LinAlgError for a
+    bad factor and StepRejected for a step below the float spacing of t.
     """
 
     def __init__(self, fun, jac, t: float, y: np.ndarray, t_bound: float, h: float, h_max):
         self.fun, self.jac = fun, jac
         self.t, self.y, self.t_bound, self.h_abs, self.h_max = t, y, t_bound, h, h_max
-        self.f, self.J = fun(y), jac(y)
+        self.J = jac(y)
         self.factorizations = 0
         self.current_jac = True
         self.h_abs_old = self.error_norm_old = None
         self.lu = None  # (h, J, real factors, complex factors)
-        self.dense = None  # (t, y, collocation polynomial) at the last step's start
+        self.dense = None  # (t, y, collocation polynomial coefficients) at the last step's start
 
     def _factors(self, h: float) -> tuple:
         if self.lu is None or self.lu[0] != h or self.lu[1] is not self.J:
@@ -507,16 +514,17 @@ class _Stepper:
     def _newton(self, h: float, z: np.ndarray, scale: np.ndarray) -> tuple:
         """(converged, iterations, stage increments, convergence rate)."""
         real, complex_ = self._factors(h)
-        w = _TI @ z
+        w = _combine(_TI, z)
         dw_norm_old = rate = None
         for it in range(_NEWTON_MAXITER):
             f = self.fun(self.y + z)
             if not np.all(np.isfinite(f)):
                 break
             dw_complex = lapack.zgttrs(
-                *complex_, _TI_COMPLEX @ f - _MU_COMPLEX / h * (w[1] + 1j * w[2]))[0]
-            dw = np.stack((lapack.dgttrs(*real, _TI[0] @ f - _MU_REAL / h * w[0])[0],
-                           dw_complex.real, dw_complex.imag))
+                *complex_, _combine(_TI_COMPLEX, f) - _MU_COMPLEX / h * (w[1] + 1j * w[2]))[0]
+            dw = np.empty_like(w)
+            dw[0] = lapack.dgttrs(*real, _combine(_TI[0], f) - _MU_REAL / h * w[0])[0]
+            dw[1], dw[2] = dw_complex.real, dw_complex.imag
             dw_norm = _rms(dw / scale)
             if dw_norm_old is not None:
                 rate = dw_norm / dw_norm_old
@@ -524,14 +532,15 @@ class _Stepper:
                                      * dw_norm > _NEWTON_TOL):
                 break
             w = w + dw
-            z = _T @ w
+            z = _combine(_T, w)
             if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm < _NEWTON_TOL:
                 return True, it + 1, z, rate
             dw_norm_old = dw_norm
         return False, it + 1, z, rate
 
-    def step(self) -> None:
-        t, y, f = self.t, self.y, self.f
+    def step(self, f: np.ndarray) -> None:
+        """One step from (t, y), whose rate f the caller supplies."""
+        t, y = self.t, self.y
         min_step = 10 * abs(np.nextafter(t, np.inf) - t)
         h, h_old, error_norm_old = self.h_abs, self.h_abs_old, self.error_norm_old
         if not min_step <= h <= self.h_max:  # a clamped step forgets the last one
@@ -548,7 +557,7 @@ class _Stepper:
             else:  # the last step's collocation polynomial at the new stages
                 t_old, y_old, q = self.dense
                 x = (t + h * _C - t_old) / (t - t_old)
-                z0 = (q @ np.cumprod(np.tile(x, (3, 1)), axis=0) + y_old[:, None]).T - y
+                z0 = _combine(np.array([x, x * x, x * x * x]).T, q) + y_old - y
             scale = _ATOL + np.abs(y) * _RTOL
             converged, iterations, z, rate = self._newton(h, z0, scale)
             if not converged and not self.current_jac:
@@ -558,7 +567,7 @@ class _Stepper:
                 h *= 0.5
                 continue
             y_new = y + z[-1]
-            ze = _E @ z / h
+            ze = _combine(_E, z) / h
             real = self.lu[2]
             error = lapack.dgttrs(*real, f + ze)[0]
             scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
@@ -576,12 +585,11 @@ class _Stepper:
         factor = min(_MAX_FACTOR, safety * _predict_factor(h, h_old, error_norm, error_norm_old))
         if not recompute_jac and factor < _HOLD_BELOW:
             factor = 1.0
-        self.f = self.fun(y_new)
         if recompute_jac:
             self.J = self.jac(y_new)
         self.current_jac = recompute_jac
         self.h_abs_old, self.error_norm_old, self.h_abs = self.h_abs, error_norm, h * factor
-        self.dense = (t, y, z.T @ _P)
+        self.dense = (t, y, _combine(_P.T, z))
         self.t, self.y = t_new, y_new
 
 
@@ -595,9 +603,11 @@ def _integrate(config: FlowConfig, rate, jac, accept, probe, advance, row, y0: n
     leaves the chart or the cone; the stepper then sees NaN, which its
     Newton loop answers by halving its step.  accept(y) turns an accepted
     vector into the next solver state or raises StepRejected or ValueError.
-    probe(state) gives its max speed and max curvature; advance(state, new,
-    t, dt, steps) does the work of an accepted step and returns its flag
-    codes; row(state, codes) gives a trace row's values and may add codes.
+    probe(state) gives its rate, bit for bit rate(y) at its vector, its max
+    speed and its max curvature; that rate goes to the stepper, so no
+    accepted state costs a rate call.  advance(state, new, t, dt, steps)
+    does the work of an accepted step and returns its flag codes;
+    row(state, codes) gives a trace row's values and may add codes.
 
     A failed step (a bad factor, as a NaN Jacobian gives, or a step too small
     for t), a step accepted on a NaN error estimate or a refused vector
@@ -607,8 +617,9 @@ def _integrate(config: FlowConfig, rate, jac, accept, probe, advance, row, y0: n
     message.  The termination tests run at accepted steps, so a converged
     run's final t can be late by up to one step (at most dtMax).  Returns the
     final solver state, the collapse message or None, and the Outcome, whose
-    rate evaluations count each stage of a stacked call and no Jacobian, and
-    whose Jacobians and LU factorizations are summed over the restarts.
+    rate evaluations count each stage of a stacked call, no Jacobian and no
+    accepted state, and whose Jacobians and LU factorizations are summed over
+    the restarts.
     """
     evaluations = jacobians = factorizations = 0
     message = ""
@@ -644,7 +655,7 @@ def _integrate(config: FlowConfig, rate, jac, accept, probe, advance, row, y0: n
     y, failure = y0, None
     solver = None  # started by the first step: a run that takes none costs nothing
     while True:
-        max_speed, curvature = probe(state)
+        f, max_speed, curvature = probe(state)
         if max_speed < config.convergence_tol:
             termination = "converged"
             break
@@ -660,7 +671,7 @@ def _integrate(config: FlowConfig, rate, jac, accept, probe, advance, row, y0: n
         tried = min(solver.h_abs, config.dt_max)
         try:
             with np.errstate(all="ignore"):
-                solver.step()
+                solver.step(f)
         except (StepRejected, np.linalg.LinAlgError) as exc:
             message = message or str(exc)
         else:
@@ -711,21 +722,25 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
     q = quermass_vector(state, profile)
     monitors = Monitors(config, state, q)
 
+    # a solver state is (profile, geometry, rate, max |speed|)
+    def solver_state(new_profile, new_state):
+        f = speed(new_state)
+        return new_profile, new_state, f * new_state.omega_speed, float(np.max(np.abs(f)))
+
     def accept(rho):
         new_profile = RadialProfile(n=n, theta=grid, rho=rho)
         new_state = geometry(new_profile, k)
         if not new_state.lam_min > 0.0:
             raise StepRejected("strict convexity lost in a trial step")
-        return new_profile, new_state, float(np.max(np.abs(speed(new_state))))
+        return solver_state(new_profile, new_state)
 
-    # a solver state is (profile, geometry, max |speed|)
     def probe(cur):
-        _, st, max_speed = cur
-        return max_speed, max(abs(st.lam_min), abs(st.lam_max))
+        _, st, f, max_speed = cur
+        return f, max_speed, max(abs(st.lam_min), abs(st.lam_max))
 
     def advance(cur, new, t, dt, steps):
         nonlocal q
-        new_profile, new_state, _ = new
+        new_profile, new_state, _, _ = new
         q_new = quermass_vector(new_state, new_profile)
         codes = monitors.check(q, q_new, new_state, dt)
         q = q_new
@@ -735,18 +750,17 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
         return codes
 
     def row(cur, codes):
-        _, st, max_speed = cur
+        _, st, _, max_speed = cur
         return [q.a(m) for m in range(-1, n + 1)] + [
             np.min(st.u), np.min(st.rho), np.max(st.rho), np.min(st.F), np.max(st.F),
             st.lam_min, st.lam_max, max_speed,
         ]
 
-    start = (profile, state, float(np.max(np.abs(speed(state)))))
     trace = FlowTrace(n=n)
-    (profile, _, _), failure, outcome = _integrate(
+    (profile, *_), failure, outcome = _integrate(
         config, lambda rho: _stage_rate(n, k, grid, rho),
         lambda rho: _rate_jacobian(n, k, grid, rho), accept, probe, advance, row,
-        profile.rho, start, _policy_dt(state, config.dt_max), trace)
+        profile.rho, solver_state(profile, state), _policy_dt(state, config.dt_max), trace)
     if failure is not None:
         outcome.termination = f"{outcome.termination}: {failure}"
     return FlowResult(**vars(outcome), profile=profile, violations=dict(monitors.counts))

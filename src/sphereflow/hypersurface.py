@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import beta, betainc
@@ -151,9 +151,10 @@ def checked_radii(grid: PolarGrid, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if rho.shape[-1:] != grid.theta.shape:
         raise ValueError("theta and rho must be matching 1-d arrays")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("rho must be finite")
-    if np.min(rho) <= RHO_FLOOR or np.max(rho) >= math.pi / 2 - RHO_FLOOR:
+    # NaN fails both comparisons, so finiteness is only tested on a failure
+    if not (np.min(rho) > RHO_FLOOR and np.max(rho) < math.pi / 2 - RHO_FLOOR):
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("rho must be finite")
         raise ValueError("rho must lie strictly inside (0, pi/2)")
     return rho
 
@@ -279,11 +280,11 @@ class GeometryState:
     def sigma_nodal(self, m: int) -> np.ndarray:
         return sigma_two_value(self.lam1, self.lam_ang, self.n, m)
 
-    @property
+    @cached_property
     def lam_min(self) -> float:
         return float(min(self.lam1.min(), self.lam_ang.min()))
 
-    @property
+    @cached_property
     def lam_max(self) -> float:
         return float(max(self.lam1.max(), self.lam_ang.max()))
 
@@ -353,12 +354,14 @@ def unit_sphere_area(m: int) -> float:
     return area
 
 
-def integrate(state: GeometryState, nodal) -> float:
-    """Integral of a nodal scalar against the induced area measure."""
+def integrate(state: GeometryState, nodal):
+    """Integral of a nodal scalar against the induced area measure; nodal may
+    stack several scalars along leading axes, which get one integral each."""
     grid = state.grid
-    vals = np.broadcast_to(np.asarray(nodal, dtype=float), grid.theta.shape)
+    vals = np.asarray(nodal, dtype=float)
     density = state.area_weight * grid.sin_power(state.n - 1)
-    return unit_sphere_area(state.n - 1) * float(np.sum(grid.weights * vals * density))
+    sums = unit_sphere_area(state.n - 1) * np.sum(grid.weights * vals * density, axis=-1)
+    return float(sums) if sums.ndim == 0 else sums
 
 
 def sin_power_integral(m: int, x) -> np.ndarray:

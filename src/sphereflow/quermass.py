@@ -76,7 +76,7 @@ def quermass_vector(state: GeometryState, profile: RadialProfile) -> QuermassVec
     n = state.n
     if not state.lam_min > 0.0:
         raise ConeViolation("quermassintegrals need a strictly convex hypersurface")
-    s = np.array([integrate(state, state.sigma_nodal(m)) for m in range(n + 1)])
+    s = integrate(state, np.stack([state.sigma_nodal(m) for m in range(n + 1)]))
     return QuermassVector(n=n, values=_ladder(n, volume(profile), s))
 
 

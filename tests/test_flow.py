@@ -4,6 +4,8 @@ import glob
 import json
 import math
 import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -30,7 +32,7 @@ from sphereflow.flow import (
     step,
 )
 from sphereflow.hypersurface import curvatures, load_checkpoint
-from sphereflow.quermass import quermass_vector
+from sphereflow.quermass import QuermassVector, quermass_vector
 from sphereflow.symfunc import identity_quotient
 
 import oracles
@@ -262,9 +264,10 @@ def test_run_stops_at_tmax():
     assert res.termination == "tmax"
     assert res.t_final == pytest.approx(0.02, rel=1e-12)
     assert res.steps > 0 and res.violations == {}
-    # at least the rate at the start, three Radau stages per Newton
-    # iteration and two iterations per accepted step
-    assert res.rate_evaluations >= 4 + 3 * res.steps
+    # three Radau stages per Newton iteration and at least two iterations per
+    # accepted step; an accepted state's rate comes from its geometry, which
+    # makes no rate call
+    assert res.rate_evaluations >= 6 * res.steps
 
 
 def test_run_reports_curvature_blowup(monkeypatch):
@@ -337,6 +340,53 @@ def test_monitors_flag_doctored_states():
     codes = mon.check(q2, q2, st3, 1e-3)
     assert "LAMBDA_MIN" in codes
     assert mon.counts["F_RANGE"] >= 2
+
+
+def _loop_sign_codes(n, k, q_prev, q, h, dt):
+    """The per-index sign rule of Monitors.check, written out as a loop."""
+    codes = []
+    allowance = flow_module._SIGN_ALLOWANCE * h**2 * dt
+    for l in range(-1, n + 1):
+        d = q.a(l) - q_prev.a(l)
+        slack = (flow_module._SIGN_TOL + allowance) * max(1.0, abs(q.a(l)))
+        if (l < k - 1 and d < -slack or l == k - 1 and abs(d) > slack
+                or l > k - 1 and d > slack):
+            codes.append(f"SIGN_A{l}")
+    return codes
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_monitor_sign_flags_match_the_loop(k):
+    """A table of increments in units of the slack: each index alone at 0,
+    +-1 and +-1.5, and all together.  From a zero base at dt = 0 the slack is
+    _SIGN_TOL exactly, and so is an increment of one slack: it is not a flag,
+    in either direction.  The base at 3 scales the slack with |A_l|, and
+    dt > 0 adds the grid allowance."""
+    n = 3
+    sphere = RadialProfile.geodesic_sphere(n, 0.7, 33)
+    st = geometry(sphere, k)
+    cfg = FlowConfig(n=n, k=k, N=33, initial_shape=ShapeSpec(kind="geodesicSphere", r=0.7))
+    table = [(0.0, 0.0, {l: m})
+             for l in range(-1, n + 1) for m in (-1.5, -1.0, 0.0, 1.0, 1.5)]
+    table += [(0.0, 0.0, dict.fromkeys(range(-1, n + 1), m)) for m in (-1.5, 1.5)]
+    table += [(3.0, dt, dict.fromkeys(range(-1, n + 1), m))
+              for dt in (0.0, 1e-3) for m in (-1.5, -0.5, 0.5, 1.5)]
+    for base, dt, moves in table:
+        allowance = flow_module._SIGN_ALLOWANCE * st.h**2 * dt
+        slack = (flow_module._SIGN_TOL + allowance) * max(1.0, base)
+        q_prev = QuermassVector(n=n, values=np.full(n + 2, base))
+        values = q_prev.values.copy()
+        for l, m in moves.items():
+            values[l + 1] += m * slack
+        q = QuermassVector(n=n, values=values)
+        mon = Monitors(cfg, st, q_prev)
+        codes = mon.check(q_prev, q, st, dt)
+        assert codes == _loop_sign_codes(n, k, q_prev, q, st.h, dt)
+        assert mon.counts == dict.fromkeys(codes, 1)
+        # below k - 1 a fall, at k - 1 any move, above it a rise beyond the slack
+        wrong = [l for l, m in sorted(moves.items())
+                 if (m < -1.0 if l < k - 1 else abs(m) > 1.0 if l == k - 1 else m > 1.0)]
+        assert codes == [f"SIGN_A{l}" for l in wrong]
 
 
 def test_quiet_step_raises_no_flags():
@@ -472,7 +522,8 @@ def _fail_calls(fn, calls):
 
 def _patch_curvatures(patch, fn):
     """Route the curvature core through fn, both in the Radau rate's stages
-    and in geometry, which checks the start and each accepted vector."""
+    and Jacobians and in geometry, which checks the start and each accepted
+    vector and gives the stepper its rate."""
     for module in (hypersurface_module, flow_module):
         patch.setattr(module, "curvatures", fn)
 
@@ -481,7 +532,9 @@ def _step_marks(monkeypatch, config):
     """Clean run of config; curvature-core calls made by the start and each accepted step.
 
     The monitors' quermass_vector runs once per accepted step, after its
-    geometry.
+    geometry, so a mark is the number of that geometry call.  The calls of a
+    step are its Newton iterations' stage stacks and any Jacobian, then that
+    geometry: no rate call falls on an accepted vector.
     """
     calls, marks = [0], []
 
@@ -552,6 +605,70 @@ def test_both_solvers_match_scipys_radau(n, k, r0, eps, N):
     assert dual.termination == "tmax" and dual.rejections == 0
     assert float(np.max(np.abs(dual.u - u))) <= 1e-9
     assert abs(dual.steps - steps) <= 0.05 * steps
+
+
+@pytest.mark.parametrize("n, k, r0, eps", REFERENCE_SHAPES)
+def test_steps_start_on_the_accepted_states_rate(monkeypatch, n, k, r0, eps):
+    """Every step of both solvers is handed the rate of the state it starts
+    from, bit for bit the stage rate at that vector, and no stage is
+    evaluated at an accepted vector.  Only a fresh stepper's first Newton
+    iteration, which predicts zero increments, evaluates its start vector."""
+    starts, stages = [], []
+
+    class Recording(flow_module._Stepper):
+        def step(self, f):
+            starts.append((self.y.copy(), f.copy()))
+            super().step(f)
+
+    def recording(stage_rate):
+        def wrapped(n, k, grid, y):
+            stages.extend(np.array(y, ndmin=2))
+            return stage_rate(n, k, grid, y)
+        return wrapped
+
+    cfg = _reference_config(n, k, r0, eps)
+    grid = cfg.initial_shape.build(n, cfg.N).grid
+    monkeypatch.setattr(flow_module, "_Stepper", Recording)
+    for solve, module, name in ((run, flow_module, "_stage_rate"),
+                                (dual_run, dualflow_module, "_stage_g")):
+        stage_rate = getattr(module, name)
+        starts.clear()
+        stages.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, recording(stage_rate))
+            res = solve(cfg)
+        final = res.u if solve is dual_run else res.profile.rho
+        assert res.termination == "converged" and res.rejections == 0
+        assert len(starts) == res.steps > 1
+        for y, f in starts:
+            assert f.tobytes() == stage_rate(n, k, grid, y).tobytes()
+        accepted = {y.tobytes() for y, _ in starts[1:]} | {final.tobytes()}
+        assert len(accepted) == res.steps
+        assert not accepted & {stage.tobytes() for stage in stages}
+        assert len(stages) == res.rate_evaluations
+
+
+_THREADED_RUN = """
+import hashlib
+from sphereflow.flow import FlowConfig, ShapeSpec, run
+shape = ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2)
+res = run(FlowConfig(n=2, k=1, N=4097, initial_shape=shape, t_max=0.2))
+print(res.steps, hashlib.sha256(res.profile.rho.tobytes()).hexdigest())
+"""
+
+
+def test_run_does_not_depend_on_the_blas_thread_count():
+    """The stepper's products and norms make no BLAS call, whose threaded
+    sums would round differently at N = 4097 with one or two threads."""
+    src = os.path.dirname(os.path.dirname(flow_module.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _THREADED_RUN], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def _dense(bands):
@@ -627,11 +744,9 @@ def test_fine_grids_start_where_a_difference_jacobian_collapsed():
 def test_run_restarts_after_a_refused_step(monkeypatch):
     cfg = _perturbed_config(t_max=0.02)
     clean, marks = _step_marks(monkeypatch, cfg)
-    # the last rate call of the second step and the check of its accepted
-    # vector leave the cone: the stepper restarts from the first step at half
-    # the step size
-    fail = {marks[2] - 1, marks[2]}
-    _patch_curvatures(monkeypatch, _fail_calls(curvatures, fail))
+    # the check of the second step's accepted vector leaves the cone: the
+    # stepper restarts from the first step at half the step size
+    _patch_curvatures(monkeypatch, _fail_calls(curvatures, {marks[2]}))
     res = run(cfg)
     assert res.termination == "tmax" and res.rejections == 1
     dt_clean = np.diff(clean.trace.t)
@@ -671,7 +786,7 @@ def test_finished_steppers_are_freed_without_the_cycle_collector(monkeypatch):
         assert res.termination == "converged"
         assert_freed(res, 1)
         # the refused second step of test_run_restarts_after_a_refused_step
-        _patch_curvatures(monkeypatch, _fail_calls(curvatures, {marks[2] - 1, marks[2]}))
+        _patch_curvatures(monkeypatch, _fail_calls(curvatures, {marks[2]}))
         res = run(short)
         assert res.rejections == 1
         assert_freed(res, 2)

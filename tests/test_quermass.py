@@ -6,7 +6,7 @@ import pytest
 
 import sphereflow.quermass as quermass_module
 from sphereflow import ConeViolation, MonotonicityError, RadialProfile, geometry
-from sphereflow.hypersurface import unit_sphere_area
+from sphereflow.hypersurface import integrate, unit_sphere_area, volume
 from sphereflow.quermass import (
     QuermassVector,
     audit_inequalities,
@@ -86,6 +86,25 @@ def test_top_entry_constant_for_perturbed_profiles():
         prof = RadialProfile.perturbed(n, 0.8, 0.05, 2, 513)
         q = quermass_vector(geometry(prof, k), prof)
         assert q.a(n) == pytest.approx(sphere_quermass(n, n, 0.5), rel=1e-5)
+
+
+@pytest.mark.parametrize("N", [64, 65])
+@pytest.mark.parametrize("shape", ["sphere", "perturbed"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_vector_is_the_ladder_of_per_index_integrals(n, shape, N):
+    """The one stacked reduction of quermass_vector against a per-index
+    integrate of each sigma_m and the ladder of the module docstring, bit for
+    bit; N = 64 puts a 3/8 block at the end of the Simpson weights."""
+    if shape == "sphere":
+        prof = RadialProfile.geodesic_sphere(n, 0.7, N)
+    else:
+        prof = RadialProfile.perturbed(n, 0.8, 0.04, 2, N)
+    state = geometry(prof, n - 1)
+    s = [integrate(state, state.sigma_nodal(m)) for m in range(n + 1)]
+    a = [volume(prof), s[0], s[1] + n * volume(prof)]
+    for m in range(2, n + 1):
+        a.append(s[m] + (n - m + 1) / (m - 1) * a[m - 1])
+    assert quermass_vector(state, prof).values.tobytes() == np.array(a).tobytes()
 
 
 def test_quermass_vector_requires_convexity():
