@@ -357,9 +357,10 @@ def dual_run(config: FlowConfig) -> DualResult:
     of a Newton iteration go to G (_stage_g) as one stacked call, with the
     checks of support_closure and g_operator; each accepted state gets the
     full DualState.
-    Loss of positive definiteness of W at the smallest step aborts the run and
-    the time is recorded; the outcome of this evolution is not covered by the
-    convergence theory and runs here are experimental probes.
+    Loss of positive definiteness of W at the smallest step aborts the run as
+    convexity_breakdown and the time is recorded; any other failure there ends
+    it step_collapse, as in run.  The outcome of this evolution is not covered
+    by the convergence theory and runs here are experimental probes.
     It writes no checkpoints, so a config asking for them is refused.
     """
     if config.checkpoint_every > 0:
@@ -369,25 +370,23 @@ def dual_run(config: FlowConfig) -> DualResult:
     grid = profile.grid
     n, k = config.n, config.k
 
-    # a solver state is (closure, G); G is also the rate its step starts from
+    # a solver state is (G, max |G|, max curvature of W^{-1}, closure); G is
+    # also the rate its step starts from, and the largest eigenvalue of W^{-1},
+    # max(1/w), is exactly 1/min(w) for w > 0
     def evaluate(u):
         state = support_closure(n, grid, u)
-        return state, g_operator(state, k)
-
-    def probe(cur):
-        state, g = cur
-        # the largest eigenvalue of W^{-1}: max(1/w) is exactly 1/min(w) for w > 0
-        return g, float(np.max(np.abs(g))), 1.0 / state.min_eig_w
+        g = g_operator(state, k)
+        return g, float(np.max(np.abs(g))), 1.0 / state.min_eig_w, state
 
     trace = FlowTrace(n, extra=("minEigW", "maxEigW"), breakdown_cell=True)
     u0 = CubicSpline(dual0.theta, dual0.u)(grid.theta)
     start = evaluate(u0)
-    first_step = _parabolic_dt(float(np.max(_stiffness(start[0], k))), grid.h, config.dt_max)
-    (state, _), failure, outcome = _integrate(
+    first_step = _parabolic_dt(float(np.max(_stiffness(start[3], k))), grid.h, config.dt_max)
+    (*_, state), failure, outcome = _integrate(
         config, lambda u: _stage_g(n, k, grid, u), lambda u: _g_jacobian(n, k, grid, u),
-        evaluate, probe, lambda *_: (),
-        lambda cur, codes: _trace_row(*cur, k, codes), u0, start, first_step, trace)
-    if failure is not None:
+        evaluate, lambda *_: (), lambda cur, codes: _trace_row(cur[3], cur[0], k, codes),
+        u0, start, first_step, trace)
+    if isinstance(failure, ConvexityLoss):
         outcome.termination = "convexity_breakdown"
         trace.breakdown_time = outcome.t_final
     return DualResult(**vars(outcome), u=state.u)

@@ -12,7 +12,7 @@ one stacked call, and MU/h I - J is factored by LAPACK's tridiagonal routines
 and kept while h and J stay the same.  One driver, _integrate, steps both this
 solver and the support-function solver in dualflow; only its first step is
 taken from the parabolic limit, and each step starts on the rate of the state
-that the driver built from the last accepted vector, not on a rate call.
+that the solver built from the last accepted vector, not on a rate call.
 _integrate returns the final solver state and an Outcome, the stop and the
 counters of a run, which FlowResult here and DualResult in dualflow extend.
 Classical Runge-Kutta at the parabolic limit stays on as the test oracle.
@@ -86,7 +86,7 @@ _QUOTIENT_RATIO = 1.5
 # rates stay below 0.1 * h^2 * scale per unit time, so 1.0 gives a
 # factor-ten margin without masking genuine monotonicity failures.
 _SIGN_ALLOWANCE = 1.0
-# both solvers stop as curvature_blowup once their probed curvature exceeds this
+# both solvers stop as curvature_blowup once a state's max curvature exceeds this
 _BLOWUP_CURVATURE = 1e3
 
 
@@ -478,29 +478,63 @@ def _factor(gttrf, lower, diag, upper) -> tuple:
 
 
 class _Stepper:
-    """Radau IIA (order 5) steps of y' = fun(y) from (t, y) with a tridiagonal J.
+    """Radau IIA (order 5) steps of y' = fun(y), each retried until accept takes one.
 
     It keeps scipy's Radau algorithm and constants: the simplified Newton
     iteration on the collocation system, the embedded error estimate, and the
     predictive step control, which holds the step while the predicted growth
     stays below _HOLD_BELOW and takes jac(y) again after slow Newton
     convergence.  fun takes the three stages as one (3, N) stack; jac(y)
-    gives J as stencil_bands rows.  The rate at the start of a step is not
-    fun's: step takes it from the caller, who has it from the accepted state.
-    MU/h I - J is factored by LAPACK's tridiagonal routines, and one factor
-    pair is kept while h and J stay the same.  step raises LinAlgError for a
-    bad factor and StepRejected for a step below the float spacing of t.
+    gives J as stencil_bands rows; where either raises ValueError, as off the
+    chart or the cone, the stepper sees NaN.  The rate at the start of a step
+    is the caller's, who has it from the accepted state; a zero predictor's
+    first Newton iteration takes it for all three stages.  MU/h I - J is
+    factored by LAPACK's tridiagonal routines, and one factor pair is kept
+    while h and J stay the same.
+
+    accept turns a trial that passes the error test into the caller's next
+    state, or raises StepRejected or ValueError.  A refused vector, a NaN
+    error estimate (which passes the test, as in scipy), a bad factor or a
+    step below the float spacing of t is a rejection: the step starts again
+    from (t, y) with a new J, no history and a zero predictor, at half the
+    step it tried, and once that falls below _MULT_FLOOR times the first step,
+    step raises the last failure of that step that it kept.
     """
 
-    def __init__(self, fun, jac, t: float, y: np.ndarray, t_bound: float, h: float, h_max):
-        self.fun, self.jac = fun, jac
-        self.t, self.y, self.t_bound, self.h_abs, self.h_max = t, y, t_bound, h, h_max
-        self.J = jac(y)
-        self.factorizations = 0
+    def __init__(self, fun, jac, accept, y: np.ndarray, t_bound: float, h: float, h_max):
+        self.fun, self.jac, self.accept = fun, jac, accept
+        self.t, self.y, self.t_bound, self.h_max = 0.0, y, t_bound, h_max
+        self.floor = _MULT_FLOOR * h
+        # the rate evaluations count each stage of a stacked call
+        self.evaluations = self.jacobians = self.factorizations = self.rejections = 0
+        # the last failure of the step in hand, kept without its traceback,
+        # whose frames would hold this stepper in a reference cycle
+        self.failure = None
+        self._restart(h)
+
+    def _restart(self, h: float) -> None:
+        """Forget the step history: the next step takes J afresh and predicts nothing."""
+        self.h_abs = min(h, self.t_bound - self.t)
+        self.J = None
         self.current_jac = True
         self.h_abs_old = self.error_norm_old = None
         self.lu = None  # (h, J, real factors, complex factors)
         self.dense = None  # (t, y, collocation polynomial coefficients) at the last step's start
+
+    def _guarded(self, fn, y: np.ndarray, shape: tuple) -> np.ndarray:
+        try:
+            return fn(y)
+        except ValueError as exc:
+            self.failure = exc.with_traceback(None)
+            return np.full(shape, np.nan)
+
+    def _fun(self, y: np.ndarray) -> np.ndarray:
+        self.evaluations += y.size // self.y.size
+        return self._guarded(self.fun, y, y.shape)
+
+    def _jac(self, y: np.ndarray) -> np.ndarray:
+        self.jacobians += 1
+        return self._guarded(self.jac, y, (3, y.size))
 
     def _factors(self, h: float) -> tuple:
         if self.lu is None or self.lu[0] != h or self.lu[1] is not self.J:
@@ -511,13 +545,14 @@ class _Stepper:
                        _factor(lapack.zgttrf, lower + 0j, _MU_COMPLEX / h + diag, upper + 0j))
         return self.lu[2:]
 
-    def _newton(self, h: float, z: np.ndarray, scale: np.ndarray) -> tuple:
-        """(converged, iterations, stage increments, convergence rate)."""
+    def _newton(self, h: float, z: np.ndarray, scale: np.ndarray, f0) -> tuple:
+        """(converged, iterations, stage increments, convergence rate); f0 is
+        the stages' rate at z when known, else None."""
         real, complex_ = self._factors(h)
         w = _combine(_TI, z)
         dw_norm_old = rate = None
         for it in range(_NEWTON_MAXITER):
-            f = self.fun(self.y + z)
+            f = self._fun(self.y + z) if it or f0 is None else f0
             if not np.all(np.isfinite(f)):
                 break
             dw_complex = lapack.zgttrs(
@@ -538,9 +573,13 @@ class _Stepper:
             dw_norm_old = dw_norm
         return False, it + 1, z, rate
 
-    def step(self, f: np.ndarray) -> None:
-        """One step from (t, y), whose rate f the caller supplies."""
+    def _trial(self, f: np.ndarray) -> tuple:
+        """One Radau step from (t, y), whose rate is f: (t_new, y_new), with the
+        step control and the predictor moved on to it; LinAlgError for a bad
+        factor, StepRejected for a step below the float spacing of t."""
         t, y = self.t, self.y
+        if self.J is None:
+            self.J = self._jac(y)
         min_step = 10 * abs(np.nextafter(t, np.inf) - t)
         h, h_old, error_norm_old = self.h_abs, self.h_abs_old, self.error_norm_old
         if not min_step <= h <= self.h_max:  # a clamped step forgets the last one
@@ -552,17 +591,17 @@ class _Stepper:
             t_new = t + h
             if t_new > self.t_bound:
                 t_new, h = self.t_bound, self.t_bound - t
-            if self.dense is None:
-                z0 = np.zeros((3, y.size))
+            if self.dense is None:  # zero increments: every stage is at y, whose rate is f
+                z0, f0 = np.zeros((3, y.size)), np.stack((f, f, f))
             else:  # the last step's collocation polynomial at the new stages
                 t_old, y_old, q = self.dense
                 x = (t + h * _C - t_old) / (t - t_old)
-                z0 = _combine(np.array([x, x * x, x * x * x]).T, q) + y_old - y
+                z0, f0 = _combine(np.array([x, x * x, x * x * x]).T, q) + y_old - y, None
             scale = _ATOL + np.abs(y) * _RTOL
-            converged, iterations, z, rate = self._newton(h, z0, scale)
+            converged, iterations, z, rate = self._newton(h, z0, scale, f0)
             if not converged and not self.current_jac:
-                self.J, self.current_jac = self.jac(y), True
-                converged, iterations, z, rate = self._newton(h, z0, scale)
+                self.J, self.current_jac = self._jac(y), True
+                converged, iterations, z, rate = self._newton(h, z0, scale, f0)
             if not converged:
                 h *= 0.5
                 continue
@@ -574,7 +613,7 @@ class _Stepper:
             error_norm = _rms(error / scale)
             safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + iterations)
             if rejected and error_norm > 1:
-                error = lapack.dgttrs(*real, self.fun(y + error) + ze)[0]
+                error = lapack.dgttrs(*real, self._fun(y + error) + ze)[0]
                 error_norm = _rms(error / scale)
             if not error_norm > 1:  # a NaN norm passes, as in scipy
                 break
@@ -586,76 +625,67 @@ class _Stepper:
         if not recompute_jac and factor < _HOLD_BELOW:
             factor = 1.0
         if recompute_jac:
-            self.J = self.jac(y_new)
+            self.J = self._jac(y_new)
         self.current_jac = recompute_jac
         self.h_abs_old, self.error_norm_old, self.h_abs = self.h_abs, error_norm, h * factor
         self.dense = (t, y, _combine(_P.T, z))
-        self.t, self.y = t_new, y_new
+        return t_new, y_new
+
+    def step(self, f: np.ndarray):
+        """The state that accept makes of the next accepted step from (t, y),
+        whose rate f the caller supplies; t and y move on to that step."""
+        while True:
+            tried = min(self.h_abs, self.h_max)
+            try:
+                with np.errstate(all="ignore"):
+                    t_new, y_new = self._trial(f)
+            except (StepRejected, np.linalg.LinAlgError) as exc:
+                if self.failure is None:
+                    self.failure = exc.with_traceback(None)
+            else:
+                tried = t_new - self.t
+                try:
+                    if not math.isfinite(self.error_norm_old):  # the failure that made it, if any
+                        raise self.failure or StepRejected("error estimate is not finite")
+                    state = self.accept(y_new)
+                except (StepRejected, ValueError) as exc:
+                    self.failure = exc.with_traceback(None)
+                else:
+                    # a failure that this step recovered from ends no later one
+                    self.t, self.y, self.failure = t_new, y_new, None
+                    return state
+            self.rejections += 1
+            if 0.5 * tried < self.floor:
+                raise self.failure
+            self._restart(0.5 * tried)
 
 
-def _integrate(config: FlowConfig, rate, jac, accept, probe, advance, row, y0: np.ndarray,
+def _integrate(config: FlowConfig, rate, jac, accept, advance, row, y0: np.ndarray,
                state, first_step: float, trace: FlowTrace):
-    """The one time loop of both solvers: Radau IIA steps with an exact tridiagonal J.
+    """The one time loop of both solvers: one _Stepper, from y0 with first_step.
 
-    _Stepper steps from y0, whose solver state is state, starting with
-    first_step.  rate(y), of one vector or a stack, and jac(y), the bands of
-    stencil_bands, may raise ValueError (ConeViolation included) where y
-    leaves the chart or the cone; the stepper then sees NaN, which its
-    Newton loop answers by halving its step.  accept(y) turns an accepted
-    vector into the next solver state or raises StepRejected or ValueError.
-    probe(state) gives its rate, bit for bit rate(y) at its vector, its max
-    speed and its max curvature; that rate goes to the stepper, so no
-    accepted state costs a rate call.  advance(state, new, t, dt, steps)
-    does the work of an accepted step and returns its flag codes;
+    rate, jac and accept go to the stepper.  A solver state, the start state
+    and each one accept returns, is (rate, max speed, max curvature,
+    payload...), whose rate, bit for bit rate(y) at its vector, starts the
+    next step, so no accepted state costs a rate call.  advance(new, t, dt,
+    steps) does the work of an accepted step and returns its flag codes;
     row(state, codes) gives a trace row's values and may add codes.
 
-    A failed step (a bad factor, as a NaN Jacobian gives, or a step too small
-    for t), a step accepted on a NaN error estimate or a refused vector
-    restarts the stepper from the last accepted state with half the step it
-    tried, counted as a rejection; once that falls below _MULT_FLOOR times
-    the first step, the run ends step_collapse with the last failure's
-    message.  The termination tests run at accepted steps, so a converged
-    run's final t can be late by up to one step (at most dtMax).  Returns the
-    final solver state, the collapse message or None, and the Outcome, whose
-    rate evaluations count each stage of a stacked call, no Jacobian and no
-    accepted state, and whose Jacobians and LU factorizations are summed over
-    the restarts.
+    The termination tests run at accepted steps, so a converged run's final t
+    can be late by up to one step (at most dtMax).  A step that the stepper
+    gives up on ends the run step_collapse with that failure's message.
+    Returns the final solver state, that failure or None, and the Outcome with
+    the stepper's counters.
     """
-    evaluations = jacobians = factorizations = 0
-    message = ""
-
-    def guarded(fn, y: np.ndarray, shape: tuple) -> np.ndarray:
-        nonlocal message
-        try:
-            return fn(y)
-        except ValueError as exc:
-            message = str(exc)
-            return np.full(shape, np.nan)
-
-    def fun(y: np.ndarray) -> np.ndarray:
-        nonlocal evaluations
-        evaluations += y.size // y0.size
-        return guarded(rate, y, y.shape)
-
-    def jacobian(y: np.ndarray) -> np.ndarray:
-        nonlocal jacobians
-        jacobians += 1
-        return guarded(jac, y, (3, y.size))
-
-    def start(t: float, y: np.ndarray, h: float) -> _Stepper:
-        with np.errstate(all="ignore"):
-            return _Stepper(fun, jacobian, t, y, config.t_max, min(h, config.t_max - t),
-                            config.dt_max)
-
     pending: list = []
     trace.append(0.0, row(state, pending), pending)
     pending = []
     t = last_sampled = 0.0
-    steps = rejections = 0
-    y, failure = y0, None
-    solver = None  # started by the first step: a run that takes none costs nothing
+    steps = 0
+    failure = None
+    solver = _Stepper(rate, jac, accept, y0, config.t_max, first_step, config.dt_max)
     while True:
-        f, max_speed, curvature = probe(state)
+        f, max_speed, curvature = state[:3]
         if max_speed < config.convergence_tol:
             termination = "converged"
             break
@@ -665,50 +695,25 @@ def _integrate(config: FlowConfig, rate, jac, accept, probe, advance, row, y0: n
         if curvature > _BLOWUP_CURVATURE:
             termination = "curvature_blowup"
             break
-
-        if solver is None:
-            solver = start(t, y, first_step)
-        tried = min(solver.h_abs, config.dt_max)
         try:
-            with np.errstate(all="ignore"):
-                solver.step(f)
-        except (StepRejected, np.linalg.LinAlgError) as exc:
-            message = message or str(exc)
-        else:
-            try:
-                # a NaN error estimate passes Radau's error test
-                if not math.isfinite(solver.error_norm_old):
-                    raise StepRejected(message or "error estimate is not finite")
-                new = accept(solver.y)
-            except (StepRejected, ValueError) as exc:
-                message = str(exc)
-                tried = solver.t - t
-            else:
-                t_new = float(solver.t)
-                y, dt, t = solver.y, t_new - t, t_new
-                steps += 1
-                pending.extend(advance(state, new, t, dt, steps))
-                state = new
-                if steps % config.sample_every == 0:
-                    trace.append(t, row(state, pending), pending)
-                    pending = []
-                    last_sampled = t
-                continue
-
-        # a rejection: the next pass probes the unchanged state again
-        rejections += 1
-        if 0.5 * tried < _MULT_FLOOR * first_step:
-            termination, failure = "step_collapse", message
+            state = solver.step(f)
+        except (StepRejected, ValueError) as exc:  # LinAlgError is a ValueError
+            failure = exc.with_traceback(None)  # its frames hold the stepper
+            termination = f"step_collapse: {failure}"
             break
-        factorizations += solver.factorizations
-        solver = start(t, y, 0.5 * tried)
+        t_new = float(solver.t)
+        dt, t = t_new - t, t_new
+        steps += 1
+        pending.extend(advance(state, t, dt, steps))
+        if steps % config.sample_every == 0:
+            trace.append(t, row(state, pending), pending)
+            pending = []
+            last_sampled = t
 
     if t > last_sampled:
         trace.append(t, row(state, pending), pending)
-    if solver is not None:
-        factorizations += solver.factorizations
-    return state, failure, Outcome(config, trace, termination, t, steps, rejections,
-                                   evaluations, jacobians, factorizations)
+    return state, failure, Outcome(config, trace, termination, t, steps, solver.rejections,
+                                   solver.evaluations, solver.jacobians, solver.factorizations)
 
 
 def run(config: FlowConfig, out_dir=None) -> FlowResult:
@@ -722,10 +727,11 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
     q = quermass_vector(state, profile)
     monitors = Monitors(config, state, q)
 
-    # a solver state is (profile, geometry, rate, max |speed|)
+    # a solver state is (rate, max |speed|, max |curvature|, profile, geometry)
     def solver_state(new_profile, new_state):
         f = speed(new_state)
-        return new_profile, new_state, f * new_state.omega_speed, float(np.max(np.abs(f)))
+        return (f * new_state.omega_speed, float(np.max(np.abs(f))),
+                max(abs(new_state.lam_min), abs(new_state.lam_max)), new_profile, new_state)
 
     def accept(rho):
         new_profile = RadialProfile(n=n, theta=grid, rho=rho)
@@ -734,13 +740,9 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
             raise StepRejected("strict convexity lost in a trial step")
         return solver_state(new_profile, new_state)
 
-    def probe(cur):
-        _, st, f, max_speed = cur
-        return f, max_speed, max(abs(st.lam_min), abs(st.lam_max))
-
-    def advance(cur, new, t, dt, steps):
+    def advance(new, t, dt, steps):
         nonlocal q
-        new_profile, new_state, _, _ = new
+        *_, new_profile, new_state = new
         q_new = quermass_vector(new_state, new_profile)
         codes = monitors.check(q, q_new, new_state, dt)
         q = q_new
@@ -750,19 +752,17 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
         return codes
 
     def row(cur, codes):
-        _, st, _, max_speed = cur
+        _, max_speed, _, _, st = cur
         return [q.a(m) for m in range(-1, n + 1)] + [
             np.min(st.u), np.min(st.rho), np.max(st.rho), np.min(st.F), np.max(st.F),
             st.lam_min, st.lam_max, max_speed,
         ]
 
     trace = FlowTrace(n=n)
-    (profile, *_), failure, outcome = _integrate(
+    (*_, profile, _), _, outcome = _integrate(
         config, lambda rho: _stage_rate(n, k, grid, rho),
-        lambda rho: _rate_jacobian(n, k, grid, rho), accept, probe, advance, row,
+        lambda rho: _rate_jacobian(n, k, grid, rho), accept, advance, row,
         profile.rho, solver_state(profile, state), _policy_dt(state, config.dt_max), trace)
-    if failure is not None:
-        outcome.termination = f"{outcome.termination}: {failure}"
     return FlowResult(**vars(outcome), profile=profile, violations=dict(monitors.counts))
 
 

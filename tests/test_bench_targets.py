@@ -1,14 +1,16 @@
 """The benchmark must still find every function it times and calls.
 
 perfbench/tracer.py raises LookupError for a traced function the program no
-longer defines, and the verify workload calls the studies by name with fixed
-keyword arguments; these tests turn a rename or a removed parameter into a
-tier-1 failure.
+longer defines, the verify workload calls the studies by name with fixed
+keyword arguments, and percall.py builds the layers' inputs through the
+package's constructors; these tests turn a rename or a removed parameter into
+a tier-1 failure.
 """
 
 import importlib.util
 import inspect
 import os
+import sys
 
 import sphereflow.cli  # noqa: F401  (loads every module the tracer names)
 import sphereflow.hypersurface as hypersurface
@@ -45,3 +47,26 @@ def test_verify_workload_study_calls_bind(tmp_path, monkeypatch):
     assert verify.studies
     for name, kwargs in verify.studies:
         inspect.signature(getattr(studies, name)).bind(**kwargs)
+
+
+def test_percall_layers_run(monkeypatch):
+    # percall.py imports its sibling run.py as a top-level module, which sets
+    # the BLAS thread variables and puts src on sys.path
+    monkeypatch.syspath_prepend(PERFBENCH)
+    environ, modules = dict(os.environ), set(sys.modules)
+    calls = []
+
+    def once(fn):
+        calls.append(fn())
+        return 0.0
+
+    try:
+        percall = _load("percall")
+        monkeypatch.setattr(percall, "_per_call_us", once)
+        table = percall.measure(64)
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+        for name in set(sys.modules) - modules:
+            del sys.modules[name]
+    assert len(table) == len(calls) == 5 and set(table.values()) == {0.0}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sphereflow.dualflow as dualflow_module
+import sphereflow.flow as flow_module
 from sphereflow import ConeViolation, ConvexityLoss, RadialProfile, geometry
 from sphereflow.dualflow import (
     decomposition_residual,
@@ -168,15 +169,16 @@ def test_dual_eigenvalues_match_primal_curvatures():
     assert errs[0] / errs[1] > 3.0 and errs[1] / errs[2] > 3.0
 
 
-def _closure_marks(monkeypatch, config):
-    """Clean dual run of config; closure-core calls made by the pullback, the
-    start and each accepted step, which support_closure closes once each."""
-    real_closure, real_support = dualflow_module._closure, dualflow_module.support_closure
+def _closure_marks(monkeypatch, config, core="_closure"):
+    """Clean dual run of config; calls of the core (the closure core unless
+    named) made by the pullback, the start and each accepted step, which
+    support_closure closes once each."""
+    real_core, real_support = getattr(dualflow_module, core), dualflow_module.support_closure
     calls, marks = [0], []
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return real_closure(*args, **kwargs)
+        return real_core(*args, **kwargs)
 
     def marking(*args, **kwargs):
         state = real_support(*args, **kwargs)
@@ -184,7 +186,7 @@ def _closure_marks(monkeypatch, config):
         return state
 
     with monkeypatch.context() as patch:
-        patch.setattr(dualflow_module, "_closure", counting)
+        patch.setattr(dualflow_module, core, counting)
         patch.setattr(dualflow_module, "support_closure", marking)
         dual_run(config)
     return marks
@@ -222,6 +224,70 @@ def test_dual_run_records_breakdown_when_every_trial_fails(monkeypatch, tmp_path
     res.trace.to_csv(path)
     rows = path.read_text().splitlines()[1:]
     assert all(line.split(",")[-2] == repr(res.t_final) for line in rows)
+
+
+def test_dual_run_collapse_without_a_convexity_loss_is_no_breakdown(monkeypatch):
+    """Only a loss of positive definiteness of W is a breakdown; a run whose
+    trials all leave the quotient's cone ends step_collapse, as run does."""
+    cfg = FlowConfig(
+        n=2, k=1, N=65,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
+        t_max=0.05,
+    )
+    marks = _closure_marks(monkeypatch, cfg, "quotient_two_core")
+    assert len(marks) >= 6  # the pullback, the start and at least four steps
+    real = dualflow_module.quotient_two_core
+    count = [0]
+
+    def core(*args):
+        # from the closure of the fourth accepted vector on, G leaves the cone
+        # at every stage and every accepted vector; W stays positive definite
+        count[0] += 1
+        if count[0] > marks[5]:
+            raise ConeViolation("forced cone exit")
+        return real(*args)
+
+    monkeypatch.setattr(dualflow_module, "quotient_two_core", core)
+    res = dual_run(cfg)
+    assert res.termination == "step_collapse: forced cone exit"
+    assert res.steps == 3 and res.rejections >= 40
+    assert res.breakdown_time is None and res.trace.breakdown_time is None
+
+
+def test_dual_run_forgets_a_convexity_loss_that_a_step_recovered_from(monkeypatch):
+    """A stage whose W is not positive definite, retried within its step, does
+    not make a later collapse of another kind a breakdown."""
+    cfg = FlowConfig(
+        n=2, k=1, N=65,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
+        t_max=0.05,
+    )
+    real_stage, real_factor = dualflow_module._stage_g, flow_module._factor
+    real_support = dualflow_module.support_closure
+    stages, closed = [0], [0]
+
+    def stage(*args):
+        stages[0] += 1
+        if stages[0] == 1:
+            raise ConvexityLoss("forced stage loss")
+        return real_stage(*args)
+
+    def support(*args, **kwargs):
+        closed[0] += 1
+        return real_support(*args, **kwargs)
+
+    def factor(*args):
+        # after the pullback, the start and three accepted steps
+        if closed[0] > 5:
+            raise np.linalg.LinAlgError("forced singular factor")
+        return real_factor(*args)
+
+    monkeypatch.setattr(dualflow_module, "_stage_g", stage)
+    monkeypatch.setattr(dualflow_module, "support_closure", support)
+    monkeypatch.setattr(flow_module, "_factor", factor)
+    res = dual_run(cfg)
+    assert res.termination == "step_collapse: forced singular factor"
+    assert res.steps >= 3 and res.breakdown_time is None
 
 
 def test_accepted_dual_states_skip_the_quotient_gradient(monkeypatch):

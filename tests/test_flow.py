@@ -266,8 +266,9 @@ def test_run_stops_at_tmax():
     assert res.steps > 0 and res.violations == {}
     # three Radau stages per Newton iteration and at least two iterations per
     # accepted step; an accepted state's rate comes from its geometry, which
-    # makes no rate call
-    assert res.rate_evaluations >= 6 * res.steps
+    # makes no rate call, and so does the first iteration of the first step,
+    # whose stages all sit at the start vector
+    assert res.rate_evaluations >= 6 * res.steps - 3
 
 
 def test_run_reports_curvature_blowup(monkeypatch):
@@ -611,14 +612,13 @@ def test_both_solvers_match_scipys_radau(n, k, r0, eps, N):
 def test_steps_start_on_the_accepted_states_rate(monkeypatch, n, k, r0, eps):
     """Every step of both solvers is handed the rate of the state it starts
     from, bit for bit the stage rate at that vector, and no stage is
-    evaluated at an accepted vector.  Only a fresh stepper's first Newton
-    iteration, which predicts zero increments, evaluates its start vector."""
+    evaluated at a state's vector, the start vector included."""
     starts, stages = [], []
 
     class Recording(flow_module._Stepper):
         def step(self, f):
             starts.append((self.y.copy(), f.copy()))
-            super().step(f)
+            return super().step(f)
 
     def recording(stage_rate):
         def wrapped(n, k, grid, y):
@@ -642,9 +642,9 @@ def test_steps_start_on_the_accepted_states_rate(monkeypatch, n, k, r0, eps):
         assert len(starts) == res.steps > 1
         for y, f in starts:
             assert f.tobytes() == stage_rate(n, k, grid, y).tobytes()
-        accepted = {y.tobytes() for y, _ in starts[1:]} | {final.tobytes()}
-        assert len(accepted) == res.steps
-        assert not accepted & {stage.tobytes() for stage in stages}
+        states = {y.tobytes() for y, _ in starts} | {final.tobytes()}
+        assert len(states) == res.steps + 1
+        assert not states & {stage.tobytes() for stage in stages}
         assert len(stages) == res.rate_evaluations
 
 
@@ -752,14 +752,14 @@ def test_run_restarts_after_a_refused_step(monkeypatch):
     dt_clean = np.diff(clean.trace.t)
     assert np.diff(res.trace.t)[1] == pytest.approx(0.5 * dt_clean[1], rel=1e-12)
     assert float(np.max(np.abs(res.profile.rho - clean.profile.rho))) < 1e-9
-    # the counters sum over both steppers, each of which starts with a Jacobian
+    # the first step and the restart each take a Jacobian and factor afresh
     assert res.jacobians >= 2 and res.lu_factorizations >= 4
 
 
 def test_finished_steppers_are_freed_without_the_cycle_collector(monkeypatch):
-    """No stepper sits in a reference cycle: each one that run or dual_run
-    creates, or replaces after a refused step, is freed by the call's return
-    even with the cycle collector off."""
+    """No stepper sits in a reference cycle: the one that run or dual_run
+    creates, which also retries refused steps and keeps the failure of a
+    collapse, is freed by the call's return even with the cycle collector off."""
     refs = []
 
     class Recording(flow_module._Stepper):
@@ -789,7 +789,12 @@ def test_finished_steppers_are_freed_without_the_cycle_collector(monkeypatch):
         _patch_curvatures(monkeypatch, _fail_calls(curvatures, {marks[2]}))
         res = run(short)
         assert res.rejections == 1
-        assert_freed(res, 2)
+        assert_freed(res, 1)
+        # the collapse of test_run_collapses_when_every_trial_fails
+        _patch_curvatures(monkeypatch, _fail_after(curvatures, marks[3]))
+        res = run(short)
+        assert res.termination == "step_collapse: forced cone exit"
+        assert_freed(res, 1)
     finally:
         gc.enable()
 
