@@ -14,7 +14,6 @@ import os
 import sys
 
 from .dualflow import dual_run, profile_from_dual
-from .exceptions import ConeViolation, ConvexityLoss
 from .flow import _CONFIG_KEYS, FlowConfig, ShapeSpec, _check_order, run
 from .hypersurface import _json_object, geometry, load_checkpoint, save_checkpoint
 from .identities import run_identity_suite
@@ -137,7 +136,7 @@ def _cmd_dual_run(args) -> int:
     }
     try:
         pulled = profile_from_dual(result.state, config.N)
-    except (ValueError, ConeViolation, ConvexityLoss) as exc:
+    except ValueError as exc:
         pulled = None
         summary.update(finalCheckpoint=None, pullbackError=str(exc))
     _bundle(args.out, "dual-run", args.seed, result, pulled, summary)

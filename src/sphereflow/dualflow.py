@@ -325,7 +325,7 @@ def _quermass_row(state: DualState, n: int, codes: list):
         prof = profile_from_dual(state)
         q = quermass_vector(geometry(prof, 0), prof)
         return [q.a(m) for m in range(-1, n + 1)]
-    except (ValueError, ConeViolation, ConvexityLoss):
+    except ValueError:
         codes.append("PULLBACK")
         return [float("nan")] * (n + 2)
 

@@ -8,11 +8,13 @@ stencil derivatives, so its exact Jacobian is tridiagonal (_rate_jacobian),
 and the stiff system is stepped with Radau IIA (Hairer & Wanner, Solving
 ODEs II, Sec. IV.8), whose steps are sized by accuracy rather than by the h^2
 stability limit.  _Stepper is that method: its three stages go to the rate as
-one stacked call, and MU/h I - J is factored by LAPACK's tridiagonal routines
-and kept while h and J stay the same.  One driver, _integrate, steps both this
-solver and the support-function solver in dualflow; only its first step is
-taken from the parabolic limit, and each step starts on the rate of the state
-that the solver built from the last accepted vector, not on a rate call.
+one stacked call, MU/h I - J is factored by LAPACK's tridiagonal routines and
+kept while h and J stay the same, and a failed trial raises to _Stepper.step,
+the one place that halves a step on failure.  One driver, _integrate, steps
+both this solver and the support-function solver in dualflow; only its first
+step is taken from the parabolic limit, and each step starts on the rate of
+the state that the solver built from the last accepted vector, not on a rate
+call.
 _integrate returns the final solver state and an Outcome, the stop and the
 counters of a run, which FlowResult here and DualResult in dualflow extend.
 Classical Runge-Kutta at the parabolic limit stays on as the test oracle.
@@ -480,25 +482,24 @@ def _factor(gttrf, lower, diag, upper) -> tuple:
 class _Stepper:
     """Radau IIA (order 5) steps of y' = fun(y), each retried until accept takes one.
 
-    It keeps scipy's Radau algorithm and constants: the simplified Newton
-    iteration on the collocation system, the embedded error estimate, and the
-    predictive step control, which holds the step while the predicted growth
-    stays below _HOLD_BELOW and takes jac(y) again after slow Newton
-    convergence.  fun takes the three stages as one (3, N) stack; jac(y)
-    gives J as stencil_bands rows; where either raises ValueError, as off the
-    chart or the cone, the stepper sees NaN.  The rate at the start of a step
-    is the caller's, who has it from the accepted state; a zero predictor's
-    first Newton iteration takes it for all three stages.  MU/h I - J is
-    factored by LAPACK's tridiagonal routines, and one factor pair is kept
-    while h and J stay the same.
+    It keeps scipy's Radau constants and, failures aside, its algorithm: the
+    simplified Newton iteration on the collocation system, the embedded error
+    estimate, and the predictive step control, which holds the step while the
+    predicted growth stays below _HOLD_BELOW and takes jac(y) again after slow
+    Newton convergence.  fun takes the three stages as one (3, N) stack;
+    jac(y) gives J as stencil_bands rows; either raises ValueError off the
+    chart or the cone.  The rate at a step's start is the caller's, from the
+    accepted state; a zero predictor's first Newton iteration takes it for all
+    three stages.  MU/h I - J is factored by LAPACK's tridiagonal routines,
+    and one factor pair is kept while h and J stay the same.
 
     accept turns a trial that passes the error test into the caller's next
-    state, or raises StepRejected or ValueError.  A refused vector, a NaN
-    error estimate (which passes the test, as in scipy), a bad factor or a
-    step below the float spacing of t is a rejection: the step starts again
-    from (t, y) with a new J, no history and a zero predictor, at half the
-    step it tried, and once that falls below _MULT_FLOOR times the first step,
-    step raises the last failure of that step that it kept.
+    state, or raises StepRejected or ValueError.  A failed trial, even a fresh
+    J's unconverged solve that scipy halves in place, and a refused vector are
+    rejections.  step alone shrinks a step for them: it restarts from (t, y)
+    with a new J, no history and a zero predictor, at half the step tried or
+    of a smaller h_abs, and raises the failure once that is below _MULT_FLOOR
+    times the first step.
     """
 
     def __init__(self, fun, jac, accept, y: np.ndarray, t_bound: float, h: float, h_max):
@@ -507,34 +508,24 @@ class _Stepper:
         self.floor = _MULT_FLOOR * h
         # the rate evaluations count each stage of a stacked call
         self.evaluations = self.jacobians = self.factorizations = self.rejections = 0
-        # the last failure of the step in hand, kept without its traceback,
-        # whose frames would hold this stepper in a reference cycle
-        self.failure = None
         self._restart(h)
 
     def _restart(self, h: float) -> None:
         """Forget the step history: the next step takes J afresh and predicts nothing."""
-        self.h_abs = min(h, self.t_bound - self.t)
+        self.h_abs = self.tried = min(h, self.t_bound - self.t)
         self.J = None
         self.current_jac = True
         self.h_abs_old = self.error_norm_old = None
         self.lu = None  # (h, J, real factors, complex factors)
         self.dense = None  # (t, y, collocation polynomial coefficients) at the last step's start
 
-    def _guarded(self, fn, y: np.ndarray, shape: tuple) -> np.ndarray:
-        try:
-            return fn(y)
-        except ValueError as exc:
-            self.failure = exc.with_traceback(None)
-            return np.full(shape, np.nan)
-
     def _fun(self, y: np.ndarray) -> np.ndarray:
         self.evaluations += y.size // self.y.size
-        return self._guarded(self.fun, y, y.shape)
+        return self.fun(y)
 
     def _jac(self, y: np.ndarray) -> np.ndarray:
         self.jacobians += 1
-        return self._guarded(self.jac, y, (3, y.size))
+        return self.jac(y)
 
     def _factors(self, h: float) -> tuple:
         if self.lu is None or self.lu[0] != h or self.lu[1] is not self.J:
@@ -575,8 +566,13 @@ class _Stepper:
 
     def _trial(self, f: np.ndarray) -> tuple:
         """One Radau step from (t, y), whose rate is f: (t_new, y_new), with the
-        step control and the predictor moved on to it; LinAlgError for a bad
-        factor, StepRejected for a step below the float spacing of t."""
+        step control and the predictor moved on to it.  The error test sizes
+        the step; tried is the span of each trial.  A trial fails with
+        ValueError where the rate, J or a factor does, or with StepRejected
+        for a Newton solve that does not converge under a fresh J, a NaN error
+        estimate (which passes the test, as in scipy) or a step below the float
+        spacing of t.  As in scipy, a rate or factor error or a solve that
+        does not converge under a stale J takes J again at the same h."""
         t, y = self.t, self.y
         if self.J is None:
             self.J = self._jac(y)
@@ -591,6 +587,7 @@ class _Stepper:
             t_new = t + h
             if t_new > self.t_bound:
                 t_new, h = self.t_bound, self.t_bound - t
+            self.tried = t_new - t
             if self.dense is None:  # zero increments: every stage is at y, whose rate is f
                 z0, f0 = np.zeros((3, y.size)), np.stack((f, f, f))
             else:  # the last step's collocation polynomial at the new stages
@@ -598,13 +595,17 @@ class _Stepper:
                 x = (t + h * _C - t_old) / (t - t_old)
                 z0, f0 = _combine(np.array([x, x * x, x * x * x]).T, q) + y_old - y, None
             scale = _ATOL + np.abs(y) * _RTOL
-            converged, iterations, z, rate = self._newton(h, z0, scale, f0)
+            try:
+                converged, iterations, z, rate = self._newton(h, z0, scale, f0)
+            except ValueError:
+                if self.current_jac:
+                    raise
+                converged = False
             if not converged and not self.current_jac:
                 self.J, self.current_jac = self._jac(y), True
                 converged, iterations, z, rate = self._newton(h, z0, scale, f0)
             if not converged:
-                h *= 0.5
-                continue
+                raise StepRejected("Newton iteration did not converge")
             y_new = y + z[-1]
             ze = _combine(_E, z) / h
             real = self.lu[2]
@@ -615,7 +616,9 @@ class _Stepper:
             if rejected and error_norm > 1:
                 error = lapack.dgttrs(*real, self._fun(y + error) + ze)[0]
                 error_norm = _rms(error / scale)
-            if not error_norm > 1:  # a NaN norm passes, as in scipy
+            if math.isnan(error_norm):
+                raise StepRejected("error estimate is not finite")
+            if error_norm <= 1:
                 break
             h *= max(_MIN_FACTOR, safety * _predict_factor(h, h_old, error_norm, error_norm_old))
             rejected = True
@@ -635,29 +638,20 @@ class _Stepper:
         """The state that accept makes of the next accepted step from (t, y),
         whose rate f the caller supplies; t and y move on to that step."""
         while True:
-            tried = min(self.h_abs, self.h_max)
             try:
                 with np.errstate(all="ignore"):
                     t_new, y_new = self._trial(f)
-            except (StepRejected, np.linalg.LinAlgError) as exc:
-                if self.failure is None:
-                    self.failure = exc.with_traceback(None)
+                state = self.accept(y_new)
+            except (StepRejected, ValueError):  # LinAlgError is a ValueError
+                self.rejections += 1
+                # h_abs < tried where _trial ran it at its least step: halve h_abs
+                h = 0.5 * min(self.tried, self.h_abs)
+                if h < self.floor:
+                    raise
+                self._restart(h)
             else:
-                tried = t_new - self.t
-                try:
-                    if not math.isfinite(self.error_norm_old):  # the failure that made it, if any
-                        raise self.failure or StepRejected("error estimate is not finite")
-                    state = self.accept(y_new)
-                except (StepRejected, ValueError) as exc:
-                    self.failure = exc.with_traceback(None)
-                else:
-                    # a failure that this step recovered from ends no later one
-                    self.t, self.y, self.failure = t_new, y_new, None
-                    return state
-            self.rejections += 1
-            if 0.5 * tried < self.floor:
-                raise self.failure
-            self._restart(0.5 * tried)
+                self.t, self.y = t_new, y_new
+                return state
 
 
 def _integrate(config: FlowConfig, rate, jac, accept, advance, row, y0: np.ndarray,

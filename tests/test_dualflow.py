@@ -226,6 +226,27 @@ def test_dual_run_records_breakdown_when_every_trial_fails(monkeypatch, tmp_path
     assert all(line.split(",")[-2] == repr(res.t_final) for line in rows)
 
 
+def _force_cone_exit(monkeypatch, cfg, max_calls=None):
+    """Make G leave the quotient's cone at every stage and every accepted
+    vector from the closure of the fourth accepted vector on; W stays
+    positive definite and J, which uses quotient_two_value, stays finite.
+    Past max_calls calls of the quotient core the run fails outright."""
+    marks = _closure_marks(monkeypatch, cfg, "quotient_two_core")
+    assert len(marks) >= 6  # the pullback, the start and at least four steps
+    real = dualflow_module.quotient_two_core
+    count = [0]
+
+    def core(*args):
+        count[0] += 1
+        if max_calls is not None and count[0] > marks[5] + max_calls:
+            raise AssertionError("the stepper kept retrying a collapsed step")
+        if count[0] > marks[5]:
+            raise ConeViolation("forced cone exit")
+        return real(*args)
+
+    monkeypatch.setattr(dualflow_module, "quotient_two_core", core)
+
+
 def test_dual_run_collapse_without_a_convexity_loss_is_no_breakdown(monkeypatch):
     """Only a loss of positive definiteness of W is a breakdown; a run whose
     trials all leave the quotient's cone ends step_collapse, as run does."""
@@ -234,24 +255,35 @@ def test_dual_run_collapse_without_a_convexity_loss_is_no_breakdown(monkeypatch)
         initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
         t_max=0.05,
     )
-    marks = _closure_marks(monkeypatch, cfg, "quotient_two_core")
-    assert len(marks) >= 6  # the pullback, the start and at least four steps
-    real = dualflow_module.quotient_two_core
-    count = [0]
-
-    def core(*args):
-        # from the closure of the fourth accepted vector on, G leaves the cone
-        # at every stage and every accepted vector; W stays positive definite
-        count[0] += 1
-        if count[0] > marks[5]:
-            raise ConeViolation("forced cone exit")
-        return real(*args)
-
-    monkeypatch.setattr(dualflow_module, "quotient_two_core", core)
+    _force_cone_exit(monkeypatch, cfg)
     res = dual_run(cfg)
     assert res.termination == "step_collapse: forced cone exit"
     assert res.steps == 3 and res.rejections >= 40
     assert res.breakdown_time is None and res.trace.breakdown_time is None
+    # a failed trial ends at once: each restart takes one Jacobian and one LU
+    # pair, not a descent of halvings with a pair each
+    assert res.lu_factorizations <= 4 * (res.rejections + res.steps)
+
+
+def test_collapse_below_the_float_spacing_of_t_ends(monkeypatch):
+    """Restarts below the float spacing of t still shrink: where the floor on
+    the step lies below 5 ulp(t), the trials run at the stepper's least step,
+    10 ulp(t), but each restart halves the step that it would have taken, so
+    the run still collapses in about log2(h / floor) rejections."""
+    cfg = FlowConfig(
+        n=2, k=1, N=65,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
+        t_max=0.05,
+    )
+    # 1e-24 of the first step lies far below 5 ulp of the collapse time
+    monkeypatch.setattr(flow_module, "_MULT_FLOOR", 1e-24)
+    # a failed trial costs one quotient call, its first Newton iteration's
+    # stages; 1000 is far above the ~85 halvings to 1e-24 of the first step
+    _force_cone_exit(monkeypatch, cfg, max_calls=1000)
+    res = dual_run(cfg)
+    assert res.termination == "step_collapse: forced cone exit"
+    assert res.steps == 3 and 80 <= res.rejections <= 120
+    assert res.lu_factorizations <= 4 * (res.rejections + res.steps)
 
 
 def test_dual_run_forgets_a_convexity_loss_that_a_step_recovered_from(monkeypatch):

@@ -557,8 +557,9 @@ def _step_marks(monkeypatch, config):
 def test_run_recovers_from_a_stage_cone_exit(monkeypatch):
     cfg = _perturbed_config(t_max=0.02)
     clean, marks = _step_marks(monkeypatch, cfg)
-    # the first stage of the second step leaves the cone: Radau sees NaN and
-    # retries inside its own step, which is not a rejection of the run
+    # the first stage of the second step leaves the cone under the stale J of
+    # the first: the stepper takes J again at the same step, as scipy's Radau
+    # does after a failed solve, which is not a rejection of the run
     _patch_curvatures(monkeypatch, _fail_calls(curvatures, {marks[1] + 1}))
     res = run(cfg)
     assert res.termination == "tmax" and res.rejections == 0
@@ -812,3 +813,69 @@ def test_run_collapses_when_every_trial_fails(monkeypatch):
     # drops below 1e-12 of it: 2^-40 < 1e-12 <= 2^-39
     assert res.rejections >= 40
     assert res.trace.t[-1] == res.t_final
+
+
+def test_each_restart_starts_at_half_the_step_tried(monkeypatch):
+    cfg = _perturbed_config(t_max=0.02)
+    real, calls, marks = flow_module._stage_rate, [0], []
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    def marking(*args):
+        marks.append(calls[0])
+        return quermass_vector(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flow_module, "_stage_rate", counting)
+        patch.setattr(flow_module, "quermass_vector", marking)
+        clean = run(cfg)
+    assert clean.t_final == cfg.t_max and len(marks) >= 3
+    # five rate calls fail from the first of the last step, whose size the
+    # t_max clamp sets: every restart must halve that clamped step, not the
+    # unclamped one the step control had predicted
+    monkeypatch.setattr(flow_module, "_stage_rate",
+                        _fail_calls(real, set(range(marks[-2] + 1, marks[-2] + 6))))
+    trials = []  # the h of each Newton solve, and "restart" where the step restarts
+    newton, restart = flow_module._Stepper._newton, flow_module._Stepper._restart
+
+    def recording_newton(self, h, *args):
+        trials.append(h)
+        return newton(self, h, *args)
+
+    def recording_restart(self, h):
+        trials.append("restart")
+        restart(self, h)
+
+    monkeypatch.setattr(flow_module._Stepper, "_newton", recording_newton)
+    monkeypatch.setattr(flow_module._Stepper, "_restart", recording_restart)
+    res = run(cfg)
+    assert res.termination == "tmax" and res.rejections >= 3
+    assert trials[0] == "restart"  # the stepper's own start
+    restarts = [i for i, mark in enumerate(trials) if mark == "restart"][1:]
+    assert len(restarts) == res.rejections
+    for i in restarts:
+        assert trials[i + 1] == pytest.approx(0.5 * trials[i - 1], rel=1e-12)
+
+
+def test_newton_failures_collapse_without_creeping(monkeypatch):
+    """With one Newton iteration no solve converges, so each trial fails and
+    every restart halves the step until the run collapses."""
+    monkeypatch.setattr(flow_module, "_NEWTON_MAXITER", 1)
+    real, calls = flow_module.quermass_vector, [0]
+
+    def bounded(*args):
+        # the start and three accepted steps: a run that creeps on in steps
+        # far below the first one fails here instead of running on
+        calls[0] += 1
+        if calls[0] > 4:
+            raise AssertionError("a run without a converged Newton solve took steps")
+        return real(*args)
+
+    monkeypatch.setattr(flow_module, "quermass_vector", bounded)
+    res = run(_perturbed_config(t_max=0.02))
+    assert res.termination == "step_collapse: Newton iteration did not converge"
+    assert res.steps == 0 and res.rejections >= 40
+    # each restart takes one Jacobian and one LU pair, not a descent of them
+    assert res.lu_factorizations <= 4 * (res.rejections + res.steps)
