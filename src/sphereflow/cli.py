@@ -14,7 +14,7 @@ import os
 import sys
 
 from .dualflow import dual_run, profile_from_dual
-from .flow import _CONFIG_KEYS, FlowConfig, ShapeSpec, _check_order, run
+from .flow import _CONFIG_KEYS, FlowConfig, ShapeSpec, _check_order, _start, run
 from .hypersurface import _json_object, geometry, load_checkpoint, save_checkpoint
 from .identities import run_identity_suite
 from .quermass import audit_inequalities, quermass_vector
@@ -208,10 +208,11 @@ def _cmd_sweep(args) -> int:
         configs = json.load(fh)
     if not isinstance(configs, list) or not configs:
         raise ValueError("sweep file must hold a non-empty list of configs")
-    # every entry is checked before the first run writes anything
+    # every entry and its start shape are checked before the first run writes anything
     for i, payload in enumerate(configs):
         try:
             configs[i] = FlowConfig.from_json(payload)
+            _start(configs[i])
         except ValueError as exc:
             raise ValueError(f"sweep entry {i}: {exc}") from None
     _manifest(args.out, "run", args.seed, None,

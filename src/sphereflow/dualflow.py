@@ -320,28 +320,27 @@ class DualResult(Outcome):
         return support_closure(self.config.n, polar_grid(self.config.N), self.u)
 
 
-def _quermass_row(state: DualState, n: int, codes: list):
+def _trace_row(state: DualState, g: np.ndarray, k: int, codes: list) -> list:
+    """Primal columns read through the dual state (u = u_tilde phi / rho_tilde),
+    then the W eigen range; maxSpeed is max |G|, the speed the dual run stops on."""
     try:
         prof = profile_from_dual(state)
         q = quermass_vector(geometry(prof, 0), prof)
-        return [q.a(m) for m in range(-1, n + 1)]
+        quermass = [q.a(m) for m in range(-1, state.n + 1)]
     except ValueError:
         codes.append("PULLBACK")
-        return [float("nan")] * (n + 2)
-
-
-def _trace_row(state: DualState, g: np.ndarray, k: int, codes: list) -> list:
-    """Primal trace columns read through the dual state, then the W eigen range."""
+        quermass = [float("nan")] * (state.n + 2)
     shift = (state.phip - 1.0) / (state.rho_tilde * state.omega)
-    lam1 = state.rho_tilde / state.phi * (state.h_merid + shift)
-    lam_ang = state.rho_tilde / state.phi * (state.h_ang + shift)
+    scale = state.rho_tilde / state.phi
+    lam1 = scale * (state.h_merid + shift)
+    lam_ang = scale * (state.h_ang + shift)
     try:
         fval = quotient_two_core(lam1, lam_ang, state.n, k)[0]
         fmin, fmax = np.min(fval), np.max(fval)
     except ConeViolation:
         fmin = fmax = float("nan")
-    return _quermass_row(state, state.n, codes) + [
-        np.min(state.u), np.min(state.rho), np.max(state.rho), fmin, fmax,
+    return quermass + [
+        np.min(state.u / scale), np.min(state.rho), np.max(state.rho), fmin, fmax,
         min(lam1.min(), lam_ang.min()), max(lam1.max(), lam_ang.max()),
         np.max(np.abs(g)), state.min_eig_w, state.max_eig_w,
     ]
@@ -357,10 +356,10 @@ def dual_run(config: FlowConfig) -> DualResult:
     of a Newton iteration go to G (_stage_g) as one stacked call, with the
     checks of support_closure and g_operator; each accepted state gets the
     full DualState.
-    Loss of positive definiteness of W at the smallest step aborts the run as
-    convexity_breakdown and the time is recorded; any other failure there ends
-    it step_collapse, as in run.  The outcome of this evolution is not covered
-    by the convergence theory and runs here are experimental probes.
+    _integrate ends the run convexity_breakdown, with the time recorded, on a
+    ConvexityLoss at the smallest step (W not positive definite), and
+    step_collapse on any other failure there, as in run.  The outcome is not
+    covered by the convergence theory and runs here are experimental probes.
     It writes no checkpoints, so a config asking for them is refused.
     """
     if config.checkpoint_every > 0:
@@ -382,11 +381,8 @@ def dual_run(config: FlowConfig) -> DualResult:
     u0 = CubicSpline(dual0.theta, dual0.u)(grid.theta)
     start = evaluate(u0)
     first_step = _parabolic_dt(float(np.max(_stiffness(start[3], k))), grid.h, config.dt_max)
-    (*_, state), failure, outcome = _integrate(
+    (*_, state), outcome = _integrate(
         config, lambda u: _stage_g(n, k, grid, u), lambda u: _g_jacobian(n, k, grid, u),
         evaluate, lambda *_: (), lambda cur, codes: _trace_row(cur[3], cur[0], k, codes),
         u0, start, first_step, trace)
-    if isinstance(failure, ConvexityLoss):
-        outcome.termination = "convexity_breakdown"
-        trace.breakdown_time = outcome.t_final
     return DualResult(**vars(outcome), u=state.u)

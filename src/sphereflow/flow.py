@@ -9,14 +9,14 @@ and the stiff system is stepped with Radau IIA (Hairer & Wanner, Solving
 ODEs II, Sec. IV.8), whose steps are sized by accuracy rather than by the h^2
 stability limit.  _Stepper is that method: its three stages go to the rate as
 one stacked call, MU/h I - J is factored by LAPACK's tridiagonal routines and
-kept while h and J stay the same, and a failed trial raises to _Stepper.step,
-the one place that halves a step on failure.  One driver, _integrate, steps
-both this solver and the support-function solver in dualflow; only its first
-step is taken from the parabolic limit, and each step starts on the rate of
-the state that the solver built from the last accepted vector, not on a rate
-call.
-_integrate returns the final solver state and an Outcome, the stop and the
-counters of a run, which FlowResult here and DualResult in dualflow extend.
+kept while h and J stay the same, and a failed trial, an unconverged Newton
+solve included, raises to _Stepper.step, the one place that halves a step on
+failure.  One driver, _integrate, steps both this solver and the
+support-function solver in dualflow; only its first step is taken from the
+parabolic limit, and each step starts on the rate of the state that the
+solver built from the last accepted vector, not on a rate call.  _integrate
+names every stop of a run and returns the final solver state and an Outcome,
+the stop and the counters, which FlowResult here and DualResult extend.
 Classical Runge-Kutta at the parabolic limit stays on as the test oracle.
 """
 
@@ -30,7 +30,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack
 
-from .exceptions import StepRejected
+from .exceptions import ConvexityLoss, StepRejected
 from .hypersurface import (
     GeometryState,
     RadialProfile,
@@ -494,12 +494,12 @@ class _Stepper:
     and one factor pair is kept while h and J stay the same.
 
     accept turns a trial that passes the error test into the caller's next
-    state, or raises StepRejected or ValueError.  A failed trial, even a fresh
-    J's unconverged solve that scipy halves in place, and a refused vector are
-    rejections.  step alone shrinks a step for them: it restarts from (t, y)
+    state, or raises StepRejected or ValueError.  Every trial that is not a
+    step is a rejection: one that fails the error test, one that raises (even
+    a fresh J's unconverged solve, which scipy halves in place) and a refused
+    vector.  step alone shrinks a step for a raise: it restarts from (t, y)
     with a new J, no history and a zero predictor, at half the step tried or
-    of a smaller h_abs, and raises the failure once that is below _MULT_FLOOR
-    times the first step.
+    of a smaller h_abs, and re-raises below _MULT_FLOOR times the first step.
     """
 
     def __init__(self, fun, jac, accept, y: np.ndarray, t_bound: float, h: float, h_max):
@@ -537,8 +537,8 @@ class _Stepper:
         return self.lu[2:]
 
     def _newton(self, h: float, z: np.ndarray, scale: np.ndarray, f0) -> tuple:
-        """(converged, iterations, stage increments, convergence rate); f0 is
-        the stages' rate at z when known, else None."""
+        """(iterations, stage increments, convergence rate) of a converged solve,
+        else StepRejected; f0 is the stages' rate at z when known, else None."""
         real, complex_ = self._factors(h)
         w = _combine(_TI, z)
         dw_norm_old = rate = None
@@ -560,19 +560,19 @@ class _Stepper:
             w = w + dw
             z = _combine(_T, w)
             if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm < _NEWTON_TOL:
-                return True, it + 1, z, rate
+                return it + 1, z, rate
             dw_norm_old = dw_norm
-        return False, it + 1, z, rate
+        raise StepRejected("Newton iteration did not converge")
 
     def _trial(self, f: np.ndarray) -> tuple:
         """One Radau step from (t, y), whose rate is f: (t_new, y_new), with the
         step control and the predictor moved on to it.  The error test sizes
-        the step; tried is the span of each trial.  A trial fails with
-        ValueError where the rate, J or a factor does, or with StepRejected
-        for a Newton solve that does not converge under a fresh J, a NaN error
-        estimate (which passes the test, as in scipy) or a step below the float
-        spacing of t.  As in scipy, a rate or factor error or a solve that
-        does not converge under a stale J takes J again at the same h."""
+        the step, and counts each shrink as a rejection; tried is the span of
+        each trial.  A trial fails with ValueError where the rate, J or a
+        factor does, or with StepRejected for a Newton solve that does not
+        converge, a NaN error estimate (which passes the test, as in scipy) or
+        a step below the float spacing of t.  As in scipy, a solve that fails
+        under a stale J takes J again at the same h."""
         t, y = self.t, self.y
         if self.J is None:
             self.J = self._jac(y)
@@ -580,7 +580,7 @@ class _Stepper:
         h, h_old, error_norm_old = self.h_abs, self.h_abs_old, self.error_norm_old
         if not min_step <= h <= self.h_max:  # a clamped step forgets the last one
             h, h_old, error_norm_old = min(max(h, min_step), self.h_max), None, None
-        rejected = False
+        rejections = self.rejections
         while True:
             if h < min_step:
                 raise StepRejected("step size fell below the float spacing of t")
@@ -596,16 +596,12 @@ class _Stepper:
                 z0, f0 = _combine(np.array([x, x * x, x * x * x]).T, q) + y_old - y, None
             scale = _ATOL + np.abs(y) * _RTOL
             try:
-                converged, iterations, z, rate = self._newton(h, z0, scale, f0)
-            except ValueError:
+                iterations, z, rate = self._newton(h, z0, scale, f0)
+            except (StepRejected, ValueError):  # LinAlgError is a ValueError
                 if self.current_jac:
                     raise
-                converged = False
-            if not converged and not self.current_jac:
                 self.J, self.current_jac = self._jac(y), True
-                converged, iterations, z, rate = self._newton(h, z0, scale, f0)
-            if not converged:
-                raise StepRejected("Newton iteration did not converge")
+                iterations, z, rate = self._newton(h, z0, scale, f0)
             y_new = y + z[-1]
             ze = _combine(_E, z) / h
             real = self.lu[2]
@@ -613,7 +609,7 @@ class _Stepper:
             scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
             error_norm = _rms(error / scale)
             safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + iterations)
-            if rejected and error_norm > 1:
+            if self.rejections > rejections and error_norm > 1:  # after a rejection
                 error = lapack.dgttrs(*real, self._fun(y + error) + ze)[0]
                 error_norm = _rms(error / scale)
             if math.isnan(error_norm):
@@ -621,7 +617,7 @@ class _Stepper:
             if error_norm <= 1:
                 break
             h *= max(_MIN_FACTOR, safety * _predict_factor(h, h_old, error_norm, error_norm_old))
-            rejected = True
+            self.rejections += 1
 
         recompute_jac = iterations > 2 and rate > 1e-3
         factor = min(_MAX_FACTOR, safety * _predict_factor(h, h_old, error_norm, error_norm_old))
@@ -642,6 +638,8 @@ class _Stepper:
                 with np.errstate(all="ignore"):
                     t_new, y_new = self._trial(f)
                 state = self.accept(y_new)
+                self.t, self.y = t_new, y_new
+                return state
             except (StepRejected, ValueError):  # LinAlgError is a ValueError
                 self.rejections += 1
                 # h_abs < tried where _trial ran it at its least step: halve h_abs
@@ -649,9 +647,6 @@ class _Stepper:
                 if h < self.floor:
                     raise
                 self._restart(h)
-            else:
-                self.t, self.y = t_new, y_new
-                return state
 
 
 def _integrate(config: FlowConfig, rate, jac, accept, advance, row, y0: np.ndarray,
@@ -667,16 +662,15 @@ def _integrate(config: FlowConfig, rate, jac, accept, advance, row, y0: np.ndarr
 
     The termination tests run at accepted steps, so a converged run's final t
     can be late by up to one step (at most dtMax).  A step that the stepper
-    gives up on ends the run step_collapse with that failure's message.
-    Returns the final solver state, that failure or None, and the Outcome with
-    the stepper's counters.
+    gives up on ends the run: convexity_breakdown at the trace's breakdown_time
+    t for a ConvexityLoss, else step_collapse with the failure's message.
+    Returns the final solver state and the Outcome with the stepper's counters.
     """
     pending: list = []
     trace.append(0.0, row(state, pending), pending)
     pending = []
-    t = last_sampled = 0.0
+    t = 0.0
     steps = 0
-    failure = None
     solver = _Stepper(rate, jac, accept, y0, config.t_max, first_step, config.dt_max)
     while True:
         f, max_speed, curvature = state[:3]
@@ -691,9 +685,12 @@ def _integrate(config: FlowConfig, rate, jac, accept, advance, row, y0: np.ndarr
             break
         try:
             state = solver.step(f)
+        except ConvexityLoss:
+            termination = "convexity_breakdown"
+            trace.breakdown_time = t
+            break
         except (StepRejected, ValueError) as exc:  # LinAlgError is a ValueError
-            failure = exc.with_traceback(None)  # its frames hold the stepper
-            termination = f"step_collapse: {failure}"
+            termination = f"step_collapse: {exc}"
             break
         t_new = float(solver.t)
         dt, t = t_new - t, t_new
@@ -702,22 +699,27 @@ def _integrate(config: FlowConfig, rate, jac, accept, advance, row, y0: np.ndarr
         if steps % config.sample_every == 0:
             trace.append(t, row(state, pending), pending)
             pending = []
-            last_sampled = t
 
-    if t > last_sampled:
+    if steps % config.sample_every:  # the last step was not sampled
         trace.append(t, row(state, pending), pending)
-    return state, failure, Outcome(config, trace, termination, t, steps, solver.rejections,
-                                   solver.evaluations, solver.jacobians, solver.factorizations)
+    return state, Outcome(config, trace, termination, t, steps, solver.rejections,
+                          solver.evaluations, solver.jacobians, solver.factorizations)
+
+
+def _start(config: FlowConfig) -> tuple:
+    """A run's start profile and geometry; ValueError for a shape that run refuses."""
+    profile = config.initial_shape.build(config.n, config.N)
+    state = geometry(profile, config.k)
+    if not state.lam_min > 0.0:
+        raise ValueError("initial profile is not strictly convex")
+    return profile, state
 
 
 def run(config: FlowConfig, out_dir=None) -> FlowResult:
     """Integrate the flow until convergence, t_max, or a documented abort."""
     n, k = config.n, config.k
-    profile = config.initial_shape.build(n, config.N)
+    profile, state = _start(config)
     grid = profile.grid
-    state = geometry(profile, k)
-    if not state.lam_min > 0.0:
-        raise ValueError("initial profile is not strictly convex")
     q = quermass_vector(state, profile)
     monitors = Monitors(config, state, q)
 
@@ -753,7 +755,7 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
         ]
 
     trace = FlowTrace(n=n)
-    (*_, profile, _), _, outcome = _integrate(
+    (*_, profile, _), outcome = _integrate(
         config, lambda rho: _stage_rate(n, k, grid, rho),
         lambda rho: _rate_jacobian(n, k, grid, rho), accept, advance, row,
         profile.rho, solver_state(profile, state), _policy_dt(state, config.dt_max), trace)

@@ -514,3 +514,24 @@ def test_console_script_installed():
     assert exe, "console script missing; install the package first"
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0 and "sphereflow" in proc.stdout
+
+
+@pytest.mark.parametrize("shape, message", [
+    ({**PERTURBED, "r0": 2.0}, "rho must lie strictly inside (0, pi/2)"),
+    ({**PERTURBED, "eps": 0.3, "mode": 4}, "sigma_1 not positive at node 7"),
+])
+def test_sweep_with_a_refused_start_shape_writes_nothing(tmp_path, capsys, shape, message):
+    # run refuses these start shapes; the sweep finds them before its first run
+    good = FlowConfig(
+        n=2, k=1, N=33,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
+        t_max=0.01,
+    ).to_json()
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps([good, {**good, "initialShape": shape}]))
+    out = tmp_path / "runs"
+    assert main(["run", "--sweep", str(sweep_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: sweep entry 1: {message}\n"
+    assert "sweep run-" not in captured.out
+    assert not out.exists()

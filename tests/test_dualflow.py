@@ -17,7 +17,7 @@ from sphereflow.dualflow import (
     speed_transport_residual,
     support_closure,
 )
-from sphereflow.flow import FlowConfig, ShapeSpec
+from sphereflow.flow import FlowConfig, ShapeSpec, run
 from sphereflow.hypersurface import polar_grid
 
 
@@ -349,3 +349,15 @@ def test_trace_row_of_the_equator_state_is_nan():
     assert all(math.isnan(a) for a in row[:4])  # A_-1 .. A_2
     min_f, max_f = row[7:9]
     assert math.isnan(min_f) and math.isnan(max_f)
+
+
+@pytest.mark.parametrize("n, k, r0, eps", [(2, 1, 0.8, 0.05), (3, 2, 0.9, 0.03)])
+def test_dual_trace_starts_on_the_graph_traces_primal_columns(n, k, r0, eps):
+    # minU is the spherical support function u = phi / omega in both traces,
+    # not the dual's Euclidean u_tilde; maxSpeed differs, max |G| in the dual
+    cfg = FlowConfig(n=n, k=k, N=256, t_max=1e-4,
+                     initial_shape=ShapeSpec(kind="perturbed", r0=r0, eps=eps, mode=2))
+    graph, dual = run(cfg).trace, dual_run(cfg).trace
+    assert dual.t[0] == graph.t[0] == 0.0
+    for name in ("minU", "minRho", "maxRho", "minF", "maxF", "minLambda", "maxLambda"):
+        assert dual.column(name)[0] == pytest.approx(graph.column(name)[0], rel=1e-3), name

@@ -879,3 +879,51 @@ def test_newton_failures_collapse_without_creeping(monkeypatch):
     assert res.steps == 0 and res.rejections >= 40
     # each restart takes one Jacobian and one LU pair, not a descent of them
     assert res.lu_factorizations <= 4 * (res.rejections + res.steps)
+
+
+def test_every_rejected_trial_is_counted(monkeypatch):
+    """A first step of dtMax = 1, far above the parabolic one, fails Newton
+    solves under a fresh J, each a restart, and then the error test, whose
+    shrinks are rejections too; both solvers end where the default start does."""
+    cfg = _perturbed_config(t_max=1.0, dt_max=1.0, convergence_tol=0.0)
+    clean, clean_dual = run(cfg), dual_run(cfg)
+    assert clean.rejections == clean_dual.rejections == 0
+    monkeypatch.setattr(flow_module, "_policy_dt", lambda state, dt_max, *args: dt_max)
+    monkeypatch.setattr(dualflow_module, "_parabolic_dt",
+                        lambda stiffness, h, dt_max, *args: dt_max)
+    restarts, restart = [0], flow_module._Stepper._restart
+
+    def counting_restart(self, h):
+        restarts[0] += 1
+        restart(self, h)
+
+    monkeypatch.setattr(flow_module._Stepper, "_restart", counting_restart)
+    res = run(cfg)
+    # the stepper's own start, then a restart for each unconverged solve
+    newton_rejections, restarts[0] = restarts[0] - 1, 0
+    dual = dual_run(cfg)
+    assert res.termination == dual.termination == "tmax"
+    assert res.rejections == dual.rejections == 5
+    assert (newton_rejections, restarts[0] - 1) == (4, 3)  # the rest failed the error test
+    assert float(np.max(np.abs(res.profile.rho - clean.profile.rho))) < 1e-9
+    assert float(np.max(np.abs(dual.u - clean_dual.u))) < 1e-9
+
+
+def test_run_recovers_from_a_nan_stage_rate(monkeypatch):
+    cfg = _perturbed_config(t_max=0.02)
+    clean, marks = _step_marks(monkeypatch, cfg)
+    real, calls = curvatures, [0]
+
+    def nan_once(*args):
+        # the first stages of the second step get a NaN rate, with no error
+        calls[0] += 1
+        cores = real(*args)
+        return (*cores[:6], cores[6] * np.nan, *cores[7:]) if calls[0] == marks[1] + 1 else cores
+
+    _patch_curvatures(monkeypatch, nan_once)
+    res = run(cfg)
+    # as a cone exit there: the solve fails under the stale J, which the
+    # stepper takes again at the same step, so no trial is rejected
+    assert res.termination == "tmax" and res.rejections == 0
+    assert res.rate_evaluations > clean.rate_evaluations
+    assert float(np.max(np.abs(res.profile.rho - clean.profile.rho))) < 1e-9
