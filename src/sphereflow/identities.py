@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .symfunc import (
-    _drop_index,
+    _exclusion_tables,
     pinch_deficit_parts,
     quotient,
     quotient_trace_gaps,
@@ -38,6 +38,7 @@ __all__ = [
 _EQ_TOL = 1e-12
 _QUOT_TOL = 1e-10
 _CONE_EDGE = -0.35  # negative edge of sample_cone's first box
+_BLOCK_ROWS = 8192  # rows per membership test in sample_cone: its tables fit in L2
 
 
 def sample_spread(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
@@ -55,7 +56,8 @@ def sample_cone(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndar
     the last round's acceptance (1 at first), at most 4 * count.  For k = n
     the edge is clipped to 0: the box meets the n-th cone exactly in the
     positive orthant, so the kept distribution is the same and nearly all
-    rows pass.
+    rows pass.  Membership is tested on blocks of _BLOCK_ROWS rows, so each
+    sigma table stays in cache; the kept rows are those of one whole-draw test.
     """
     out = []
     have = 0
@@ -64,8 +66,11 @@ def sample_cone(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndar
     for _ in range(60):
         size = min(4 * count, math.ceil(1.1 * (count - have) / acceptance))
         draw = rng.uniform(edge, 1.0, size=(size, n))
-        table = sigma_table(draw, k)
-        keep = draw[np.all(table[:, 1:] > 0.0, axis=1)]
+        member = np.empty(size, dtype=bool)
+        for lo in range(0, size, _BLOCK_ROWS):
+            table = sigma_table(draw[lo:lo + _BLOCK_ROWS], k)
+            member[lo:lo + _BLOCK_ROWS] = np.all(table[:, 1:] > 0.0, axis=1)
+        keep = draw[member]
         out.append(keep)
         have += keep.shape[0]
         if have >= count:
@@ -167,8 +172,8 @@ def _excl_tables(vals: np.ndarray, mmax: int) -> np.ndarray:
     """sigma tables of every single-exclusion vector, stacked on axis 1."""
     count, n = vals.shape
     out = np.empty((count, n, mmax + 1))
-    for i, rest in enumerate(_drop_index(n, 1)):
-        out[:, i, :] = sigma_table(vals[:, rest], mmax)
+    for i, table in enumerate(_exclusion_tables(vals, 1, mmax)):
+        out[:, i, :] = table
     return out
 
 

@@ -36,6 +36,18 @@ def _values(lam) -> np.ndarray:
     return a
 
 
+def _expand(out: np.ndarray, cols, top: int, mmax: int, tmp: np.ndarray) -> int:
+    """Multiply (1 + t*v) for each v in cols into the t^0 .. t^mmax rows of
+    out, whose rows above top are zero, in place; returns the new top."""
+    for v in cols:
+        top = min(top + 1, mmax)
+        # descending order so each coefficient is updated from the previous pass
+        for m in range(top, 0, -1):
+            np.multiply(v, out[m - 1], out=tmp)
+            out[m] += tmp
+    return top
+
+
 def sigma_table(lam, mmax: int) -> np.ndarray:
     """All sigma_0 .. sigma_mmax, stacked along a new last axis.
 
@@ -43,29 +55,45 @@ def sigma_table(lam, mmax: int) -> np.ndarray:
     keeping coefficients up to t^mmax, which is a single O(n*mmax) pass.
     """
     vals = _values(lam)
-    n = vals.shape[-1]
     if not 0 <= mmax:
         raise ValueError("mmax must be nonnegative")
     # built batch-first, so every row of the update is one contiguous array
-    cols = np.ascontiguousarray(np.moveaxis(vals, -1, 0))
-    out = np.zeros((mmax + 1,) + vals.shape[:-1], dtype=float)
+    cols = np.ascontiguousarray(vals.T)
+    out = np.zeros((mmax + 1,) + cols.shape[1:])
     out[0] = 1.0
-    tmp = np.empty(vals.shape[:-1])
-    top = 0
-    for j in range(n):
-        v = cols[j]
-        top = min(top + 1, mmax)
-        # descending order so each coefficient is updated from the previous pass
-        for m in range(top, 0, -1):
-            np.multiply(v, out[m - 1], out=tmp)
-            out[m] += tmp
-    return np.moveaxis(out, 0, -1)
+    _expand(out, cols, 0, mmax, np.empty(cols.shape[1:]))
+    return out.T
 
 
-def _drop_index(n: int, r: int) -> np.ndarray:
-    """Row j: the indices kept when the j-th r-subset of range(n) is dropped."""
-    return np.array([[i for i in range(n) if i not in c]
-                     for c in itertools.combinations(range(n), r)], dtype=np.intp)
+def _walk(bufs, depth, cols, start, top, r, mmax, tmp):
+    """Tables of bufs[depth]'s prefix extended by cols[start:] less r of them."""
+    state = bufs[depth]
+    if r == 0:
+        _expand(state, cols[start:], top, mmax, tmp)
+        yield state.T
+        return
+    for i in range(start, cols.shape[0] - r + 1):
+        if i > start:
+            top = _expand(state, cols[i - 1:i], top, mmax, tmp)
+        np.copyto(bufs[depth + 1], state)
+        yield from _walk(bufs, depth + 1, cols, i + 1, top, r - 1, mmax, tmp)
+
+
+def _exclusion_tables(lam, r: int, mmax: int):
+    """sigma_table of lam less c, for each r-subset c of its entries in
+    itertools.combinations order; each table is a view the next overwrites.
+
+    Each dropped set continues from the product of the entries before its
+    first dropped index, so each shared prefix is multiplied once, with the
+    same operations in the same order as sigma_table: the tables are equal
+    bit for bit.
+    """
+    cols = np.ascontiguousarray(_values(lam).T)
+    # one buffer per depth, held by a module-level generator: a nested one
+    # would be in a cycle with its closure cell, freed only by the collector
+    bufs = np.zeros((r + 1, mmax + 1) + cols.shape[1:])
+    bufs[0, 0] = 1.0
+    yield from _walk(bufs, 0, cols, 0, 0, r, mmax, np.empty(cols.shape[1:]))
 
 
 def sigma(lam, m: int):
@@ -109,10 +137,10 @@ def quotient(lam, k: int):
     if not np.all(sk > 0.0):
         raise ConeViolation(f"sigma_{k} not positive on some sample")
     sk1 = table[..., k + 1]
+    sk2 = sk**2
     grad = np.empty(vals.shape)
-    for i, rest in enumerate(_drop_index(n, 1)):
-        t_i = sigma_table(vals[..., rest], min(k, n - 1))
-        grad[..., i] = (_sigma_ext(t_i, k) * sk - sk1 * _sigma_ext(t_i, k - 1)) / sk**2
+    for i, t_i in enumerate(_exclusion_tables(vals, 1, min(k, n - 1))):
+        grad[..., i] = (_sigma_ext(t_i, k) * sk - sk1 * _sigma_ext(t_i, k - 1)) / sk2
     value = sk1 / sk
     trace = np.sum(grad, axis=-1)
     weighted = np.sum(grad * vals**2, axis=-1)
@@ -217,8 +245,8 @@ def pinch_deficit_parts(lam, m: int):
     smm1 = _sigma_ext(table, m - 1)
     deficit = m * (n - m) * sm**2 - (m + 1) * (n - m + 1) * sm1 * smm1
     pair_sum = np.zeros(vals.shape[:-1])
-    for (i, j), rest in zip(itertools.combinations(range(n), 2), _drop_index(n, 2)):
-        t_ij = sigma_table(vals[..., rest], min(m, n - 2))
+    for (i, j), t_ij in zip(itertools.combinations(range(n), 2),
+                            _exclusion_tables(vals, 2, min(m, n - 2))):
         a = _sigma_ext(t_ij, m - 1)
         b = _sigma_ext(t_ij, m - 2)
         c = _sigma_ext(t_ij, m)

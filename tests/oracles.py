@@ -6,12 +6,14 @@ for eigenvalue bookkeeping.  Slow but hard to get wrong.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.integrate import Radau
 from scipy.sparse import diags
 
 import sphereflow.flow as flow
+from sphereflow.identities import _CONE_EDGE
 from sphereflow.symfunc import sigma_table
 
 
@@ -101,6 +103,12 @@ def excl_tables_delete(vals, mmax):
     return out
 
 
+def exclusion_tables_delete(vals, r, mmax):
+    """sigma_table(vals less c, mmax) for each r-subset c, in combinations order."""
+    for c in itertools.combinations(range(vals.shape[-1]), r):
+        yield sigma_table(np.delete(vals, c, axis=-1), mmax)
+
+
 def quotient_grad_delete(vals, k):
     """Diagonal gradient of sigma_{k+1}/sigma_k, batched over leading axes."""
     n = vals.shape[-1]
@@ -124,6 +132,30 @@ def pair_sum_delete(vals, m):
             a, b, c = _ext(t_ij, m - 1), _ext(t_ij, m - 2), _ext(t_ij, m)
             pair_sum = pair_sum + (vals[..., i] - vals[..., j]) ** 2 * (a**2 - b * c)
     return pair_sum
+
+
+def sample_cone_whole_draw(rng, count, n, k):
+    """identities.sample_cone with one membership test on each whole draw."""
+    out = []
+    have = 0
+    edge = 0.0 if k == n else _CONE_EDGE
+    acceptance = 1.0
+    for _ in range(60):
+        size = min(4 * count, math.ceil(1.1 * (count - have) / acceptance))
+        draw = rng.uniform(edge, 1.0, size=(size, n))
+        table = sigma_table(draw, k)
+        keep = draw[np.all(table[:, 1:] > 0.0, axis=1)]
+        out.append(keep)
+        have += keep.shape[0]
+        if have >= count:
+            break
+        if keep.shape[0] < 0.05 * size:
+            edge *= 0.5
+        acceptance = max(keep.shape[0], 1) / size
+    else:
+        raise RuntimeError(f"cone sampling stalled for n={n}, k={k}")
+    vals = np.concatenate(out, axis=0)[:count]
+    return vals * 10.0 ** rng.uniform(-1.0, 1.0, size=(count, 1))
 
 
 def plain_radau(rate, y0, t_end, first_step, dt_max):

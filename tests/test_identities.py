@@ -93,6 +93,15 @@ def test_sample_cone_top_cone_draws_little_more_than_it_keeps():
     assert sum(_cone_rows(rng, 8)) <= 1.3 * 10000
 
 
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("count", [300, 10000])
+@pytest.mark.parametrize("n, k", [(8, 7), (8, 8), (4, 2)])
+def test_blocked_sample_cone_matches_whole_draw(n, k, count, seed):
+    got = sample_cone(np.random.default_rng(seed), count, n, k)
+    want = oracles.sample_cone_whole_draw(np.random.default_rng(seed), count, n, k)
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gathered_exclusion_tables_are_bit_identical(n):
     vals = sample_spread(np.random.default_rng(n), 300, n)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from sphereflow import (
     sigma,
 )
 from sphereflow.symfunc import (
+    _exclusion_tables,
     quotient_two_value,
     sigma_table,
     sigma_two_value,
@@ -197,3 +200,31 @@ def test_gathered_pair_sum_is_bit_identical(n):
         for m in range(1, n):
             assert np.array_equal(pinch_deficit_parts(vals, m)[1],
                                   oracles.pair_sum_delete(vals, m))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exclusion_walk_is_bit_identical(n, r):
+    # n = 2, r = 2 drops both entries: the one kept vector is empty
+    rng = np.random.default_rng(10 * n + r)
+    for vals in (rng.standard_normal((300, n)), rng.standard_normal((3, 5, n)),
+                 rng.standard_normal(n)):
+        for mmax in range(n + 2):
+            pairs = zip(_exclusion_tables(vals, r, mmax),
+                        oracles.exclusion_tables_delete(vals, r, mmax), strict=True)
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
+def test_exclusion_walk_leaves_no_reference_cycle():
+    vals = np.random.default_rng(0).standard_normal((50, 6))
+    gc.collect()
+    gc.disable()
+    try:
+        for r in (1, 2):
+            for _ in _exclusion_tables(vals, r, 4):
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
