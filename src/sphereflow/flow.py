@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack
+from scipy.optimize import brentq
 
 from .exceptions import ConvexityLoss, StepRejected
 from .hypersurface import (
@@ -192,7 +193,7 @@ class FlowConfig:
     k: int
     N: int
     initial_shape: ShapeSpec
-    dt_max: float = 0.05
+    dt_max: float = 0.2
     t_max: float = 50.0
     convergence_tol: float = 1e-6
     sample_every: int = 1
@@ -306,11 +307,7 @@ class Monitors:
 
     def __init__(self, config: FlowConfig, state0: GeometryState, q0: QuermassVector):
         self.k = config.k
-        self.min_rho0 = float(np.min(state0.rho))
-        self.max_rho0 = float(np.max(state0.rho))
-        self.min_u0 = float(np.min(state0.u))
-        self.min_f0 = float(np.min(state0.F))
-        self.max_f0 = float(np.max(state0.F))
+        self.min_u0, self.min_rho0, self.max_rho0, self.min_f0, self.max_f0 = state0.extremes
         self.q0 = q0
         # by index l + 1: A_l may only grow below the preserved k - 1, only shrink above
         self.sign = np.where(np.arange(config.n + 2) < config.k, -1.0, 1.0)
@@ -324,13 +321,13 @@ class Monitors:
               state: GeometryState, dt: float) -> list:
         codes: list = []
         b = _BARRIER_TOL
-        if float(np.min(state.rho)) < self.min_rho0 - b * max(1.0, abs(self.min_rho0)):
+        umin, rmin, rmax, fmin, fmax = state.extremes
+        if rmin < self.min_rho0 - b * max(1.0, abs(self.min_rho0)):
             self._flag(codes, "RHO_MIN")
-        if float(np.max(state.rho)) > self.max_rho0 + b * max(1.0, abs(self.max_rho0)):
+        if rmax > self.max_rho0 + b * max(1.0, abs(self.max_rho0)):
             self._flag(codes, "RHO_MAX")
-        if float(np.min(state.u)) < self.min_u0 - b * max(1.0, abs(self.min_u0)):
+        if umin < self.min_u0 - b * max(1.0, abs(self.min_u0)):
             self._flag(codes, "U_MIN")
-        fmin, fmax = float(np.min(state.F)), float(np.max(state.F))
         if fmin < self.min_f0 / _QUOTIENT_RATIO or fmax > self.max_f0 * _QUOTIENT_RATIO:
             self._flag(codes, "F_RANGE")
         if state.lam_min <= 0.0:
@@ -591,9 +588,7 @@ class _Stepper:
             if self.dense is None:  # zero increments: every stage is at y, whose rate is f
                 z0, f0 = np.zeros((3, y.size)), np.stack((f, f, f))
             else:  # the last step's collocation polynomial at the new stages
-                t_old, y_old, q = self.dense
-                x = (t + h * _C - t_old) / (t - t_old)
-                z0, f0 = _combine(np.array([x, x * x, x * x * x]).T, q) + y_old - y, None
+                z0, f0 = self.at(t + h * _C) - y, None
             scale = _ATOL + np.abs(y) * _RTOL
             try:
                 iterations, z, rate = self._newton(h, z0, scale, f0)
@@ -630,6 +625,12 @@ class _Stepper:
         self.dense = (t, y, _combine(_P.T, z))
         return t_new, y_new
 
+    def at(self, t):
+        """The last accepted step's collocation polynomial at t, a time or an array."""
+        t_old, y_old, q = self.dense
+        x = (t - t_old) / (self.t - t_old)
+        return _combine(np.array([x, x * x, x * x * x]).T, q) + y_old
+
     def step(self, f: np.ndarray):
         """The state that accept makes of the next accepted step from (t, y),
         whose rate f the caller supplies; t and y move on to that step."""
@@ -660,8 +661,10 @@ def _integrate(config: FlowConfig, rate, jac, accept, advance, row, y0: np.ndarr
     steps) does the work of an accepted step and returns its flag codes;
     row(state, codes) gives a trace row's values and may add codes.
 
-    The termination tests run at accepted steps, so a converged run's final t
-    can be late by up to one step (at most dtMax).  A step that the stepper
+    The stop tests run at accepted steps.  A step whose state's max speed is
+    below convergence_tol ends the run converged, without a second test, at
+    the crossing inside it (_crossing): the final t and state do not depend
+    on dtMax.  A step that the stepper
     gives up on ends the run: convexity_breakdown at the trace's breakdown_time
     t for a ConvexityLoss, else step_collapse with the failure's message.
     Returns the final solver state and the Outcome with the stepper's counters.
@@ -672,9 +675,10 @@ def _integrate(config: FlowConfig, rate, jac, accept, advance, row, y0: np.ndarr
     t = 0.0
     steps = 0
     solver = _Stepper(rate, jac, accept, y0, config.t_max, first_step, config.dt_max)
+    converged = state[1] < config.convergence_tol
     while True:
         f, max_speed, curvature = state[:3]
-        if max_speed < config.convergence_tol:
+        if converged:
             termination = "converged"
             break
         if t >= config.t_max * (1.0 - 1e-15):
@@ -693,6 +697,8 @@ def _integrate(config: FlowConfig, rate, jac, accept, advance, row, y0: np.ndarr
             termination = f"step_collapse: {exc}"
             break
         t_new = float(solver.t)
+        if converged := state[1] < config.convergence_tol:
+            t_new, state = _crossing(solver, t, max_speed, t_new, state, config.convergence_tol)
         dt, t = t_new - t, t_new
         steps += 1
         pending.extend(advance(state, t, dt, steps))
@@ -704,6 +710,26 @@ def _integrate(config: FlowConfig, rate, jac, accept, advance, row, y0: np.ndarr
         trace.append(t, row(state, pending), pending)
     return state, Outcome(config, trace, termination, t, steps, solver.rejections,
                           solver.evaluations, solver.jacobians, solver.factorizations)
+
+
+def _crossing(solver: _Stepper, t0: float, speed0: float, t1: float, end, tol: float) -> tuple:
+    """(t, state) where the max speed falls to tol, to 1e-10 in t, inside the
+    step from (t0, speed0 >= tol) to (t1, end below tol): brentq on accept's
+    states along the step's collocation polynomial; (t1, end) where accept
+    refuses one.  The ends' speeds are those of the known states."""
+    known = {t0: (None, speed0), t1: end}
+
+    # solver and known go in as args: scipy's wrapper of excess is a reference cycle
+    def excess(t, solver, known):
+        if t not in known:
+            known[t] = solver.accept(solver.at(t))
+        return known[t][1] - tol
+
+    try:
+        t = brentq(excess, t0, t1, args=(solver, known), xtol=1e-10)
+    except (StepRejected, ValueError):
+        return t1, end
+    return (t, known[t]) if t > t0 else (t1, end)
 
 
 def _start(config: FlowConfig) -> tuple:
@@ -749,10 +775,8 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
 
     def row(cur, codes):
         _, max_speed, _, _, st = cur
-        return [q.a(m) for m in range(-1, n + 1)] + [
-            np.min(st.u), np.min(st.rho), np.max(st.rho), np.min(st.F), np.max(st.F),
-            st.lam_min, st.lam_max, max_speed,
-        ]
+        return [q.a(m) for m in range(-1, n + 1)] + [*st.extremes, st.lam_min, st.lam_max,
+                                                     max_speed]
 
     trace = FlowTrace(n=n)
     (*_, profile, _), outcome = _integrate(

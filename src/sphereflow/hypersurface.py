@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import beta, betainc
 
-from .symfunc import quotient_two_value, sigma_two_value
+from .symfunc import quotient_two_core, quotient_two_value, sigma_two_value
 
 __all__ = [
     "PolarGrid",
@@ -250,7 +250,8 @@ class GeometryState:
 
     lam1 is the meridian principal curvature, lam_ang the angular one with
     multiplicity n-1.  f_* are the diagonal gradient entries of the
-    curvature quotient F = sigma_{k+1}/sigma_k in the principal frame.
+    curvature quotient F = sigma_{k+1}/sigma_k in the principal frame; they
+    and the traces are computed on first read, which a flow step never makes.
     """
 
     n: int
@@ -268,10 +269,15 @@ class GeometryState:
     lam1: np.ndarray
     lam_ang: np.ndarray
     F: np.ndarray
-    f_merid: np.ndarray
-    f_ang: np.ndarray
-    trace_grad: np.ndarray
-    weighted_trace: np.ndarray
+
+    @cached_property
+    def _quotient_gradient(self) -> tuple:
+        return quotient_two_value(self.lam1, self.lam_ang, self.n, self.k)[1:]
+
+    f_merid = property(lambda self: self._quotient_gradient[0])
+    f_ang = property(lambda self: self._quotient_gradient[1])
+    trace_grad = property(lambda self: self._quotient_gradient[2])
+    weighted_trace = property(lambda self: self._quotient_gradient[3])
 
     @property
     def h(self) -> float:
@@ -287,6 +293,12 @@ class GeometryState:
     @cached_property
     def lam_max(self) -> float:
         return float(max(self.lam1.max(), self.lam_ang.max()))
+
+    @cached_property
+    def extremes(self) -> tuple:
+        """(min u, min rho, max rho, min F, max F), the trace's order."""
+        return tuple(float(v) for v in (self.u.min(), self.rho.min(), self.rho.max(),
+                                        self.F.min(), self.F.max()))
 
 
 def curvatures(grid: PolarGrid, rho: np.ndarray) -> tuple:
@@ -314,11 +326,10 @@ def geometry(profile: RadialProfile, k: int) -> GeometryState:
         raise ValueError(f"quotient order k={k} out of range for n={n}")
     grid, rho = profile.grid, profile.rho
     grad, hess, phi, phip, w, u, omega_speed, lam1, lam_ang = curvatures(grid, rho)
-    F, f1, fa, trace, weighted = quotient_two_value(lam1, lam_ang, n, k)
     return GeometryState(
         n=n, k=k, grid=grid, rho=rho.copy(), grad=grad, hess=hess, phi=phi, phip=phip,
         w=w, u=u, omega_speed=omega_speed, area_weight=phi ** (n - 1) * w, lam1=lam1,
-        lam_ang=lam_ang, F=F, f_merid=f1, f_ang=fa, trace_grad=trace, weighted_trace=weighted,
+        lam_ang=lam_ang, F=quotient_two_core(lam1, lam_ang, n, k)[0],
     )
 
 

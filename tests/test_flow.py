@@ -649,6 +649,112 @@ def test_steps_start_on_the_accepted_states_rate(monkeypatch, n, k, r0, eps):
         assert len(stages) == res.rate_evaluations
 
 
+def test_stepper_polynomial_meets_the_step_ends():
+    """at gives the start vector at the last step's start and its end vector
+    at its end, to round-off."""
+    n, k, r0, eps = REFERENCE_SHAPES[0]
+    prof = RadialProfile.perturbed(n, r0, eps, 2, 64)
+    grid = prof.grid
+    stepper = flow_module._Stepper(
+        lambda y: flow_module._stage_rate(n, k, grid, y),
+        lambda y: flow_module._rate_jacobian(n, k, grid, y),
+        lambda y: y, prof.rho, 1.0, _policy_dt(geometry(prof, k), 0.2), 0.2)
+    for _ in range(4):
+        t_old, y_old = stepper.t, stepper.y
+        y_new = stepper.step(flow_module._stage_rate(n, k, grid, stepper.y))
+        assert np.array_equal(stepper.at(t_old), y_old)
+        assert np.allclose(stepper.at(stepper.t), y_new, rtol=1e-14, atol=0.0)
+
+
+def _count_crossings(monkeypatch) -> list:
+    """The (t0, t1) step of each _crossing call, recorded as it runs."""
+    calls = []
+    real = flow_module._crossing
+
+    def counting(solver, t0, speed0, t1, end, tol):
+        calls.append((t0, t1))
+        return real(solver, t0, speed0, t1, end, tol)
+
+    monkeypatch.setattr(flow_module, "_crossing", counting)
+    return calls
+
+
+@pytest.mark.parametrize("solve", [run, dual_run])
+@pytest.mark.parametrize("n, k, r0, eps", REFERENCE_SHAPES)
+def test_converged_stop_sits_on_the_crossing(monkeypatch, n, k, r0, eps, solve):
+    """The converged stop is located inside its step: tFinal matches a run at
+    dtMax 0.01, and the last trace row sits at tFinal with max speed at the
+    tolerance."""
+    cfg = dataclasses.replace(_reference_config(n, k, r0, eps), N=64)
+    calls = _count_crossings(monkeypatch)
+    res = solve(cfg)
+    fine = solve(dataclasses.replace(cfg, dt_max=0.01))
+    assert res.termination == fine.termination == "converged"
+    assert len(calls) == 2 and calls[0][0] < res.t_final < calls[0][1]
+    assert abs(res.t_final - fine.t_final) <= 1e-4
+    assert fine.steps > 4 * res.steps
+    t = res.trace.t
+    assert t[-1] == res.t_final and t[-2] < t[-1]
+    speeds = res.trace.column("maxSpeed")
+    assert speeds[-1] == pytest.approx(cfg.convergence_tol, rel=1e-6)
+    assert speeds[-2] >= cfg.convergence_tol
+
+
+def test_a_tmax_stop_locates_nothing(monkeypatch):
+    calls = _count_crossings(monkeypatch)
+    res = run(_perturbed_config(t_max=0.5))
+    assert res.termination == "tmax" and res.steps > 0
+    res = dual_run(_perturbed_config(t_max=0.5))
+    assert res.termination == "tmax" and res.steps > 0
+    assert calls == []
+
+
+def _refuse(y):
+    raise StepRejected("refused inside the step")
+
+
+def test_a_refused_state_inside_the_step_keeps_the_step_end(monkeypatch):
+    """Where accept refuses a state on the polynomial, the run stops converged
+    on the end of the step that crossed, as a run without a locator would."""
+    cfg = _perturbed_config()
+    ends = []
+    real = flow_module._crossing
+
+    def refusing(solver, t0, speed0, t1, end, tol):
+        ends.append((t1, end))
+        solver.accept = _refuse
+        return real(solver, t0, speed0, t1, end, tol)
+
+    monkeypatch.setattr(flow_module, "_crossing", refusing)
+    res = run(cfg)
+    (t1, end), = ends
+    assert res.termination == "converged" and res.t_final == t1
+    assert res.profile is end[3]
+    assert res.trace.column("maxSpeed")[-1] == end[1] < cfg.convergence_tol
+
+
+def test_run_reads_no_quotient_gradient_on_its_states(monkeypatch):
+    """geometry builds F alone; of a run's states only the start's gradient is
+    read, for the first step."""
+    calls = []
+    real = hypersurface_module.quotient_two_value
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hypersurface_module, "quotient_two_value", counting)
+    st = geometry(RadialProfile.perturbed(3, 0.9, 0.03, 2, 65), 2)
+    assert calls == []
+    want = real(st.lam1, st.lam_ang, 3, 2)
+    for got, field in zip(want, ("F", "f_merid", "f_ang", "trace_grad", "weighted_trace")):
+        assert np.array_equal(getattr(st, field), got), field
+    assert len(calls) == 1
+    calls.clear()
+    res = run(_perturbed_config())
+    assert res.termination == "converged" and len(calls) == 1
+
+
 _THREADED_RUN = """
 import hashlib
 from sphereflow.flow import FlowConfig, ShapeSpec, run

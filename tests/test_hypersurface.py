@@ -317,6 +317,14 @@ def test_raw_nodes_and_shared_grid_agree_exactly():
         raw.theta[1] = 0.0
 
 
+def test_extremes_are_the_trace_columns_in_order():
+    prof = RadialProfile.perturbed(3, 0.9, 0.03, 2, 65)
+    st = geometry(prof, 2)
+    want = (np.min(st.u), np.min(st.rho), np.max(st.rho), np.min(st.F), np.max(st.F))
+    assert st.extremes == want and all(type(v) is float for v in st.extremes)
+    assert st.extremes is st.extremes
+
+
 def _axisymmetric_laplacian(n, N):
     """eta'' + (n-1) cot(theta) eta' as an N x N matrix, from differentiate's
     stencils; at the poles cot(theta) eta' tends to eta'', so those rows are

@@ -1,6 +1,6 @@
 """SHA-256 digests of every file the CLI writes for the reference runs.
 
-Runs ``run --checkpoint-every 100`` and ``dual-run`` on both reference shapes
+Runs ``run --checkpoint-every 20`` and ``dual-run`` on both reference shapes
 (``perturbed:0.8,0.05,2`` at n=2, k=1 and ``perturbed:0.9,0.03,2`` at n=3,
 k=2) at N = 128 and 256, and ``identity-suite --n-max 8 --samples 10000`` at
 seeds 1 and 7, each into a fresh temporary directory, with the package of
@@ -25,7 +25,7 @@ from sphereflow.cli import main  # noqa: E402
 
 SHAPES = {"n2k1": ("2", "1", "perturbed:0.8,0.05,2"),
           "n3k2": ("3", "2", "perturbed:0.9,0.03,2")}
-COMMANDS = {"run": ["run", "--checkpoint-every", "100"], "dual-run": ["dual-run"]}
+COMMANDS = {"run": ["run", "--checkpoint-every", "20"], "dual-run": ["dual-run"]}
 GRIDS = (128, 256)
 SUITE_SEEDS = (1, 7)
 COUNTERS = ("termination", "tFinal", "steps", "rejections", "rateEvaluations",
