@@ -146,8 +146,7 @@ def _cmd_dual_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    profile, k_stored, _ = load_checkpoint(args.checkpoint)
-    k = args.k if args.k is not None else k_stored
+    profile, k, _ = load_checkpoint(args.checkpoint)
     _check_order(profile.n, k)
     state = geometry(profile, 0)
     q = quermass_vector(state, profile)
@@ -260,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="inequality audit of a checkpoint")
     p_audit.add_argument("--checkpoint", type=str, required=True)
-    p_audit.add_argument("--k", type=int, default=None)
     p_audit.add_argument("--out", type=str, default="out")
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.set_defaults(func=_cmd_audit)

@@ -29,12 +29,12 @@ from .exceptions import ConeViolation, ConvexityLoss
 from .flow import FlowConfig, FlowTrace, Outcome, _integrate, _parabolic_dt, speed
 from .hypersurface import (
     RadialProfile,
+    _hypot,
     as_grid,
     cot_grad,
     differentiate,
     geometry,
     polar_grid,
-    stencil_bands,
 )
 from .quermass import quermass_vector
 from .symfunc import identity_quotient, quotient_two_core, quotient_two_value
@@ -143,13 +143,14 @@ class DualState:
 def _closure(u, tan, h=None, u_grad=None, u_hess=None) -> tuple:
     """(u_grad, u_hess, rho_tilde, omega, phi, phip, w_merid, w_ang) of u, positivity
     checked; the derivatives are centered differences at spacing h unless given.
-    u may stack several vectors along leading axes."""
-    if not np.all(np.isfinite(u)) or np.min(u) <= 0.0:
+    u may stack several vectors along leading axes, and may be complex: the
+    checks read real parts."""
+    if not np.all(np.isfinite(u)) or np.min(u.real) <= 0.0:
         raise ValueError("u_tilde must be finite and positive")
     if u_grad is None:
         u_grad, u_hess = differentiate(u, h)
 
-    rho_tilde = np.hypot(u, u_grad)
+    rho_tilde = _hypot(u, u_grad)
     omega = rho_tilde / u
     phi = 2.0 * rho_tilde / (1.0 + rho_tilde**2)
     phip = (1.0 - rho_tilde**2) / (1.0 + rho_tilde**2)
@@ -157,7 +158,7 @@ def _closure(u, tan, h=None, u_grad=None, u_hess=None) -> tuple:
     w_merid = u_hess + u
     w_ang = cot_grad(u_grad, u_hess, tan) + u
 
-    bad = np.argwhere((w_merid <= 0.0) | (w_ang <= 0.0))
+    bad = np.argwhere((w_merid.real <= 0.0) | (w_ang.real <= 0.0))
     if bad.size:
         node = int(bad[0, -1])  # the node of the first failing vector of a stack
         raise ConvexityLoss(f"W = Hess(u) + u id not positive definite at node {node}",
@@ -214,28 +215,6 @@ def _stage_g(n: int, k: int, grid, u: np.ndarray) -> np.ndarray:
     """g_operator(support_closure(n, grid, u), k), same checks, from the cores alone;
     u may stack several vectors, such as the three Radau stages, along leading axes."""
     return _g(n, k, u, *_closure(u, grid.tan, grid.h)[2:], quotient_two_core)[0]
-
-
-def _g_jacobian(n: int, k: int, grid, u: np.ndarray) -> np.ndarray:
-    """The exact Jacobian of _stage_g at u, as the bands of stencil_bands.
-
-    With P = 1 + rho_tilde^2 = 1 + u^2 + u'^2, G = c (1 - rho_tilde^2) / 2
-    - (u P / 2) F(1/w_merid + s, 1/w_ang + s) with the shift s = -2u / P and
-    W's eigenvalues w_merid = u'' + u, w_ang = cot term + u.  The chain rule
-    runs through W, rho_tilde and omega (in P and s) and F.
-    """
-    grad, _, rho_tilde, omega, phi, phip, w_merid, w_ang = _closure(u, grid.tan, grid.h)
-    _, (F, f1, fa, _, _), coeff = _g(n, k, u, rho_tilde, omega, phi, phip, w_merid, w_ang,
-                                     quotient_two_value)
-    fa = (n - 1) * fa
-    c = identity_quotient(n, k)
-    P = 1.0 + rho_tilde**2
-    shift_u = (4.0 * u**2 - 2.0 * P) / P**2
-    d_hess = coeff * f1 / w_merid**2
-    d_cot = coeff * fa / w_ang**2
-    d_u = -c * u - (0.5 * P + u**2) * F - coeff * (f1 + fa) * shift_u + d_hess + d_cot
-    d_grad = -grad * (c + u * F + coeff * (f1 + fa) * 4.0 * u / P**2)
-    return stencil_bands(grid, d_u, d_grad, d_hess, d_cot)
 
 
 def g_operator(state: DualState, k: int) -> np.ndarray:
@@ -350,12 +329,12 @@ def dual_run(config: FlowConfig) -> DualResult:
     """Radau IIA time stepping of the support-function evolution.
 
     The graph solver's driver, flow._integrate: Radau IIA steps sized by
-    accuracy, with the exact tridiagonal Jacobian of _g_jacobian, since G is
-    pointwise in u_tilde and its 3-point stencil derivatives.  The first step
-    is the parabolic limit of the start state's stiffness.  The three stages
-    of a Newton iteration go to G (_stage_g) as one stacked call, with the
-    checks of support_closure and g_operator; each accepted state gets the
-    full DualState.
+    accuracy, with the tridiagonal Jacobian that flow._jacobian reads from
+    one complex-step call of G, since G is pointwise in u_tilde and its
+    3-point stencil derivatives.  The first step is the parabolic limit of
+    the start state's stiffness.  The three stages of a Newton iteration go
+    to G (_stage_g) as one stacked call, with the checks of support_closure
+    and g_operator; each accepted state gets the full DualState.
     _integrate ends the run convexity_breakdown, with the time recorded, on a
     ConvexityLoss at the smallest step (W not positive definite), and
     step_collapse on any other failure there, as in run.  The outcome is not
@@ -382,7 +361,6 @@ def dual_run(config: FlowConfig) -> DualResult:
     start = evaluate(u0)
     first_step = _parabolic_dt(float(np.max(_stiffness(start[3], k))), grid.h, config.dt_max)
     (*_, state), outcome = _integrate(
-        config, lambda u: _stage_g(n, k, grid, u), lambda u: _g_jacobian(n, k, grid, u),
-        evaluate, lambda *_: (), lambda cur, codes: _trace_row(cur[3], cur[0], k, codes),
-        u0, start, first_step, trace)
+        config, lambda u: _stage_g(n, k, grid, u), evaluate, lambda *_: (),
+        lambda cur, codes: _trace_row(cur[3], cur[0], k, codes), u0, start, first_step, trace)
     return DualResult(**vars(outcome), u=state.u)

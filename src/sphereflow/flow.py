@@ -4,12 +4,13 @@ The normal speed is f = c * phi'(rho) - u * F with c the quotient's value on
 the round sphere, which preserves the quermassintegral A_{k-1} and drives
 convex initial data to a geodesic sphere.  On the fixed graph grid the radius
 obeys d(rho)/dt = f * W / phi.  That rate is pointwise in rho and its 3-point
-stencil derivatives, so its exact Jacobian is tridiagonal (_rate_jacobian),
-and the stiff system is stepped with Radau IIA (Hairer & Wanner, Solving
-ODEs II, Sec. IV.8), whose steps are sized by accuracy rather than by the h^2
-stability limit.  _Stepper is that method: its three stages go to the rate as
-one stacked call, MU/h I - J is factored by LAPACK's tridiagonal routines and
-kept while h and J stay the same, and a failed trial, an unconverged Newton
+stencil derivatives, so its Jacobian is tridiagonal, which _jacobian reads
+from one complex-step call of the rate, and the stiff system is stepped with
+Radau IIA (Hairer & Wanner, Solving ODEs II, Sec. IV.8), whose steps are
+sized by accuracy rather than by the h^2 stability limit.  _Stepper is that
+method: its three stages go to the rate as one stacked call, MU/h I - J is
+factored by LAPACK's tridiagonal routines and kept while h and J stay the
+same, and a failed trial, an unconverged Newton
 solve included, raises to _Stepper.step, the one place that halves a step on
 failure.  One driver, _integrate, steps both this solver and the
 support-function solver in dualflow; only its first step is taken from the
@@ -49,10 +50,9 @@ from .hypersurface import (
     integrate,
     polar_grid,
     save_checkpoint,
-    stencil_bands,
 )
 from .quermass import QuermassVector, quermass_vector
-from .symfunc import identity_quotient, quotient_two_core, quotient_two_value
+from .symfunc import identity_quotient, quotient_two_core
 
 __all__ = [
     "ShapeSpec",
@@ -237,30 +237,31 @@ def speed(state: GeometryState) -> np.ndarray:
 def _stage_rate(n: int, k: int, grid, rho) -> np.ndarray:
     """The radius rate d(rho)/dt = f * W / phi on fixed nodes, from the cores alone,
     with the checks of geometry(RadialProfile(n, grid, rho), k); rho may stack
-    several radius vectors, such as the three Radau stages, along leading axes."""
-    _, _, _, phip, _, u, omega_speed, lam1, lam_ang = curvatures(grid, checked_radii(grid, rho))
+    several radius vectors, such as the three Radau stages, along leading axes.
+    Complex rho is stepped as it is and checked by its real part (_jacobian)."""
+    checked_radii(grid, rho.real)
+    _, _, _, phip, _, u, omega_speed, lam1, lam_ang = curvatures(grid, rho)
     return _speed(n, k, phip, u, quotient_two_core(lam1, lam_ang, n, k)[0]) * omega_speed
 
 
-def _rate_jacobian(n: int, k: int, grid, rho: np.ndarray) -> np.ndarray:
-    """The exact Jacobian of _stage_rate at rho, as the bands of stencil_bands.
+# the complex step of _jacobian: its square underflows, so a stage's real part
+# is the state and Im(rate) / step is the derivative to round-off, with no
+# difference taken (Squire & Trapp, SIAM Review 40, 1998)
+_COMPLEX_STEP = 1e-200
 
-    The rate c phi' W / phi - phi F is pointwise in (rho, rho', rho'', cot
-    term); the chain rule runs through lam1, lam_ang and F, whose lam
-    derivatives are f_merid and (n - 1) f_ang.  At the poles lam_ang is lam1,
-    which the cot term's pole rule (rho'') reproduces.
-    """
-    g, hess, phi, phip, w, _, _, lam1, lam_ang = curvatures(grid, checked_radii(grid, rho))
-    F, f1, fa = quotient_two_value(lam1, lam_ang, n, k)[:3]
-    fa = (n - 1) * fa
-    l1_rho = ((2.0 * phi * phip**2 - phi**3 - phip * hess - 2.0 * phi * g**2) / w**3
-              - 3.0 * lam1 * phi * phip / w**2)
-    la_rho = (phip**2 - phi**2) / (phi * w) - lam_ang * (phip / phi + phi * phip / w**2)
-    c = identity_quotient(n, k)
-    d_rho = c * (phip**2 / w - w / phi**2) - phip * F - phi * (f1 * l1_rho + fa * la_rho)
-    d_grad = c * phip * g / (phi * w) - phi * g * (
-        f1 * (4.0 * phip - 3.0 * lam1 * w) / w**3 - fa * lam_ang / w**2)
-    return stencil_bands(grid, d_rho, d_grad, phi**2 * f1 / w**3, fa / w)
+
+def _jacobian(rate, y: np.ndarray) -> np.ndarray:
+    """The tridiagonal Jacobian of rate at y as rows (sub-, main, super-diagonal):
+    row 0 holds entry (i, i-1) at i and row 2 entry (i, i+1) at i.
+
+    rate, complex-analytic in y, is called once, on the stack of y + i s comb
+    for the three combs of ones on every third node (the Curtis-Powell-Reid
+    grouping); no row of a tridiagonal matrix meets one comb twice, so each
+    stage's Im(rate) / s holds one entry per row."""
+    nodes = np.arange(y.size)
+    combs = nodes % 3 == np.arange(3)[:, None]
+    applied = rate(y + 1j * _COMPLEX_STEP * combs).imag / _COMPLEX_STEP
+    return np.stack([applied[(nodes + offset) % 3, nodes] for offset in (-1, 0, 1)])
 
 
 def _rk4(y: np.ndarray, dt: float, r1: np.ndarray, rate) -> np.ndarray:
@@ -482,13 +483,14 @@ class _Stepper:
     It keeps scipy's Radau constants and, failures aside, its algorithm: the
     simplified Newton iteration on the collocation system, the embedded error
     estimate, and the predictive step control, which holds the step while the
-    predicted growth stays below _HOLD_BELOW and takes jac(y) again after slow
-    Newton convergence.  fun takes the three stages as one (3, N) stack;
-    jac(y) gives J as stencil_bands rows; either raises ValueError off the
-    chart or the cone.  The rate at a step's start is the caller's, from the
-    accepted state; a zero predictor's first Newton iteration takes it for all
-    three stages.  MU/h I - J is factored by LAPACK's tridiagonal routines,
-    and one factor pair is kept while h and J stay the same.
+    predicted growth stays below _HOLD_BELOW and takes J again after slow
+    Newton convergence.  fun takes the three stages as one (3, N) stack and
+    raises ValueError off the chart or the cone; J is _jacobian(fun, y), which
+    counts as a Jacobian, not as rate evaluations.  The rate at a step's
+    start is the caller's, from the accepted state; a zero predictor's first
+    Newton iteration takes it for all three stages.  MU/h I - J is factored
+    by LAPACK's tridiagonal routines, and one factor pair is kept while h and
+    J stay the same.
 
     accept turns a trial that passes the error test into the caller's next
     state, or raises StepRejected or ValueError.  Every trial that is not a
@@ -499,8 +501,8 @@ class _Stepper:
     of a smaller h_abs, and re-raises below _MULT_FLOOR times the first step.
     """
 
-    def __init__(self, fun, jac, accept, y: np.ndarray, t_bound: float, h: float, h_max):
-        self.fun, self.jac, self.accept = fun, jac, accept
+    def __init__(self, fun, accept, y: np.ndarray, t_bound: float, h: float, h_max):
+        self.fun, self.accept = fun, accept
         self.t, self.y, self.t_bound, self.h_max = 0.0, y, t_bound, h_max
         self.floor = _MULT_FLOOR * h
         # the rate evaluations count each stage of a stacked call
@@ -522,7 +524,7 @@ class _Stepper:
 
     def _jac(self, y: np.ndarray) -> np.ndarray:
         self.jacobians += 1
-        return self.jac(y)
+        return _jacobian(self.fun, y)
 
     def _factors(self, h: float) -> tuple:
         if self.lu is None or self.lu[0] != h or self.lu[1] is not self.J:
@@ -650,11 +652,11 @@ class _Stepper:
                 self._restart(h)
 
 
-def _integrate(config: FlowConfig, rate, jac, accept, advance, row, y0: np.ndarray,
+def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
                state, first_step: float, trace: FlowTrace):
     """The one time loop of both solvers: one _Stepper, from y0 with first_step.
 
-    rate, jac and accept go to the stepper.  A solver state, the start state
+    rate and accept go to the stepper.  A solver state, the start state
     and each one accept returns, is (rate, max speed, max curvature,
     payload...), whose rate, bit for bit rate(y) at its vector, starts the
     next step, so no accepted state costs a rate call.  advance(new, t, dt,
@@ -674,7 +676,7 @@ def _integrate(config: FlowConfig, rate, jac, accept, advance, row, y0: np.ndarr
     pending = []
     t = 0.0
     steps = 0
-    solver = _Stepper(rate, jac, accept, y0, config.t_max, first_step, config.dt_max)
+    solver = _Stepper(rate, accept, y0, config.t_max, first_step, config.dt_max)
     converged = state[1] < config.convergence_tol
     while True:
         f, max_speed, curvature = state[:3]
@@ -780,9 +782,8 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
 
     trace = FlowTrace(n=n)
     (*_, profile, _), outcome = _integrate(
-        config, lambda rho: _stage_rate(n, k, grid, rho),
-        lambda rho: _rate_jacobian(n, k, grid, rho), accept, advance, row,
-        profile.rho, solver_state(profile, state), _policy_dt(state, config.dt_max), trace)
+        config, lambda rho: _stage_rate(n, k, grid, rho), accept, advance, row, profile.rho,
+        solver_state(profile, state), _policy_dt(state, config.dt_max), trace)
     return FlowResult(**vars(outcome), profile=profile, violations=dict(monitors.counts))
 
 

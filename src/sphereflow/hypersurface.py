@@ -32,7 +32,6 @@ __all__ = [
     "SphereGrid2D",
     "differentiate",
     "cot_grad",
-    "stencil_bands",
     "curvatures",
     "geometry",
     "geometry_full_s2",
@@ -228,20 +227,10 @@ def cot_grad(grad: np.ndarray, hess: np.ndarray, tan: np.ndarray) -> np.ndarray:
     return np.concatenate((hess[..., :1], grad[..., 1:-1] / tan, hess[..., -1:]), axis=-1)
 
 
-def stencil_bands(grid: PolarGrid, a, b, c, e) -> np.ndarray:
-    """The tridiagonal matrix diag(a) + diag(b) D1 + diag(c) D2 + diag(e) Dcot on grid,
-    as rows (sub-, main, super-diagonal): row 0 holds entry (i, i-1) at i and row 2
-    entry (i, i+1) at i.  D1 and D2 are differentiate's stencils and Dcot is
-    cot_grad's term, pole rules included; a, b, c and e are nodal coefficients.
-
-    The matrix is applied to the three combs of ones on every third node; no
-    row of a tridiagonal matrix meets one comb twice, so each product holds
-    one entry per row."""
-    nodes = np.arange(grid.theta.size)
-    combs = (nodes % 3 == np.arange(3)[:, None]).astype(float)
-    grad, hess = differentiate(combs, grid.h)
-    applied = a * combs + b * grad + c * hess + e * cot_grad(grad, hess, grid.tan)
-    return np.stack([applied[(nodes + offset) % 3, nodes] for offset in (-1, 0, 1)])
+def _hypot(x, y):
+    """np.hypot(x, y) for real input; for complex input its analytic continuation
+    sqrt(x*x + y*y), which carries a complex step's imaginary part through."""
+    return np.sqrt(x * x + y * y) if x.dtype.kind == "c" else np.hypot(x, y)
 
 
 @dataclass
@@ -304,11 +293,11 @@ class GeometryState:
 def curvatures(grid: PolarGrid, rho: np.ndarray) -> tuple:
     """The pointwise fields of radii rho on grid that both the flow rate and
     geometry read: (grad, hess, phi, phip, w, u, omega_speed, lam1, lam_ang);
-    rho may stack several radius vectors along leading axes."""
+    rho may stack several radius vectors along leading axes, and may be complex."""
     grad, hess = differentiate(rho, grid.h)
     phi = np.sin(rho)
     phip = np.cos(rho)
-    w = np.hypot(phi, grad)
+    w = _hypot(phi, grad)
     u = phi**2 / w
     omega_speed = w / phi
 

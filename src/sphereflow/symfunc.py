@@ -151,12 +151,14 @@ def sigma_two_value(lam1, lam2, n: int, m: int):
     """sigma_m of the vector (lam1, lam2, ..., lam2) with lam2 repeated n-1 times.
 
     Closed form used on axisymmetric grids where only two distinct principal
-    curvatures occur; vectorized over node arrays lam1, lam2.
+    curvatures occur; vectorized over node arrays lam1, lam2, which stay
+    complex if they are.
     """
     if not 0 <= m <= n:
         raise ValueError(f"sigma index m={m} out of range for n={n}")
-    lam1 = np.asarray(lam1, dtype=float)
-    lam2 = np.asarray(lam2, dtype=float)
+    lam1, lam2 = np.asarray(lam1), np.asarray(lam2)
+    dtype = complex if lam1.dtype.kind == "c" or lam2.dtype.kind == "c" else float
+    lam1, lam2 = lam1.astype(dtype, copy=False), lam2.astype(dtype, copy=False)
     if m == 0:
         # [()] makes scalar input give a scalar, as the sums below do
         return np.ones(np.broadcast(lam1, lam2).shape)[()]
@@ -169,13 +171,14 @@ def sigma_two_value(lam1, lam2, n: int, m: int):
 def quotient_two_core(lam1, lam2, n: int, k: int):
     """F = sigma_{k+1}/sigma_k on two-value curvature vectors, with sigma_k and
     sigma_{k+1}; the cone check and errors of quotient_two_value, no gradient.
-    Nodes run along the last axis, which a ConeViolation's node indexes."""
+    Nodes run along the last axis, which a ConeViolation's node indexes.  The
+    check reads real parts, so complex curvatures pass where theirs do."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"quotient order k={k} out of range for n={n}")
     sk = sigma_two_value(lam1, lam2, n, k)
-    bad = ~(sk > 0.0)
-    if np.any(bad):
-        node = int(np.argwhere(np.atleast_1d(bad))[0, -1])
+    positive = sk.real > 0.0
+    if not np.all(positive):
+        node = int(np.argwhere(~np.atleast_1d(positive))[0, -1])
         raise ConeViolation(f"sigma_{k} not positive at node {node}", node=node)
     sk1 = sigma_two_value(lam1, lam2, n, k + 1)
     return sk1 / sk, sk, sk1

@@ -613,7 +613,8 @@ def test_both_solvers_match_scipys_radau(n, k, r0, eps, N):
 def test_steps_start_on_the_accepted_states_rate(monkeypatch, n, k, r0, eps):
     """Every step of both solvers is handed the rate of the state it starts
     from, bit for bit the stage rate at that vector, and no stage is
-    evaluated at a state's vector, the start vector included."""
+    evaluated at a state's vector, the start vector included.  A Jacobian's
+    complex stack is not a stage."""
     starts, stages = [], []
 
     class Recording(flow_module._Stepper):
@@ -623,7 +624,8 @@ def test_steps_start_on_the_accepted_states_rate(monkeypatch, n, k, r0, eps):
 
     def recording(stage_rate):
         def wrapped(n, k, grid, y):
-            stages.extend(np.array(y, ndmin=2))
+            if not np.iscomplexobj(y):
+                stages.extend(np.array(y, ndmin=2))
             return stage_rate(n, k, grid, y)
         return wrapped
 
@@ -656,9 +658,8 @@ def test_stepper_polynomial_meets_the_step_ends():
     prof = RadialProfile.perturbed(n, r0, eps, 2, 64)
     grid = prof.grid
     stepper = flow_module._Stepper(
-        lambda y: flow_module._stage_rate(n, k, grid, y),
-        lambda y: flow_module._rate_jacobian(n, k, grid, y),
-        lambda y: y, prof.rho, 1.0, _policy_dt(geometry(prof, k), 0.2), 0.2)
+        lambda y: flow_module._stage_rate(n, k, grid, y), lambda y: y, prof.rho, 1.0,
+        _policy_dt(geometry(prof, k), 0.2), 0.2)
     for _ in range(4):
         t_old, y_old = stepper.t, stepper.y
         y_new = stepper.step(flow_module._stage_rate(n, k, grid, stepper.y))
@@ -782,6 +783,15 @@ def _dense(bands):
     return np.diag(bands[1]) + np.diag(bands[0, 1:], -1) + np.diag(bands[2, :-1], 1)
 
 
+def _solver_rates(n, k, N):
+    """(rate, state) of both solvers on N nodes, at a state well inside the cone."""
+    grid = hypersurface_module.polar_grid(N)
+    rho = 0.8 + 0.03 * np.cos(2.0 * grid.theta) + 0.01 * np.cos(3.0 * grid.theta)
+    u0, _ = _dual_start(RadialProfile(n=n, theta=grid, rho=rho), k, 0.05)
+    return ((lambda v: flow_module._stage_rate(n, k, grid, v), rho),
+            (lambda v: dualflow_module._stage_g(n, k, grid, v), u0))
+
+
 def _centred_jacobian(rate, y, step=1e-7):
     columns = []
     for j in range(y.size):
@@ -793,17 +803,43 @@ def _centred_jacobian(rate, y, step=1e-7):
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in range(n)])
 def test_jacobians_match_a_centred_difference(n, k):
-    """Both solvers' exact Jacobians, on states well inside the cone."""
-    grid = hypersurface_module.polar_grid(33)
-    rho = 0.8 + 0.03 * np.cos(2.0 * grid.theta) + 0.01 * np.cos(3.0 * grid.theta)
-    u0, _ = _dual_start(RadialProfile(n=n, theta=grid, rho=rho), k, 0.05)
-    for bands, rate, y in (
-            (flow_module._rate_jacobian(n, k, grid, rho),
-             lambda v: flow_module._stage_rate(n, k, grid, v), rho),
-            (dualflow_module._g_jacobian(n, k, grid, u0),
-             lambda v: dualflow_module._stage_g(n, k, grid, v), u0)):
-        exact, centred = _dense(bands), _centred_jacobian(rate, y)
+    """Both solvers' Jacobians, on states well inside the cone."""
+    for rate, y in _solver_rates(n, k, 33):
+        exact, centred = _dense(flow_module._jacobian(rate, y)), _centred_jacobian(rate, y)
         assert np.max(np.abs(exact - centred)) <= 1e-6 * np.max(np.abs(centred))
+
+
+@pytest.mark.parametrize("N", [33, 257])
+@pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in range(n)])
+def test_jacobian_products_match_one_complex_step(n, k, N):
+    """J v is the complex step of the rate along v, for random v: this pins
+    where each band entry is read, and the stages' real part is the state."""
+    v = np.random.default_rng(N + 10 * n + k).standard_normal(N)
+    s = flow_module._COMPLEX_STEP
+    for rate, y in _solver_rates(n, k, N):
+        stacks = []
+
+        def recording(stack, rate=rate):
+            stacks.append(stack)
+            return rate(stack)
+
+        Jv = _dense(flow_module._jacobian(recording, y)) @ v
+        direct = rate(y + 1j * s * v).imag / s
+        assert np.max(np.abs(Jv - direct)) <= 1e-13 * np.max(np.abs(direct))
+        (stack,) = stacks
+        assert stack.shape == (3, N)
+        assert all(stage.real.tobytes() == y.tobytes() for stage in stack)
+
+
+def test_jacobian_raises_the_rates_cone_violation():
+    """Off the cone the Jacobian's complex stack fails as the rate does, at its node."""
+    grid = hypersurface_module.polar_grid(33)
+    rho = 0.8 + 0.2 * np.cos(6.0 * grid.theta)
+    with pytest.raises(ConeViolation) as real:
+        flow_module._stage_rate(2, 1, grid, rho)
+    with pytest.raises(ConeViolation) as stacked:
+        flow_module._jacobian(lambda y: flow_module._stage_rate(2, 1, grid, y), rho)
+    assert real.value.node == stacked.value.node == 5
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -817,7 +853,9 @@ def test_rate_jacobian_spectrum_at_a_geodesic_sphere(n):
         errors = []
         for N in (65, 129):
             grid = hypersurface_module.polar_grid(N)
-            eig = np.linalg.eigvals(_dense(flow_module._rate_jacobian(n, k, grid, np.full(N, r))))
+            J = flow_module._jacobian(lambda y: flow_module._stage_rate(n, k, grid, y),
+                                      np.full(N, r))
+            eig = np.linalg.eigvals(_dense(J))
             assert np.max(np.abs(eig.imag)) <= 1e-10 * np.max(np.abs(eig.real))
             top = np.sort(eig.real)[::-1][:6]
             err = np.abs(top + mu)
@@ -923,10 +961,14 @@ def test_run_collapses_when_every_trial_fails(monkeypatch):
 
 def test_each_restart_starts_at_half_the_step_tried(monkeypatch):
     cfg = _perturbed_config(t_max=0.02)
-    real, calls, marks = flow_module._stage_rate, [0], []
+    real, calls, marks, fail = flow_module._stage_rate, [0], [], set()
 
     def counting(*args):
-        calls[0] += 1
+        # stages only: a Jacobian's complex stack is none, and is not failed
+        if not np.iscomplexobj(args[-1]):
+            calls[0] += 1
+            if calls[0] in fail:
+                raise ConeViolation("forced cone exit")
         return real(*args)
 
     def marking(*args):
@@ -941,8 +983,9 @@ def test_each_restart_starts_at_half_the_step_tried(monkeypatch):
     # five rate calls fail from the first of the last step, whose size the
     # t_max clamp sets: every restart must halve that clamped step, not the
     # unclamped one the step control had predicted
-    monkeypatch.setattr(flow_module, "_stage_rate",
-                        _fail_calls(real, set(range(marks[-2] + 1, marks[-2] + 6))))
+    calls[0] = 0
+    fail.update(range(marks[-2] + 1, marks[-2] + 6))
+    monkeypatch.setattr(flow_module, "_stage_rate", counting)
     trials = []  # the h of each Newton solve, and "restart" where the step restarts
     newton, restart = flow_module._Stepper._newton, flow_module._Stepper._restart
 

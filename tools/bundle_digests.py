@@ -5,9 +5,12 @@ Runs ``run --checkpoint-every 20`` and ``dual-run`` on both reference shapes
 k=2) at N = 128 and 256, and ``identity-suite --n-max 8 --samples 10000`` at
 seeds 1 and 7, each into a fresh temporary directory, with the package of
 this checkout's ``src/``.  Prints one JSON object with, for each run, the
-digest of every file it wrote and, where it writes a ``summary.json``, the
-counters there.  Two checkouts that print the same object write
-byte-identical bundles; diff the outputs to compare them:
+digest of every file it wrote and, where it writes a ``summary.json``, every
+field there: the counters, the final quermassintegrals, speed and spread,
+and the W range and breakdown time of a dual run.  Two checkouts that print
+the same object write byte-identical bundles; diff the outputs to compare
+them.  Where digests differ, the summary fields show how far each value
+moved:
 
     python tools/bundle_digests.py > digests.json
 """
@@ -28,13 +31,11 @@ SHAPES = {"n2k1": ("2", "1", "perturbed:0.8,0.05,2"),
 COMMANDS = {"run": ["run", "--checkpoint-every", "20"], "dual-run": ["dual-run"]}
 GRIDS = (128, 256)
 SUITE_SEEDS = (1, 7)
-COUNTERS = ("termination", "tFinal", "steps", "rejections", "rateEvaluations",
-            "jacobians", "luFactorizations")
 
 
 def _bundle(args: list, out: Path) -> dict:
     """Run the CLI with args into out: the digests of its files and the
-    counters of its summary.json, if it writes one."""
+    fields of its summary.json, if it writes one."""
     with redirect_stdout(sys.stderr):  # stdout carries the JSON object alone
         code = main(args + ["--out", str(out)])
     if code != 0:
@@ -43,12 +44,11 @@ def _bundle(args: list, out: Path) -> dict:
              for path in sorted(out.rglob("*")) if path.is_file()}
     if not (out / "summary.json").is_file():
         return {"files": files}
-    summary = json.loads((out / "summary.json").read_text())
-    return {"files": files, "counters": {key: summary[key] for key in COUNTERS}}
+    return {"files": files, "summary": json.loads((out / "summary.json").read_text())}
 
 
 def bundle_digests() -> dict:
-    """Digests and counters of every reference bundle, by command/shape/grid
+    """Digests and summaries of every reference bundle, by command/shape/grid
     and identity-suite/seed."""
     digests = {}
     with tempfile.TemporaryDirectory() as scratch:
