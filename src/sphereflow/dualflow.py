@@ -26,7 +26,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .exceptions import ConeViolation, ConvexityLoss
-from .flow import FlowConfig, FlowTrace, Outcome, _integrate, _parabolic_dt, speed
+from .flow import FlowConfig, FlowTrace, Outcome, _integrate, speed
 from .hypersurface import (
     RadialProfile,
     _hypot,
@@ -37,7 +37,7 @@ from .hypersurface import (
     polar_grid,
 )
 from .quermass import quermass_vector
-from .symfunc import identity_quotient, quotient_two_core, quotient_two_value
+from .symfunc import identity_quotient, quotient_two_core
 
 __all__ = [
     "DualState",
@@ -158,9 +158,9 @@ def _closure(u, tan, h=None, u_grad=None, u_hess=None) -> tuple:
     w_merid = u_hess + u
     w_ang = cot_grad(u_grad, u_hess, tan) + u
 
-    bad = np.argwhere((w_merid.real <= 0.0) | (w_ang.real <= 0.0))
-    if bad.size:
-        node = int(bad[0, -1])  # the node of the first failing vector of a stack
+    bad = (w_merid.real <= 0.0) | (w_ang.real <= 0.0)  # a NaN entry passes
+    if bad.any():
+        node = int(np.argwhere(bad)[0, -1])  # the node of the first failing vector of a stack
         raise ConvexityLoss(f"W = Hess(u) + u id not positive definite at node {node}",
                             node=node)
     return u_grad, u_hess, rho_tilde, omega, phi, phip, w_merid, w_ang
@@ -194,27 +194,17 @@ def support_closure(n, theta, u_tilde, u_grad=None, u_hess=None) -> DualState:
     )
 
 
-def _g(n, k, u, rho_tilde, omega, phi, phip, w_merid, w_ang, quotient):
-    """G, quotient's output on the eigenvalues of W^{-1} + s id, and F's factor in G."""
+def _g(n, k, u, rho_tilde, omega, phi, phip, w_merid, w_ang):
+    """G, with the quotient on the eigenvalues of W^{-1} + s id."""
     shift = (phip - 1.0) / (rho_tilde * omega)
-    q = quotient(1.0 / w_merid + shift, 1.0 / w_ang + shift, n, k)
-    coeff = rho_tilde * u / phi
-    g = identity_quotient(n, k) * (phip / phi) * u * omega - coeff * q[0]
-    return g, q, coeff
-
-
-def _stiffness(state: DualState, k: int) -> np.ndarray:
-    """Trace of G's linearization in W, the stiffness scale of the first step."""
-    _, (_, f1, fa, _, _), coeff = _g(
-        state.n, k, state.u, state.rho_tilde, state.omega, state.phi, state.phip,
-        state.w_merid, state.w_ang, quotient_two_value)
-    return coeff * (f1 / state.w_merid**2 + (state.n - 1) * fa / state.w_ang**2)
+    quotient = quotient_two_core(1.0 / w_merid + shift, 1.0 / w_ang + shift, n, k)[0]
+    return identity_quotient(n, k) * (phip / phi) * u * omega - rho_tilde * u / phi * quotient
 
 
 def _stage_g(n: int, k: int, grid, u: np.ndarray) -> np.ndarray:
     """g_operator(support_closure(n, grid, u), k), same checks, from the cores alone;
     u may stack several vectors, such as the three Radau stages, along leading axes."""
-    return _g(n, k, u, *_closure(u, grid.tan, grid.h)[2:], quotient_two_core)[0]
+    return _g(n, k, u, *_closure(u, grid.tan, grid.h)[2:])
 
 
 def g_operator(state: DualState, k: int) -> np.ndarray:
@@ -227,7 +217,7 @@ def g_operator(state: DualState, k: int) -> np.ndarray:
     exactly.
     """
     return _g(state.n, k, state.u, state.rho_tilde, state.omega, state.phi, state.phip,
-              state.w_merid, state.w_ang, quotient_two_core)[0]
+              state.w_merid, state.w_ang)
 
 
 def dual_from_profile(profile: RadialProfile) -> DualState:
@@ -331,8 +321,8 @@ def dual_run(config: FlowConfig) -> DualResult:
     The graph solver's driver, flow._integrate: Radau IIA steps sized by
     accuracy, with the tridiagonal Jacobian that flow._jacobian reads from
     one complex-step call of G, since G is pointwise in u_tilde and its
-    3-point stencil derivatives.  The first step is the parabolic limit of
-    the start state's stiffness.  The three stages of a Newton iteration go
+    3-point stencil derivatives, and whose Gershgorin bound at the start
+    sizes the first step.  The three stages of a Newton iteration go
     to G (_stage_g) as one stacked call, with the checks of support_closure
     and g_operator; each accepted state gets the full DualState.
     _integrate ends the run convexity_breakdown, with the time recorded, on a
@@ -358,9 +348,7 @@ def dual_run(config: FlowConfig) -> DualResult:
 
     trace = FlowTrace(n, extra=("minEigW", "maxEigW"), breakdown_cell=True)
     u0 = CubicSpline(dual0.theta, dual0.u)(grid.theta)
-    start = evaluate(u0)
-    first_step = _parabolic_dt(float(np.max(_stiffness(start[3], k))), grid.h, config.dt_max)
     (*_, state), outcome = _integrate(
         config, lambda u: _stage_g(n, k, grid, u), evaluate, lambda *_: (),
-        lambda cur, codes: _trace_row(cur[3], cur[0], k, codes), u0, start, first_step, trace)
+        lambda cur, codes: _trace_row(cur[3], cur[0], k, codes), u0, evaluate(u0), trace)
     return DualResult(**vars(outcome), u=state.u)

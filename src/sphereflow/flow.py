@@ -13,12 +13,12 @@ factored by LAPACK's tridiagonal routines and kept while h and J stay the
 same, and a failed trial, an unconverged Newton
 solve included, raises to _Stepper.step, the one place that halves a step on
 failure.  One driver, _integrate, steps both this solver and the
-support-function solver in dualflow; only its first step is taken from the
-parabolic limit, and each step starts on the rate of the state that the
-solver built from the last accepted vector, not on a rate call.  _integrate
-names every stop of a run and returns the final solver state and an Outcome,
-the stop and the counters, which FlowResult here and DualResult extend.
-Classical Runge-Kutta at the parabolic limit stays on as the test oracle.
+support-function solver in dualflow; its first step is 0.8 over the
+Gershgorin bound of the start's Jacobian, and each step starts on the rate
+of the state that the solver built from the last accepted vector, not on a
+rate call.  _integrate names every stop of a run and returns the final
+solver state and an Outcome, the stop and the counters, which FlowResult
+here and DualResult extend.  Classical Runge-Kutta stays on as the test oracle.
 """
 
 from __future__ import annotations
@@ -73,9 +73,10 @@ _MULT_FLOOR = 1e-12
 # O(h^2) spatial error, which the cross-solver refinement ratio measures
 _RTOL = 1e-8
 _ATOL = 1e-11
-# the first step of both solvers, as a fraction of the parabolic limit h^2 /
-# stiffness; Radau sizes every later step by the tolerances above
-_FIRST_STEP_FACTOR = 0.2
+# the first step of both solvers times G, the Gershgorin bound of the start's
+# Jacobian: dt * rho(J) <= 0.8 also keeps RK4 inside its stability limit 2.785;
+# Radau sizes every later step by the tolerances above
+_FIRST_STEP_FACTOR = 0.8
 # Monitors thresholds: relative barrier slack, per-step sign slack, drift of
 # the preserved A_{k-1}, and the factor by which F may leave its initial band
 _BARRIER_TOL = 1e-8
@@ -285,14 +286,11 @@ def step(profile: RadialProfile, dt: float, k: int) -> RadialProfile:
         raise StepRejected(str(exc)) from exc
 
 
-def _parabolic_dt(stiffness: float, h: float, dt_max: float,
-                  factor: float = _FIRST_STEP_FACTOR) -> float:
-    return min(factor * h**2 / max(stiffness, 1e-300), dt_max)
-
-
-def _policy_dt(state: GeometryState, dt_max: float,
-               factor: float = _FIRST_STEP_FACTOR) -> float:
-    return _parabolic_dt(float(np.max(state.u * state.trace_grad)), state.h, dt_max, factor)
+def _gershgorin_dt(J: np.ndarray, dt_max: float, factor: float = _FIRST_STEP_FACTOR) -> float:
+    """factor / G for the bands J of _jacobian, with G = max_i sum_j |J_ij| >= J's
+    spectral radius, at most dt_max; dt_max where G is zero or not finite."""
+    g = float(np.max(np.sum(np.abs(J), axis=0)))
+    return min(factor / g, dt_max) if 0.0 < g < math.inf else dt_max
 
 
 class Monitors:
@@ -486,11 +484,12 @@ class _Stepper:
     predicted growth stays below _HOLD_BELOW and takes J again after slow
     Newton convergence.  fun takes the three stages as one (3, N) stack and
     raises ValueError off the chart or the cone; J is _jacobian(fun, y), which
-    counts as a Jacobian, not as rate evaluations.  The rate at a step's
-    start is the caller's, from the accepted state; a zero predictor's first
-    Newton iteration takes it for all three stages.  MU/h I - J is factored
-    by LAPACK's tridiagonal routines, and one factor pair is kept while h and
-    J stay the same.
+    counts as a Jacobian, not as rate evaluations.  The first step is
+    _gershgorin_dt of the first trial's J.  The rate at a step's start is the
+    caller's, from the accepted state; a zero predictor's first Newton
+    iteration takes it for all three stages.  MU/h I - J is factored by
+    LAPACK's tridiagonal routines, and one factor pair is kept while h and J
+    stay the same.
 
     accept turns a trial that passes the error test into the caller's next
     state, or raises StepRejected or ValueError.  Every trial that is not a
@@ -498,20 +497,21 @@ class _Stepper:
     a fresh J's unconverged solve, which scipy halves in place) and a refused
     vector.  step alone shrinks a step for a raise: it restarts from (t, y)
     with a new J, no history and a zero predictor, at half the step tried or
-    of a smaller h_abs, and re-raises below _MULT_FLOOR times the first step.
+    of a smaller h_abs, and re-raises below _MULT_FLOOR times the first step
+    or, with no first step to halve, where the start's J fails.
     """
 
-    def __init__(self, fun, accept, y: np.ndarray, t_bound: float, h: float, h_max):
+    def __init__(self, fun, accept, y: np.ndarray, t_bound: float, h_max):
         self.fun, self.accept = fun, accept
         self.t, self.y, self.t_bound, self.h_max = 0.0, y, t_bound, h_max
-        self.floor = _MULT_FLOOR * h
         # the rate evaluations count each stage of a stacked call
         self.evaluations = self.jacobians = self.factorizations = self.rejections = 0
-        self._restart(h)
+        self._restart(None)
 
-    def _restart(self, h: float) -> None:
-        """Forget the step history: the next step takes J afresh and predicts nothing."""
-        self.h_abs = self.tried = min(h, self.t_bound - self.t)
+    def _restart(self, h: float | None) -> None:
+        """Forget the step history: the next step takes J afresh, predicts
+        nothing and tries h, or with None the first step."""
+        self.h_abs = self.tried = None if h is None else min(h, self.t_bound - self.t)
         self.J = None
         self.current_jac = True
         self.h_abs_old = self.error_norm_old = None
@@ -575,6 +575,9 @@ class _Stepper:
         t, y = self.t, self.y
         if self.J is None:
             self.J = self._jac(y)
+        if self.h_abs is None:  # the first step, from the start's J
+            self.h_abs = self.tried = min(_gershgorin_dt(self.J, self.h_max), self.t_bound - t)
+            self.floor = _MULT_FLOOR * self.h_abs
         min_step = 10 * abs(np.nextafter(t, np.inf) - t)
         h, h_old, error_norm_old = self.h_abs, self.h_abs_old, self.error_norm_old
         if not min_step <= h <= self.h_max:  # a clamped step forgets the last one
@@ -645,6 +648,8 @@ class _Stepper:
                 return state
             except (StepRejected, ValueError):  # LinAlgError is a ValueError
                 self.rejections += 1
+                if self.h_abs is None:  # the start's J failed
+                    raise
                 # h_abs < tried where _trial ran it at its least step: halve h_abs
                 h = 0.5 * min(self.tried, self.h_abs)
                 if h < self.floor:
@@ -653,8 +658,8 @@ class _Stepper:
 
 
 def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
-               state, first_step: float, trace: FlowTrace):
-    """The one time loop of both solvers: one _Stepper, from y0 with first_step.
+               state, trace: FlowTrace):
+    """The one time loop of both solvers: one _Stepper, from y0.
 
     rate and accept go to the stepper.  A solver state, the start state
     and each one accept returns, is (rate, max speed, max curvature,
@@ -676,7 +681,7 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
     pending = []
     t = 0.0
     steps = 0
-    solver = _Stepper(rate, accept, y0, config.t_max, first_step, config.dt_max)
+    solver = _Stepper(rate, accept, y0, config.t_max, config.dt_max)
     converged = state[1] < config.convergence_tol
     while True:
         f, max_speed, curvature = state[:3]
@@ -715,10 +720,11 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
 
 
 def _crossing(solver: _Stepper, t0: float, speed0: float, t1: float, end, tol: float) -> tuple:
-    """(t, state) where the max speed falls to tol, to 1e-10 in t, inside the
-    step from (t0, speed0 >= tol) to (t1, end below tol): brentq on accept's
-    states along the step's collocation polynomial; (t1, end) where accept
-    refuses one.  The ends' speeds are those of the known states."""
+    """(t, state) where the max speed falls below tol, to 1e-10 in t, inside
+    the step from (t0, speed0 >= tol) to (t1, end below tol): of accept's
+    states that brentq tries along the step's collocation polynomial, the
+    earliest below tol, since its root may lie a round-off above; (t1, end)
+    where accept refuses one.  The ends' speeds are those of the known states."""
     known = {t0: (None, speed0), t1: end}
 
     # solver and known go in as args: scipy's wrapper of excess is a reference cycle
@@ -728,10 +734,11 @@ def _crossing(solver: _Stepper, t0: float, speed0: float, t1: float, end, tol: f
         return known[t][1] - tol
 
     try:
-        t = brentq(excess, t0, t1, args=(solver, known), xtol=1e-10)
+        brentq(excess, t0, t1, args=(solver, known), xtol=1e-10)
     except (StepRejected, ValueError):
         return t1, end
-    return (t, known[t]) if t > t0 else (t1, end)
+    t = min(t for t, state in known.items() if state[1] < tol)
+    return t, known[t]
 
 
 def _start(config: FlowConfig) -> tuple:
@@ -783,7 +790,7 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
     trace = FlowTrace(n=n)
     (*_, profile, _), outcome = _integrate(
         config, lambda rho: _stage_rate(n, k, grid, rho), accept, advance, row, profile.rho,
-        solver_state(profile, state), _policy_dt(state, config.dt_max), trace)
+        solver_state(profile, state), trace)
     return FlowResult(**vars(outcome), profile=profile, violations=dict(monitors.counts))
 
 

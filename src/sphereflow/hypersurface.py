@@ -240,7 +240,7 @@ class GeometryState:
     lam1 is the meridian principal curvature, lam_ang the angular one with
     multiplicity n-1.  f_* are the diagonal gradient entries of the
     curvature quotient F = sigma_{k+1}/sigma_k in the principal frame; they
-    and the traces are computed on first read, which a flow step never makes.
+    and the traces are computed on first read, which no flow run makes.
     """
 
     n: int

@@ -22,7 +22,7 @@ from sphereflow.hypersurface import (
     minkowski_residual,
 )
 from sphereflow.identities import run_identity_suite
-from sphereflow.flow import _policy_dt, run, step
+from sphereflow.flow import _gershgorin_dt, _jacobian, _stage_rate, run, step
 from sphereflow.quermass import (
     audit_inequalities,
     quermass_vector,
@@ -89,7 +89,7 @@ def test_03_weighted_integral_identity():
 
 def test_04_sphere_stationarity():
     prof = RadialProfile.geodesic_sphere(2, 0.8, 256)
-    dt = _policy_dt(geometry(prof, 1), 0.05)
+    dt = _gershgorin_dt(_jacobian(lambda rho: _stage_rate(2, 1, prof.grid, rho), prof.rho), 0.05)
     change = float(np.max(np.abs(step(prof, dt, 1).rho - prof.rho)))
     from sphereflow.flow import FlowConfig, ShapeSpec
     res = run(FlowConfig(n=2, k=1, N=256,

@@ -21,9 +21,10 @@ from sphereflow.flow import (
     FlowConfig,
     Monitors,
     ShapeSpec,
-    _parabolic_dt,
-    _policy_dt,
+    _gershgorin_dt,
+    _jacobian,
     _rk4,
+    _stage_rate,
     evolution_residual_f,
     evolution_residual_u,
     functional_derivative_residual,
@@ -81,12 +82,23 @@ def test_oversized_step_is_rejected():
         step(prof, 1.0, 1)
 
 
-def test_policy_dt_formula_and_cap():
-    st = geometry(RadialProfile.perturbed(2, 0.8, 0.05, 2, 129), 1)
-    want = 0.2 * st.h**2 / float(np.max(st.u * st.trace_grad))
-    assert _policy_dt(st, 0.05) == pytest.approx(min(want, 0.05), rel=1e-15)
-    assert _policy_dt(st, 1.0, 0.05) == pytest.approx(0.25 * want, rel=1e-15)
-    assert _policy_dt(st, 1e-9) == 1e-9
+def _rule_dt(prof: RadialProfile, k: int, dt_max: float) -> float:
+    """The first-step rule at the Jacobian of the graph rate at prof."""
+    return _gershgorin_dt(_jacobian(lambda rho: _stage_rate(prof.n, k, prof.grid, rho),
+                                    prof.rho), dt_max)
+
+
+def test_gershgorin_dt_formula_and_cap():
+    prof = RadialProfile.perturbed(2, 0.8, 0.05, 2, 129)
+    bands = _jacobian(lambda rho: _stage_rate(2, 1, prof.grid, rho), prof.rho)
+    J = _dense(bands)
+    g = float(np.max(np.sum(np.abs(J), axis=1)))
+    assert np.max(np.abs(np.linalg.eigvals(J))) <= g  # G bounds the spectral radius
+    assert _gershgorin_dt(bands, 1.0) == pytest.approx(0.8 / g, rel=1e-15)
+    assert _gershgorin_dt(bands, 1.0, 0.25) == pytest.approx(0.25 / g, rel=1e-15)
+    assert _gershgorin_dt(bands, 1e-9) == 1e-9
+    for degenerate in (np.zeros((3, 5)), np.full((3, 5), np.nan), np.full((3, 5), np.inf)):
+        assert _gershgorin_dt(degenerate, 0.2) == 0.2
 
 
 def test_flow_config_validation():
@@ -396,7 +408,7 @@ def test_quiet_step_raises_no_flags():
     st = geometry(prof, 1)
     q = quermass_vector(st, prof)
     mon = Monitors(cfg, st, q)
-    dt = _policy_dt(st, cfg.dt_max)
+    dt = _rule_dt(prof, 1, cfg.dt_max)
     nxt = step(prof, dt, 1)
     stn = geometry(nxt, 1)
     assert mon.check(q, quermass_vector(stn, nxt), stn, dt) == []
@@ -406,7 +418,7 @@ def test_quiet_step_raises_no_flags():
 def test_evolution_residuals_small_on_resolved_pair():
     prof = RadialProfile.perturbed(2, 0.8, 0.05, 2, 129)
     st = geometry(prof, 1)
-    dt = _policy_dt(st, 0.05)
+    dt = _rule_dt(prof, 1, 0.05)
     nxt = step(prof, dt, 1)
     stn = geometry(nxt, 1)
     assert evolution_residual_u(st, stn, dt) < 1e-3
@@ -473,22 +485,22 @@ def test_stages_build_no_full_state(monkeypatch):
 
 
 def test_run_matches_the_rk4_oracle():
-    # the oracle: explicit RK4 steps at the parabolic limit
-    cfg = FlowConfig(n=2, k=1, N=256, t_max=1.0, convergence_tol=0.0,
+    # the oracle: explicit RK4 steps at the first-step rule of each step's start
+    cfg = FlowConfig(n=2, k=1, N=128, t_max=1.0, convergence_tol=0.0,
                      initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2))
     res = run(cfg)
     assert res.termination == "tmax" and res.t_final == 1.0
-    prof, t = cfg.initial_shape.build(2, 256), 0.0
+    prof, t = cfg.initial_shape.build(2, 128), 0.0
     while t < 1.0:
-        dt = min(_policy_dt(geometry(prof, 1), cfg.dt_max), 1.0 - t)
+        dt = min(_rule_dt(prof, 1, cfg.dt_max), 1.0 - t)
         prof, t = step(prof, dt, 1), t + dt
     assert float(np.max(np.abs(res.profile.rho - prof.rho))) <= 1e-9
 
 
 @pytest.mark.parametrize("n, k, r0, eps", [(2, 1, 0.8, 0.05), (3, 2, 0.9, 0.03)])
 def test_dual_run_matches_the_rk4_oracle(n, k, r0, eps):
-    # the oracle: explicit RK4 steps of G at the parabolic limit, from the
-    # same resampled support function
+    # the oracle: explicit RK4 steps of G at the first-step rule of each
+    # step's start, from the same resampled support function
     cfg = FlowConfig(n=n, k=k, N=128, t_max=0.1, convergence_tol=0.0,
                      initial_shape=ShapeSpec(kind="perturbed", r0=r0, eps=eps, mode=2))
     res = dual_run(cfg)
@@ -502,8 +514,7 @@ def test_dual_run_matches_the_rk4_oracle(n, k, r0, eps):
         return dualflow_module._stage_g(n, k, grid, stage)
 
     while t < 0.1:
-        stiff = dualflow_module._stiffness(dualflow_module.support_closure(n, grid, u), k)
-        dt = min(_parabolic_dt(float(np.max(stiff)), grid.h, cfg.dt_max), 0.1 - t)
+        dt = min(_gershgorin_dt(_jacobian(rate, u), cfg.dt_max), 0.1 - t)
         u, t = _rk4(u, dt, rate(u), rate), t + dt
     assert float(np.max(np.abs(res.u - u))) <= 1e-9
 
@@ -576,12 +587,10 @@ def _reference_config(n, k, r0, eps, **kw):
     return FlowConfig(n=n, k=k, N=128, initial_shape=shape, **kw)
 
 
-def _dual_start(prof, k, dt_max):
-    """dual_run's start vector and first step from the profile prof."""
+def _dual_start(prof):
+    """dual_run's start vector from the profile prof."""
     dual0 = dualflow_module.dual_from_profile(prof)
-    u0 = CubicSpline(dual0.theta, dual0.u)(prof.grid.theta)
-    stiff = dualflow_module._stiffness(dualflow_module.support_closure(prof.n, prof.grid, u0), k)
-    return u0, _parabolic_dt(float(np.max(stiff)), prof.grid.h, dt_max)
+    return CubicSpline(dual0.theta, dual0.u)(prof.grid.theta)
 
 
 @pytest.mark.parametrize("N", [64, 128, 256, 1024])
@@ -595,15 +604,19 @@ def test_both_solvers_match_scipys_radau(n, k, r0, eps, N):
     res = run(cfg)
     rho, steps = oracles.plain_radau(
         lambda y: flow_module._stage_rate(n, k, prof.grid, y), prof.rho, cfg.t_max,
-        _policy_dt(geometry(prof, k), cfg.dt_max), cfg.dt_max)
+        _rule_dt(prof, k, cfg.dt_max), cfg.dt_max)
     assert res.termination == "tmax" and res.rejections == 0
     assert float(np.max(np.abs(res.profile.rho - rho))) <= 1e-9
     assert abs(res.steps - steps) <= 0.05 * steps
 
     dual = dual_run(cfg)
-    u0, first_step = _dual_start(prof, k, cfg.dt_max)
-    u, steps = oracles.plain_radau(lambda y: dualflow_module._stage_g(n, k, prof.grid, y), u0,
-                                   cfg.t_max, first_step, cfg.dt_max)
+    u0 = _dual_start(prof)
+
+    def g(y):
+        return dualflow_module._stage_g(n, k, prof.grid, y)
+
+    first_step = _gershgorin_dt(_jacobian(g, u0), cfg.dt_max)
+    u, steps = oracles.plain_radau(g, u0, cfg.t_max, first_step, cfg.dt_max)
     assert dual.termination == "tmax" and dual.rejections == 0
     assert float(np.max(np.abs(dual.u - u))) <= 1e-9
     assert abs(dual.steps - steps) <= 0.05 * steps
@@ -658,8 +671,7 @@ def test_stepper_polynomial_meets_the_step_ends():
     prof = RadialProfile.perturbed(n, r0, eps, 2, 64)
     grid = prof.grid
     stepper = flow_module._Stepper(
-        lambda y: flow_module._stage_rate(n, k, grid, y), lambda y: y, prof.rho, 1.0,
-        _policy_dt(geometry(prof, k), 0.2), 0.2)
+        lambda y: flow_module._stage_rate(n, k, grid, y), lambda y: y, prof.rho, 1.0, 0.2)
     for _ in range(4):
         t_old, y_old = stepper.t, stepper.y
         y_new = stepper.step(flow_module._stage_rate(n, k, grid, stepper.y))
@@ -685,7 +697,7 @@ def _count_crossings(monkeypatch) -> list:
 def test_converged_stop_sits_on_the_crossing(monkeypatch, n, k, r0, eps, solve):
     """The converged stop is located inside its step: tFinal matches a run at
     dtMax 0.01, and the last trace row sits at tFinal with max speed at the
-    tolerance."""
+    tolerance and below it."""
     cfg = dataclasses.replace(_reference_config(n, k, r0, eps), N=64)
     calls = _count_crossings(monkeypatch)
     res = solve(cfg)
@@ -698,7 +710,7 @@ def test_converged_stop_sits_on_the_crossing(monkeypatch, n, k, r0, eps, solve):
     assert t[-1] == res.t_final and t[-2] < t[-1]
     speeds = res.trace.column("maxSpeed")
     assert speeds[-1] == pytest.approx(cfg.convergence_tol, rel=1e-6)
-    assert speeds[-2] >= cfg.convergence_tol
+    assert speeds[-2] >= cfg.convergence_tol > speeds[-1]
 
 
 def test_a_tmax_stop_locates_nothing(monkeypatch):
@@ -735,8 +747,8 @@ def test_a_refused_state_inside_the_step_keeps_the_step_end(monkeypatch):
 
 
 def test_run_reads_no_quotient_gradient_on_its_states(monkeypatch):
-    """geometry builds F alone; of a run's states only the start's gradient is
-    read, for the first step."""
+    """geometry builds F alone, and a run reads the gradient of none of its
+    states, the start's included."""
     calls = []
     real = hypersurface_module.quotient_two_value
 
@@ -753,7 +765,7 @@ def test_run_reads_no_quotient_gradient_on_its_states(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     res = run(_perturbed_config())
-    assert res.termination == "converged" and len(calls) == 1
+    assert res.termination == "converged" and calls == []
 
 
 _THREADED_RUN = """
@@ -787,7 +799,7 @@ def _solver_rates(n, k, N):
     """(rate, state) of both solvers on N nodes, at a state well inside the cone."""
     grid = hypersurface_module.polar_grid(N)
     rho = 0.8 + 0.03 * np.cos(2.0 * grid.theta) + 0.01 * np.cos(3.0 * grid.theta)
-    u0, _ = _dual_start(RadialProfile(n=n, theta=grid, rho=rho), k, 0.05)
+    u0 = _dual_start(RadialProfile(n=n, theta=grid, rho=rho))
     return ((lambda v: flow_module._stage_rate(n, k, grid, v), rho),
             (lambda v: dualflow_module._stage_g(n, k, grid, v), u0))
 
@@ -868,6 +880,24 @@ def test_rate_jacobian_spectrum_at_a_geodesic_sphere(n):
         assert np.all((ratio > 3.8) & (ratio < 4.2))
 
 
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (2, 0), (4, 1)])
+def test_small_radius_runs_converge_without_a_rejection(n, k):
+    """At r0 = 0.05 the rate's Jacobian is ~1/r0^2 stiffer than at the
+    reference radii; the first step, sized by its scale, is accepted."""
+    shape = ShapeSpec(kind="perturbed", r0=0.05, eps=0.0025, mode=2)
+    res = run(FlowConfig(n=n, k=k, N=129, initial_shape=shape))
+    assert res.termination == "converged" and res.rejections == 0
+
+
+def test_rk4_at_the_first_step_rule_stays_in_the_cone_at_a_small_radius():
+    """dt * rho(J) <= 0.8 lies inside RK4's stability limit 2.785, so explicit
+    steps at the rule stay stable, and in the cone, at r0 = 0.2 too."""
+    prof = RadialProfile.perturbed(2, 0.2, 0.01, 2, 129)
+    for _ in range(30):
+        prof = step(prof, _rule_dt(prof, 1, 0.2), 1)
+        assert geometry(prof, 1).lam_min > 0.0
+
+
 def test_fine_grids_start_where_a_difference_jacobian_collapsed():
     """n=2, k=1, rho = 0.8 + eps cos(m theta) at 0.99 of the largest convex eps:
     mode 3 at N=2049 and mode 1 at N=4097 once ended step_collapse at t=0,
@@ -942,6 +972,24 @@ def test_finished_steppers_are_freed_without_the_cycle_collector(monkeypatch):
         assert_freed(res, 1)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("solve, error, termination", [
+    (run, ConeViolation, "step_collapse: forced cone exit"),
+    (dual_run, dualflow_module.ConvexityLoss, "convexity_breakdown"),
+])
+def test_a_failed_start_jacobian_is_a_named_stop(monkeypatch, solve, error, termination):
+    """The first step is sized from the start's Jacobian; where that fails
+    there is no step to halve, and the run stops at t = 0 on the failure."""
+    def failing(rate, y):
+        raise error("forced cone exit")
+
+    monkeypatch.setattr(flow_module, "_jacobian", failing)
+    res = solve(_perturbed_config())
+    assert res.termination == termination
+    # one Jacobian tried, one failed trial and no retry
+    assert (res.steps, res.t_final, res.jacobians, res.rejections) == (0, 0.0, 1, 1)
+    assert res.trace.breakdown_time == (0.0 if solve is dual_run else None)
 
 
 def test_run_collapses_when_every_trial_fails(monkeypatch):
@@ -1031,15 +1079,13 @@ def test_newton_failures_collapse_without_creeping(monkeypatch):
 
 
 def test_every_rejected_trial_is_counted(monkeypatch):
-    """A first step of dtMax = 1, far above the parabolic one, fails Newton
+    """A first step of dtMax = 1, far above the Gershgorin one, fails Newton
     solves under a fresh J, each a restart, and then the error test, whose
     shrinks are rejections too; both solvers end where the default start does."""
     cfg = _perturbed_config(t_max=1.0, dt_max=1.0, convergence_tol=0.0)
     clean, clean_dual = run(cfg), dual_run(cfg)
     assert clean.rejections == clean_dual.rejections == 0
-    monkeypatch.setattr(flow_module, "_policy_dt", lambda state, dt_max, *args: dt_max)
-    monkeypatch.setattr(dualflow_module, "_parabolic_dt",
-                        lambda stiffness, h, dt_max, *args: dt_max)
+    monkeypatch.setattr(flow_module, "_gershgorin_dt", lambda J, dt_max, *args: dt_max)
     restarts, restart = [0], flow_module._Stepper._restart
 
     def counting_restart(self, h):

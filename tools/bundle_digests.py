@@ -2,9 +2,10 @@
 
 Runs ``run --checkpoint-every 20`` and ``dual-run`` on both reference shapes
 (``perturbed:0.8,0.05,2`` at n=2, k=1 and ``perturbed:0.9,0.03,2`` at n=3,
-k=2) at N = 128 and 256, and ``identity-suite --n-max 8 --samples 10000`` at
-seeds 1 and 7, each into a fresh temporary directory, with the package of
-this checkout's ``src/``.  Prints one JSON object with, for each run, the
+k=2) and on a small-radius start (``perturbed:0.05,0.0025,2`` at n=2, k=0,
+whose Jacobian is ~1/r0^2 stiffer) at N = 128 and 256, and
+``identity-suite --n-max 8 --samples 10000`` at seeds 1 and 7, each into a
+fresh temporary directory, with the package of this checkout's ``src/``.  Prints one JSON object with, for each run, the
 digest of every file it wrote and, where it writes a ``summary.json``, every
 field there: the counters, the final quermassintegrals, speed and spread,
 and the W range and breakdown time of a dual run.  Two checkouts that print
@@ -27,7 +28,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sphereflow.cli import main  # noqa: E402
 
 SHAPES = {"n2k1": ("2", "1", "perturbed:0.8,0.05,2"),
-          "n3k2": ("3", "2", "perturbed:0.9,0.03,2")}
+          "n3k2": ("3", "2", "perturbed:0.9,0.03,2"),
+          "n2k0small": ("2", "0", "perturbed:0.05,0.0025,2")}
 COMMANDS = {"run": ["run", "--checkpoint-every", "20"], "dual-run": ["dual-run"]}
 GRIDS = (128, 256)
 SUITE_SEEDS = (1, 7)
