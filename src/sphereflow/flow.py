@@ -357,7 +357,6 @@ class FlowTrace:
     """
 
     def __init__(self, n: int, extra: tuple = (), breakdown_cell: bool = False):
-        self.n = n
         names = ["t"] + [f"A_{m}" for m in range(-1, n + 1)] + _TRACE_COLUMNS + list(extra)
         self.columns = {name: [] for name in names}
         self.violations: list = []
@@ -493,12 +492,13 @@ class _Stepper:
 
     accept turns a trial that passes the error test into the caller's next
     state, or raises StepRejected or ValueError.  Every trial that is not a
-    step is a rejection: one that fails the error test, one that raises (even
-    a fresh J's unconverged solve, which scipy halves in place) and a refused
-    vector.  step alone shrinks a step for a raise: it restarts from (t, y)
-    with a new J, no history and a zero predictor, at half the step tried or
-    of a smaller h_abs, and re-raises below _MULT_FLOOR times the first step
-    or, with no first step to halve, where the start's J fails.
+    step is a rejection: one that fails the error test, one that raises and a
+    refused vector.  A failed solve raises under a stale J as under a fresh
+    one, where scipy would take J again or halve the step in place.  step
+    alone shrinks a step for a raise: it restarts from (t, y) with a new J, no
+    history and a zero predictor, at half the step tried or of a smaller
+    h_abs, and re-raises below _MULT_FLOOR times the first step or, with no
+    first step to halve, where the start's J fails.
     """
 
     def __init__(self, fun, accept, y: np.ndarray, t_bound: float, h_max):
@@ -513,7 +513,6 @@ class _Stepper:
         nothing and tries h, or with None the first step."""
         self.h_abs = self.tried = None if h is None else min(h, self.t_bound - self.t)
         self.J = None
-        self.current_jac = True
         self.h_abs_old = self.error_norm_old = None
         self.lu = None  # (h, J, real factors, complex factors)
         self.dense = None  # (t, y, collocation polynomial coefficients) at the last step's start
@@ -570,8 +569,7 @@ class _Stepper:
         each trial.  A trial fails with ValueError where the rate, J or a
         factor does, or with StepRejected for a Newton solve that does not
         converge, a NaN error estimate (which passes the test, as in scipy) or
-        a step below the float spacing of t.  As in scipy, a solve that fails
-        under a stale J takes J again at the same h."""
+        a step below the float spacing of t; step restarts every one of them."""
         t, y = self.t, self.y
         if self.J is None:
             self.J = self._jac(y)
@@ -595,13 +593,7 @@ class _Stepper:
             else:  # the last step's collocation polynomial at the new stages
                 z0, f0 = self.at(t + h * _C) - y, None
             scale = _ATOL + np.abs(y) * _RTOL
-            try:
-                iterations, z, rate = self._newton(h, z0, scale, f0)
-            except (StepRejected, ValueError):  # LinAlgError is a ValueError
-                if self.current_jac:
-                    raise
-                self.J, self.current_jac = self._jac(y), True
-                iterations, z, rate = self._newton(h, z0, scale, f0)
+            iterations, z, rate = self._newton(h, z0, scale, f0)
             y_new = y + z[-1]
             ze = _combine(_E, z) / h
             real = self.lu[2]
@@ -625,7 +617,6 @@ class _Stepper:
             factor = 1.0
         if recompute_jac:
             self.J = self._jac(y_new)
-        self.current_jac = recompute_jac
         self.h_abs_old, self.error_norm_old, self.h_abs = self.h_abs, error_norm, h * factor
         self.dense = (t, y, _combine(_P.T, z))
         return t_new, y_new

@@ -326,6 +326,45 @@ def test_dual_run_forgets_a_convexity_loss_that_a_step_recovered_from(monkeypatc
     assert res.steps >= 3 and res.breakdown_time is None
 
 
+def test_dual_run_restarts_a_stage_convexity_loss_under_a_stale_jacobian(monkeypatch):
+    """A stage whose W is not positive definite fails its trial under the
+    first step's J as under a fresh one: step restarts it once, and the run
+    ends where a clean one does, with no breakdown."""
+    cfg = FlowConfig(
+        n=2, k=1, N=65,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
+        t_max=0.05,
+    )
+    real, real_support = dualflow_module._stage_g, dualflow_module.support_closure
+    stages, marks, fail = [0], [], [None]
+
+    def stage(*args):
+        # a Jacobian's complex stack is no stage
+        if not np.iscomplexobj(args[-1]):
+            stages[0] += 1
+            if stages[0] == fail[0]:
+                raise ConvexityLoss("forced stage loss")
+        return real(*args)
+
+    def marking(*args, **kwargs):
+        marks.append(stages[0])
+        return real_support(*args, **kwargs)
+
+    monkeypatch.setattr(dualflow_module, "_stage_g", stage)
+    with monkeypatch.context() as patch:
+        patch.setattr(dualflow_module, "support_closure", marking)
+        clean = dual_run(cfg)
+    # the real stages before the pullback, the start and each accepted step
+    assert len(marks) >= 4
+    # the first real stage of the second step
+    stages[0], fail[0] = 0, marks[2] + 1
+    res = dual_run(cfg)
+    assert res.termination == clean.termination == "tmax"
+    assert res.rejections == 1 and clean.rejections == 0
+    assert res.breakdown_time is None
+    assert float(np.max(np.abs(res.u - clean.u))) < 1e-9
+
+
 def test_accepted_dual_states_skip_the_quotient_gradient(monkeypatch):
     # G, its Jacobians, the first step and the trace's F read the quotient
     # value alone

@@ -1,0 +1,56 @@
+"""Counters of ``run`` and ``dual_run`` from small and near-hemisphere radii.
+
+Runs both solvers in-process, with the package of this checkout's ``src/``,
+from ``perturbed`` starts of mode 2 at N = 129, for every (n, k) in
+(2, 1), (3, 2), (2, 0), (4, 1) and every r0 in 0.05, 0.2, 1.3, 1.45, 1.52,
+1.56, with eps = 0.05 min(r0, pi/2 - r0), a twentieth of the distance to
+the nearer of the pole and the hemisphere.  Prints one JSON
+object with, for each run, its termination, tFinal, steps, rejections, rate
+evaluations, Jacobians, LU factorizations and the count of each monitor flag
+over its trace rows.  Diff the outputs of two checkouts to compare them:
+
+    python tools/radius_probe.py > radii.json
+"""
+
+import json
+import math
+import sys
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sphereflow.dualflow import dual_run  # noqa: E402
+from sphereflow.flow import FlowConfig, ShapeSpec, run  # noqa: E402
+
+ORDERS = ((2, 1), (3, 2), (2, 0), (4, 1))
+RADII = (0.05, 0.2, 1.3, 1.45, 1.52, 1.56)
+SOLVERS = {"run": run, "dual-run": dual_run}
+N = 129
+MODE = 2
+
+
+def _counters(result) -> dict:
+    """The counters of a finished run and its flags, counted over the trace rows."""
+    flags = Counter(code for row in result.trace.violations for code in row.split(";") if code)
+    return {"termination": result.termination, "tFinal": result.t_final,
+            "steps": result.steps, "rejections": result.rejections,
+            "rateEvaluations": result.rate_evaluations, "jacobians": result.jacobians,
+            "luFactorizations": result.lu_factorizations, "flags": dict(sorted(flags.items()))}
+
+
+def radius_probe() -> dict:
+    """Counters of every run, by solver/n,k/r0."""
+    counters = {}
+    for solver, flow in SOLVERS.items():
+        for n, k in ORDERS:
+            for r0 in RADII:
+                eps = 0.05 * min(r0, math.pi / 2 - r0)
+                shape = ShapeSpec(kind="perturbed", r0=r0, eps=eps, mode=MODE)
+                config = FlowConfig(n=n, k=k, N=N, initial_shape=shape)
+                counters[f"{solver}/n{n}k{k}/r{r0}"] = _counters(flow(config))
+    return counters
+
+
+if __name__ == "__main__":
+    print(json.dumps(radius_probe(), indent=2, sort_keys=True))
