@@ -98,6 +98,7 @@ def _bundle(out: str, command: str, seed: int, result, final, summary: dict) -> 
         "rateEvaluations": result.rate_evaluations,
         "jacobians": result.jacobians,
         "luFactorizations": result.lu_factorizations,
+        "dtRange": result.dt_range,
         **summary,
     })
 

@@ -69,13 +69,13 @@ __all__ = [
 ]
 
 _MULT_FLOOR = 1e-12
-# Radau tolerances of both solvers: they keep the time error far below the
-# O(h^2) spatial error, which the cross-solver refinement ratio measures
+# both solvers' Radau rtol is 0.1 min(h^2, convergence_tol), at least _RTOL: a
+# time error below the O(h^2) grid error and the stop, and no finer (Lawson,
+# Berzins & Dew, SIAM J. Sci. Stat. Comput. 12, 1991); tMax-only runs keep _RTOL
 _RTOL = 1e-8
-_ATOL = 1e-11
 # the first step of both solvers times G, the Gershgorin bound of the start's
 # Jacobian: dt * rho(J) <= 0.8 also keeps RK4 inside its stability limit 2.785;
-# Radau sizes every later step by the tolerances above
+# Radau sizes every later step by _tolerances
 _FIRST_STEP_FACTOR = 0.8
 # Monitors thresholds: relative barrier slack, per-step sign slack, drift of
 # the preserved A_{k-1}, and the factor by which F may leave its initial band
@@ -410,6 +410,7 @@ class Outcome:
     rate_evaluations: int
     jacobians: int
     lu_factorizations: int
+    dt_range: dict | None  # accepted steps' min, max and last span (past a located stop)
 
 
 @dataclass
@@ -440,7 +441,6 @@ _P = np.array([[13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6],
 # the step control: Newton iterations and tolerance per solve, the least and
 # largest step factors, and the growth below which a step is held
 _NEWTON_MAXITER = 6
-_NEWTON_TOL = max(10 * np.finfo(float).eps / _RTOL, min(0.03, _RTOL**0.5))
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _HOLD_BELOW = 1.2
@@ -474,6 +474,14 @@ def _factor(gttrf, lower, diag, upper) -> tuple:
     return factors
 
 
+def _tolerances(config: FlowConfig) -> tuple:
+    """Both solvers' Radau (rtol, atol = 1e-3 rtol) for config, by the rule above
+    _RTOL with h = pi / (N - 1); the floor gives (1e-8, 1e-11) exactly."""
+    h = math.pi / (config.N - 1)
+    rtol = max(_RTOL, 0.1 * min(h * h, config.convergence_tol))
+    return rtol, rtol / _RTOL * 1e-11
+
+
 class _Stepper:
     """Radau IIA (order 5) steps of y' = fun(y), each retried until accept takes one.
 
@@ -488,7 +496,7 @@ class _Stepper:
     caller's, from the accepted state; a zero predictor's first Newton
     iteration takes it for all three stages.  MU/h I - J is factored by
     LAPACK's tridiagonal routines, and one factor pair is kept while h and J
-    stay the same.
+    stay the same.  tolerances is the error test's (rtol, atol).
 
     accept turns a trial that passes the error test into the caller's next
     state, or raises StepRejected or ValueError.  Every trial that is not a
@@ -501,8 +509,10 @@ class _Stepper:
     first step to halve, where the start's J fails.
     """
 
-    def __init__(self, fun, accept, y: np.ndarray, t_bound: float, h_max):
+    def __init__(self, fun, accept, y: np.ndarray, t_bound: float, h_max, tolerances: tuple):
         self.fun, self.accept = fun, accept
+        self.rtol, self.atol = tolerances
+        self.newton_tol = max(10 * np.finfo(float).eps / self.rtol, min(0.03, self.rtol**0.5))
         self.t, self.y, self.t_bound, self.h_max = 0.0, y, t_bound, h_max
         # the rate evaluations count each stage of a stacked call
         self.evaluations = self.jacobians = self.factorizations = self.rejections = 0
@@ -553,11 +563,11 @@ class _Stepper:
             if dw_norm_old is not None:
                 rate = dw_norm / dw_norm_old
             if rate is not None and (rate >= 1 or rate ** (_NEWTON_MAXITER - it) / (1 - rate)
-                                     * dw_norm > _NEWTON_TOL):
+                                     * dw_norm > self.newton_tol):
                 break
             w = w + dw
             z = _combine(_T, w)
-            if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm < _NEWTON_TOL:
+            if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm < self.newton_tol:
                 return it + 1, z, rate
             dw_norm_old = dw_norm
         raise StepRejected("Newton iteration did not converge")
@@ -592,13 +602,13 @@ class _Stepper:
                 z0, f0 = np.zeros((3, y.size)), np.stack((f, f, f))
             else:  # the last step's collocation polynomial at the new stages
                 z0, f0 = self.at(t + h * _C) - y, None
-            scale = _ATOL + np.abs(y) * _RTOL
+            scale = self.atol + np.abs(y) * self.rtol
             iterations, z, rate = self._newton(h, z0, scale, f0)
             y_new = y + z[-1]
             ze = _combine(_E, z) / h
             real = self.lu[2]
             error = lapack.dgttrs(*real, f + ze)[0]
-            scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             error_norm = _rms(error / scale)
             safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + iterations)
             if self.rejections > rejections and error_norm > 1:  # after a rejection
@@ -671,8 +681,8 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
     trace.append(0.0, row(state, pending), pending)
     pending = []
     t = 0.0
-    steps = 0
-    solver = _Stepper(rate, accept, y0, config.t_max, config.dt_max)
+    steps, spans = 0, []
+    solver = _Stepper(rate, accept, y0, config.t_max, config.dt_max, _tolerances(config))
     converged = state[1] < config.convergence_tol
     while True:
         f, max_speed, curvature = state[:3]
@@ -695,6 +705,7 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
             termination = f"step_collapse: {exc}"
             break
         t_new = float(solver.t)
+        spans.append(t_new - t)
         if converged := state[1] < config.convergence_tol:
             t_new, state = _crossing(solver, t, max_speed, t_new, state, config.convergence_tol)
         dt, t = t_new - t, t_new
@@ -706,8 +717,9 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
 
     if steps % config.sample_every:  # the last step was not sampled
         trace.append(t, row(state, pending), pending)
+    dt_range = dict(min=min(spans), max=max(spans), last=spans[-1]) if spans else None
     return state, Outcome(config, trace, termination, t, steps, solver.rejections,
-                          solver.evaluations, solver.jacobians, solver.factorizations)
+                          solver.evaluations, solver.jacobians, solver.factorizations, dt_range)
 
 
 def _crossing(solver: _Stepper, t0: float, speed0: float, t1: float, end, tol: float) -> tuple:

@@ -158,9 +158,10 @@ def sample_cone_whole_draw(rng, count, n, k):
     return vals * 10.0 ** rng.uniform(-1.0, 1.0, size=(count, 1))
 
 
-def plain_radau(rate, y0, t_end, first_step, dt_max):
-    """scipy's own Radau on rate from y0 to t_end, at the solvers' tolerances and
-    with its finite-difference Jacobian of tridiagonal pattern: (final y, steps).
+def plain_radau(rate, y0, config, first_step):
+    """scipy's own Radau on rate from y0 to config's tMax, at most its dtMax per
+    step, at the tolerances that flow._tolerances gives the solvers for config
+    and with its finite-difference Jacobian of tridiagonal pattern: (final y, steps).
 
     A rate that raises ValueError gives NaN, which Radau answers with a
     smaller step, as the solvers' driver does.
@@ -171,9 +172,10 @@ def plain_radau(rate, y0, t_end, first_step, dt_max):
         except ValueError:
             return np.full(y.shape, np.nan)
 
+    rtol, atol = flow._tolerances(config)
     with np.errstate(all="ignore"):
-        solver = Radau(fun, 0.0, y0, t_end, first_step=first_step, max_step=dt_max,
-                       rtol=flow._RTOL, atol=flow._ATOL,
+        solver = Radau(fun, 0.0, y0, config.t_max, first_step=first_step,
+                       max_step=config.dt_max, rtol=rtol, atol=atol,
                        jac_sparsity=diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(y0.size,) * 2))
         steps = 0
         while solver.status == "running":

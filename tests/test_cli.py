@@ -37,6 +37,8 @@ def test_run_command_writes_bundle(tmp_path, capsys):
     assert summary["termination"] == "tmax"
     assert summary["seed"] == 4 and summary["violations"] == {}
     assert {"finalQuermass", "finalMaxSpeed", "finalRhoSpread"} <= set(summary)
+    dt = summary["dtRange"]
+    assert set(dt) == {"min", "max", "last"} and 0.0 < dt["min"] <= dt["max"] <= 0.2
     # three stages per Newton iteration, at least two iterations per accepted
     # step, and no rate call at an accepted state nor in the first step's
     # first iteration, whose stages all sit at the start vector
@@ -368,6 +370,7 @@ def test_dual_run_command(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("dual-run: ")
     summary = _read_json(out / "summary.json")
     assert summary["breakdownTime"] is None
+    assert set(summary["dtRange"]) == {"min", "max", "last"}
     # the same Radau counting as run: three stages per Newton iteration, at
     # least two iterations per accepted step, no rate call at an accepted state
     # nor in the first step's first iteration, whose stages sit at the start

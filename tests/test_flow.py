@@ -592,6 +592,68 @@ def _dual_start(prof):
     return CubicSpline(dual0.theta, dual0.u)(prof.grid.theta)
 
 
+def test_radau_tolerance_follows_the_grid_and_the_stop():
+    """rtol = max(1e-8, 0.1 min(h^2, convergenceTol)) with h = pi / (N - 1), and
+    atol = 1e-3 rtol: a run that stops only at tMax keeps (1e-8, 1e-11) exactly,
+    the default stop sets 1e-7 on coarse grids and h^2 takes over on fine ones."""
+    def tolerances(N, tol):
+        return flow_module._tolerances(_perturbed_config(N=N, convergence_tol=tol))
+
+    assert tolerances(128, 0.0) == tolerances(4097, 0.0) == (1e-8, 1e-11)
+    assert tolerances(128, 1e-6) == pytest.approx((1e-7, 1e-10), rel=1e-15)
+    h = math.pi / 4096
+    assert tolerances(4097, 1e-6) == pytest.approx((0.1 * h * h, 1e-4 * h * h), rel=1e-15)
+    for N in (5, 64, 129, 1025, 4097, 65537):
+        for tol in (0.0, 1e-12, 1e-9, 1e-7, 1e-6, 1e-3, 1.0):
+            rtol, atol = tolerances(N, tol)
+            assert rtol >= 1e-8 and atol == pytest.approx(1e-3 * rtol, rel=1e-15)
+
+
+@pytest.mark.parametrize("solve", [run, dual_run])
+def test_dt_range_spans_the_accepted_steps(solve):
+    """dt_range holds the least, the largest and the last span of the accepted
+    steps: the trace's steps at tMax; a converged stop may end inside the last
+    step.  A run that takes no step has none."""
+    res = solve(_perturbed_config(t_max=0.1))
+    dt = np.diff(res.trace.t)
+    assert res.termination == "tmax"
+    assert res.dt_range == {"min": dt.min(), "max": dt.max(), "last": dt[-1]}
+    res = solve(_perturbed_config())
+    dt = np.diff(res.trace.t)
+    last = res.dt_range["last"]
+    assert res.termination == "converged" and last >= dt[-1]
+    assert res.dt_range == {"min": min(dt[:-1].min(), last), "max": max(dt[:-1].max(), last),
+                            "last": last}
+    sphere = ShapeSpec(kind="geodesicSphere", r=0.8)
+    res = solve(dataclasses.replace(_perturbed_config(), initial_shape=sphere))
+    assert (res.termination, res.steps, res.dt_range) == ("converged", 0, None)
+
+
+@pytest.mark.parametrize("solve", [run, dual_run])
+def test_balanced_tolerance_keeps_the_tight_runs_results(monkeypatch, solve):
+    """A converged run at the rule's rtol (1e-7 here) against the same run at
+    rtol 1e-10, N=64: the final state within 1e-9, tFinal within 1e-4 and the
+    drift of the preserved A_{k-1}, which is grid error, within 5%."""
+    n, k, r0, eps = REFERENCE_SHAPES[0]
+    cfg = dataclasses.replace(_reference_config(n, k, r0, eps), N=64)
+    res = solve(cfg)
+    monkeypatch.setattr(flow_module, "_tolerances", lambda config: (1e-10, 1e-13))
+    tight = solve(cfg)
+    assert res.termination == tight.termination == "converged"
+    assert res.steps < tight.steps
+
+    def final(result):
+        return result.u if solve is dual_run else result.profile.rho
+
+    def drift(result):
+        a = result.trace.column(f"A_{k - 1}")
+        return abs(a[-1] - a[0])
+
+    assert float(np.max(np.abs(final(res) - final(tight)))) <= 1e-9
+    assert abs(res.t_final - tight.t_final) <= 1e-4
+    assert abs(drift(res) / drift(tight) - 1.0) <= 0.05
+
+
 @pytest.mark.parametrize("N", [64, 128, 256, 1024])
 @pytest.mark.parametrize("n, k, r0, eps", REFERENCE_SHAPES)
 def test_both_solvers_match_scipys_radau(n, k, r0, eps, N):
@@ -602,8 +664,8 @@ def test_both_solvers_match_scipys_radau(n, k, r0, eps, N):
     prof = cfg.initial_shape.build(n, N)
     res = run(cfg)
     rho, steps = oracles.plain_radau(
-        lambda y: flow_module._stage_rate(n, k, prof.grid, y), prof.rho, cfg.t_max,
-        _rule_dt(prof, k, cfg.dt_max), cfg.dt_max)
+        lambda y: flow_module._stage_rate(n, k, prof.grid, y), prof.rho, cfg,
+        _rule_dt(prof, k, cfg.dt_max))
     assert res.termination == "tmax" and res.rejections == 0
     assert float(np.max(np.abs(res.profile.rho - rho))) <= 1e-9
     assert abs(res.steps - steps) <= 0.05 * steps
@@ -615,7 +677,7 @@ def test_both_solvers_match_scipys_radau(n, k, r0, eps, N):
         return dualflow_module._stage_g(n, k, prof.grid, y)
 
     first_step = _gershgorin_dt(_jacobian(g, u0), cfg.dt_max)
-    u, steps = oracles.plain_radau(g, u0, cfg.t_max, first_step, cfg.dt_max)
+    u, steps = oracles.plain_radau(g, u0, cfg, first_step)
     assert dual.termination == "tmax" and dual.rejections == 0
     assert float(np.max(np.abs(dual.u - u))) <= 1e-9
     assert abs(dual.steps - steps) <= 0.05 * steps
@@ -670,7 +732,8 @@ def test_stepper_polynomial_meets_the_step_ends():
     prof = RadialProfile.perturbed(n, r0, eps, 2, 64)
     grid = prof.grid
     stepper = flow_module._Stepper(
-        lambda y: flow_module._stage_rate(n, k, grid, y), lambda y: y, prof.rho, 1.0, 0.2)
+        lambda y: flow_module._stage_rate(n, k, grid, y), lambda y: y, prof.rho, 1.0, 0.2,
+        flow_module._tolerances(dataclasses.replace(_reference_config(n, k, r0, eps), N=64)))
     for _ in range(4):
         t_old, y_old = stepper.t, stepper.y
         y_new = stepper.step(flow_module._stage_rate(n, k, grid, stepper.y))
@@ -947,7 +1010,9 @@ def test_finished_steppers_are_freed_without_the_cycle_collector(monkeypatch):
         refs.clear()
 
     cfg = _reference_config(*REFERENCE_SHAPES[0])
-    short = _perturbed_config(t_max=0.02)
+    # long enough for five accepted steps before tMax, so that the forced
+    # failures below fall inside the run
+    short = _perturbed_config(t_max=0.1)
     _, marks = _step_marks(monkeypatch, short)
     monkeypatch.setattr(flow_module, "_Stepper", Recording)
     gc.collect()
@@ -992,12 +1057,14 @@ def test_a_failed_start_jacobian_is_a_named_stop(monkeypatch, solve, error, term
 
 
 def test_run_collapses_when_every_trial_fails(monkeypatch):
-    _, marks = _step_marks(monkeypatch, _perturbed_config(t_max=0.02))
+    # five accepted steps before tMax, so that the collapse comes first
+    cfg = _perturbed_config(t_max=0.1)
+    _, marks = _step_marks(monkeypatch, cfg)
     assert len(marks) >= 4  # the initial state and at least three steps
     # after the third accepted step every stage, Jacobian and
     # accepted vector leaves the cone
     _patch_curvatures(monkeypatch, _fail_after(curvatures, marks[3]))
-    res = run(_perturbed_config(t_max=0.02))
+    res = run(cfg)
     assert res.termination == "step_collapse: forced cone exit"
     assert res.steps == 3 and res.t_final > 0.0
     # each restart halves the step, from at least the first step until it
