@@ -38,7 +38,15 @@ def _parse_shape(text: str) -> dict:
     if len(parts) != len(fields):
         raise ValueError(f"{kind} shape needs {','.join(fields)}")
     # an empty part is an absent key, as in a JSON shape without it
-    return {"kind": kind, **{name: part for name, part in zip(fields, parts) if part}}
+    return {"kind": kind, **{name: _number(part) for name, part in zip(fields, parts) if part}}
+
+
+def _number(text: str):
+    """float(text), or text itself where it is no number, for the shape's reader to refuse."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _given(args, keys) -> dict:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .exceptions import ConeViolation, ConvexityLoss
 from .flow import FlowConfig, FlowTrace, Outcome, _integrate, speed
@@ -254,6 +253,7 @@ def profile_from_dual(state: DualState, N: int | None = None) -> RadialProfile:
     if np.any(np.diff(theta_z) <= 0.0):
         raise ConvexityLoss("pullback point map is not monotone")
     grid = polar_grid(state.theta.size if N is None else int(N))
+    from scipy.interpolate import CubicSpline  # a slow import, kept off the graph run's path
     rho = CubicSpline(theta_z, state.rho)(grid.theta)
     return RadialProfile(n=state.n, theta=grid, rho=rho)
 
@@ -347,6 +347,7 @@ def dual_run(config: FlowConfig) -> DualResult:
         return g, float(np.max(np.abs(g))), 1.0 / state.min_eig_w, state
 
     trace = FlowTrace(n, extra=("minEigW", "maxEigW"), breakdown_cell=True)
+    from scipy.interpolate import CubicSpline  # a slow import, kept off the graph run's path
     u0 = CubicSpline(dual0.theta, dual0.u)(grid.theta)
     (*_, state), outcome = _integrate(
         config, lambda u: _stage_g(n, k, grid, u), evaluate, lambda *_: (),

@@ -4,21 +4,22 @@ The normal speed is f = c * phi'(rho) - u * F with c the quotient's value on
 the round sphere, which preserves the quermassintegral A_{k-1} and drives
 convex initial data to a geodesic sphere.  On the fixed graph grid the radius
 obeys d(rho)/dt = f * W / phi.  That rate is pointwise in rho and its 3-point
-stencil derivatives, so its Jacobian is tridiagonal, which _jacobian reads
-from one complex-step call of the rate, and the stiff system is stepped with
-Radau IIA (Hairer & Wanner, Solving ODEs II, Sec. IV.8), whose steps are
-sized by accuracy rather than by the h^2 stability limit.  _Stepper is that
-method: its three stages go to the rate as one stacked call, MU/h I - J is
-factored by LAPACK's tridiagonal routines and kept while h and J stay the
-same, and a failed trial, an unconverged Newton
-solve included, raises to _Stepper.step, the one place that halves a step on
-failure.  One driver, _integrate, steps both this solver and the
-support-function solver in dualflow; its first step is 0.8 over the
-Gershgorin bound of the start's Jacobian, and each step starts on the rate
-of the state that the solver built from the last accepted vector, not on a
-rate call.  _integrate names every stop of a run and returns the final
-solver state and an Outcome, the stop and the counters, which FlowResult
-here and DualResult extend.  Classical Runge-Kutta stays on as the test oracle.
+stencil derivatives, so its Jacobian is tridiagonal, which _jacobian reads from
+one complex-step call of the rate, and the stiff system is stepped with Radau
+IIA (Hairer & Wanner, Solving ODEs II, Sec. IV.8), whose steps are sized by
+accuracy rather than by the h^2 stability limit.  _Stepper is that method: its
+three stages go to the rate as one stacked call, MU/h I - J is factored by
+LAPACK's tridiagonal routines and kept while h and J stay the same, and a
+failed trial, an unconverged Newton solve included, raises to _Stepper.step,
+the one place that halves a step on failure.  One driver, _integrate, steps
+both this solver and the support-function solver in dualflow; its first step is
+0.8 over the Gershgorin bound of the start's Jacobian, and each step starts on
+the rate of the state that the solver built from the last accepted vector, not
+on a rate call.  A converged run stops where its max speed crosses the
+tolerance, bisected for on the last step's collocation polynomial (_crossing).
+_integrate names every stop of a run and returns the final solver state and an
+Outcome, the stop and the counters, which FlowResult here and DualResult
+extend.  Classical Runge-Kutta stays on as the test oracle.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack
-from scipy.optimize import brentq
 
 from .exceptions import ConvexityLoss, StepRejected
 from .hypersurface import (
@@ -143,8 +142,10 @@ class ShapeSpec:
             on_grid = as_grid(self.theta) is grid
         except ValueError:
             on_grid = False
-        rho = self.rho if on_grid else CubicSpline(self.theta, self.rho)(grid.theta)
-        return RadialProfile(n=n, theta=grid, rho=rho)
+        if on_grid:
+            return RadialProfile(n=n, theta=grid, rho=self.rho)
+        from scipy.interpolate import CubicSpline  # a slow import, kept off the run path
+        return RadialProfile(n=n, theta=grid, rho=CubicSpline(self.theta, self.rho)(grid.theta))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, **{name: np.asarray(getattr(self, name)).tolist()
@@ -671,10 +672,10 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
 
     The stop tests run at accepted steps.  A step whose state's max speed is
     below convergence_tol ends the run converged, without a second test, at
-    the crossing inside it (_crossing): the final t and state do not depend
-    on dtMax.  A step that the stepper
-    gives up on ends the run: convexity_breakdown at the trace's breakdown_time
-    t for a ConvexityLoss, else step_collapse with the failure's message.
+    the crossing inside it, which _crossing bisects for: the final t and state
+    do not depend on dtMax.  A step that the stepper gives up on ends the run:
+    convexity_breakdown at the trace's breakdown_time t for a ConvexityLoss,
+    else step_collapse with the failure's message.
     Returns the final solver state and the Outcome with the stepper's counters.
     """
     pending: list = []
@@ -685,7 +686,7 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
     solver = _Stepper(rate, accept, y0, config.t_max, config.dt_max, _tolerances(config))
     converged = state[1] < config.convergence_tol
     while True:
-        f, max_speed, curvature = state[:3]
+        f, _, curvature = state[:3]
         if converged:
             termination = "converged"
             break
@@ -707,7 +708,7 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
         t_new = float(solver.t)
         spans.append(t_new - t)
         if converged := state[1] < config.convergence_tol:
-            t_new, state = _crossing(solver, t, max_speed, t_new, state, config.convergence_tol)
+            t_new, state = _crossing(solver, t, t_new, state, config.convergence_tol)
         dt, t = t_new - t, t_new
         steps += 1
         pending.extend(advance(state, t, dt, steps))
@@ -722,26 +723,19 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
                           solver.evaluations, solver.jacobians, solver.factorizations, dt_range)
 
 
-def _crossing(solver: _Stepper, t0: float, speed0: float, t1: float, end, tol: float) -> tuple:
-    """(t, state) where the max speed falls below tol, to 1e-10 in t, inside
-    the step from (t0, speed0 >= tol) to (t1, end below tol): of accept's
-    states that brentq tries along the step's collocation polynomial, the
-    earliest below tol, since its root may lie a round-off above; (t1, end)
-    where accept refuses one.  The ends' speeds are those of the known states."""
-    known = {t0: (None, speed0), t1: end}
-
-    # solver and known go in as args: scipy's wrapper of excess is a reference cycle
-    def excess(t, solver, known):
-        if t not in known:
-            known[t] = solver.accept(solver.at(t))
-        return known[t][1] - tol
-
-    try:
-        brentq(excess, t0, t1, args=(solver, known), xtol=1e-10)
-    except (StepRejected, ValueError):
-        return t1, end
-    t = min(t for t, state in known.items() if state[1] < tol)
-    return t, known[t]
+def _crossing(solver: _Stepper, t0: float, t1: float, end, tol: float) -> tuple:
+    """(t, state) where the max speed falls below tol inside the step from t0 to
+    (t1, end below tol), by bisection along the step's collocation polynomial to
+    1e-10 in t, or until the midpoint rounds onto an end: hi is always the time
+    of a state that accept built below tol.  (t1, end) where accept refuses one."""
+    lo, hi, state = t0, t1, end
+    while hi - lo > 1e-10 and lo < (mid := 0.5 * (lo + hi)) < hi:
+        try:
+            new = solver.accept(solver.at(mid))
+        except (StepRejected, ValueError):
+            return t1, end
+        lo, hi, state = (lo, mid, new) if new[1] < tol else (mid, hi, state)
+    return hi, state
 
 
 def _start(config: FlowConfig) -> tuple:
@@ -806,9 +800,7 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
 
 
 def _midpoint_state(prev: GeometryState, next_: GeometryState) -> GeometryState:
-    prof = RadialProfile(
-        n=prev.n, theta=prev.grid, rho=0.5 * (prev.rho + next_.rho)
-    )
+    prof = RadialProfile(n=prev.n, theta=prev.grid, rho=0.5 * (prev.rho + next_.rho))
     return geometry(prof, prev.k)
 
 

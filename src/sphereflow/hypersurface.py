@@ -58,8 +58,8 @@ def _json_object(payload, what: str) -> dict:
 
 
 def _json_number(value, key: str) -> float:
-    # JSON true and false are not the numbers 1 and 0
-    if not isinstance(value, bool):
+    # JSON strings are not numbers, nor are true and false the numbers 1 and 0
+    if not isinstance(value, (bool, str)):
         try:
             return float(value)
         except (TypeError, ValueError):
@@ -93,7 +93,7 @@ def _json_samples(value, key: str) -> np.ndarray:
         samples = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         samples = None
-    if samples is None or samples.ndim != 1:
+    if samples is None or samples.ndim != 1 or any(isinstance(v, str) for v in value):
         raise ValueError(f"{key} must be a list of numbers")
     # JSON true and false are not the numbers 1 and 0, here as in _json_number
     if not {bool, np.bool_}.isdisjoint(map(type, value)):

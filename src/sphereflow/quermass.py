@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import ConeViolation, MonotonicityError
 from .hypersurface import (
@@ -100,9 +99,9 @@ def _sphere_radius(n: int, k: int, a_k: float) -> float:
     sin^{n-k-1} r cos^{k+1} r > 0 (|S^n| sin^n r for k = -1); the constant k = n
     map raises MonotonicityError and a target out of range ValueError."""
     if k == n:
-        raise MonotonicityError(
-            f"A_{k} is not strictly increasing in the geodesic radius for n={n}"
-        )
+        raise MonotonicityError(f"A_{k} is not strictly increasing in the geodesic "
+                                f"radius for n={n}")
+    from scipy.optimize import brentq  # a slow import, kept off the run path
     try:
         return brentq(lambda r: sphere_quermass(n, k, r) - a_k, _R_LO, _R_HI, xtol=_R_TOL)
     except ValueError:

@@ -6,7 +6,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from sphereflow.cli import main
+from sphereflow.cli import _parse_shape, main
 from sphereflow.exceptions import ConvexityLoss
 from sphereflow.flow import FlowConfig, ShapeSpec
 
@@ -72,6 +72,20 @@ def test_shape_string_takes_a_whole_float_mode(tmp_path):
             "--t-max", "0.005", "--out", str(out)]
     assert main(args) == 0
     assert _read_json(out / "manifest.json")["config"]["initialShape"] == PERTURBED
+
+
+@pytest.mark.parametrize("text, shape", [
+    ("perturbed:0.8,0.05,2", {"kind": "perturbed", "r0": 0.8, "eps": 0.05, "mode": 2.0}),
+    (f"perturbed:{0.8 + 1e-9!r},{0.05 - 1e-9!r},3",
+     {"kind": "perturbed", "r0": 0.8 + 1e-9, "eps": 0.05 - 1e-9, "mode": 3.0}),
+    ("geodesic: 1e-1 ", {"kind": "geodesicSphere", "r": 0.1}),
+    ("geodesic:x", {"kind": "geodesicSphere", "r": "x"}),
+])
+def test_shape_strings_read_their_parts_as_floats(text, shape):
+    """--shape parts are read by float, so they keep every digit; a part that
+    is no number stays a string for the shape's reader to refuse."""
+    got = _parse_shape(text)
+    assert got == shape and all(type(got[key]) is type(shape[key]) for key in shape)
 
 
 @pytest.mark.parametrize("text, shape, message", [
@@ -141,6 +155,11 @@ def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
     ({"dtMax": True}, "dtMax must be a number, not True"),
     ({"sampleEvery": True}, "sampleEvery must be a number, not True"),
     ({"initialShape": {**PERTURBED, "mode": True}}, "mode must be a number, not True"),
+    # a JSON string is not a number, whatever it spells
+    ({"tMax": " 1e-1 "}, "tMax must be a number, not ' 1e-1 '"),
+    ({"initialShape": {**PERTURBED, "r0": "0.8"}}, "r0 must be a number, not '0.8'"),
+    ({"initialShape": {"kind": "custom", "theta": ["0", "3.14159"], "rho": ["0.8", "0.8"]}},
+     "theta must be a list of numbers"),
 ])
 def test_bad_config_file_exits_1(tmp_path, capsys, change, message):
     cfg = FlowConfig(
@@ -239,6 +258,21 @@ def test_custom_shape_refuses_boolean_samples(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
     assert "rho must be a list of numbers, not booleans" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_custom_shape_refuses_string_samples(tmp_path, capsys):
+    # a JSON string is not a number, even where it spells one
+    theta = np.linspace(0.0, math.pi, 33)
+    for payload, message in (({"theta": [repr(x) for x in theta], "rho": [0.8] * 33}, "theta"),
+                             ({"theta": theta.tolist(), "rho": ["0.8"] * 33}, "rho")):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(payload))
+        args = ["run", "--n", "2", "--k", "1", "--N", "33",
+                "--shape", f"custom:{path}", "--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{message} must be a list of numbers" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_custom_shape_must_span_both_poles(tmp_path, capsys):
@@ -354,6 +388,13 @@ CHECKPOINT = {"n": 2, "k": 1, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).t
     ({**CHECKPOINT, "rho": {"x": 1}}, "rho must be a list of numbers"),
     ({**CHECKPOINT, "k": True}, "k must be a number, not True"),
     ({**CHECKPOINT, "rho": [0.8] * 32 + [False]}, "rho must be a list of numbers, not booleans"),
+    # JSON strings are not numbers
+    ({key: str(value) if key in ("n", "k", "t") else [repr(x) for x in value]
+      for key, value in CHECKPOINT.items()}, "n must be a number, not '2'"),
+    ({**CHECKPOINT, "t": "0.0"}, "t must be a number, not '0.0'"),
+    ({**CHECKPOINT, "theta": [repr(x) for x in CHECKPOINT["theta"]]},
+     "theta must be a list of numbers"),
+    ({**CHECKPOINT, "rho": ["0.8"] * 33}, "rho must be a list of numbers"),
 ])
 def test_audit_rejects_malformed_checkpoint(tmp_path, capsys, payload, message):
     path = tmp_path / "ck.json"

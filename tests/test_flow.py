@@ -746,9 +746,9 @@ def _count_crossings(monkeypatch) -> list:
     calls = []
     real = flow_module._crossing
 
-    def counting(solver, t0, speed0, t1, end, tol):
+    def counting(solver, t0, t1, end, tol):
         calls.append((t0, t1))
-        return real(solver, t0, speed0, t1, end, tol)
+        return real(solver, t0, t1, end, tol)
 
     monkeypatch.setattr(flow_module, "_crossing", counting)
     return calls
@@ -795,10 +795,10 @@ def test_a_refused_state_inside_the_step_keeps_the_step_end(monkeypatch):
     ends = []
     real = flow_module._crossing
 
-    def refusing(solver, t0, speed0, t1, end, tol):
+    def refusing(solver, t0, t1, end, tol):
         ends.append((t1, end))
         solver.accept = _refuse
-        return real(solver, t0, speed0, t1, end, tol)
+        return real(solver, t0, t1, end, tol)
 
     monkeypatch.setattr(flow_module, "_crossing", refusing)
     res = run(cfg)
@@ -806,6 +806,43 @@ def test_a_refused_state_inside_the_step_keeps_the_step_end(monkeypatch):
     assert res.termination == "converged" and res.t_final == t1
     assert res.profile is end[3]
     assert res.trace.column("maxSpeed")[-1] == end[1] < cfg.convergence_tol
+
+
+class _DecayingSpeed:
+    """A stand-in for the stepper that _crossing reads: its polynomial at t is
+    t itself, and accept's state there has the max speed s0 exp(-mu (t - t0))."""
+
+    def __init__(self, t0, s0, mu):
+        self.t0, self.s0, self.mu, self.tried = t0, s0, mu, []
+
+    def at(self, t):
+        self.tried.append(t)
+        # every step below reaches adjacent doubles in fewer halvings: fail, do not hang
+        assert len(self.tried) <= 64, "the bisection does not end"
+        return t
+
+    def accept(self, t):
+        return (None, self.s0 * math.exp(-self.mu * (t - self.t0)))
+
+
+@pytest.mark.parametrize("t0, dt, where", [
+    (0.0, 0.2, 0.6), (3.7, 0.05, 1e-6), (5.5, 0.2, 0.999999), (9.4, 1e-3, 0.5),
+    # ulp(1e6) = 1.2e-10 > 1e-10: the bisection ends once its midpoint rounds onto an end
+    (1e6, 0.2, 0.3),
+])
+def test_crossing_bisects_to_the_analytic_crossing(t0, dt, where):
+    """_crossing returns the analytic crossing of a decaying max speed to
+    1e-10 in t (to round-off of t where that is coarser), with a state
+    below tol that accept built there, and tries only times inside the step."""
+    tol, mu = 1e-6, 3.0
+    solver = _DecayingSpeed(t0, tol * math.exp(mu * where * dt), mu)
+    t1 = t0 + dt
+    exact = t0 + where * dt
+    end = solver.accept(t1)
+    t, state = flow_module._crossing(solver, t0, t1, end, tol)
+    assert abs(t - exact) <= max(1e-10, 2.0 * math.ulp(t1))
+    assert state[1] < tol and state == solver.accept(t)
+    assert solver.tried and all(t0 < tau < t1 for tau in solver.tried)
 
 
 def test_run_reads_no_quotient_gradient_on_its_states(monkeypatch):
@@ -851,6 +888,29 @@ def test_run_does_not_depend_on_the_blas_thread_count():
                               capture_output=True, text=True, check=True)
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+_SCIPY_FREE_RUN = """
+import sys
+import sphereflow.cli
+from sphereflow import flow
+shape = flow.ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2)
+res = flow.run(flow.FlowConfig(n=2, k=1, N=33, initial_shape=shape))
+print(res.termination, *sorted(name for name in sys.modules
+                               if name.startswith(("scipy.optimize", "scipy.interpolate"))))
+"""
+
+
+def test_a_converged_run_imports_neither_scipy_optimize_nor_interpolate():
+    """Importing the CLI and running to a converged stop on an on-grid shape
+    loads neither scipy.optimize nor scipy.interpolate, which the audit, a
+    custom shape off the grid and the dual solver import where they call them."""
+    src = os.path.dirname(os.path.dirname(flow_module.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["converged"]
 
 
 def _dense(bands):
