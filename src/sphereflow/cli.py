@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .dualflow import dual_run, profile_from_dual
 from .flow import _CONFIG_KEYS, FlowConfig, ShapeSpec, _check_order, _start, run
@@ -231,6 +232,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@cache  # built once per process: argparse keeps no state between parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sphereflow",

@@ -16,7 +16,7 @@ both this solver and the support-function solver in dualflow; its first step is
 0.8 over the Gershgorin bound of the start's Jacobian, and each step starts on
 the rate of the state that the solver built from the last accepted vector, not
 on a rate call.  A converged run stops where its max speed crosses the
-tolerance, bisected for on the last step's collocation polynomial (_crossing).
+tolerance, located on the last step's collocation polynomial (_crossing).
 _integrate names every stop of a run and returns the final solver state and an
 Outcome, the stop and the counters, which FlowResult here and DualResult
 extend.  Classical Runge-Kutta stays on as the test oracle.
@@ -672,7 +672,7 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
 
     The stop tests run at accepted steps.  A step whose state's max speed is
     below convergence_tol ends the run converged, without a second test, at
-    the crossing inside it, which _crossing bisects for: the final t and state
+    the crossing inside it, which _crossing locates: the final t and state
     do not depend on dtMax.  A step that the stepper gives up on ends the run:
     convexity_breakdown at the trace's breakdown_time t for a ConvexityLoss,
     else step_collapse with the failure's message.
@@ -725,16 +725,37 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
 
 def _crossing(solver: _Stepper, t0: float, t1: float, end, tol: float) -> tuple:
     """(t, state) where the max speed falls below tol inside the step from t0 to
-    (t1, end below tol), by bisection along the step's collocation polynomial to
-    1e-10 in t, or until the midpoint rounds onto an end: hi is always the time
-    of a state that accept built below tol.  (t1, end) where accept refuses one."""
+    (t1, end below tol): Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on
+    g = log(max speed / tol) along the step's polynomial, to 1e-10 in t or until
+    the midpoint rounds onto an end.  It tries the midpoint first, where a secant
+    leaves the bracket or stalls, and once secants have had as many tries as a
+    bisection of the step would take, so it takes at most about twice those.
+    hi is always a time where accept built a state below tol; (t1, end) where
+    accept refuses one."""
     lo, hi, state = t0, t1, end
+    # secant points (t, g): b the last try, a the one before or the bracket's other end
+    a, b = None, (t1, math.log(max(end[1], 1e-300) / tol))
+    # secants tried on a lopsided g can creep; past this many tries, only midpoints
+    budget = math.log2((t1 - t0) / 1e-10)
     while hi - lo > 1e-10 and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if a is None or a[1] == b[1] or budget < 0.0:
+            x = mid
+        else:
+            x = b[0] - b[1] * (b[0] - a[0]) / (b[1] - a[1])
+            # 9e-11 inside at least, so that the next try closes off one on the crossing
+            x = min(max(x, lo + 9e-11), hi - 9e-11) if lo < x < hi else mid
+        budget -= 1.0
         try:
-            new = solver.accept(solver.at(mid))
+            new = solver.accept(solver.at(x))
         except (StepRejected, ValueError):
             return t1, end
-        lo, hi, state = (lo, mid, new) if new[1] < tol else (mid, hi, state)
+        g = math.log(max(new[1], 1e-300) / tol)
+        lo, hi, state = (lo, x, new) if g < 0.0 else (x, hi, state)
+        if a is not None and (g < 0.0) == (b[1] < 0.0) and (b[1] < 0.0) != (a[1] < 0.0):
+            a = (a[0], 0.5 * a[1])  # Illinois: the new try sides with b, so a stays, halved
+        else:
+            a = b
+        b = (x, g)
     return hi, state
 
 

@@ -6,6 +6,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import sphereflow.cli as cli_module
 from sphereflow.cli import _parse_shape, main
 from sphereflow.exceptions import ConvexityLoss
 from sphereflow.flow import FlowConfig, ShapeSpec
@@ -51,6 +52,17 @@ def test_run_command_writes_bundle(tmp_path, capsys):
     assert manifest["config"]["initialShape"]["kind"] == "perturbed"
     final = _read_json(out / "final.json")
     assert set(final) == {"n", "k", "t", "theta", "rho"}
+
+
+def test_one_process_parses_each_call_afresh(tmp_path):
+    # the parser is built once per process: a flag given to one call does not
+    # carry over to the next
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(RUN_ARGS + ["--dt-max", "0.1", "--out", str(first)]) == 0
+    assert main(RUN_ARGS + ["--out", str(second)]) == 0
+    assert _read_json(first / "manifest.json")["config"]["dtMax"] == 0.1
+    assert _read_json(second / "manifest.json")["config"]["dtMax"] == FlowConfig.dt_max == 0.2
+    assert cli_module._build_parser() is cli_module._build_parser()
 
 
 def test_run_requires_flags(tmp_path, capsys):
@@ -160,6 +172,14 @@ def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
     ({"initialShape": {**PERTURBED, "r0": "0.8"}}, "r0 must be a number, not '0.8'"),
     ({"initialShape": {"kind": "custom", "theta": ["0", "3.14159"], "rho": ["0.8", "0.8"]}},
      "theta must be a list of numbers"),
+    # JSON null is not NaN, which would stop the run only at its start
+    ({"initialShape": {"kind": "custom", "theta": [0.0, None, math.pi], "rho": [0.8] * 3}},
+     "theta must be a list of numbers"),
+    ({"initialShape": {"kind": "custom", "theta": np.linspace(0.0, math.pi, 33).tolist(),
+                       "rho": [0.8] * 32 + [None]}}, "rho must be a list of numbers"),
+    # a bare number is no list of samples
+    ({"initialShape": {"kind": "custom", "theta": 0.5, "rho": 0.8}},
+     "theta must be a list of numbers"),
 ])
 def test_bad_config_file_exits_1(tmp_path, capsys, change, message):
     cfg = FlowConfig(
@@ -175,7 +195,7 @@ def test_bad_config_file_exits_1(tmp_path, capsys, change, message):
     path.write_text(json.dumps(payload))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -395,6 +415,8 @@ CHECKPOINT = {"n": 2, "k": 1, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).t
     ({**CHECKPOINT, "theta": [repr(x) for x in CHECKPOINT["theta"]]},
      "theta must be a list of numbers"),
     ({**CHECKPOINT, "rho": ["0.8"] * 33}, "rho must be a list of numbers"),
+    # JSON null is not NaN
+    ({**CHECKPOINT, "rho": [0.8, None] + [0.8] * 31}, "rho must be a list of numbers"),
 ])
 def test_audit_rejects_malformed_checkpoint(tmp_path, capsys, payload, message):
     path = tmp_path / "ck.json"

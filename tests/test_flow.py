@@ -485,14 +485,16 @@ def test_stages_build_no_full_state(monkeypatch):
 
 
 def test_run_matches_the_rk4_oracle():
-    # the oracle: explicit RK4 steps at the first-step rule of each step's start
-    cfg = FlowConfig(n=2, k=1, N=128, t_max=1.0, convergence_tol=0.0,
+    # the oracle: explicit RK4 steps at the first-step rule of each step's start,
+    # to t = 0.25, where the gap (1.2e-11) is already the one at t = 1 (1.0e-11)
+    t_max = 0.25
+    cfg = FlowConfig(n=2, k=1, N=128, t_max=t_max, convergence_tol=0.0,
                      initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2))
     res = run(cfg)
-    assert res.termination == "tmax" and res.t_final == 1.0
+    assert res.termination == "tmax" and res.t_final == t_max
     prof, t = cfg.initial_shape.build(2, 128), 0.0
-    while t < 1.0:
-        dt = min(_rule_dt(prof, 1, cfg.dt_max), 1.0 - t)
+    while t < t_max:
+        dt = min(_rule_dt(prof, 1, cfg.dt_max), t_max - t)
         prof, t = step(prof, dt, 1), t + dt
     assert float(np.max(np.abs(res.profile.rho - prof.rho))) <= 1e-9
 
@@ -845,6 +847,24 @@ def test_crossing_bisects_to_the_analytic_crossing(t0, dt, where):
     assert solver.tried and all(t0 < tau < t1 for tau in solver.tried)
 
 
+class _SteppedSpeed(_DecayingSpeed):
+    """A max speed a hair above tol before the crossing and 0 after it: g is
+    lopsided, +1e-12 against -inf floored to log(1e-300 / tol)."""
+
+    def accept(self, t):
+        return (None, self.s0 * (1.0 + 1e-12) if t < self.t0 + self.mu else 0.0)
+
+
+@pytest.mark.parametrize("where", [1e-3, 0.6, 0.999])
+def test_crossing_takes_at_most_twice_the_bisection_on_a_lopsided_speed(where):
+    # on this g, Illinois alone creeps 9e-11 a try and takes 268-484 tries
+    t0, dt, tol = 0.0, 0.2, 1e-6
+    solver = _SteppedSpeed(t0, tol, where * dt)
+    t, state = flow_module._crossing(solver, t0, t0 + dt, solver.accept(t0 + dt), tol)
+    assert abs(t - where * dt) <= 1e-10 and state[1] < tol
+    assert len(solver.tried) <= 2 * math.ceil(math.log2(dt / 1e-10))
+
+
 def test_run_reads_no_quotient_gradient_on_its_states(monkeypatch):
     """geometry builds F alone, and a run reads the gradient of none of its
     states, the start's included."""
@@ -897,14 +917,17 @@ from sphereflow import flow
 shape = flow.ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2)
 res = flow.run(flow.FlowConfig(n=2, k=1, N=33, initial_shape=shape))
 print(res.termination, *sorted(name for name in sys.modules
-                               if name.startswith(("scipy.optimize", "scipy.interpolate"))))
+                               if name.startswith(("scipy.optimize", "scipy.interpolate",
+                                                   "scipy.special"))))
 """
 
 
-def test_a_converged_run_imports_neither_scipy_optimize_nor_interpolate():
+def test_a_converged_run_imports_no_scipy_optimize_interpolate_or_special():
     """Importing the CLI and running to a converged stop on an on-grid shape
-    loads neither scipy.optimize nor scipy.interpolate, which the audit, a
-    custom shape off the grid and the dual solver import where they call them."""
+    loads none of scipy.optimize, scipy.interpolate and scipy.special: the
+    audit, a custom shape off the grid and the dual solver import the first
+    two where they call them, and the volume's closed forms need no special
+    function."""
     src = os.path.dirname(os.path.dirname(flow_module.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN],

@@ -175,6 +175,16 @@ def test_sin_power_integral_keeps_relative_digits(m):
     assert np.max(np.abs(sin_power_integral(m, xs) / want - 1.0)) <= 1e-13
 
 
+@pytest.mark.parametrize("m", [14, 15, 30, 100, _N_MAX])
+def test_sin_power_integral_keeps_relative_digits_up_to_the_largest_n(m):
+    # volume takes m = n, which FlowConfig admits up to _N_MAX; from x = 0.4 on
+    # the integral stays a normal float at every such m
+    xs = np.linspace(0.4, math.pi / 2 - 1e-9, 41)
+    want = np.array([quad(lambda t: math.sin(t) ** m, 0.0, x, epsabs=0.0, epsrel=1e-13,
+                          limit=200)[0] for x in xs])
+    assert np.max(np.abs(sin_power_integral(m, xs) / want - 1.0)) <= 1e-12
+
+
 @pytest.mark.parametrize("x", [-1e-3, math.pi / 2 + 1e-3, math.nan])
 def test_sin_power_integral_refuses_x_outside_quarter_turn(x):
     with pytest.raises(ValueError, match=r"\[0, pi/2\]"):

@@ -249,7 +249,8 @@ def test_audit_inverts_every_k_below_n(n):
 
 @pytest.mark.parametrize("n, calls", [(2, 20), (3, 38), (4, 52)])
 def test_audit_evaluates_each_range_end_once(monkeypatch, n, calls):
-    # brentq's own end values are the range check, so no end is evaluated twice
+    # brentq's own end values are the range check, so no end is evaluated twice;
+    # the total moves with the last bits of sphere_quermass, and stays at most calls
     counted = []
     closed_form = quermass_module.sphere_quermass
 
@@ -262,4 +263,8 @@ def test_audit_evaluates_each_range_end_once(monkeypatch, n, calls):
     monkeypatch.setattr(quermass_module, "sphere_quermass", counting)
     rep = audit_inequalities(q)
     assert len(rep.entries) == n * (n + 1) // 2
-    assert len(counted) == calls
+    ends = (quermass_module._R_LO, quermass_module._R_HI)
+    # every k below n is inverted; k = n is refused before any evaluation
+    assert sorted((k, r) for _, k, r in counted if r in ends) == [
+        (k, r) for k in range(n) for r in ends]
+    assert len(counted) <= calls
