@@ -12,6 +12,7 @@ independent tensor-valued oracle for n = 2.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -57,12 +58,10 @@ def _json_object(payload, what: str) -> dict:
 
 
 def _json_number(value, key: str) -> float:
-    # JSON strings are not numbers, nor are true and false the numbers 1 and 0
-    if not isinstance(value, (bool, str)):
-        try:
+    # JSON strings are not numbers, nor true and false 1 and 0, nor integers past float range
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if not isinstance(value, (bool, str)):
             return float(value)
-        except (TypeError, ValueError):
-            pass
     raise ValueError(f"{key} must be a number, not {value!r}")
 
 
@@ -93,9 +92,10 @@ def _json_samples(value, key: str) -> np.ndarray:
     types = set(map(type, value)) if isinstance(value, (list, np.ndarray)) else {None}
     if not {bool, np.bool_}.isdisjoint(types):
         raise ValueError(f"{key} must be a list of numbers, not booleans")
-    if not types <= {int, float}:
-        raise ValueError(f"{key} must be a list of numbers")
-    return np.asarray(value, dtype=float)
+    with contextlib.suppress(OverflowError):  # an integer past the float range
+        if types <= {int, float}:
+            return np.asarray(value, dtype=float)
+    raise ValueError(f"{key} must be a list of numbers")
 
 
 class PolarGrid:

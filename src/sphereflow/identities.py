@@ -1,11 +1,12 @@
 """Randomized verification battery for the symmetric-function layer.
 
-Every check evaluates an algebraic identity or inequality of the sigma
-calculus on large seeded sample batches and records the worst deviation.
-Equalities are held to 1e-12 relative, quantities built from the curvature
-quotient to 1e-10; inequalities get the same slack against their natural
-scale.  The comparability constants of the pinch deficit are recorded, not
-asserted, apart from strict positivity.
+Every check evaluates an identity or inequality of the sigma calculus on
+the sample rows it is given and records the worst deviation.  Only
+run_identity_suite holds the generator: for each n it draws one spread
+sample and each cone Gamma_0 ... Gamma_n once.  Equalities are held to
+1e-12 relative, quantities built from the curvature quotient to 1e-10,
+inequalities to that slack against their natural scale.  The pinch
+deficit's comparability constants are recorded; only positivity is asserted.
 """
 
 from __future__ import annotations
@@ -177,8 +178,8 @@ def _excl_tables(vals: np.ndarray, mmax: int) -> np.ndarray:
     return out
 
 
-def _check_exclusion_recurrence(rng, samples, n) -> list:
-    vals = sample_spread(rng, samples, n)
+def _check_exclusion_recurrence(vals) -> list:
+    samples, n = vals.shape
     table = sigma_table(vals, n)
     excl = _excl_tables(vals, n - 1)
     worst_rec = worst_wsum = worst_sum = 0.0
@@ -203,9 +204,8 @@ def _check_exclusion_recurrence(rng, samples, n) -> list:
     ]
 
 
-def _check_homogeneity(rng, samples, n) -> CheckResult:
-    vals = sample_spread(rng, samples, n)
-    t = 10.0 ** rng.uniform(-1.0, 1.0, size=(samples, 1))
+def _check_homogeneity(vals, t) -> CheckResult:
+    samples, n = vals.shape
     ta = sigma_table(vals * t, n)
     tb = sigma_table(vals, n)
     # mixed signs cancel inside sigma_m, so measure against the term-sum
@@ -218,8 +218,8 @@ def _check_homogeneity(rng, samples, n) -> CheckResult:
     return CheckResult.deviation("scaling-degree", n, "all m", samples, worst, _EQ_TOL)
 
 
-def _check_sorted_chain(rng, samples, n, k) -> list:
-    vals = sample_cone(rng, samples, n, k)
+def _check_sorted_chain(vals, k) -> list:
+    samples, n = vals.shape
     vals = -np.sort(-vals, axis=1)
     excl = _excl_tables(vals, max(k - 1, 0))
     ekm1 = excl[:, :, k - 1]
@@ -243,24 +243,22 @@ def _check_sorted_chain(rng, samples, n, k) -> list:
                                 float(np.min(upper / scale_u)), _EQ_TOL),
     ]
     if k < n:
-        inner = vals[np.all(table[:, 1:k + 2] > 0.0, axis=1)]
-        if inner.shape[0]:
-            ti = sigma_table(inner, k)
-            prod_i = np.prod(inner[:, :k], axis=1)
-            lower = ti[:, k] - prod_i
+        inner = np.all(table[:, 1:k + 2] > 0.0, axis=1)
+        if np.any(inner):
+            prod_i = np.prod(vals[inner, :k], axis=1)
+            lower = table[inner, k] - prod_i
             scale_l = np.maximum(np.abs(prod_i), 1.0)
             results.append(CheckResult.lower_bound(
-                "top-product-lower", n, f"k={k}", int(inner.shape[0]),
+                "top-product-lower", n, f"k={k}", int(inner.sum()),
                 float(np.min(lower / scale_l)), _EQ_TOL))
     return results
 
 
-def _check_mean_ratio_gaps(rng, samples, n, k) -> CheckResult:
-    vals = sample_cone(rng, samples, n, k)
+def _check_mean_ratio_gaps(vals, k) -> CheckResult:
+    samples, n = vals.shape
     table = sigma_table(vals, k)
     norm = table / np.array([math.comb(n, m) for m in range(k + 1)])
-    log_norm = np.log(norm[:, 1:])  # all positive in the k-th cone
-    log_norm = np.concatenate([np.zeros((vals.shape[0], 1)), log_norm], axis=1)
+    log_norm = np.log(norm)  # all positive in the k-th cone; column 0 is log 1 = 0
 
     @functools.cache
     def ratio(a, b):
@@ -282,8 +280,8 @@ def _check_mean_ratio_gaps(rng, samples, n, k) -> CheckResult:
                                    f"k={k} ({count} index sets)", samples, worst, _QUOT_TOL)
 
 
-def _check_quotient_gaps(rng, samples, n, k) -> list:
-    vals = sample_cone(rng, samples, n, k)
+def _check_quotient_gaps(vals, outer, k) -> list:
+    samples, n = vals.shape
     gap1, gap2, weighted = quotient_trace_gaps(vals, k)
     rel1 = gap1 / np.maximum(np.abs(weighted), 1.0)
     out = [
@@ -292,14 +290,13 @@ def _check_quotient_gaps(rng, samples, n, k) -> list:
         CheckResult.lower_bound("trace-lower", n, f"k={k}", samples,
                                 float(np.min(gap2)), _QUOT_TOL),
     ]
-    closure = cone_boundary_shift(sample_cone(rng, samples, n, k + 1), k)
+    closure = cone_boundary_shift(outer, k)
     tb = sigma_table(closure, k)
     good = np.all(np.isfinite(closure), axis=1) & np.all(tb[:, 1:] > 0.0, axis=1)
-    pool = [closure[good]]
-    inner = sample_cone(rng, samples, n, k + 1)
-    ti = sigma_table(inner, k + 1)
-    pool.append(inner[np.all(ti[:, 1:] > 0.0, axis=1)])
-    closed = np.concatenate(pool, axis=0)
+    # outer, rows of the (k+1)-th cone, was scaled after sample_cone's membership
+    # test, so rounding can move a sigma across 0: test them again
+    inner = np.all(sigma_table(outer, k + 1)[:, 1:] > 0.0, axis=1)
+    closed = np.concatenate([closure[good], outer[inner]], axis=0)
     _, _, trace_c, _ = quotient(closed, k)
     upper = (n - k) - trace_c
     out.append(CheckResult.lower_bound(
@@ -308,8 +305,8 @@ def _check_quotient_gaps(rng, samples, n, k) -> list:
     return out
 
 
-def _check_pinch_deficit(rng, samples, n, m) -> list:
-    vals = sample_cone(rng, samples, n, n)
+def _check_pinch_deficit(vals, m) -> list:
+    samples, n = vals.shape
     vals = -np.sort(-vals, axis=1)
     deficit, pair_sum, pinch = pinch_deficit_parts(vals, m)
 
@@ -348,13 +345,16 @@ def run_identity_suite(n_max: int = 8, samples: int = 10000,
     rng = np.random.default_rng(seed)
     checks: list = []
     for n in range(2, n_max + 1):
-        checks.extend(_check_exclusion_recurrence(rng, samples, n))
-        checks.append(_check_homogeneity(rng, samples, n))
-        for k in range(1, n + 1):
-            checks.extend(_check_sorted_chain(rng, samples, n, k))
-            checks.append(_check_mean_ratio_gaps(rng, samples, n, k))
-        for k in range(0, n):
-            checks.extend(_check_quotient_gaps(rng, samples, n, k))
+        spread = sample_spread(rng, samples, n)
+        checks.extend(_check_exclusion_recurrence(spread))
+        checks.append(_check_homogeneity(spread, 10.0 ** rng.uniform(-1.0, 1.0, (samples, 1))))
+        cone = sample_cone(rng, samples, n, 0)
+        for k in range(n):
+            outer = sample_cone(rng, samples, n, k + 1)
+            checks.extend(_check_quotient_gaps(cone, outer, k))
+            checks.extend(_check_sorted_chain(outer, k + 1))
+            checks.append(_check_mean_ratio_gaps(outer, k + 1))
+            cone = outer
         for m in range(1, n):
-            checks.extend(_check_pinch_deficit(rng, samples, n, m))
+            checks.extend(_check_pinch_deficit(cone, m))
     return SuiteReport(n_max=n_max, samples=samples, seed=seed, checks=checks)

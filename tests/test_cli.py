@@ -180,6 +180,10 @@ def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
     # a bare number is no list of samples
     ({"initialShape": {"kind": "custom", "theta": 0.5, "rho": 0.8}},
      "theta must be a list of numbers"),
+    # a JSON integer too large for a float is no number
+    ({"N": 10**400}, "N must be a number"),
+    ({"initialShape": {"kind": "custom", "theta": np.linspace(0.0, math.pi, 33).tolist(),
+                       "rho": [0.8] * 32 + [10**400]}}, "rho must be a list of numbers"),
 ])
 def test_bad_config_file_exits_1(tmp_path, capsys, change, message):
     cfg = FlowConfig(
@@ -417,6 +421,8 @@ CHECKPOINT = {"n": 2, "k": 1, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).t
     ({**CHECKPOINT, "rho": ["0.8"] * 33}, "rho must be a list of numbers"),
     # JSON null is not NaN
     ({**CHECKPOINT, "rho": [0.8, None] + [0.8] * 31}, "rho must be a list of numbers"),
+    # nor is a JSON integer too large for a float
+    ({**CHECKPOINT, "t": 10**400}, "t must be a number"),
 ])
 def test_audit_rejects_malformed_checkpoint(tmp_path, capsys, payload, message):
     path = tmp_path / "ck.json"

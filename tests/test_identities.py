@@ -149,16 +149,9 @@ def test_lower_bound_rule_fails_at_minus_the_tolerance_and_on_nan():
     assert CheckResult.lower_bound("c", 2, "", 1, 0.0, 0.0).passed is False
 
 
-def _checks_on(monkeypatch, vals, check, order):
-    """The checks of one battery entry, its cone draws replaced by vals."""
-    monkeypatch.setattr(identities, "sample_cone", lambda rng, count, n, k: vals)
-    count, n = vals.shape
-    return {c.name: c for c in check(np.random.default_rng(0), count, n, order)}
-
-
-def test_exclusion_chain_needs_a_positive_leading_exclusion(monkeypatch):
-    def chain(vals):
-        checks = _checks_on(monkeypatch, vals, identities._check_sorted_chain, 2)
+def test_exclusion_chain_needs_a_positive_leading_exclusion():
+    def chain(rows):
+        checks = {c.name: c for c in identities._check_sorted_chain(rows, 2)}
         return checks["ordered-exclusion-chain"]
 
     # sigma_1(lam|i) = -1.1, 0.4, 0.5 increases, but starts negative
@@ -167,9 +160,29 @@ def test_exclusion_chain_needs_a_positive_leading_exclusion(monkeypatch):
     assert chain(np.array([[1.0, 0.5, 0.25]])).passed
 
 
-def test_pinch_comparability_passes_when_no_sample_is_kept(monkeypatch):
+def test_pinch_comparability_passes_when_no_sample_is_kept():
     # equal entries have pinch 0, so the ratio keeps no sample
-    checks = _checks_on(monkeypatch, np.ones((4, 3)), identities._check_pinch_deficit, 1)
+    checks = {c.name: c for c in identities._check_pinch_deficit(np.ones((4, 3)), 1)}
     comparability = checks["deficit-pinch-comparability"]
     assert math.isnan(comparability.worst) and comparability.samples == 0
     assert comparability.passed and comparability.recorded == {}
+
+
+def test_suite_draws_each_cone_once(monkeypatch):
+    cones, spreads = [], []
+
+    def cone(rng, count, n, k):
+        cones.append((n, k))
+        return sample_cone(rng, count, n, k)
+
+    def spread(rng, count, n):
+        spreads.append(n)
+        return sample_spread(rng, count, n)
+
+    monkeypatch.setattr(identities, "sample_cone", cone)
+    monkeypatch.setattr(identities, "sample_spread", spread)
+    report = run_identity_suite(n_max=4, samples=200)
+    assert report.passed
+    # Gamma_0 ... Gamma_n once per n, and one spread sample per n
+    assert sorted(cones) == [(n, k) for n in range(2, 5) for k in range(n + 1)]
+    assert spreads == [2, 3, 4]
