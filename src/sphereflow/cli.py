@@ -51,7 +51,7 @@ def _number(text: str):
 
 
 def _given(args, keys) -> dict:
-    """The run flags given, under the config keys they override."""
+    """The flags among keys that were given, under the keys they are stored at."""
     return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
@@ -127,6 +127,8 @@ def _run_bundle(out: str, config: FlowConfig, seed: int):
 
 def _cmd_run(args) -> int:
     if args.sweep:
+        if given := [args.run_flags[key] for key in _given(args, args.run_flags)]:
+            raise ValueError(f"--sweep takes its configs from its file, not {', '.join(given)}")
         return _cmd_sweep(args)
     result = _run_bundle(args.out, _config_from_args(args), args.seed)
     print(f"run: {result.termination} at t={result.t_final:.6g} "
@@ -241,20 +243,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p):
-        # each flag that overrides a config key is stored under that key
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--N", type=int, metavar="GRID")
-        p.add_argument("--shape", type=str,
-                       help="geodesic:r | perturbed:r0,eps,mode | custom:path")
-        p.add_argument("--dt-max", dest="dtMax", type=float, metavar="DT_MAX")
-        p.add_argument("--t-max", dest="tMax", type=float, metavar="T_MAX")
-        p.add_argument("--conv-tol", dest="convergenceTol", type=float, metavar="CONV_TOL")
-        p.add_argument("--sample-every", dest="sampleEvery", type=int, metavar="SAMPLE_EVERY")
-        p.add_argument("--checkpoint-every", dest="checkpointEvery", type=int,
-                       metavar="CHECKPOINT_EVERY")
-        p.add_argument("--config", type=str,
-                       help="JSON config file; explicit flags override it")
+        # each flag that overrides a config key is stored under that key; --sweep refuses these
+        flags = [
+            p.add_argument("--n", type=int),
+            p.add_argument("--k", type=int),
+            p.add_argument("--N", type=int, metavar="GRID"),
+            p.add_argument("--shape", type=str,
+                           help="geodesic:r | perturbed:r0,eps,mode | custom:path"),
+            p.add_argument("--dt-max", dest="dtMax", type=float, metavar="DT_MAX"),
+            p.add_argument("--t-max", dest="tMax", type=float, metavar="T_MAX"),
+            p.add_argument("--conv-tol", dest="convergenceTol", type=float, metavar="CONV_TOL"),
+            p.add_argument("--sample-every", dest="sampleEvery", type=int, metavar="SAMPLE_EVERY"),
+            p.add_argument("--checkpoint-every", dest="checkpointEvery", type=int,
+                           metavar="CHECKPOINT_EVERY"),
+            p.add_argument("--config", type=str,
+                           help="JSON config file; explicit flags override it"),
+        ]
+        p.set_defaults(run_flags={flag.dest: flag.option_strings[0] for flag in flags})
         p.add_argument("--out", type=str, default="out")
         p.add_argument("--seed", type=int, default=0)
 
@@ -300,7 +305,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, RuntimeError) as exc:
+    except (OSError, ValueError, KeyError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -553,6 +553,39 @@ def test_sweep_refuses_monitor_settings(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--N", "65", "--t-max", "0.01", "--config", "absent.json"], "--N, --t-max, --config"),
+    (["--shape", "geodesic:0.5"], "--shape"),
+    (["--n", "2", "--k", "1", "--checkpoint-every", "3"], "--n, --k, --checkpoint-every"),
+])
+def test_sweep_refuses_run_flags(tmp_path, capsys, flags, named):
+    # every config of a sweep comes from its file: a run flag beside it is an
+    # error, not a setting silently dropped
+    cfg = FlowConfig(
+        n=2, k=1, N=33,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2), t_max=0.005,
+    ).to_json()
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps([cfg]))
+    out = tmp_path / "runs"
+    assert main(["run", "--sweep", str(sweep_path), "--out", str(out)] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --sweep takes its configs from its file, not {named}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_refused_allocation_is_an_error_line(tmp_path, capsys):
+    # 10**17 nodes ask for ~700 PiB, beyond any address space: the allocator
+    # refuses the grid's first array at once, whatever the memory at hand
+    args = ["run", "--n", "2", "--k", "1", "--N", str(10**17),
+            "--shape", "perturbed:0.8,0.05,2", "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -913,9 +913,11 @@ def test_run_does_not_depend_on_the_blas_thread_count():
 _SCIPY_FREE_RUN = """
 import sys
 import sphereflow.cli
-from sphereflow import flow
+from sphereflow import flow, hypersurface, quermass
 shape = flow.ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2)
 res = flow.run(flow.FlowConfig(n=2, k=1, N=33, initial_shape=shape))
+hypersurface.volume(hypersurface.RadialProfile.geodesic_sphere(16, 0.8, 33))
+quermass.sphere_quermass(20, -1, 0.8)
 print(res.termination, *sorted(name for name in sys.modules
                                if name.startswith(("scipy.optimize", "scipy.interpolate",
                                                    "scipy.special"))))
@@ -923,11 +925,11 @@ print(res.termination, *sorted(name for name in sys.modules
 
 
 def test_a_converged_run_imports_no_scipy_optimize_interpolate_or_special():
-    """Importing the CLI and running to a converged stop on an on-grid shape
-    loads none of scipy.optimize, scipy.interpolate and scipy.special: the
-    audit, a custom shape off the grid and the dual solver import the first
-    two where they call them, and the volume's closed forms need no special
-    function."""
+    """Importing the CLI, running to a converged stop on an on-grid shape and
+    taking the volume at n = 16 and n = 20 load none of scipy.optimize,
+    scipy.interpolate and scipy.special: the audit, a custom shape off the grid
+    and the dual solver import the first two where they call them, and the
+    volume's Gauss-Legendre rule needs no special function at any n."""
     src = os.path.dirname(os.path.dirname(flow_module.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN],

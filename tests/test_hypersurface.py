@@ -175,7 +175,7 @@ def test_sin_power_integral_keeps_relative_digits(m):
     assert np.max(np.abs(sin_power_integral(m, xs) / want - 1.0)) <= 1e-13
 
 
-@pytest.mark.parametrize("m", [14, 15, 30, 100, _N_MAX])
+@pytest.mark.parametrize("m", [14, 15, 30, 100, 200, 300, 391, 417, _N_MAX])
 def test_sin_power_integral_keeps_relative_digits_up_to_the_largest_n(m):
     # volume takes m = n, which FlowConfig admits up to _N_MAX; from x = 0.4 on
     # the integral stays a normal float at every such m
