@@ -458,14 +458,6 @@ def _rms(x: np.ndarray):
     return np.sqrt(np.einsum("i,i->", x, x) / x.size)
 
 
-def _predict_factor(h, h_old, error_norm, error_norm_old):
-    """The step factor predicted from this error norm and, where known (with
-    h_old), the last step's (Hairer & Wanner, Sec. IV.8)."""
-    if error_norm_old is None or error_norm == 0:
-        return error_norm**-0.25
-    return min(1.0, h / h_old * (error_norm_old / error_norm) ** 0.25) * error_norm**-0.25
-
-
 def _factor(gttrf, lower, diag, upper) -> tuple:
     """LAPACK's LU factors of a tridiagonal matrix; LinAlgError on a zero pivot
     or a factor that is not finite."""
@@ -486,45 +478,45 @@ def _tolerances(config: FlowConfig) -> tuple:
 class _Stepper:
     """Radau IIA (order 5) steps of y' = fun(y), each retried until accept takes one.
 
-    It keeps scipy's Radau constants and, failures aside, its algorithm: the
-    simplified Newton iteration on the collocation system, the embedded error
-    estimate, and the predictive step control, which holds the step while the
-    predicted growth stays below _HOLD_BELOW and takes J again after slow
-    Newton convergence.  fun takes the three stages as one (3, N) stack and
-    raises ValueError off the chart or the cone; J is _jacobian(fun, y), which
-    counts as a Jacobian, not as rate evaluations.  The first step is
-    _gershgorin_dt of the first trial's J.  The rate at a step's start is the
-    caller's, from the accepted state; a zero predictor's first Newton
-    iteration takes it for all three stages.  MU/h I - J is factored by
-    LAPACK's tridiagonal routines, and one factor pair is kept while h and J
-    stay the same.  tolerances is the error test's (rtol, atol).
+    It keeps scipy's Radau constants and, failures and scipy's predictive
+    factor aside, its algorithm: the simplified Newton iteration on the
+    collocation system, the embedded error estimate and one step-size rule, the
+    factor safety * error_norm**-0.25 within [_MIN_FACTOR, _MAX_FACTOR], which
+    holds the step while that growth stays below _HOLD_BELOW and takes J again
+    after slow Newton convergence.  fun takes the three stages as one (3, N)
+    stack and raises ValueError off the chart or the cone; J is
+    _jacobian(fun, y), which counts as a Jacobian, not as rate evaluations.
+    The first step is _gershgorin_dt of the first trial's J.  The rate at a
+    step's start is the caller's, from the accepted state; a zero predictor's
+    first Newton iteration takes it for all three stages.  MU/h I - J is
+    factored by LAPACK's tridiagonal routines, and one factor pair is kept
+    while h and J stay the same.  tolerances is the error test's (rtol, atol).
 
     accept turns a trial that passes the error test into the caller's next
     state, or raises StepRejected or ValueError.  Every trial that is not a
     step is a rejection: one that fails the error test, one that raises and a
     refused vector.  A failed solve raises under a stale J as under a fresh
     one, where scipy would take J again or halve the step in place.  step
-    alone shrinks a step for a raise: it restarts from (t, y) with a new J, no
-    history and a zero predictor, at half the step tried or of a smaller
-    h_abs, and re-raises below _MULT_FLOOR times the first step or, with no
-    first step to halve, where the start's J fails.
+    alone shrinks a step for a raise: it restarts from (t, y) with a new J and
+    a zero predictor, at half the step tried or of a smaller h_abs, and
+    re-raises below _MULT_FLOOR times the first step or, with no first step to
+    halve, where the start's J fails.
     """
 
     def __init__(self, fun, accept, y: np.ndarray, t_bound: float, h_max, tolerances: tuple):
         self.fun, self.accept = fun, accept
         self.rtol, self.atol = tolerances
-        self.newton_tol = max(10 * np.finfo(float).eps / self.rtol, min(0.03, self.rtol**0.5))
+        self.newton_tol = min(0.03, self.rtol**0.5)
         self.t, self.y, self.t_bound, self.h_max = 0.0, y, t_bound, h_max
         # the rate evaluations count each stage of a stacked call
         self.evaluations = self.jacobians = self.factorizations = self.rejections = 0
         self._restart(None)
 
     def _restart(self, h: float | None) -> None:
-        """Forget the step history: the next step takes J afresh, predicts
-        nothing and tries h, or with None the first step."""
+        """Forget the last step: the next step takes J afresh, starts from a zero
+        predictor and tries h, or with None the first step."""
         self.h_abs = self.tried = None if h is None else min(h, self.t_bound - self.t)
         self.J = None
-        self.h_abs_old = self.error_norm_old = None
         self.lu = None  # (h, J, real factors, complex factors)
         self.dense = None  # (t, y, collocation polynomial coefficients) at the last step's start
 
@@ -588,9 +580,7 @@ class _Stepper:
             self.h_abs = self.tried = min(_gershgorin_dt(self.J, self.h_max), self.t_bound - t)
             self.floor = _MULT_FLOOR * self.h_abs
         min_step = 10 * abs(np.nextafter(t, np.inf) - t)
-        h, h_old, error_norm_old = self.h_abs, self.h_abs_old, self.error_norm_old
-        if not min_step <= h <= self.h_max:  # a clamped step forgets the last one
-            h, h_old, error_norm_old = min(max(h, min_step), self.h_max), None, None
+        h = min(max(self.h_abs, min_step), self.h_max)
         rejections = self.rejections
         while True:
             if h < min_step:
@@ -619,16 +609,16 @@ class _Stepper:
                 raise StepRejected("error estimate is not finite")
             if error_norm <= 1:
                 break
-            h *= max(_MIN_FACTOR, safety * _predict_factor(h, h_old, error_norm, error_norm_old))
+            h *= max(_MIN_FACTOR, safety * error_norm**-0.25)
             self.rejections += 1
 
         recompute_jac = iterations > 2 and rate > 1e-3
-        factor = min(_MAX_FACTOR, safety * _predict_factor(h, h_old, error_norm, error_norm_old))
+        factor = min(_MAX_FACTOR, safety * error_norm**-0.25)
         if not recompute_jac and factor < _HOLD_BELOW:
             factor = 1.0
         if recompute_jac:
             self.J = self._jac(y_new)
-        self.h_abs_old, self.error_norm_old, self.h_abs = self.h_abs, error_norm, h * factor
+        self.h_abs = h * factor
         self.dense = (t, y, _combine(_P.T, z))
         return t_new, y_new
 

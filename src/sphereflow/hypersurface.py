@@ -308,8 +308,6 @@ def curvatures(grid: PolarGrid, rho: np.ndarray) -> tuple:
 def geometry(profile: RadialProfile, k: int) -> GeometryState:
     """Support function, curvatures and quotient data on the profile grid."""
     n = profile.n
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"quotient order k={k} out of range for n={n}")
     grid, rho = profile.grid, profile.rho
     grad, hess, phi, phip, w, u, omega_speed, lam1, lam_ang = curvatures(grid, rho)
     return GeometryState(

@@ -656,13 +656,18 @@ def test_balanced_tolerance_keeps_the_tight_runs_results(monkeypatch, solve):
     assert abs(drift(res) / drift(tight) - 1.0) <= 0.05
 
 
-@pytest.mark.parametrize("N", [64, 128, 256, 1024])
+@pytest.mark.parametrize("N, t_max, dt_max", [
+    *(pytest.param(N, 1.0, 0.2, id=str(N)) for N in (64, 128, 256, 1024)),
+    *(pytest.param(N, 10.0, 50.0, id=f"{N}-uncapped") for N in (128, 256)),
+])
 @pytest.mark.parametrize("n, k, r0, eps", REFERENCE_SHAPES)
-def test_both_solvers_match_scipys_radau(n, k, r0, eps, N):
+def test_both_solvers_match_scipys_radau(n, k, r0, eps, N, t_max, dt_max):
     """The own stepper with the exact Jacobian against scipy's Radau with its
-    finite-difference one, on the same rates from the same start to t = 1."""
-    cfg = dataclasses.replace(_reference_config(n, k, r0, eps, t_max=1.0, convergence_tol=0.0),
-                              N=N)
+    finite-difference one, on the same rates from the same start to t = 1, or
+    to t = 10 with dtMax 50, where the step control alone sizes every step
+    (scipy's also predicts from the last step, the own stepper does not)."""
+    cfg = dataclasses.replace(_reference_config(n, k, r0, eps, t_max=t_max, dt_max=dt_max,
+                                                convergence_tol=0.0), N=N)
     prof = cfg.initial_shape.build(n, N)
     res = run(cfg)
     rho, steps = oracles.plain_radau(

@@ -4,14 +4,18 @@ Runs both solvers in-process, with the package of this checkout's ``src/``,
 from ``perturbed`` starts of mode 2 at N = 129, for every (n, k) in
 (2, 1), (3, 2), (2, 0), (4, 1) and every r0 in 0.05, 0.2, 1.3, 1.45, 1.52,
 1.56, with eps = 0.05 min(r0, pi/2 - r0), a twentieth of the distance to
-the nearer of the pole and the hemisphere.  Prints one JSON
-object with, for each run, its termination, tFinal, steps, rejections, rate
-evaluations, Jacobians, LU factorizations and the count of each monitor flag
-over its trace rows.  Diff the outputs of two checkouts to compare them:
+the nearer of the pole and the hemisphere.  Each start runs twice: at the
+default ``dtMax`` and, under the key suffix ``/uncapped``, with ``dtMax``
+equal to ``tMax``, where the step control alone sizes every step.  Prints
+one JSON object with, for each run, its termination, tFinal, steps,
+rejections, rate evaluations, Jacobians, LU factorizations and the count of
+each monitor flag over its trace rows.  Diff the outputs of two checkouts to
+compare them:
 
     python tools/radius_probe.py > radii.json
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -40,7 +44,7 @@ def _counters(result) -> dict:
 
 
 def radius_probe() -> dict:
-    """Counters of every run, by solver/n,k/r0."""
+    """Counters of every run, by solver/n,k/r0, and /uncapped for dtMax = tMax."""
     counters = {}
     for solver, flow in SOLVERS.items():
         for n, k in ORDERS:
@@ -48,7 +52,10 @@ def radius_probe() -> dict:
                 eps = 0.05 * min(r0, math.pi / 2 - r0)
                 shape = ShapeSpec(kind="perturbed", r0=r0, eps=eps, mode=MODE)
                 config = FlowConfig(n=n, k=k, N=N, initial_shape=shape)
-                counters[f"{solver}/n{n}k{k}/r{r0}"] = _counters(flow(config))
+                key = f"{solver}/n{n}k{k}/r{r0}"
+                counters[key] = _counters(flow(config))
+                uncapped = dataclasses.replace(config, dt_max=config.t_max)
+                counters[f"{key}/uncapped"] = _counters(flow(uncapped))
     return counters
 
 
