@@ -139,16 +139,12 @@ class DualState:
         return float(max(self.w_merid.max(), self.w_ang.max()))
 
 
-def _closure(u, tan, h=None, u_grad=None, u_hess=None) -> tuple:
-    """(u_grad, u_hess, rho_tilde, omega, phi, phip, w_merid, w_ang) of u, positivity
-    checked; the derivatives are centered differences at spacing h unless given.
-    u may stack several vectors along leading axes, and may be complex: the
-    checks read real parts."""
+def _closure(u, u_grad, u_hess, tan) -> tuple:
+    """(rho_tilde, omega, phi, phip, w_merid, w_ang) of u and its derivatives,
+    positivity checked.  u may stack several vectors along leading axes, and
+    may be complex: the checks read real parts."""
     if not np.all(np.isfinite(u)) or np.min(u.real) <= 0.0:
         raise ValueError("u_tilde must be finite and positive")
-    if u_grad is None:
-        u_grad, u_hess = differentiate(u, h)
-
     rho_tilde = _hypot(u, u_grad)
     omega = rho_tilde / u
     phi = 2.0 * rho_tilde / (1.0 + rho_tilde**2)
@@ -162,7 +158,7 @@ def _closure(u, tan, h=None, u_grad=None, u_hess=None) -> tuple:
         node = int(np.argwhere(bad)[0, -1])  # the node of the first failing vector of a stack
         raise ConvexityLoss(f"W = Hess(u) + u id not positive definite at node {node}",
                             node=node)
-    return u_grad, u_hess, rho_tilde, omega, phi, phip, w_merid, w_ang
+    return rho_tilde, omega, phi, phip, w_merid, w_ang
 
 
 def support_closure(n, theta, u_tilde, u_grad=None, u_hess=None) -> DualState:
@@ -181,11 +177,12 @@ def support_closure(n, theta, u_tilde, u_grad=None, u_hess=None) -> DualState:
     if theta.ndim != 1 or theta.shape != u.shape:
         raise ValueError("theta and u_tilde must be matching 1-d arrays")
     if grid is None:
-        closed = _closure(u, np.tan(theta[1:-1]), None, np.asarray(u_grad, dtype=float),
-                          np.asarray(u_hess, dtype=float))
+        u_grad, u_hess = np.asarray(u_grad, dtype=float), np.asarray(u_hess, dtype=float)
+        tan = np.tan(theta[1:-1])
     else:
-        closed = _closure(u, grid.tan, grid.h)
-    u_grad, u_hess, rho_tilde, omega, phi, phip, w_merid, w_ang = closed
+        with np.errstate(invalid="ignore"):  # inf - inf; _closure refuses a non-finite u
+            (u_grad, u_hess), tan = differentiate(u, grid.h), grid.tan
+    rho_tilde, omega, phi, phip, w_merid, w_ang = _closure(u, u_grad, u_hess, tan)
     return DualState(
         n=int(n), theta=theta, u=u, u_grad=u_grad, u_hess=u_hess,
         rho_tilde=rho_tilde, omega=omega, rho=2.0 * np.arctan(rho_tilde), phi=phi,
@@ -203,7 +200,7 @@ def _g(n, k, u, rho_tilde, omega, phi, phip, w_merid, w_ang):
 def _stage_g(n: int, k: int, grid, u: np.ndarray) -> np.ndarray:
     """g_operator(support_closure(n, grid, u), k), same checks, from the cores alone;
     u may stack several vectors, such as the three Radau stages, along leading axes."""
-    return _g(n, k, u, *_closure(u, grid.tan, grid.h)[2:])
+    return _g(n, k, u, *_closure(u, *differentiate(u, grid.h), grid.tan))
 
 
 def g_operator(state: DualState, k: int) -> np.ndarray:
@@ -280,10 +277,6 @@ class DualResult(Outcome):
     u: np.ndarray
 
     @property
-    def breakdown_time(self) -> float | None:
-        return self.trace.breakdown_time
-
-    @property
     def state(self) -> DualState:
         """The final DualState, closed again from u on the run's grid."""
         return support_closure(self.config.n, polar_grid(self.config.N), self.u)
@@ -325,7 +318,7 @@ def dual_run(config: FlowConfig) -> DualResult:
     sizes the first step.  The three stages of a Newton iteration go
     to G (_stage_g) as one stacked call, with the checks of support_closure
     and g_operator; each accepted state gets the full DualState.
-    _integrate ends the run convexity_breakdown, with the time recorded, on a
+    _integrate ends the run convexity_breakdown, at t_final = breakdown_time, on a
     ConvexityLoss at the smallest step (W not positive definite), and
     step_collapse on any other failure there, as in run.  The outcome is not
     covered by the convergence theory and runs here are experimental probes.
@@ -346,7 +339,7 @@ def dual_run(config: FlowConfig) -> DualResult:
         g = g_operator(state, k)
         return g, float(np.max(np.abs(g))), 1.0 / state.min_eig_w, state
 
-    trace = FlowTrace(n, extra=("minEigW", "maxEigW"), breakdown_cell=True)
+    trace = FlowTrace(n, extra=("minEigW", "maxEigW"))
     from scipy.interpolate import CubicSpline  # a slow import, kept off the graph run's path
     u0 = CubicSpline(dual0.theta, dual0.u)(grid.theta)
     (*_, state), outcome = _integrate(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,7 +303,7 @@ class Monitors:
     quermassintegral increment, CONSERVATION for drift of the preserved
     index, LAMBDA_MIN for convexity loss.  The thresholds are the module
     constants _BARRIER_TOL, _SIGN_TOL, _SIGN_ALLOWANCE, _CONSERVATION_TOL and
-    _QUOTIENT_RATIO; of config only n and k are read.
+    _QUOTIENT_RATIO; of config only n and k are read; check returns a step's codes.
     """
 
     def __init__(self, config: FlowConfig, state0: GeometryState, q0: QuermassVector):
@@ -311,11 +312,6 @@ class Monitors:
         self.q0 = q0
         # by index l + 1: A_l may only grow below the preserved k - 1, only shrink above
         self.sign = np.where(np.arange(config.n + 2) < config.k, -1.0, 1.0)
-        self.counts: dict = {}
-
-    def _flag(self, codes: list, code: str):
-        codes.append(code)
-        self.counts[code] = self.counts.get(code, 0) + 1
 
     def check(self, q_prev: QuermassVector, q: QuermassVector,
               state: GeometryState, dt: float) -> list:
@@ -323,25 +319,25 @@ class Monitors:
         b = _BARRIER_TOL
         umin, rmin, rmax, fmin, fmax = state.extremes
         if rmin < self.min_rho0 - b * max(1.0, abs(self.min_rho0)):
-            self._flag(codes, "RHO_MIN")
+            codes.append("RHO_MIN")
         if rmax > self.max_rho0 + b * max(1.0, abs(self.max_rho0)):
-            self._flag(codes, "RHO_MAX")
+            codes.append("RHO_MAX")
         if umin < self.min_u0 - b * max(1.0, abs(self.min_u0)):
-            self._flag(codes, "U_MIN")
+            codes.append("U_MIN")
         if fmin < self.min_f0 / _QUOTIENT_RATIO or fmax > self.max_f0 * _QUOTIENT_RATIO:
-            self._flag(codes, "F_RANGE")
+            codes.append("F_RANGE")
         if state.lam_min <= 0.0:
-            self._flag(codes, "LAMBDA_MIN")
+            codes.append("LAMBDA_MIN")
         allowance = _SIGN_ALLOWANCE * state.h**2 * dt
         # each increment in its wrong direction; the preserved index may move neither way
         wrong = (q.values - q_prev.values) * self.sign
         wrong[self.k] = abs(wrong[self.k])
         slack = (_SIGN_TOL + allowance) * np.maximum(1.0, np.abs(q.values))
         for i in np.flatnonzero(wrong > slack):
-            self._flag(codes, f"SIGN_A{i - 1}")
+            codes.append(f"SIGN_A{i - 1}")
         drift = abs(q.a(self.k - 1) - self.q0.a(self.k - 1))
         if drift > _CONSERVATION_TOL * max(1.0, abs(self.q0.a(self.k - 1))):
-            self._flag(codes, "CONSERVATION")
+            codes.append("CONSERVATION")
         return codes
 
 
@@ -350,19 +346,16 @@ _TRACE_COLUMNS = ["minU", "minRho", "maxRho", "minF", "maxF",
 
 
 class FlowTrace:
-    """Sampled run history, one float column per header name.
+    """Sampled run history, one float column per name.
 
     Columns are t, A_-1..A_n, _TRACE_COLUMNS and then ``extra``; every row
-    also carries its monitor flags.  With ``breakdown_cell`` the CSV repeats
-    breakdown_time on every row, empty when there was none.
+    also carries its flag codes, which the CSV writes last, as violationFlags.
     """
 
-    def __init__(self, n: int, extra: tuple = (), breakdown_cell: bool = False):
+    def __init__(self, n: int, extra: tuple = ()):
         names = ["t"] + [f"A_{m}" for m in range(-1, n + 1)] + _TRACE_COLUMNS + list(extra)
         self.columns = {name: [] for name in names}
         self.violations: list = []
-        self.breakdown_cell = breakdown_cell
-        self.breakdown_time: float | None = None
 
     @property
     def t(self) -> list:
@@ -378,21 +371,13 @@ class FlowTrace:
             column.append(float(v))
         self.violations.append(";".join(codes))
 
-    def header(self) -> list:
-        cells = ["breakdownTime"] if self.breakdown_cell else []
-        return list(self.columns) + cells + ["violationFlags"]
-
     def to_csv(self, path, seed: int | None = None) -> None:
-        cells = []
-        if self.breakdown_cell:
-            bd = self.breakdown_time
-            cells.append("" if bd is None else repr(float(bd)))
         with open(path, "w") as fh:
             if seed is not None:
                 fh.write(f"# seed={seed}\n")
-            fh.write(",".join(self.header()) + "\n")
+            fh.write(",".join([*self.columns, "violationFlags"]) + "\n")
             for *row, flags in zip(*self.columns.values(), self.violations):
-                fh.write(",".join([repr(v) for v in row] + cells + [flags]) + "\n")
+                fh.write(",".join([repr(v) for v in row] + [flags]) + "\n")
 
     def column(self, name: str) -> np.ndarray:
         return np.array(self.columns[name])
@@ -413,11 +398,20 @@ class Outcome:
     lu_factorizations: int
     dt_range: dict | None  # accepted steps' min, max and last span (past a located stop)
 
+    @property
+    def breakdown_time(self) -> float | None:
+        """t_final of a run that ended convexity_breakdown, else None."""
+        return self.t_final if self.termination == "convexity_breakdown" else None
+
+    @property
+    def violations(self) -> dict:
+        """How many times each flag code was raised, counted over the trace rows."""
+        return dict(Counter(filter(None, ";".join(self.trace.violations).split(";"))))
+
 
 @dataclass
 class FlowResult(Outcome):
     profile: RadialProfile
-    violations: dict
 
 
 # Radau IIA of order 5 as scipy's Radau has it: the collocation nodes C, the
@@ -658,14 +652,15 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
     payload...), whose rate, bit for bit rate(y) at its vector, starts the
     next step, so no accepted state costs a rate call.  advance(new, t, dt,
     steps) does the work of an accepted step and returns its flag codes;
-    row(state, codes) gives a trace row's values and may add codes.
+    row(state, codes) gives a trace row's values and may add codes.  Each
+    code lands in the next trace row written, sampled step or not.
 
     The stop tests run at accepted steps.  A step whose state's max speed is
     below convergence_tol ends the run converged, without a second test, at
     the crossing inside it, which _crossing locates: the final t and state
     do not depend on dtMax.  A step that the stepper gives up on ends the run:
-    convexity_breakdown at the trace's breakdown_time t for a ConvexityLoss,
-    else step_collapse with the failure's message.
+    convexity_breakdown for a ConvexityLoss, at the last accepted t, else
+    step_collapse with the failure's message.
     Returns the final solver state and the Outcome with the stepper's counters.
     """
     pending: list = []
@@ -688,12 +683,9 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
             break
         try:
             state = solver.step(f)
-        except ConvexityLoss:
-            termination = "convexity_breakdown"
-            trace.breakdown_time = t
-            break
         except (StepRejected, ValueError) as exc:  # LinAlgError is a ValueError
-            termination = f"step_collapse: {exc}"
+            termination = ("convexity_breakdown" if isinstance(exc, ConvexityLoss)
+                           else f"step_collapse: {exc}")
             break
         t_new = float(solver.t)
         spans.append(t_new - t)
@@ -760,6 +752,8 @@ def _start(config: FlowConfig) -> tuple:
 
 def run(config: FlowConfig, out_dir=None) -> FlowResult:
     """Integrate the flow until convergence, t_max, or a documented abort."""
+    if config.checkpoint_every > 0 and out_dir is None:
+        raise ValueError("run writes checkpoints into out_dir: checkpoint_every needs one")
     n, k = config.n, config.k
     profile, state = _start(config)
     grid = profile.grid
@@ -785,7 +779,7 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
         q_new = quermass_vector(new_state, new_profile)
         codes = monitors.check(q, q_new, new_state, dt)
         q = q_new
-        if out_dir is not None and config.checkpoint_every > 0 and steps % config.checkpoint_every == 0:
+        if config.checkpoint_every > 0 and steps % config.checkpoint_every == 0:
             os.makedirs(out_dir, exist_ok=True)
             save_checkpoint(new_profile, k, t, os.path.join(out_dir, f"ck_{steps:08d}.json"))
         return codes
@@ -799,7 +793,7 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
     (*_, profile, _), outcome = _integrate(
         config, lambda rho: _stage_rate(n, k, grid, rho), accept, advance, row, profile.rho,
         solver_state(profile, state), trace)
-    return FlowResult(**vars(outcome), profile=profile, violations=dict(monitors.counts))
+    return FlowResult(**vars(outcome), profile=profile)
 
 
 # -- parametrization-corrected evolution residuals ----------------------------

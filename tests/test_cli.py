@@ -446,7 +446,7 @@ def test_dual_run_command(tmp_path, capsys):
     assert summary["rateEvaluations"] >= 6 * summary["steps"] - 3
     assert summary["finalCheckpoint"] == "final.json"
     header = (out / "trace.csv").read_text().splitlines()[1]
-    assert "minEigW" in header and "breakdownTime" in header
+    assert "minEigW" in header and "breakdownTime" not in header
 
 
 def test_dual_run_without_a_pullback_writes_no_final(tmp_path, monkeypatch):

@@ -57,6 +57,8 @@ def test_support_closure_validation():
         support_closure(2, grid, np.ones(16))
     with pytest.raises(ValueError):
         support_closure(2, grid, -ones)
+    with pytest.raises(ValueError):  # inf - inf in the differences warns nothing
+        support_closure(2, grid, np.where(np.arange(17) % 2, np.inf, 1.0))
     with pytest.raises(ValueError):
         support_closure(2, grid, ones, u_grad=np.zeros(17))
     with pytest.raises(ValueError):
@@ -143,9 +145,7 @@ def test_dual_trace_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# seed=3"
     cols = lines[1].split(",")
-    assert cols[-4:] == ["minEigW", "maxEigW", "breakdownTime", "violationFlags"]
-    # no breakdown: the cell stays empty
-    assert all(line.split(",")[-2] == "" for line in lines[2:])
+    assert cols[-3:] == ["minEigW", "maxEigW", "violationFlags"]
     with pytest.raises(KeyError):
         res.trace.column("breakdownTime")
 
@@ -193,7 +193,7 @@ def _closure_marks(monkeypatch, config, core="_closure"):
     return marks
 
 
-def test_dual_run_records_breakdown_when_every_trial_fails(monkeypatch, tmp_path):
+def test_dual_run_records_breakdown_when_every_trial_fails(monkeypatch):
     cfg = FlowConfig(
         n=2, k=1, N=65,
         initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
@@ -220,11 +220,6 @@ def test_dual_run_records_breakdown_when_every_trial_fails(monkeypatch, tmp_path
     # drops below 1e-12 of it: 2^-40 < 1e-12 <= 2^-39
     assert res.rejections >= 40
     assert res.breakdown_time == res.t_final > 0.0
-    assert res.trace.breakdown_time == res.breakdown_time
-    path = tmp_path / "dual.csv"
-    res.trace.to_csv(path)
-    rows = path.read_text().splitlines()[1:]
-    assert all(line.split(",")[-2] == repr(res.t_final) for line in rows)
 
 
 def _force_cone_exit(monkeypatch, cfg, max_calls=None):
@@ -260,7 +255,7 @@ def test_dual_run_collapse_without_a_convexity_loss_is_no_breakdown(monkeypatch)
     res = dual_run(cfg)
     assert res.termination == "step_collapse: forced cone exit"
     assert res.steps == 3 and res.rejections >= 40
-    assert res.breakdown_time is None and res.trace.breakdown_time is None
+    assert res.breakdown_time is None
     # a failed trial ends at once: each restart takes one Jacobian and one LU
     # pair, not a descent of halvings with a pair each
     assert res.lu_factorizations <= 4 * (res.rejections + res.steps)

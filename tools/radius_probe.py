@@ -8,9 +8,9 @@ the nearer of the pole and the hemisphere.  Each start runs twice: at the
 default ``dtMax`` and, under the key suffix ``/uncapped``, with ``dtMax``
 equal to ``tMax``, where the step control alone sizes every step.  Prints
 one JSON object with, for each run, its termination, tFinal, steps,
-rejections, rate evaluations, Jacobians, LU factorizations and the count of
-each monitor flag over its trace rows.  Diff the outputs of two checkouts to
-compare them:
+rejections, rate evaluations, Jacobians, LU factorizations and its
+``violations``, the count of each flag code over its trace rows.  Diff the
+outputs of two checkouts to compare them:
 
     python tools/radius_probe.py > radii.json
 """
@@ -19,7 +19,6 @@ import dataclasses
 import json
 import math
 import sys
-from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -35,12 +34,11 @@ MODE = 2
 
 
 def _counters(result) -> dict:
-    """The counters of a finished run and its flags, counted over the trace rows."""
-    flags = Counter(code for row in result.trace.violations for code in row.split(";") if code)
+    """The counters of a finished run and its flag counts."""
     return {"termination": result.termination, "tFinal": result.t_final,
             "steps": result.steps, "rejections": result.rejections,
             "rateEvaluations": result.rate_evaluations, "jacobians": result.jacobians,
-            "luFactorizations": result.lu_factorizations, "flags": dict(sorted(flags.items()))}
+            "luFactorizations": result.lu_factorizations, "flags": result.violations}
 
 
 def radius_probe() -> dict:
