@@ -92,16 +92,20 @@ def _manifest(out_dir: str, command: str, seed: int, config: FlowConfig | None,
 
 def _bundle(out: str, command: str, seed: int, result, final, summary: dict) -> None:
     """Write a finished run into out: manifest, trace, final.json (unless final
-    is None) and summary.json, the counters both solvers share plus summary."""
+    is None) and summary.json: the stop's code and detail (None if it has
+    none), tFinal and its resolution, the counters both solvers share and summary."""
     config = result.config
     _manifest(out, command, seed, config)
     result.trace.to_csv(os.path.join(out, "trace.csv"), seed=seed)
     if final is not None:
         save_checkpoint(final, config.k, result.t_final, os.path.join(out, "final.json"))
+    code, _, detail = result.termination.partition(": ")
     _write_json(os.path.join(out, "summary.json"), {
         "seed": seed,
-        "termination": result.termination,
+        "termination": code,
+        "terminationDetail": detail or None,
         "tFinal": result.t_final,
+        "tFinalResolution": result.t_final_resolution,
         "steps": result.steps,
         "rejections": result.rejections,
         "rateEvaluations": result.rate_evaluations,

@@ -181,7 +181,7 @@ _CONFIG_KEYS = {
     "n": ("n", _json_integer),
     "k": ("k", _json_integer),
     "N": ("N", _json_integer),
-    "dtMax": ("dt_max", _json_number),
+    "dtMax": ("dt_max", lambda value, key: None if value is None else _json_number(value, key)),
     "tMax": ("t_max", _json_number),
     "convergenceTol": ("convergence_tol", _json_number),
     "initialShape": ("initial_shape", lambda value, key: ShapeSpec.from_json(value)),
@@ -196,7 +196,7 @@ class FlowConfig:
     k: int
     N: int
     initial_shape: ShapeSpec
-    dt_max: float = 0.2
+    dt_max: float | None = None  # None: no step cap but t_max
     t_max: float = 50.0
     convergence_tol: float = 1e-6
     sample_every: int = 1
@@ -206,7 +206,7 @@ class FlowConfig:
         _check_order(self.n, self.k)
         if self.N < 5:
             raise ValueError("grid too coarse: need N >= 5")
-        if not (math.isfinite(self.dt_max) and self.dt_max > 0.0):
+        if self.dt_max is not None and not (math.isfinite(self.dt_max) and self.dt_max > 0.0):
             raise ValueError("dt_max must be finite and positive")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValueError("t_max must be finite and positive")
@@ -391,6 +391,7 @@ class Outcome:
     trace: FlowTrace
     termination: str
     t_final: float
+    t_final_resolution: float | None  # of a converged stop inside a step, else None
     steps: int
     rejections: int
     rate_evaluations: int
@@ -614,6 +615,7 @@ class _Stepper:
             self.J = self._jac(y_new)
         self.h_abs = h * factor
         self.dense = (t, y, _combine(_P.T, z))
+        self.error = error  # the accepted step's error estimate, read for tFinal's resolution
         return t_new, y_new
 
     def at(self, t):
@@ -657,8 +659,11 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
 
     The stop tests run at accepted steps.  A step whose state's max speed is
     below convergence_tol ends the run converged, without a second test, at
-    the crossing inside it, which _crossing locates: the final t and state
-    do not depend on dtMax.  A step that the stepper gives up on ends the run:
+    the crossing inside it, which _crossing locates: the final state does
+    not depend on dtMax (None: no cap), but the final t moves with the step
+    length.  Its resolution is max|J e| / (s mu), for the last step's error
+    estimate e, the final max speed s and mu, the decay of log s across that
+    step.  A step that the stepper gives up on ends the run:
     convexity_breakdown for a ConvexityLoss, at the last accepted t, else
     step_collapse with the failure's message.
     Returns the final solver state and the Outcome with the stepper's counters.
@@ -667,11 +672,12 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
     trace.append(0.0, row(state, pending), pending)
     pending = []
     t = 0.0
-    steps, spans = 0, []
-    solver = _Stepper(rate, accept, y0, config.t_max, config.dt_max, _tolerances(config))
+    steps, spans, resolution = 0, [], None
+    solver = _Stepper(rate, accept, y0, config.t_max, config.dt_max or config.t_max,
+                      _tolerances(config))
     converged = state[1] < config.convergence_tol
     while True:
-        f, _, curvature = state[:3]
+        f, s_prev, curvature = state[:3]
         if converged:
             termination = "converged"
             break
@@ -690,7 +696,11 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
         t_new = float(solver.t)
         spans.append(t_new - t)
         if converged := state[1] < config.convergence_tol:
+            mu = math.log(s_prev / max(state[1], 1e-300)) / spans[-1]
             t_new, state = _crossing(solver, t, t_new, state, config.convergence_tol)
+            J, e = solver.J, solver.error  # J's corner entries, which roll wraps onto, are 0
+            rate_error = np.max(np.abs(J[0] * np.roll(e, 1) + J[1] * e + J[2] * np.roll(e, -1)))
+            resolution = float(rate_error / max(state[1] * mu, 1e-300))
         dt, t = t_new - t, t_new
         steps += 1
         pending.extend(advance(state, t, dt, steps))
@@ -701,7 +711,7 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
     if steps % config.sample_every:  # the last step was not sampled
         trace.append(t, row(state, pending), pending)
     dt_range = dict(min=min(spans), max=max(spans), last=spans[-1]) if spans else None
-    return state, Outcome(config, trace, termination, t, steps, solver.rejections,
+    return state, Outcome(config, trace, termination, t, resolution, steps, solver.rejections,
                           solver.evaluations, solver.jacobians, solver.factorizations, dt_range)
 
 

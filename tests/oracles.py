@@ -160,8 +160,9 @@ def sample_cone_whole_draw(rng, count, n, k):
 
 def plain_radau(rate, y0, config, first_step):
     """scipy's own Radau on rate from y0 to config's tMax, at most its dtMax per
-    step, at the tolerances that flow._tolerances gives the solvers for config
-    and with its finite-difference Jacobian of tridiagonal pattern: (final y, steps).
+    step (tMax where dtMax is None, as in the solvers), at the tolerances that
+    flow._tolerances gives the solvers for config and with its
+    finite-difference Jacobian of tridiagonal pattern: (final y, steps).
 
     A rate that raises ValueError gives NaN, which Radau answers with a
     smaller step, as the solvers' driver does.
@@ -175,7 +176,7 @@ def plain_radau(rate, y0, config, first_step):
     rtol, atol = flow._tolerances(config)
     with np.errstate(all="ignore"):
         solver = Radau(fun, 0.0, y0, config.t_max, first_step=first_step,
-                       max_step=config.dt_max, rtol=rtol, atol=atol,
+                       max_step=config.dt_max or config.t_max, rtol=rtol, atol=atol,
                        jac_sparsity=diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(y0.size,) * 2))
         steps = 0
         while solver.status == "running":

@@ -8,7 +8,7 @@ import pytest
 
 import sphereflow.cli as cli_module
 from sphereflow.cli import _parse_shape, main
-from sphereflow.exceptions import ConvexityLoss
+from sphereflow.exceptions import ConeViolation, ConvexityLoss
 from sphereflow.flow import FlowConfig, ShapeSpec
 
 RUN_ARGS = [
@@ -36,6 +36,8 @@ def test_run_command_writes_bundle(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("run: ")
     summary = _read_json(out / "summary.json")
     assert summary["termination"] == "tmax"
+    # a tMax stop has no detail, and its tFinal is tMax itself, not a located crossing
+    assert summary["terminationDetail"] is None and summary["tFinalResolution"] is None
     assert summary["seed"] == 4 and summary["violations"] == {}
     assert {"finalQuermass", "finalMaxSpeed", "finalRhoSpread"} <= set(summary)
     dt = summary["dtRange"]
@@ -61,8 +63,37 @@ def test_one_process_parses_each_call_afresh(tmp_path):
     assert main(RUN_ARGS + ["--dt-max", "0.1", "--out", str(first)]) == 0
     assert main(RUN_ARGS + ["--out", str(second)]) == 0
     assert _read_json(first / "manifest.json")["config"]["dtMax"] == 0.1
-    assert _read_json(second / "manifest.json")["config"]["dtMax"] == FlowConfig.dt_max == 0.2
+    # the default caps no step, and the manifest writes it as null
+    assert FlowConfig.dt_max is None
+    assert _read_json(second / "manifest.json")["config"]["dtMax"] is None
     assert cli_module._build_parser() is cli_module._build_parser()
+
+
+def test_summary_splits_a_collapse_into_code_and_detail(tmp_path, capsys, monkeypatch):
+    """A run whose every rate call leaves the cone stops step_collapse at the
+    start: summary.json holds the code and the message apart, the printed line
+    the two joined, as FlowResult.termination has them."""
+    def refuse(*args):
+        raise ConeViolation("forced cone exit")
+
+    # the stages' and Jacobians' curvature core only: geometry still builds the start
+    monkeypatch.setattr("sphereflow.flow.curvatures", refuse)
+    out = tmp_path / "out"
+    assert main(RUN_ARGS + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("run: step_collapse: forced cone exit at t=0 ")
+    summary = _read_json(out / "summary.json")
+    assert summary["termination"] == "step_collapse"
+    assert summary["terminationDetail"] == "forced cone exit"
+    assert summary["tFinal"] == 0.0 and summary["tFinalResolution"] is None
+
+
+def test_a_converged_run_states_its_stops_resolution(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--n", "2", "--k", "1", "--N", "33", "--shape", "perturbed:0.8,0.05,2",
+                 "--out", str(out)]) == 0
+    summary = _read_json(out / "summary.json")
+    assert summary["termination"] == "converged" and summary["terminationDetail"] is None
+    assert 0.0 < summary["tFinalResolution"] < 0.1
 
 
 def test_run_requires_flags(tmp_path, capsys):
@@ -227,6 +258,19 @@ def test_help_and_unknown_command(capsys):
     assert main(["--help"]) == 0
     assert "sphereflow" in capsys.readouterr().out
     assert main(["no-such-command"]) == 1
+
+
+def test_a_null_dt_max_is_the_default_no_cap(tmp_path):
+    """dtMax null in a config file reads as the default, no cap, and every
+    file of the bundle is the one a run without the key writes."""
+    payload = {"n": 2, "k": 1, "N": 33, "initialShape": PERTURBED, "tMax": 0.01}
+    for name, config in (("null", {**payload, "dtMax": None}), ("absent", payload)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        assert main(["run", "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / name)]) == 0
+    for name in ("manifest.json", "trace.csv", "summary.json", "final.json"):
+        assert (tmp_path / "null" / name).read_bytes() == (tmp_path / "absent" / name).read_bytes()
+    assert _read_json(tmp_path / "null" / "manifest.json")["config"]["dtMax"] is None
 
 
 def test_config_file_with_flag_override(tmp_path):

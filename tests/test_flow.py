@@ -438,7 +438,7 @@ def test_quiet_step_raises_no_flags():
     st = geometry(prof, 1)
     q = quermass_vector(st, prof)
     mon = Monitors(cfg, st, q)
-    dt = _rule_dt(prof, 1, cfg.dt_max)
+    dt = _rule_dt(prof, 1, cfg.t_max)  # the run's first step: the default caps at tMax only
     nxt = step(prof, dt, 1)
     stn = geometry(nxt, 1)
     assert mon.check(q, quermass_vector(stn, nxt), stn, dt) == []
@@ -523,7 +523,7 @@ def test_run_matches_the_rk4_oracle():
     assert res.termination == "tmax" and res.t_final == t_max
     prof, t = cfg.initial_shape.build(2, 128), 0.0
     while t < t_max:
-        dt = min(_rule_dt(prof, 1, cfg.dt_max), t_max - t)
+        dt = min(_rule_dt(prof, 1, t_max), t_max - t)
         prof, t = step(prof, dt, 1), t + dt
     assert float(np.max(np.abs(res.profile.rho - prof.rho))) <= 1e-9
 
@@ -545,7 +545,7 @@ def test_dual_run_matches_the_rk4_oracle(n, k, r0, eps):
         return dualflow_module._stage_g(n, k, grid, stage)
 
     while t < 0.1:
-        dt = min(_gershgorin_dt(_jacobian(rate, u), cfg.dt_max), 0.1 - t)
+        dt = min(_gershgorin_dt(_jacobian(rate, u), cfg.t_max), 0.1 - t)
         u, t = _rk4(u, dt, rate(u), rate), t + dt
     assert float(np.max(np.abs(res.u - u))) <= 1e-9
 
@@ -663,10 +663,12 @@ def test_dt_range_spans_the_accepted_steps(solve):
 @pytest.mark.parametrize("solve", [run, dual_run])
 def test_balanced_tolerance_keeps_the_tight_runs_results(monkeypatch, solve):
     """A converged run at the rule's rtol (1e-7 here) against the same run at
-    rtol 1e-10, N=64: the final state within 1e-9, tFinal within 1e-4 and the
-    drift of the preserved A_{k-1}, which is grid error, within 5%."""
+    rtol 1e-10, N=64, both at dtMax 0.2: the final state within 1e-9, tFinal
+    within 1e-4 and the drift of the preserved A_{k-1}, which is grid error,
+    within 5%.  The default's tFinal is held to its stated resolution
+    (test_default_runs_match_fine_step_runs) instead."""
     n, k, r0, eps = REFERENCE_SHAPES[0]
-    cfg = dataclasses.replace(_reference_config(n, k, r0, eps), N=64)
+    cfg = dataclasses.replace(_reference_config(n, k, r0, eps, dt_max=0.2), N=64)
     res = solve(cfg)
     monkeypatch.setattr(flow_module, "_tolerances", lambda config: (1e-10, 1e-13))
     tight = solve(cfg)
@@ -793,10 +795,10 @@ def _count_crossings(monkeypatch) -> list:
 @pytest.mark.parametrize("solve", [run, dual_run])
 @pytest.mark.parametrize("n, k, r0, eps", REFERENCE_SHAPES)
 def test_converged_stop_sits_on_the_crossing(monkeypatch, n, k, r0, eps, solve):
-    """The converged stop is located inside its step: tFinal matches a run at
-    dtMax 0.01, and the last trace row sits at tFinal with max speed at the
-    tolerance and below it."""
-    cfg = dataclasses.replace(_reference_config(n, k, r0, eps), N=64)
+    """The converged stop is located inside its step: at dtMax 0.2 tFinal
+    matches a run at dtMax 0.01, and the last trace row sits at tFinal with
+    max speed at the tolerance and below it."""
+    cfg = dataclasses.replace(_reference_config(n, k, r0, eps, dt_max=0.2), N=64)
     calls = _count_crossings(monkeypatch)
     res = solve(cfg)
     fine = solve(dataclasses.replace(cfg, dt_max=0.01))
@@ -809,6 +811,30 @@ def test_converged_stop_sits_on_the_crossing(monkeypatch, n, k, r0, eps, solve):
     speeds = res.trace.column("maxSpeed")
     assert speeds[-1] == pytest.approx(cfg.convergence_tol, rel=1e-6)
     assert speeds[-2] >= cfg.convergence_tol > speeds[-1]
+
+
+def test_default_runs_match_fine_step_runs(monkeypatch):
+    """With no step cap, the default, each reference run's final state lies
+    within 1e-9 of the run at dtMax 0.01, for both solvers, and its tFinal
+    within its stated resolution of the run at rtol 1e-10.  Over the set the
+    largest resolution is at most 10 times the largest such error: the error
+    changes sign across runs, so one run's ratio says little."""
+    errors, resolutions = [], []
+    for n, k, r0, eps in REFERENCE_SHAPES:
+        cfg = dataclasses.replace(_reference_config(n, k, r0, eps), N=64)
+        assert cfg.dt_max is None
+        for solve, final in ((run, lambda r: r.profile.rho), (dual_run, lambda r: r.u)):
+            res = solve(cfg)
+            fine = solve(dataclasses.replace(cfg, dt_max=0.01))
+            with monkeypatch.context() as patch:
+                patch.setattr(flow_module, "_tolerances", lambda config: (1e-10, 1e-13))
+                tight = solve(cfg)
+            assert res.termination == fine.termination == tight.termination == "converged"
+            assert float(np.max(np.abs(final(res) - final(fine)))) <= 1e-9
+            errors.append(abs(res.t_final - tight.t_final))
+            resolutions.append(res.t_final_resolution)
+    assert all(e <= r for e, r in zip(errors, resolutions))
+    assert max(resolutions) <= 10 * max(errors)
 
 
 def test_a_tmax_stop_locates_nothing(monkeypatch):

@@ -76,7 +76,7 @@ def configs(draw):
         k=draw(st.integers(min_value=0, max_value=n - 1)),
         N=draw(st.integers(min_value=5, max_value=4097)),
         initial_shape=draw(shapes.filter(lambda s: s.kind != "custom")),
-        dt_max=draw(positive),
+        dt_max=draw(st.none() | positive),  # None, the default, is no cap
         t_max=draw(positive),
         convergence_tol=draw(st.floats(min_value=0.0, max_value=1.0)),
         sample_every=draw(st.integers(min_value=1, max_value=10**6)),
