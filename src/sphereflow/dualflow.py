@@ -59,41 +59,39 @@ def gamma_transform(profile: RadialProfile):
     return gamma, np.exp(gamma)
 
 
-def _gamma_curvatures(tan, gamma, g_grad, g_hess):
-    """Both shape operators from one set of discrete gamma derivatives.
-
-    Returns (lam1, lam_ang, ht1, ht_ang, omega, phi, phip, rho_tilde):
-    spherical principal curvatures in the gamma chart and Euclidean ones of
-    the graph rho_tilde = e^gamma, evaluated from the same g_grad/g_hess so
-    their linear relation holds to roundoff.  tan is tan(theta) on the
-    interior nodes.
-    """
-    rho_tilde = np.exp(gamma)
+def _log_radius_chart(profile: RadialProfile) -> tuple:
+    """(gamma_theta, gamma_thetatheta, rho_tilde, omega^2, omega) of the profile:
+    the discrete derivatives of its log radius gamma on the profile grid, the
+    Euclidean radius e^gamma and omega = sqrt(1 + gamma_theta^2)."""
+    gamma, rho_tilde = gamma_transform(profile)
+    g_grad, g_hess = differentiate(gamma, profile.h)
     omega2 = 1.0 + g_grad**2
     omega = np.sqrt(omega2)
+    return g_grad, g_hess, rho_tilde, omega2, omega
+
+
+def _warp(rho_tilde):
+    """phi = sin(rho) and phi' = cos(rho) at rho = 2 arctan(rho_tilde)."""
     phi = 2.0 * rho_tilde / (1.0 + rho_tilde**2)
     phip = (1.0 - rho_tilde**2) / (1.0 + rho_tilde**2)
-    cot_term = cot_grad(g_grad, g_hess, tan)
-
-    lam1 = (phip * omega2 - g_hess) / (phi * omega * omega2)
-    lam_ang = (phip - cot_term) / (phi * omega)
-    ht1 = (omega2 - g_hess) / (rho_tilde * omega * omega2)
-    ht_ang = (1.0 - cot_term) / (rho_tilde * omega)
-    return lam1, lam_ang, ht1, ht_ang, omega, phi, phip, rho_tilde
+    return phi, phip
 
 
 def decomposition_residual(profile: RadialProfile) -> float:
     """Max-norm defect of h = (e^gamma/phi) h_tilde + ((phi'-1)/(phi omega)) id.
 
-    Both shape operators are evaluated in the log-radius chart from one set
-    of discrete derivatives, so the defect floor is roundoff, not a
-    discretization order.
+    Both shape operators, the spherical one (lam1, lam_ang) and the Euclidean
+    one (ht1, ht_ang) of the graph rho_tilde = e^gamma, are evaluated in the
+    log-radius chart from one set of discrete derivatives, so the defect
+    floor is roundoff, not a discretization order.
     """
-    gamma, _ = gamma_transform(profile)
-    g_grad, g_hess = differentiate(gamma, profile.h)
-    lam1, lam_ang, ht1, ht_ang, omega, phi, phip, rho_tilde = _gamma_curvatures(
-        profile.grid.tan, gamma, g_grad, g_hess
-    )
+    g_grad, g_hess, rho_tilde, omega2, omega = _log_radius_chart(profile)
+    phi, phip = _warp(rho_tilde)
+    cot_term = cot_grad(g_grad, g_hess, profile.grid.tan)
+    lam1 = (phip * omega2 - g_hess) / (phi * omega * omega2)
+    lam_ang = (phip - cot_term) / (phi * omega)
+    ht1 = (omega2 - g_hess) / (rho_tilde * omega * omega2)
+    ht_ang = (1.0 - cot_term) / (rho_tilde * omega)
     shift = (phip - 1.0) / (phi * omega)
     r1 = lam1 - (rho_tilde / phi) * ht1 - shift
     ra = lam_ang - (rho_tilde / phi) * ht_ang - shift
@@ -147,8 +145,7 @@ def _closure(u, u_grad, u_hess, tan) -> tuple:
         raise ValueError("u_tilde must be finite and positive")
     rho_tilde = _hypot(u, u_grad)
     omega = rho_tilde / u
-    phi = 2.0 * rho_tilde / (1.0 + rho_tilde**2)
-    phip = (1.0 - rho_tilde**2) / (1.0 + rho_tilde**2)
+    phi, phip = _warp(rho_tilde)
 
     w_merid = u_hess + u
     w_ang = cot_grad(u_grad, u_hess, tan) + u
@@ -161,33 +158,29 @@ def _closure(u, u_grad, u_hess, tan) -> tuple:
     return rho_tilde, omega, phi, phip, w_merid, w_ang
 
 
-def support_closure(n, theta, u_tilde, u_grad=None, u_hess=None) -> DualState:
-    """Close the support-function system into a full DualState.
-
-    With u_grad/u_hess omitted they are taken by centered differences on the
-    uniform grid theta, a PolarGrid or raw nodes checked by as_grid (even
-    parity at the poles).  Passing exact derivatives skips that and permits
-    non-uniform nodes.
-    """
-    if (u_grad is None) != (u_hess is None):
-        raise ValueError("supply both derivative arrays or neither")
-    grid = as_grid(theta) if u_grad is None else None
-    theta = np.asarray(theta, dtype=float) if grid is None else grid.theta
-    u = np.asarray(u_tilde, dtype=float)
-    if theta.ndim != 1 or theta.shape != u.shape:
-        raise ValueError("theta and u_tilde must be matching 1-d arrays")
-    if grid is None:
-        u_grad, u_hess = np.asarray(u_grad, dtype=float), np.asarray(u_hess, dtype=float)
-        tan = np.tan(theta[1:-1])
-    else:
-        with np.errstate(invalid="ignore"):  # inf - inf; _closure refuses a non-finite u
-            (u_grad, u_hess), tan = differentiate(u, grid.h), grid.tan
+def _dual_state(n, theta, tan, u, u_grad, u_hess) -> DualState:
+    """The DualState of u and its derivatives on the nodes theta, tan being
+    tan(theta) on the interior nodes."""
     rho_tilde, omega, phi, phip, w_merid, w_ang = _closure(u, u_grad, u_hess, tan)
     return DualState(
         n=int(n), theta=theta, u=u, u_grad=u_grad, u_hess=u_hess,
         rho_tilde=rho_tilde, omega=omega, rho=2.0 * np.arctan(rho_tilde), phi=phi,
         phip=phip, w_merid=w_merid, w_ang=w_ang,
     )
+
+
+def support_closure(n, theta, u_tilde) -> DualState:
+    """Close the support-function system into a full DualState, with the
+    derivatives of u_tilde taken by centered differences on the uniform grid
+    theta, a PolarGrid or raw nodes checked by as_grid (even parity at the
+    poles)."""
+    grid = as_grid(theta)
+    u = np.asarray(u_tilde, dtype=float)
+    if u.shape != grid.theta.shape:
+        raise ValueError("theta and u_tilde must be matching 1-d arrays")
+    with np.errstate(invalid="ignore"):  # inf - inf; _closure refuses a non-finite u
+        u_grad, u_hess = differentiate(u, grid.h)
+    return _dual_state(n, grid.theta, grid.tan, u, u_grad, u_hess)
 
 
 def _g(n, k, u, rho_tilde, omega, phi, phip, w_merid, w_ang):
@@ -225,10 +218,7 @@ def dual_from_profile(profile: RadialProfile) -> DualState:
     rho_tilde, omega and W = h_tilde^{-1} at roundoff (the returned nodes are
     non-uniform).
     """
-    gamma, rho_tilde = gamma_transform(profile)
-    g_grad, g_hess = differentiate(gamma, profile.h)
-    omega2 = 1.0 + g_grad**2
-    omega = np.sqrt(omega2)
+    g_grad, g_hess, rho_tilde, omega2, omega = _log_radius_chart(profile)
     theta_nu = profile.theta - np.arctan(g_grad)
     u = rho_tilde / omega
     u_t = rho_tilde * g_grad / omega
@@ -237,7 +227,7 @@ def dual_from_profile(profile: RadialProfile) -> DualState:
         * omega2
         / (omega2 - g_hess)
     )
-    return support_closure(profile.n, theta_nu, u, u_grad=u_t, u_hess=u_tt)
+    return _dual_state(profile.n, theta_nu, np.tan(theta_nu[1:-1]), u, u_t, u_tt)
 
 
 def profile_from_dual(state: DualState, N: int | None = None) -> RadialProfile:

@@ -60,8 +60,6 @@ def test_support_closure_validation():
     with pytest.raises(ValueError):  # inf - inf in the differences warns nothing
         support_closure(2, grid, np.where(np.arange(17) % 2, np.inf, 1.0))
     with pytest.raises(ValueError):
-        support_closure(2, grid, ones, u_grad=np.zeros(17))
-    with pytest.raises(ValueError):
         support_closure(2, grid**2, ones)
     with pytest.raises(ValueError):
         support_closure(2, grid[:-1], np.ones(16))
@@ -172,9 +170,9 @@ def test_dual_eigenvalues_match_primal_curvatures():
 
 def _closure_marks(monkeypatch, config, core="_closure"):
     """Clean dual run of config; calls of the core (the closure core unless
-    named) made by the pullback, the start and each accepted step, which
-    support_closure closes once each."""
-    real_core, real_support = getattr(dualflow_module, core), dualflow_module.support_closure
+    named) made by the pullback, the start and each accepted step, each of
+    which builds one full DualState by _dual_state."""
+    real_core, real_state = getattr(dualflow_module, core), dualflow_module._dual_state
     calls, marks = [0], []
 
     def counting(*args, **kwargs):
@@ -182,13 +180,13 @@ def _closure_marks(monkeypatch, config, core="_closure"):
         return real_core(*args, **kwargs)
 
     def marking(*args, **kwargs):
-        state = real_support(*args, **kwargs)
+        state = real_state(*args, **kwargs)
         marks.append(calls[0])
         return state
 
     with monkeypatch.context() as patch:
         patch.setattr(dualflow_module, core, counting)
-        patch.setattr(dualflow_module, "support_closure", marking)
+        patch.setattr(dualflow_module, "_dual_state", marking)
         dual_run(config)
     return marks
 
@@ -291,7 +289,7 @@ def test_dual_run_forgets_a_convexity_loss_that_a_step_recovered_from(monkeypatc
         t_max=0.05,
     )
     real_stage, real_factor = dualflow_module._stage_g, flow_module._factor
-    real_support = dualflow_module.support_closure
+    real_state = dualflow_module._dual_state
     stages, closed = [0], [0]
 
     def stage(*args):
@@ -303,9 +301,9 @@ def test_dual_run_forgets_a_convexity_loss_that_a_step_recovered_from(monkeypatc
                 raise ConvexityLoss("forced stage loss")
         return real_stage(*args)
 
-    def support(*args, **kwargs):
+    def closing(*args, **kwargs):
         closed[0] += 1
-        return real_support(*args, **kwargs)
+        return real_state(*args, **kwargs)
 
     def factor(*args):
         # after the pullback, the start and three accepted steps
@@ -314,7 +312,7 @@ def test_dual_run_forgets_a_convexity_loss_that_a_step_recovered_from(monkeypatc
         return real_factor(*args)
 
     monkeypatch.setattr(dualflow_module, "_stage_g", stage)
-    monkeypatch.setattr(dualflow_module, "support_closure", support)
+    monkeypatch.setattr(dualflow_module, "_dual_state", closing)
     monkeypatch.setattr(flow_module, "_factor", factor)
     res = dual_run(cfg)
     assert res.termination == "step_collapse: forced singular factor"
@@ -330,7 +328,7 @@ def test_dual_run_restarts_a_stage_convexity_loss_under_a_stale_jacobian(monkeyp
         initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
         t_max=0.05,
     )
-    real, real_support = dualflow_module._stage_g, dualflow_module.support_closure
+    real, real_state = dualflow_module._stage_g, dualflow_module._dual_state
     stages, marks, fail = [0], [], [None]
 
     def stage(*args):
@@ -343,11 +341,11 @@ def test_dual_run_restarts_a_stage_convexity_loss_under_a_stale_jacobian(monkeyp
 
     def marking(*args, **kwargs):
         marks.append(stages[0])
-        return real_support(*args, **kwargs)
+        return real_state(*args, **kwargs)
 
     monkeypatch.setattr(dualflow_module, "_stage_g", stage)
     with monkeypatch.context() as patch:
-        patch.setattr(dualflow_module, "support_closure", marking)
+        patch.setattr(dualflow_module, "_dual_state", marking)
         clean = dual_run(cfg)
     # the real stages before the pullback, the start and each accepted step
     assert len(marks) >= 4

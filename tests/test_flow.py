@@ -110,6 +110,9 @@ def test_flow_config_validation():
         FlowConfig(n=2, k=-1, N=65, initial_shape=shape)
     with pytest.raises(ValueError):
         FlowConfig(n=2, k=1, N=4, initial_shape=shape)
+    # a shape's JSON form is refused here, not at to_json or run
+    with pytest.raises(ValueError, match="ShapeSpec"):
+        FlowConfig(n=2, k=1, N=65, initial_shape=shape.to_json())
 
 
 @pytest.mark.parametrize("bad", [
@@ -386,6 +389,49 @@ def test_monitors_flag_doctored_states():
     assert "LAMBDA_MIN" in codes
 
 
+@pytest.mark.parametrize("r", [0.8, 1.3])
+def test_monitor_barriers_flag_just_past_their_threshold(r):
+    """Each barrier flags a step whose extreme crosses its start's by just
+    over _BARRIER_TOL = 1e-8 times max(1, |extreme|), and not one by just
+    under; at r = 1.3 rho lies above 1, so its slack scales with rho.  The
+    threshold is written out, so that a changed constant fails here."""
+    n, k = 2, 1
+    sphere = RadialProfile.geodesic_sphere(n, r, 33)
+    st = geometry(sphere, k)
+    q = quermass_vector(st, sphere)
+    mon = Monitors(FlowConfig(n=n, k=k, N=33, initial_shape=ShapeSpec(kind="geodesicSphere", r=r)),
+                   st, q)
+    # the extremes' order: min u, min rho, max rho, min F, max F
+    for code, i, direction in (("U_MIN", 0, -1.0), ("RHO_MIN", 1, -1.0), ("RHO_MAX", 2, 1.0)):
+        for m, expected in ((1.001, [code]), (0.999, [])):
+            extremes = list(st.extremes)
+            extremes[i] += direction * m * 1e-8 * max(1.0, abs(extremes[i]))
+            doctored = dataclasses.replace(st)
+            doctored.extremes = tuple(extremes)
+            assert mon.check(q, q, doctored, 0.0) == expected
+
+
+@pytest.mark.parametrize("base", [0.5, 3.0])
+def test_monitor_conservation_flags_just_past_its_threshold(base):
+    """CONSERVATION flags a drift of the preserved A_{k-1} from its start of
+    just over _CONSERVATION_TOL = 1e-4 times max(1, |A_{k-1}|), either way,
+    and not one of just under; a step from q to itself raises no sign code.
+    The threshold is written out, so that a changed constant fails here."""
+    n = 3
+    sphere = RadialProfile.geodesic_sphere(n, 0.7, 33)
+    for k in range(n):
+        st = geometry(sphere, k)
+        cfg = FlowConfig(n=n, k=k, N=33, initial_shape=ShapeSpec(kind="geodesicSphere", r=0.7))
+        q0 = QuermassVector(n=n, values=np.full(n + 2, base))
+        mon = Monitors(cfg, st, q0)
+        for m, expected in ((1.001, ["CONSERVATION"]), (-1.001, ["CONSERVATION"]),
+                            (0.999, []), (-0.999, [])):
+            values = q0.values.copy()
+            values[k] += m * 1e-4 * max(1.0, base)  # A_{k-1}
+            q = QuermassVector(n=n, values=values)
+            assert mon.check(q, q, st, 0.0) == expected
+
+
 def _loop_sign_codes(n, k, q_prev, q, h, dt):
     """The per-index sign rule of Monitors.check, written out as a loop."""
     codes = []
@@ -509,8 +555,9 @@ def test_stages_build_no_full_state(monkeypatch):
     cfg = _perturbed_config(t_max=0.02)
     res, dual = run(cfg), dual_run(cfg)
     assert res.steps > 0 and dual.steps > 0 and res.rejections == dual.rejections == 0
-    # the start and each accepted step; the dual start is also pulled back once
-    assert calls == {"geometry": 1 + res.steps, "support_closure": 2 + dual.steps}
+    # the start and each accepted step; the dual start's pullback closes its
+    # exact derivatives without support_closure
+    assert calls == {"geometry": 1 + res.steps, "support_closure": 1 + dual.steps}
 
 
 def test_run_matches_the_rk4_oracle():

@@ -27,6 +27,7 @@ from sphereflow.hypersurface import (
     PolarGrid,
     _json_samples,
     cot_grad,
+    curvatures,
     differentiate,
     frame_hessian,
     polar_grid,
@@ -77,6 +78,18 @@ def test_cot_grad_takes_the_even_pole_limit():
     # q_thetatheta is -4 - 0.9 at theta = 0 and -4 + 0.9 at theta = pi
     assert cot[0] == pytest.approx(-4.9, abs=1e-2)
     assert cot[-1] == pytest.approx(-3.1, abs=1e-2)
+
+
+@pytest.mark.parametrize("N", [65, 128])
+def test_angular_curvature_takes_the_meridian_one_at_the_poles(N):
+    # both curvatures coincide at a pole, but their formulas round apart: on
+    # the n=2 reference shape they differ by 1 ulp at each pole, and every
+    # graph bundle reads lam1's value there, for one or for a stack of radii
+    prof = RadialProfile.perturbed(2, 0.8, 0.05, 2, N)
+    st = geometry(prof, 1)
+    assert st.lam_ang[0] == st.lam1[0] and st.lam_ang[-1] == st.lam1[-1]
+    *_, lam1, lam_ang = curvatures(prof.grid, np.stack([prof.rho, prof.rho[::-1]]))
+    assert np.array_equal(lam_ang[:, [0, -1]], lam1[:, [0, -1]])
 
 
 def test_geodesic_sphere_is_umbilic():

@@ -3,12 +3,16 @@
 Runs ``run --checkpoint-every 20`` and ``dual-run`` on both reference shapes
 (``perturbed:0.8,0.05,2`` at n=2, k=1 and ``perturbed:0.9,0.03,2`` at n=3,
 k=2) and on a small-radius start (``perturbed:0.05,0.0025,2`` at n=2, k=0,
-whose Jacobian is ~1/r0^2 stiffer) at N = 128 and 256, and
-``identity-suite --n-max 8 --samples 10000`` at seeds 1 and 7, each into a
-fresh temporary directory, with the package of this checkout's ``src/``.  Prints one JSON object with, for each run, the
-digest of every file it wrote and, where it writes a ``summary.json``, every
-field there: the counters, the final quermassintegrals, speed and spread,
-and the W range and breakdown time of a dual run.  Two checkouts that print
+whose Jacobian is ~1/r0^2 stiffer) at N = 128 and 256,
+``identity-suite --n-max 8 --samples 10000`` at seeds 1 and 7, and
+``convergence-study`` at its defaults for (n, k) = (2, 1) and (3, 2), whose
+evolution orders read the residuals of ``flow.evolution_residual_u`` and
+``evolution_residual_f``, each into a fresh temporary directory, with the
+package of this checkout's ``src/``.  Prints one JSON object with, for each
+run, the digest of every file it wrote and, where it writes a
+``summary.json`` or a ``study.json``, every field there: the counters, the
+final quermassintegrals, speed and spread, and the W range and breakdown
+time of a dual run, or the fitted orders of a study.  Two checkouts that print
 the same object write byte-identical bundles; diff the outputs to compare
 them.  Where digests differ, the summary fields show how far each value
 moved:
@@ -33,25 +37,27 @@ SHAPES = {"n2k1": ("2", "1", "perturbed:0.8,0.05,2"),
 COMMANDS = {"run": ["run", "--checkpoint-every", "20"], "dual-run": ["dual-run"]}
 GRIDS = (128, 256)
 SUITE_SEEDS = (1, 7)
+STUDY_ORDERS = ((2, 1), (3, 2))
 
 
 def _bundle(args: list, out: Path) -> dict:
     """Run the CLI with args into out: the digests of its files and the
-    fields of its summary.json, if it writes one."""
+    fields of its summary.json or study.json, if it writes one."""
     with redirect_stdout(sys.stderr):  # stdout carries the JSON object alone
         code = main(args + ["--out", str(out)])
     if code != 0:
         raise SystemExit(f"exit code {code}: sphereflow {' '.join(args)}")
     files = {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
              for path in sorted(out.rglob("*")) if path.is_file()}
-    if not (out / "summary.json").is_file():
-        return {"files": files}
-    return {"files": files, "summary": json.loads((out / "summary.json").read_text())}
+    for report in ("summary.json", "study.json"):
+        if (out / report).is_file():
+            return {"files": files, "summary": json.loads((out / report).read_text())}
+    return {"files": files}
 
 
 def bundle_digests() -> dict:
-    """Digests and summaries of every reference bundle, by command/shape/grid
-    and identity-suite/seed."""
+    """Digests and summaries of every reference bundle, by command/shape/grid,
+    identity-suite/seed and convergence-study/n,k."""
     digests = {}
     with tempfile.TemporaryDirectory() as scratch:
         for command, flags in COMMANDS.items():
@@ -64,6 +70,10 @@ def bundle_digests() -> dict:
             name = f"identity-suite/seed{seed}"
             args = ["identity-suite", "--n-max", "8", "--samples", "10000",
                     "--seed", str(seed)]
+            digests[name] = _bundle(args, Path(scratch) / name)
+        for n, k in STUDY_ORDERS:
+            name = f"convergence-study/n{n}k{k}"
+            args = ["convergence-study", "--n", str(n), "--k", str(k)]
             digests[name] = _bundle(args, Path(scratch) / name)
     return digests
 
