@@ -41,9 +41,8 @@ from .flow import (
     FlowResult,
     FlowTrace,
     ShapeSpec,
-    evolution_residual_f,
-    evolution_residual_u,
-    functional_derivative_residual,
+    evolution_residuals,
+    functional_derivative_residuals,
     run,
     speed,
     step,
@@ -74,8 +73,8 @@ __all__ = [
     "AuditReport", "QuermassVector", "audit_inequalities", "quermass_vector",
     "sphere_comparison", "sphere_quermass",
     "FlowConfig", "FlowResult", "FlowTrace", "ShapeSpec",
-    "evolution_residual_f", "evolution_residual_u",
-    "functional_derivative_residual", "run", "speed", "step",
+    "evolution_residuals", "functional_derivative_residuals",
+    "run", "speed", "step",
     "DualResult", "DualState", "decomposition_residual",
     "dual_from_profile", "dual_run", "g_operator", "gamma_transform",
     "profile_from_dual", "speed_transport_residual", "support_closure",

@@ -195,6 +195,7 @@ def _cmd_identity_suite(args) -> int:
 
 def _cmd_convergence_study(args) -> int:
     n, k, N0 = args.n, args.k, args.grid
+    _check_order(n, k)
     mink = minkowski_study(n=n, N0=max(N0, 128), levels=args.levels)
     evol = evolution_study(n=n, k=k, N0=N0, levels=args.levels)
     func = functional_study(n=n, k=k, N0=N0, levels=args.levels)

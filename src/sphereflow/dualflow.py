@@ -77,13 +77,22 @@ def _warp(rho_tilde):
     return phi, phip
 
 
+def _shifted(h_merid, h_ang, rho_tilde, omega, phip) -> tuple:
+    """The eigenvalues h_tilde + s of the Euclidean shape operator h_tilde
+    shifted by s = (phi' - 1)/(rho_tilde omega): (phi/rho_tilde) times the
+    spherical curvatures h, the map that G's quotient acts through."""
+    shift = (phip - 1.0) / (rho_tilde * omega)
+    return h_merid + shift, h_ang + shift
+
+
 def decomposition_residual(profile: RadialProfile) -> float:
     """Max-norm defect of h = (e^gamma/phi) h_tilde + ((phi'-1)/(phi omega)) id.
 
     Both shape operators, the spherical one (lam1, lam_ang) and the Euclidean
     one (ht1, ht_ang) of the graph rho_tilde = e^gamma, are evaluated in the
     log-radius chart from one set of discrete derivatives, so the defect
-    floor is roundoff, not a discretization order.
+    floor is roundoff, not a discretization order; the right-hand side is
+    (rho_tilde/phi) times _shifted, the map the dual solver's G reads.
     """
     g_grad, g_hess, rho_tilde, omega2, omega = _log_radius_chart(profile)
     phi, phip = _warp(rho_tilde)
@@ -92,9 +101,9 @@ def decomposition_residual(profile: RadialProfile) -> float:
     lam_ang = (phip - cot_term) / (phi * omega)
     ht1 = (omega2 - g_hess) / (rho_tilde * omega * omega2)
     ht_ang = (1.0 - cot_term) / (rho_tilde * omega)
-    shift = (phip - 1.0) / (phi * omega)
-    r1 = lam1 - (rho_tilde / phi) * ht1 - shift
-    ra = lam_ang - (rho_tilde / phi) * ht_ang - shift
+    s1, s_ang = _shifted(ht1, ht_ang, rho_tilde, omega, phip)
+    r1 = lam1 - (rho_tilde / phi) * s1
+    ra = lam_ang - (rho_tilde / phi) * s_ang
     return float(max(np.max(np.abs(r1)), np.max(np.abs(ra))))
 
 
@@ -103,8 +112,9 @@ class DualState:
     """Closure bundle of the Euclidean support function on S^n nodes.
 
     w_merid / w_ang are the eigenvalues of W = Hess(u) + u id in the
-    axisymmetric frame; h_merid / h_ang the corresponding eigenvalues of the
-    dual shape operator W^{-1}.
+    axisymmetric frame; their reciprocals are those of the dual shape
+    operator W^{-1}, which _shifted maps to phi/rho_tilde times the spherical
+    curvatures.
     """
 
     n: int
@@ -119,14 +129,6 @@ class DualState:
     phip: np.ndarray
     w_merid: np.ndarray
     w_ang: np.ndarray
-
-    @property
-    def h_merid(self) -> np.ndarray:
-        return 1.0 / self.w_merid
-
-    @property
-    def h_ang(self) -> np.ndarray:
-        return 1.0 / self.w_ang
 
     @property
     def min_eig_w(self) -> float:
@@ -185,8 +187,8 @@ def support_closure(n, theta, u_tilde) -> DualState:
 
 def _g(n, k, u, rho_tilde, omega, phi, phip, w_merid, w_ang):
     """G, with the quotient on the eigenvalues of W^{-1} + s id."""
-    shift = (phip - 1.0) / (rho_tilde * omega)
-    quotient = quotient_two_core(1.0 / w_merid + shift, 1.0 / w_ang + shift, n, k)[0]
+    shifted = _shifted(1.0 / w_merid, 1.0 / w_ang, rho_tilde, omega, phip)
+    quotient = quotient_two_core(*shifted, n, k)[0]
     return identity_quotient(n, k) * (phip / phi) * u * omega - rho_tilde * u / phi * quotient
 
 
@@ -282,10 +284,9 @@ def _trace_row(state: DualState, g: np.ndarray, k: int, codes: list) -> list:
     except ValueError:
         codes.append("PULLBACK")
         quermass = [float("nan")] * (state.n + 2)
-    shift = (state.phip - 1.0) / (state.rho_tilde * state.omega)
     scale = state.rho_tilde / state.phi
-    lam1 = scale * (state.h_merid + shift)
-    lam_ang = scale * (state.h_ang + shift)
+    lam1, lam_ang = (scale * h for h in _shifted(1.0 / state.w_merid, 1.0 / state.w_ang,
+                                                 state.rho_tilde, state.omega, state.phip))
     try:
         fval = quotient_two_core(lam1, lam_ang, state.n, k)[0]
         fmin, fmax = np.min(fval), np.max(fval)

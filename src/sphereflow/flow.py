@@ -63,9 +63,8 @@ __all__ = [
     "step",
     "run",
     "Monitors",
-    "evolution_residual_u",
-    "evolution_residual_f",
-    "functional_derivative_residual",
+    "evolution_residuals",
+    "functional_derivative_residuals",
 ]
 
 _MULT_FLOOR = 1e-12
@@ -163,7 +162,9 @@ class ShapeSpec:
         return cls(**_json_fields(payload, "initialShape", schema, required=fields))
 
 
-# A_n = |S^n|, the same for every convex hypersurface, underflows float64 from n = 438
+# A_n = |S^n|, the same for every convex hypersurface, underflows float64 from
+# n = 438, and symfunc.sigma_two_value's binomials C(n - 1, m) overflow it from
+# n = 1031, where the float conversion raises OverflowError
 _N_MAX = 437
 
 
@@ -821,82 +822,71 @@ def _midpoint_state(prev: GeometryState, next_: GeometryState) -> GeometryState:
     return geometry(prof, prev.k)
 
 
-def _evolution_terms(prev: GeometryState, next_: GeometryState, dt: float, name: str):
-    """(mid, c, W^2, q_theta, u F^{ij} q_ij, dq/dt) of the field q named name, u
-    or F: the midpoint state and the terms that both evolution identities
-    share, with q's central time difference corrected for the drift."""
+def evolution_residuals(prev: GeometryState, next_: GeometryState, dt: float) -> tuple:
+    """Max-norm defects (u, F) of the support-function and curvature-quotient
+    evolution identities,
+
+    d/dt u = u F^{ij} u_ij - c <grad Phi, grad phi'> + F <grad Phi, grad u>
+             + (c phi' - 2 u F) phi' + u^2 sum_i F^{ii} lambda_i^2,
+
+    d/dt F = u F^{ij} F_ij + 2 F^{ij} u_i F_j + F <grad Phi, grad F>
+             - (c sum_i F^{ii} lambda_i^2 - F^2) phi'
+             + u F (sum_i F^{ii} - c),
+
+    both evaluated at one midpoint state with central time differences,
+    each corrected for the drift.
+    """
     mid = _midpoint_state(prev, next_)
     c = identity_quotient(mid.n, mid.k)
     g = mid.w**2
-    q_g, q_h = differentiate(getattr(mid, name), mid.h)
-    hm, ha = frame_hessian(mid, q_g, q_h)
-    diffusion = mid.u * (mid.f_merid * hm + (mid.n - 1) * mid.f_ang * ha)
     drift = speed(mid) * mid.omega_speed * mid.grad / g
-    dq_dt = (getattr(next_, name) - getattr(prev, name)) / dt - drift * q_g
-    return mid, c, g, q_g, diffusion, dq_dt
 
+    def terms(name):
+        """(q_theta, u F^{ij} q_ij, dq/dt) of the field q named name."""
+        q_g, q_h = differentiate(getattr(mid, name), mid.h)
+        hm, ha = frame_hessian(mid, q_g, q_h)
+        diffusion = mid.u * (mid.f_merid * hm + (mid.n - 1) * mid.f_ang * ha)
+        dq_dt = (getattr(next_, name) - getattr(prev, name)) / dt - drift * q_g
+        return q_g, diffusion, dq_dt
 
-def evolution_residual_u(prev: GeometryState, next_: GeometryState, dt: float) -> float:
-    """Max-norm defect of the support-function evolution identity.
-
-    d/dt u = u F^{ij} u_ij - c <grad Phi, grad phi'> + F <grad Phi, grad u>
-             + (c phi' - 2 u F) phi' + u^2 sum_i F^{ii} lambda_i^2
-
-    evaluated at the midpoint state with a central time difference.
-    """
-    mid, c, g, u_g, diffusion, du_dt = _evolution_terms(prev, next_, dt, "u")
+    u_g, diffusion_u, du_dt = terms("u")
+    f_g, diffusion_f, df_dt = terms("F")
     grad_phi_grad_phip = -(mid.phi**2) * mid.grad**2 / g
     grad_phi_grad_u = mid.phi * mid.grad * u_g / g
-    rhs = (
-        diffusion
+    rhs_u = (
+        diffusion_u
         - c * grad_phi_grad_phip
         + mid.F * grad_phi_grad_u
         + (c * mid.phip - 2.0 * mid.u * mid.F) * mid.phip
         + mid.u**2 * mid.weighted_trace
     )
-    return float(np.max(np.abs(du_dt - rhs)))
-
-
-def evolution_residual_f(prev: GeometryState, next_: GeometryState, dt: float) -> float:
-    """Max-norm defect of the curvature-quotient evolution identity.
-
-    d/dt F = u F^{ij} F_ij + 2 F^{ij} u_i F_j + F <grad Phi, grad F>
-             - (c sum_i F^{ii} lambda_i^2 - F^2) phi'
-             + u F (sum_i F^{ii} - c)
-    """
-    mid, c, g, f_g, diffusion, df_dt = _evolution_terms(prev, next_, dt, "F")
-    u_g, _ = differentiate(mid.u, mid.h)
-    rhs = (
-        diffusion
+    rhs_f = (
+        diffusion_f
         + 2.0 * mid.f_merid * u_g * f_g / g
         + mid.F * mid.phi * mid.grad * f_g / g
         - (c * mid.weighted_trace - mid.F**2) * mid.phip
         + mid.u * mid.F * (mid.trace_grad - c)
     )
-    return float(np.max(np.abs(df_dt - rhs)))
+    return float(np.max(np.abs(du_dt - rhs_u))), float(np.max(np.abs(df_dt - rhs_f)))
 
 
-def functional_derivative_residual(
+def functional_derivative_residuals(
     prev_profile: RadialProfile,
     next_profile: RadialProfile,
     dt: float,
     k: int,
-    l: int,
-) -> float:
-    """Defect of dA_l/dt against its first-variation integral at the midpoint."""
+) -> np.ndarray:
+    """Defects of dA_l/dt against their first-variation integrals at the
+    midpoint, for l = -1..n at index l + 1, as in QuermassVector.values."""
     n = prev_profile.n
-    if not -1 <= l <= n:
-        raise ValueError(f"index l={l} out of range for n={n}")
     prev_state = geometry(prev_profile, k)
     next_state = geometry(next_profile, k)
-    a_prev = quermass_vector(prev_state, prev_profile).a(l)
-    a_next = quermass_vector(next_state, next_profile).a(l)
+    rates = (quermass_vector(next_state, next_profile).values
+             - quermass_vector(prev_state, prev_profile).values) / dt
     mid = _midpoint_state(prev_state, next_state)
     f = speed(mid)
-    if l == -1:
-        rhs = integrate(mid, f)
-    elif l <= n - 1:
-        rhs = (l + 1) * integrate(mid, mid.sigma_nodal(l + 1) * f)
-    else:
-        rhs = 0.0
-    return abs((a_next - a_prev) / dt - rhs)
+    # dA_{-1}/dt = int f, dA_l/dt = (l + 1) int sigma_{l+1} f, and A_n = |S^n| stays
+    rhs = ([integrate(mid, f)]
+           + [(l + 1) * integrate(mid, mid.sigma_nodal(l + 1) * f) for l in range(n)]
+           + [0.0])
+    return np.abs(rates - rhs)

@@ -12,9 +12,8 @@ from .flow import (
     _gershgorin_dt,
     _jacobian,
     _stage_rate,
-    evolution_residual_f,
-    evolution_residual_u,
-    functional_derivative_residual,
+    evolution_residuals,
+    functional_derivative_residuals,
     run,
     step,
 )
@@ -88,9 +87,9 @@ def evolution_study(n: int = 2, k: int = 1, N0: int = 64, levels: int = 3) -> di
 
     def measure(j, N):
         prev, nxt, dt = _one_step_pair(n, k, N, _CFL * 0.25**j)
-        sp, sn = geometry(prev, k), geometry(nxt, k)
         dts.append(dt)
-        return {"U": evolution_residual_u(sp, sn, dt), "F": evolution_residual_f(sp, sn, dt)}
+        res_u, res_f = evolution_residuals(geometry(prev, k), geometry(nxt, k), dt)
+        return {"U": res_u, "F": res_f}
 
     sizes, res, orders = _refine(N0, levels, measure)
     return {"sizes": sizes, "dt": dts, "residualU": res["U"], "residualF": res["F"],
@@ -102,8 +101,7 @@ def functional_study(n: int = 2, k: int = 1, N0: int = 64, levels: int = 3) -> d
 
     def measure(j, N):
         prev, nxt, dt = _one_step_pair(n, k, N, _CFL)
-        return {l: functional_derivative_residual(prev, nxt, dt, k, l)
-                for l in range(-1, n + 1)}
+        return dict(zip(range(-1, n + 1), functional_derivative_residuals(prev, nxt, dt, k)))
 
     sizes, residuals, orders = _refine(N0, levels, measure)
     return {"sizes": sizes, "residuals": residuals, "orders": orders}

@@ -161,6 +161,9 @@ def test_shape_strings_fail_like_json_shapes(tmp_path, capsys, text, shape, mess
     (["--n", "1", "--k", "0"], "n >= 2"),
     (["--n", "1000", "--k", "1"], "n must be at most 437"),
     (["--shape", "perturbed:0.8,0.3,7"], "sigma_1 not positive"),
+    # the same shape at mode 4 and k = 0, which checks no sigma_1: refused as not convex
+    (["--k", "0", "--N", "65", "--shape", "perturbed:0.8,0.3,4"],
+     "initial profile is not strictly convex"),
 ])
 def test_bad_run_settings_exit_1(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
@@ -539,6 +542,15 @@ def test_convergence_study_command(tmp_path, capsys):
     assert study["evolutionOrders"]["u"] > 1.5
 
 
+def test_convergence_study_refuses_n_past_the_float_range(tmp_path, capsys):
+    # symfunc.sigma_two_value's binomials C(n - 1, m) overflow float64 from n = 1031
+    out = tmp_path / "study"
+    assert main(["convergence-study", "--n", "1040", "--k", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n must be at most 437" in err
+    assert not out.exists()
+
+
 def test_sweep_command(tmp_path, capsys):
     configs = []
     for eps in (0.03, 0.05):
@@ -570,14 +582,23 @@ def test_sweep_checks_every_entry_before_running(tmp_path, capsys):
         initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
         t_max=0.005,
     ).to_json()
+    # a start shape that run refuses as not strictly convex (lam_min < 0 at k = 0)
+    non_convex = FlowConfig(
+        n=2, k=0, N=65,
+        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.3, mode=4),
+    ).to_json()
     sweep_path = tmp_path / "sweep.json"
-    sweep_path.write_text(json.dumps([good, {**good, "k": 5}]))
     out = tmp_path / "runs"
-    assert main(["run", "--sweep", str(sweep_path), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: sweep entry 1: quotient order k=5")
-    assert "sweep run-" not in captured.out
-    assert not out.exists()
+    for entries, error in (
+        ([good, {**good, "k": 5}], "sweep entry 1: quotient order k=5"),
+        ([non_convex], "sweep entry 0: initial profile is not strictly convex"),
+    ):
+        sweep_path.write_text(json.dumps(entries))
+        assert main(["run", "--sweep", str(sweep_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: " + error)
+        assert "sweep run-" not in captured.out
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("blowupThreshold", 1e3),

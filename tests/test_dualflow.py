@@ -47,7 +47,6 @@ def test_ball_support_closure():
     assert st.min_eig_w == pytest.approx(R, rel=1e-14)
     assert st.max_eig_w == pytest.approx(R, rel=1e-14)
     assert np.allclose(st.rho, 0.8, atol=1e-14)
-    assert np.allclose(st.h_merid, 1.0 / R, rtol=1e-14)
 
 
 def test_support_closure_validation():
@@ -157,9 +156,10 @@ def test_dual_eigenvalues_match_primal_curvatures():
         prof = RadialProfile.perturbed(2, 0.8, 0.05, 2, N)
         st = geometry(prof, 1)
         ds = dual_from_profile(prof)
-        shift = (ds.phip - 1.0) / (ds.rho_tilde * ds.omega)
-        lam1 = ds.rho_tilde / ds.phi * (ds.h_merid + shift)
-        lam_ang = ds.rho_tilde / ds.phi * (ds.h_ang + shift)
+        h_merid, h_ang = dualflow_module._shifted(1.0 / ds.w_merid, 1.0 / ds.w_ang,
+                                                  ds.rho_tilde, ds.omega, ds.phip)
+        lam1 = ds.rho_tilde / ds.phi * h_merid
+        lam_ang = ds.rho_tilde / ds.phi * h_ang
         errs.append(max(
             float(np.max(np.abs(lam1 - st.lam1))),
             float(np.max(np.abs(lam_ang - st.lam_ang))),

@@ -26,9 +26,8 @@ from sphereflow.flow import (
     _jacobian,
     _rk4,
     _stage_rate,
-    evolution_residual_f,
-    evolution_residual_u,
-    functional_derivative_residual,
+    evolution_residuals,
+    functional_derivative_residuals,
     run,
     speed,
     step,
@@ -205,12 +204,13 @@ def test_shape_spec_json_roundtrip():
 
 
 def test_custom_shape_resamples_to_grid():
-    coarse = np.linspace(0.0, math.pi, 33)
-    spec = ShapeSpec(kind="custom", theta=coarse, rho=0.8 + 0.02 * np.cos(2 * coarse))
-    prof = spec.build(2, 129)
-    assert prof.N == 129
-    target = 0.8 + 0.02 * np.cos(2 * prof.theta)
-    assert float(np.max(np.abs(prof.rho - target))) < 1e-5
+    # samples off the run's grid, on uniform nodes and on nodes that as_grid refuses
+    for coarse in (np.linspace(0.0, math.pi, 33), math.pi * (np.arange(33) / 32) ** 1.3):
+        spec = ShapeSpec(kind="custom", theta=coarse, rho=0.8 + 0.02 * np.cos(2 * coarse))
+        prof = spec.build(2, 129)
+        assert prof.N == 129
+        target = 0.8 + 0.02 * np.cos(2 * prof.theta)
+        assert float(np.max(np.abs(prof.rho - target))) < 1e-5
 
 
 def test_flow_config_json_roundtrip():
@@ -496,12 +496,15 @@ def test_evolution_residuals_small_on_resolved_pair():
     dt = _rule_dt(prof, 1, 0.05)
     nxt = step(prof, dt, 1)
     stn = geometry(nxt, 1)
-    assert evolution_residual_u(st, stn, dt) < 1e-3
-    assert evolution_residual_f(st, stn, dt) < 1e-2
+    res_u, res_f = evolution_residuals(st, stn, dt)
+    assert res_u < 1e-3
+    assert res_f < 1e-2
     # volume rate is quadrature-exact, the curvature rates carry O(h^2)
-    assert functional_derivative_residual(prof, nxt, dt, 1, -1) < 1e-6
+    res_a = functional_derivative_residuals(prof, nxt, dt, 1)
+    assert len(res_a) == 4
+    assert res_a[0] < 1e-6
     for l in range(0, 3):
-        assert functional_derivative_residual(prof, nxt, dt, 1, l) < 1e-2
+        assert res_a[l + 1] < 1e-2
 
 
 def _fail_after(fn, calls):
@@ -531,7 +534,7 @@ def test_solver_stages_skip_the_grid_check(monkeypatch):
     cfg = _perturbed_config(N=33, t_max=0.005)
     res = run(cfg)
     dual_run(cfg)
-    evolution_residual_u(geometry(step(res.profile, 1e-5, 1), 1), geometry(res.profile, 1), 1e-5)
+    evolution_residuals(geometry(step(res.profile, 1e-5, 1), 1), geometry(res.profile, 1), 1e-5)
     assert res.steps > 0 and raw == []
     # raw nodes from outside are checked
     RadialProfile(n=2, theta=np.linspace(0.0, math.pi, 33), rho=res.profile.rho)

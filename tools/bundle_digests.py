@@ -6,8 +6,9 @@ k=2) and on a small-radius start (``perturbed:0.05,0.0025,2`` at n=2, k=0,
 whose Jacobian is ~1/r0^2 stiffer) at N = 128 and 256,
 ``identity-suite --n-max 8 --samples 10000`` at seeds 1 and 7, and
 ``convergence-study`` at its defaults for (n, k) = (2, 1) and (3, 2), whose
-evolution orders read the residuals of ``flow.evolution_residual_u`` and
-``evolution_residual_f``, each into a fresh temporary directory, with the
+evolution and functional orders read the residuals of
+``flow.evolution_residuals`` and ``flow.functional_derivative_residuals``,
+each into a fresh temporary directory, with the
 package of this checkout's ``src/``.  Prints one JSON object with, for each
 run, the digest of every file it wrote and, where it writes a
 ``summary.json`` or a ``study.json``, every field there: the counters, the
