@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConeViolation, ConvexityLoss
-from .flow import FlowConfig, FlowTrace, Outcome, _integrate, speed
+from .flow import FlowConfig, FlowTrace, Outcome, _integrate, _start, speed
 from .hypersurface import (
     RadialProfile,
     _hypot,
@@ -313,11 +313,12 @@ def dual_run(config: FlowConfig) -> DualResult:
     ConvexityLoss at the smallest step (W not positive definite), and
     step_collapse on any other failure there, as in run.  The outcome is not
     covered by the convergence theory and runs here are experimental probes.
-    It writes no checkpoints, so a config asking for them is refused.
+    It writes no checkpoints and refuses a config asking for them, or a start
+    that run refuses (flow._start).
     """
     if config.checkpoint_every > 0:
         raise ValueError("dual_run writes no checkpoints: checkpoint_every must be 0")
-    profile = config.initial_shape.build(config.n, config.N)
+    profile, _, _ = _start(config)
     dual0 = dual_from_profile(profile)
     grid = profile.grid
     n, k = config.n, config.k

@@ -755,12 +755,17 @@ def _crossing(solver: _Stepper, t0: float, t1: float, end, tol: float) -> tuple:
 
 
 def _start(config: FlowConfig) -> tuple:
-    """A run's start profile and geometry; ValueError for a shape that run refuses."""
+    """A run's start profile, geometry and quermass vector; ValueError for a start it refuses."""
     profile = config.initial_shape.build(config.n, config.N)
     state = geometry(profile, config.k)
     if not state.lam_min > 0.0:
         raise ValueError("initial profile is not strictly convex")
-    return profile, state
+    q = quermass_vector(state, profile)
+    low = np.min(np.abs(q.values))  # at large n the A_l leave the normal floats, down to 0
+    if not (low >= np.finfo(float).tiny and np.all(np.isfinite(q.values))):
+        raise ValueError(f"start quermassintegrals leave the normal floats at n={config.n}: "
+                         f"the smallest |A_l| is {low:.3g}")
+    return profile, state, q
 
 
 def run(config: FlowConfig, out_dir=None) -> FlowResult:
@@ -768,9 +773,8 @@ def run(config: FlowConfig, out_dir=None) -> FlowResult:
     if config.checkpoint_every > 0 and out_dir is None:
         raise ValueError("run writes checkpoints into out_dir: checkpoint_every needs one")
     n, k = config.n, config.k
-    profile, state = _start(config)
+    profile, state, q = _start(config)
     grid = profile.grid
-    q = quermass_vector(state, profile)
     monitors = Monitors(config, state, q)
 
     # a solver state is (rate, max |speed|, max |curvature|, profile, geometry)

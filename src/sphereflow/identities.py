@@ -2,8 +2,8 @@
 
 Every check evaluates an identity or inequality of the sigma calculus on
 the sample rows it is given and records the worst deviation.  Only
-run_identity_suite holds the generator: for each n it draws one spread
-sample and each cone Gamma_0 ... Gamma_n once.  Equalities are held to
+run_identity_suite holds the generator: for each n, _dimension_checks draws
+one spread sample and each cone Gamma_0 ... Gamma_n once.  Equalities are held to
 1e-12 relative, quantities built from the curvature quotient to 1e-10,
 inequalities to that slack against their natural scale.  The pinch
 deficit's comparability constants are recorded; only positivity is asserted.
@@ -20,10 +20,11 @@ import numpy as np
 
 from .symfunc import (
     _exclusion_tables,
-    pinch_deficit_parts,
+    _pinch_deficits,
+    _quotients,
+    _trace_gaps,
     quotient,
     quotient_trace_gaps,
-    sigma,
     sigma_table,
 )
 
@@ -178,9 +179,8 @@ def _excl_tables(vals: np.ndarray, mmax: int) -> np.ndarray:
     return out
 
 
-def _check_exclusion_recurrence(vals) -> list:
+def _check_exclusion_recurrence(vals, table) -> list:
     samples, n = vals.shape
-    table = sigma_table(vals, n)
     excl = _excl_tables(vals, n - 1)
     worst_rec = worst_wsum = worst_sum = 0.0
     for k in range(1, n + 1):
@@ -204,10 +204,9 @@ def _check_exclusion_recurrence(vals) -> list:
     ]
 
 
-def _check_homogeneity(vals, t) -> CheckResult:
+def _check_homogeneity(vals, tb, t) -> CheckResult:
     samples, n = vals.shape
     ta = sigma_table(vals * t, n)
-    tb = sigma_table(vals, n)
     # mixed signs cancel inside sigma_m, so measure against the term-sum
     # magnitude (sigma of |lam|), not the possibly tiny result
     cond = sigma_table(np.abs(vals * t), n)
@@ -218,11 +217,11 @@ def _check_homogeneity(vals, t) -> CheckResult:
     return CheckResult.deviation("scaling-degree", n, "all m", samples, worst, _EQ_TOL)
 
 
-def _check_sorted_chain(vals, k) -> list:
+def _check_sorted_chain(vals, table, k) -> list:
+    """Checks of order k on rows sorted descending and their sigma table."""
     samples, n = vals.shape
-    vals = -np.sort(-vals, axis=1)
-    excl = _excl_tables(vals, max(k - 1, 0))
-    ekm1 = excl[:, :, k - 1]
+    # each walked table is a view that the next overwrites: copy its column
+    ekm1 = np.stack([t[:, k - 1].copy() for t in _exclusion_tables(vals, 1, k - 1)], axis=1)
     # excluding a smaller entry keeps more mass: chain increases with index
     diffs = np.diff(ekm1, axis=1)
     scale = np.maximum(np.abs(ekm1[:, 1:]), 1.0)
@@ -230,7 +229,6 @@ def _check_sorted_chain(vals, k) -> list:
                                     float(np.min(diffs / scale)), _EQ_TOL)
     # the chain starts positive: the leading exclusion lies in the (k-1)-cone
     chain.passed = chain.passed and bool(np.all(ekm1[:, 0] > 0.0))
-    table = sigma_table(vals, min(k + 1, n))
     lam_k = vals[:, k - 1]
     prod = np.prod(vals[:, :k], axis=1)
     upper = math.comb(n, k) * prod - table[:, k]
@@ -254,10 +252,9 @@ def _check_sorted_chain(vals, k) -> list:
     return results
 
 
-def _check_mean_ratio_gaps(vals, k) -> CheckResult:
-    samples, n = vals.shape
-    table = sigma_table(vals, k)
-    norm = table / np.array([math.comb(n, m) for m in range(k + 1)])
+def _check_mean_ratio_gaps(table, n, k) -> CheckResult:
+    samples = table.shape[0]
+    norm = table[:, :k + 1] / np.array([math.comb(n, m) for m in range(k + 1)])
     log_norm = np.log(norm)  # all positive in the k-th cone; column 0 is log 1 = 0
 
     @functools.cache
@@ -280,9 +277,10 @@ def _check_mean_ratio_gaps(vals, k) -> CheckResult:
                                    f"k={k} ({count} index sets)", samples, worst, _QUOT_TOL)
 
 
-def _check_quotient_gaps(vals, outer, k) -> list:
-    samples, n = vals.shape
-    gap1, gap2, weighted = quotient_trace_gaps(vals, k)
+def _check_quotient_gaps(gaps, outer, inner_trace, k) -> list:
+    """Order k's trace bounds on Gamma_k's gaps, outer = Gamma_{k+1} and its inner_trace."""
+    samples, n = outer.shape
+    gap1, gap2, weighted = gaps
     rel1 = gap1 / np.maximum(np.abs(weighted), 1.0)
     out = [
         CheckResult.lower_bound("weighted-trace-lower", n, f"k={k}", samples,
@@ -293,24 +291,20 @@ def _check_quotient_gaps(vals, outer, k) -> list:
     closure = cone_boundary_shift(outer, k)
     tb = sigma_table(closure, k)
     good = np.all(np.isfinite(closure), axis=1) & np.all(tb[:, 1:] > 0.0, axis=1)
-    # outer, rows of the (k+1)-th cone, was scaled after sample_cone's membership
-    # test, so rounding can move a sigma across 0: test them again
-    inner = np.all(sigma_table(outer, k + 1)[:, 1:] > 0.0, axis=1)
-    closed = np.concatenate([closure[good], outer[inner]], axis=0)
-    _, _, trace_c, _ = quotient(closed, k)
-    upper = (n - k) - trace_c
+    # each row's trace is its own: the closed cone's two halves are evaluated apart
+    upper = (n - k) - np.concatenate([quotient(closure[good], k)[2], inner_trace])
     out.append(CheckResult.lower_bound(
-        "trace-upper-closure", n, f"k={k}", int(closed.shape[0]),
+        "trace-upper-closure", n, f"k={k}", int(upper.shape[0]),
         float(np.min(upper)), _QUOT_TOL))
     return out
 
 
-def _check_pinch_deficit(vals, m) -> list:
+def _check_pinch_deficit(vals, table, parts, m) -> list:
+    """Order m's checks on descending-sorted rows, their table and _pinch_deficits."""
     samples, n = vals.shape
-    vals = -np.sort(-vals, axis=1)
-    deficit, pair_sum, pinch = pinch_deficit_parts(vals, m)
+    deficit, pair_sum, pinch = parts[0][:, m - 1], parts[1][:, m - 1], parts[2]
 
-    base = m * (n - m) * sigma(vals, m) ** 2
+    base = m * (n - m) * table[:, m] ** 2
     scale = np.maximum.reduce([np.abs(deficit), np.abs(pair_sum), base, np.ones_like(base)])
     worst_eq = float(np.max(np.abs(deficit - pair_sum) / scale))
     worst_pos = float(np.min(deficit / scale))
@@ -335,6 +329,32 @@ def _check_pinch_deficit(vals, m) -> list:
     ]
 
 
+def _dimension_checks(rng: np.random.Generator, samples: int, n: int) -> list:
+    """Every check of one n, with at most two cones' rows and tables alive."""
+    spread = sample_spread(rng, samples, n)
+    table = sigma_table(spread, n)
+    checks = _check_exclusion_recurrence(spread, table)
+    checks.append(_check_homogeneity(spread, table, 10.0 ** rng.uniform(-1.0, 1.0, (samples, 1))))
+    gaps = quotient_trace_gaps(sample_cone(rng, samples, n, 0), 0)
+    for k in range(n):
+        outer = sample_cone(rng, samples, n, k + 1)
+        # orders k and k + 1 on Gamma_{k+1}; only the trace gaps outlive the step
+        table, quots = _quotients(outer, range(k, min(k + 2, n)))
+        # outer was scaled after sample_cone's membership test, so rounding
+        # can move a sigma across 0: test its rows again
+        inner = np.all(table[:, 1:k + 2] > 0.0, axis=1)
+        checks.extend(_check_quotient_gaps(gaps, outer, quots[0][2][inner], k))
+        gaps = _trace_gaps(quots[-1], k + 1) if k + 1 < n else None
+        del quots
+        ranked = -np.sort(-outer, axis=1)
+        ranked_table = sigma_table(ranked, min(k + 2, n))
+        checks.extend(_check_sorted_chain(ranked, ranked_table, k + 1))
+        checks.append(_check_mean_ratio_gaps(table, n, k + 1))
+    parts = _pinch_deficits(ranked, ranked_table)
+    return checks + [c for m in range(1, n)
+                     for c in _check_pinch_deficit(ranked, ranked_table, parts, m)]
+
+
 def run_identity_suite(n_max: int = 8, samples: int = 10000,
                        seed: int = 7) -> SuiteReport:
     """Run every randomized check for 2 <= n <= n_max."""
@@ -343,18 +363,5 @@ def run_identity_suite(n_max: int = 8, samples: int = 10000,
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    checks: list = []
-    for n in range(2, n_max + 1):
-        spread = sample_spread(rng, samples, n)
-        checks.extend(_check_exclusion_recurrence(spread))
-        checks.append(_check_homogeneity(spread, 10.0 ** rng.uniform(-1.0, 1.0, (samples, 1))))
-        cone = sample_cone(rng, samples, n, 0)
-        for k in range(n):
-            outer = sample_cone(rng, samples, n, k + 1)
-            checks.extend(_check_quotient_gaps(cone, outer, k))
-            checks.extend(_check_sorted_chain(outer, k + 1))
-            checks.append(_check_mean_ratio_gaps(outer, k + 1))
-            cone = outer
-        for m in range(1, n):
-            checks.extend(_check_pinch_deficit(cone, m))
+    checks = [c for n in range(2, n_max + 1) for c in _dimension_checks(rng, samples, n)]
     return SuiteReport(n_max=n_max, samples=samples, seed=seed, checks=checks)

@@ -106,18 +106,34 @@ def sigma(lam, m: int):
     return float(res) if res.ndim == 0 else res
 
 
-def _sigma_ext(table: np.ndarray, m: int):
-    """Table lookup extended by sigma_m = 0 outside 0..n."""
-    if m < 0 or m >= table.shape[-1]:
-        return np.zeros(table.shape[:-1])
-    return table[..., m]
-
-
 def identity_quotient(n: int, k: int) -> float:
     """Value of sigma_{k+1}/sigma_k on the all-ones vector: (n-k)/(k+1)."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"quotient order k={k} out of range for n={n}")
     return (n - k) / (k + 1)
+
+
+def _quotients(lam, ks):
+    """(sigma table to min(max(ks) + 2, n), [quotient(lam, k) for k in ks]) from
+    that table and one single-exclusion walk to max(ks): row m of a table does
+    not depend on how far it runs, so each result is quotient's bit for bit."""
+    vals = _values(lam)
+    n = vals.shape[-1]
+    for k in ks:
+        if not 0 <= k <= n - 1:
+            raise ValueError(f"quotient order k={k} out of range for n={n}")
+    table = sigma_table(vals, min(max(ks) + 2, n))
+    for k in ks:
+        if not np.all(table[..., k] > 0.0):
+            raise ConeViolation(f"sigma_{k} not positive on some sample")
+    grads = [np.empty(vals.shape) for _ in ks]
+    sk2 = [table[..., k]**2 for k in ks]
+    for i, t_i in enumerate(_exclusion_tables(vals, 1, min(max(ks), n - 1))):
+        for k, grad, s2 in zip(ks, grads, sk2):
+            grad[..., i] = (t_i[..., k] * table[..., k]
+                            - table[..., k + 1] * (t_i[..., k - 1] if k else 0.0)) / s2
+    return table, [(table[..., k + 1] / table[..., k], grad, np.sum(grad, axis=-1),
+                    np.sum(grad * vals**2, axis=-1)) for k, grad in zip(ks, grads)]
 
 
 def quotient(lam, k: int):
@@ -128,23 +144,7 @@ def quotient(lam, k: int):
     weighted_trace = sum_i F^{ii} lam_i^2; raises ConeViolation unless
     sigma_k > 0 on every vector.
     """
-    vals = _values(lam)
-    n = vals.shape[-1]
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"quotient order k={k} out of range for n={n}")
-    table = sigma_table(vals, min(k + 2, n))
-    sk = table[..., k]
-    if not np.all(sk > 0.0):
-        raise ConeViolation(f"sigma_{k} not positive on some sample")
-    sk1 = table[..., k + 1]
-    sk2 = sk**2
-    grad = np.empty(vals.shape)
-    for i, t_i in enumerate(_exclusion_tables(vals, 1, min(k, n - 1))):
-        grad[..., i] = (_sigma_ext(t_i, k) * sk - sk1 * _sigma_ext(t_i, k - 1)) / sk2
-    value = sk1 / sk
-    trace = np.sum(grad, axis=-1)
-    weighted = np.sum(grad * vals**2, axis=-1)
-    return value, grad, trace, weighted
+    return _quotients(lam, (k,))[1][0]
 
 
 def sigma_two_value(lam1, lam2, n: int, m: int):
@@ -219,9 +219,35 @@ def quotient_trace_gaps(lam, k: int):
     on the k-th cone and trace_grad is additionally bounded above by n - k
     on the closed (k+1)-th cone.
     """
-    value, grad, trace, weighted = quotient(lam, k)
-    c = identity_quotient(grad.shape[-1], k)
-    return weighted - value**2 / c, trace - c, weighted
+    return _trace_gaps(quotient(lam, k), k)
+
+
+def _trace_gaps(quot, k: int):
+    """quotient_trace_gaps from quotient's result of order k."""
+    c = identity_quotient(quot[1].shape[-1], k)
+    return quot[3] - quot[0]**2 / c, quot[2] - c, quot[3]
+
+
+def _pinch_deficits(vals, table):
+    """pinch_deficit_parts for every m = 1 .. n-1, from vals' sigma table to
+    sigma_n and one pair-exclusion walk to sigma_{n-2}: deficit and pair_sum
+    hold order m at index m - 1 of a new last axis."""
+    if not np.all(vals > 0.0):
+        raise ConeViolation("pinch deficits require positive curvatures")
+    n = vals.shape[-1]
+    m = np.arange(1, n)
+    deficit = (m * (n - m) * table[..., 1:n]**2
+               - (m + 1) * (n - m + 1) * table[..., 2:] * table[..., :n - 1])
+    pair_sum = np.zeros(vals.shape[:-1] + (n - 1,))
+    # sigma_{-1} .. sigma_n of lam|ij, zero outside 0 .. n-2
+    ext = np.zeros(vals.shape[:-1] + (n + 1,))
+    for (i, j), t_ij in zip(itertools.combinations(range(n), 2),
+                            _exclusion_tables(vals, 2, n - 2)):
+        ext[..., 1:n] = t_ij
+        pair_sum += ((vals[..., i] - vals[..., j]) ** 2)[..., None] * (
+            ext[..., 1:n]**2 - ext[..., :n - 1] * ext[..., 2:])
+    hi, lo = np.max(vals, axis=-1), np.min(vals, axis=-1)
+    return deficit, pair_sum, (hi - lo) ** 2 / hi**2
 
 
 def pinch_deficit_parts(lam, m: int):
@@ -240,24 +266,6 @@ def pinch_deficit_parts(lam, m: int):
     n = vals.shape[-1]
     if not 1 <= m <= n - 1:
         raise ValueError(f"deficit order m={m} out of range for n={n}")
-    if not np.all(vals > 0.0):
-        raise ConeViolation("pinch_deficit_parts requires positive curvatures")
-    table = sigma_table(vals, min(m + 1, n))
-    sm = table[..., m]
-    sm1 = _sigma_ext(table, m + 1)
-    smm1 = _sigma_ext(table, m - 1)
-    deficit = m * (n - m) * sm**2 - (m + 1) * (n - m + 1) * sm1 * smm1
-    pair_sum = np.zeros(vals.shape[:-1])
-    for (i, j), t_ij in zip(itertools.combinations(range(n), 2),
-                            _exclusion_tables(vals, 2, min(m, n - 2))):
-        a = _sigma_ext(t_ij, m - 1)
-        b = _sigma_ext(t_ij, m - 2)
-        c = _sigma_ext(t_ij, m)
-        pair_sum = pair_sum + (vals[..., i] - vals[..., j]) ** 2 * (a**2 - b * c)
-    hi = np.max(vals, axis=-1)
-    lo = np.min(vals, axis=-1)
-    pinch = (hi - lo) ** 2 / hi**2
-    if deficit.ndim == 0:
-        return float(deficit), float(pair_sum), float(pinch)
-    return deficit, pair_sum, pinch
-
+    deficit, pair_sum, pinch = _pinch_deficits(vals, sigma_table(vals, n))
+    parts = deficit[..., m - 1], pair_sum[..., m - 1], pinch
+    return tuple(map(float, parts)) if vals.ndim == 1 else parts

@@ -134,6 +134,14 @@ def pair_sum_delete(vals, m):
     return pair_sum
 
 
+def deficit_own_table(vals, m):
+    """m(n-m) sigma_m^2 - (m+1)(n-m+1) sigma_{m+1} sigma_{m-1} from a table to m + 1."""
+    n = vals.shape[-1]
+    table = sigma_table(vals, min(m + 1, n))
+    return (m * (n - m) * table[..., m] ** 2
+            - (m + 1) * (n - m + 1) * _ext(table, m + 1) * _ext(table, m - 1))
+
+
 def sample_cone_whole_draw(rng, count, n, k):
     """identities.sample_cone with one membership test on each whole draw."""
     out = []

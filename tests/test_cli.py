@@ -601,6 +601,34 @@ def test_sweep_checks_every_entry_before_running(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("n, r0", [(437, 0.8), (200, 0.05)])
+def test_a_start_below_the_normal_floats_is_an_error_line(tmp_path, capsys, n, r0):
+    # the start's volume A_-1 underflows to 0 here, though n is admitted
+    shape = ShapeSpec(kind="perturbed", r0=r0, eps=0.05 * r0, mode=2)
+    config = FlowConfig(n=n, k=1, N=65, initial_shape=shape)
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps([{**config.to_json(), "n": 2}, config.to_json()]))
+    settings = ["--n", str(n), "--k", "1", "--N", "65", "--shape", f"perturbed:{r0},{0.05 * r0},2"]
+    out = tmp_path / "out"
+    for args, prefix in ((["run", *settings], "error: "), (["dual-run", *settings], "error: "),
+                         (["run", "--sweep", str(sweep_path)], "error: sweep entry 1: ")):
+        assert main(args + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"{prefix}start quermassintegrals leave the normal floats "
+                                f"at n={n}: the smallest |A_l| is 0\n")
+        assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("r0", [0.8, 0.05])
+def test_a_normal_start_at_n_128_runs(tmp_path, capsys, r0):
+    out = tmp_path / "out"
+    args = ["run", "--n", "128", "--k", "1", "--N", "65", "--t-max", "1e-4",
+            "--shape", f"perturbed:{r0},{0.05 * r0},2", "--out", str(out)]
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("run: tmax")
+    assert min(abs(a) for a in _read_json(out / "summary.json")["finalQuermass"].values()) > 0.0
+
+
 @pytest.mark.parametrize("key, value", [("blowupThreshold", 1e3),
                                         ("monitorTolerances", {"sign": 1e-8})])
 def test_sweep_refuses_monitor_settings(tmp_path, capsys, key, value):

@@ -558,9 +558,10 @@ def test_stages_build_no_full_state(monkeypatch):
     cfg = _perturbed_config(t_max=0.02)
     res, dual = run(cfg), dual_run(cfg)
     assert res.steps > 0 and dual.steps > 0 and res.rejections == dual.rejections == 0
-    # the start and each accepted step; the dual start's pullback closes its
-    # exact derivatives without support_closure
-    assert calls == {"geometry": 1 + res.steps, "support_closure": 1 + dual.steps}
+    # each run's start (the dual one's for _start's checks) and each accepted
+    # graph step; the dual start's pullback closes its exact derivatives
+    # without support_closure
+    assert calls == {"geometry": 2 + res.steps, "support_closure": 1 + dual.steps}
 
 
 def test_run_matches_the_rk4_oracle():

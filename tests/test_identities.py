@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sphereflow.identities as identities
+import sphereflow.symfunc as symfunc
 from sphereflow.identities import (
     CheckResult,
     _excl_tables,
@@ -13,7 +14,7 @@ from sphereflow.identities import (
     sample_cone,
     sample_spread,
 )
-from sphereflow.symfunc import sigma, sigma_table
+from sphereflow.symfunc import _pinch_deficits, sigma, sigma_table
 
 import oracles
 
@@ -151,7 +152,7 @@ def test_lower_bound_rule_fails_at_minus_the_tolerance_and_on_nan():
 
 def test_exclusion_chain_needs_a_positive_leading_exclusion():
     def chain(rows):
-        checks = {c.name: c for c in identities._check_sorted_chain(rows, 2)}
+        checks = {c.name: c for c in identities._check_sorted_chain(rows, sigma_table(rows, 3), 2)}
         return checks["ordered-exclusion-chain"]
 
     # sigma_1(lam|i) = -1.1, 0.4, 0.5 increases, but starts negative
@@ -162,10 +163,14 @@ def test_exclusion_chain_needs_a_positive_leading_exclusion():
 
 def test_pinch_comparability_passes_when_no_sample_is_kept():
     # equal entries have pinch 0, so the ratio keeps no sample
-    checks = {c.name: c for c in identities._check_pinch_deficit(np.ones((4, 3)), 1)}
-    comparability = checks["deficit-pinch-comparability"]
-    assert math.isnan(comparability.worst) and comparability.samples == 0
-    assert comparability.passed and comparability.recorded == {}
+    rows = np.ones((4, 3))
+    table = sigma_table(rows, 3)
+    parts = _pinch_deficits(rows, table)
+    for m in (1, 2):
+        checks = {c.name: c for c in identities._check_pinch_deficit(rows, table, parts, m)}
+        comparability = checks["deficit-pinch-comparability"]
+        assert math.isnan(comparability.worst) and comparability.samples == 0
+        assert comparability.passed and comparability.recorded == {}
 
 
 def test_suite_draws_each_cone_once(monkeypatch):
@@ -186,3 +191,52 @@ def test_suite_draws_each_cone_once(monkeypatch):
     # Gamma_0 ... Gamma_n once per n, and one spread sample per n
     assert sorted(cones) == [(n, k) for n in range(2, 5) for k in range(n + 1)]
     assert spreads == [2, 3, 4]
+
+
+def _rows_seen(inputs, rows) -> int:
+    """How often the rows of rows occur among those of inputs, leaving out
+    inputs whose rows are all sorted descending: the sorted-chain and pinch
+    checks' copies, which share a row with a cone only where it was sorted."""
+    keys = {row.tobytes() for row in rows}
+    return sum(row.tobytes() in keys for lam in inputs
+               if not np.all(np.diff(lam, axis=-1) <= 0.0) for row in lam)
+
+
+def test_suite_builds_each_table_once_per_row_set(monkeypatch):
+    cones, spreads, walks, tables = {}, [], {1: [], 2: []}, []
+    real_walk, real_table = symfunc._exclusion_tables, symfunc.sigma_table
+
+    def cone(rng, count, n, k):
+        cones[n, k] = sample_cone(rng, count, n, k)
+        return cones[n, k]
+
+    def spread(rng, count, n):
+        spreads.append(sample_spread(rng, count, n))
+        return spreads[-1]
+
+    def walk(lam, r, mmax):
+        walks[r].append(np.array(lam))
+        return real_walk(lam, r, mmax)
+
+    def table(lam, mmax):
+        tables.append(np.array(lam))
+        return real_table(lam, mmax)
+
+    monkeypatch.setattr(identities, "sample_cone", cone)
+    monkeypatch.setattr(identities, "sample_spread", spread)
+    for module in (identities, symfunc):
+        monkeypatch.setattr(module, "_exclusion_tables", walk)
+        monkeypatch.setattr(module, "sigma_table", table)
+    assert run_identity_suite(n_max=4, samples=200).passed
+    # one pair walk per n, on Gamma_n sorted descending, for every deficit order
+    assert [lam.shape[-1] for lam in walks[2]] == [2, 3, 4]
+    for n in range(2, 5):
+        ranked = -np.sort(-cones[n, n], axis=1)
+        assert np.array_equal(walks[2][n - 2], ranked)
+        # one table of those rows, for the last sorted-chain check and the deficits
+        assert sum(np.array_equal(lam, ranked) for lam in tables) == 1
+    # each row of a cone or spread sample is walked once and tabulated once,
+    # for every quotient order and check that reads it
+    for rows in (*cones.values(), *spreads):
+        assert _rows_seen(walks[1], rows) == len(rows)
+        assert _rows_seen(tables, rows) == len(rows)

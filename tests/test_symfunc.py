@@ -13,6 +13,8 @@ from sphereflow import (
 )
 from sphereflow.symfunc import (
     _exclusion_tables,
+    _pinch_deficits,
+    _quotients,
     quotient_two_value,
     sigma_table,
     sigma_two_value,
@@ -182,24 +184,30 @@ def test_sigma_table_in_place_update_is_bit_identical(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gathered_quotient_gradient_is_bit_identical(n):
-    for vals in _batches(n):
+    # the last vals is a single vector, with no leading axis at all
+    for vals in (*_batches(n), _batches(n)[0][0]):
         for k in range(n):
-            assert np.array_equal(quotient(vals, k)[1],
-                                  oracles.quotient_grad_delete(vals, k))
-    # a single vector, with no leading axis at all
-    single = _batches(n)[0][0]
-    for k in range(n):
-        assert np.array_equal(quotient(single, k)[1],
-                              oracles.quotient_grad_delete(single, k))
+            # one table and one walk serve the orders k and k + 1
+            orders = range(k, min(k + 2, n))
+            table, quots = _quotients(vals, orders)
+            assert np.array_equal(table, sigma_table(vals, min(k + 3, n)))
+            for order, quot in zip(orders, quots, strict=True):
+                assert np.array_equal(quot[1], oracles.quotient_grad_delete(vals, order))
+            assert np.array_equal(quotient(vals, k)[1], oracles.quotient_grad_delete(vals, k))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gathered_pair_sum_is_bit_identical(n):
     # n = 2 drops both entries of every pair: each excluded vector is empty
-    for vals in _batches(n):
+    for vals in (*_batches(n), _batches(n)[0][0]):
+        deficits, pair_sums, _ = _pinch_deficits(vals, sigma_table(vals, n))
         for m in range(1, n):
-            assert np.array_equal(pinch_deficit_parts(vals, m)[1],
-                                  oracles.pair_sum_delete(vals, m))
+            # every order from one pair walk, and the one-order form picks it
+            deficit, pair_sum, _ = pinch_deficit_parts(vals, m)
+            for got in (pair_sums[..., m - 1], pair_sum):
+                assert np.array_equal(got, oracles.pair_sum_delete(vals, m))
+            for got in (deficits[..., m - 1], deficit):
+                assert np.array_equal(got, oracles.deficit_own_table(vals, m))
 
 
 @pytest.mark.parametrize("r", [1, 2])
