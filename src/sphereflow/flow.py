@@ -437,10 +437,9 @@ _TI_COMPLEX = _TI[1] + 1j * _TI[2]
 _P = np.array([[13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6],
                [13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6],
                [1 / 3, -8 / 3, 10 / 3]])
-# the step control: Newton iterations and tolerance per solve, the least and
-# largest step factors, and the growth below which a step is held
+# the step control: Newton iterations per solve, the largest step factor and
+# the growth below which a step is held
 _NEWTON_MAXITER = 6
-_MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _HOLD_BELOW = 1.2
 
@@ -478,11 +477,11 @@ class _Stepper:
 
     It keeps scipy's Radau constants and, failures and scipy's predictive
     factor aside, its algorithm: the simplified Newton iteration on the
-    collocation system, the embedded error estimate and one step-size rule, the
-    factor safety * error_norm**-0.25 within [_MIN_FACTOR, _MAX_FACTOR], which
-    holds the step while that growth stays below _HOLD_BELOW and takes J again
-    after slow Newton convergence.  fun takes the three stages as one (3, N)
-    stack and raises ValueError off the chart or the cone; J is
+    collocation system, the embedded error estimate and one step-size rule for
+    an accepted step, the factor safety * error_norm**-0.25 capped at
+    _MAX_FACTOR, which holds the step while that growth stays below _HOLD_BELOW
+    and takes J again after slow Newton convergence.  fun takes the three
+    stages as one (3, N) stack and raises ValueError off the chart or the cone; J is
     _jacobian(fun, y), which counts as a Jacobian, not as rate evaluations.
     The first step is _gershgorin_dt of the first trial's J.  The rate at a
     step's start is the caller's, from the accepted state; a zero predictor's
@@ -492,11 +491,10 @@ class _Stepper:
 
     accept turns a trial that passes the error test into the caller's next
     state, or raises StepRejected or ValueError.  Every trial that is not a
-    step is a rejection: one that fails the error test, one that raises and a
-    refused vector.  A failed solve raises under a stale J as under a fresh
-    one, where scipy would take J again or halve the step in place.  step
-    alone shrinks a step for a raise: it restarts from (t, y) with a new J and
-    a zero predictor, at half the step tried or of a smaller h_abs, and
+    step is a rejection, and every rejection is a raise: a failed error test,
+    a failed solve (under a stale J as under a fresh one) and a refused vector
+    alike.  step is the one retry loop: it restarts from (t, y) with a new J
+    and a zero predictor, at half the step tried or of a smaller h_abs, and
     re-raises below _MULT_FLOOR times the first step or, with no first step to
     halve, where the start's J fails.
     """
@@ -564,13 +562,12 @@ class _Stepper:
         raise StepRejected("Newton iteration did not converge")
 
     def _trial(self, f: np.ndarray) -> tuple:
-        """One Radau step from (t, y), whose rate is f: (t_new, y_new), with the
-        step control and the predictor moved on to it.  The error test sizes
-        the step, and counts each shrink as a rejection; tried is the span of
-        each trial.  A trial fails with ValueError where the rate, J or a
-        factor does, or with StepRejected for a Newton solve that does not
-        converge, a NaN error estimate (which passes the test, as in scipy) or
-        a step below the float spacing of t; step restarts every one of them."""
+        """One attempt at a Radau step from (t, y), whose rate is f: (t_new,
+        y_new), with the step control and the predictor moved on to it; tried is
+        its span.  It fails with ValueError where the rate, J or a factor does,
+        or with StepRejected for a step below the float spacing of t, a Newton
+        solve that does not converge or an error norm that is not <= 1, NaN
+        included; step restarts every one of them."""
         t, y = self.t, self.y
         if self.J is None:
             self.J = self._jac(y)
@@ -579,37 +576,26 @@ class _Stepper:
             self.floor = _MULT_FLOOR * self.h_abs
         min_step = 10 * abs(np.nextafter(t, np.inf) - t)
         h = min(max(self.h_abs, min_step), self.h_max)
-        rejections = self.rejections
-        while True:
-            if h < min_step:
-                raise StepRejected("step size fell below the float spacing of t")
-            t_new = t + h
-            if t_new > self.t_bound:
-                t_new, h = self.t_bound, self.t_bound - t
-            self.tried = t_new - t
-            if self.dense is None:  # zero increments: every stage is at y, whose rate is f
-                z0, f0 = np.zeros((3, y.size)), np.stack((f, f, f))
-            else:  # the last step's collocation polynomial at the new stages
-                z0, f0 = self.at(t + h * _C) - y, None
-            scale = self.atol + np.abs(y) * self.rtol
-            iterations, z, rate = self._newton(h, z0, scale, f0)
-            y_new = y + z[-1]
-            ze = _combine(_E, z) / h
-            real = self.lu[2]
-            error = lapack.dgttrs(*real, f + ze)[0]
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = _rms(error / scale)
-            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + iterations)
-            if self.rejections > rejections and error_norm > 1:  # after a rejection
-                error = lapack.dgttrs(*real, self._fun(y + error) + ze)[0]
-                error_norm = _rms(error / scale)
-            if math.isnan(error_norm):
-                raise StepRejected("error estimate is not finite")
-            if error_norm <= 1:
-                break
-            h *= max(_MIN_FACTOR, safety * error_norm**-0.25)
-            self.rejections += 1
+        if h < min_step:
+            raise StepRejected("step size fell below the float spacing of t")
+        t_new = t + h
+        if t_new > self.t_bound:
+            t_new, h = self.t_bound, self.t_bound - t
+        self.tried = t_new - t
+        if self.dense is None:  # zero increments: every stage is at y, whose rate is f
+            z0, f0 = np.zeros((3, y.size)), np.stack((f, f, f))
+        else:  # the last step's collocation polynomial at the new stages
+            z0, f0 = self.at(t + h * _C) - y, None
+        scale = self.atol + np.abs(y) * self.rtol
+        iterations, z, rate = self._newton(h, z0, scale, f0)
+        y_new = y + z[-1]
+        error = lapack.dgttrs(*self.lu[2], f + _combine(_E, z) / h)[0]
+        scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+        error_norm = _rms(error / scale)
+        if not error_norm <= 1:  # NaN fails too
+            raise StepRejected("error test failed")
 
+        safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + iterations)
         recompute_jac = iterations > 2 and rate > 1e-3
         factor = min(_MAX_FACTOR, safety * error_norm**-0.25)
         if not recompute_jac and factor < _HOLD_BELOW:

@@ -1147,6 +1147,33 @@ def test_small_radius_runs_converge_without_a_rejection(n, k):
     assert res.termination == "converged" and res.rejections == 0
 
 
+def _convex_limit(mode, N):
+    """The largest eps, to 2^-40, at which n=2, k=1, rho = 0.8 + eps cos(mode
+    theta) on N nodes is strictly convex."""
+    lo, hi = 0.0, 0.79
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        try:
+            convex = geometry(RadialProfile.perturbed(2, 0.8, mid, mode, N), 1).lam_min > 0.0
+        except ConeViolation:
+            convex = False
+        lo, hi = (mid, hi) if convex else (lo, mid)
+    return lo
+
+
+def test_reference_and_near_degenerate_runs_converge_without_a_rejection():
+    """The stepper retries a trial only after a failure; both solvers take
+    every step of the reference shapes, and of a mode-6 start at 0.97 of its
+    convex limit, at the first try."""
+    near = ShapeSpec(kind="perturbed", r0=0.8, eps=0.97 * _convex_limit(6, 129), mode=6)
+    configs = [_reference_config(*shape) for shape in REFERENCE_SHAPES]
+    configs.append(FlowConfig(n=2, k=1, N=129, initial_shape=near))
+    for cfg in configs:
+        for solve in (run, dual_run):
+            res = solve(cfg)
+            assert res.termination == "converged" and res.rejections == 0
+
+
 def test_rk4_at_the_first_step_rule_stays_in_the_cone_at_a_small_radius():
     """dt * rho(J) <= 0.8 lies inside RK4's stability limit 2.785, so explicit
     steps at the rule stay stable, and in the cone, at r0 = 0.2 too."""
@@ -1161,15 +1188,7 @@ def test_fine_grids_start_where_a_difference_jacobian_collapsed():
     mode 3 at N=2049 and mode 1 at N=4097 once ended step_collapse at t=0,
     because a finite-difference Jacobian moved the pole node out of the cone."""
     for mode, N in ((3, 2049), (1, 4097)):
-        lo, hi = 0.0, 0.79
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            try:
-                convex = geometry(RadialProfile.perturbed(2, 0.8, mid, mode, N), 1).lam_min > 0.0
-            except ConeViolation:
-                convex = False
-            lo, hi = (mid, hi) if convex else (lo, mid)
-        shape = ShapeSpec(kind="perturbed", r0=0.8, eps=0.99 * lo, mode=mode)
+        shape = ShapeSpec(kind="perturbed", r0=0.8, eps=0.99 * _convex_limit(mode, N), mode=mode)
         res = run(FlowConfig(n=2, k=1, N=N, initial_shape=shape, t_max=1e-3))
         assert res.termination == "tmax" and res.rejections == 0 and res.steps > 0
 
@@ -1341,9 +1360,9 @@ def test_newton_failures_collapse_without_creeping(monkeypatch):
 
 
 def test_every_rejected_trial_is_counted(monkeypatch):
-    """A first step of dtMax = 1, far above the Gershgorin one, fails Newton
-    solves under a fresh J, each a restart, and then the error test, whose
-    shrinks are rejections too; both solvers end where the default start does."""
+    """A first step of dtMax = 1, far above the Gershgorin one, fails trials
+    by a Newton solve or by the error test, each one rejection and one
+    restart; both solvers end where the default start does."""
     cfg = _perturbed_config(t_max=1.0, dt_max=1.0, convergence_tol=0.0)
     clean, clean_dual = run(cfg), dual_run(cfg)
     assert clean.rejections == clean_dual.rejections == 0
@@ -1356,14 +1375,47 @@ def test_every_rejected_trial_is_counted(monkeypatch):
 
     monkeypatch.setattr(flow_module._Stepper, "_restart", counting_restart)
     res = run(cfg)
-    # the stepper's own start, then a restart for each unconverged solve
-    newton_rejections, restarts[0] = restarts[0] - 1, 0
+    graph_restarts, restarts[0] = restarts[0], 0
     dual = dual_run(cfg)
     assert res.termination == dual.termination == "tmax"
-    assert res.rejections == dual.rejections == 5
-    assert (newton_rejections, restarts[0] - 1) == (4, 3)  # the rest failed the error test
+    # the stepper's own start, then one restart for each rejection
+    assert (res.rejections, dual.rejections) == (graph_restarts - 1, restarts[0] - 1) == (6, 6)
+    assert (res.steps, dual.steps) == (31, 33)
     assert float(np.max(np.abs(res.profile.rho - clean.profile.rho))) < 1e-9
     assert float(np.max(np.abs(dual.u - clean_dual.u))) < 1e-9
+
+
+@pytest.mark.parametrize("solve", [run, dual_run])
+def test_a_failed_error_test_restarts_at_half_the_step_tried(monkeypatch, solve):
+    """A trial whose error test fails restarts from its start, at half the
+    step tried, with a fresh Jacobian: one rejection, as a failed solve."""
+    cfg = _perturbed_config(t_max=0.02)
+    clean = solve(cfg)
+    assert clean.steps >= 3 and clean.rejections == 0
+    trials = []  # the h of each Newton solve, and "restart" where the step restarts
+    newton, restart, E = flow_module._Stepper._newton, flow_module._Stepper._restart, flow_module._E
+
+    def scaling_newton(self, h, *args):
+        trials.append(h)
+        # the second solve's error estimate, and only its, is 1e6 times too large
+        flow_module._E = 1e6 * E if len(trials) == 3 else E
+        return newton(self, h, *args)
+
+    def recording_restart(self, h):
+        trials.append("restart")
+        restart(self, h)
+
+    monkeypatch.setattr(flow_module._Stepper, "_newton", scaling_newton)
+    monkeypatch.setattr(flow_module._Stepper, "_restart", recording_restart)
+    monkeypatch.setattr(flow_module, "_E", E)  # restored after the test
+    res = solve(cfg)
+    assert res.termination == "tmax" and res.rejections == 1
+    assert res.jacobians == clean.jacobians + 1
+    restarts = [i for i, mark in enumerate(trials) if mark == "restart"]
+    assert restarts == [0, 3]  # the stepper's own start, then the failed second solve
+    assert trials[4] == pytest.approx(0.5 * trials[2], rel=1e-12)
+    end = (lambda r: r.profile.rho) if solve is run else (lambda r: r.u)
+    assert float(np.max(np.abs(end(res) - end(clean)))) < 1e-9
 
 
 def test_run_recovers_from_a_nan_stage_rate(monkeypatch):
