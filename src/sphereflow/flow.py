@@ -437,11 +437,9 @@ _TI_COMPLEX = _TI[1] + 1j * _TI[2]
 _P = np.array([[13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6],
                [13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6],
                [1 / 3, -8 / 3, 10 / 3]])
-# the step control: Newton iterations per solve, the largest step factor and
-# the growth below which a step is held
+# the step control: Newton iterations per solve and the largest step factor
 _NEWTON_MAXITER = 6
 _MAX_FACTOR = 10.0
-_HOLD_BELOW = 1.2
 
 
 def _combine(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -475,19 +473,19 @@ def _tolerances(config: FlowConfig) -> tuple:
 class _Stepper:
     """Radau IIA (order 5) steps of y' = fun(y), each retried until accept takes one.
 
-    It keeps scipy's Radau constants and, failures and scipy's predictive
-    factor aside, its algorithm: the simplified Newton iteration on the
-    collocation system, the embedded error estimate and one step-size rule for
-    an accepted step, the factor safety * error_norm**-0.25 capped at
-    _MAX_FACTOR, which holds the step while that growth stays below _HOLD_BELOW
-    and takes J again after slow Newton convergence.  fun takes the three
-    stages as one (3, N) stack and raises ValueError off the chart or the cone; J is
-    _jacobian(fun, y), which counts as a Jacobian, not as rate evaluations.
-    The first step is _gershgorin_dt of the first trial's J.  The rate at a
-    step's start is the caller's, from the accepted state; a zero predictor's
-    first Newton iteration takes it for all three stages.  MU/h I - J is
-    factored by LAPACK's tridiagonal routines, and one factor pair is kept
-    while h and J stay the same.  tolerances is the error test's (rtol, atol).
+    It keeps scipy's Radau constants and, failures, scipy's predictive factor
+    and its step hold aside, its algorithm: the simplified Newton iteration on
+    the collocation system, the embedded error estimate and one step-size rule
+    for an accepted step, the factor safety * error_norm**-0.25 capped at
+    _MAX_FACTOR, with J taken again after slow Newton convergence.  fun takes
+    the three stages as one (3, N) stack and raises ValueError off the chart or
+    the cone; J is _jacobian(fun, y), which counts as a Jacobian, not as rate
+    evaluations.  The first step is _gershgorin_dt of the first trial's J.  The
+    rate at a step's start is the caller's, from the accepted state; a zero
+    predictor's first Newton iteration takes it for all three stages.
+    MU/h I - J is factored by LAPACK's tridiagonal routines; one factor pair is
+    kept while h and J stay the same, as on steps pinned at h_max, and no step
+    is held to keep one.  tolerances is the error test's (rtol, atol).
 
     accept turns a trial that passes the error test into the caller's next
     state, or raises StepRejected or ValueError.  Every trial that is not a
@@ -598,8 +596,6 @@ class _Stepper:
         safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + iterations)
         recompute_jac = iterations > 2 and rate > 1e-3
         factor = min(_MAX_FACTOR, safety * error_norm**-0.25)
-        if not recompute_jac and factor < _HOLD_BELOW:
-            factor = 1.0
         if recompute_jac:
             self.J = self._jac(y_new)
         self.h_abs = h * factor
@@ -686,7 +682,7 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
         spans.append(t_new - t)
         if converged := state[1] < config.convergence_tol:
             mu = math.log(s_prev / max(state[1], 1e-300)) / spans[-1]
-            t_new, state = _crossing(solver, t, t_new, state, config.convergence_tol)
+            t_new, state = _crossing(solver, t, s_prev, t_new, state, config.convergence_tol)
             J, e = solver.J, solver.error  # J's corner entries, which roll wraps onto, are 0
             rate_error = np.max(np.abs(J[0] * np.roll(e, 1) + J[1] * e + J[2] * np.roll(e, -1)))
             resolution = float(rate_error / max(state[1] * mu, 1e-300))
@@ -704,22 +700,22 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
                           solver.evaluations, solver.jacobians, solver.factorizations, dt_range)
 
 
-def _crossing(solver: _Stepper, t0: float, t1: float, end, tol: float) -> tuple:
-    """(t, state) where the max speed falls below tol inside the step from t0 to
-    (t1, end below tol): Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on
-    g = log(max speed / tol) along the step's polynomial, to 1e-10 in t or until
-    the midpoint rounds onto an end.  It tries the midpoint first, where a secant
-    leaves the bracket or stalls, and once secants have had as many tries as a
-    bisection of the step would take, so it takes at most about twice those.
-    hi is always a time where accept built a state below tol; (t1, end) where
-    accept refuses one."""
+def _crossing(solver: _Stepper, t0: float, s0: float, t1: float, end, tol: float) -> tuple:
+    """(t, state) where the max speed, s0 >= tol at t0, falls below tol inside
+    the step to (t1, end): Illinois regula falsi (Dowell & Jarratt, BIT 11,
+    1971) on g = log(max speed / tol) along the step's polynomial, from the
+    secant of its two ends, to 1e-10 in t or until the midpoint rounds onto an
+    end.  It tries the midpoint where a secant leaves the bracket or stalls, and
+    once secants have had as many tries as a bisection of the step would take,
+    so it takes at most about twice those.  hi is always a time where accept
+    built a state below tol; (t1, end) where accept refuses one."""
     lo, hi, state = t0, t1, end
     # secant points (t, g): b the last try, a the one before or the bracket's other end
-    a, b = None, (t1, math.log(max(end[1], 1e-300) / tol))
+    a, b = (t0, math.log(s0 / tol)), (t1, math.log(max(end[1], 1e-300) / tol))
     # secants tried on a lopsided g can creep; past this many tries, only midpoints
     budget = math.log2((t1 - t0) / 1e-10)
     while hi - lo > 1e-10 and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if a is None or a[1] == b[1] or budget < 0.0:
+        if a[1] == b[1] or budget < 0.0:
             x = mid
         else:
             x = b[0] - b[1] * (b[0] - a[0]) / (b[1] - a[1])
@@ -732,7 +728,7 @@ def _crossing(solver: _Stepper, t0: float, t1: float, end, tol: float) -> tuple:
             return t1, end
         g = math.log(max(new[1], 1e-300) / tol)
         lo, hi, state = (lo, x, new) if g < 0.0 else (x, hi, state)
-        if a is not None and (g < 0.0) == (b[1] < 0.0) and (b[1] < 0.0) != (a[1] < 0.0):
+        if (g < 0.0) == (b[1] < 0.0) and (b[1] < 0.0) != (a[1] < 0.0):
             a = (a[0], 0.5 * a[1])  # Illinois: the new try sides with b, so a stays, halved
         else:
             a = b

@@ -182,6 +182,10 @@ def _excl_tables(vals: np.ndarray, mmax: int) -> np.ndarray:
 def _check_exclusion_recurrence(vals, table) -> list:
     samples, n = vals.shape
     excl = _excl_tables(vals, n - 1)
+    # signs cancel inside sigma_k: measure against sigma_k(|lam|), as scaling-degree
+    # does; a row with no negative entry is its own |lam|
+    cond, signed = table.copy(), np.any(vals < 0.0, axis=1)
+    cond[signed] = sigma_table(np.abs(vals[signed]), n)
     worst_rec = worst_wsum = worst_sum = 0.0
     for k in range(1, n + 1):
         ek = excl[:, :, k] if k <= n - 1 else np.zeros_like(excl[:, :, 0])
@@ -189,7 +193,7 @@ def _check_exclusion_recurrence(vals, table) -> list:
         terms = vals * ekm1
         # sigma_k = sigma_k(lam|i) + lam_i sigma_{k-1}(lam|i), every i
         lhs = np.broadcast_to(table[:, k:k + 1], ek.shape)
-        worst_rec = max(worst_rec, _rel_worst(lhs, ek + terms, ek, np.abs(terms)))
+        worst_rec = max(worst_rec, _rel_worst(lhs, ek + terms, cond[:, k:k + 1]))
         # sum_i lam_i sigma_{k-1}(lam|i) = k sigma_k
         worst_wsum = max(worst_wsum, _rel_worst(terms.sum(axis=1), k * table[:, k],
                                                 np.abs(terms).sum(axis=1)))

@@ -304,8 +304,8 @@ def test_run_refuses_checkpoints_without_out_dir(monkeypatch):
 
 @pytest.mark.parametrize("sample_every", [1, 7])
 def test_run_violations_count_the_codes_check_returned(monkeypatch, sample_every):
-    """A small-radius start whose A_2 rises past the sign slack in ten of its
-    36 steps: at sampleEvery 7 the ten flags share two rows, and violations
+    """A small-radius start whose A_2 rises past the sign slack in nine of its
+    35 steps: at sampleEvery 7 the nine flags share two rows, and violations
     still counts each code once, as Monitors.check returned it."""
     returned = []
     real = Monitors.check
@@ -318,10 +318,10 @@ def test_run_violations_count_the_codes_check_returned(monkeypatch, sample_every
     monkeypatch.setattr(Monitors, "check", check)
     shape = ShapeSpec(kind="perturbed", r0=0.05, eps=0.0025, mode=2)
     res = run(FlowConfig(n=2, k=0, N=129, initial_shape=shape, sample_every=sample_every))
-    assert res.steps == 36
-    assert res.violations == {"SIGN_A2": 10}
+    assert res.steps == 35
+    assert res.violations == {"SIGN_A2": 9}
     assert res.violations == dict(Counter(returned))
-    assert sum(1 for flags in res.trace.violations if flags) == (10 if sample_every == 1 else 2)
+    assert sum(1 for flags in res.trace.violations if flags) == (9 if sample_every == 1 else 2)
 
 
 def test_run_writes_checkpoints(tmp_path):
@@ -747,7 +747,8 @@ def test_both_solvers_match_scipys_radau(n, k, r0, eps, N, t_max, dt_max):
     """The own stepper with the exact Jacobian against scipy's Radau with its
     finite-difference one, on the same rates from the same start to t = 1, or
     to t = 10 with dtMax 50, where the step control alone sizes every step
-    (scipy's also predicts from the last step, the own stepper does not)."""
+    (scipy's also predicts from the last step, the own stepper does not, and
+    holds no step): no more steps than scipy's."""
     cfg = dataclasses.replace(_reference_config(n, k, r0, eps, t_max=t_max, dt_max=dt_max,
                                                 convergence_tol=0.0), N=N)
     prof = cfg.initial_shape.build(n, N)
@@ -757,7 +758,7 @@ def test_both_solvers_match_scipys_radau(n, k, r0, eps, N, t_max, dt_max):
         _rule_dt(prof, k, cfg.dt_max))
     assert res.termination == "tmax" and res.rejections == 0
     assert float(np.max(np.abs(res.profile.rho - rho))) <= 1e-9
-    assert abs(res.steps - steps) <= 0.05 * steps
+    assert res.steps <= steps
 
     dual = dual_run(cfg)
     u0 = _dual_start(prof)
@@ -769,7 +770,7 @@ def test_both_solvers_match_scipys_radau(n, k, r0, eps, N, t_max, dt_max):
     u, steps = oracles.plain_radau(g, u0, cfg, first_step)
     assert dual.termination == "tmax" and dual.rejections == 0
     assert float(np.max(np.abs(dual.u - u))) <= 1e-9
-    assert abs(dual.steps - steps) <= 0.05 * steps
+    assert dual.steps <= steps
 
 
 @pytest.mark.parametrize("n, k, r0, eps", REFERENCE_SHAPES)
@@ -830,14 +831,44 @@ def test_stepper_polynomial_meets_the_step_ends():
         assert np.allclose(stepper.at(stepper.t), y_new, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("solve", [run, dual_run])
+def test_no_step_is_held(monkeypatch, solve):
+    """With no cap, each accepted step sizes the next by its error alone: no
+    two consecutive trials of the N = 64 reference run share a span, as they
+    would where a step was held to keep its factor pair."""
+    spans, trial = [], flow_module._Stepper._trial
+
+    def recording(self, f):
+        out = trial(self, f)
+        spans.append(self.tried)
+        return out
+
+    monkeypatch.setattr(flow_module._Stepper, "_trial", recording)
+    res = solve(dataclasses.replace(_reference_config(*REFERENCE_SHAPES[0]), N=64))
+    assert res.termination == "converged" and res.rejections == 0
+    assert len(spans) == res.steps > 10
+    assert all(a != b for a, b in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize("solve", [run, dual_run])
+def test_steps_pinned_at_the_cap_share_a_factor_pair(solve):
+    """Steps of dtMax, with h and J unchanged, reuse the kept LU pair: fewer
+    pairs than steps on a capped run, two factorizations to a pair."""
+    cfg = dataclasses.replace(
+        _reference_config(*REFERENCE_SHAPES[0], t_max=2.0, dt_max=0.05), N=64)
+    res = solve(cfg)
+    assert res.termination == "tmax" and res.rejections == 0
+    assert res.lu_factorizations < 2 * res.steps
+
+
 def _count_crossings(monkeypatch) -> list:
     """The (t0, t1) step of each _crossing call, recorded as it runs."""
     calls = []
     real = flow_module._crossing
 
-    def counting(solver, t0, t1, end, tol):
+    def counting(solver, t0, s0, t1, end, tol):
         calls.append((t0, t1))
-        return real(solver, t0, t1, end, tol)
+        return real(solver, t0, s0, t1, end, tol)
 
     monkeypatch.setattr(flow_module, "_crossing", counting)
     return calls
@@ -908,10 +939,10 @@ def test_a_refused_state_inside_the_step_keeps_the_step_end(monkeypatch):
     ends = []
     real = flow_module._crossing
 
-    def refusing(solver, t0, t1, end, tol):
+    def refusing(solver, t0, s0, t1, end, tol):
         ends.append((t1, end))
         solver.accept = _refuse
-        return real(solver, t0, t1, end, tol)
+        return real(solver, t0, s0, t1, end, tol)
 
     monkeypatch.setattr(flow_module, "_crossing", refusing)
     res = run(cfg)
@@ -952,7 +983,7 @@ def test_crossing_bisects_to_the_analytic_crossing(t0, dt, where):
     t1 = t0 + dt
     exact = t0 + where * dt
     end = solver.accept(t1)
-    t, state = flow_module._crossing(solver, t0, t1, end, tol)
+    t, state = flow_module._crossing(solver, t0, solver.accept(t0)[1], t1, end, tol)
     assert abs(t - exact) <= max(1e-10, 2.0 * math.ulp(t1))
     assert state[1] < tol and state == solver.accept(t)
     assert solver.tried and all(t0 < tau < t1 for tau in solver.tried)
@@ -971,7 +1002,8 @@ def test_crossing_takes_at_most_twice_the_bisection_on_a_lopsided_speed(where):
     # on this g, Illinois alone creeps 9e-11 a try and takes 268-484 tries
     t0, dt, tol = 0.0, 0.2, 1e-6
     solver = _SteppedSpeed(t0, tol, where * dt)
-    t, state = flow_module._crossing(solver, t0, t0 + dt, solver.accept(t0 + dt), tol)
+    t, state = flow_module._crossing(solver, t0, solver.accept(t0)[1], t0 + dt,
+                                     solver.accept(t0 + dt), tol)
     assert abs(t - where * dt) <= 1e-10 and state[1] < tol
     assert len(solver.tried) <= 2 * math.ceil(math.log2(dt / 1e-10))
 
@@ -1380,7 +1412,7 @@ def test_every_rejected_trial_is_counted(monkeypatch):
     assert res.termination == dual.termination == "tmax"
     # the stepper's own start, then one restart for each rejection
     assert (res.rejections, dual.rejections) == (graph_restarts - 1, restarts[0] - 1) == (6, 6)
-    assert (res.steps, dual.steps) == (31, 33)
+    assert (res.steps, dual.steps) == (29, 31)
     assert float(np.max(np.abs(res.profile.rho - clean.profile.rho))) < 1e-9
     assert float(np.max(np.abs(dual.u - clean_dual.u))) < 1e-9
 

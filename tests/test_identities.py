@@ -110,6 +110,33 @@ def test_gathered_exclusion_tables_are_bit_identical(n):
         assert np.array_equal(_excl_tables(vals, mmax), oracles.excl_tables_delete(vals, mmax))
 
 
+def test_exclusion_recurrence_is_measured_against_sigma_of_the_moduli():
+    """A valid draw whose row 6751 has sigma_1 = 1.6e-7 against sum |lam| =
+    0.69: measured against sigma_k and the recurrence's own terms, its
+    round-off read 2.06e-12, above the tolerance."""
+    vals = sample_spread(np.random.default_rng(10025), 10000, 7)
+    check = identities._check_exclusion_recurrence(vals, sigma_table(vals, 7))[0]
+    assert check.name == "exclusion-recurrence"
+    assert check.passed and check.worst < 1e-14
+
+
+def test_exclusion_recurrence_fails_on_a_doctored_table(monkeypatch):
+    """One exclusion entry moved by 1e-10 sigma_k(|lam|) fails the recurrence."""
+    vals = sample_spread(np.random.default_rng(4), 300, 5)
+    row, i, k = 17, 2, 3
+    real = identities._excl_tables
+
+    def doctored(v, mmax):
+        out = real(v, mmax)
+        out[row, i, k] += 1e-10 * sigma_table(np.abs(v), k)[row, k]
+        return out
+
+    monkeypatch.setattr(identities, "_excl_tables", doctored)
+    check = identities._check_exclusion_recurrence(vals, sigma_table(vals, 5))[0]
+    assert check.name == "exclusion-recurrence"
+    assert check.worst >= 0.99e-10 and not check.passed
+
+
 def test_sample_spread_mixes_signs():
     rng = np.random.default_rng(2)
     vals = sample_spread(rng, 500, 4)
