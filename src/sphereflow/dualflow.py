@@ -236,14 +236,18 @@ def profile_from_dual(state: DualState, N: int | None = None) -> RadialProfile:
     """Pull the dual state back to a radial profile on a uniform grid.
 
     Graph points sit at theta = theta_nu + arctan(u_theta/u) with radius
-    rho = 2 arctan rho_tilde; a cubic spline resamples to the uniform grid.
+    rho = 2 arctan rho_tilde and slope sin(rho) u_theta/u (gamma_theta = u_theta/u
+    there); a local cubic Hermite interpolant resamples to the uniform grid.
     """
     theta_z = state.theta + np.arctan(state.u_grad / state.u)
     if np.any(np.diff(theta_z) <= 0.0):
         raise ConvexityLoss("pullback point map is not monotone")
     grid = polar_grid(state.theta.size if N is None else int(N))
-    from scipy.interpolate import CubicSpline  # a slow import, kept off the graph run's path
-    rho = CubicSpline(theta_z, state.rho)(grid.theta)
+    i = np.clip(np.searchsorted(theta_z, grid.theta) - 1, 0, theta_z.size - 2)
+    y, slope, h = state.rho, state.phi * state.u_grad / state.u, np.diff(theta_z)[i]
+    t = (grid.theta - theta_z[i]) / h
+    rho = (y[i] + t * t * (3.0 - 2.0 * t) * (y[i + 1] - y[i])
+           + h * t * (1.0 - t) * ((1.0 - t) * slope[i] - t * slope[i + 1]))
     return RadialProfile(n=state.n, theta=grid, rho=rho)
 
 

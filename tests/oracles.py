@@ -192,3 +192,24 @@ def plain_radau(rate, y0, config, first_step):
             steps += 1
     assert solver.status == "finished", solver.status
     return solver.y, steps
+
+
+# -- an exact solution of the flow: a geodesic sphere off the pole ----------
+# The flow moves a geodesic sphere of radius R by a Killing field, so it stays
+# a geodesic sphere of radius R whose centre slides along the axis to the pole.
+
+
+def off_centre_sphere(theta, R, d):
+    """rho(theta) of the geodesic sphere of radius R centred on the axis at
+    distance d from the pole: cos R = cos rho cos d + sin rho sin d cos theta."""
+    theta = np.asarray(theta, dtype=float)
+    return (np.arctan2(np.sin(d) * np.cos(theta), np.cos(d))
+            + np.arccos(np.cos(R) / np.hypot(np.cos(d), np.sin(d) * np.cos(theta))))
+
+
+def off_centre_distance(n, k, R, d0, t):
+    """Distance d(t) of that sphere's centre from the pole, tan(d/2) =
+    tan(d0/2) exp(-c t / sin R), with c = (n - k)/(k + 1) the quotient
+    sigma_{k+1}/sigma_k of n ones."""
+    c = (n - k) / (k + 1)
+    return 2.0 * math.atan(math.tan(0.5 * d0) * math.exp(-c * t / math.sin(R)))

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+import oracles
 import sphereflow.dualflow as dualflow_module
 import sphereflow.flow as flow_module
 import sphereflow.hypersurface as hypersurface_module
@@ -20,6 +22,7 @@ from sphereflow.dualflow import (
 )
 from sphereflow.flow import FlowConfig, ShapeSpec, run
 from sphereflow.hypersurface import polar_grid
+from sphereflow.quermass import sphere_quermass
 
 
 def test_gamma_transform_inverts():
@@ -397,3 +400,70 @@ def test_dual_trace_starts_on_the_graph_traces_primal_columns(n, k, r0, eps):
     assert dual.t[0] == graph.t[0] == 0.0
     for name in ("minU", "minRho", "maxRho", "minF", "maxF", "minLambda", "maxLambda"):
         assert dual.column(name)[0] == pytest.approx(graph.column(name)[0], rel=1e-3), name
+
+
+def _off_centre_config(n, k, R, d0, N, t_max):
+    """A run to t_max, with no converged stop, from the geodesic sphere of
+    radius R centred at distance d0 from the pole, sampled on the N-node grid."""
+    grid = polar_grid(N)
+    shape = ShapeSpec(kind="custom", theta=grid.theta,
+                      rho=oracles.off_centre_sphere(grid.theta, R, d0))
+    return FlowConfig(n=n, k=k, N=N, t_max=t_max, convergence_tol=0.0, initial_shape=shape)
+
+
+@pytest.mark.parametrize("n, k, R, d0", [(2, 1, 0.8, 0.3), (3, 2, 0.5, 0.4)])
+def test_both_solvers_follow_the_off_centre_sphere_at_second_order(n, k, R, d0):
+    # the sphere stays one of radius R, its centre on oracles.off_centre_distance;
+    # the dual solver's profile is read through profile_from_dual
+    d_final = oracles.off_centre_distance(n, k, R, d0, 1.0)
+    errors = {"run": [], "dual_run": []}
+    for N in (65, 129, 257):
+        config = _off_centre_config(n, k, R, d0, N, 1.0)
+        graph, dual = run(config), dual_run(config)
+        for name, res, prof in (("run", graph, graph.profile),
+                                ("dual_run", dual, profile_from_dual(dual.state))):
+            assert res.termination == "tmax" and res.t_final == 1.0, name
+            exact = oracles.off_centre_sphere(prof.theta, R, d_final)
+            errors[name].append(float(np.max(np.abs(prof.rho - exact))))
+    for name, err in errors.items():
+        assert min(np.log2(np.divide(err[:-1], err[1:]))) >= 1.9, (name, err)
+
+
+@pytest.mark.parametrize("n, k, R, d0", [(2, 1, 0.6, 0.55), (2, 1, 0.8, 0.7), (4, 1, 0.6, 0.5)])
+def test_the_dual_trace_reads_every_row_of_a_sphere_near_the_origin(n, k, R, d0):
+    # with the pole close to the sphere the pulled-back points crowd together
+    # on one side; every row still reads a profile, and the A_l, which the
+    # flow conserves on these spheres, drift at second order in h
+    drifts = []
+    for N in (129, 257):
+        res = dual_run(_off_centre_config(n, k, R, d0, N, 0.5))
+        assert res.termination == "tmax" and "PULLBACK" not in res.violations
+        drifts.append(max(np.max(np.abs(np.array(res.trace.column(f"A_{m}"))
+                                        / sphere_quermass(n, m, R) - 1.0))
+                          for m in range(-1, n + 1)))
+    assert drifts[0] / drifts[1] >= 3.5, drifts
+
+
+def _spline_started_state(R, d, N):
+    """The uniform-grid DualState that dual_run starts from on the off-centre
+    sphere, moved off the normal angles by dual_run's own CubicSpline."""
+    grid = polar_grid(N)
+    prof = RadialProfile(n=2, theta=grid, rho=oracles.off_centre_sphere(grid.theta, R, d))
+    dual0 = dual_from_profile(prof)
+    return support_closure(2, prof.grid, CubicSpline(dual0.theta, dual0.u)(prof.grid.theta))
+
+
+def test_the_pullback_reads_the_slopes_of_the_dual_state():
+    # the Hermite slopes sin(rho) u_theta/u carry the stencil's O(h^2) error,
+    # so the readout is third order; with zero slopes it would be first order
+    errs = []
+    for N in (65, 129, 257):
+        back = profile_from_dual(_spline_started_state(0.8, 0.3, N))
+        exact = oracles.off_centre_sphere(back.theta, 0.8, 0.3)
+        errs.append(float(np.max(np.abs(back.rho - exact))))
+    assert min(np.log2(np.divide(errs[:-1], errs[1:]))) >= 2.5, errs
+    # near the origin a global spline through the crowded points overshoots
+    # to a negative curvature; every curvature of the sphere is cot R
+    state = geometry(profile_from_dual(_spline_started_state(0.8, 0.7, 257)), 0)
+    lam_min = min(state.lam1.min(), state.lam_ang.min())
+    assert abs(lam_min - 1.0 / math.tan(0.8)) <= 0.05 / math.tan(0.8), lam_min

@@ -1081,6 +1081,31 @@ def test_a_converged_run_imports_no_scipy_optimize_interpolate_or_special():
     assert proc.stdout.split() == ["converged"]
 
 
+_SCIPY_FREE_PULLBACK = """
+import sys
+import numpy as np
+from sphereflow import dualflow, hypersurface
+grid = hypersurface.polar_grid(33)
+state = dualflow.support_closure(2, grid, 0.5 + 0.01 * np.cos(2.0 * grid.theta))
+codes = []
+dualflow.profile_from_dual(state, 65)
+dualflow._trace_row(state, np.zeros(33), 1, codes)
+print("read", *codes, *sorted(name for name in sys.modules
+                              if name.startswith("scipy.interpolate")))
+"""
+
+
+def test_the_dual_readout_imports_no_scipy_interpolate():
+    """profile_from_dual and a dual trace row read through it interpolate
+    with numpy alone: only dual_run's start transfer loads scipy.interpolate."""
+    src = os.path.dirname(os.path.dirname(flow_module.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_PULLBACK],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["read"]
+
+
 def _dense(bands):
     return np.diag(bands[1]) + np.diag(bands[0, 1:], -1) + np.diag(bands[2, :-1], 1)
 

@@ -7,7 +7,11 @@ from ``perturbed`` starts of mode 2 at N = 129, for every (n, k) in
 the nearer of the pole and the hemisphere.  Each start runs twice: at the
 default ``dtMax``, no cap, where the step control alone sizes every step,
 and, under the key suffix ``/capped``, at ``dtMax`` 0.2, which caps the
-long steps near the limit.  Prints
+long steps near the limit.  Both solvers also run, at the same N and the
+default ``dtMax``, from three geodesic spheres whose centre lies off the pole
+(key ``<solver>/n<n>k<k>/offcentre/R<R>d<d0>``), sampled on the grid as a
+``custom`` shape: with the pole near the sphere, the dual solver's readout
+of each trace row is at its hardest there.  Prints
 one JSON object with, for each run, its termination, tFinal, steps,
 rejections, rate evaluations, Jacobians, LU factorizations and its
 ``violations``, the count of each flag code over its trace rows.  Diff the
@@ -22,16 +26,29 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sphereflow.dualflow import dual_run  # noqa: E402
 from sphereflow.flow import FlowConfig, ShapeSpec, run  # noqa: E402
+from sphereflow.hypersurface import polar_grid  # noqa: E402
 
 ORDERS = ((2, 1), (3, 2), (2, 0), (4, 1))
 RADII = (0.05, 0.2, 1.3, 1.45, 1.52, 1.56)
 SOLVERS = {"run": run, "dual-run": dual_run}
 N = 129
 MODE = 2
+OFF_CENTRE = ((2, 1, 0.6, 0.55), (2, 1, 0.8, 0.7), (4, 1, 0.6, 0.5))  # (n, k, R, d0)
+
+
+def _off_centre_sphere(theta, R, d):
+    """rho(theta) of the geodesic sphere of radius R centred on the axis at
+    distance d from the pole: cos R = cos rho cos d + sin rho sin d cos theta,
+    as tests/oracles.py has it; kept here so that a copy of this script runs
+    against a checkout whose oracles lack it."""
+    return (np.arctan2(np.sin(d) * np.cos(theta), np.cos(d))
+            + np.arccos(np.cos(R) / np.hypot(np.cos(d), np.sin(d) * np.cos(theta))))
 
 
 def _counters(result) -> dict:
@@ -43,8 +60,10 @@ def _counters(result) -> dict:
 
 
 def radius_probe() -> dict:
-    """Counters of every run, by solver/n,k/r0, and /capped for dtMax 0.2."""
+    """Counters of every run, by solver/n,k/r0, and /capped for dtMax 0.2,
+    then by solver/n,k/offcentre/R,d0."""
     counters = {}
+    grid = polar_grid(N)
     for solver, flow in SOLVERS.items():
         for n, k in ORDERS:
             for r0 in RADII:
@@ -55,6 +74,11 @@ def radius_probe() -> dict:
                 counters[key] = _counters(flow(config))
                 capped = dataclasses.replace(config, dt_max=0.2)
                 counters[f"{key}/capped"] = _counters(flow(capped))
+        for n, k, R, d0 in OFF_CENTRE:
+            shape = ShapeSpec(kind="custom", theta=grid.theta,
+                              rho=_off_centre_sphere(grid.theta, R, d0))
+            config = FlowConfig(n=n, k=k, N=N, initial_shape=shape)
+            counters[f"{solver}/n{n}k{k}/offcentre/R{R}d{d0}"] = _counters(flow(config))
     return counters
 
 
