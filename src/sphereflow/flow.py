@@ -454,11 +454,13 @@ def _rms(x: np.ndarray):
 
 
 def _factor(gttrf, lower, diag, upper) -> tuple:
-    """LAPACK's LU factors of a tridiagonal matrix; LinAlgError on a zero pivot
-    or a factor that is not finite."""
+    """LAPACK's LU factors of a tridiagonal matrix; LinAlgError on a zero pivot.
+    The matrix is finite (_Stepper._jac), and partial pivoting bounds the
+    growth of a tridiagonal factor by 2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 9), so its factors are finite too."""
     *factors, info = gttrf(lower, diag, upper)
-    if info != 0 or not all(np.all(np.isfinite(f)) for f in factors[:4]):
-        raise np.linalg.LinAlgError("tridiagonal factor is singular or not finite")
+    if info != 0:
+        raise np.linalg.LinAlgError("tridiagonal factor is singular")
     return factors
 
 
@@ -511,7 +513,6 @@ class _Stepper:
         predictor and tries h, or with None the first step."""
         self.h_abs = self.tried = None if h is None else min(h, self.t_bound - self.t)
         self.J = None
-        self.lu = None  # (h, J, real factors, complex factors)
         self.dense = None  # (t, y, collocation polynomial coefficients) at the last step's start
 
     def _fun(self, y: np.ndarray) -> np.ndarray:
@@ -519,22 +520,24 @@ class _Stepper:
         return self.fun(y)
 
     def _jac(self, y: np.ndarray) -> np.ndarray:
+        """J at y; LinAlgError where an entry is not finite."""
         self.jacobians += 1
-        return _jacobian(self.fun, y)
+        J = _jacobian(self.fun, y)
+        if not np.all(np.isfinite(J)):
+            raise np.linalg.LinAlgError("Jacobian is not finite")
+        return J
 
     def _factors(self, h: float) -> tuple:
-        if self.lu is None or self.lu[0] != h or self.lu[1] is not self.J:
-            lower, diag, upper = -self.J[0, 1:], -self.J[1], -self.J[2, :-1]
-            self.factorizations += 2
-            self.lu = (h, self.J,
-                       _factor(lapack.dgttrf, lower, _MU_REAL / h + diag, upper),
-                       _factor(lapack.zgttrf, lower + 0j, _MU_COMPLEX / h + diag, upper + 0j))
-        return self.lu[2:]
+        """The LU factors of MU/h I - J for the real and the complex MU."""
+        lower, diag, upper = -self.J[0, 1:], -self.J[1], -self.J[2, :-1]
+        self.factorizations += 2
+        return (_factor(lapack.dgttrf, lower, _MU_REAL / h + diag, upper),
+                _factor(lapack.zgttrf, lower + 0j, _MU_COMPLEX / h + diag, upper + 0j))
 
-    def _newton(self, h: float, z: np.ndarray, scale: np.ndarray, f0) -> tuple:
-        """(iterations, stage increments, convergence rate) of a converged solve,
-        else StepRejected; f0 is the stages' rate at z when known, else None."""
-        real, complex_ = self._factors(h)
+    def _newton(self, h: float, z: np.ndarray, scale: np.ndarray, f0, real, complex_) -> tuple:
+        """(iterations, stage increments, convergence rate) of a converged solve
+        on the factors real and complex_ of _factors(h), else StepRejected; f0
+        is the stages' rate at z when known, else None."""
         w = _combine(_TI, z)
         dw_norm_old = rate = None
         for it in range(_NEWTON_MAXITER):
@@ -585,9 +588,10 @@ class _Stepper:
         else:  # the last step's collocation polynomial at the new stages
             z0, f0 = self.at(t + h * _C) - y, None
         scale = self.atol + np.abs(y) * self.rtol
-        iterations, z, rate = self._newton(h, z0, scale, f0)
+        real, complex_ = self._factors(h)
+        iterations, z, rate = self._newton(h, z0, scale, f0, real, complex_)
         y_new = y + z[-1]
-        error = lapack.dgttrs(*self.lu[2], f + _combine(_E, z) / h)[0]
+        error = lapack.dgttrs(*real, f + _combine(_E, z) / h)[0]
         scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
         error_norm = _rms(error / scale)
         if not error_norm <= 1:  # NaN fails too

@@ -851,14 +851,15 @@ def test_no_step_is_held(monkeypatch, solve):
 
 
 @pytest.mark.parametrize("solve", [run, dual_run])
-def test_steps_pinned_at_the_cap_share_a_factor_pair(solve):
-    """Steps of dtMax, with h and J unchanged, reuse the kept LU pair: fewer
-    pairs than steps on a capped run, two factorizations to a pair."""
-    cfg = dataclasses.replace(
-        _reference_config(*REFERENCE_SHAPES[0], t_max=2.0, dt_max=0.05), N=64)
-    res = solve(cfg)
-    assert res.termination == "tmax" and res.rejections == 0
-    assert res.lu_factorizations < 2 * res.steps
+@pytest.mark.parametrize("dt_max", [0.05, None])
+def test_every_trial_factors_once(solve, dt_max):
+    """Each trial factors its LU pair afresh and only once, the Newton solve
+    and the error estimate sharing it: two factorizations per trial, on a run
+    whose steps are pinned at dtMax as on one with no cap."""
+    kw = dict(t_max=2.0, dt_max=dt_max) if dt_max else {}
+    res = solve(dataclasses.replace(_reference_config(*REFERENCE_SHAPES[0], **kw), N=64))
+    assert res.termination == ("tmax" if dt_max else "converged") and res.steps > 10
+    assert res.lu_factorizations == 2 * (res.steps + res.rejections)
 
 
 def _count_crossings(monkeypatch) -> list:
@@ -1440,6 +1441,50 @@ def test_every_rejected_trial_is_counted(monkeypatch):
     assert (res.steps, dual.steps) == (29, 31)
     assert float(np.max(np.abs(res.profile.rho - clean.profile.rho))) < 1e-9
     assert float(np.max(np.abs(dual.u - clean_dual.u))) < 1e-9
+
+
+def _spoiled_jacobian(monkeypatch, bad, calls):
+    """Route the stepper's Jacobians through one that writes bad into an entry
+    on the given call numbers."""
+    count, real = [0], flow_module._jacobian
+
+    def spoiled(rate, y):
+        J = real(rate, y)
+        count[0] += 1
+        if count[0] in calls:
+            J[1, y.size // 2] = bad
+        return J
+
+    monkeypatch.setattr(flow_module, "_jacobian", spoiled)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_later_jacobian_that_is_not_finite_restarts_the_step(monkeypatch, bad):
+    """The stepper refuses a Jacobian with an entry that is not finite where
+    it takes it: the second J, taken after a slow Newton solve, fails its
+    trial, which restarts once with a fresh J, and both solvers end where the
+    clean run does."""
+    cfg = _perturbed_config(t_max=1.0, convergence_tol=0.0)
+    for solve in (run, dual_run):
+        clean = solve(cfg)
+        with monkeypatch.context() as patch:
+            _spoiled_jacobian(patch, bad, {2})
+            res = solve(cfg)
+        assert clean.rejections == 0 and clean.jacobians >= 2
+        assert res.termination == clean.termination == "tmax" and res.rejections == 1
+        final, clean_final = ((res.u, clean.u) if solve is dual_run
+                              else (res.profile.rho, clean.profile.rho))
+        assert float(np.max(np.abs(final - clean_final))) < 1e-9
+
+
+@pytest.mark.parametrize("solve", [run, dual_run])
+def test_a_start_jacobian_that_is_not_finite_ends_the_run(monkeypatch, solve):
+    """A start J with a NaN entry leaves no first step to halve: the run ends
+    step_collapse at its first trial, and the termination names the Jacobian."""
+    _spoiled_jacobian(monkeypatch, np.nan, {1})
+    res = solve(_perturbed_config(t_max=0.02))
+    assert res.termination == "step_collapse: Jacobian is not finite"
+    assert (res.steps, res.rejections, res.jacobians, res.lu_factorizations) == (0, 1, 1, 0)
 
 
 @pytest.mark.parametrize("solve", [run, dual_run])
