@@ -8,10 +8,10 @@ stencil derivatives, so its Jacobian is tridiagonal, which _jacobian reads from
 one complex-step call of the rate, and the stiff system is stepped with Radau
 IIA (Hairer & Wanner, Solving ODEs II, Sec. IV.8), whose steps are sized by
 accuracy rather than by the h^2 stability limit.  _Stepper is that method: its
-three stages go to the rate as one stacked call, MU/h I - J is factored by
-LAPACK's tridiagonal routines and kept while h and J stay the same, and a
-failed trial, an unconverged Newton solve included, raises to _Stepper.step,
-the one place that halves a step on failure.  One driver, _integrate, steps
+three stages go to the rate as one stacked call, each trial factors MU/h I - J
+once by LAPACK's tridiagonal routines, and a failed trial, an unconverged
+Newton solve and a Jacobian that is not finite included, raises to
+_Stepper.step, the one place that halves a step on failure.  One driver, _integrate, steps
 both this solver and the support-function solver in dualflow; its first step is
 0.8 over the Gershgorin bound of the start's Jacobian, and each step starts on
 the rate of the state that the solver built from the last accepted vector, not
@@ -454,10 +454,8 @@ def _rms(x: np.ndarray):
 
 
 def _factor(gttrf, lower, diag, upper) -> tuple:
-    """LAPACK's LU factors of a tridiagonal matrix; LinAlgError on a zero pivot.
-    The matrix is finite (_Stepper._jac), and partial pivoting bounds the
-    growth of a tridiagonal factor by 2 (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 9), so its factors are finite too."""
+    """LAPACK's LU factors of a finite tridiagonal matrix, which are finite too, as
+    pivoting bounds their growth by 2 (Higham, ch. 9); LinAlgError on a zero pivot."""
     *factors, info = gttrf(lower, diag, upper)
     if info != 0:
         raise np.linalg.LinAlgError("tridiagonal factor is singular")
@@ -475,28 +473,29 @@ def _tolerances(config: FlowConfig) -> tuple:
 class _Stepper:
     """Radau IIA (order 5) steps of y' = fun(y), each retried until accept takes one.
 
-    It keeps scipy's Radau constants and, failures, scipy's predictive factor
-    and its step hold aside, its algorithm: the simplified Newton iteration on
-    the collocation system, the embedded error estimate and one step-size rule
-    for an accepted step, the factor safety * error_norm**-0.25 capped at
-    _MAX_FACTOR, with J taken again after slow Newton convergence.  fun takes
-    the three stages as one (3, N) stack and raises ValueError off the chart or
-    the cone; J is _jacobian(fun, y), which counts as a Jacobian, not as rate
-    evaluations.  The first step is _gershgorin_dt of the first trial's J.  The
-    rate at a step's start is the caller's, from the accepted state; a zero
-    predictor's first Newton iteration takes it for all three stages.
-    MU/h I - J is factored by LAPACK's tridiagonal routines; one factor pair is
-    kept while h and J stay the same, as on steps pinned at h_max, and no step
-    is held to keep one.  tolerances is the error test's (rtol, atol).
+    It keeps scipy's Radau constants and, failures, scipy's predictive factor,
+    its step hold and RADAU5's Newton-aware safety aside, its algorithm: the
+    simplified Newton iteration on the collocation system, the embedded error
+    estimate and one step-size rule for an accepted step, the factor
+    0.9 * error_norm**-0.25 capped at _MAX_FACTOR, with J taken again after
+    slow Newton convergence.  fun takes the three stages as one (3, N) stack
+    and raises ValueError off the chart or the cone; J is _jacobian(fun, y),
+    which counts as a Jacobian, not as rate evaluations, and is refused where
+    an entry is not finite.  The first step is _gershgorin_dt of the first
+    trial's J.  The rate at a step's start is the caller's, from the accepted
+    state; a zero predictor's first Newton iteration takes it for all three
+    stages.  Each trial factors MU/h I - J once, by LAPACK's tridiagonal
+    routines, for its Newton solve and its error estimate.  tolerances is the
+    error test's (rtol, atol).
 
     accept turns a trial that passes the error test into the caller's next
     state, or raises StepRejected or ValueError.  Every trial that is not a
     step is a rejection, and every rejection is a raise: a failed error test,
-    a failed solve (under a stale J as under a fresh one) and a refused vector
-    alike.  step is the one retry loop: it restarts from (t, y) with a new J
-    and a zero predictor, at half the step tried or of a smaller h_abs, and
-    re-raises below _MULT_FLOOR times the first step or, with no first step to
-    halve, where the start's J fails.
+    a failed solve (under a stale J as under a fresh one), a refused J and a
+    refused vector alike.  step is the one retry loop: it restarts from (t, y)
+    with a new J and a zero predictor, at half the step tried or of a smaller
+    h_abs, and re-raises below _MULT_FLOOR times the first step or, with no
+    first step to halve, where the start's J fails.
     """
 
     def __init__(self, fun, accept, y: np.ndarray, t_bound: float, h_max, tolerances: tuple):
@@ -527,17 +526,9 @@ class _Stepper:
             raise np.linalg.LinAlgError("Jacobian is not finite")
         return J
 
-    def _factors(self, h: float) -> tuple:
-        """The LU factors of MU/h I - J for the real and the complex MU."""
-        lower, diag, upper = -self.J[0, 1:], -self.J[1], -self.J[2, :-1]
-        self.factorizations += 2
-        return (_factor(lapack.dgttrf, lower, _MU_REAL / h + diag, upper),
-                _factor(lapack.zgttrf, lower + 0j, _MU_COMPLEX / h + diag, upper + 0j))
-
     def _newton(self, h: float, z: np.ndarray, scale: np.ndarray, f0, real, complex_) -> tuple:
-        """(iterations, stage increments, convergence rate) of a converged solve
-        on the factors real and complex_ of _factors(h), else StepRejected; f0
-        is the stages' rate at z when known, else None."""
+        """(iterations, stage increments, convergence rate) of a converged solve on
+        the trial's LU pair, else StepRejected; f0 is the stages' rate at z or None."""
         w = _combine(_TI, z)
         dw_norm_old = rate = None
         for it in range(_NEWTON_MAXITER):
@@ -588,7 +579,10 @@ class _Stepper:
         else:  # the last step's collocation polynomial at the new stages
             z0, f0 = self.at(t + h * _C) - y, None
         scale = self.atol + np.abs(y) * self.rtol
-        real, complex_ = self._factors(h)
+        lower, diag, upper = -self.J[0, 1:], -self.J[1], -self.J[2, :-1]
+        self.factorizations += 2  # MU/h I - J for the real and the complex MU
+        real = _factor(lapack.dgttrf, lower, _MU_REAL / h + diag, upper)
+        complex_ = _factor(lapack.zgttrf, lower + 0j, _MU_COMPLEX / h + diag, upper + 0j)
         iterations, z, rate = self._newton(h, z0, scale, f0, real, complex_)
         y_new = y + z[-1]
         error = lapack.dgttrs(*real, f + _combine(_E, z) / h)[0]
@@ -597,12 +591,9 @@ class _Stepper:
         if not error_norm <= 1:  # NaN fails too
             raise StepRejected("error test failed")
 
-        safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + iterations)
-        recompute_jac = iterations > 2 and rate > 1e-3
-        factor = min(_MAX_FACTOR, safety * error_norm**-0.25)
-        if recompute_jac:
+        if iterations > 2 and rate > 1e-3:  # slow convergence: J is stale
             self.J = self._jac(y_new)
-        self.h_abs = h * factor
+        self.h_abs = h * min(_MAX_FACTOR, 0.9 * error_norm**-0.25)
         self.dense = (t, y, _combine(_P.T, z))
         self.error = error  # the accepted step's error estimate, read for tFinal's resolution
         return t_new, y_new
