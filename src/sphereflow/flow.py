@@ -11,15 +11,15 @@ accuracy rather than by the h^2 stability limit.  _Stepper is that method: its
 three stages go to the rate as one stacked call, each trial factors MU/h I - J
 once by LAPACK's tridiagonal routines, and a failed trial, an unconverged
 Newton solve and a Jacobian that is not finite included, raises to
-_Stepper.step, the one place that halves a step on failure.  One driver, _integrate, steps
-both this solver and the support-function solver in dualflow; its first step is
-0.8 over the Gershgorin bound of the start's Jacobian, and each step starts on
-the rate of the state that the solver built from the last accepted vector, not
-on a rate call.  A converged run stops where its max speed crosses the
-tolerance, located on the last step's collocation polynomial (_crossing).
-_integrate names every stop of a run and returns the final solver state and an
-Outcome, the stop and the counters, which FlowResult here and DualResult
-extend.  Classical Runge-Kutta stays on as the test oracle.
+_Stepper.step, the one place that halves a step on failure.  One driver,
+_integrate, steps both this solver and the support-function solver in dualflow;
+its first step is 0.8 over the Gershgorin bound of the start's Jacobian, and
+each step starts on the rate of the state that the solver built from the last
+accepted vector, not on a rate call.  A converged run stops where its max speed
+crosses the tolerance, located on the last step's collocation polynomial
+(_crossing).  _integrate names every stop of a run and returns the final solver
+state and an Outcome, the stop and the counters, which FlowResult here and
+DualResult extend.  Classical Runge-Kutta stays on as the test oracle.
 """
 
 from __future__ import annotations

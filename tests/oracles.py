@@ -213,3 +213,11 @@ def off_centre_distance(n, k, R, d0, t):
     sigma_{k+1}/sigma_k of n ones."""
     c = (n - k) / (k + 1)
     return 2.0 * math.atan(math.tan(0.5 * d0) * math.exp(-c * t / math.sin(R)))
+
+
+def off_centre_stop_time(n, k, R, d0, tol):
+    """Time t* at which that sphere's max speed, c sin d / sin R, falls to tol:
+    t* = (sin R / c) ln(tan(d0/2) / tan(d*/2)), with sin d* = tol sin R / c."""
+    c = (n - k) / (k + 1)
+    d_stop = math.asin(tol * math.sin(R) / c)
+    return math.sin(R) / c * math.log(math.tan(0.5 * d0) / math.tan(0.5 * d_stop))

@@ -429,6 +429,25 @@ def test_both_solvers_follow_the_off_centre_sphere_at_second_order(n, k, R, d0):
         assert min(np.log2(np.divide(err[:-1], err[1:]))) >= 1.9, (name, err)
 
 
+@pytest.mark.parametrize("n, k, R, d0", [(2, 1, 0.8, 0.3), (3, 2, 0.5, 0.4)])
+def test_run_stops_on_the_off_centre_sphere_within_its_stated_resolution(n, k, R, d0):
+    # at the default stop, run's located tFinal lies within tFinalResolution of
+    # the exact oracles.off_centre_stop_time, and every A_l, which the flow
+    # conserves here, drifts over the whole run at second order in h
+    tol = FlowConfig.convergence_tol  # the default
+    t_star = oracles.off_centre_stop_time(n, k, R, d0, tol)
+    drifts = []
+    for N in (65, 129, 257):
+        config = _off_centre_config(n, k, R, d0, N, FlowConfig.t_max)
+        res = run(dataclasses.replace(config, convergence_tol=tol))
+        assert res.termination == "converged"
+        assert abs(res.t_final - t_star) <= res.t_final_resolution, (N, res.t_final, t_star)
+        drifts.append(max(np.max(np.abs(res.trace.column(f"A_{m}")
+                                        / sphere_quermass(n, m, R) - 1.0))
+                          for m in range(-1, n + 1)))
+    assert min(np.divide(drifts[:-1], drifts[1:])) >= 3.5, drifts
+
+
 @pytest.mark.parametrize("n, k, R, d0", [(2, 1, 0.6, 0.55), (2, 1, 0.8, 0.7), (4, 1, 0.6, 0.5)])
 def test_the_dual_trace_reads_every_row_of_a_sphere_near_the_origin(n, k, R, d0):
     # with the pole close to the sphere the pulled-back points crowd together
