@@ -68,8 +68,8 @@ __all__ = [
 ]
 
 _MULT_FLOOR = 1e-12
-# both solvers' Radau rtol is 0.1 min(h^2, convergence_tol), at least _RTOL: a
-# time error below the O(h^2) grid error and the stop, and no finer (Lawson,
+# both solvers' Radau rtol is min(0.1 h^2, convergence_tol), at least _RTOL: a
+# time error below the O(h^2) grid error and no finer than the stop (Lawson,
 # Berzins & Dew, SIAM J. Sci. Stat. Comput. 12, 1991); tMax-only runs keep _RTOL
 _RTOL = 1e-8
 # the first step of both solvers times G, the Gershgorin bound of the start's
@@ -464,9 +464,9 @@ def _factor(gttrf, lower, diag, upper) -> tuple:
 
 def _tolerances(config: FlowConfig) -> tuple:
     """Both solvers' Radau (rtol, atol = 1e-3 rtol) for config, by the rule above
-    _RTOL with h = pi / (N - 1); the floor gives (1e-8, 1e-11) exactly."""
+    _RTOL, h = pi / (N - 1): the default stop's 1e-6 up to N ~ 1000, the floor (1e-8, 1e-11)."""
     h = math.pi / (config.N - 1)
-    rtol = max(_RTOL, 0.1 * min(h * h, config.convergence_tol))
+    rtol = max(_RTOL, min(0.1 * h * h, config.convergence_tol))
     return rtol, rtol / _RTOL * 1e-11
 
 
@@ -494,8 +494,8 @@ class _Stepper:
     a failed solve (under a stale J as under a fresh one), a refused J and a
     refused vector alike.  step is the one retry loop: it restarts from (t, y)
     with a new J and a zero predictor, at half the step tried or of a smaller
-    h_abs, and re-raises below _MULT_FLOOR times the first step or, with no
-    first step to halve, where the start's J fails.
+    h_abs, re-raises below _MULT_FLOOR times the first step or, with no first
+    step to halve, where the start's J fails, and grows no step after a retry.
     """
 
     def __init__(self, fun, accept, y: np.ndarray, t_bound: float, h_max, tolerances: tuple):
@@ -607,15 +607,19 @@ class _Stepper:
     def step(self, f: np.ndarray):
         """The state that accept makes of the next accepted step from (t, y),
         whose rate f the caller supplies; t and y move on to that step."""
+        rejected = False
         while True:
             try:
                 with np.errstate(all="ignore"):
                     t_new, y_new = self._trial(f)
                 state = self.accept(y_new)
                 self.t, self.y = t_new, y_new
+                if rejected:  # RADAU5: no growth right after a rejection
+                    self.h_abs = min(self.h_abs, self.tried)
                 return state
             except (StepRejected, ValueError):  # LinAlgError is a ValueError
                 self.rejections += 1
+                rejected = True
                 if self.h_abs is None:  # the start's J failed
                     raise
                 # h_abs < tried where _trial ran it at its least step: halve h_abs

@@ -429,7 +429,8 @@ def test_both_solvers_follow_the_off_centre_sphere_at_second_order(n, k, R, d0):
         assert min(np.log2(np.divide(err[:-1], err[1:]))) >= 1.9, (name, err)
 
 
-@pytest.mark.parametrize("n, k, R, d0", [(2, 1, 0.8, 0.3), (3, 2, 0.5, 0.4)])
+@pytest.mark.parametrize("n, k, R, d0", [(2, 1, 0.8, 0.3), (3, 2, 0.5, 0.4), (2, 0, 0.8, 0.3),
+                                         (4, 1, 0.6, 0.5), (3, 1, 1.2, 0.3), (5, 2, 0.5, 0.4)])
 def test_run_stops_on_the_off_centre_sphere_within_its_stated_resolution(n, k, R, d0):
     # at the default stop, run's located tFinal lies within tFinalResolution of
     # the exact oracles.off_centre_stop_time, and every A_l, which the flow
