@@ -303,6 +303,13 @@ def _trace_row(state: DualState, g: np.ndarray, k: int, codes: list) -> list:
     ]
 
 
+def _dual_start(profile: RadialProfile) -> np.ndarray:
+    """dual_run's start: dual_from_profile's u_tilde, not-a-knot spline onto profile.grid."""
+    from scipy.interpolate import CubicSpline  # a slow import, kept off the graph run's path
+    dual0 = dual_from_profile(profile)
+    return CubicSpline(dual0.theta, dual0.u)(profile.grid.theta)
+
+
 def dual_run(config: FlowConfig) -> DualResult:
     """Radau IIA time stepping of the support-function evolution.
 
@@ -323,7 +330,6 @@ def dual_run(config: FlowConfig) -> DualResult:
     if config.checkpoint_every > 0:
         raise ValueError("dual_run writes no checkpoints: checkpoint_every must be 0")
     profile, _, _ = _start(config)
-    dual0 = dual_from_profile(profile)
     grid = profile.grid
     n, k = config.n, config.k
 
@@ -336,8 +342,7 @@ def dual_run(config: FlowConfig) -> DualResult:
         return g, float(np.max(np.abs(g))), 1.0 / state.min_eig_w, state
 
     trace = FlowTrace(n, extra=("minEigW", "maxEigW"))
-    from scipy.interpolate import CubicSpline  # a slow import, kept off the graph run's path
-    u0 = CubicSpline(dual0.theta, dual0.u)(grid.theta)
+    u0 = _dual_start(profile)
     (*_, state), outcome = _integrate(
         config, lambda u: _stage_g(n, k, grid, u), evaluate, lambda *_: (),
         lambda cur, codes: _trace_row(cur[3], cur[0], k, codes), u0, evaluate(u0), trace)

@@ -23,7 +23,6 @@ from .symfunc import (
     _pinch_deficits,
     _quotients,
     _trace_gaps,
-    quotient,
     quotient_trace_gaps,
     sigma_table,
 )
@@ -224,8 +223,7 @@ def _check_homogeneity(vals, tb, t) -> CheckResult:
 def _check_sorted_chain(vals, table, k) -> list:
     """Checks of order k on rows sorted descending and their sigma table."""
     samples, n = vals.shape
-    # each walked table is a view that the next overwrites: copy its column
-    ekm1 = np.stack([t[:, k - 1].copy() for t in _exclusion_tables(vals, 1, k - 1)], axis=1)
+    ekm1 = _excl_tables(vals, k - 1)[:, :, k - 1]
     # excluding a smaller entry keeps more mass: chain increases with index
     diffs = np.diff(ekm1, axis=1)
     scale = np.maximum(np.abs(ekm1[:, 1:]), 1.0)
@@ -293,10 +291,11 @@ def _check_quotient_gaps(gaps, outer, inner_trace, k) -> list:
                                 float(np.min(gap2)), _QUOT_TOL),
     ]
     closure = cone_boundary_shift(outer, k)
-    tb = sigma_table(closure, k)
-    good = np.all(np.isfinite(closure), axis=1) & np.all(tb[:, 1:] > 0.0, axis=1)
+    tb = sigma_table(closure, min(k + 2, n))
+    good = np.all(np.isfinite(closure), axis=1) & np.all(tb[:, 1:k + 1] > 0.0, axis=1)
     # each row's trace is its own: the closed cone's two halves are evaluated apart
-    upper = (n - k) - np.concatenate([quotient(closure[good], k)[2], inner_trace])
+    upper = (n - k) - np.concatenate([_quotients(closure[good], tb[good], (k,))[0][2],
+                                      inner_trace])
     out.append(CheckResult.lower_bound(
         "trace-upper-closure", n, f"k={k}", int(upper.shape[0]),
         float(np.min(upper)), _QUOT_TOL))
@@ -343,7 +342,8 @@ def _dimension_checks(rng: np.random.Generator, samples: int, n: int) -> list:
     for k in range(n):
         outer = sample_cone(rng, samples, n, k + 1)
         # orders k and k + 1 on Gamma_{k+1}; only the trace gaps outlive the step
-        table, quots = _quotients(outer, range(k, min(k + 2, n)))
+        table = sigma_table(outer, min(k + 3, n))
+        quots = _quotients(outer, table, range(k, min(k + 2, n)))
         # outer was scaled after sample_cone's membership test, so rounding
         # can move a sigma across 0: test its rows again
         inner = np.all(table[:, 1:k + 2] > 0.0, axis=1)

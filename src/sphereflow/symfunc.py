@@ -113,16 +113,11 @@ def identity_quotient(n: int, k: int) -> float:
     return (n - k) / (k + 1)
 
 
-def _quotients(lam, ks):
-    """(sigma table to min(max(ks) + 2, n), [quotient(lam, k) for k in ks]) from
-    that table and one single-exclusion walk to max(ks): row m of a table does
-    not depend on how far it runs, so each result is quotient's bit for bit."""
-    vals = _values(lam)
+def _quotients(vals, table, ks):
+    """[quotient(vals, k) for k in ks] from the caller's sigma table of vals, built to
+    min(max(ks) + 2, n) or further, and one single-exclusion walk to max(ks): row m
+    of a table does not depend on how far it runs, so each is quotient's bit for bit."""
     n = vals.shape[-1]
-    for k in ks:
-        if not 0 <= k <= n - 1:
-            raise ValueError(f"quotient order k={k} out of range for n={n}")
-    table = sigma_table(vals, min(max(ks) + 2, n))
     for k in ks:
         if not np.all(table[..., k] > 0.0):
             raise ConeViolation(f"sigma_{k} not positive on some sample")
@@ -132,8 +127,8 @@ def _quotients(lam, ks):
         for k, grad, s2 in zip(ks, grads, sk2):
             grad[..., i] = (t_i[..., k] * table[..., k]
                             - table[..., k + 1] * (t_i[..., k - 1] if k else 0.0)) / s2
-    return table, [(table[..., k + 1] / table[..., k], grad, np.sum(grad, axis=-1),
-                    np.sum(grad * vals**2, axis=-1)) for k, grad in zip(ks, grads)]
+    return [(table[..., k + 1] / table[..., k], grad, np.sum(grad, axis=-1),
+             np.sum(grad * vals**2, axis=-1)) for k, grad in zip(ks, grads)]
 
 
 def quotient(lam, k: int):
@@ -144,7 +139,11 @@ def quotient(lam, k: int):
     weighted_trace = sum_i F^{ii} lam_i^2; raises ConeViolation unless
     sigma_k > 0 on every vector.
     """
-    return _quotients(lam, (k,))[1][0]
+    vals = _values(lam)
+    n = vals.shape[-1]
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"quotient order k={k} out of range for n={n}")
+    return _quotients(vals, sigma_table(vals, min(k + 2, n)), (k,))[0]
 
 
 def sigma_two_value(lam1, lam2, n: int, m: int):

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 import oracles
 import sphereflow.dualflow as dualflow_module
@@ -117,12 +116,14 @@ def test_pullback_guards_monotonicity():
         profile_from_dual(broken)
 
 
+def _short_config(**kw):
+    """A run to t = 0.05 from the n=2, k=1 mode-2 shape at N=65, with kw replaced."""
+    shape = ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2)
+    return dataclasses.replace(FlowConfig(n=2, k=1, N=65, t_max=0.05, initial_shape=shape), **kw)
+
+
 def test_dual_run_short():
-    cfg = FlowConfig(
-        n=2, k=1, N=65,
-        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
-        t_max=0.05, sample_every=10,
-    )
+    cfg = _short_config(sample_every=10)
     res = dual_run(cfg)
     assert res.termination == "tmax"
     assert res.steps > 0 and res.breakdown_time is None
@@ -133,12 +134,23 @@ def test_dual_run_short():
     assert np.allclose(a2, 4.0 * math.pi, atol=2e-3)
 
 
+def test_dual_run_steps_from_the_one_start_transfer(monkeypatch):
+    # the stepper's first vector is _dual_start's, bit for bit, as the tests take it
+    cfg = FlowConfig(n=3, k=2, N=128, t_max=1e-3,
+                     initial_shape=ShapeSpec(kind="perturbed", r0=0.9, eps=0.03, mode=2))
+    starts = []
+
+    def integrate(*args):
+        starts.append(args[5].copy())  # y0
+        return flow_module._integrate(*args)
+
+    monkeypatch.setattr(dualflow_module, "_integrate", integrate)
+    assert dual_run(cfg).termination == "tmax" and len(starts) == 1
+    assert np.array_equal(starts[0], dualflow_module._dual_start(cfg.initial_shape.build(3, 128)))
+
+
 def test_dual_trace_csv(tmp_path):
-    cfg = FlowConfig(
-        n=2, k=1, N=65,
-        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
-        t_max=0.02, sample_every=10,
-    )
+    cfg = _short_config(t_max=0.02, sample_every=10)
     res = dual_run(cfg)
     path = tmp_path / "dual.csv"
     res.trace.to_csv(path, seed=3)
@@ -195,11 +207,7 @@ def _closure_marks(monkeypatch, config, core="_closure"):
 
 
 def test_dual_run_records_breakdown_when_every_trial_fails(monkeypatch):
-    cfg = FlowConfig(
-        n=2, k=1, N=65,
-        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
-        t_max=0.05,
-    )
+    cfg = _short_config()
     marks = _closure_marks(monkeypatch, cfg)
     assert len(marks) >= 5  # the pullback, the start and at least three steps
     real = dualflow_module._closure
@@ -247,11 +255,7 @@ def _force_cone_exit(monkeypatch, cfg, max_calls=None):
 def test_dual_run_collapse_without_a_convexity_loss_is_no_breakdown(monkeypatch):
     """Only a loss of positive definiteness of W is a breakdown; a run whose
     trials all leave the quotient's cone ends step_collapse, as run does."""
-    cfg = FlowConfig(
-        n=2, k=1, N=65,
-        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
-        t_max=0.05,
-    )
+    cfg = _short_config()
     _force_cone_exit(monkeypatch, cfg)
     res = dual_run(cfg)
     assert res.termination == "step_collapse: forced cone exit"
@@ -267,11 +271,7 @@ def test_collapse_below_the_float_spacing_of_t_ends(monkeypatch):
     the step lies below 5 ulp(t), the trials run at the stepper's least step,
     10 ulp(t), but each restart halves the step that it would have taken, so
     the run still collapses in about log2(h / floor) rejections."""
-    cfg = FlowConfig(
-        n=2, k=1, N=65,
-        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
-        t_max=0.05,
-    )
+    cfg = _short_config()
     # 1e-24 of the first step lies far below 5 ulp of the collapse time
     monkeypatch.setattr(flow_module, "_MULT_FLOOR", 1e-24)
     # a failed trial costs one quotient call, its first Newton iteration's
@@ -286,11 +286,7 @@ def test_collapse_below_the_float_spacing_of_t_ends(monkeypatch):
 def test_dual_run_forgets_a_convexity_loss_that_a_step_recovered_from(monkeypatch):
     """A stage whose W is not positive definite, retried within its step, does
     not make a later collapse of another kind a breakdown."""
-    cfg = FlowConfig(
-        n=2, k=1, N=65,
-        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
-        t_max=0.05,
-    )
+    cfg = _short_config()
     real_stage, real_factor = dualflow_module._stage_g, flow_module._factor
     real_state = dualflow_module._dual_state
     stages, closed = [0], [0]
@@ -326,11 +322,7 @@ def test_dual_run_restarts_a_stage_convexity_loss_under_a_stale_jacobian(monkeyp
     """A stage whose W is not positive definite fails its trial under the
     first step's J as under a fresh one: step restarts it once, and the run
     ends where a clean one does, with no breakdown."""
-    cfg = FlowConfig(
-        n=2, k=1, N=65,
-        initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2),
-        t_max=0.05,
-    )
+    cfg = _short_config()
     real, real_state = dualflow_module._stage_g, dualflow_module._dual_state
     stages, marks, fail = [0], [], [None]
 
@@ -371,8 +363,7 @@ def test_accepted_dual_states_skip_the_quotient_gradient(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(hypersurface_module, "quotient_two_value", counting)
-    cfg = FlowConfig(n=2, k=1, N=128, t_max=0.1, convergence_tol=0.0, sample_every=10**9,
-                     initial_shape=ShapeSpec(kind="perturbed", r0=0.8, eps=0.05, mode=2))
+    cfg = _short_config(N=128, t_max=0.1, convergence_tol=0.0, sample_every=10**9)
     res = dual_run(cfg)
     assert res.termination == "tmax" and res.steps > 1 and res.jacobians < res.steps
     assert calls[0] == 0 and not hasattr(dualflow_module, "quotient_two_value")
@@ -411,7 +402,8 @@ def _off_centre_config(n, k, R, d0, N, t_max):
     return FlowConfig(n=n, k=k, N=N, t_max=t_max, convergence_tol=0.0, initial_shape=shape)
 
 
-@pytest.mark.parametrize("n, k, R, d0", [(2, 1, 0.8, 0.3), (3, 2, 0.5, 0.4)])
+@pytest.mark.parametrize("n, k, R, d0", [(2, 1, 0.8, 0.3), (3, 2, 0.5, 0.4), (2, 0, 0.8, 0.3),
+                                         (3, 1, 1.2, 0.3), (8, 4, 0.8, 0.3)])
 def test_both_solvers_follow_the_off_centre_sphere_at_second_order(n, k, R, d0):
     # the sphere stays one of radius R, its centre on oracles.off_centre_distance;
     # the dual solver's profile is read through profile_from_dual
@@ -466,11 +458,10 @@ def test_the_dual_trace_reads_every_row_of_a_sphere_near_the_origin(n, k, R, d0)
 
 def _spline_started_state(R, d, N):
     """The uniform-grid DualState that dual_run starts from on the off-centre
-    sphere, moved off the normal angles by dual_run's own CubicSpline."""
+    sphere, moved off the normal angles by dual_run's own start transfer."""
     grid = polar_grid(N)
     prof = RadialProfile(n=2, theta=grid, rho=oracles.off_centre_sphere(grid.theta, R, d))
-    dual0 = dual_from_profile(prof)
-    return support_closure(2, prof.grid, CubicSpline(dual0.theta, dual0.u)(prof.grid.theta))
+    return support_closure(2, prof.grid, dualflow_module._dual_start(prof))
 
 
 def test_the_pullback_reads_the_slopes_of_the_dual_state():

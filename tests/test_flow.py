@@ -11,7 +11,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 import sphereflow.dualflow as dualflow_module
 import sphereflow.flow as flow_module
@@ -589,8 +588,7 @@ def test_dual_run_matches_the_rk4_oracle(n, k, r0, eps):
     assert res.termination == "tmax" and res.t_final == 0.1
     prof = cfg.initial_shape.build(n, 128)
     grid = prof.grid
-    dual0 = dualflow_module.dual_from_profile(prof)
-    u, t = CubicSpline(dual0.theta, dual0.u)(grid.theta), 0.0
+    u, t = dualflow_module._dual_start(prof), 0.0
 
     def rate(stage):
         return dualflow_module._stage_g(n, k, grid, stage)
@@ -692,12 +690,6 @@ def _reference_config(n, k, r0, eps, **kw):
     return FlowConfig(n=n, k=k, N=128, initial_shape=shape, **kw)
 
 
-def _dual_start(prof):
-    """dual_run's start vector from the profile prof."""
-    dual0 = dualflow_module.dual_from_profile(prof)
-    return CubicSpline(dual0.theta, dual0.u)(prof.grid.theta)
-
-
 def test_radau_tolerance_follows_the_grid_and_the_stop():
     """rtol = max(1e-8, min(0.1 h^2, convergenceTol)) with h = pi / (N - 1), and
     atol = 1e-3 rtol: a run that stops only at tMax keeps (1e-8, 1e-11) exactly,
@@ -790,7 +782,7 @@ def test_both_solvers_match_scipys_radau(n, k, r0, eps, N, t_max, dt_max):
     assert res.steps <= steps
 
     dual = dual_run(cfg)
-    u0 = _dual_start(prof)
+    u0 = dualflow_module._dual_start(prof)
 
     def g(y):
         return dualflow_module._stage_g(n, k, prof.grid, y)
@@ -1174,7 +1166,7 @@ def _solver_rates(n, k, N):
     """(rate, state) of both solvers on N nodes, at a state well inside the cone."""
     grid = hypersurface_module.polar_grid(N)
     rho = 0.8 + 0.03 * np.cos(2.0 * grid.theta) + 0.01 * np.cos(3.0 * grid.theta)
-    u0 = _dual_start(RadialProfile(n=n, theta=grid, rho=rho))
+    u0 = dualflow_module._dual_start(RadialProfile(n=n, theta=grid, rho=rho))
     return ((lambda v: flow_module._stage_rate(n, k, grid, v), rho),
             (lambda v: dualflow_module._stage_g(n, k, grid, v), u0))
 

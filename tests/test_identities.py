@@ -230,8 +230,9 @@ def _rows_seen(inputs, rows) -> int:
 
 
 def test_suite_builds_each_table_once_per_row_set(monkeypatch):
-    cones, spreads, walks, tables = {}, [], {1: [], 2: []}, []
+    cones, spreads, walks, tables, closures = {}, [], {1: [], 2: []}, [], []
     real_walk, real_table = symfunc._exclusion_tables, symfunc.sigma_table
+    real_gaps = identities._check_quotient_gaps
 
     def cone(rng, count, n, k):
         cones[n, k] = sample_cone(rng, count, n, k)
@@ -249,12 +250,24 @@ def test_suite_builds_each_table_once_per_row_set(monkeypatch):
         tables.append(np.array(lam))
         return real_table(lam, mmax)
 
+    def gaps(gap, outer, inner_trace, k):
+        before = len(tables)
+        out = real_gaps(gap, outer, inner_trace, k)
+        # two tables: the boundary shift's own, of outer less its last entry, and
+        # one of the closure rows, for their membership test and their quotient
+        rest, closure = tables[before:]
+        assert np.array_equal(rest, outer[:, :-1]) and np.array_equal(closure[:, :-1], rest)
+        closures.append(closure)
+        return out
+
+    monkeypatch.setattr(identities, "_check_quotient_gaps", gaps)
     monkeypatch.setattr(identities, "sample_cone", cone)
     monkeypatch.setattr(identities, "sample_spread", spread)
     for module in (identities, symfunc):
         monkeypatch.setattr(module, "_exclusion_tables", walk)
         monkeypatch.setattr(module, "sigma_table", table)
     assert run_identity_suite(n_max=4, samples=200).passed
+    assert len(closures) == 2 + 3 + 4  # one gap check per n and order k < n
     # one pair walk per n, on Gamma_n sorted descending, for every deficit order
     assert [lam.shape[-1] for lam in walks[2]] == [2, 3, 4]
     for n in range(2, 5):
