@@ -8,13 +8,7 @@ the graph and support-function solvers, and a batch CLI.
 """
 
 from .exceptions import ConeViolation, ConvexityLoss, MonotonicityError, StepRejected
-from .symfunc import (
-    identity_quotient,
-    pinch_deficit_parts,
-    quotient,
-    quotient_trace_gaps,
-    sigma,
-)
+from .symfunc import identity_quotient, quotient, quotient_trace_gaps
 from .hypersurface import (
     GeometryState,
     RadialProfile,
@@ -56,7 +50,6 @@ from .dualflow import (
     g_operator,
     gamma_transform,
     profile_from_dual,
-    speed_transport_residual,
     support_closure,
 )
 from .identities import SuiteReport, run_identity_suite
@@ -65,8 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConeViolation", "ConvexityLoss", "MonotonicityError", "StepRejected",
-    "identity_quotient", "pinch_deficit_parts", "quotient",
-    "quotient_trace_gaps", "sigma",
+    "identity_quotient", "quotient", "quotient_trace_gaps",
     "GeometryState", "RadialProfile", "SphereGrid2D", "geometry",
     "geometry_full_s2", "hessian_contraction_residuals", "integrate",
     "load_checkpoint", "minkowski_residual", "save_checkpoint", "volume",
@@ -77,6 +69,6 @@ __all__ = [
     "run", "speed", "step",
     "DualResult", "DualState", "decomposition_residual",
     "dual_from_profile", "dual_run", "g_operator", "gamma_transform",
-    "profile_from_dual", "speed_transport_residual", "support_closure",
+    "profile_from_dual", "support_closure",
     "SuiteReport", "run_identity_suite",
 ]

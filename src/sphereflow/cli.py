@@ -18,7 +18,7 @@ from .dualflow import dual_run, profile_from_dual
 from .flow import _CONFIG_KEYS, FlowConfig, ShapeSpec, _check_order, _start, run
 from .hypersurface import _json_object, geometry, load_checkpoint, save_checkpoint
 from .identities import run_identity_suite
-from .quermass import audit_inequalities, quermass_vector
+from .quermass import _check_normal, audit_inequalities, quermass_vector
 from .studies import evolution_study, functional_study, minkowski_study
 
 __all__ = ["main"]
@@ -166,6 +166,7 @@ def _cmd_audit(args) -> int:
     _check_order(profile.n, k)
     state = geometry(profile, 0)
     q = quermass_vector(state, profile)
+    _check_normal(q, "checkpoint")
     report = audit_inequalities(q, seed=args.seed)
     payload = json.loads(report.to_json())
     payload["k"] = k

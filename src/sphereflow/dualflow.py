@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConeViolation, ConvexityLoss
-from .flow import FlowConfig, FlowTrace, Outcome, _integrate, _start, speed
+from .flow import FlowConfig, FlowTrace, Outcome, _integrate, _start
 from .hypersurface import (
     RadialProfile,
     _hypot,
@@ -47,7 +47,6 @@ __all__ = [
     "g_operator",
     "dual_from_profile",
     "profile_from_dual",
-    "speed_transport_residual",
     "dual_run",
 ]
 
@@ -249,21 +248,6 @@ def profile_from_dual(state: DualState, N: int | None = None) -> RadialProfile:
     rho = (y[i] + t * t * (3.0 - 2.0 * t) * (y[i + 1] - y[i])
            + h * t * (1.0 - t) * ((1.0 - t) * slope[i] - t * slope[i + 1]))
     return RadialProfile(n=state.n, theta=grid, rho=rho)
-
-
-def speed_transport_residual(profile: RadialProfile, k: int) -> float:
-    """Mismatch between G and the transported primal normal speed.
-
-    The primal rate of rho_tilde at a graph point transports to
-    (u/rho_tilde) d(rho_tilde)/dt = (u omega / phi) f; both sides use their
-    own chart's discrete derivatives, so agreement is second order in h.
-    """
-    f = speed(geometry(profile, k))
-    dual = dual_from_profile(profile)
-    g = g_operator(dual, k)
-    transported = dual.u * dual.omega / dual.phi * f
-    scale = max(1.0, float(np.max(np.abs(g))))
-    return float(np.max(np.abs(g - transported))) / scale
 
 
 @dataclass

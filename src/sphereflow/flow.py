@@ -51,7 +51,7 @@ from .hypersurface import (
     polar_grid,
     save_checkpoint,
 )
-from .quermass import QuermassVector, quermass_vector
+from .quermass import QuermassVector, _check_normal, quermass_vector
 from .symfunc import identity_quotient, quotient_two_core
 
 __all__ = [
@@ -742,10 +742,7 @@ def _start(config: FlowConfig) -> tuple:
     if not state.lam_min > 0.0:
         raise ValueError("initial profile is not strictly convex")
     q = quermass_vector(state, profile)
-    low = np.min(np.abs(q.values))  # at large n the A_l leave the normal floats, down to 0
-    if not (low >= np.finfo(float).tiny and np.all(np.isfinite(q.values))):
-        raise ValueError(f"start quermassintegrals leave the normal floats at n={config.n}: "
-                         f"the smallest |A_l| is {low:.3g}")
+    _check_normal(q, "start")
     return profile, state, q
 
 

@@ -79,6 +79,15 @@ def quermass_vector(state: GeometryState, profile: RadialProfile) -> QuermassVec
     return QuermassVector(n=n, values=_ladder(n, volume(profile), s))
 
 
+def _check_normal(q: QuermassVector, what: str) -> None:
+    """ValueError naming n and the smallest |A_l| unless every A_l of q is a
+    finite normal float; at large n they underflow, down to 0."""
+    low = np.min(np.abs(q.values))
+    if not (low >= np.finfo(float).tiny and np.all(np.isfinite(q.values))):
+        raise ValueError(f"{what} quermassintegrals leave the normal floats at n={q.n}: "
+                         f"the smallest |A_l| is {low:.3g}")
+
+
 def sphere_quermass(n: int, m: int, r: float) -> float:
     """Closed-form A_m of the geodesic sphere of radius r in (0, pi/2)."""
     if not -1 <= m <= n:

@@ -17,7 +17,6 @@ import numpy as np
 from .exceptions import ConeViolation
 
 __all__ = [
-    "sigma",
     "sigma_table",
     "quotient",
     "identity_quotient",
@@ -25,7 +24,6 @@ __all__ = [
     "quotient_two_core",
     "quotient_two_value",
     "quotient_trace_gaps",
-    "pinch_deficit_parts",
 ]
 
 
@@ -94,16 +92,6 @@ def _exclusion_tables(lam, r: int, mmax: int):
     bufs = np.zeros((r + 1, mmax + 1) + cols.shape[1:])
     bufs[0, 0] = 1.0
     yield from _walk(bufs, 0, cols, 0, 0, r, mmax, np.empty(cols.shape[1:]))
-
-
-def sigma(lam, m: int):
-    """sigma_m of a curvature vector, vectorized over leading axes."""
-    vals = _values(lam)
-    n = vals.shape[-1]
-    if not 0 <= m <= n:
-        raise ValueError(f"sigma index m={m} out of range for n={n}")
-    res = sigma_table(vals, m)[..., m]
-    return float(res) if res.ndim == 0 else res
 
 
 def identity_quotient(n: int, k: int) -> float:
@@ -228,9 +216,18 @@ def _trace_gaps(quot, k: int):
 
 
 def _pinch_deficits(vals, table):
-    """pinch_deficit_parts for every m = 1 .. n-1, from vals' sigma table to
-    sigma_n and one pair-exclusion walk to sigma_{n-2}: deficit and pair_sum
-    hold order m at index m - 1 of a new last axis."""
+    """Both closed forms of the spread deficit for every m = 1 .. n-1, plus the
+    pinching ratio, from vals' sigma table to sigma_n and one pair-exclusion
+    walk to sigma_{n-2}.  Returns (deficit, pair_sum, pinch) where
+
+      deficit  = m(n-m) sigma_m^2 - (m+1)(n-m+1) sigma_{m+1} sigma_{m-1}
+      pair_sum = sum over pairs i<j of (lam_i - lam_j)^2 *
+                 [sigma_{m-1}(lam|ij)^2 - sigma_{m-2}(lam|ij) sigma_m(lam|ij)]
+      pinch    = (lam_max - lam_min)^2 / lam_max^2
+
+    deficit and pair_sum hold order m at index m - 1 of a new last axis.  The
+    two deficit forms agree identically; entries must all be positive.
+    """
     if not np.all(vals > 0.0):
         raise ConeViolation("pinch deficits require positive curvatures")
     n = vals.shape[-1]
@@ -247,24 +244,3 @@ def _pinch_deficits(vals, table):
             ext[..., 1:n]**2 - ext[..., :n - 1] * ext[..., 2:])
     hi, lo = np.max(vals, axis=-1), np.min(vals, axis=-1)
     return deficit, pair_sum, (hi - lo) ** 2 / hi**2
-
-
-def pinch_deficit_parts(lam, m: int):
-    """Both closed forms of the spread deficit, plus the pinching ratio.
-
-    Returns (deficit, pair_sum, pinch) where
-
-      deficit  = m(n-m) sigma_m^2 - (m+1)(n-m+1) sigma_{m+1} sigma_{m-1}
-      pair_sum = sum over pairs i<j of (lam_i - lam_j)^2 *
-                 [sigma_{m-1}(lam|ij)^2 - sigma_{m-2}(lam|ij) sigma_m(lam|ij)]
-      pinch    = (lam_max - lam_min)^2 / lam_max^2
-
-    The two deficit forms agree identically; entries must all be positive.
-    """
-    vals = _values(lam)
-    n = vals.shape[-1]
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"deficit order m={m} out of range for n={n}")
-    deficit, pair_sum, pinch = _pinch_deficits(vals, sigma_table(vals, n))
-    parts = deficit[..., m - 1], pair_sum[..., m - 1], pinch
-    return tuple(map(float, parts)) if vals.ndim == 1 else parts

@@ -480,6 +480,16 @@ def test_audit_rejects_malformed_checkpoint(tmp_path, capsys, payload, message):
     assert not (tmp_path / "a").exists()
 
 
+def test_audit_refuses_a_checkpoint_below_the_normal_floats(tmp_path, capsys):
+    # as run refuses such a start: at n = 437 the unit-radius sphere's A_l underflow to 0
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps({**CHECKPOINT, "n": 437, "rho": [1.0] * 33}))
+    assert main(["audit", "--checkpoint", str(path), "--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err == ("error: checkpoint quermassintegrals leave the normal "
+                                       "floats at n=437: the smallest |A_l| is 0\n")
+    assert not (tmp_path / "a" / "report.json").exists()
+
+
 def test_dual_run_command(tmp_path, capsys):
     out = tmp_path / "dual"
     assert main(DUAL_ARGS + ["--out", str(out)]) == 0

@@ -16,10 +16,9 @@ from sphereflow.dualflow import (
     g_operator,
     gamma_transform,
     profile_from_dual,
-    speed_transport_residual,
     support_closure,
 )
-from sphereflow.flow import FlowConfig, ShapeSpec, run
+from sphereflow.flow import FlowConfig, ShapeSpec, run, speed
 from sphereflow.hypersurface import polar_grid
 from sphereflow.quermass import sphere_quermass
 
@@ -97,11 +96,20 @@ def test_g_operator_equator_cone_error():
         g_operator(st, 1)
 
 
+def _speed_transport_residual(N):
+    """Mismatch between G and the transported primal normal speed: the primal
+    rate of rho_tilde at a graph point transports to (u/rho_tilde) d(rho_tilde)/dt
+    = (u omega / phi) f, and both sides use their own chart's discrete
+    derivatives, so agreement is second order in h."""
+    profile = RadialProfile.perturbed(2, 0.8, 0.05, 2, N)
+    dual = dual_from_profile(profile)
+    g = g_operator(dual, 1)
+    transported = dual.u * dual.omega / dual.phi * speed(geometry(profile, 1))
+    return float(np.max(np.abs(g - transported))) / max(1.0, float(np.max(np.abs(g))))
+
+
 def test_speed_transport_residual_second_order():
-    res = [
-        speed_transport_residual(RadialProfile.perturbed(2, 0.8, 0.05, 2, N), 1)
-        for N in (65, 129, 257)
-    ]
+    res = [_speed_transport_residual(N) for N in (65, 129, 257)]
     assert res[0] < 1e-4 and res[2] < 1e-5
     assert res[0] / res[1] > 3.0
     assert res[1] / res[2] > 3.0
@@ -403,7 +411,7 @@ def _off_centre_config(n, k, R, d0, N, t_max):
 
 
 @pytest.mark.parametrize("n, k, R, d0", [(2, 1, 0.8, 0.3), (3, 2, 0.5, 0.4), (2, 0, 0.8, 0.3),
-                                         (3, 1, 1.2, 0.3), (8, 4, 0.8, 0.3)])
+                                         (3, 1, 1.2, 0.3), (8, 4, 0.8, 0.3), (5, 2, 0.5, 0.4)])
 def test_both_solvers_follow_the_off_centre_sphere_at_second_order(n, k, R, d0):
     # the sphere stays one of radius R, its centre on oracles.off_centre_distance;
     # the dual solver's profile is read through profile_from_dual

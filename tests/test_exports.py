@@ -1,9 +1,12 @@
-"""Every name a module exports or README's config table lists must exist, so a
-deleted function, config key or flag cannot linger in an ``__all__`` list, in
-the package's re-exports or in the documentation."""
+"""Every name a module exports, README calls or README's config table lists
+must exist, so a deleted function, config key or flag cannot linger in an
+``__all__`` list, in the package's re-exports or in the documentation."""
 
 import argparse
 import ast
+import functools
+import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -44,6 +47,28 @@ def test_readme_config_table_names_every_config_key():
         # a flag stores under its config key; --shape parses into initialShape
         assert [dests.get(flag) for flag in flags] == [
             "shape" if key == "initialShape" else key for key in keys], keys
+
+
+def test_readme_calls_only_names_that_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # every `name( in backticks, numpy's own names left out
+    names = {name for name in re.findall(r"`([A-Za-z_][\w.]*)\(", readme)
+             if not name.startswith("np.")}
+    modules = [importlib.import_module(module) for module in MODULES]
+    owners = modules + [cls for module in modules for _, cls in inspect.getmembers(
+        module, inspect.isclass) if cls.__module__.startswith("sphereflow")]
+
+    def resolves(owner, name):
+        try:
+            functools.reduce(getattr, name.split("."), owner)
+        except AttributeError:
+            return False
+        return True
+
+    assert names
+    missing = sorted(name for name in names
+                     if not any(resolves(owner, name) for owner in owners))
+    assert not missing, missing
 
 
 def _imported_modules(path: Path):

@@ -3,14 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from sphereflow import (
-    ConeViolation,
-    identity_quotient,
-    pinch_deficit_parts,
-    quotient,
-    quotient_trace_gaps,
-    sigma,
-)
+from sphereflow import ConeViolation, identity_quotient, quotient, quotient_trace_gaps
 from sphereflow.symfunc import (
     _exclusion_tables,
     _pinch_deficits,
@@ -30,7 +23,7 @@ GRAD4_K1 = np.array([10.35, 7.65, 4.05, 11.7]) / 20.25
 
 def test_sigma_frozen_values():
     for m, want in SIGMA4.items():
-        assert sigma(LAM4, m) == pytest.approx(want, abs=1e-14)
+        assert sigma_table(LAM4, m)[..., m] == pytest.approx(want, abs=1e-14)
 
 
 def test_sigma_against_subset_enumeration():
@@ -38,7 +31,7 @@ def test_sigma_against_subset_enumeration():
     for n in range(2, 8):
         vals = rng.uniform(-2.0, 2.0, size=(200, n))
         for m in range(n + 1):
-            got = sigma(vals, m)
+            got = sigma_table(vals, m)[..., m]
             for i in range(0, 200, 17):
                 want = oracles.sigma_subsets(vals[i], m)
                 scale = max(1.0, oracles.sigma_subsets(np.abs(vals[i]), m))
@@ -49,7 +42,7 @@ def test_sigma_against_charpoly():
     rng = np.random.default_rng(5)
     vals = rng.uniform(0.1, 3.0, size=(50, 6))
     for m in range(7):
-        got = sigma(vals, m)
+        got = sigma_table(vals, m)[..., m]
         want = np.array([oracles.sigma_charpoly(v, m) for v in vals])
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -58,15 +51,16 @@ def test_sigma_table_matches_single_indices():
     rng = np.random.default_rng(1)
     vals = rng.uniform(-1.0, 2.0, size=(40, 5))
     table = sigma_table(vals, 5)
+    # row m does not depend on how far the table runs
     for m in range(6):
-        assert np.array_equal(table[:, m], sigma(vals, m))
+        assert np.array_equal(table[:, m], sigma_table(vals, m)[:, m])
 
 
 def test_sigma_index_range():
-    with pytest.raises(ValueError):
-        sigma(LAM4, 5)
-    with pytest.raises(ValueError):
-        sigma(LAM4, -1)
+    with pytest.raises(ValueError, match="mmax must be nonnegative"):
+        sigma_table(LAM4, -1)
+    # sigma_m = 0 for m > n
+    assert sigma_table(LAM4, 6)[5:].tolist() == [0.0, 0.0]
 
 
 def test_exclusion_recurrence_spot():
@@ -105,9 +99,9 @@ def test_quotient_requires_positive_sigma_k():
 def test_identity_quotient_is_value_at_ones():
     for n in range(2, 9):
         for k in range(0, n):
-            ones = np.ones(n)
+            table = sigma_table(np.ones(n), k + 1)
             assert identity_quotient(n, k) == pytest.approx(
-                sigma(ones, k + 1) / sigma(ones, k), abs=1e-14)
+                table[k + 1] / table[k], abs=1e-14)
 
 
 def test_two_value_closed_forms():
@@ -117,7 +111,7 @@ def test_two_value_closed_forms():
         b = rng.uniform(0.3, 2.0, size=8)
         full = np.concatenate([a[:, None], np.repeat(b[:, None], n - 1, axis=1)], axis=1)
         for m in range(n + 1):
-            assert np.allclose(sigma_two_value(a, b, n, m), sigma(full, m),
+            assert np.allclose(sigma_two_value(a, b, n, m), sigma_table(full, m)[..., m],
                                rtol=1e-12, atol=1e-13)
         for k in range(0, n):
             f, f1, f2, tr, wt = quotient_two_value(a, b, n, k)
@@ -156,12 +150,14 @@ def test_pinch_deficit_forms_agree():
     rng = np.random.default_rng(14)
     for n, m in ((3, 1), (4, 2), (6, 3)):
         lam = rng.uniform(0.1, 3.0, size=(100, n))
-        deficit, pair_sum, pinch = pinch_deficit_parts(lam, m)
+        deficits, pair_sums, pinch = _pinch_deficits(lam, sigma_table(lam, n))
+        deficit, pair_sum = deficits[:, m - 1], pair_sums[:, m - 1]
         scale = np.maximum(1.0, np.abs(deficit))
         assert np.max(np.abs(deficit - pair_sum) / scale) <= 1e-12
         assert np.all(pinch >= 0.0)
-    d, p, pinch = pinch_deficit_parts(np.array([2.0, 2.0, 2.0]), 1)
-    assert d == pytest.approx(0.0, abs=1e-13)
+    lam = np.array([2.0, 2.0, 2.0])
+    d, _, pinch = _pinch_deficits(lam, sigma_table(lam, 3))
+    assert d[0] == pytest.approx(0.0, abs=1e-13)
     assert pinch == 0.0
 
 
@@ -200,13 +196,10 @@ def test_gathered_pair_sum_is_bit_identical(n):
     # n = 2 drops both entries of every pair: each excluded vector is empty
     for vals in (*_batches(n), _batches(n)[0][0]):
         deficits, pair_sums, _ = _pinch_deficits(vals, sigma_table(vals, n))
+        # every order from one pair walk
         for m in range(1, n):
-            # every order from one pair walk, and the one-order form picks it
-            deficit, pair_sum, _ = pinch_deficit_parts(vals, m)
-            for got in (pair_sums[..., m - 1], pair_sum):
-                assert np.array_equal(got, oracles.pair_sum_delete(vals, m))
-            for got in (deficits[..., m - 1], deficit):
-                assert np.array_equal(got, oracles.deficit_own_table(vals, m))
+            assert np.array_equal(pair_sums[..., m - 1], oracles.pair_sum_delete(vals, m))
+            assert np.array_equal(deficits[..., m - 1], oracles.deficit_own_table(vals, m))
 
 
 @pytest.mark.parametrize("r", [1, 2])
