@@ -300,8 +300,8 @@ def dual_run(config: FlowConfig) -> DualResult:
     The graph solver's driver, flow._integrate: Radau IIA steps sized by
     accuracy, with the tridiagonal Jacobian that flow._jacobian reads from
     one complex-step call of G, since G is pointwise in u_tilde and its
-    3-point stencil derivatives, and whose Gershgorin bound at the start
-    sizes the first step.  The three stages of a Newton iteration go
+    3-point stencil derivatives, and which, with G, sizes the first step at
+    the start (flow._first_step).  The three stages of a Newton iteration go
     to G (_stage_g) as one stacked call, with the checks of support_closure
     and g_operator; each accepted state gets the full DualState.
     _integrate ends the run convexity_breakdown, at t_final = breakdown_time, on a

@@ -13,7 +13,7 @@ once by LAPACK's tridiagonal routines, and a failed trial, an unconverged
 Newton solve and a Jacobian that is not finite included, raises to
 _Stepper.step, the one place that halves a step on failure.  One driver,
 _integrate, steps both this solver and the support-function solver in dualflow;
-its first step is 0.8 over the Gershgorin bound of the start's Jacobian, and
+its first step is _first_step's error-test estimate from the start's J, and
 each step starts on the rate of the state that the solver built from the last
 accepted vector, not on a rate call.  A converged run stops where its max speed
 crosses the tolerance, located on the last step's collocation polynomial
@@ -72,9 +72,8 @@ _MULT_FLOOR = 1e-12
 # time error below the O(h^2) grid error and no finer than the stop (Lawson,
 # Berzins & Dew, SIAM J. Sci. Stat. Comput. 12, 1991); tMax-only runs keep _RTOL
 _RTOL = 1e-8
-# the first step of both solvers times G, the Gershgorin bound of the start's
-# Jacobian: dt * rho(J) <= 0.8 also keeps RK4 inside its stability limit 2.785;
-# Radau sizes every later step by _tolerances
+# the RK4 steps of the oracle and the studies times G, the Gershgorin bound of
+# the Jacobian: dt * rho(J) <= 0.8 keeps RK4 inside its stability limit 2.785
 _FIRST_STEP_FACTOR = 0.8
 # Monitors thresholds: relative barrier slack, per-step sign slack, drift of
 # the preserved A_{k-1}, and the factor by which F may leave its initial band
@@ -268,6 +267,11 @@ def _jacobian(rate, y: np.ndarray) -> np.ndarray:
     combs = nodes % 3 == np.arange(3)[:, None]
     applied = rate(y + 1j * _COMPLEX_STEP * combs).imag / _COMPLEX_STEP
     return np.stack([applied[(nodes + offset) % 3, nodes] for offset in (-1, 0, 1)])
+
+
+def _apply(J: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J x for the bands J of _jacobian, whose corner entries, which roll wraps onto, are 0."""
+    return J[0] * np.roll(x, 1) + J[1] * x + J[2] * np.roll(x, -1)
 
 
 def _rk4(y: np.ndarray, dt: float, r1: np.ndarray, rate) -> np.ndarray:
@@ -470,6 +474,15 @@ def _tolerances(config: FlowConfig) -> tuple:
     return rtol, rtol / _RTOL * 1e-11
 
 
+def _first_step(J: np.ndarray, y: np.ndarray, f: np.ndarray, scale: np.ndarray, h_max) -> float:
+    """Hairer, Norsett & Wanner's starting step (Solving ODEs I, Sec. II.4) from y, whose rate
+    is f: the least of h_max, d0 / d1 and (0.01 / max(d1, d2, d3))^(1/4), for d_m the RMS of
+    y's m-th derivative over the error test's scale, with y'' = J f and y''' = J J f."""
+    f2 = _apply(J, f)
+    d0, d1, d2, d3 = (_rms(x / scale) for x in (y, f, f2, _apply(J, f2)))
+    return min(h_max, d0 / d1, (0.01 / max(d1, d2, d3)) ** 0.25) if d1 > 0.0 else h_max
+
+
 class _Stepper:
     """Radau IIA (order 5) steps of y' = fun(y), each retried until accept takes one.
 
@@ -481,12 +494,12 @@ class _Stepper:
     slow Newton convergence.  fun takes the three stages as one (3, N) stack
     and raises ValueError off the chart or the cone; J is _jacobian(fun, y),
     which counts as a Jacobian, not as rate evaluations, and is refused where
-    an entry is not finite.  The first step is _gershgorin_dt of the first
-    trial's J.  The rate at a step's start is the caller's, from the accepted
-    state; a zero predictor's first Newton iteration takes it for all three
-    stages.  Each trial factors MU/h I - J once, by LAPACK's tridiagonal
-    routines, for its Newton solve and its error estimate.  tolerances is the
-    error test's (rtol, atol).
+    an entry is not finite.  The first step is _first_step of the first
+    trial's J; a step that would end within 10 ulp(t) of t_bound ends on it.
+    The rate at a step's start is the caller's, from the accepted state; a zero
+    predictor's first Newton iteration takes it for all three stages.  Each
+    trial factors MU/h I - J once, by LAPACK's tridiagonal routines, for its
+    Newton solve and its error estimate.  tolerances is the error test's (rtol, atol).
 
     accept turns a trial that passes the error test into the caller's next
     state, or raises StepRejected or ValueError.  Every trial that is not a
@@ -561,24 +574,25 @@ class _Stepper:
         solve that does not converge or an error norm that is not <= 1, NaN
         included; step restarts every one of them."""
         t, y = self.t, self.y
+        scale = self.atol + np.abs(y) * self.rtol
         if self.J is None:
             self.J = self._jac(y)
         if self.h_abs is None:  # the first step, from the start's J
-            self.h_abs = self.tried = min(_gershgorin_dt(self.J, self.h_max), self.t_bound - t)
+            self.h_abs = self.tried = min(_first_step(self.J, y, f, scale, self.h_max),
+                                          self.t_bound - t)
             self.floor = _MULT_FLOOR * self.h_abs
         min_step = 10 * abs(np.nextafter(t, np.inf) - t)
         h = min(max(self.h_abs, min_step), self.h_max)
         if h < min_step:
             raise StepRejected("step size fell below the float spacing of t")
         t_new = t + h
-        if t_new > self.t_bound:
+        if self.t_bound - t_new < min_step:  # past t_bound, or too near it for another step
             t_new, h = self.t_bound, self.t_bound - t
         self.tried = t_new - t
         if self.dense is None:  # zero increments: every stage is at y, whose rate is f
             z0, f0 = np.zeros((3, y.size)), np.stack((f, f, f))
         else:  # the last step's collocation polynomial at the new stages
             z0, f0 = self.at(t + h * _C) - y, None
-        scale = self.atol + np.abs(y) * self.rtol
         lower, diag, upper = -self.J[0, 1:], -self.J[1], -self.J[2, :-1]
         self.factorizations += 2  # MU/h I - J for the real and the complex MU
         real = _factor(lapack.dgttrf, lower, _MU_REAL / h + diag, upper)
@@ -665,7 +679,7 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
         if converged:
             termination = "converged"
             break
-        if t >= config.t_max * (1.0 - 1e-15):
+        if t >= config.t_max:
             termination = "tmax"
             break
         if curvature > _BLOWUP_CURVATURE:
@@ -682,8 +696,7 @@ def _integrate(config: FlowConfig, rate, accept, advance, row, y0: np.ndarray,
         if converged := state[1] < config.convergence_tol:
             mu = math.log(s_prev / max(state[1], 1e-300)) / spans[-1]
             t_new, state = _crossing(solver, t, s_prev, t_new, state, config.convergence_tol)
-            J, e = solver.J, solver.error  # J's corner entries, which roll wraps onto, are 0
-            rate_error = np.max(np.abs(J[0] * np.roll(e, 1) + J[1] * e + J[2] * np.roll(e, -1)))
+            rate_error = np.max(np.abs(_apply(solver.J, solver.error)))
             resolution = float(rate_error / max(state[1] * mu, 1e-300))
         dt, t = t_new - t, t_new
         steps += 1
@@ -741,7 +754,8 @@ def _start(config: FlowConfig) -> tuple:
     state = geometry(profile, config.k)
     if not state.lam_min > 0.0:
         raise ValueError("initial profile is not strictly convex")
-    q = quermass_vector(state, profile)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_normal names an overflow
+        q = quermass_vector(state, profile)
     _check_normal(q, "start")
     return profile, state, q
 

@@ -80,12 +80,13 @@ def quermass_vector(state: GeometryState, profile: RadialProfile) -> QuermassVec
 
 
 def _check_normal(q: QuermassVector, what: str) -> None:
-    """ValueError naming n and the smallest |A_l| unless every A_l of q is a
-    finite normal float; at large n they underflow, down to 0."""
-    low = np.min(np.abs(q.values))
-    if not (low >= np.finfo(float).tiny and np.all(np.isfinite(q.values))):
+    """ValueError naming n and the first A_l that is not finite, else the smallest |A_l|,
+    unless every A_l of q is a normal float; callers keep a sigma overflow in np.errstate."""
+    bad, low = np.flatnonzero(~np.isfinite(q.values)), np.min(np.abs(q.values))
+    if bad.size or not low >= np.finfo(float).tiny:
         raise ValueError(f"{what} quermassintegrals leave the normal floats at n={q.n}: "
-                         f"the smallest |A_l| is {low:.3g}")
+                         + (f"A_{bad[0] - 1} is {q.values[bad[0]]}" if bad.size
+                            else f"the smallest |A_l| is {low:.3g}"))
 
 
 def sphere_quermass(n: int, m: int, r: float) -> float:

@@ -490,6 +490,28 @@ def test_audit_refuses_a_checkpoint_below_the_normal_floats(tmp_path, capsys):
     assert not (tmp_path / "a" / "report.json").exists()
 
 
+# at n = 300 and rho = 0.01 the sigma sums of A_112 overflow: under the suite's
+# filterwarnings = error, a numpy warning there would raise instead of this line
+OVERFLOW = "quermassintegrals leave the normal floats at n=300: A_112 is nan\n"
+
+
+def test_a_start_whose_sigma_sums_overflow_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["run", "--n", "300", "--k", "1", "--N", "33", "--shape", "perturbed:0.01,0.0,2"]
+    assert main(args + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: start " + OVERFLOW
+    assert captured.out == "" and not out.exists()
+
+
+def test_audit_refuses_a_checkpoint_whose_sigma_sums_overflow(tmp_path, capsys):
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps({**CHECKPOINT, "n": 300, "rho": [0.01] * 33}))
+    assert main(["audit", "--checkpoint", str(path), "--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err == "error: checkpoint " + OVERFLOW
+    assert not (tmp_path / "a").exists()
+
+
 def test_dual_run_command(tmp_path, capsys):
     out = tmp_path / "dual"
     assert main(DUAL_ARGS + ["--out", str(out)]) == 0

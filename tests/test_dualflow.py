@@ -215,7 +215,8 @@ def _closure_marks(monkeypatch, config, core="_closure"):
 
 
 def test_dual_run_records_breakdown_when_every_trial_fails(monkeypatch):
-    cfg = _short_config()
+    # a fourth step longer than the first, so that no t_max clamp shortens it
+    cfg = _short_config(t_max=0.2)
     marks = _closure_marks(monkeypatch, cfg)
     assert len(marks) >= 5  # the pullback, the start and at least three steps
     real = dualflow_module._closure
@@ -263,7 +264,7 @@ def _force_cone_exit(monkeypatch, cfg, max_calls=None):
 def test_dual_run_collapse_without_a_convexity_loss_is_no_breakdown(monkeypatch):
     """Only a loss of positive definiteness of W is a breakdown; a run whose
     trials all leave the quotient's cone ends step_collapse, as run does."""
-    cfg = _short_config()
+    cfg = _short_config(t_max=0.2)  # four steps at least, as _force_cone_exit needs
     _force_cone_exit(monkeypatch, cfg)
     res = dual_run(cfg)
     assert res.termination == "step_collapse: forced cone exit"
@@ -279,7 +280,7 @@ def test_collapse_below_the_float_spacing_of_t_ends(monkeypatch):
     the step lies below 5 ulp(t), the trials run at the stepper's least step,
     10 ulp(t), but each restart halves the step that it would have taken, so
     the run still collapses in about log2(h / floor) rejections."""
-    cfg = _short_config()
+    cfg = _short_config(t_max=0.2)  # four steps at least, as _force_cone_exit needs
     # 1e-24 of the first step lies far below 5 ulp of the collapse time
     monkeypatch.setattr(flow_module, "_MULT_FLOOR", 1e-24)
     # a failed trial costs one quotient call, its first Newton iteration's
@@ -294,7 +295,7 @@ def test_collapse_below_the_float_spacing_of_t_ends(monkeypatch):
 def test_dual_run_forgets_a_convexity_loss_that_a_step_recovered_from(monkeypatch):
     """A stage whose W is not positive definite, retried within its step, does
     not make a later collapse of another kind a breakdown."""
-    cfg = _short_config()
+    cfg = _short_config(t_max=0.2)  # four steps at least, so that the collapse comes first
     real_stage, real_factor = dualflow_module._stage_g, flow_module._factor
     real_state = dualflow_module._dual_state
     stages, closed = [0], [0]

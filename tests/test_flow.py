@@ -21,6 +21,7 @@ from sphereflow.flow import (
     FlowConfig,
     Monitors,
     ShapeSpec,
+    _first_step,
     _gershgorin_dt,
     _jacobian,
     _rk4,
@@ -82,7 +83,7 @@ def test_oversized_step_is_rejected():
 
 
 def _rule_dt(prof: RadialProfile, k: int, dt_max: float) -> float:
-    """The first-step rule at the Jacobian of the graph rate at prof."""
+    """The Gershgorin step of RK4 and the studies at the Jacobian of the graph rate at prof."""
     return _gershgorin_dt(_jacobian(lambda rho: _stage_rate(prof.n, k, prof.grid, rho),
                                     prof.rho), dt_max)
 
@@ -98,6 +99,68 @@ def test_gershgorin_dt_formula_and_cap():
     assert _gershgorin_dt(bands, 1e-9) == 1e-9
     for degenerate in (np.zeros((3, 5)), np.full((3, 5), np.nan), np.full((3, 5), np.inf)):
         assert _gershgorin_dt(degenerate, 0.2) == 0.2
+
+
+def test_first_step_formula_and_caps():
+    """The least of d0 / d1, (0.01 / max(d1, d2, d3))^(1/4) and h_max, for d_m
+    the RMS of y's m-th derivative, y'' = J f and y''' = J J f, over the error
+    test's scale; a zero rate leaves h_max alone."""
+    # hand-built bands, with the corner entries _jacobian leaves 0
+    J = np.array([[0.0, 1.0, 2.0, 1.0], [-4.0, -3.0, -5.0, -2.0], [1.0, 0.5, 1.5, 0.0]])
+    y = np.array([0.5, 0.8, 0.7, 0.6])
+    scale = 1e-6 + 1e-3 * np.abs(y)  # atol + |y| rtol
+
+    def rms(x):
+        return float(np.sqrt(np.mean((x / scale) ** 2)))
+
+    for f, binding in ((np.array([0.1, -0.2, 0.05, 0.3]), "h1"), (np.full(4, 1e6), "h0")):
+        d = [rms(x) for x in (y, f, _dense(J) @ f, _dense(J) @ _dense(J) @ f)]
+        h0, h1 = d[0] / d[1], (0.01 / max(d[1:])) ** 0.25
+        assert (h0 < h1) == (binding == "h0")
+        assert _first_step(J, y, f, scale, 1.0) == pytest.approx(min(h0, h1), rel=1e-14)
+        assert _first_step(J, y, f, scale, 1e-9) == 1e-9
+    # with J = 0, y'' and y''' vanish and d1 alone sets the second term
+    f = np.array([0.1, -0.2, 0.05, 0.3])
+    d0, d1 = rms(y), rms(f)
+    assert _first_step(np.zeros((3, 4)), y, f, scale, 1.0) == pytest.approx(
+        min(d0 / d1, (0.01 / d1) ** 0.25), rel=1e-14)
+    # a zero rate leaves h_max alone
+    assert _first_step(J, y, np.zeros(4), scale, 0.3) == 0.3
+
+
+def _decay_stepper(accept, t_bound):
+    """A bare _Stepper on y' = -y from y = 1 at five nodes, to t_bound, uncapped."""
+    return flow_module._Stepper(lambda y: -y, accept, np.ones(5), t_bound, math.inf, (1e-2, 1e-5))
+
+
+def test_the_first_step_stops_at_t_bound():
+    """The rule's step is 0.1 here: a stepper bound at 0.05 takes one step, onto t_bound."""
+    solver = _decay_stepper(lambda y: y, 0.05)
+    assert _first_step(solver._jac(solver.y), solver.y, -solver.y, 1e-5 + 1e-2 * solver.y,
+                       math.inf) == pytest.approx(0.1, rel=1e-2)
+    solver.step(-solver.y)
+    assert solver.t == 0.05
+
+
+def test_a_step_within_its_least_step_of_t_bound_lands_on_it():
+    """After a retry the step is the span tried, t_new - t, which can be one ulp
+    short of the step meant: from t = 0.9371046158037891 two such halves of
+    t_bound - t once stopped at 0.9999999999999999, which the run loop took for
+    t_max.  A step that would end within its least step of t_bound ends on it."""
+    refused = []
+
+    def accept(y):
+        if not refused:  # the first trial, t_bound - t, is refused
+            refused.append(y)
+            raise StepRejected("forced refusal")
+        return y
+
+    solver = _decay_stepper(accept, 1.0)
+    solver.t = 0.9371046158037891
+    solver.step(-solver.y)
+    assert solver.t == 0.9685523079018945 and solver.rejections == 1
+    solver.step(-solver.y)
+    assert solver.t == 1.0
 
 
 def test_flow_config_validation():
@@ -303,8 +366,8 @@ def test_run_refuses_checkpoints_without_out_dir(monkeypatch):
 
 @pytest.mark.parametrize("sample_every", [1, 7])
 def test_run_violations_count_the_codes_check_returned(monkeypatch, sample_every):
-    """A small-radius start whose A_2 rises past the sign slack in six of its
-    20 steps: at sampleEvery 7 the six flags share one row, and violations
+    """A small-radius start whose A_2 rises past the sign slack in five of its
+    19 steps: at sampleEvery 7 the five flags share one row, and violations
     still counts each code once, as Monitors.check returned it."""
     returned = []
     real = Monitors.check
@@ -317,10 +380,10 @@ def test_run_violations_count_the_codes_check_returned(monkeypatch, sample_every
     monkeypatch.setattr(Monitors, "check", check)
     shape = ShapeSpec(kind="perturbed", r0=0.05, eps=0.0025, mode=2)
     res = run(FlowConfig(n=2, k=0, N=129, initial_shape=shape, sample_every=sample_every))
-    assert res.steps == 20
-    assert res.violations == {"SIGN_A2": 6}
+    assert res.steps == 19
+    assert res.violations == {"SIGN_A2": 5}
     assert res.violations == dict(Counter(returned))
-    assert sum(1 for flags in res.trace.violations if flags) == (6 if sample_every == 1 else 1)
+    assert sum(1 for flags in res.trace.violations if flags) == (5 if sample_every == 1 else 1)
 
 
 def test_run_writes_checkpoints(tmp_path):
@@ -483,7 +546,7 @@ def test_quiet_step_raises_no_flags():
     st = geometry(prof, 1)
     q = quermass_vector(st, prof)
     mon = Monitors(cfg, st, q)
-    dt = _rule_dt(prof, 1, cfg.t_max)  # the run's first step: the default caps at tMax only
+    dt = _rule_dt(prof, 1, cfg.t_max)  # an RK4 step at the rule: the default caps at tMax only
     nxt = step(prof, dt, 1)
     stn = geometry(nxt, 1)
     assert mon.check(q, quermass_vector(stn, nxt), stn, dt) == []
@@ -1283,6 +1346,29 @@ def test_reference_and_near_degenerate_runs_converge_without_a_rejection():
             assert res.termination == "converged" and res.rejections == 0
 
 
+@pytest.mark.parametrize("solve", [run, dual_run])
+def test_the_growth_cap_binds_at_most_once_a_run(monkeypatch, solve):
+    """The first step is sized by the error test, not far below it, so the
+    step control seldom needs its largest factor, _MAX_FACTOR, to catch up:
+    it caps at most one step of each run of the reference shapes and the
+    small-radius start, at N = 128 and 256 (2-3 under 0.8 over the
+    Gershgorin bound of the start's J)."""
+    capped, trial = [], flow_module._Stepper._trial
+
+    def recording(self, f):
+        out = trial(self, f)
+        capped[-1] += math.isclose(self.h_abs / self.tried, flow_module._MAX_FACTOR, rel_tol=1e-9)
+        return out
+
+    monkeypatch.setattr(flow_module._Stepper, "_trial", recording)
+    for shape in (*REFERENCE_SHAPES, (2, 0, 0.05, 0.0025)):
+        for N in (128, 256):
+            capped.append(0)
+            res = solve(dataclasses.replace(_reference_config(*shape), N=N))
+            assert res.termination == "converged" and res.rejections == 0
+    assert max(capped) <= 1
+
+
 def test_rk4_at_the_first_step_rule_stays_in_the_cone_at_a_small_radius():
     """dt * rho(J) <= 0.8 lies inside RK4's stability limit 2.785, so explicit
     steps at the rule stay stable, and in the cone, at r0 = 0.2 too."""
@@ -1336,7 +1422,7 @@ def test_finished_steppers_are_freed_without_the_cycle_collector(monkeypatch):
     cfg = _reference_config(*REFERENCE_SHAPES[0])
     # long enough for five accepted steps before tMax, so that the forced
     # failures below fall inside the run
-    short = _perturbed_config(t_max=0.1)
+    short = _perturbed_config(t_max=0.2)
     _, marks = _step_marks(monkeypatch, short)
     monkeypatch.setattr(flow_module, "_Stepper", Recording)
     gc.collect()
@@ -1381,8 +1467,9 @@ def test_a_failed_start_jacobian_is_a_named_stop(monkeypatch, solve, error, term
 
 
 def test_run_collapses_when_every_trial_fails(monkeypatch):
-    # five accepted steps before tMax, so that the collapse comes first
-    cfg = _perturbed_config(t_max=0.1)
+    # five accepted steps before tMax, so that the collapse comes first, and
+    # a fourth step longer than the first, so that no t_max clamp shortens it
+    cfg = _perturbed_config(t_max=0.2)
     _, marks = _step_marks(monkeypatch, cfg)
     assert len(marks) >= 4  # the initial state and at least three steps
     # after the third accepted step every stage, Jacobian and
@@ -1469,13 +1556,13 @@ def test_newton_failures_collapse_without_creeping(monkeypatch):
 
 
 def test_every_rejected_trial_is_counted(monkeypatch):
-    """A first step of dtMax = 1, far above the Gershgorin one, fails trials
-    by a Newton solve or by the error test, each one rejection and one
+    """A first step of dtMax = 1, far above the one _first_step takes, fails
+    trials by a Newton solve or by the error test, each one rejection and one
     restart; both solvers end where the default start does."""
     cfg = _perturbed_config(t_max=1.0, dt_max=1.0, convergence_tol=0.0)
     clean, clean_dual = run(cfg), dual_run(cfg)
     assert clean.rejections == clean_dual.rejections == 0
-    monkeypatch.setattr(flow_module, "_gershgorin_dt", lambda J, dt_max, *args: dt_max)
+    monkeypatch.setattr(flow_module, "_first_step", lambda J, y, f, scale, h_max: h_max)
     restarts, restart = [0], flow_module._Stepper._restart
 
     def counting_restart(self, h):
@@ -1542,31 +1629,42 @@ def test_a_start_jacobian_that_is_not_finite_ends_the_run(monkeypatch, solve):
 def test_a_failed_error_test_restarts_at_half_the_step_tried(monkeypatch, solve):
     """A trial whose error test fails restarts from its start, at half the
     step tried, with a fresh Jacobian: one rejection, as a failed solve."""
-    cfg = _perturbed_config(t_max=0.02)
+    cfg = _perturbed_config(t_max=0.05)
     clean = solve(cfg)
     assert clean.steps >= 3 and clean.rejections == 0
-    trials = []  # the h of each Newton solve, and "restart" where the step restarts
-    newton, restart, E = flow_module._Stepper._newton, flow_module._Stepper._restart, flow_module._E
+    # the h of each Newton solve, "J" where a Jacobian is taken and "restart"
+    # where the step restarts
+    trials = []
+    stepper = flow_module._Stepper
+    newton, restart, jac, E = stepper._newton, stepper._restart, stepper._jac, flow_module._E
 
     def scaling_newton(self, h, *args):
         trials.append(h)
         # the second solve's error estimate, and only its, is 1e6 times too large
-        flow_module._E = 1e6 * E if len(trials) == 3 else E
+        solves = sum(not isinstance(mark, str) for mark in trials)
+        flow_module._E = 1e6 * E if solves == 2 else E
         return newton(self, h, *args)
 
     def recording_restart(self, h):
         trials.append("restart")
         restart(self, h)
 
-    monkeypatch.setattr(flow_module._Stepper, "_newton", scaling_newton)
-    monkeypatch.setattr(flow_module._Stepper, "_restart", recording_restart)
+    def recording_jac(self, y):
+        trials.append("J")
+        return jac(self, y)
+
+    monkeypatch.setattr(stepper, "_newton", scaling_newton)
+    monkeypatch.setattr(stepper, "_restart", recording_restart)
+    monkeypatch.setattr(stepper, "_jac", recording_jac)
     monkeypatch.setattr(flow_module, "_E", E)  # restored after the test
     res = solve(cfg)
     assert res.termination == "tmax" and res.rejections == 1
-    assert res.jacobians == clean.jacobians + 1
+    second = [i for i, mark in enumerate(trials) if not isinstance(mark, str)][1]
     restarts = [i for i, mark in enumerate(trials) if mark == "restart"]
-    assert restarts == [0, 3]  # the stepper's own start, then the failed second solve
-    assert trials[4] == pytest.approx(0.5 * trials[2], rel=1e-12)
+    assert restarts == [0, second + 1]  # the stepper's own start, then the failed second solve
+    # the retry takes J afresh, then tries half the failed step
+    assert trials[second + 2] == "J"
+    assert trials[second + 3] == pytest.approx(0.5 * trials[second], rel=1e-12)
     end = (lambda r: r.profile.rho) if solve is run else (lambda r: r.u)
     assert float(np.max(np.abs(end(res) - end(clean)))) < 1e-9
 
