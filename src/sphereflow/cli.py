@@ -206,13 +206,16 @@ def _cmd_convergence_study(args) -> int:
         "seed": args.seed,
         "n": n,
         "k": k,
+        "N": N0,
         "levels": args.levels,
+        "sizes": {"weightedIntegral": mink["sizes"], "evolution": evol["sizes"],
+                  "functional": func["sizes"]},
         "weightedIntegralOrders": {str(m): v for m, v in mink["orders"].items()},
         "evolutionOrders": {"u": evol["orderU"], "F": evol["orderF"]},
         "functionalOrders": {str(l): v for l, v in func["orders"].items()},
     }
     _manifest(args.out, "convergence-study", args.seed, None,
-              extra={"n": n, "k": k, "levels": args.levels})
+              extra={"n": n, "k": k, "N": N0, "levels": args.levels})
     _write_json(os.path.join(args.out, "study.json"), payload)
     for name, orders in (("weighted-integral", payload["weightedIntegralOrders"]),
                          ("functional", payload["functionalOrders"])):

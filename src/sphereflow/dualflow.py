@@ -10,12 +10,14 @@ an algebraic identity at shared discrete derivatives of gamma.  Closing the
 system through the Euclidean support function u_tilde gives an inverse-type
 parabolic equation
 
-    d(u_tilde)/dt = G = c (phi'/phi) u_tilde omega
-                        - (rho_tilde u_tilde / phi) F(1/W + s id),
+    d(u_tilde)/dt = G = (rho_tilde/phi) f,
 
-W = Hess(u_tilde) + u_tilde id, s = (phi' - 1)/(rho_tilde omega), whose
-long-time behaviour is an open question; the solver here is experimental and
-records the breakdown time when strict convexity of the dual body fails.
+rho_tilde/phi = (1 + rho_tilde^2)/2 being the chart's conformal factor and f
+the speed flow._speed states, at u = u_tilde phi/rho_tilde and the spherical
+curvatures (rho_tilde/phi)(1/W + s id), W = Hess(u_tilde) + u_tilde id and
+s = (phi' - 1)/(rho_tilde omega).  Its long-time behaviour is an open question;
+the solver here is experimental and records the breakdown time when strict
+convexity of the dual body fails.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import flow
 from .exceptions import ConeViolation, ConvexityLoss
 from .flow import FlowConfig, FlowTrace, Outcome, _integrate, _start
 from .hypersurface import (
@@ -36,7 +39,7 @@ from .hypersurface import (
     polar_grid,
 )
 from .quermass import quermass_vector
-from .symfunc import identity_quotient, quotient_two_core
+from .symfunc import quotient_two_core
 
 __all__ = [
     "DualState",
@@ -76,12 +79,12 @@ def _warp(rho_tilde):
     return phi, phip
 
 
-def _shifted(h_merid, h_ang, rho_tilde, omega, phip) -> tuple:
-    """The eigenvalues h_tilde + s of the Euclidean shape operator h_tilde
-    shifted by s = (phi' - 1)/(rho_tilde omega): (phi/rho_tilde) times the
-    spherical curvatures h, the map that G's quotient acts through."""
-    shift = (phip - 1.0) / (rho_tilde * omega)
-    return h_merid + shift, h_ang + shift
+def _spherical_curvatures(h_merid, h_ang, rho_tilde, omega, phi, phip) -> tuple:
+    """The spherical curvatures (rho_tilde/phi)(h_tilde + (phi' - 1)/(rho_tilde omega))
+    of the Euclidean shape operator's eigenvalues h_tilde, on the dual side those
+    of W^{-1}: the map that G's quotient acts through."""
+    scale, shift = rho_tilde / phi, (phip - 1.0) / (rho_tilde * omega)
+    return scale * (h_merid + shift), scale * (h_ang + shift)
 
 
 def decomposition_residual(profile: RadialProfile) -> float:
@@ -91,7 +94,7 @@ def decomposition_residual(profile: RadialProfile) -> float:
     one (ht1, ht_ang) of the graph rho_tilde = e^gamma, are evaluated in the
     log-radius chart from one set of discrete derivatives, so the defect
     floor is roundoff, not a discretization order; the right-hand side is
-    (rho_tilde/phi) times _shifted, the map the dual solver's G reads.
+    _spherical_curvatures, the map the dual solver's G reads.
     """
     g_grad, g_hess, rho_tilde, omega2, omega = _log_radius_chart(profile)
     phi, phip = _warp(rho_tilde)
@@ -100,10 +103,8 @@ def decomposition_residual(profile: RadialProfile) -> float:
     lam_ang = (phip - cot_term) / (phi * omega)
     ht1 = (omega2 - g_hess) / (rho_tilde * omega * omega2)
     ht_ang = (1.0 - cot_term) / (rho_tilde * omega)
-    s1, s_ang = _shifted(ht1, ht_ang, rho_tilde, omega, phip)
-    r1 = lam1 - (rho_tilde / phi) * s1
-    ra = lam_ang - (rho_tilde / phi) * s_ang
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(ra))))
+    h1, h_ang = _spherical_curvatures(ht1, ht_ang, rho_tilde, omega, phi, phip)
+    return float(max(np.max(np.abs(lam1 - h1)), np.max(np.abs(lam_ang - h_ang))))
 
 
 @dataclass
@@ -112,7 +113,7 @@ class DualState:
 
     w_merid / w_ang are the eigenvalues of W = Hess(u) + u id in the
     axisymmetric frame; their reciprocals are those of the dual shape
-    operator W^{-1}, which _shifted maps to phi/rho_tilde times the spherical
+    operator W^{-1}, which _spherical_curvatures maps to the spherical
     curvatures.
     """
 
@@ -185,10 +186,10 @@ def support_closure(n, theta, u_tilde) -> DualState:
 
 
 def _g(n, k, u, rho_tilde, omega, phi, phip, w_merid, w_ang):
-    """G, with the quotient on the eigenvalues of W^{-1} + s id."""
-    shifted = _shifted(1.0 / w_merid, 1.0 / w_ang, rho_tilde, omega, phip)
-    quotient = quotient_two_core(*shifted, n, k)[0]
-    return identity_quotient(n, k) * (phip / phi) * u * omega - rho_tilde * u / phi * quotient
+    """G = (rho_tilde/phi) f, f being the law flow._speed states, looked up on flow."""
+    h = _spherical_curvatures(1.0 / w_merid, 1.0 / w_ang, rho_tilde, omega, phi, phip)
+    f = flow._speed(n, k, phip, u * phi / rho_tilde, quotient_two_core(*h, n, k)[0])
+    return rho_tilde / phi * f
 
 
 def _stage_g(n: int, k: int, grid, u: np.ndarray) -> np.ndarray:
@@ -198,13 +199,13 @@ def _stage_g(n: int, k: int, grid, u: np.ndarray) -> np.ndarray:
 
 
 def g_operator(state: DualState, k: int) -> np.ndarray:
-    """Right-hand side G of the support-function evolution.
+    """Right-hand side G = (rho_tilde/phi) f of the support-function evolution.
 
-    The curvature quotient acts on the eigenvalues of W^{-1} + s id with
-    s = (phi'-1)/(rho_tilde omega); a cone error propagates whenever those
-    shifted eigenvalues leave the admissible cone (sigma_k <= 0), e.g. for
-    the unit-support equator state where the shift cancels W^{-1} = id
-    exactly.
+    The curvature quotient acts on the spherical curvatures
+    (rho_tilde/phi)(W^{-1} + s id), s = (phi'-1)/(rho_tilde omega); a cone
+    error propagates whenever they leave the admissible cone (sigma_k <= 0),
+    e.g. for the unit-support equator state where the shift cancels
+    W^{-1} = id exactly.
     """
     return _g(state.n, k, state.u, state.rho_tilde, state.omega, state.phi, state.phip,
               state.w_merid, state.w_ang)
@@ -272,17 +273,16 @@ def _trace_row(state: DualState, g: np.ndarray, k: int, codes: list) -> list:
     except ValueError:
         codes.append("PULLBACK")
         quermass = [float("nan")] * (state.n + 2)
-    scale = state.rho_tilde / state.phi
-    lam1, lam_ang = (scale * h for h in _shifted(1.0 / state.w_merid, 1.0 / state.w_ang,
-                                                 state.rho_tilde, state.omega, state.phip))
+    lam1, lam_ang = _spherical_curvatures(1.0 / state.w_merid, 1.0 / state.w_ang,
+                                          state.rho_tilde, state.omega, state.phi, state.phip)
     try:
         fval = quotient_two_core(lam1, lam_ang, state.n, k)[0]
         fmin, fmax = np.min(fval), np.max(fval)
     except ConeViolation:
         fmin = fmax = float("nan")
     return quermass + [
-        np.min(state.u / scale), np.min(state.rho), np.max(state.rho), fmin, fmax,
-        min(lam1.min(), lam_ang.min()), max(lam1.max(), lam_ang.max()),
+        np.min(state.u * state.phi / state.rho_tilde), np.min(state.rho), np.max(state.rho),
+        fmin, fmax, min(lam1.min(), lam_ang.min()), max(lam1.max(), lam_ang.max()),
         np.max(np.abs(g)), state.min_eig_w, state.max_eig_w,
     ]
 

@@ -72,8 +72,8 @@ _MULT_FLOOR = 1e-12
 # time error below the O(h^2) grid error and no finer than the stop (Lawson,
 # Berzins & Dew, SIAM J. Sci. Stat. Comput. 12, 1991); tMax-only runs keep _RTOL
 _RTOL = 1e-8
-# the RK4 steps of the oracle and the studies times G, the Gershgorin bound of
-# the Jacobian: dt * rho(J) <= 0.8 keeps RK4 inside its stability limit 2.785
+# the RK4 oracle's step times G, the Gershgorin bound of the Jacobian: dt * rho(J)
+# <= 0.8 keeps RK4 inside its stability limit 2.785 (the studies use studies._CFL)
 _FIRST_STEP_FACTOR = 0.8
 # Monitors thresholds: relative barrier slack, per-step sign slack, drift of
 # the preserved A_{k-1}, and the factor by which F may leave its initial band

@@ -215,6 +215,13 @@ def off_centre_distance(n, k, R, d0, t):
     return 2.0 * math.atan(math.tan(0.5 * d0) * math.exp(-c * t / math.sin(R)))
 
 
+def inverse_off_centre_distance(R, d0, t):
+    """d(t) of the same sphere under the inverse-type law f = (c phi' - u F)/F:
+    F = c cot R is constant on it, so the motion is the same with time scaled
+    by tan R / c, tan(d/2) = tan(d0/2) exp(-t / cos R) for every (n, k)."""
+    return 2.0 * math.atan(math.tan(0.5 * d0) * math.exp(-t / math.cos(R)))
+
+
 def off_centre_stop_time(n, k, R, d0, tol):
     """Time t* at which that sphere's max speed, c sin d / sin R, falls to tol:
     t* = (sin R / c) ln(tan(d0/2) / tan(d*/2)), with sin d* = tol sin R / c."""

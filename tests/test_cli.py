@@ -574,6 +574,23 @@ def test_convergence_study_command(tmp_path, capsys):
     assert study["evolutionOrders"]["u"] > 1.5
 
 
+def test_convergence_study_bundles_name_their_grids(tmp_path):
+    # two coarsest grids give different orders, so the manifest and study.json
+    # both say which grid they came from; the weighted-integral study runs on
+    # at least 128 intervals whatever --N says
+    bundles = {}
+    for N in (32, 64):
+        out = tmp_path / f"N{N}"
+        assert main(["convergence-study", "--N", str(N), "--levels", "2", "--out", str(out)]) == 0
+        bundles[N] = [_read_json(out / name) for name in ("manifest.json", "study.json")]
+    for i in range(2):
+        assert bundles[32][i] != bundles[64][i]
+        assert bundles[32][i]["N"] == 32 and bundles[64][i]["N"] == 64
+    assert bundles[32][1]["sizes"] == {"weightedIntegral": [129, 257], "evolution": [33, 65],
+                                       "functional": [33, 65]}
+    assert bundles[64][1]["sizes"]["weightedIntegral"] == [129, 257]
+
+
 def test_convergence_study_refuses_n_past_the_float_range(tmp_path, capsys):
     # symfunc.sigma_two_value's binomials C(n - 1, m) overflow float64 from n = 1031
     out = tmp_path / "study"

@@ -21,6 +21,7 @@ from sphereflow.dualflow import (
 from sphereflow.flow import FlowConfig, ShapeSpec, run, speed
 from sphereflow.hypersurface import polar_grid
 from sphereflow.quermass import sphere_quermass
+from sphereflow.symfunc import identity_quotient
 
 
 def test_gamma_transform_inverts():
@@ -179,10 +180,8 @@ def test_dual_eigenvalues_match_primal_curvatures():
         prof = RadialProfile.perturbed(2, 0.8, 0.05, 2, N)
         st = geometry(prof, 1)
         ds = dual_from_profile(prof)
-        h_merid, h_ang = dualflow_module._shifted(1.0 / ds.w_merid, 1.0 / ds.w_ang,
-                                                  ds.rho_tilde, ds.omega, ds.phip)
-        lam1 = ds.rho_tilde / ds.phi * h_merid
-        lam_ang = ds.rho_tilde / ds.phi * h_ang
+        lam1, lam_ang = dualflow_module._spherical_curvatures(
+            1.0 / ds.w_merid, 1.0 / ds.w_ang, ds.rho_tilde, ds.omega, ds.phi, ds.phip)
         errs.append(max(
             float(np.max(np.abs(lam1 - st.lam1))),
             float(np.max(np.abs(lam_ang - st.lam_ang))),
@@ -411,12 +410,10 @@ def _off_centre_config(n, k, R, d0, N, t_max):
     return FlowConfig(n=n, k=k, N=N, t_max=t_max, convergence_tol=0.0, initial_shape=shape)
 
 
-@pytest.mark.parametrize("n, k, R, d0", [(2, 1, 0.8, 0.3), (3, 2, 0.5, 0.4), (2, 0, 0.8, 0.3),
-                                         (3, 1, 1.2, 0.3), (8, 4, 0.8, 0.3), (5, 2, 0.5, 0.4)])
-def test_both_solvers_follow_the_off_centre_sphere_at_second_order(n, k, R, d0):
-    # the sphere stays one of radius R, its centre on oracles.off_centre_distance;
-    # the dual solver's profile is read through profile_from_dual
-    d_final = oracles.off_centre_distance(n, k, R, d0, 1.0)
+def _assert_second_order_to(n, k, R, d0, d_final):
+    """Both solvers, run to t = 1 from the sphere at distance d0 at N = 65, 129 and
+    257, end on the sphere at distance d_final at observed order >= 1.9; the dual
+    solver's profile is read through profile_from_dual."""
     errors = {"run": [], "dual_run": []}
     for N in (65, 129, 257):
         config = _off_centre_config(n, k, R, d0, N, 1.0)
@@ -428,6 +425,22 @@ def test_both_solvers_follow_the_off_centre_sphere_at_second_order(n, k, R, d0):
             errors[name].append(float(np.max(np.abs(prof.rho - exact))))
     for name, err in errors.items():
         assert min(np.log2(np.divide(err[:-1], err[1:]))) >= 1.9, (name, err)
+
+
+@pytest.mark.parametrize("n, k, R, d0", [(2, 1, 0.8, 0.3), (3, 2, 0.5, 0.4), (2, 0, 0.8, 0.3),
+                                         (3, 1, 1.2, 0.3), (8, 4, 0.8, 0.3), (5, 2, 0.5, 0.4)])
+def test_both_solvers_follow_the_off_centre_sphere_at_second_order(n, k, R, d0):
+    # the sphere stays one of radius R, its centre on oracles.off_centre_distance
+    _assert_second_order_to(n, k, R, d0, oracles.off_centre_distance(n, k, R, d0, 1.0))
+
+
+@pytest.mark.parametrize("n, k, R, d0", [(2, 1, 0.8, 0.3), (3, 2, 0.5, 0.4)])
+def test_both_solvers_run_the_law_flow_states(monkeypatch, n, k, R, d0):
+    # one patch of flow._speed, to the inverse-type law (c phi' - u F)/F,
+    # reaches both solvers' rates: each follows that law's own closed form
+    monkeypatch.setattr(flow_module, "_speed",
+                        lambda n, k, phip, u, F: (identity_quotient(n, k) * phip - u * F) / F)
+    _assert_second_order_to(n, k, R, d0, oracles.inverse_off_centre_distance(R, d0, 1.0))
 
 
 @pytest.mark.parametrize("n, k, R, d0", [(2, 1, 0.8, 0.3), (3, 2, 0.5, 0.4), (2, 0, 0.8, 0.3),

@@ -51,9 +51,12 @@ def test_readme_config_table_names_every_config_key():
 
 def test_readme_calls_only_names_that_exist():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    # every `name( in backticks, numpy's own names left out
+    # every `name( in backticks, numpy's own names left out, and every private
+    # `_name` or `module._name` named without a call
     names = {name for name in re.findall(r"`([A-Za-z_][\w.]*)\(", readme)
              if not name.startswith("np.")}
+    private = set(re.findall(r"`((?:\w+\.)*_\w+(?:\.\w+)*)`", readme))
+    names |= private
     modules = [importlib.import_module(module) for module in MODULES]
     owners = modules + [cls for module in modules for _, cls in inspect.getmembers(
         module, inspect.isclass) if cls.__module__.startswith("sphereflow")]
@@ -65,7 +68,7 @@ def test_readme_calls_only_names_that_exist():
             return False
         return True
 
-    assert names
+    assert names and private
     missing = sorted(name for name in names
                      if not any(resolves(owner, name) for owner in owners))
     assert not missing, missing

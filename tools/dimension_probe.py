@@ -8,11 +8,12 @@ distance to the nearer of the pole and the hemisphere: 174 runs, all at the
 default ``dtMax`` (no cap) and stop, in about 12 s.  It writes nothing and
 prints one JSON object with, for each run (key ``<solver>/n<n>k<k>/r<r0>``),
 the counters of ``tools/radius_probe.py`` (termination, tFinal, steps,
-rejections, rate evaluations, Jacobians, LU factorizations and flag counts)
-and ``drift``, the largest relative change of the preserved A_{k-1} over the
-run's trace rows, against the first of them (rows with no A_l, such as a dual
-run's ``PULLBACK`` rows, left out; null where none has one).  Diff the outputs
-of two checkouts to compare them:
+rejections, rate evaluations, Jacobians, LU factorizations, flag counts and
+``rejectionCauses``, the rejected trials by cause, which sum to the
+rejections) and ``drift``, the largest relative change of the preserved
+A_{k-1} over the run's trace rows, against the first of them (rows with no
+A_l, such as a dual run's ``PULLBACK`` rows, left out; null where none has
+one).  Diff the outputs of two checkouts to compare them:
 
     python tools/dimension_probe.py > dimensions.json
 """
@@ -53,9 +54,9 @@ def dimension_probe() -> dict:
                 for r0 in RADII:
                     eps = 0.05 * min(r0, math.pi / 2 - r0)
                     shape = ShapeSpec(kind="perturbed", r0=r0, eps=eps, mode=MODE)
-                    result = flow(FlowConfig(n=n, k=k, N=N, initial_shape=shape))
-                    counters[f"{solver}/n{n}k{k}/r{r0}"] = {**_counters(result),
-                                                            "drift": _drift(result)}
+                    counts, result = _counters(flow, FlowConfig(n=n, k=k, N=N,
+                                                                initial_shape=shape))
+                    counters[f"{solver}/n{n}k{k}/r{r0}"] = {**counts, "drift": _drift(result)}
     return counters
 
 

@@ -13,13 +13,22 @@ default ``dtMax``, from three geodesic spheres whose centre lies off the pole
 ``custom`` shape: with the pole near the sphere, the dual solver's readout
 of each trace row is at its hardest there.  Prints
 one JSON object with, for each run, its termination, tFinal, steps,
-rejections, rate evaluations, Jacobians, LU factorizations and its
-``violations``, the count of each flag code over its trace rows.  Diff the
-outputs of two checkouts to compare them:
+rejections, rate evaluations, Jacobians, LU factorizations, its
+``violations``, the count of each flag code over its trace rows, and
+``rejectionCauses``, its rejected trials by what ended them: a Newton solve
+that did not converge (``newton``), the error test (``errorTest``), a rate
+off the cone (``coneExit``), a dual state whose W is not positive definite
+(``convexityLoss``), a state the solver refuses (``refusedState``: radii off
+the chart, a non-convex graph state, a non-positive u_tilde), a Jacobian
+that is not finite or a singular factor (``jacobianOrFactor``) and a step
+below the float spacing of t (``floatSpacing``).  The causes are read by
+wrapping ``_Stepper.step`` in-process, and they sum to ``rejections``.
+Diff the outputs of two checkouts to compare them:
 
     python tools/radius_probe.py > radii.json
 """
 
+import collections
 import dataclasses
 import json
 import math
@@ -30,7 +39,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import sphereflow.flow as flow_module  # noqa: E402
 from sphereflow.dualflow import dual_run  # noqa: E402
+from sphereflow.exceptions import ConeViolation, ConvexityLoss, StepRejected  # noqa: E402
 from sphereflow.flow import FlowConfig, ShapeSpec, run  # noqa: E402
 from sphereflow.hypersurface import polar_grid  # noqa: E402
 
@@ -51,12 +62,59 @@ def _off_centre_sphere(theta, R, d):
             + np.arccos(np.cos(R) / np.hypot(np.cos(d), np.sin(d) * np.cos(theta))))
 
 
-def _counters(result) -> dict:
-    """The counters of a finished run and its flag counts."""
+_STEP_REJECTED = {"Newton iteration did not converge": "newton",
+                  "error test failed": "errorTest",
+                  "step size fell below the float spacing of t": "floatSpacing"}
+
+
+def _cause(exc: Exception) -> str:
+    """The cause of one rejected trial, by the exception that ended it."""
+    if isinstance(exc, np.linalg.LinAlgError):
+        return "jacobianOrFactor"
+    if isinstance(exc, ConvexityLoss):  # a ConeViolation too: tested first
+        return "convexityLoss"
+    if isinstance(exc, ConeViolation):
+        return "coneExit"
+    return _STEP_REJECTED.get(str(exc), "refusedState")
+
+
+def _counters(solve, config) -> tuple:
+    """(counters, result) of solve(config): its counters, flag counts and rejected
+    trials by cause.  A trial is rejected where the stepper's _trial or the solver's
+    accept raises inside _Stepper.step, so both are wrapped there alone: the
+    accept calls of the converged-stop search are no trials."""
+    causes = collections.Counter()
+    real_step = flow_module._Stepper.step
+
+    def recorded(call):
+        def wrapper(*args):
+            try:
+                return call(*args)
+            except (StepRejected, ValueError) as exc:
+                causes[_cause(exc)] += 1
+                raise
+        return wrapper
+
+    def step(self, f):
+        accept = self.accept
+        self._trial, self.accept = recorded(self._trial), recorded(accept)
+        try:
+            return real_step(self, f)
+        finally:
+            del self._trial  # the class's method again
+            self.accept = accept
+
+    flow_module._Stepper.step = step
+    try:
+        result = solve(config)
+    finally:
+        flow_module._Stepper.step = real_step
+    assert sum(causes.values()) == result.rejections, (dict(causes), result.rejections)
     return {"termination": result.termination, "tFinal": result.t_final,
             "steps": result.steps, "rejections": result.rejections,
             "rateEvaluations": result.rate_evaluations, "jacobians": result.jacobians,
-            "luFactorizations": result.lu_factorizations, "flags": result.violations}
+            "luFactorizations": result.lu_factorizations, "flags": result.violations,
+            "rejectionCauses": dict(sorted(causes.items()))}, result
 
 
 def radius_probe() -> dict:
@@ -71,14 +129,14 @@ def radius_probe() -> dict:
                 shape = ShapeSpec(kind="perturbed", r0=r0, eps=eps, mode=MODE)
                 config = FlowConfig(n=n, k=k, N=N, initial_shape=shape)
                 key = f"{solver}/n{n}k{k}/r{r0}"
-                counters[key] = _counters(flow(config))
+                counters[key] = _counters(flow, config)[0]
                 capped = dataclasses.replace(config, dt_max=0.2)
-                counters[f"{key}/capped"] = _counters(flow(capped))
+                counters[f"{key}/capped"] = _counters(flow, capped)[0]
         for n, k, R, d0 in OFF_CENTRE:
             shape = ShapeSpec(kind="custom", theta=grid.theta,
                               rho=_off_centre_sphere(grid.theta, R, d0))
             config = FlowConfig(n=n, k=k, N=N, initial_shape=shape)
-            counters[f"{solver}/n{n}k{k}/offcentre/R{R}d{d0}"] = _counters(flow(config))
+            counters[f"{solver}/n{n}k{k}/offcentre/R{R}d{d0}"] = _counters(flow, config)[0]
     return counters
 
 
