@@ -47,7 +47,6 @@ from .dualflow import (
     decomposition_residual,
     dual_from_profile,
     dual_run,
-    g_operator,
     gamma_transform,
     profile_from_dual,
     support_closure,
@@ -68,7 +67,7 @@ __all__ = [
     "evolution_residuals", "functional_derivative_residuals",
     "run", "speed", "step",
     "DualResult", "DualState", "decomposition_residual",
-    "dual_from_profile", "dual_run", "g_operator", "gamma_transform",
+    "dual_from_profile", "dual_run", "gamma_transform",
     "profile_from_dual", "support_closure",
     "SuiteReport", "run_identity_suite",
 ]

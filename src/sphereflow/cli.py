@@ -14,13 +14,11 @@ import os
 import sys
 from functools import cache
 
-import numpy as np
-
 from .dualflow import dual_run, profile_from_dual
 from .flow import _CONFIG_KEYS, FlowConfig, ShapeSpec, _check_order, _start, run
 from .hypersurface import _json_object, geometry, load_checkpoint, save_checkpoint
 from .identities import run_identity_suite
-from .quermass import _check_normal, audit_inequalities, quermass_vector
+from .quermass import _normal_quermass, audit_inequalities
 from .studies import evolution_study, functional_study, minkowski_study
 
 __all__ = ["main"]
@@ -166,11 +164,9 @@ def _cmd_dual_run(args) -> int:
 def _cmd_audit(args) -> int:
     profile, k, _ = load_checkpoint(args.checkpoint)
     _check_order(profile.n, k)
-    with np.errstate(over="ignore", invalid="ignore"):  # _check_normal names an overflow
-        q = quermass_vector(geometry(profile, 0), profile)
-    _check_normal(q, "checkpoint")
-    report = audit_inequalities(q, seed=args.seed)
-    payload = json.loads(report.to_json())
+    report = audit_inequalities(_normal_quermass(geometry(profile, 0), profile, "checkpoint"),
+                                seed=args.seed)
+    payload = report.to_json()
     payload["k"] = k
     payload["checkpoint"] = os.path.basename(args.checkpoint)
     _manifest(args.out, "audit", args.seed, None,
@@ -189,7 +185,7 @@ def _cmd_identity_suite(args) -> int:
     if args.out:
         _manifest(args.out, "identity-suite", args.seed, None,
                   extra={"nMax": args.n_max, "samples": args.samples})
-        _write_json(os.path.join(args.out, "identities.json"), json.loads(report.to_json()))
+        _write_json(os.path.join(args.out, "identities.json"), report.to_json())
     total = len(report.checks)
     failed = sum(not c.passed for c in report.checks)
     print(f"identity-suite: {total - failed}/{total} checks passed")

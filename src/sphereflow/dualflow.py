@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow
-from .exceptions import ConeViolation, ConvexityLoss
+from .exceptions import ConvexityLoss
 from .flow import FlowConfig, FlowTrace, Outcome, _integrate, _start
 from .hypersurface import (
     RadialProfile,
@@ -47,7 +47,6 @@ __all__ = [
     "gamma_transform",
     "decomposition_residual",
     "support_closure",
-    "g_operator",
     "dual_from_profile",
     "profile_from_dual",
     "dual_run",
@@ -121,7 +120,6 @@ class DualState:
     theta: np.ndarray
     u: np.ndarray
     u_grad: np.ndarray
-    u_hess: np.ndarray
     rho_tilde: np.ndarray
     omega: np.ndarray
     rho: np.ndarray
@@ -165,7 +163,7 @@ def _dual_state(n, theta, tan, u, u_grad, u_hess) -> DualState:
     tan(theta) on the interior nodes."""
     rho_tilde, omega, phi, phip, w_merid, w_ang = _closure(u, u_grad, u_hess, tan)
     return DualState(
-        n=int(n), theta=theta, u=u, u_grad=u_grad, u_hess=u_hess,
+        n=int(n), theta=theta, u=u, u_grad=u_grad,
         rho_tilde=rho_tilde, omega=omega, rho=2.0 * np.arctan(rho_tilde), phi=phi,
         phip=phip, w_merid=w_merid, w_ang=w_ang,
     )
@@ -185,30 +183,22 @@ def support_closure(n, theta, u_tilde) -> DualState:
     return _dual_state(n, grid.theta, grid.tan, u, u_grad, u_hess)
 
 
-def _g(n, k, u, rho_tilde, omega, phi, phip, w_merid, w_ang):
-    """G = (rho_tilde/phi) f, f being the law flow._speed states, looked up on flow."""
+def _g(n, k, u, rho_tilde, omega, phi, phip, w_merid, w_ang) -> tuple:
+    """(G, u, h, F): the right-hand side G = (rho_tilde/phi) f of the support-function
+    evolution, f being the law flow._speed states, looked up on flow, and what f reads,
+    the spherical support function u = u_tilde phi/rho_tilde, the spherical curvatures
+    h = (rho_tilde/phi)(W^{-1} + s id), s = (phi'-1)/(rho_tilde omega), as a pair, and
+    their quotient F.  ConeViolation where h leaves the admissible cone (sigma_k <= 0),
+    as for the unit-support equator state, where the shift cancels W^{-1} = id exactly."""
     h = _spherical_curvatures(1.0 / w_merid, 1.0 / w_ang, rho_tilde, omega, phi, phip)
-    f = flow._speed(n, k, phip, u * phi / rho_tilde, quotient_two_core(*h, n, k)[0])
-    return rho_tilde / phi * f
+    u_sph, fval = u * phi / rho_tilde, quotient_two_core(*h, n, k)[0]
+    return rho_tilde / phi * flow._speed(n, k, phip, u_sph, fval), u_sph, h, fval
 
 
 def _stage_g(n: int, k: int, grid, u: np.ndarray) -> np.ndarray:
-    """g_operator(support_closure(n, grid, u), k), same checks, from the cores alone;
-    u may stack several vectors, such as the three Radau stages, along leading axes."""
-    return _g(n, k, u, *_closure(u, *differentiate(u, grid.h), grid.tan))
-
-
-def g_operator(state: DualState, k: int) -> np.ndarray:
-    """Right-hand side G = (rho_tilde/phi) f of the support-function evolution.
-
-    The curvature quotient acts on the spherical curvatures
-    (rho_tilde/phi)(W^{-1} + s id), s = (phi'-1)/(rho_tilde omega); a cone
-    error propagates whenever they leave the admissible cone (sigma_k <= 0),
-    e.g. for the unit-support equator state where the shift cancels
-    W^{-1} = id exactly.
-    """
-    return _g(state.n, k, state.u, state.rho_tilde, state.omega, state.phi, state.phip,
-              state.w_merid, state.w_ang)
+    """G of support_closure(n, grid, u), same checks, from the cores alone; u may
+    stack several vectors, such as the three Radau stages, along leading axes."""
+    return _g(n, k, u, *_closure(u, *differentiate(u, grid.h), grid.tan))[0]
 
 
 def dual_from_profile(profile: RadialProfile) -> DualState:
@@ -263,8 +253,8 @@ class DualResult(Outcome):
         return support_closure(self.config.n, polar_grid(self.config.N), self.u)
 
 
-def _trace_row(state: DualState, g: np.ndarray, k: int, codes: list) -> list:
-    """Primal columns read through the dual state (u = u_tilde phi / rho_tilde),
+def _trace_row(state: DualState, reads: tuple, codes: list) -> list:
+    """Primal columns read through the dual state and _g's reads (G, u, h, F) of it,
     then the W eigen range; maxSpeed is max |G|, the speed the dual run stops on."""
     try:
         prof = profile_from_dual(state)
@@ -273,16 +263,10 @@ def _trace_row(state: DualState, g: np.ndarray, k: int, codes: list) -> list:
     except ValueError:
         codes.append("PULLBACK")
         quermass = [float("nan")] * (state.n + 2)
-    lam1, lam_ang = _spherical_curvatures(1.0 / state.w_merid, 1.0 / state.w_ang,
-                                          state.rho_tilde, state.omega, state.phi, state.phip)
-    try:
-        fval = quotient_two_core(lam1, lam_ang, state.n, k)[0]
-        fmin, fmax = np.min(fval), np.max(fval)
-    except ConeViolation:
-        fmin = fmax = float("nan")
+    g, u_sph, (lam1, lam_ang), fval = reads
     return quermass + [
-        np.min(state.u * state.phi / state.rho_tilde), np.min(state.rho), np.max(state.rho),
-        fmin, fmax, min(lam1.min(), lam_ang.min()), max(lam1.max(), lam_ang.max()),
+        np.min(u_sph), np.min(state.rho), np.max(state.rho), np.min(fval), np.max(fval),
+        min(lam1.min(), lam_ang.min()), max(lam1.max(), lam_ang.max()),
         np.max(np.abs(g)), state.min_eig_w, state.max_eig_w,
     ]
 
@@ -303,7 +287,7 @@ def dual_run(config: FlowConfig) -> DualResult:
     3-point stencil derivatives, and which, with G, sizes the first step at
     the start (flow._first_step).  The three stages of a Newton iteration go
     to G (_stage_g) as one stacked call, with the checks of support_closure
-    and g_operator; each accepted state gets the full DualState.
+    and _g; each accepted state gets the full DualState, evaluated once.
     _integrate ends the run convexity_breakdown, at t_final = breakdown_time, on a
     ConvexityLoss at the smallest step (W not positive definite), and
     step_collapse on any other failure there, as in run.  The outcome is not
@@ -317,17 +301,18 @@ def dual_run(config: FlowConfig) -> DualResult:
     grid = profile.grid
     n, k = config.n, config.k
 
-    # a solver state is (G, max |G|, max curvature of W^{-1}, closure); G is
-    # also the rate its step starts from, and the largest eigenvalue of W^{-1},
-    # max(1/w), is exactly 1/min(w) for w > 0
+    # a solver state is (G, max |G|, max curvature of W^{-1}, closure, _g's reads),
+    # which the trace row reads; G is also the rate its step starts from, and the
+    # largest eigenvalue of W^{-1}, max(1/w), is exactly 1/min(w) for w > 0
     def evaluate(u):
         state = support_closure(n, grid, u)
-        g = g_operator(state, k)
-        return g, float(np.max(np.abs(g))), 1.0 / state.min_eig_w, state
+        reads = _g(n, k, state.u, state.rho_tilde, state.omega, state.phi, state.phip,
+                   state.w_merid, state.w_ang)
+        return reads[0], float(np.max(np.abs(reads[0]))), 1.0 / state.min_eig_w, state, reads
 
     trace = FlowTrace(n, extra=("minEigW", "maxEigW"))
     u0 = _dual_start(profile)
-    (*_, state), outcome = _integrate(
+    (*_, state, _), outcome = _integrate(
         config, lambda u: _stage_g(n, k, grid, u), evaluate, lambda *_: (),
-        lambda cur, codes: _trace_row(cur[3], cur[0], k, codes), u0, evaluate(u0), trace)
+        lambda cur, codes: _trace_row(*cur[3:], codes), u0, evaluate(u0), trace)
     return DualResult(**vars(outcome), u=state.u)

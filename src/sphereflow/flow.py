@@ -51,7 +51,7 @@ from .hypersurface import (
     polar_grid,
     save_checkpoint,
 )
-from .quermass import QuermassVector, _check_normal, quermass_vector
+from .quermass import QuermassVector, _normal_quermass, quermass_vector
 from .symfunc import identity_quotient, quotient_two_core
 
 __all__ = [
@@ -74,7 +74,7 @@ _MULT_FLOOR = 1e-12
 _RTOL = 1e-8
 # the RK4 oracle's step times G, the Gershgorin bound of the Jacobian: dt * rho(J)
 # <= 0.8 keeps RK4 inside its stability limit 2.785 (the studies use studies._CFL)
-_FIRST_STEP_FACTOR = 0.8
+_RK4_FACTOR = 0.8
 # Monitors thresholds: relative barrier slack, per-step sign slack, drift of
 # the preserved A_{k-1}, and the factor by which F may leave its initial band
 _BARRIER_TOL = 1e-8
@@ -295,7 +295,7 @@ def step(profile: RadialProfile, dt: float, k: int) -> RadialProfile:
         raise StepRejected(str(exc)) from exc
 
 
-def _gershgorin_dt(J: np.ndarray, dt_max: float, factor: float = _FIRST_STEP_FACTOR) -> float:
+def _gershgorin_dt(J: np.ndarray, dt_max: float, factor: float = _RK4_FACTOR) -> float:
     """factor / G for the bands J of _jacobian, with G = max_i sum_j |J_ij| >= J's
     spectral radius, at most dt_max; dt_max where G is zero or not finite."""
     g = float(np.max(np.sum(np.abs(J), axis=0)))
@@ -754,10 +754,7 @@ def _start(config: FlowConfig) -> tuple:
     state = geometry(profile, config.k)
     if not state.lam_min > 0.0:
         raise ValueError("initial profile is not strictly convex")
-    with np.errstate(over="ignore", invalid="ignore"):  # _check_normal names an overflow
-        q = quermass_vector(state, profile)
-    _check_normal(q, "start")
-    return profile, state, q
+    return profile, state, _normal_quermass(state, profile, "start")
 
 
 def run(config: FlowConfig, out_dir=None) -> FlowResult:

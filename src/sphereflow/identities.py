@@ -12,7 +12,6 @@ deficit's comparability constants are recorded; only positivity is asserted.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -150,15 +149,14 @@ class SuiteReport:
     def lines(self) -> list:
         return [c.line() for c in self.checks]
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json(self) -> dict:
+        return {
             "nMax": self.n_max,
             "samples": self.samples,
             "seed": self.seed,
             "passed": self.passed,
             "checks": [asdict(c) for c in self.checks],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _rel_worst(lhs: np.ndarray, rhs: np.ndarray, *scales) -> float:

@@ -15,7 +15,6 @@ marks pairs keyed on it as degenerate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -79,14 +78,18 @@ def quermass_vector(state: GeometryState, profile: RadialProfile) -> QuermassVec
     return QuermassVector(n=n, values=_ladder(n, volume(profile), s))
 
 
-def _check_normal(q: QuermassVector, what: str) -> None:
-    """ValueError naming n and the first A_l that is not finite, else the smallest |A_l|,
-    unless every A_l of q is a normal float; callers keep a sigma overflow in np.errstate."""
+def _normal_quermass(state: GeometryState, profile: RadialProfile, what: str) -> QuermassVector:
+    """quermass_vector(state, profile), built in np.errstate so that a sigma overflow gives
+    no numpy warning, and checked: ValueError naming n and the first A_l that is not
+    finite, else the smallest |A_l|, unless every A_l is a normal float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = quermass_vector(state, profile)
     bad, low = np.flatnonzero(~np.isfinite(q.values)), np.min(np.abs(q.values))
     if bad.size or not low >= np.finfo(float).tiny:
         raise ValueError(f"{what} quermassintegrals leave the normal floats at n={q.n}: "
                          + (f"A_{bad[0] - 1} is {q.values[bad[0]]}" if bad.size
                             else f"the smallest |A_l| is {low:.3g}"))
+    return q
 
 
 def sphere_quermass(n: int, m: int, r: float) -> float:
@@ -153,11 +156,11 @@ class AuditReport:
             out.append(e["gap"] / scale)
         return out
 
-    def to_json(self) -> str:
+    def to_json(self) -> dict:
         payload = {"n": self.n, "entries": self.entries, "skipped": self.skipped}
         if self.seed is not None:
             payload["seed"] = self.seed
-        return json.dumps(payload, indent=2)
+        return payload
 
 
 def audit_inequalities(q: QuermassVector, seed: int | None = None) -> AuditReport:

@@ -13,7 +13,6 @@ from sphereflow.dualflow import (
     decomposition_residual,
     dual_from_profile,
     dual_run,
-    g_operator,
     gamma_transform,
     profile_from_dual,
     support_closure,
@@ -84,17 +83,23 @@ def test_dual_roundtrip_is_exact():
     assert float(np.max(np.abs(back.rho - prof.rho))) < 1e-10
 
 
-def test_g_operator_vanishes_on_sphere():
+def _full_g(state, k):
+    """G of a closed DualState, read by _g from its closure fields."""
+    return dualflow_module._g(state.n, k, state.u, state.rho_tilde, state.omega, state.phi,
+                              state.phip, state.w_merid, state.w_ang)[0]
+
+
+def test_g_vanishes_on_sphere():
     st = dual_from_profile(RadialProfile.geodesic_sphere(2, 0.8, 129))
-    assert float(np.max(np.abs(g_operator(st, 1)))) < 1e-13
+    assert float(np.max(np.abs(_full_g(st, 1)))) < 1e-13
 
 
-def test_g_operator_equator_cone_error():
+def test_g_equator_cone_error():
     # unit support: the eigenvalue shift cancels W^{-1} = id exactly
     grid = np.linspace(0.0, math.pi, 33)
     st = support_closure(2, grid, np.ones(33))
     with pytest.raises(ConeViolation, match="node 0"):
-        g_operator(st, 1)
+        _full_g(st, 1)
 
 
 def _speed_transport_residual(N):
@@ -104,7 +109,7 @@ def _speed_transport_residual(N):
     derivatives, so agreement is second order in h."""
     profile = RadialProfile.perturbed(2, 0.8, 0.05, 2, N)
     dual = dual_from_profile(profile)
-    g = g_operator(dual, 1)
+    g = _full_g(dual, 1)
     transported = dual.u * dual.omega / dual.phi * speed(geometry(profile, 1))
     return float(np.max(np.abs(g - transported))) / max(1.0, float(np.max(np.abs(g))))
 
@@ -378,15 +383,35 @@ def test_accepted_dual_states_skip_the_quotient_gradient(monkeypatch):
 
 
 def test_trace_row_of_the_equator_state_is_nan():
-    # unit support: the point rho = pi/2 has no profile, and the shifted
-    # eigenvalues vanish, so sigma_1 = 0 and F is undefined
+    # unit support: the point rho = pi/2 has no profile
     codes = []
     state = support_closure(2, polar_grid(33), np.ones(33))
-    row = dualflow_module._trace_row(state, np.zeros(33), 1, codes)
+    ones = np.ones(33)
+    row = dualflow_module._trace_row(state, (np.zeros(33), ones, (ones, ones), ones), codes)
     assert codes == ["PULLBACK"]
     assert all(math.isnan(a) for a in row[:4])  # A_-1 .. A_2
-    min_f, max_f = row[7:9]
-    assert math.isnan(min_f) and math.isnan(max_f)
+
+
+def test_each_dual_state_is_evaluated_once(monkeypatch):
+    # a trace row reads the G evaluation of its state: with a row at every
+    # step, the quotient runs once per state that evaluate closes, and on no
+    # other unstacked input
+    real_closure, real_quotient = support_closure, dualflow_module.quotient_two_core
+    states, calls = [0], [0]
+
+    def closing(*args):
+        states[0] += 1
+        return real_closure(*args)
+
+    def counting(*args):
+        calls[0] += np.ndim(args[0]) == 1
+        return real_quotient(*args)
+
+    monkeypatch.setattr(dualflow_module, "support_closure", closing)
+    monkeypatch.setattr(dualflow_module, "quotient_two_core", counting)
+    res = dual_run(_short_config(sample_every=1))
+    assert res.termination == "tmax" and len(res.trace.t) == res.steps + 1 > 2
+    assert calls[0] == states[0]
 
 
 @pytest.mark.parametrize("n, k, r0, eps", [(2, 1, 0.8, 0.05), (3, 2, 0.9, 0.03)])

@@ -15,6 +15,7 @@ import pytest
 import sphereflow.dualflow as dualflow_module
 import sphereflow.flow as flow_module
 import sphereflow.hypersurface as hypersurface_module
+import sphereflow.quermass as quermass_module
 from sphereflow import ConeViolation, RadialProfile, dual_run, geometry
 from sphereflow.exceptions import StepRejected
 from sphereflow.flow import (
@@ -703,6 +704,8 @@ def _step_marks(monkeypatch, config):
 
     with monkeypatch.context() as patch:
         _patch_curvatures(patch, counting)
+        # the start's vector is built in quermass, the monitors' in flow
+        patch.setattr(quermass_module, "quermass_vector", marking)
         patch.setattr(flow_module, "quermass_vector", marking)
         res = run(config)
     return res, marks
@@ -1204,7 +1207,8 @@ grid = hypersurface.polar_grid(33)
 state = dualflow.support_closure(2, grid, 0.5 + 0.01 * np.cos(2.0 * grid.theta))
 codes = []
 dualflow.profile_from_dual(state, 65)
-dualflow._trace_row(state, np.zeros(33), 1, codes)
+dualflow._trace_row(state, dualflow._g(2, 1, state.u, state.rho_tilde, state.omega, state.phi,
+                                       state.phip, state.w_merid, state.w_ang), codes)
 print("read", *codes, *sorted(name for name in sys.modules
                               if name.startswith("scipy.interpolate")))
 """
@@ -1502,6 +1506,7 @@ def test_each_restart_starts_at_half_the_step_tried(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(flow_module, "_stage_rate", counting)
+        patch.setattr(quermass_module, "quermass_vector", marking)
         patch.setattr(flow_module, "quermass_vector", marking)
         clean = run(cfg)
     assert clean.t_final == cfg.t_max and len(marks) >= 3
@@ -1547,6 +1552,7 @@ def test_newton_failures_collapse_without_creeping(monkeypatch):
             raise AssertionError("a run without a converged Newton solve took steps")
         return real(*args)
 
+    monkeypatch.setattr(quermass_module, "quermass_vector", bounded)  # the start's
     monkeypatch.setattr(flow_module, "quermass_vector", bounded)
     res = run(_perturbed_config(t_max=0.02))
     assert res.termination == "step_collapse: Newton iteration did not converge"

@@ -43,11 +43,11 @@ def test_suite_rejects_samples_below_one(samples):
 def test_suite_json_is_deterministic():
     a = run_identity_suite(n_max=2, samples=200, seed=9).to_json()
     b = run_identity_suite(n_max=2, samples=200, seed=9).to_json()
-    assert a == b
-    payload = json.loads(a)
-    assert payload["passed"] is True
-    assert payload["seed"] == 9
-    assert {"name", "worst", "tolerance", "passed"} <= set(payload["checks"][0])
+    # the NaN worst of a check without samples makes a plain dict == false
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert a["passed"] is True
+    assert a["seed"] == 9
+    assert {"name", "worst", "tolerance", "passed"} <= set(a["checks"][0])
 
 
 def test_sample_cone_members():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -153,7 +152,7 @@ def test_audit_gaps_positive_off_sphere():
     prof = RadialProfile.perturbed(2, 0.8, 0.05, 2, 257)
     rep = audit_inequalities(quermass_vector(geometry(prof, 1), prof), seed=11)
     assert rep.entries and rep.worst_gap > 0.0
-    payload = json.loads(rep.to_json())
+    payload = rep.to_json()
     assert payload["seed"] == 11
     assert set(payload) == {"n", "entries", "skipped", "seed"}
     assert len(payload["entries"]) == len(rep.entries)
@@ -162,7 +161,7 @@ def test_audit_gaps_positive_off_sphere():
 def test_audit_json_omits_missing_seed():
     prof = RadialProfile.geodesic_sphere(2, 0.5, 65)
     rep = audit_inequalities(quermass_vector(geometry(prof, 1), prof))
-    assert "seed" not in json.loads(rep.to_json())
+    assert "seed" not in rep.to_json()
     assert rep.worst_gap == pytest.approx(0.0, abs=1e-6)
 
 

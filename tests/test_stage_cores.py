@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sphereflow.dualflow import _stage_g, g_operator, support_closure  # noqa: E402
+from sphereflow.dualflow import _g, _stage_g, support_closure  # noqa: E402
 from sphereflow.exceptions import ConeViolation, ConvexityLoss  # noqa: E402
 from sphereflow.flow import _stage_rate, speed  # noqa: E402
 from sphereflow.hypersurface import RadialProfile, geometry, polar_grid  # noqa: E402
@@ -54,8 +54,11 @@ def _graph(n, k, grid):
 
 def _dual(n, k, grid):
     """The full-state G and the stage G of support values on grid."""
-    return (lambda u: g_operator(support_closure(n, grid, u), k),
-            lambda u: _stage_g(n, k, grid, u))
+    def full(u):
+        s = support_closure(n, grid, u)
+        return _g(n, k, s.u, s.rho_tilde, s.omega, s.phi, s.phip, s.w_merid, s.w_ang)[0]
+
+    return full, lambda u: _stage_g(n, k, grid, u)
 
 
 @PROPERTY

@@ -8,12 +8,15 @@ whose Jacobian is ~1/r0^2 stiffer) at N = 128 and 256,
 ``convergence-study`` at its defaults for (n, k) = (2, 1) and (3, 2), whose
 evolution and functional orders read the residuals of
 ``flow.evolution_residuals`` and ``flow.functional_derivative_residuals``,
-each into a fresh temporary directory, with the
-package of this checkout's ``src/``.  Prints one JSON object with, for each
-run, the digest of every file it wrote and, where it writes a
-``summary.json`` or a ``study.json``, every field there: the counters, the
-final quermassintegrals, speed and spread, and the W range and breakdown
-time of a dual run, or the fitted orders of a study.  Two checkouts that print
+and ``audit`` of each ``run`` bundle's ``final.json``, each into a fresh
+temporary directory, with the package of this checkout's ``src/``.  The
+audits run from that directory with the checkpoint path relative to it, as
+``manifest.json`` records ``--checkpoint`` as given.  Prints one JSON object
+with, for each run, the digest of every file it wrote and, where it writes a
+``summary.json``, a ``study.json`` or a ``report.json``, every field there:
+the counters, the final quermassintegrals, speed and spread, and the W range
+and breakdown time of a dual run, the fitted orders of a study, or the gaps
+of an audit.  Two checkouts that print
 the same object write byte-identical bundles; diff the outputs to compare
 them.  Where digests differ, the summary fields show how far each value
 moved:
@@ -25,7 +28,7 @@ import hashlib
 import json
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import chdir, redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -43,14 +46,14 @@ STUDY_ORDERS = ((2, 1), (3, 2))
 
 def _bundle(args: list, out: Path) -> dict:
     """Run the CLI with args into out: the digests of its files and the
-    fields of its summary.json or study.json, if it writes one."""
+    fields of its summary.json, study.json or report.json, if it writes one."""
     with redirect_stdout(sys.stderr):  # stdout carries the JSON object alone
         code = main(args + ["--out", str(out)])
     if code != 0:
         raise SystemExit(f"exit code {code}: sphereflow {' '.join(args)}")
     files = {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
              for path in sorted(out.rglob("*")) if path.is_file()}
-    for report in ("summary.json", "study.json"):
+    for report in ("summary.json", "study.json", "report.json"):
         if (out / report).is_file():
             return {"files": files, "summary": json.loads((out / report).read_text())}
     return {"files": files}
@@ -58,7 +61,7 @@ def _bundle(args: list, out: Path) -> dict:
 
 def bundle_digests() -> dict:
     """Digests and summaries of every reference bundle, by command/shape/grid,
-    identity-suite/seed and convergence-study/n,k."""
+    identity-suite/seed, convergence-study/n,k and audit/shape/grid."""
     digests = {}
     with tempfile.TemporaryDirectory() as scratch:
         for command, flags in COMMANDS.items():
@@ -76,6 +79,11 @@ def bundle_digests() -> dict:
             name = f"convergence-study/n{n}k{k}"
             args = ["convergence-study", "--n", str(n), "--k", str(k)]
             digests[name] = _bundle(args, Path(scratch) / name)
+        with chdir(scratch):
+            for shape in SHAPES:
+                for N in GRIDS:
+                    args = ["audit", "--checkpoint", f"run/{shape}/N{N}/final.json"]
+                    digests[f"audit/{shape}/N{N}"] = _bundle(args, Path(f"audit/{shape}/N{N}"))
     return digests
 
 
