@@ -19,6 +19,7 @@ import numpy as np
 
 from .symfunc import (
     _exclusion_tables,
+    _exclusion_walk,
     _pinch_deficits,
     _quotients,
     _trace_gaps,
@@ -69,7 +70,7 @@ def sample_cone(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndar
         member = np.empty(size, dtype=bool)
         for lo in range(0, size, _BLOCK_ROWS):
             table = sigma_table(draw[lo:lo + _BLOCK_ROWS], k)
-            member[lo:lo + _BLOCK_ROWS] = np.all(table[:, 1:] > 0.0, axis=1)
+            member[lo:lo + _BLOCK_ROWS] = np.all(table.T[1:] > 0.0, axis=0)
         keep = draw[member]
         out.append(keep)
         have += keep.shape[0]
@@ -168,35 +169,33 @@ def _rel_worst(lhs: np.ndarray, rhs: np.ndarray, *scales) -> float:
 
 
 def _excl_tables(vals: np.ndarray, mmax: int) -> np.ndarray:
-    """sigma tables of every single-exclusion vector, stacked on axis 1."""
+    """sigma tables of every single-exclusion vector, stacked on axis 1 (a transposed view)."""
     count, n = vals.shape
-    out = np.empty((count, n, mmax + 1))
+    out = np.empty((mmax + 1, n, count))
     for i, table in enumerate(_exclusion_tables(vals, 1, mmax)):
-        out[:, i, :] = table
-    return out
+        out[:, i] = table.T
+    return out.T
 
 
 def _check_exclusion_recurrence(vals, table) -> list:
     samples, n = vals.shape
-    excl = _excl_tables(vals, n - 1)
+    excl, cols = _excl_tables(vals, n - 1).T, np.ascontiguousarray(vals.T)
     # signs cancel inside sigma_k: measure against sigma_k(|lam|), as scaling-degree
     # does; a row with no negative entry is its own |lam|
-    cond, signed = table.copy(), np.any(vals < 0.0, axis=1)
-    cond[signed] = sigma_table(np.abs(vals[signed]), n)
+    cond, signed = table.T.copy(), np.any(cols < 0.0, axis=0)
+    cond[:, signed] = sigma_table(np.abs(vals[signed]), n).T
     worst_rec = worst_wsum = worst_sum = 0.0
     for k in range(1, n + 1):
-        ek = excl[:, :, k] if k <= n - 1 else np.zeros_like(excl[:, :, 0])
-        ekm1 = excl[:, :, k - 1]
-        terms = vals * ekm1
+        ek = excl[k] if k <= n - 1 else np.zeros((1, samples))  # sigma_n(lam|i) = 0
+        terms = cols * excl[k - 1]
         # sigma_k = sigma_k(lam|i) + lam_i sigma_{k-1}(lam|i), every i
-        lhs = np.broadcast_to(table[:, k:k + 1], ek.shape)
-        worst_rec = max(worst_rec, _rel_worst(lhs, ek + terms, cond[:, k:k + 1]))
+        worst_rec = max(worst_rec, _rel_worst(table.T[k], ek + terms, cond[k]))
         # sum_i lam_i sigma_{k-1}(lam|i) = k sigma_k
-        worst_wsum = max(worst_wsum, _rel_worst(terms.sum(axis=1), k * table[:, k],
-                                                np.abs(terms).sum(axis=1)))
+        worst_wsum = max(worst_wsum, _rel_worst(terms.sum(axis=0), k * table.T[k],
+                                                np.abs(terms).sum(axis=0)))
         # sum_i sigma_k(lam|i) = (n-k) sigma_k
-        worst_sum = max(worst_sum, _rel_worst(ek.sum(axis=1), (n - k) * table[:, k],
-                                              np.abs(ek).sum(axis=1)))
+        worst_sum = max(worst_sum, _rel_worst(ek.sum(axis=0), (n - k) * table.T[k],
+                                              np.abs(ek).sum(axis=0)))
     return [
         CheckResult.deviation(name, n, "all k", samples, worst, _EQ_TOL)
         for name, worst in (("exclusion-recurrence", worst_rec),
@@ -221,17 +220,21 @@ def _check_homogeneity(vals, tb, t) -> CheckResult:
 def _check_sorted_chain(vals, table, k) -> list:
     """Checks of order k on rows sorted descending and their sigma table."""
     samples, n = vals.shape
-    ekm1 = _excl_tables(vals, k - 1)[:, :, k - 1]
+    cols, rows = np.ascontiguousarray(vals.T), table.T
+    # sigma_{k-1}(lam|i) for each i: column k - 1 of each exclusion table
+    ekm1 = np.empty_like(cols)
+    for i, t_i in enumerate(_exclusion_walk(cols, 1, k - 1)):
+        ekm1[i] = t_i[k - 1]
     # excluding a smaller entry keeps more mass: chain increases with index
-    diffs = np.diff(ekm1, axis=1)
-    scale = np.maximum(np.abs(ekm1[:, 1:]), 1.0)
+    diffs = np.diff(ekm1, axis=0)
+    scale = np.maximum(np.abs(ekm1[1:]), 1.0)
     chain = CheckResult.lower_bound("ordered-exclusion-chain", n, f"k={k}", samples,
                                     float(np.min(diffs / scale)), _EQ_TOL)
     # the chain starts positive: the leading exclusion lies in the (k-1)-cone
-    chain.passed = chain.passed and bool(np.all(ekm1[:, 0] > 0.0))
-    lam_k = vals[:, k - 1]
-    prod = np.prod(vals[:, :k], axis=1)
-    upper = math.comb(n, k) * prod - table[:, k]
+    chain.passed = chain.passed and bool(np.all(ekm1[0] > 0.0))
+    lam_k = cols[k - 1]
+    prod = np.prod(cols[:k], axis=0)
+    upper = math.comb(n, k) * prod - rows[k]
     scale_u = np.maximum(math.comb(n, k) * np.abs(prod), 1.0)
     results = [
         chain,
@@ -241,10 +244,10 @@ def _check_sorted_chain(vals, table, k) -> list:
                                 float(np.min(upper / scale_u)), _EQ_TOL),
     ]
     if k < n:
-        inner = np.all(table[:, 1:k + 2] > 0.0, axis=1)
+        inner = np.all(rows[1:k + 2] > 0.0, axis=0)
         if np.any(inner):
-            prod_i = np.prod(vals[inner, :k], axis=1)
-            lower = table[inner, k] - prod_i
+            prod_i = np.prod(cols[:k, inner], axis=0)
+            lower = rows[k, inner] - prod_i
             scale_l = np.maximum(np.abs(prod_i), 1.0)
             results.append(CheckResult.lower_bound(
                 "top-product-lower", n, f"k={k}", int(inner.sum()),
@@ -288,12 +291,13 @@ def _check_quotient_gaps(gaps, outer, inner_trace, k) -> list:
         CheckResult.lower_bound("trace-lower", n, f"k={k}", samples,
                                 float(np.min(gap2)), _QUOT_TOL),
     ]
-    closure = cone_boundary_shift(outer, k)
-    tb = sigma_table(closure, min(k + 2, n))
-    good = np.all(np.isfinite(closure), axis=1) & np.all(tb[:, 1:k + 1] > 0.0, axis=1)
+    # the closure's columns, whose transpose sigma_table and _quotients take uncopied
+    cols = np.ascontiguousarray(cone_boundary_shift(outer, k).T)
+    tb = sigma_table(cols.T, min(k + 2, n)).T
+    good = np.all(np.isfinite(cols), axis=0) & np.all(tb[1:k + 1] > 0.0, axis=0)
+    cols, tb = cols[:, good], tb[:, good]
     # each row's trace is its own: the closed cone's two halves are evaluated apart
-    upper = (n - k) - np.concatenate([_quotients(closure[good], tb[good], (k,))[0][2],
-                                      inner_trace])
+    upper = (n - k) - np.concatenate([_quotients(cols.T, tb.T, (k,))[0][2], inner_trace])
     out.append(CheckResult.lower_bound(
         "trace-upper-closure", n, f"k={k}", int(upper.shape[0]),
         float(np.min(upper)), _QUOT_TOL))
@@ -344,7 +348,7 @@ def _dimension_checks(rng: np.random.Generator, samples: int, n: int) -> list:
         quots = _quotients(outer, table, range(k, min(k + 2, n)))
         # outer was scaled after sample_cone's membership test, so rounding
         # can move a sigma across 0: test its rows again
-        inner = np.all(table[:, 1:k + 2] > 0.0, axis=1)
+        inner = np.all(table.T[1:k + 2] > 0.0, axis=0)
         checks.extend(_check_quotient_gaps(gaps, outer, quots[0][2][inner], k))
         gaps = _trace_gaps(quots[-1], k + 1) if k + 1 < n else None
         del quots

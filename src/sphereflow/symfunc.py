@@ -64,11 +64,11 @@ def sigma_table(lam, mmax: int) -> np.ndarray:
 
 
 def _walk(bufs, depth, cols, start, top, r, mmax, tmp):
-    """Tables of bufs[depth]'s prefix extended by cols[start:] less r of them."""
+    """Curvature-first tables of bufs[depth]'s prefix extended by cols[start:] less r of them."""
     state = bufs[depth]
     if r == 0:
         _expand(state, cols[start:], top, mmax, tmp)
-        yield state.T
+        yield state
         return
     for i in range(start, cols.shape[0] - r + 1):
         if i > start:
@@ -77,21 +77,26 @@ def _walk(bufs, depth, cols, start, top, r, mmax, tmp):
         yield from _walk(bufs, depth + 1, cols, i + 1, top, r - 1, mmax, tmp)
 
 
-def _exclusion_tables(lam, r: int, mmax: int):
-    """sigma_table of lam less c, for each r-subset c of its entries in
-    itertools.combinations order; each table is a view the next overwrites.
+def _exclusion_walk(cols, r: int, mmax: int):
+    """The transposed sigma_table of each sample less c, for each r-subset c of
+    its entries in itertools.combinations order; cols is the contiguous transpose
+    of the sample rows, and each table is a buffer the next overwrites.
 
     Each dropped set continues from the product of the entries before its
     first dropped index, so each shared prefix is multiplied once, with the
     same operations in the same order as sigma_table: the tables are equal
     bit for bit.
     """
-    cols = np.ascontiguousarray(_values(lam).T)
     # one buffer per depth, held by a module-level generator: a nested one
     # would be in a cycle with its closure cell, freed only by the collector
     bufs = np.zeros((r + 1, mmax + 1) + cols.shape[1:])
     bufs[0, 0] = 1.0
     yield from _walk(bufs, 0, cols, 0, 0, r, mmax, np.empty(cols.shape[1:]))
+
+
+def _exclusion_tables(lam, r: int, mmax: int):
+    """_exclusion_walk of the rows lam, each table a view with the rows' leading axes."""
+    return (table.T for table in _exclusion_walk(np.ascontiguousarray(_values(lam).T), r, mmax))
 
 
 def identity_quotient(n: int, k: int) -> float:
@@ -105,18 +110,17 @@ def _quotients(vals, table, ks):
     """[quotient(vals, k) for k in ks] from the caller's sigma table of vals, built to
     min(max(ks) + 2, n) or further, and one single-exclusion walk to max(ks): row m
     of a table does not depend on how far it runs, so each is quotient's bit for bit."""
-    n = vals.shape[-1]
+    n, rows, cols = vals.shape[-1], table.T, np.ascontiguousarray(vals.T)
     for k in ks:
-        if not np.all(table[..., k] > 0.0):
+        if not np.all(rows[k] > 0.0):
             raise ConeViolation(f"sigma_{k} not positive on some sample")
-    grads = [np.empty(vals.shape) for _ in ks]
-    sk2 = [table[..., k]**2 for k in ks]
-    for i, t_i in enumerate(_exclusion_tables(vals, 1, min(max(ks), n - 1))):
+    grads = [np.empty(cols.shape) for _ in ks]
+    sk2 = [rows[k]**2 for k in ks]
+    for i, t_i in enumerate(_exclusion_walk(cols, 1, min(max(ks), n - 1))):
         for k, grad, s2 in zip(ks, grads, sk2):
-            grad[..., i] = (t_i[..., k] * table[..., k]
-                            - table[..., k + 1] * (t_i[..., k - 1] if k else 0.0)) / s2
-    return [(table[..., k + 1] / table[..., k], grad, np.sum(grad, axis=-1),
-             np.sum(grad * vals**2, axis=-1)) for k, grad in zip(ks, grads)]
+            grad[i] = (t_i[k] * rows[k] - rows[k + 1] * (t_i[k - 1] if k else 0.0)) / s2
+    return [((rows[k + 1] / rows[k]).T, grad.T, np.sum(grad, axis=0).T,
+             np.sum(grad * cols**2, axis=0).T) for k, grad in zip(ks, grads)]
 
 
 def quotient(lam, k: int):
@@ -230,17 +234,16 @@ def _pinch_deficits(vals, table):
     """
     if not np.all(vals > 0.0):
         raise ConeViolation("pinch deficits require positive curvatures")
-    n = vals.shape[-1]
+    n, cols = vals.shape[-1], np.ascontiguousarray(vals.T)
     m = np.arange(1, n)
     deficit = (m * (n - m) * table[..., 1:n]**2
                - (m + 1) * (n - m + 1) * table[..., 2:] * table[..., :n - 1])
-    pair_sum = np.zeros(vals.shape[:-1] + (n - 1,))
+    pair_sum = np.zeros((n - 1,) + cols.shape[1:])
     # sigma_{-1} .. sigma_n of lam|ij, zero outside 0 .. n-2
-    ext = np.zeros(vals.shape[:-1] + (n + 1,))
+    ext = np.zeros((n + 1,) + cols.shape[1:])
     for (i, j), t_ij in zip(itertools.combinations(range(n), 2),
-                            _exclusion_tables(vals, 2, n - 2)):
-        ext[..., 1:n] = t_ij
-        pair_sum += ((vals[..., i] - vals[..., j]) ** 2)[..., None] * (
-            ext[..., 1:n]**2 - ext[..., :n - 1] * ext[..., 2:])
-    hi, lo = np.max(vals, axis=-1), np.min(vals, axis=-1)
-    return deficit, pair_sum, (hi - lo) ** 2 / hi**2
+                            _exclusion_walk(cols, 2, n - 2)):
+        ext[1:n] = t_ij
+        pair_sum += (cols[i] - cols[j]) ** 2 * (ext[1:n]**2 - ext[:n - 1] * ext[2:])
+    hi, lo = np.max(cols, axis=0), np.min(cols, axis=0)
+    return deficit, pair_sum.T, ((hi - lo) ** 2 / hi**2).T

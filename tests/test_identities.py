@@ -231,7 +231,7 @@ def _rows_seen(inputs, rows) -> int:
 
 def test_suite_builds_each_table_once_per_row_set(monkeypatch):
     cones, spreads, walks, tables, closures = {}, [], {1: [], 2: []}, [], []
-    real_walk, real_table = symfunc._exclusion_tables, symfunc.sigma_table
+    real_walk, real_table = symfunc._exclusion_walk, symfunc.sigma_table
     real_gaps = identities._check_quotient_gaps
 
     def cone(rng, count, n, k):
@@ -242,9 +242,10 @@ def test_suite_builds_each_table_once_per_row_set(monkeypatch):
         spreads.append(sample_spread(rng, count, n))
         return spreads[-1]
 
-    def walk(lam, r, mmax):
-        walks[r].append(np.array(lam))
-        return real_walk(lam, r, mmax)
+    def walk(cols, r, mmax):
+        # the walk takes the rows' curvature-first transpose: record the rows
+        walks[r].append(np.array(cols.T))
+        return real_walk(cols, r, mmax)
 
     def table(lam, mmax):
         tables.append(np.array(lam))
@@ -264,7 +265,7 @@ def test_suite_builds_each_table_once_per_row_set(monkeypatch):
     monkeypatch.setattr(identities, "sample_cone", cone)
     monkeypatch.setattr(identities, "sample_spread", spread)
     for module in (identities, symfunc):
-        monkeypatch.setattr(module, "_exclusion_tables", walk)
+        monkeypatch.setattr(module, "_exclusion_walk", walk)
         monkeypatch.setattr(module, "sigma_table", table)
     assert run_identity_suite(n_max=4, samples=200).passed
     assert len(closures) == 2 + 3 + 4  # one gap check per n and order k < n

@@ -192,6 +192,23 @@ def test_gathered_quotient_gradient_is_bit_identical(n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
+def test_quotient_traces_sum_their_own_gradient(n):
+    # the traces add the entries in index order: numpy's sum over the last axis
+    # does too below 8 entries, and at 8 adds them pairwise, a round-off apart
+    for vals in (*_batches(n), _batches(n)[0][0]):
+        for k in range(n):
+            _, grad, trace, weighted = _quotients(vals, sigma_table(vals, min(k + 2, n)), (k,))[0]
+            for got, terms in ((trace, grad), (weighted, grad * vals**2)):
+                want = np.sum(terms, axis=-1)
+                assert np.shape(got) == np.shape(want)
+                if n <= 7:
+                    assert np.array_equal(got, want)
+                else:
+                    slack = 8 * np.finfo(float).eps * np.sum(np.abs(terms), axis=-1)
+                    assert np.all(np.abs(got - want) <= slack)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
 def test_gathered_pair_sum_is_bit_identical(n):
     # n = 2 drops both entries of every pair: each excluded vector is empty
     for vals in (*_batches(n), _batches(n)[0][0]):

@@ -7,7 +7,9 @@ process-CPU timer.  Only the calls that the suite's loop makes itself
 (``run_identity_suite`` and ``_dimension_checks``, its body for one n) are
 counted, each with the time of everything it calls, so the rows add up to
 the suite's CPU time less that of the loop.  Prints one row per function,
-slowest first, then the suite's total; it writes nothing:
+slowest first, then the suite's total, then the peak of the memory that
+numpy and Python allocate over one more, untimed suite, as ``tracemalloc``
+traces it; it writes nothing:
 
     python tools/suite_profile.py
 """
@@ -15,6 +17,7 @@ slowest first, then the suite's total; it writes nothing:
 import inspect
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -62,9 +65,20 @@ def suite_profile() -> tuple:
     return rows, total
 
 
+def suite_peak() -> int:
+    """Peak bytes traced by tracemalloc over one suite."""
+    tracemalloc.start()
+    try:
+        identities.run_identity_suite(N_MAX, SAMPLES, SEED)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 if __name__ == "__main__":
     rows, total = suite_profile()
     print(f"run_identity_suite({N_MAX}, {SAMPLES}, {SEED}): CPU s per call site")
     for name, (calls, cpu) in sorted(rows.items(), key=lambda item: -item[1][1]):
         print(f"  {name:<28} {calls:>4} calls  {cpu:7.3f} s  {cpu / total:6.1%}")
     print(f"  {'total':<28} {'':>10}  {total:7.3f} s")
+    print(f"tracemalloc peak: {suite_peak() / 2**20:.1f} MiB")
