@@ -203,6 +203,8 @@ class FlowConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
+        for name in ("n", "k", "N", "sample_every", "checkpoint_every"):
+            setattr(self, name, _json_integer(getattr(self, name), name))
         _check_order(self.n, self.k)
         if not isinstance(self.initial_shape, ShapeSpec):
             raise ValueError("initial_shape must be a ShapeSpec")

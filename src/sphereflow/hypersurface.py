@@ -169,7 +169,7 @@ class RadialProfile:
     grid: PolarGrid = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.n = int(self.n)
+        self.n = _json_integer(self.n, "n")
         if self.n < 2:
             raise ValueError("ambient dimension needs n >= 2")
         self.grid = as_grid(self.theta)

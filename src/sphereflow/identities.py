@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .symfunc import (
-    _exclusion_tables,
     _exclusion_walk,
     _pinch_deficits,
     _quotients,
@@ -161,58 +160,58 @@ class SuiteReport:
 
 
 def _rel_worst(lhs: np.ndarray, rhs: np.ndarray, *scales) -> float:
-    denom = np.maximum(np.abs(lhs), np.abs(rhs))
-    for s in scales:
-        denom = np.maximum(denom, np.abs(s))
-    denom = np.maximum(denom, 1.0e-300)
-    return float(np.max(np.abs(lhs - rhs) / denom))
-
-
-def _excl_tables(vals: np.ndarray, mmax: int) -> np.ndarray:
-    """sigma tables of every single-exclusion vector, stacked on axis 1 (a transposed view)."""
-    count, n = vals.shape
-    out = np.empty((mmax + 1, n, count))
-    for i, table in enumerate(_exclusion_tables(vals, 1, mmax)):
-        out[:, i] = table.T
-    return out.T
+    """max |lhs - rhs| / max(|lhs|, |rhs|, |scales|, 1e-300); lhs has the full shape,
+    and at most two temporaries of it are alive."""
+    denom = np.abs(lhs)
+    for s in (rhs, *scales):
+        np.maximum(denom, np.abs(s), out=denom)
+    np.maximum(denom, 1.0e-300, out=denom)
+    diff = lhs - rhs
+    return float(np.max(np.divide(np.abs(diff, out=diff), denom, out=diff)))
 
 
 def _check_exclusion_recurrence(vals, table) -> list:
     samples, n = vals.shape
-    excl, cols = _excl_tables(vals, n - 1).T, np.ascontiguousarray(vals.T)
+    rows, cols = table.T, np.ascontiguousarray(vals.T)
     # signs cancel inside sigma_k: measure against sigma_k(|lam|), as scaling-degree
     # does; a row with no negative entry is its own |lam|
-    cond, signed = table.T.copy(), np.any(cols < 0.0, axis=0)
+    cond, signed = rows.copy(), np.any(cols < 0.0, axis=0)
     cond[:, signed] = sigma_table(np.abs(vals[signed]), n).T
-    worst_rec = worst_wsum = worst_sum = 0.0
-    for k in range(1, n + 1):
-        ek = excl[k] if k <= n - 1 else np.zeros((1, samples))  # sigma_n(lam|i) = 0
-        terms = cols * excl[k - 1]
-        # sigma_k = sigma_k(lam|i) + lam_i sigma_{k-1}(lam|i), every i
-        worst_rec = max(worst_rec, _rel_worst(table.T[k], ek + terms, cond[k]))
-        # sum_i lam_i sigma_{k-1}(lam|i) = k sigma_k
-        worst_wsum = max(worst_wsum, _rel_worst(terms.sum(axis=0), k * table.T[k],
-                                                np.abs(terms).sum(axis=0)))
-        # sum_i sigma_k(lam|i) = (n-k) sigma_k
-        worst_sum = max(worst_sum, _rel_worst(ek.sum(axis=0), (n - k) * table.T[k],
-                                              np.abs(ek).sum(axis=0)))
+    # order k at row k - 1: sum_i sigma_k(lam|i), sum_i lam_i sigma_{k-1}(lam|i) and
+    # their moduli, added in index order, as a leading-axis sum over i adds them
+    esum, eabs, wsum, wabs = np.zeros((4, n, samples))
+    worst_rec = 0.0
+    # walked to sigma_n, each table's row n stays zero: sigma_n(lam|i) = 0
+    for i, t_i in enumerate(_exclusion_walk(cols, 1, n)):
+        terms = cols[i] * t_i[:n]
+        esum += t_i[1:]
+        eabs += np.abs(t_i[1:])
+        wsum += terms
+        wabs += np.abs(terms)
+        # sigma_k = sigma_k(lam|i) + lam_i sigma_{k-1}(lam|i), every k
+        terms += t_i[1:]
+        worst_rec = max(worst_rec, _rel_worst(rows[1:], terms, cond[1:]))
+    del t_i, terms  # the walk's buffers go with its last table
+    k = np.arange(1, n + 1)[:, None]
     return [
         CheckResult.deviation(name, n, "all k", samples, worst, _EQ_TOL)
         for name, worst in (("exclusion-recurrence", worst_rec),
-                            ("weighted-exclusion-sum", worst_wsum),
-                            ("exclusion-sum", worst_sum))
+                            # sum_i lam_i sigma_{k-1}(lam|i) = k sigma_k
+                            ("weighted-exclusion-sum", _rel_worst(wsum, k * rows[1:], wabs)),
+                            # sum_i sigma_k(lam|i) = (n-k) sigma_k
+                            ("exclusion-sum", _rel_worst(esum, (n - k) * rows[1:], eabs)))
     ]
 
 
 def _check_homogeneity(vals, tb, t) -> CheckResult:
     samples, n = vals.shape
-    ta = sigma_table(vals * t, n)
+    ta = sigma_table(vals * t, n).T
     # mixed signs cancel inside sigma_m, so measure against the term-sum
     # magnitude (sigma of |lam|), not the possibly tiny result
-    cond = sigma_table(np.abs(vals * t), n)
+    cond = sigma_table(np.abs(vals * t), n).T
     worst = 0.0
     for m in range(n + 1):
-        err = np.abs(ta[:, m] - t[:, 0] ** m * tb[:, m]) / cond[:, m]
+        err = np.abs(ta[m] - t[:, 0] ** m * tb.T[m]) / cond[m]
         worst = max(worst, float(np.max(err)))
     return CheckResult.deviation("scaling-degree", n, "all m", samples, worst, _EQ_TOL)
 

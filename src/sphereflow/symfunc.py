@@ -4,7 +4,8 @@ Everything here operates on plain curvature vectors (length n arrays) or
 on batches of them stacked along leading axes, so the same routines serve
 single-point queries and whole-grid evaluations.  sigma_m denotes the
 m-th elementary symmetric polynomial with the conventions sigma_0 = 1 and
-sigma_m = 0 for m < 0 or m > n.
+sigma_m = 0 for m < 0 or m > n.  The private exclusion walk takes cols, the
+curvature-first (contiguous, transposed) copy of the sample rows.
 """
 
 from __future__ import annotations
@@ -92,11 +93,6 @@ def _exclusion_walk(cols, r: int, mmax: int):
     bufs = np.zeros((r + 1, mmax + 1) + cols.shape[1:])
     bufs[0, 0] = 1.0
     yield from _walk(bufs, 0, cols, 0, 0, r, mmax, np.empty(cols.shape[1:]))
-
-
-def _exclusion_tables(lam, r: int, mmax: int):
-    """_exclusion_walk of the rows lam, each table a view with the rows' leading axes."""
-    return (table.T for table in _exclusion_walk(np.ascontiguousarray(_values(lam).T), r, mmax))
 
 
 def identity_quotient(n: int, k: int) -> float:

@@ -207,6 +207,17 @@ def test_flow_config_json_refuses_fractional_counts(key):
         FlowConfig.from_json({**payload, key: payload[key] + 0.9})
 
 
+@pytest.mark.parametrize("field", ["n", "k", "N", "sample_every", "checkpoint_every"])
+def test_flow_config_refuses_fractional_counts_at_construction(field):
+    good = _perturbed_config(sample_every=2, checkpoint_every=4)
+    # from Python as from JSON: whole floats are taken as ints, and a fraction
+    # fails here, not as a TypeError inside run
+    whole = dataclasses.replace(good, **{field: float(getattr(good, field))})
+    assert whole == good and type(getattr(whole, field)) is int
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        dataclasses.replace(good, **{field: getattr(good, field) + 0.5})
+
+
 def test_json_payloads_must_be_objects():
     payload = _perturbed_config().to_json()
     with pytest.raises(ValueError, match="JSON object"):

@@ -54,6 +54,10 @@ def test_profile_validation():
     prof = RadialProfile.perturbed(2, 0.8, 0.05, 2, 33)
     assert prof.N == 33
     assert prof.h == pytest.approx(math.pi / 32)
+    # a fractional dimension is refused, not truncated; a whole float is an int
+    with pytest.raises(ValueError, match="n must be an integer"):
+        RadialProfile(n=2.5, theta=theta, rho=np.full(33, 0.5))
+    assert type(RadialProfile(n=3.0, theta=theta, rho=np.full(33, 0.5)).n) is int
 
 
 def test_differentiate_matches_even_mirror_oracle():

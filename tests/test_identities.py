@@ -8,7 +8,6 @@ import sphereflow.identities as identities
 import sphereflow.symfunc as symfunc
 from sphereflow.identities import (
     CheckResult,
-    _excl_tables,
     cone_boundary_shift,
     run_identity_suite,
     sample_cone,
@@ -103,11 +102,35 @@ def test_blocked_sample_cone_matches_whole_draw(n, k, count, seed):
     assert np.array_equal(got, want)
 
 
+def _gathered_exclusion_worsts(vals, table):
+    """The recurrence check's three worst values from every single-exclusion table at
+    once, summed over the leading axis: the check as it was first written."""
+    samples, n = vals.shape
+    excl, cols = oracles.excl_tables_delete(vals, n - 1).T, np.ascontiguousarray(vals.T)
+    cond, signed = table.T.copy(), np.any(cols < 0.0, axis=0)
+    cond[:, signed] = sigma_table(np.abs(vals[signed]), n).T
+    worst = [0.0, 0.0, 0.0]
+    for k in range(1, n + 1):
+        ek = excl[k] if k <= n - 1 else np.zeros((1, samples))
+        terms = cols * excl[k - 1]
+        for j, (lhs, rhs, scale) in enumerate((
+                (table.T[k], ek + terms, cond[k]),
+                (terms.sum(axis=0), k * table.T[k], np.abs(terms).sum(axis=0)),
+                (ek.sum(axis=0), (n - k) * table.T[k], np.abs(ek).sum(axis=0)))):
+            denom = np.maximum(np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
+                                          np.abs(scale)), 1.0e-300)
+            worst[j] = max(worst[j], float(np.max(np.abs(lhs - rhs) / denom)))
+    return worst
+
+
 @pytest.mark.parametrize("n", range(2, 9))
-def test_gathered_exclusion_tables_are_bit_identical(n):
+def test_streamed_exclusion_recurrence_is_bit_identical(n):
+    """The check walks one exclusion table at a time and adds the sums over i in index
+    order, so its worst values are those of the gathered tables bit for bit."""
     vals = sample_spread(np.random.default_rng(n), 300, n)
-    for mmax in range(n):
-        assert np.array_equal(_excl_tables(vals, mmax), oracles.excl_tables_delete(vals, mmax))
+    table = sigma_table(vals, n)
+    checks = identities._check_exclusion_recurrence(vals, table)
+    assert [c.worst for c in checks] == _gathered_exclusion_worsts(vals, table)
 
 
 def test_exclusion_recurrence_is_measured_against_sigma_of_the_moduli():
@@ -124,14 +147,16 @@ def test_exclusion_recurrence_fails_on_a_doctored_table(monkeypatch):
     """One exclusion entry moved by 1e-10 sigma_k(|lam|) fails the recurrence."""
     vals = sample_spread(np.random.default_rng(4), 300, 5)
     row, i, k = 17, 2, 3
-    real = identities._excl_tables
+    real = identities._exclusion_walk
 
-    def doctored(v, mmax):
-        out = real(v, mmax)
-        out[row, i, k] += 1e-10 * sigma_table(np.abs(v), k)[row, k]
-        return out
+    def doctored(cols, r, mmax):
+        # the walk yields the table of each sample less entry j, curvature-first
+        for j, t_j in enumerate(real(cols, r, mmax)):
+            if j == i:
+                t_j[k, row] += 1e-10 * sigma_table(np.abs(cols.T), k)[row, k]
+            yield t_j
 
-    monkeypatch.setattr(identities, "_excl_tables", doctored)
+    monkeypatch.setattr(identities, "_exclusion_walk", doctored)
     check = identities._check_exclusion_recurrence(vals, sigma_table(vals, 5))[0]
     assert check.name == "exclusion-recurrence"
     assert check.worst >= 0.99e-10 and not check.passed

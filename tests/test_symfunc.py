@@ -5,7 +5,7 @@ import pytest
 
 from sphereflow import ConeViolation, identity_quotient, quotient, quotient_trace_gaps
 from sphereflow.symfunc import (
-    _exclusion_tables,
+    _exclusion_walk,
     _pinch_deficits,
     _quotients,
     quotient_two_value,
@@ -227,11 +227,12 @@ def test_exclusion_walk_is_bit_identical(n, r):
     for vals in (rng.standard_normal((300, n)), rng.standard_normal((3, 5, n)),
                  rng.standard_normal(n)):
         for mmax in range(n + 2):
-            pairs = zip(_exclusion_tables(vals, r, mmax),
+            # the walk takes the rows' curvature-first transpose and yields tables that way
+            pairs = zip(_exclusion_walk(np.ascontiguousarray(vals.T), r, mmax),
                         oracles.exclusion_tables_delete(vals, r, mmax), strict=True)
             for got, want in pairs:
-                assert got.shape == want.shape
-                assert np.array_equal(got, want)
+                assert got.shape == want.T.shape
+                assert np.array_equal(got, want.T)
 
 
 def test_exclusion_walk_leaves_no_reference_cycle():
@@ -240,7 +241,7 @@ def test_exclusion_walk_leaves_no_reference_cycle():
     gc.disable()
     try:
         for r in (1, 2):
-            for _ in _exclusion_tables(vals, r, 4):
+            for _ in _exclusion_walk(np.ascontiguousarray(vals.T), r, 4):
                 pass
         assert gc.collect() == 0
     finally:
