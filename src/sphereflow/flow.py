@@ -251,10 +251,11 @@ def _stage_rate(n: int, k: int, grid, rho) -> np.ndarray:
     return _speed(n, k, phip, u, quotient_two_core(lam1, lam_ang, n, k)[0]) * omega_speed
 
 
-# the complex step of _jacobian: its square underflows, so a stage's real part
-# is the state and Im(rate) / step is the derivative to round-off, with no
-# difference taken (Squire & Trapp, SIAM Review 40, 1998)
-_COMPLEX_STEP = 1e-200
+# the complex step of _jacobian (Squire & Trapp, SIAM Review 40, 1998): Im(rate)
+# / step is the derivative, and the real parts the rate's checks read are its real
+# values, to round-off while step * |f''/f'| < 1e-8, as at every radius up to
+# N = 4097; an intermediate's imaginary part stays normal down to derivatives of 2e-278
+_COMPLEX_STEP = 1e-30
 
 
 def _jacobian(rate, y: np.ndarray) -> np.ndarray:

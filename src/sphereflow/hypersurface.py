@@ -89,11 +89,11 @@ def _json_fields(payload, what: str, schema: dict, required=()) -> dict:
 def _json_samples(value, key: str) -> np.ndarray:
     # JSON true, false and null are not 1, 0 and NaN, here as in _json_number
     # a bare number or a string is no list, and fails as an unreadable element
-    types = set(map(type, value)) if isinstance(value, (list, np.ndarray)) else {None}
+    types = set(map(type, value)) if isinstance(value, (list, np.ndarray)) else {type(None)}
     if not {bool, np.bool_}.isdisjoint(types):
         raise ValueError(f"{key} must be a list of numbers, not booleans")
     with contextlib.suppress(OverflowError):  # an integer past the float range
-        if types <= {int, float}:
+        if all(issubclass(t, (int, float, np.integer, np.floating)) for t in types):
             return np.asarray(value, dtype=float)
     raise ValueError(f"{key} must be a list of numbers")
 
@@ -591,14 +591,9 @@ def geometry_full_s2(grid: SphereGrid2D) -> FullSphereGeometry:
 
 
 def save_checkpoint(profile: RadialProfile, k: int, t: float, path) -> None:
-    """Write the wire-format snapshot {n, k, t, theta, rho}."""
-    payload = {
-        "n": profile.n,
-        "k": int(k),
-        "t": float(t),
-        "theta": profile.theta.tolist(),
-        "rho": profile.rho.tolist(),
-    }
+    """Write the wire-format snapshot {n, k, t, rho}; rho lies on the uniform
+    grid of its length, so the nodes are not written."""
+    payload = {"n": profile.n, "k": int(k), "t": float(t), "rho": profile.rho.tolist()}
     with open(path, "w") as fh:
         # json.dumps takes the C encoder; json.dump always encodes in Python
         fh.write(json.dumps(payload))
@@ -606,14 +601,15 @@ def save_checkpoint(profile: RadialProfile, k: int, t: float, path) -> None:
 
 
 _CHECKPOINT_KEYS = {"n": ("n", _json_integer), "k": ("k", _json_integer),
-                    "t": ("t", _json_number), "theta": ("theta", _json_samples),
-                    "rho": ("rho", _json_samples)}
+                    "t": ("t", _json_number), "rho": ("rho", _json_samples)}
 
 
 def load_checkpoint(path):
-    """Read a snapshot back into (profile, k, t); every key is required."""
+    """Read a snapshot back into (profile, k, t), the profile on polar_grid(len(rho));
+    every key is required, and any other, theta included, is refused by name."""
     with open(path) as fh:
         fields = _json_fields(json.load(fh), "a checkpoint", _CHECKPOINT_KEYS,
                               required=tuple(_CHECKPOINT_KEYS))
-    profile = RadialProfile(n=fields["n"], theta=fields["theta"], rho=fields["rho"])
+    rho = fields["rho"]
+    profile = RadialProfile(n=fields["n"], theta=polar_grid(rho.size), rho=rho)
     return profile, fields["k"], fields["t"]

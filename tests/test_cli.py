@@ -53,7 +53,7 @@ def test_run_command_writes_bundle(tmp_path, capsys):
     assert manifest["command"] == "run"
     assert manifest["config"]["initialShape"]["kind"] == "perturbed"
     final = _read_json(out / "final.json")
-    assert set(final) == {"n", "k", "t", "theta", "rho"}
+    assert set(final) == {"n", "k", "t", "rho"}
 
 
 def test_one_process_parses_each_call_afresh(tmp_path):
@@ -434,24 +434,12 @@ def test_audit_command(tmp_path, capsys):
     assert report["entries"] and all(e["gap"] > -1e-9 for e in report["entries"])
 
 
-def test_audit_rejects_nonuniform_checkpoint(tmp_path, capsys):
-    theta = np.linspace(0.0, math.pi, 33)
-    theta[5] += 1e-3
-    path = tmp_path / "ck.json"
-    path.write_text(json.dumps({"n": 2, "k": 1, "t": 0.0, "theta": theta.tolist(),
-                                "rho": [0.8] * 33}))
-    assert main(["audit", "--checkpoint", str(path), "--out", str(tmp_path / "a")]) == 1
-    assert "uniformly spaced" in capsys.readouterr().err
-
-
-CHECKPOINT = {"n": 2, "k": 1, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).tolist(),
-              "rho": [0.8] * 33}
+CHECKPOINT = {"n": 2, "k": 1, "t": 0.0, "rho": [0.8] * 33}
 
 
 @pytest.mark.parametrize("payload, message", [
     ([1, 2], "JSON object"),
-    ({"n": 2.7, "k": 1.5, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).tolist(),
-      "rho": [0.8] * 33}, "must be an integer"),
+    ({"n": 2.7, "k": 1.5, "t": 0.0, "rho": [0.8] * 33}, "must be an integer"),
     ({**CHECKPOINT, "k": 2}, "k=2 out of range for n=2"),
     ({key: value for key, value in CHECKPOINT.items() if key != "t"},
      "a checkpoint needs the key 't'"),
@@ -463,8 +451,9 @@ CHECKPOINT = {"n": 2, "k": 1, "t": 0.0, "theta": np.linspace(0.0, math.pi, 33).t
     ({key: str(value) if key in ("n", "k", "t") else [repr(x) for x in value]
       for key, value in CHECKPOINT.items()}, "n must be a number, not '2'"),
     ({**CHECKPOINT, "t": "0.0"}, "t must be a number, not '0.0'"),
-    ({**CHECKPOINT, "theta": [repr(x) for x in CHECKPOINT["theta"]]},
-     "theta must be a list of numbers"),
+    # the format of earlier versions: the nodes follow from len(rho) and are not read
+    ({**CHECKPOINT, "theta": np.linspace(0.0, math.pi, 33).tolist()},
+     "unknown key 'theta' in a checkpoint"),
     ({**CHECKPOINT, "rho": ["0.8"] * 33}, "rho must be a list of numbers"),
     # JSON null is not NaN
     ({**CHECKPOINT, "rho": [0.8, None] + [0.8] * 31}, "rho must be a list of numbers"),

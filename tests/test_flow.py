@@ -1266,6 +1266,26 @@ def test_jacobians_match_a_centred_difference(n, k):
         assert np.max(np.abs(exact - centred)) <= 1e-6 * np.max(np.abs(centred))
 
 
+@pytest.mark.parametrize("n, k, r0, eps", [
+    (128, 127, 1.5, 0.0035), (128, 127, 1.5, 0.0), (300, 299, 1.3, 0.0), *REFERENCE_SHAPES,
+])
+def test_jacobian_matches_a_difference_at_large_n(n, k, r0, eps):
+    """Where sigma_k of small curvatures is ~1e-144 (n = 128, lam ~ cot 1.5) the
+    complex step's imaginary parts must stay normal floats; a comb-wise centred
+    difference (step 1e-7) is good to ~1e-6 there, and on the reference shapes."""
+    prof = RadialProfile.perturbed(n, r0, eps, 2, 129)
+
+    def rate(y):
+        return flow_module._stage_rate(n, k, prof.grid, y)
+
+    nodes = np.arange(prof.N)
+    combs = 1e-7 * (nodes % 3 == np.arange(3)[:, None])
+    applied = (rate(prof.rho + combs) - rate(prof.rho - combs)) / 2e-7
+    centred = np.stack([applied[(nodes + offset) % 3, nodes] for offset in (-1, 0, 1)])
+    exact = flow_module._jacobian(rate, prof.rho)
+    assert np.max(np.abs(exact - centred)) <= 1e-5 * np.max(np.abs(centred))
+
+
 @pytest.mark.parametrize("N", [33, 257])
 @pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in range(n)])
 def test_jacobian_products_match_one_complex_step(n, k, N):

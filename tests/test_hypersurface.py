@@ -265,6 +265,9 @@ def test_support_factor_disambiguation():
 
 def test_json_samples_refuse_booleans():
     assert _json_samples([0.5, 1, 2.0], "rho").tolist() == [0.5, 1.0, 2.0]
+    # numpy's integers and floats are numbers
+    assert _json_samples(np.linspace(0, 1, 5), "rho").tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert _json_samples([np.float64(0.5), 1.0, np.int64(2)], "rho").tolist() == [0.5, 1.0, 2.0]
     # JSON true and false would otherwise be read as 1.0 and 0.0
     for value in ([True, 0.5, 2.0], [0.5, False], np.array([True, False])):
         with pytest.raises(ValueError, match="rho must be a list of numbers, not booleans"):
@@ -272,21 +275,22 @@ def test_json_samples_refuse_booleans():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    prof = RadialProfile.perturbed(3, 0.8, 0.05, 2, 65)
     path = tmp_path / "state.json"
-    save_checkpoint(prof, 2, 1.25, path)
-    payload = json.loads(path.read_text())
-    assert set(payload) == {"n", "k", "t", "theta", "rho"}
-    loaded, k, t = load_checkpoint(path)
-    assert k == 2
-    assert t == 1.25
-    assert loaded.n == 3
-    assert np.array_equal(loaded.rho, prof.rho)
-    assert np.array_equal(loaded.theta, prof.theta)
-    # a non-uniform grid is refused where the checkpoint enters
-    payload["theta"][5] += 1e-3
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="uniformly spaced"):
+    # the battery's smallest and largest grids: the nodes come from len(rho), bit for bit
+    for N in (65, 4097):
+        prof = RadialProfile.perturbed(3, 0.8, 0.05, 2, N)
+        save_checkpoint(prof, 2, 1.25, path)
+        payload = json.loads(path.read_text())
+        assert set(payload) == {"n", "k", "t", "rho"}
+        loaded, k, t = load_checkpoint(path)
+        assert k == 2
+        assert t == 1.25
+        assert loaded.n == 3
+        assert np.array_equal(loaded.rho, prof.rho)
+        assert np.array_equal(loaded.theta, prof.theta)
+    # the nodes are not part of the format: a checkpoint that carries them is refused
+    path.write_text(json.dumps({**payload, "theta": prof.theta.tolist()}))
+    with pytest.raises(ValueError, match="unknown key 'theta' in a checkpoint"):
         load_checkpoint(path)
 
 
@@ -300,16 +304,12 @@ def test_unit_sphere_area_to_the_order_bound():
 def test_checkpoint_bytes_keep_the_wire_format(tmp_path):
     path = tmp_path / "ck.json"
     save_checkpoint(RadialProfile.geodesic_sphere(2, 0.5, 5), 1, 0.25, path)
-    assert path.read_bytes() == (
-        b'{"n": 2, "k": 1, "t": 0.25, "theta": [0.0, 0.7853981633974483, '
-        b'1.5707963267948966, 2.356194490192345, 3.141592653589793], '
-        b'"rho": [0.5, 0.5, 0.5, 0.5, 0.5]}\n')
+    assert path.read_bytes() == b'{"n": 2, "k": 1, "t": 0.25, "rho": [0.5, 0.5, 0.5, 0.5, 0.5]}\n'
     # the format json.dump writes, on a full-precision profile
     prof = RadialProfile.perturbed(3, 0.8, 0.05, 2, 65)
     save_checkpoint(prof, 2, 1.0 / 3.0, path)
     expected = io.StringIO()
-    json.dump({"n": 3, "k": 2, "t": 1.0 / 3.0, "theta": prof.theta.tolist(),
-               "rho": prof.rho.tolist()}, expected)
+    json.dump({"n": 3, "k": 2, "t": 1.0 / 3.0, "rho": prof.rho.tolist()}, expected)
     assert path.read_text() == expected.getvalue() + "\n"
 
 
